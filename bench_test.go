@@ -305,6 +305,68 @@ func BenchmarkXPathEval(b *testing.B) {
 	}
 }
 
+// scanTemplates are the four un-indexed statement templates of the
+// scan-untuned benchmark workload (TPoX Q2-Q4 and Q6).
+var scanTemplates = []struct{ name, raw string }{
+	{"Q2-sector-yield", `for $sec in SECURITY('SDOC')/Security[Yield>4.5] where $sec/SecInfo/*/Sector = "Energy" return <Security>{$sec/Name}</Security>`},
+	{"Q3-industry", `for $sec in SECURITY('SDOC')/Security where $sec//Industry = "Software" return <R>{$sec/Symbol}{$sec/Name}</R>`},
+	{"Q4-pe-yield", `for $sec in SECURITY('SDOC')/Security[PE<12.0] where $sec/Yield >= 6.0 return <R>{$sec/Symbol}{$sec/PE}{$sec/Yield}</R>`},
+	{"Q6-rating", `for $sec in SECURITY('SDOC')/Security where $sec/SecInfo/BondInformation/CreditRating = "AAA" return <R>{$sec/Symbol}</R>`},
+}
+
+// BenchmarkScanCompiled times the document-match step of an un-indexed
+// scan over the SECURITY table: the compiled program's Exists against
+// the reference evaluator, per template, in ns/doc. The program must
+// not allocate on a document it rejects (checked on the documents the
+// Q6 template rejects by path summary and on those it has to visit).
+func BenchmarkScanCompiled(b *testing.B) {
+	e := benchEnv(b)
+	tbl, err := e.DB.Table(tpox.TableSecurity)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var docs []*xmltree.Document
+	tbl.Scan(func(d *xmltree.Document) bool { docs = append(docs, d); return true })
+	for _, tpl := range scanTemplates {
+		path := xquery.MustParse(tpl.raw).NormalizedPath()
+		m := tbl.Programs().Bind(path)
+		var rejected []*xmltree.Document
+		for _, d := range docs {
+			if !m.Exists(d) {
+				rejected = append(rejected, d)
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() {
+			for _, d := range rejected {
+				m.Exists(d)
+			}
+		}); allocs != 0 {
+			b.Fatalf("%s: %v allocations over %d rejected documents, want 0", tpl.name, allocs, len(rejected))
+		}
+		perDoc := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(docs)), "ns/doc")
+		}
+		b.Run(tpl.name+"/compiled", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, d := range docs {
+					m.Exists(d)
+				}
+			}
+			perDoc(b)
+		})
+		b.Run(tpl.name+"/eval", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, d := range docs {
+					_ = len(xpath.Eval(d, path)) > 0
+				}
+			}
+			perDoc(b)
+		})
+	}
+}
+
 func BenchmarkContainment(b *testing.B) {
 	super := xpath.MustParse("/Security//*")
 	sub := xpath.MustParse("/Security/SecInfo/*/Sector")

@@ -16,7 +16,9 @@
 //   - internal/optimizer — the cost-based optimizer with both EXPLAIN
 //     modes, index matching, and index ANDing.
 //   - internal/xpath, xquery — the linear-XPath and FLWOR/SQL-XML/DML
-//     statement dialects, including pattern containment.
+//     statement dialects, including pattern containment, the reference
+//     evaluator (Eval) and the compiled scan predicates the executor
+//     runs over a table's path dictionary (Program).
 //   - internal/xmltree, storage, btree, xindex, xstats, engine,
 //     persist, wal — the database substrate, including checkpoints
 //     and the write-ahead log.

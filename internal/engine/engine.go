@@ -300,41 +300,38 @@ func (e *Engine) executePlan(plan *optimizer.Plan, view View, qt *obs.QueryTrace
 }
 
 // matchDocs finds the documents satisfying the statement's normalized
-// path, either by table scan or via the plan's index accesses. With a
-// trace attached it records the index-scan and xpath-verify spans and,
-// for every costed plan node, the optimizer's estimated cardinality
-// next to the observed actual.
-func (e *Engine) matchDocs(plan *optimizer.Plan, view View, st *Stats, qt *obs.QueryTrace) ([]*xmltree.Document, error) {
+// path, either by table scan or via the plan's index accesses, and
+// returns the finished match pass: the matching documents of a
+// mutation, the bound nodes of a query. With a trace attached it
+// records the index-scan and xpath-verify spans and, for every costed
+// plan node, the optimizer's estimated cardinality next to the observed
+// actual.
+func (e *Engine) matchDocs(plan *optimizer.Plan, view View, st *Stats, qt *obs.QueryTrace) (*matchPass, error) {
 	stmt := plan.Stmt
 	tbl, err := e.db.Table(stmt.Table)
 	if err != nil {
 		return nil, err
 	}
-	norm := stmt.NormalizedPath()
-	var out []*xmltree.Document
+	pass := newMatchPass(tbl.Programs(), stmt)
+	defer pass.finish(st)
 
 	if !plan.UsesIndexes() {
 		var scanStart time.Time
 		if qt != nil {
 			scanStart = time.Now()
 		}
-		scanned := int64(0)
-		tbl.Scan(func(doc *xmltree.Document) bool {
-			scanned++
-			st.NodesScanned += int64(doc.Len())
-			if len(xpath.Eval(doc, norm)) > 0 {
-				out = append(out, doc)
-			}
+		scanned := int64(tbl.Scan(func(doc *xmltree.Document) bool {
+			pass.visit(doc)
 			return true
-		})
+		}))
 		if qt != nil {
-			span := qt.Span("xpath verify", time.Since(scanStart), int64(len(out)))
+			span := qt.Span("xpath verify", time.Since(scanStart), pass.hits)
 			qt.AddNodes(span,
 				obs.NodeCard{Op: optimizer.OpTbScan, Site: stmt.NormalizedKey(), Est: int64(plan.EstCandidateDocs + 0.5), Actual: scanned},
-				obs.NodeCard{Op: optimizer.OpFilter, Site: stmt.NormalizedKey(), Est: int64(plan.EstMatchingDocs + 0.5), Actual: int64(len(out))},
+				obs.NodeCard{Op: optimizer.OpFilter, Site: stmt.NormalizedKey(), Est: int64(plan.EstMatchingDocs + 0.5), Actual: pass.hits},
 			)
 		}
-		return out, nil
+		return pass, nil
 	}
 
 	// Index ANDing: intersect candidate document sets from each access.
@@ -388,7 +385,7 @@ func (e *Engine) matchDocs(plan *optimizer.Plan, view View, st *Stats, qt *obs.Q
 				obs.NodeCard{Op: optimizer.OpFilter, Site: stmt.NormalizedKey(), Est: int64(plan.EstMatchingDocs + 0.5), Actual: 0},
 			)
 		}
-		return nil, nil
+		return pass, nil
 	}
 	ids := make([]int64, 0, len(candidates))
 	for id := range candidates {
@@ -401,36 +398,25 @@ func (e *Engine) matchDocs(plan *optimizer.Plan, view View, st *Stats, qt *obs.Q
 			continue
 		}
 		st.DocsFetched++
-		st.NodesScanned += int64(doc.Len()) // verification re-evaluates the path
-		if len(xpath.Eval(doc, norm)) > 0 {
-			out = append(out, doc)
-		}
+		pass.visit(doc) // verification re-evaluates the path
 	}
 	if qt != nil {
-		span := qt.Span("xpath verify", time.Since(scanStart), int64(len(out)))
+		span := qt.Span("xpath verify", time.Since(scanStart), pass.hits)
 		qt.AddNodes(span,
 			obs.NodeCard{Op: optimizer.OpFetch, Site: stmt.NormalizedKey(), Est: int64(plan.EstCandidateDocs + 0.5), Actual: int64(len(ids))},
-			obs.NodeCard{Op: optimizer.OpFilter, Site: stmt.NormalizedKey(), Est: int64(plan.EstMatchingDocs + 0.5), Actual: int64(len(out))},
+			obs.NodeCard{Op: optimizer.OpFilter, Site: stmt.NormalizedKey(), Est: int64(plan.EstMatchingDocs + 0.5), Actual: pass.hits},
 		)
 	}
-	return out, nil
+	return pass, nil
 }
 
 func (e *Engine) runQuery(plan *optimizer.Plan, view View, qt *obs.QueryTrace) ([]xindex.Ref, Stats, error) {
 	var st Stats
-	docs, err := e.matchDocs(plan, view, &st, qt)
+	pass, err := e.matchDocs(plan, view, &st, qt)
 	if err != nil {
 		return nil, st, err
 	}
-	norm := plan.Stmt.NormalizedPath()
-	var refs []xindex.Ref
-	for _, doc := range docs {
-		for _, id := range xpath.Eval(doc, norm) {
-			refs = append(refs, xindex.Ref{Doc: doc.DocID, Node: id})
-			st.ResultCount++
-		}
-	}
-	return refs, st, nil
+	return pass.refs, st, nil
 }
 
 // maintain applies one maintenance callback to every engine-maintained
@@ -466,7 +452,7 @@ func (e *Engine) runInsert(stmt *xquery.Statement, view View) (Stats, error) {
 
 func (e *Engine) runDelete(plan *optimizer.Plan, view View, qt *obs.QueryTrace) (Stats, error) {
 	var st Stats
-	docs, err := e.matchDocs(plan, view, &st, qt)
+	pass, err := e.matchDocs(plan, view, &st, qt)
 	if err != nil {
 		return st, err
 	}
@@ -474,7 +460,7 @@ func (e *Engine) runDelete(plan *optimizer.Plan, view View, qt *obs.QueryTrace) 
 	if err != nil {
 		return st, err
 	}
-	for _, doc := range docs {
+	for _, doc := range pass.docs {
 		d := doc
 		maintain(view, plan.Stmt.Table, &st, func(idx *xindex.Index) int { return idx.OnDelete(d) })
 		tbl.Delete(doc.DocID)
@@ -486,7 +472,7 @@ func (e *Engine) runDelete(plan *optimizer.Plan, view View, qt *obs.QueryTrace) 
 func (e *Engine) runUpdate(plan *optimizer.Plan, view View, qt *obs.QueryTrace) (Stats, error) {
 	var st Stats
 	stmt := plan.Stmt
-	docs, err := e.matchDocs(plan, view, &st, qt)
+	pass, err := e.matchDocs(plan, view, &st, qt)
 	if err != nil {
 		return st, err
 	}
@@ -494,7 +480,7 @@ func (e *Engine) runUpdate(plan *optimizer.Plan, view View, qt *obs.QueryTrace) 
 	if err != nil {
 		return st, err
 	}
-	for _, doc := range docs {
+	for _, doc := range pass.docs {
 		// Copy-on-write: clone the document, rewrite the targeted
 		// leaves in the clone, and swap it in under the old ID
 		// (Table.Replace). The pre-image is never mutated, so readers

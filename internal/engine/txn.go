@@ -136,21 +136,21 @@ func (tx *Txn) ExecuteTraced(stmt *xquery.Statement, qt *obs.QueryTrace) ([]xind
 // candidates come from version-aware index scans instead of a table
 // scan; otherwise (no usable plan, or an index too young or not
 // self-maintained) the snapshot is scanned as before.
-func (tx *Txn) matchDocs(stmt *xquery.Statement, st *Stats, qt *obs.QueryTrace) ([]*xmltree.Document, error) {
+func (tx *Txn) matchDocs(stmt *xquery.Statement, st *Stats, qt *obs.QueryTrace) (*matchPass, error) {
 	tv, err := tx.snap.Table(stmt.Table)
 	if err != nil {
 		return nil, err
 	}
-	norm := stmt.NormalizedPath()
+	pass := newMatchPass(tv.Programs(), stmt)
+	defer pass.finish(st)
 	ov := tx.overlays[stmt.Table]
-	if out, ok := tx.matchViaIndexes(stmt, tv, ov, st, qt); ok {
-		return out, nil
+	if tx.matchViaIndexes(stmt, tv, ov, pass, st, qt) {
+		return pass, nil
 	}
 	var scanStart time.Time
 	if qt != nil {
 		scanStart = time.Now()
 	}
-	var out []*xmltree.Document
 	tv.Scan(func(d *xmltree.Document) bool {
 		if ov != nil {
 			if ov.deleted[d.DocID] {
@@ -160,30 +160,25 @@ func (tx *Txn) matchDocs(stmt *xquery.Statement, st *Stats, qt *obs.QueryTrace) 
 				d = r
 			}
 		}
-		st.NodesScanned += int64(d.Len())
-		if len(xpath.Eval(d, norm)) > 0 {
-			out = append(out, d)
-		}
+		pass.visit(d)
 		return true
 	})
 	if ov != nil {
 		for _, d := range ov.inserted {
-			st.NodesScanned += int64(d.Len())
-			if len(xpath.Eval(d, norm)) > 0 {
-				out = append(out, d)
-			}
+			pass.visit(d)
 		}
 	}
 	if qt != nil {
 		// The scan fallback has no costed plan (matchViaIndexes declined
 		// or planning failed), so the span carries no estimate cards.
-		qt.Span("xpath verify", time.Since(scanStart), int64(len(out)))
+		qt.Span("xpath verify", time.Since(scanStart), pass.hits)
 	}
-	return out, nil
+	return pass, nil
 }
 
 // matchViaIndexes answers a statement's match phase from version-aware
-// index scans under the transaction's snapshot. It reports ok=false
+// index scans under the transaction's snapshot, feeding the surviving
+// candidates to pass. It reports false, with pass untouched,
 // when the index route cannot serve the statement exactly — no index
 // plan, a planning error, or an index that is not self-maintained or
 // whose version bookkeeping starts after the snapshot's stamp — and
@@ -196,12 +191,12 @@ func (tx *Txn) matchDocs(stmt *xquery.Statement, st *Stats, qt *obs.QueryTrace) 
 // this transaction's deletes hide candidates. Every surviving candidate
 // is re-verified against the full path — index ANDing over linear
 // predicate sites over-approximates the match set.
-func (tx *Txn) matchViaIndexes(stmt *xquery.Statement, tv *storage.TableView, ov *overlay, st *Stats, qt *obs.QueryTrace) ([]*xmltree.Document, bool) {
+func (tx *Txn) matchViaIndexes(stmt *xquery.Statement, tv *storage.TableView, ov *overlay, pass *matchPass, st *Stats, qt *obs.QueryTrace) bool {
 	defs := tx.view.Definitions()
 	if len(defs) == 0 {
 		// Nothing materialized: skip planning entirely (the plan cost
 		// would dwarf the scan on every conflict retry).
-		return nil, false
+		return false
 	}
 	var optStart time.Time
 	if qt != nil {
@@ -212,14 +207,14 @@ func (tx *Txn) matchViaIndexes(stmt *xquery.Statement, tv *storage.TableView, ov
 		qt.Span("optimize", time.Since(optStart), 0)
 	}
 	if err != nil || !plan.UsesIndexes() {
-		return nil, false
+		return false
 	}
 	asOf := tx.snap.LSN()
 	indexes := make([]*xindex.Index, len(plan.Accesses))
 	for i, acc := range plan.Accesses {
 		idx, ok := tx.view.Get(acc.Index)
 		if !ok || !idx.SelfMaintained() || asOf < idx.VersionedSince() {
-			return nil, false
+			return false
 		}
 		indexes[i] = idx
 	}
@@ -284,8 +279,6 @@ func (tx *Txn) matchViaIndexes(stmt *xquery.Statement, tv *storage.TableView, ov
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
-	norm := stmt.NormalizedPath()
-	var out []*xmltree.Document
 	for _, id := range ids {
 		var d *xmltree.Document
 		if ov != nil {
@@ -300,43 +293,29 @@ func (tx *Txn) matchViaIndexes(stmt *xquery.Statement, tv *storage.TableView, ov
 			}
 			d = sd
 		}
-		st.NodesScanned += int64(d.Len()) // verification re-evaluates the path
-		if len(xpath.Eval(d, norm)) > 0 {
-			out = append(out, d)
-		}
+		pass.visit(d) // verification re-evaluates the path
 	}
 	if ov != nil {
 		for _, d := range ov.inserted {
-			st.NodesScanned += int64(d.Len())
-			if len(xpath.Eval(d, norm)) > 0 {
-				out = append(out, d)
-			}
+			pass.visit(d)
 		}
 	}
 	if qt != nil {
-		span := qt.Span("xpath verify", time.Since(scanStart), int64(len(out)))
+		span := qt.Span("xpath verify", time.Since(scanStart), pass.hits)
 		qt.AddNodes(span,
 			obs.NodeCard{Op: optimizer.OpFetch, Site: stmt.NormalizedKey(), Est: int64(plan.EstCandidateDocs + 0.5), Actual: int64(len(ids))},
-			obs.NodeCard{Op: optimizer.OpFilter, Site: stmt.NormalizedKey(), Est: int64(plan.EstMatchingDocs + 0.5), Actual: int64(len(out))},
+			obs.NodeCard{Op: optimizer.OpFilter, Site: stmt.NormalizedKey(), Est: int64(plan.EstMatchingDocs + 0.5), Actual: pass.hits},
 		)
 	}
-	return out, true
+	return true
 }
 
 func (tx *Txn) runQuery(stmt *xquery.Statement, st *Stats, qt *obs.QueryTrace) ([]xindex.Ref, error) {
-	docs, err := tx.matchDocs(stmt, st, qt)
+	pass, err := tx.matchDocs(stmt, st, qt)
 	if err != nil {
 		return nil, err
 	}
-	norm := stmt.NormalizedPath()
-	var refs []xindex.Ref
-	for _, doc := range docs {
-		for _, id := range xpath.Eval(doc, norm) {
-			refs = append(refs, xindex.Ref{Doc: doc.DocID, Node: id})
-			st.ResultCount++
-		}
-	}
-	return refs, nil
+	return pass.refs, nil
 }
 
 func (tx *Txn) runInsert(stmt *xquery.Statement, st *Stats) error {
@@ -378,12 +357,12 @@ func (tx *Txn) dropProvisional(table string, provID int64) {
 }
 
 func (tx *Txn) runDelete(stmt *xquery.Statement, st *Stats, qt *obs.QueryTrace) error {
-	docs, err := tx.matchDocs(stmt, st, qt)
+	pass, err := tx.matchDocs(stmt, st, qt)
 	if err != nil {
 		return err
 	}
 	ov := tx.overlay(stmt.Table)
-	for _, d := range docs {
+	for _, d := range pass.docs {
 		if d.DocID < 0 {
 			tx.dropProvisional(stmt.Table, d.DocID)
 		} else {
@@ -399,12 +378,12 @@ func (tx *Txn) runDelete(stmt *xquery.Statement, st *Stats, qt *obs.QueryTrace) 
 }
 
 func (tx *Txn) runUpdate(stmt *xquery.Statement, st *Stats, qt *obs.QueryTrace) error {
-	docs, err := tx.matchDocs(stmt, st, qt)
+	pass, err := tx.matchDocs(stmt, st, qt)
 	if err != nil {
 		return err
 	}
 	ov := tx.overlay(stmt.Table)
-	for _, d := range docs {
+	for _, d := range pass.docs {
 		targets := xpath.Eval(d, xpath.Concat(stmt.Match.StripPreds(), stmt.SetPath))
 		if len(targets) == 0 {
 			continue

@@ -58,6 +58,7 @@ import (
 
 	"xixa/internal/obs"
 	"xixa/internal/xmltree"
+	"xixa/internal/xpath"
 )
 
 // docVersion is one link of a document's version chain, newest first.
@@ -305,32 +306,29 @@ func (v *TableView) Get(id int64) (*xmltree.Document, bool) {
 
 // Scan visits every document visible at the view's stamp, in insertion
 // order. The visit function returns false to stop; Scan reports the
-// number of documents visited.
+// number of documents visited. Like Table.Scan it resolves the visible
+// versions under one hold of the read lock.
 func (v *TableView) Scan(visit func(*xmltree.Document) bool) int {
 	t := v.t
 	t.mu.RLock()
-	ids := make([]int64, 0, len(t.order)-t.tombs)
+	docs := make([]*xmltree.Document, 0, len(t.docs))
 	for _, id := range t.order {
-		if id != tombstone {
-			ids = append(ids, id)
+		if id == tombstone {
+			continue
+		}
+		if d, ok := t.visibleLocked(id, v.lsn); ok {
+			docs = append(docs, d)
 		}
 	}
 	t.mu.RUnlock()
-	visited := 0
-	for _, id := range ids {
-		t.mu.RLock()
-		d, ok := t.visibleLocked(id, v.lsn)
-		t.mu.RUnlock()
-		if !ok {
-			continue
-		}
-		visited++
-		if !visit(d) {
-			break
-		}
-	}
-	return visited
+	return visitDocs(docs, visit)
 }
+
+// PathDict returns the table's shared path dictionary.
+func (v *TableView) PathDict() *xmltree.PathDict { return v.t.dict }
+
+// Programs returns the table's cache of compiled scan predicates.
+func (v *TableView) Programs() *xpath.ProgramCache { return v.t.programs }
 
 // pushVersionLocked links a new version (doc == nil for a delete
 // marker) onto id's chain and prunes the tail: the newest version at

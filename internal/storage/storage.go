@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"xixa/internal/xmltree"
+	"xixa/internal/xpath"
 )
 
 // ChangeKind discriminates table change events.
@@ -88,6 +89,11 @@ type Table struct {
 	// IDs instead of re-deriving label paths per node.
 	dict *xmltree.PathDict
 
+	// programs caches the scan predicates compiled against dict, one
+	// per statement template. It lives here so that it dies with the
+	// table.
+	programs *xpath.ProgramCache
+
 	// mv is the database-wide MVCC state (commit stamps, publish lock,
 	// snapshot pins); standalone tables carry a private one.
 	mv *mvccState
@@ -121,18 +127,23 @@ func NewTable(name string) *Table {
 }
 
 func newTable(name string, mv *mvccState) *Table {
+	dict := xmltree.NewPathDict()
 	return &Table{
-		Name:  name,
-		dict:  xmltree.NewPathDict(),
-		mv:    mv,
-		docs:  make(map[int64]*xmltree.Document),
-		heads: make(map[int64]*docVersion),
-		pos:   make(map[int64]int),
+		Name:     name,
+		dict:     dict,
+		programs: xpath.NewProgramCache(dict),
+		mv:       mv,
+		docs:     make(map[int64]*xmltree.Document),
+		heads:    make(map[int64]*docVersion),
+		pos:      make(map[int64]int),
 	}
 }
 
 // PathDict returns the table's shared path dictionary.
 func (t *Table) PathDict() *xmltree.PathDict { return t.dict }
+
+// Programs returns the table's cache of compiled scan predicates.
+func (t *Table) Programs() *xpath.ProgramCache { return t.programs }
 
 // Subscribe registers a change listener and returns its subscription
 // handle. Listeners are invoked with the table lock held, in
@@ -178,19 +189,29 @@ func (t *Table) SubscribeScan(fn func(Change), init func(*xmltree.Document)) (in
 	defer t.mu.Unlock()
 	id := t.subscribeLocked(fn)
 	if init != nil {
-		for _, docID := range t.order {
-			if docID == tombstone {
-				continue
-			}
-			// An order slot may outlive its document (deleted but not
-			// yet swept: the chain keeps a delete marker for pinned
-			// snapshots); only current documents seed the subscriber.
-			if d, ok := t.docs[docID]; ok {
-				init(d)
-			}
+		for _, d := range t.liveDocsLocked() {
+			init(d)
 		}
 	}
 	return t.version, id
+}
+
+// liveDocsLocked returns the current documents in insertion order.
+// Callers hold t.mu.
+func (t *Table) liveDocsLocked() []*xmltree.Document {
+	docs := make([]*xmltree.Document, 0, len(t.docs))
+	for _, id := range t.order {
+		if id == tombstone {
+			continue
+		}
+		// An order slot may outlive its document (deleted but not yet
+		// swept: the chain keeps a delete marker for pinned snapshots);
+		// only current documents count.
+		if d, ok := t.docs[id]; ok {
+			docs = append(docs, d)
+		}
+	}
+	return docs
 }
 
 // notify delivers a change to every listener. Callers hold t.mu.
@@ -450,29 +471,24 @@ func (t *Table) Get(id int64) (*xmltree.Document, bool) {
 
 // Scan visits every document in insertion order. The visit function
 // returns false to stop. Scan reports the number of documents visited.
+// The documents are those current when Scan starts: the live pointers
+// are collected under one hold of the read lock and visited with no
+// lock held, so a document deleted or replaced meanwhile is still
+// visited, as its pre-image.
 func (t *Table) Scan(visit func(*xmltree.Document) bool) int {
 	t.mu.RLock()
-	ids := make([]int64, 0, len(t.order)-t.tombs)
-	for _, id := range t.order {
-		if id != tombstone {
-			ids = append(ids, id)
-		}
-	}
+	docs := t.liveDocsLocked()
 	t.mu.RUnlock()
-	visited := 0
-	for _, id := range ids {
-		t.mu.RLock()
-		d, ok := t.docs[id]
-		t.mu.RUnlock()
-		if !ok {
-			continue
-		}
-		visited++
+	return visitDocs(docs, visit)
+}
+
+func visitDocs(docs []*xmltree.Document, visit func(*xmltree.Document) bool) int {
+	for i, d := range docs {
 		if !visit(d) {
-			break
+			return i + 1
 		}
 	}
-	return visited
+	return len(docs)
 }
 
 // DocCount returns the number of stored documents.

@@ -82,6 +82,9 @@ type Document struct {
 	// PathIDs holds the interned rooted-label-path ID of each node
 	// (parallel to Nodes). Text nodes carry their parent's path ID.
 	PathIDs []PathID
+
+	// paths summarizes PathIDs; InternPaths fills it (see PathSummary).
+	paths pathSummary
 }
 
 // Root returns the root element of the document, or nil if empty.
@@ -111,13 +114,30 @@ func (d *Document) TextOf(id NodeID) string {
 	case Attribute, Text:
 		return n.Value
 	}
+	// All descendants occupy the contiguous ID range (id, EndID]. A lone
+	// text descendant (the common leaf shape) is returned as is; the
+	// builder only starts at the second one.
+	first := ""
 	var sb strings.Builder
-	// All descendants occupy the contiguous ID range (id, EndID].
+	texts := 0
 	for i := n.ID + 1; i <= n.EndID; i++ {
 		c := &d.Nodes[i]
-		if c.Kind == Text {
+		if c.Kind != Text {
+			continue
+		}
+		switch texts {
+		case 0:
+			first = c.Value
+		case 1:
+			sb.WriteString(first)
+			sb.WriteString(c.Value)
+		default:
 			sb.WriteString(c.Value)
 		}
+		texts++
+	}
+	if texts <= 1 {
+		return first
 	}
 	return sb.String()
 }

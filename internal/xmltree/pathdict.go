@@ -137,6 +137,54 @@ func (d *PathDict) Path(id PathID) string {
 	return string(buf)
 }
 
+// PathSig is a fixed-size signature of a set of PathIDs: bit id mod 256
+// is set for every member. Two sets whose signatures do not intersect
+// are disjoint; the converse holds exactly while the dictionary has at
+// most 256 paths and degrades to a Bloom-style "maybe" beyond that. The
+// fixed size keeps a per-document path set at 32 bytes however large a
+// schema-less table's dictionary grows.
+type PathSig [4]uint64
+
+// Add puts id into the set.
+func (s *PathSig) Add(id PathID) { s[(id>>6)&3] |= 1 << (uint(id) & 63) }
+
+// Intersects reports whether the two sets may share a member.
+func (s *PathSig) Intersects(o *PathSig) bool {
+	return s[0]&o[0]|s[1]&o[1]|s[2]&o[2]|s[3]&o[3] != 0
+}
+
+// pathSummary is what a document knows about its own PathIDs without
+// walking them: their signature and the largest one.
+type pathSummary struct {
+	sig  PathSig
+	max  PathID
+	done bool
+}
+
+// PathSummary returns the signature of the PathIDs the document carries
+// and the largest of them (NoPath for an empty document). ok is false
+// until InternPaths has attached the document to a dictionary — a
+// summary describes IDs of that dictionary only. Scans use it to reject
+// a document that carries none of the paths a predicate needs without
+// visiting a node, and to notice IDs newer than their own tables.
+func (doc *Document) PathSummary() (sig *PathSig, max PathID, ok bool) {
+	return &doc.paths.sig, doc.paths.max, doc.paths.done
+}
+
+func (doc *Document) summarizePaths() {
+	ps := pathSummary{max: NoPath, done: true}
+	for _, id := range doc.PathIDs {
+		if id < 0 {
+			continue
+		}
+		ps.sig.Add(id)
+		if id > ps.max {
+			ps.max = id
+		}
+	}
+	doc.paths = ps
+}
+
 // nodeLabel spells a node's dictionary label: the element name, or
 // "@name" for attributes.
 func nodeLabel(kind Kind, name string) string {
@@ -186,6 +234,9 @@ func (doc *Document) InternPaths(dict *PathDict) {
 		return
 	}
 	if doc.Dict == dict && len(doc.PathIDs) == len(doc.Nodes) {
+		if !doc.paths.done {
+			doc.summarizePaths()
+		}
 		return
 	}
 	if doc.Dict != nil && len(doc.PathIDs) == len(doc.Nodes) {
@@ -204,9 +255,11 @@ func (doc *Document) InternPaths(dict *PathDict) {
 			}
 		}
 		doc.Dict = dict
+		doc.summarizePaths()
 		return
 	}
 	doc.internPathsFrom(dict)
+	doc.summarizePaths()
 }
 
 // NumericLead reports whether a first byte can start any lexical form

@@ -1,7 +1,7 @@
 package xpath
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"xixa/internal/xmltree"
@@ -36,16 +36,21 @@ func EvalFrom(doc *xmltree.Document, ctx xmltree.NodeID, p Path) []xmltree.NodeI
 
 // evalSteps advances the context set through each step. fromDoc marks
 // that the initial context is the document node (above the root).
+//
+// Every intermediate context is kept in document order and free of
+// duplicates, so no step needs a seen-set and the result needs no final
+// sort. Children of distinct nodes are distinct, and the descendant
+// ranges of nodes in disjoint subtrees are disjoint, so a step from such
+// a context emits in order as it goes. Only a descendant step can
+// produce a context holding a node together with one of its ancestors
+// (nested); from a nested context a descendant step skips the part of
+// each range an enclosing context already emitted (a forward merge), and
+// a child step — whose outputs stay distinct but interleave — is put
+// back in order afterwards.
 func evalSteps(doc *xmltree.Document, ctx []xmltree.NodeID, fromDoc bool, steps []Step) []xmltree.NodeID {
+	nested := false // ctx may hold a node and one of its ancestors
 	for si, st := range steps {
 		var next []xmltree.NodeID
-		seen := make(map[xmltree.NodeID]bool)
-		add := func(id xmltree.NodeID) {
-			if !seen[id] {
-				seen[id] = true
-				next = append(next, id)
-			}
-		}
 		if si == 0 && fromDoc {
 			root := doc.Root()
 			if root == nil {
@@ -54,33 +59,48 @@ func evalSteps(doc *xmltree.Document, ctx []xmltree.NodeID, fromDoc bool, steps 
 			switch st.Axis {
 			case Child:
 				if matchNode(doc, root.ID, st) {
-					add(root.ID)
+					next = append(next, root.ID)
 				}
 			case Descendant:
 				// Descendants of the document node: every node.
 				for i := 0; i < doc.Len(); i++ {
 					if matchNode(doc, xmltree.NodeID(i), st) {
-						add(xmltree.NodeID(i))
+						next = append(next, xmltree.NodeID(i))
 					}
 				}
+				nested = true
 			}
 		} else {
-			for _, c := range ctx {
-				n := doc.Node(c)
-				switch st.Axis {
-				case Child:
-					for _, ch := range n.Children {
+			switch st.Axis {
+			case Child:
+				for _, c := range ctx {
+					for _, ch := range doc.Node(c).Children {
 						if matchNode(doc, ch, st) {
-							add(ch)
-						}
-					}
-				case Descendant:
-					for i := n.ID + 1; i <= n.EndID; i++ {
-						if matchNode(doc, i, st) {
-							add(i)
+							next = append(next, ch)
 						}
 					}
 				}
+				if nested {
+					slices.Sort(next)
+				}
+			case Descendant:
+				done := xmltree.NodeID(-1) // largest node ID already scanned
+				for _, c := range ctx {
+					n := doc.Node(c)
+					from := n.ID + 1
+					if from <= done {
+						from = done + 1
+					}
+					for i := from; i <= n.EndID; i++ {
+						if matchNode(doc, i, st) {
+							next = append(next, i)
+						}
+					}
+					if n.EndID > done {
+						done = n.EndID
+					}
+				}
+				nested = true
 			}
 		}
 		// Apply predicates.
@@ -105,7 +125,6 @@ func evalSteps(doc *xmltree.Document, ctx []xmltree.NodeID, fromDoc bool, steps 
 			return nil
 		}
 	}
-	sort.Slice(ctx, func(i, j int) bool { return ctx[i] < ctx[j] })
 	return ctx
 }
 
