@@ -61,7 +61,11 @@
 // mismatch, and post-mutation plans and recommendations are
 // bit-identical to a cold optimizer on freshly collected statistics.
 // Engine-driven flows (cmd/xqshell, examples/autonomous, the
-// update-stream experiment) run in this mode.
+// update-stream experiment) run in this mode. internal/engine has one
+// statement executor: engine.Txn applies every mutation (Engine.Execute
+// of one is Begin, Execute, Commit) and one plan interpreter runs every
+// match phase, under a live reader outside a transaction and a
+// snapshot reader inside one.
 //
 // # Serving and autonomous tuning
 //

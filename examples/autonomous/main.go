@@ -1,9 +1,9 @@
 // Autonomous tuning: an online loop in the spirit of the paper's
 // related work [19] (Hammerschmidt et al.), built from this library's
-// pieces — the engine's workload recorder captures live statements, and
-// the advisor periodically re-tunes, materializing newly recommended
-// indexes and dropping ones that fell out of the recommendation. The
-// workload shifts halfway through; watch the configuration follow it.
+// pieces — a workload.Capture observes the executed statements, and the
+// advisor periodically re-tunes, reconciling the catalog toward its
+// recommendation through the online index manager. The workload shifts
+// halfway through; watch the configuration follow it.
 //
 //	go run ./examples/autonomous
 package main
@@ -16,6 +16,7 @@ import (
 	"xixa/internal/engine"
 	"xixa/internal/optimizer"
 	"xixa/internal/tpox"
+	"xixa/internal/workload"
 	"xixa/internal/xindex"
 	"xixa/internal/xquery"
 )
@@ -32,6 +33,7 @@ func main() {
 	opt := optimizer.NewLive(db)
 	cat := engine.NewCatalog()
 	eng := engine.New(db, opt, cat)
+	mgr := xindex.NewManager(db, cat, nil)
 
 	// Two workload phases: symbol lookups first, then sector/yield
 	// screens.
@@ -44,8 +46,8 @@ func main() {
 		`for $s in SECURITY('SDOC')/Security where $s//Industry = "Software" return $s`,
 	}
 
-	retune := func(rec *engine.Recorder, budgetFactor int64) {
-		w := rec.Workload()
+	retune := func(seen *workload.Capture, budgetFactor int64) {
+		w := seen.Workload()
 		if w.Len() == 0 {
 			return
 		}
@@ -57,49 +59,34 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		want := make(map[string]xindex.Definition)
-		for _, def := range recm.Definitions() {
-			want[def.Key()] = def
+		built, dropped, err := mgr.Reconcile(optimizer.DiffConfigs(cat.Definitions(), recm.Definitions()))
+		if err != nil {
+			log.Fatal(err)
 		}
-		// Drop indexes that are no longer recommended.
-		for _, def := range cat.Definitions() {
-			if _, ok := want[def.Key()]; !ok {
-				cat.Drop(def)
-				fmt.Printf("    DROP   %s\n", def)
-			} else {
-				delete(want, def.Key())
-			}
+		for _, def := range dropped {
+			fmt.Printf("    DROP   %s\n", def)
 		}
-		// Materialize the new ones.
-		for _, def := range want {
-			tbl, err := db.Table(def.Table)
-			if err != nil {
-				continue
-			}
-			idx, err := xindex.Build(tbl, def)
-			if err != nil {
-				log.Fatal(err)
-			}
-			cat.Add(idx)
+		for _, def := range built {
 			fmt.Printf("    CREATE %s\n", def)
 		}
 	}
 
 	runPhase := func(name string, queries []string, rounds int) {
-		rec := engine.NewRecorder()
-		eng.SetRecorder(rec)
+		seen := workload.NewCapture(0)
 		var work float64
 		for r := 0; r < rounds; r++ {
 			for _, q := range queries {
-				_, st, err := eng.Execute(xquery.MustParse(q))
+				stmt := xquery.MustParse(q)
+				_, st, err := eng.Execute(stmt)
 				if err != nil {
 					log.Fatal(err)
 				}
+				seen.Observe(stmt, 1)
 				work += st.WorkUnits()
 			}
 			if r == rounds/2 {
-				fmt.Printf("  [%s] mid-phase retune after observing %d statements:\n", name, rec.Len())
-				retune(rec, 1)
+				fmt.Printf("  [%s] mid-phase retune after observing %d statements:\n", name, seen.Len())
+				retune(seen, 1)
 			}
 		}
 		fmt.Printf("  [%s] total work: %.0f units, %d indexes in catalog\n\n",
@@ -111,5 +98,5 @@ func main() {
 	fmt.Println("Phase 2: workload shifts to sector/yield screens")
 	runPhase("phase2", phase2, 6)
 	fmt.Println("The catalog followed the workload: symbol indexes were dropped")
-	fmt.Println("once the recorder stopped seeing symbol lookups.")
+	fmt.Println("once the capture stopped seeing symbol lookups.")
 }

@@ -225,10 +225,9 @@ func (s *Stats) Add(o Stats) {
 
 // Engine executes statements.
 type Engine struct {
-	db       *storage.Database
-	opt      *optimizer.Optimizer
-	cat      *Catalog
-	recorder *Recorder
+	db  *storage.Database
+	opt *optimizer.Optimizer
+	cat *Catalog
 }
 
 // New creates an engine over a database, its optimizer, and a catalog
@@ -239,272 +238,61 @@ func New(db *storage.Database, opt *optimizer.Optimizer, cat *Catalog) *Engine {
 
 // Execute optimizes the statement against the catalog's real indexes
 // and runs the chosen plan. It returns the bound result nodes (for
-// queries) and the execution statistics. The catalog configuration is
-// pinned once for the whole statement, so a concurrent index swap or
-// drop can never leave the chosen plan pointing at an index the
-// execution cannot resolve.
+// queries) and the execution statistics. A query reads live state; a
+// mutation runs as an auto-commit transaction (Begin, Execute, Commit),
+// so storage.ErrConflict surfaces when a concurrent commit wins the
+// document first, with nothing applied. Either way the catalog
+// configuration is pinned once for the whole statement, so a concurrent
+// index swap or drop can never leave the chosen plan pointing at an
+// index the execution cannot resolve.
 func (e *Engine) Execute(stmt *xquery.Statement) ([]xindex.Ref, Stats, error) {
-	return e.ExecuteTraced(stmt, nil)
+	return e.execute(stmt, nil, nil)
 }
 
 // ExecuteTraced is Execute with an optional trace attached: plan-phase
 // spans (optimize, index scan, xpath verify) and per-plan-node
 // estimated-vs-actual cardinalities are recorded into qt. A nil qt
-// skips all trace bookkeeping (including its clock reads), so the
-// untraced path is identical to Execute before tracing existed.
+// skips all trace bookkeeping (including its clock reads).
 func (e *Engine) ExecuteTraced(stmt *xquery.Statement, qt *obs.QueryTrace) ([]xindex.Ref, Stats, error) {
-	if e.recorder != nil {
-		e.recorder.Record(stmt)
-	}
-	view := e.cat.View()
-	var optStart time.Time
-	if qt != nil {
-		optStart = time.Now()
-	}
-	plan, err := e.opt.EvaluateIndexes(stmt, view.Definitions())
-	if qt != nil {
-		qt.Span("optimize", time.Since(optStart), 0)
-	}
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return e.executePlan(plan, view, qt)
+	return e.execute(stmt, nil, qt)
 }
 
 // ExecutePlan runs an already-chosen plan against the current catalog
 // configuration.
 func (e *Engine) ExecutePlan(plan *optimizer.Plan) ([]xindex.Ref, Stats, error) {
-	return e.executePlan(plan, e.cat.View(), nil)
+	return e.execute(plan.Stmt, plan, nil)
 }
 
-func (e *Engine) executePlan(plan *optimizer.Plan, view View, qt *obs.QueryTrace) ([]xindex.Ref, Stats, error) {
+// execute runs one statement outside any transaction; a nil plan is
+// chosen by the interpreter.
+func (e *Engine) execute(stmt *xquery.Statement, plan *optimizer.Plan, qt *obs.QueryTrace) ([]xindex.Ref, Stats, error) {
 	start := time.Now()
-	var refs []xindex.Ref
-	var st Stats
-	var err error
-	stmt := plan.Stmt
-	switch stmt.Kind {
-	case xquery.Query:
-		refs, st, err = e.runQuery(plan, view, qt)
-	case xquery.Insert:
-		st, err = e.runInsert(stmt, view)
-	case xquery.Delete:
-		st, err = e.runDelete(plan, view, qt)
-	case xquery.Update:
-		st, err = e.runUpdate(plan, view, qt)
-	default:
-		err = fmt.Errorf("engine: unsupported statement kind %v", stmt.Kind)
+	if stmt.Kind != xquery.Query {
+		tx := e.Begin()
+		refs, st, err := tx.execute(stmt, plan, qt)
+		if err != nil {
+			tx.Rollback()
+			return nil, st, err
+		}
+		info, err := tx.Commit(nil)
+		if err != nil {
+			return nil, st, err
+		}
+		st.IndexEntriesTouched += info.Maintenance.IndexEntriesTouched
+		st.Elapsed = time.Since(start) // the commit is part of the statement
+		return refs, st, nil
 	}
-	st.Elapsed = time.Since(start)
-	return refs, st, err
-}
-
-// matchDocs finds the documents satisfying the statement's normalized
-// path, either by table scan or via the plan's index accesses, and
-// returns the finished match pass: the matching documents of a
-// mutation, the bound nodes of a query. With a trace attached it
-// records the index-scan and xpath-verify spans and, for every costed
-// plan node, the optimizer's estimated cardinality next to the observed
-// actual.
-func (e *Engine) matchDocs(plan *optimizer.Plan, view View, st *Stats, qt *obs.QueryTrace) (*matchPass, error) {
-	stmt := plan.Stmt
+	var st Stats
 	tbl, err := e.db.Table(stmt.Table)
 	if err != nil {
-		return nil, err
+		return nil, st, err
 	}
-	pass := newMatchPass(tbl.Programs(), stmt)
-	defer pass.finish(st)
-
-	if !plan.UsesIndexes() {
-		var scanStart time.Time
-		if qt != nil {
-			scanStart = time.Now()
-		}
-		scanned := int64(tbl.Scan(func(doc *xmltree.Document) bool {
-			pass.visit(doc)
-			return true
-		}))
-		if qt != nil {
-			span := qt.Span("xpath verify", time.Since(scanStart), pass.hits)
-			qt.AddNodes(span,
-				obs.NodeCard{Op: optimizer.OpTbScan, Site: stmt.NormalizedKey(), Est: int64(plan.EstCandidateDocs + 0.5), Actual: scanned},
-				obs.NodeCard{Op: optimizer.OpFilter, Site: stmt.NormalizedKey(), Est: int64(plan.EstMatchingDocs + 0.5), Actual: pass.hits},
-			)
-		}
-		return pass, nil
-	}
-
-	// Index ANDing: intersect candidate document sets from each access.
-	var scanStart time.Time
-	if qt != nil {
-		scanStart = time.Now()
-	}
-	var cards []obs.NodeCard
-	var candidates map[int64]bool
-	for _, acc := range plan.Accesses {
-		idx, ok := view.Get(acc.Index)
-		if !ok {
-			return nil, fmt.Errorf("engine: plan references unmaterialized index %s", acc.Index)
-		}
-		st.IndexProbes++
-		docSet := make(map[int64]bool)
-		entries := int64(idx.Scan(acc.Site.Op, acc.Site.Lit, func(r xindex.Ref) bool {
-			docSet[r.Doc] = true
-			return true
-		}))
-		st.IndexEntriesRead += entries
-		if qt != nil {
-			cards = append(cards, obs.NodeCard{
-				Op: optimizer.OpIxScan, Site: acc.Site.Key(),
-				Est: int64(acc.EntriesScanned + 0.5), Actual: entries,
-			})
-		}
-		if candidates == nil {
-			candidates = docSet
-		} else {
-			for id := range candidates {
-				if !docSet[id] {
-					delete(candidates, id)
-				}
-			}
-		}
-		if len(candidates) == 0 {
-			break
-		}
-	}
-	if qt != nil {
-		span := qt.Span("index scan", time.Since(scanStart), int64(len(candidates)))
-		qt.AddNodes(span, cards...)
-		scanStart = time.Now()
-	}
-	if len(candidates) == 0 {
-		if qt != nil {
-			span := qt.Span("xpath verify", time.Since(scanStart), 0)
-			qt.AddNodes(span,
-				obs.NodeCard{Op: optimizer.OpFetch, Site: stmt.NormalizedKey(), Est: int64(plan.EstCandidateDocs + 0.5), Actual: 0},
-				obs.NodeCard{Op: optimizer.OpFilter, Site: stmt.NormalizedKey(), Est: int64(plan.EstMatchingDocs + 0.5), Actual: 0},
-			)
-		}
-		return pass, nil
-	}
-	ids := make([]int64, 0, len(candidates))
-	for id := range candidates {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		doc, ok := tbl.Get(id)
-		if !ok {
-			continue
-		}
-		st.DocsFetched++
-		pass.visit(doc) // verification re-evaluates the path
-	}
-	if qt != nil {
-		span := qt.Span("xpath verify", time.Since(scanStart), pass.hits)
-		qt.AddNodes(span,
-			obs.NodeCard{Op: optimizer.OpFetch, Site: stmt.NormalizedKey(), Est: int64(plan.EstCandidateDocs + 0.5), Actual: int64(len(ids))},
-			obs.NodeCard{Op: optimizer.OpFilter, Site: stmt.NormalizedKey(), Est: int64(plan.EstMatchingDocs + 0.5), Actual: pass.hits},
-		)
-	}
-	return pass, nil
-}
-
-func (e *Engine) runQuery(plan *optimizer.Plan, view View, qt *obs.QueryTrace) ([]xindex.Ref, Stats, error) {
-	var st Stats
-	pass, err := e.matchDocs(plan, view, &st, qt)
+	pass, err := e.matchDocs(stmt, plan, e.cat.View(), liveReader{tbl}, nil, &st, qt)
+	st.Elapsed = time.Since(start)
 	if err != nil {
 		return nil, st, err
 	}
 	return pass.refs, st, nil
-}
-
-// maintain applies one maintenance callback to every engine-maintained
-// index of a table. Self-maintained (online-built) indexes are skipped:
-// they update themselves synchronously from the table's change feed,
-// and applying engine maintenance on top would double-apply entries.
-func maintain(view View, table string, st *Stats, apply func(*xindex.Index) int) {
-	for _, idx := range view.ForTable(table) {
-		if idx.SelfMaintained() {
-			continue
-		}
-		st.IndexEntriesTouched += int64(apply(idx))
-	}
-}
-
-func (e *Engine) runInsert(stmt *xquery.Statement, view View) (Stats, error) {
-	var st Stats
-	tbl, err := e.db.Table(stmt.Table)
-	if err != nil {
-		return st, err
-	}
-	if stmt.Doc == nil {
-		return st, fmt.Errorf("engine: insert without document")
-	}
-	// Each execution inserts a fresh copy so repeated executions of the
-	// same statement behave like TPoX's insert stream.
-	doc := cloneDoc(stmt.Doc)
-	tbl.Insert(doc)
-	st.DocsModified++
-	maintain(view, stmt.Table, &st, func(idx *xindex.Index) int { return idx.OnInsert(doc) })
-	return st, nil
-}
-
-func (e *Engine) runDelete(plan *optimizer.Plan, view View, qt *obs.QueryTrace) (Stats, error) {
-	var st Stats
-	pass, err := e.matchDocs(plan, view, &st, qt)
-	if err != nil {
-		return st, err
-	}
-	tbl, err := e.db.Table(plan.Stmt.Table)
-	if err != nil {
-		return st, err
-	}
-	for _, doc := range pass.docs {
-		d := doc
-		maintain(view, plan.Stmt.Table, &st, func(idx *xindex.Index) int { return idx.OnDelete(d) })
-		tbl.Delete(doc.DocID)
-		st.DocsModified++
-	}
-	return st, nil
-}
-
-func (e *Engine) runUpdate(plan *optimizer.Plan, view View, qt *obs.QueryTrace) (Stats, error) {
-	var st Stats
-	stmt := plan.Stmt
-	pass, err := e.matchDocs(plan, view, &st, qt)
-	if err != nil {
-		return st, err
-	}
-	tbl, err := e.db.Table(stmt.Table)
-	if err != nil {
-		return st, err
-	}
-	for _, doc := range pass.docs {
-		// Copy-on-write: clone the document, rewrite the targeted
-		// leaves in the clone, and swap it in under the old ID
-		// (Table.Replace). The pre-image is never mutated, so readers
-		// evaluating it concurrently see a consistent snapshot, and
-		// change subscribers (statistics keeper, online indexes) get an
-		// immutable pre-image in the DocRemoved event and the new
-		// document in the DocInserted event. Engine-maintained indexes
-		// still pay the remove-entries/re-add cycle a naive maintenance
-		// pass would; the counters reflect entries actually touched.
-		targets := xpath.Eval(doc, xpath.Concat(stmt.Match.StripPreds(), stmt.SetPath))
-		if len(targets) == 0 {
-			continue
-		}
-		newDoc := cloneDoc(doc)
-		for _, id := range targets {
-			setNodeText(newDoc, id, stmt.SetValue)
-		}
-		pre := doc
-		maintain(view, stmt.Table, &st, func(idx *xindex.Index) int { return idx.OnDelete(pre) })
-		tbl.Replace(doc.DocID, newDoc)
-		maintain(view, stmt.Table, &st, func(idx *xindex.Index) int { return idx.OnInsert(newDoc) })
-		st.DocsModified++
-	}
-	return st, nil
 }
 
 // setNodeText replaces the text content of an element (or the value of

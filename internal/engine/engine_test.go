@@ -234,7 +234,7 @@ func TestUpdateExecution(t *testing.T) {
 }
 
 func TestPlanWithMissingIndexFails(t *testing.T) {
-	_, opt, eng, _ := newFixture(t, 50)
+	db, opt, eng, _ := newFixture(t, 50)
 	// Build a plan against a virtual config, then execute it without
 	// materializing the index: the engine must refuse.
 	def := xindex.Definition{Table: "SECURITY", Pattern: xpath.MustParsePattern("/Security/Symbol"), Type: xpath.StringVal}
@@ -247,6 +247,27 @@ func TestPlanWithMissingIndexFails(t *testing.T) {
 	}
 	if _, _, err := eng.ExecutePlan(plan); err == nil {
 		t.Error("executing plan with unmaterialized index succeeded")
+	}
+	// The snapshot reader refuses too (it used to fall back to a scan),
+	// for a query and for a mutation's match phase alike.
+	del := xquery.MustParse(`delete from SECURITY where /Security[Symbol="S00042"]`)
+	delPlan, err := opt.EvaluateIndexes(del, []xindex.Definition{def})
+	if err != nil || !delPlan.UsesIndexes() {
+		t.Fatalf("delete plan %v, err %v; expected an index plan", delPlan, err)
+	}
+	tx := eng.Begin()
+	defer tx.Rollback()
+	if _, _, err := tx.execute(plan.Stmt, plan, nil); err == nil {
+		t.Error("transaction executed a query plan with an unmaterialized index")
+	}
+	if _, _, err := tx.execute(del, delPlan, nil); err == nil {
+		t.Error("transaction executed a delete plan with an unmaterialized index")
+	}
+	if _, _, err := eng.ExecutePlan(delPlan); err == nil {
+		t.Error("auto-commit delete with an unmaterialized index succeeded")
+	}
+	if tbl, _ := db.Table("SECURITY"); tbl.DocCount() != 50 {
+		t.Errorf("a refused delete plan removed documents: %d left of 50", tbl.DocCount())
 	}
 }
 
@@ -281,38 +302,5 @@ func TestRunWorkloadWeightsByFrequency(t *testing.T) {
 	}
 	if st3.NodesScanned != 3*st1.NodesScanned {
 		t.Errorf("frequency weighting broken: %d vs 3*%d", st3.NodesScanned, st1.NodesScanned)
-	}
-}
-
-func TestRecorderCapturesWorkload(t *testing.T) {
-	_, _, eng, _ := newFixture(t, 50)
-	rec := NewRecorder()
-	eng.SetRecorder(rec)
-	q2 := `SECURITY('SDOC')/Security[Yield>4.5]`
-	for i := 0; i < 3; i++ {
-		if _, _, err := eng.Execute(xquery.MustParse(eq1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, err := eng.Execute(xquery.MustParse(q2)); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Len() != 2 {
-		t.Fatalf("recorded %d distinct statements, want 2", rec.Len())
-	}
-	w := rec.Workload()
-	if w.Len() != 2 || w.Items[0].Freq != 3 || w.Items[1].Freq != 1 {
-		t.Errorf("workload = %d items, freqs %d/%d", w.Len(), w.Items[0].Freq, w.Items[1].Freq)
-	}
-	if w.Items[0].Stmt.Raw != eq1 {
-		t.Error("first-seen order not preserved")
-	}
-	// Detach: further executions are not recorded.
-	eng.SetRecorder(nil)
-	if _, _, err := eng.Execute(xquery.MustParse(eq1)); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Workload().Items[0].Freq != 3 {
-		t.Error("recording continued after detach")
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -21,7 +22,11 @@ import (
 // once — XPath evaluation, pattern containment (index matching), the
 // optimizer's plan choice, B+-tree range scans, key encoding, and
 // fetch-and-verify execution. A bug in any layer surfaces as a result
-// mismatch.
+// mismatch. The same queries then run through the snapshot reader: on
+// the quiescent database it must agree with the live reader result for
+// result and counter for counter, and inside a transaction holding
+// random buffered writes it must agree with a brute-force xpath.Eval
+// over snapshot plus overlay.
 
 // randomEquivDB builds a small random database over a fixed vocabulary.
 func randomEquivDB(r *rand.Rand) (*storage.Database, *storage.Table) {
@@ -117,7 +122,70 @@ func randomEquivIndexes(r *rand.Rand) []xindex.Definition {
 	return out
 }
 
+// overlayModel is the brute-force oracle for a transaction's view of
+// table T: the snapshot's documents with the transaction's buffered
+// writes applied by hand, every predicate answered by xpath.Eval.
+type overlayModel struct {
+	docs []*xmltree.Document // committed documents in ID order, then the transaction's inserts
+	prov int64               // last provisional ID handed out
+}
+
+func (m *overlayModel) apply(stmt *xquery.Statement) {
+	switch stmt.Kind {
+	case xquery.Insert:
+		d := cloneDoc(stmt.Doc)
+		m.prov--
+		d.DocID = m.prov
+		m.docs = append(m.docs, d)
+	case xquery.Delete:
+		var keep []*xmltree.Document
+		for _, d := range m.docs {
+			if len(xpath.Eval(d, stmt.NormalizedPath())) == 0 {
+				keep = append(keep, d)
+			}
+		}
+		m.docs = keep
+	case xquery.Update:
+		for i, d := range m.docs {
+			if len(xpath.Eval(d, stmt.NormalizedPath())) == 0 {
+				continue
+			}
+			post := cloneDoc(d)
+			post.DocID = d.DocID
+			for _, id := range xpath.Eval(d, xpath.Concat(stmt.Match.StripPreds(), stmt.SetPath)) {
+				setNodeText(post, id, stmt.SetValue)
+			}
+			m.docs[i] = post
+		}
+	}
+}
+
+func (m *overlayModel) query(stmt *xquery.Statement) []xindex.Ref {
+	var refs []xindex.Ref
+	for _, d := range m.docs {
+		for _, id := range xpath.Eval(d, stmt.NormalizedPath()) {
+			refs = append(refs, xindex.Ref{Doc: d.DocID, Node: id})
+		}
+	}
+	return refs
+}
+
+// randomEquivWrite builds a random buffered write: an insert, a delete,
+// or an update that moves documents across the a-predicates' ranges.
+func randomEquivWrite(r *rand.Rand) string {
+	val := func() string { return []string{"u", "v", "w", "1", "7.5"}[r.Intn(5)] }
+	switch r.Intn(3) {
+	case 0:
+		return fmt.Sprintf(`insert into T value <root><a>%s</a><b k="%d"><c>%d</c></b></root>`, val(), r.Intn(5), r.Intn(10))
+	case 1:
+		return fmt.Sprintf(`delete from T where /root[a="%s"]`, val())
+	default:
+		return fmt.Sprintf(`update T set a = "%s" where /root[a="%s"]`, val(), val())
+	}
+}
+
 func TestPropertyIndexPlansEquivalentToScans(t *testing.T) {
+	var snapshotProbes int64 // the snapshot reader's index route must actually run
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		db, tbl := randomEquivDB(r)
@@ -127,7 +195,7 @@ func TestPropertyIndexPlansEquivalentToScans(t *testing.T) {
 		scanEng := New(db, opt, NewCatalog())
 
 		// Indexed engine: random real configuration.
-		cat := NewCatalog()
+		cat, onlineCat := NewCatalog(), NewCatalog()
 		for _, def := range randomEquivIndexes(r) {
 			idx, err := xindex.Build(tbl, def)
 			if err != nil {
@@ -135,8 +203,34 @@ func TestPropertyIndexPlansEquivalentToScans(t *testing.T) {
 				return false
 			}
 			cat.Add(idx)
+			// The same configuration, feed-maintained: the only kind a
+			// transaction's snapshot reader probes.
+			online, err := xindex.BuildOnline(tbl, def)
+			if err != nil {
+				t.Logf("seed %d: online build: %v", seed, err)
+				return false
+			}
+			defer online.Release()
+			onlineCat.Add(online)
 		}
 		idxEng := New(db, opt, cat)
+		onlineEng := New(db, opt, onlineCat)
+
+		// One transaction holding random buffered writes, and the oracle
+		// for what it must see. It is never committed, so the database
+		// stays quiescent for the live-versus-snapshot comparison.
+		writer := onlineEng.Begin()
+		defer writer.Rollback()
+		model := &overlayModel{}
+		tbl.Scan(func(d *xmltree.Document) bool { model.docs = append(model.docs, d); return true })
+		for w := 0; w < 1+r.Intn(6); w++ {
+			stmt := xquery.MustParse(randomEquivWrite(r))
+			if _, _, err := writer.Execute(stmt); err != nil {
+				t.Logf("seed %d: buffered write %q: %v", seed, stmt.Raw, err)
+				return false
+			}
+			model.apply(stmt)
+		}
 
 		for q := 0; q < 8; q++ {
 			text := randomEquivQuery(r)
@@ -166,11 +260,47 @@ func TestPropertyIndexPlansEquivalentToScans(t *testing.T) {
 					return false
 				}
 			}
+
+			// Quiescent database: the two readers are indistinguishable.
+			live, liveSt, err := onlineEng.Execute(stmt)
+			if err != nil {
+				t.Logf("seed %d: live exec: %v", seed, err)
+				return false
+			}
+			reader := onlineEng.Begin()
+			snap, snapSt, err := reader.Execute(stmt)
+			reader.Rollback()
+			if err != nil {
+				t.Logf("seed %d: snapshot exec: %v", seed, err)
+				return false
+			}
+			liveSt.Elapsed, snapSt.Elapsed = 0, 0
+			if !slices.Equal(live, want) || !slices.Equal(snap, want) || liveSt != snapSt {
+				t.Logf("seed %d query %q: live %d refs %+v, snapshot %d refs %+v, scan %d refs",
+					seed, text, len(live), liveSt, len(snap), snapSt, len(want))
+				return false
+			}
+			snapshotProbes += snapSt.IndexProbes
+
+			// Snapshot plus overlay against brute force.
+			got, _, err = writer.Execute(stmt)
+			if err != nil {
+				t.Logf("seed %d: overlay exec: %v", seed, err)
+				return false
+			}
+			if oracle := model.query(stmt); !slices.Equal(got, oracle) {
+				t.Logf("seed %d query %q: transaction sees %v, brute force over snapshot+overlay %v",
+					seed, text, got, oracle)
+				return false
+			}
 		}
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+	if snapshotProbes == 0 {
+		t.Error("no query took the snapshot reader's index route; the property checked nothing new")
 	}
 }
 

@@ -1,15 +1,210 @@
 package engine
 
 import (
+	"fmt"
+	"sort"
+	"time"
+
+	"xixa/internal/obs"
+	"xixa/internal/optimizer"
+	"xixa/internal/storage"
 	"xixa/internal/xindex"
 	"xixa/internal/xmltree"
 	"xixa/internal/xpath"
 	"xixa/internal/xquery"
 )
 
+// reader is the visibility rule a statement's match phase reads under.
+// The interpreter (matchDocs) is one algorithm; what differs between a
+// statement outside a transaction and one inside is only which document
+// versions and index entries it may see. Programs, Get and Scan come
+// from the embedded storage handle.
+type reader interface {
+	Programs() *xpath.ProgramCache
+	Get(id int64) (*xmltree.Document, bool)
+	Scan(visit func(*xmltree.Document) bool) int
+	// accepts reports whether idx answers exactly under this rule; the
+	// interpreter scans instead of probing an index the reader declines.
+	accepts(idx *xindex.Index) bool
+	// probe adds the documents of the entries satisfying (op, lit) to
+	// docs and returns the number of entries read.
+	probe(idx *xindex.Index, op xpath.CmpOp, lit xpath.Value, docs map[int64]bool) int
+}
+
+// collect is the index-scan visitor both readers probe with.
+func collect(docs map[int64]bool) func(xindex.Ref) bool {
+	return func(r xindex.Ref) bool {
+		docs[r.Doc] = true
+		return true
+	}
+}
+
+// liveReader reads current state: the plain-query path of the server
+// and of the standalone engine. It accepts every index, including
+// batch-built ones (xindex.Build — Fig. 5's) that carry no version
+// bookkeeping and so could not serve a snapshot.
+type liveReader struct{ *storage.Table }
+
+func (liveReader) accepts(*xindex.Index) bool { return true }
+
+func (liveReader) probe(idx *xindex.Index, op xpath.CmpOp, lit xpath.Value, docs map[int64]bool) int {
+	return idx.Scan(op, lit, collect(docs))
+}
+
+// snapReader reads as of a transaction's pinned stamp. Only a
+// self-maintained (online) index carries the born/died stamps a
+// snapshot scan filters on, and only from its build's capture instant
+// on; an engine-maintained index updates after commit, outside the
+// publish section, so it is never snapshot-exact. Both are declined.
+type snapReader struct{ *storage.TableView }
+
+func (r snapReader) accepts(idx *xindex.Index) bool {
+	return idx.SelfMaintained() && r.LSN() >= idx.VersionedSince()
+}
+
+func (r snapReader) probe(idx *xindex.Index, op xpath.CmpOp, lit xpath.Value, docs map[int64]bool) int {
+	return idx.ScanAsOf(op, lit, r.LSN(), collect(docs))
+}
+
+// matchDocs is the plan interpreter: it finds the documents satisfying
+// the statement's normalized path under rd, through ov (a transaction's
+// uncommitted writes; nil outside one), and returns the finished match
+// pass — the matching documents of a mutation, the bound nodes of a
+// query. A nil plan is chosen here, by the statement's one optimizer
+// call. An index plan runs as index ANDing → candidate merge → fetch →
+// verify; a scan plan, or an index plan naming an index rd declines,
+// visits every visible document. With a trace attached each phase
+// records its span and, for every costed plan node, the optimizer's
+// estimated cardinality next to the observed actual.
+//
+// The overlay layers differently over the two routes because index
+// entries reflect committed pre-images: on the index route documents
+// this transaction replaced are verified against their post-images
+// whether or not the index proposed them (a buffered update may move a
+// document into the predicate's range). Every candidate is re-verified
+// against the full path — index ANDing over linear predicate sites
+// over-approximates the match set.
+func (e *Engine) matchDocs(stmt *xquery.Statement, plan *optimizer.Plan, view View, rd reader, ov *overlay, st *Stats, qt *obs.QueryTrace) (*matchPass, error) {
+	var clock time.Time
+	if plan == nil {
+		if qt != nil {
+			clock = time.Now()
+		}
+		var err error
+		plan, err = e.opt.EvaluateIndexes(stmt, view.Definitions())
+		if qt != nil {
+			qt.Span("optimize", time.Since(clock), 0)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	var buf [4]*xindex.Index
+	indexes, declined := buf[:0], false
+	for _, acc := range plan.Accesses {
+		idx, ok := view.Get(acc.Index)
+		if !ok {
+			return nil, fmt.Errorf("engine: plan references unmaterialized index %s", acc.Index)
+		}
+		declined = declined || !rd.accepts(idx)
+		indexes = append(indexes, idx)
+	}
+
+	pass := newMatchPass(rd.Programs(), stmt)
+	defer pass.finish(st)
+	if qt != nil {
+		clock = time.Now()
+	}
+	sourceOp, sourced := optimizer.OpTbScan, 0 // the node feeding the filter, and the documents it produced
+	if declined || !plan.UsesIndexes() {
+		sourced = rd.Scan(func(d *xmltree.Document) bool {
+			if d = ov.current(d); d != nil {
+				pass.visit(d)
+			}
+			return true
+		})
+	} else {
+		// Index ANDing: intersect candidate document sets from each access.
+		var cards []obs.NodeCard
+		var candidates map[int64]bool
+		for i, acc := range plan.Accesses {
+			st.IndexProbes++
+			docSet := make(map[int64]bool)
+			entries := int64(rd.probe(indexes[i], acc.Site.Op, acc.Site.Lit, docSet))
+			st.IndexEntriesRead += entries
+			if qt != nil {
+				cards = append(cards, obs.NodeCard{
+					Op: optimizer.OpIxScan, Site: acc.Site.Key(),
+					Est: int64(acc.EntriesScanned + 0.5), Actual: entries,
+				})
+			}
+			if candidates == nil {
+				candidates = docSet
+			} else {
+				for id := range candidates {
+					if !docSet[id] {
+						delete(candidates, id)
+					}
+				}
+			}
+			if len(candidates) == 0 {
+				break
+			}
+		}
+		if qt != nil {
+			span := qt.Span("index scan", time.Since(clock), int64(len(candidates)))
+			qt.AddNodes(span, cards...)
+			clock = time.Now()
+		}
+		// Merge the candidates with this transaction's replaced documents
+		// in document-ID order, so the result order is deterministic.
+		ids := make([]int64, 0, len(candidates))
+		for id := range candidates {
+			if ov == nil || !(ov.deleted[id] || ov.replaced[id] != nil) {
+				ids = append(ids, id)
+			}
+		}
+		if ov != nil {
+			for id := range ov.replaced {
+				if !ov.deleted[id] {
+					ids = append(ids, id)
+				}
+			}
+		}
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		for _, id := range ids {
+			if ov != nil && ov.replaced[id] != nil {
+				pass.visit(ov.replaced[id])
+			} else if doc, ok := rd.Get(id); ok {
+				st.DocsFetched++
+				pass.visit(doc) // verification re-evaluates the path
+			}
+		}
+		sourceOp, sourced = optimizer.OpFetch, len(ids)
+	}
+	if ov != nil {
+		for _, d := range ov.inserted {
+			pass.visit(d)
+		}
+	}
+	if qt != nil {
+		span := qt.Span("xpath verify", time.Since(clock), pass.hits)
+		site := stmt.NormalizedKey()
+		if !declined {
+			// A declined index plan ran as a scan the optimizer never
+			// costed: its candidate estimate is for the index intersection,
+			// and logging it against the scanned count would feed the
+			// calibration loop a false estimation error.
+			qt.AddNodes(span, obs.NodeCard{Op: sourceOp, Site: site, Est: int64(plan.EstCandidateDocs + 0.5), Actual: int64(sourced)})
+		}
+		qt.AddNodes(span, obs.NodeCard{Op: optimizer.OpFilter, Site: site, Est: int64(plan.EstMatchingDocs + 0.5), Actual: pass.hits})
+	}
+	return pass, nil
+}
+
 // matchPass is one statement's pass over candidate documents: the one
 // place a document is tested against the statement's normalized path,
-// whichever executor found the candidate and however (table scan, index
+// however the interpreter found the candidate (table scan, index
 // candidates, a transaction's overlay). A query keeps the bound nodes
 // of each matching document from the same evaluation that decided the
 // match; a mutation keeps the matching documents.

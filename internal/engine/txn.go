@@ -7,24 +7,18 @@
 // (self-maintained online indexes update themselves from the change
 // feed when the write set applies).
 //
-// Reads inside a transaction are version-aware: self-maintained
-// (online) index entries carry the commit stamp of the version they
-// index and a tombstone stamp when superseded, so a transaction can
-// run index plans filtered to its snapshot stamp (xindex.ScanAsOf)
-// instead of scanning the table — overlay writes (this transaction's
-// uncommitted inserts/deletes/replacements) are layered over the index
-// candidates exactly as they are over a scan. Engine-maintained
-// indexes update after commit, outside the publish section, so they
-// are not snapshot-exact; statements whose plans touch one fall back
-// to scanning the snapshot. The serving read path (plain queries) is
-// unaffected: it executes against live state with index plans exactly
-// as before.
+// Reads inside a transaction go through the same plan interpreter as
+// every other statement (matchDocs), under the snapshot reader: index
+// plans run as version-aware scans filtered to the snapshot stamp
+// (xindex.ScanAsOf) where every chosen index can answer as of it, and
+// as a scan of the snapshot otherwise. Overlay writes (this
+// transaction's uncommitted inserts/deletes/replacements) are layered
+// over either route.
 package engine
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"xixa/internal/obs"
@@ -92,230 +86,73 @@ func (tx *Txn) overlay(table string) *overlay {
 	return ov
 }
 
+// current maps a committed document to what the transaction sees in
+// its place: nil when it deleted the document, the post-image when it
+// replaced it. A nil overlay (no transaction, or no writes yet) maps
+// every document to itself.
+func (ov *overlay) current(d *xmltree.Document) *xmltree.Document {
+	if ov == nil {
+		return d
+	}
+	if ov.deleted[d.DocID] {
+		return nil
+	}
+	if r, ok := ov.replaced[d.DocID]; ok {
+		return r
+	}
+	return d
+}
+
 // Execute runs one statement inside the transaction: queries and match
 // phases read the snapshot through the write overlay; mutations buffer
 // into the write set. Nothing touches shared state until Commit.
 func (tx *Txn) Execute(stmt *xquery.Statement) ([]xindex.Ref, Stats, error) {
-	return tx.ExecuteTraced(stmt, nil)
+	return tx.execute(stmt, nil, nil)
 }
 
 // ExecuteTraced is Execute with an optional trace attached (see
 // Engine.ExecuteTraced); a nil qt makes it identical to Execute.
 func (tx *Txn) ExecuteTraced(stmt *xquery.Statement, qt *obs.QueryTrace) ([]xindex.Ref, Stats, error) {
+	return tx.execute(stmt, nil, qt)
+}
+
+// execute runs the statement's match phase (an insert has none, and so
+// never calls the optimizer) and buffers the mutation over the matched
+// documents. A nil plan is chosen by the interpreter.
+func (tx *Txn) execute(stmt *xquery.Statement, plan *optimizer.Plan, qt *obs.QueryTrace) ([]xindex.Ref, Stats, error) {
 	if tx.done {
 		return nil, Stats{}, ErrTxnDone
-	}
-	if tx.eng.recorder != nil {
-		tx.eng.recorder.Record(stmt)
 	}
 	start := time.Now()
 	var refs []xindex.Ref
 	var st Stats
 	var err error
 	switch stmt.Kind {
-	case xquery.Query:
-		refs, err = tx.runQuery(stmt, &st, qt)
 	case xquery.Insert:
 		err = tx.runInsert(stmt, &st)
-	case xquery.Delete:
-		err = tx.runDelete(stmt, &st, qt)
-	case xquery.Update:
-		err = tx.runUpdate(stmt, &st, qt)
+	case xquery.Query, xquery.Delete, xquery.Update:
+		var tv *storage.TableView
+		if tv, err = tx.snap.Table(stmt.Table); err != nil {
+			break
+		}
+		var pass *matchPass
+		pass, err = tx.eng.matchDocs(stmt, plan, tx.view, snapReader{tv}, tx.overlays[stmt.Table], &st, qt)
+		if err != nil {
+			break
+		}
+		switch stmt.Kind {
+		case xquery.Query:
+			refs = pass.refs
+		case xquery.Delete:
+			tx.runDelete(stmt, pass.docs, &st)
+		case xquery.Update:
+			tx.runUpdate(stmt, pass.docs, &st)
+		}
 	default:
 		err = fmt.Errorf("engine: unsupported statement kind %v", stmt.Kind)
 	}
 	st.Elapsed = time.Since(start)
 	return refs, st, err
-}
-
-// matchDocs finds the documents satisfying the statement's normalized
-// path in the transaction's view of the table: snapshot versions with
-// this transaction's deletes hidden, replacements substituted, and
-// uncommitted inserts appended. When the optimizer picks an index plan
-// and every chosen index can answer as of the snapshot's stamp, the
-// candidates come from version-aware index scans instead of a table
-// scan; otherwise (no usable plan, or an index too young or not
-// self-maintained) the snapshot is scanned as before.
-func (tx *Txn) matchDocs(stmt *xquery.Statement, st *Stats, qt *obs.QueryTrace) (*matchPass, error) {
-	tv, err := tx.snap.Table(stmt.Table)
-	if err != nil {
-		return nil, err
-	}
-	pass := newMatchPass(tv.Programs(), stmt)
-	defer pass.finish(st)
-	ov := tx.overlays[stmt.Table]
-	if tx.matchViaIndexes(stmt, tv, ov, pass, st, qt) {
-		return pass, nil
-	}
-	var scanStart time.Time
-	if qt != nil {
-		scanStart = time.Now()
-	}
-	tv.Scan(func(d *xmltree.Document) bool {
-		if ov != nil {
-			if ov.deleted[d.DocID] {
-				return true
-			}
-			if r, ok := ov.replaced[d.DocID]; ok {
-				d = r
-			}
-		}
-		pass.visit(d)
-		return true
-	})
-	if ov != nil {
-		for _, d := range ov.inserted {
-			pass.visit(d)
-		}
-	}
-	if qt != nil {
-		// The scan fallback has no costed plan (matchViaIndexes declined
-		// or planning failed), so the span carries no estimate cards.
-		qt.Span("xpath verify", time.Since(scanStart), pass.hits)
-	}
-	return pass, nil
-}
-
-// matchViaIndexes answers a statement's match phase from version-aware
-// index scans under the transaction's snapshot, feeding the surviving
-// candidates to pass. It reports false, with pass untouched,
-// when the index route cannot serve the statement exactly — no index
-// plan, a planning error, or an index that is not self-maintained or
-// whose version bookkeeping starts after the snapshot's stamp — and
-// the caller falls back to scanning.
-//
-// Overlay layering differs from the scan path because index entries
-// reflect committed pre-images: documents this transaction replaced are
-// evaluated against their post-images regardless of index candidacy (a
-// buffered update may move a document into the predicate's range), and
-// this transaction's deletes hide candidates. Every surviving candidate
-// is re-verified against the full path — index ANDing over linear
-// predicate sites over-approximates the match set.
-func (tx *Txn) matchViaIndexes(stmt *xquery.Statement, tv *storage.TableView, ov *overlay, pass *matchPass, st *Stats, qt *obs.QueryTrace) bool {
-	defs := tx.view.Definitions()
-	if len(defs) == 0 {
-		// Nothing materialized: skip planning entirely (the plan cost
-		// would dwarf the scan on every conflict retry).
-		return false
-	}
-	var optStart time.Time
-	if qt != nil {
-		optStart = time.Now()
-	}
-	plan, err := tx.eng.opt.EvaluateIndexes(stmt, defs)
-	if qt != nil {
-		qt.Span("optimize", time.Since(optStart), 0)
-	}
-	if err != nil || !plan.UsesIndexes() {
-		return false
-	}
-	asOf := tx.snap.LSN()
-	indexes := make([]*xindex.Index, len(plan.Accesses))
-	for i, acc := range plan.Accesses {
-		idx, ok := tx.view.Get(acc.Index)
-		if !ok || !idx.SelfMaintained() || asOf < idx.VersionedSince() {
-			return false
-		}
-		indexes[i] = idx
-	}
-
-	// Index ANDing at the snapshot stamp: intersect candidate document
-	// sets from each access.
-	var scanStart time.Time
-	if qt != nil {
-		scanStart = time.Now()
-	}
-	var cards []obs.NodeCard
-	var candidates map[int64]bool
-	for i, acc := range plan.Accesses {
-		st.IndexProbes++
-		docSet := make(map[int64]bool)
-		entries := int64(indexes[i].ScanAsOf(acc.Site.Op, acc.Site.Lit, asOf, func(r xindex.Ref) bool {
-			docSet[r.Doc] = true
-			return true
-		}))
-		st.IndexEntriesRead += entries
-		if qt != nil {
-			cards = append(cards, obs.NodeCard{
-				Op: optimizer.OpIxScan, Site: acc.Site.Key(),
-				Est: int64(acc.EntriesScanned + 0.5), Actual: entries,
-			})
-		}
-		if candidates == nil {
-			candidates = docSet
-		} else {
-			for id := range candidates {
-				if !docSet[id] {
-					delete(candidates, id)
-				}
-			}
-		}
-		if len(candidates) == 0 {
-			break
-		}
-	}
-	if qt != nil {
-		span := qt.Span("index scan", time.Since(scanStart), int64(len(candidates)))
-		qt.AddNodes(span, cards...)
-		scanStart = time.Now()
-	}
-
-	// Merge candidates with this transaction's replaced documents (their
-	// post-images are invisible to the index) in document-ID order, so
-	// the result order is deterministic.
-	ids := make([]int64, 0, len(candidates))
-	for id := range candidates {
-		if ov != nil && (ov.deleted[id] || ov.replaced[id] != nil) {
-			continue
-		}
-		ids = append(ids, id)
-	}
-	if ov != nil {
-		for id := range ov.replaced {
-			if !ov.deleted[id] {
-				ids = append(ids, id)
-			}
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	for _, id := range ids {
-		var d *xmltree.Document
-		if ov != nil {
-			if r, ok := ov.replaced[id]; ok {
-				d = r
-			}
-		}
-		if d == nil {
-			sd, ok := tv.Get(id)
-			if !ok {
-				continue
-			}
-			d = sd
-		}
-		pass.visit(d) // verification re-evaluates the path
-	}
-	if ov != nil {
-		for _, d := range ov.inserted {
-			pass.visit(d)
-		}
-	}
-	if qt != nil {
-		span := qt.Span("xpath verify", time.Since(scanStart), pass.hits)
-		qt.AddNodes(span,
-			obs.NodeCard{Op: optimizer.OpFetch, Site: stmt.NormalizedKey(), Est: int64(plan.EstCandidateDocs + 0.5), Actual: int64(len(ids))},
-			obs.NodeCard{Op: optimizer.OpFilter, Site: stmt.NormalizedKey(), Est: int64(plan.EstMatchingDocs + 0.5), Actual: pass.hits},
-		)
-	}
-	return true
-}
-
-func (tx *Txn) runQuery(stmt *xquery.Statement, st *Stats, qt *obs.QueryTrace) ([]xindex.Ref, error) {
-	pass, err := tx.matchDocs(stmt, st, qt)
-	if err != nil {
-		return nil, err
-	}
-	return pass.refs, nil
 }
 
 func (tx *Txn) runInsert(stmt *xquery.Statement, st *Stats) error {
@@ -325,6 +162,8 @@ func (tx *Txn) runInsert(stmt *xquery.Statement, st *Stats) error {
 	if _, err := tx.eng.db.Table(stmt.Table); err != nil {
 		return err
 	}
+	// Each execution inserts a fresh copy so repeated executions of the
+	// same statement behave like TPoX's insert stream.
 	doc := cloneDoc(stmt.Doc)
 	tx.provSeq--
 	doc.DocID = tx.provSeq // provisional; the real ID arrives at commit
@@ -356,13 +195,9 @@ func (tx *Txn) dropProvisional(table string, provID int64) {
 	}
 }
 
-func (tx *Txn) runDelete(stmt *xquery.Statement, st *Stats, qt *obs.QueryTrace) error {
-	pass, err := tx.matchDocs(stmt, st, qt)
-	if err != nil {
-		return err
-	}
+func (tx *Txn) runDelete(stmt *xquery.Statement, docs []*xmltree.Document, st *Stats) {
 	ov := tx.overlay(stmt.Table)
-	for _, d := range pass.docs {
+	for _, d := range docs {
 		if d.DocID < 0 {
 			tx.dropProvisional(stmt.Table, d.DocID)
 		} else {
@@ -374,16 +209,16 @@ func (tx *Txn) runDelete(stmt *xquery.Statement, st *Stats, qt *obs.QueryTrace) 
 		}
 		st.DocsModified++
 	}
-	return nil
 }
 
-func (tx *Txn) runUpdate(stmt *xquery.Statement, st *Stats, qt *obs.QueryTrace) error {
-	pass, err := tx.matchDocs(stmt, st, qt)
-	if err != nil {
-		return err
-	}
+// runUpdate buffers a copy-on-write replacement of each matched
+// document: the targeted leaves are rewritten in a clone and the
+// pre-image is never mutated, so readers evaluating it concurrently see
+// a consistent snapshot and change subscribers (statistics keeper,
+// online indexes) get an immutable pre-image in the DocRemoved event.
+func (tx *Txn) runUpdate(stmt *xquery.Statement, docs []*xmltree.Document, st *Stats) {
 	ov := tx.overlay(stmt.Table)
-	for _, d := range pass.docs {
+	for _, d := range docs {
 		targets := xpath.Eval(d, xpath.Concat(stmt.Match.StripPreds(), stmt.SetPath))
 		if len(targets) == 0 {
 			continue
@@ -418,7 +253,6 @@ func (tx *Txn) runUpdate(stmt *xquery.Statement, st *Stats, qt *obs.QueryTrace) 
 		}
 		st.DocsModified++
 	}
-	return nil
 }
 
 // CommitInfo reports a successful commit.
@@ -432,6 +266,19 @@ type CommitInfo struct {
 	LogLSN uint64
 	// Maintenance counts the index upkeep applied after the commit.
 	Maintenance Stats
+}
+
+// maintain applies one maintenance callback to every engine-maintained
+// index of a table. Self-maintained (online-built) indexes are skipped:
+// they update themselves synchronously from the table's change feed,
+// and applying engine maintenance on top would double-apply entries.
+func maintain(view View, table string, st *Stats, apply func(*xindex.Index) int) {
+	for _, idx := range view.ForTable(table) {
+		if idx.SelfMaintained() {
+			continue
+		}
+		st.IndexEntriesTouched += int64(apply(idx))
+	}
 }
 
 // Commit publishes the transaction's write set atomically via

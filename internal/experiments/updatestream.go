@@ -99,24 +99,14 @@ func UpdateStream(w io.Writer, scale, parallelism, rounds int) ([]UpdateStreamRo
 	opts := core.DefaultOptions()
 	opts.Parallelism = parallelism
 
-	// Materialize the initial recommendation so the stream pays real
-	// index maintenance, like a tuned production system would.
+	// Materialize the recommendation online, so the stream pays real
+	// index maintenance like a tuned production system would and its
+	// deletes and updates can probe the indexes from inside their
+	// transactions (only feed-maintained indexes serve a snapshot).
+	mgr := xindex.NewManager(db, cat, nil)
 	materialize := func(defs []xindex.Definition) error {
-		for _, def := range cat.Definitions() {
-			cat.Drop(def)
-		}
-		for _, def := range defs {
-			t, err := db.Table(def.Table)
-			if err != nil {
-				continue
-			}
-			idx, err := xindex.Build(t, def)
-			if err != nil {
-				return err
-			}
-			cat.Add(idx)
-		}
-		return nil
+		_, _, err := mgr.Reconcile(optimizer.DiffConfigs(cat.Definitions(), defs))
+		return err
 	}
 	adv, err := core.New(db, opt, wl, opts)
 	if err != nil {

@@ -42,3 +42,38 @@ func DiffConfigs(materialized, recommended []xindex.Definition) (toBuild, toDrop
 	byKey(toDrop)
 	return toBuild, toDrop
 }
+
+// Hysteresis is the tuning loops' streak bookkeeping: it keeps a
+// churning workload from thrashing a configuration. A definition must
+// stay in the build diff for BuildAfter consecutive rounds before it
+// matures, and in the drop diff for DropAfter consecutive rounds; a
+// definition leaving either diff for one round starts over.
+type Hysteresis struct {
+	BuildAfter, DropAfter int
+	build, drop           map[string]int
+}
+
+// Step advances the streaks by one round's DiffConfigs output and
+// returns the definitions whose streak matured this round.
+func (h *Hysteresis) Step(toBuild, toDrop []xindex.Definition) (buildNow, dropNow []xindex.Definition) {
+	buildNow, h.build = advanceStreaks(h.build, toBuild, h.BuildAfter)
+	dropNow, h.drop = advanceStreaks(h.drop, toDrop, h.DropAfter)
+	return buildNow, dropNow
+}
+
+// Pending counts the definitions still accumulating streak toward a
+// build and toward a drop.
+func (h *Hysteresis) Pending() (build, drop int) { return len(h.build), len(h.drop) }
+
+func advanceStreaks(streak map[string]int, defs []xindex.Definition, after int) (matured []xindex.Definition, next map[string]int) {
+	next = make(map[string]int, len(defs))
+	for _, def := range defs {
+		key := def.Key()
+		if n := streak[key] + 1; n >= after {
+			matured = append(matured, def)
+		} else {
+			next[key] = n
+		}
+	}
+	return matured, next
+}

@@ -94,7 +94,7 @@ func (i *RecoverInfo) String() string {
 // This is the daemon's one start path: a graceful restart and a
 // crash recovery differ only in how many records the tail holds.
 func Recover(cfg Config, bootstrap func() (*storage.Database, error)) (*Server, *RecoverInfo, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if cfg.WALDir == "" {
 		return nil, nil, errors.New("server: Recover requires Config.WALDir")
 	}

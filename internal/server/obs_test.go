@@ -14,7 +14,8 @@ import (
 
 // TestRegistryMatchesSessionTotals hammers one server from 8 sessions
 // with a conflict-heavy mix (every writer updating the same hot
-// document, plus inserts and point queries) and then requires the
+// document, plus inserts and point queries, then one BEGIN … COMMIT
+// block holding a failing statement) and then requires the
 // registry's counters to equal — exactly, not approximately — both
 // TxnStats and the sums of the per-session counters. The registry
 // handles ARE the server's counters, so any double-count or missed
@@ -57,6 +58,21 @@ func TestRegistryMatchesSessionTotals(t *testing.T) {
 				// what the counters must agree on.
 				sess.Execute(stmt)
 			}
+			// An explicit transaction's statements take the same
+			// accounting path: two that succeed, one that fails.
+			tx, err := sess.Begin()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			tx.Execute(fmt.Sprintf(`insert into SECURITY value <Security><Symbol>OBS-TX-%d</Symbol><Yield>2.5</Yield></Security>`, i))
+			tx.Execute(pointQuery(i))
+			if _, err := tx.Execute(`delete from NOSUCH where /Security[Symbol="S00001"]`); err == nil {
+				t.Error("in-transaction statement on a missing table succeeded")
+			}
+			if err := tx.Commit(); err != nil {
+				t.Errorf("explicit transaction commit: %v", err)
+			}
 		}(i, sess)
 	}
 	wg.Wait()
@@ -96,6 +112,10 @@ func TestRegistryMatchesSessionTotals(t *testing.T) {
 	}
 	if got := v("xixa_txn_conflicts_total"); got != ts.Conflicts {
 		t.Errorf("conflicts counter %d, TxnStats %d", got, ts.Conflicts)
+	}
+	if uint64(executed) < nSess*2 || uint64(errs) < nSess {
+		t.Errorf("sessions counted %d executed, %d failed; the explicit transactions alone account for %d and %d",
+			executed, errs, nSess*2, nSess)
 	}
 	if ts.Commits == 0 {
 		t.Error("no commits recorded; the hammer did nothing")

@@ -149,7 +149,10 @@ type Config struct {
 	Replica bool
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns the configuration with every zero field
+// replaced by its documented default — the one source of those values
+// (the sharded cluster's tuner reads them through it too).
+func (c Config) WithDefaults() Config {
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = runtime.GOMAXPROCS(0)
 	}
@@ -282,7 +285,7 @@ type Server struct {
 // maintained) optimizer, an initially empty index catalog, and an
 // engine wired to both.
 func New(db *storage.Database, cfg Config) *Server {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	opt := optimizer.NewLive(db)
 	cat := engine.NewCatalog()
 	s := &Server{
@@ -298,7 +301,7 @@ func New(db *storage.Database, cfg Config) *Server {
 	}
 	s.flight.wg = &sync.WaitGroup{}
 	s.mgr = xindex.NewManager(db, cat, s.flight.barrier)
-	s.tuner.init(cfg)
+	s.tuner.hyst = optimizer.Hysteresis{BuildAfter: cfg.BuildAfter, DropAfter: cfg.DropAfter}
 	if cfg.Replica {
 		s.readOnly.Store(true)
 	}
@@ -460,6 +463,11 @@ type Result struct {
 // in the tracer's sample, the trace carries a parse span ahead of the
 // execution phases.
 func (sess *Session) Execute(raw string) (*Result, error) {
+	return sess.execute(raw, nil)
+}
+
+// execute is the parse step shared by Session.Execute and Txn.Execute.
+func (sess *Session) execute(raw string, tx *engine.Txn) (*Result, error) {
 	qt := sess.srv.met.tracer.Sample(raw)
 	var parseStart time.Time
 	if qt != nil {
@@ -473,7 +481,7 @@ func (sess *Session) Execute(raw string) (*Result, error) {
 		qt.Finish(err)
 		return nil, err
 	}
-	return sess.executeStmt(stmt, qt)
+	return sess.executeStmt(stmt, tx, qt)
 }
 
 // ExecuteStmt executes a parsed statement under admission control: it
@@ -484,13 +492,16 @@ func (sess *Session) Execute(raw string) (*Result, error) {
 // documents commit in parallel. Every successful execution is sampled
 // into the workload capture ring.
 func (sess *Session) ExecuteStmt(stmt *xquery.Statement) (*Result, error) {
-	return sess.executeStmt(stmt, sess.srv.met.tracer.Sample(stmt.Raw))
+	return sess.executeStmt(stmt, nil, sess.srv.met.tracer.Sample(stmt.Raw))
 }
 
-// executeStmt is the execution core behind Execute/ExecuteStmt. qt is
-// the statement's sampled trace (usually nil); the statement counters
-// and the latency histogram run on every call regardless.
-func (sess *Session) executeStmt(stmt *xquery.Statement, qt *obs.QueryTrace) (*Result, error) {
+// executeStmt is the one admission and accounting path every statement
+// takes. What runs the statement depends on where it arrived: inside
+// the explicit transaction tx when that is non-nil, otherwise as an
+// auto-commit query or an auto-commit mutation with conflict retry. qt
+// is the statement's sampled trace (usually nil); the statement
+// counters and the latency histogram run on every call regardless.
+func (sess *Session) executeStmt(stmt *xquery.Statement, tx *engine.Txn, qt *obs.QueryTrace) (*Result, error) {
 	s := sess.srv
 	if s.closed.Load() {
 		qt.Finish(ErrClosed)
@@ -516,14 +527,13 @@ func (sess *Session) executeStmt(stmt *xquery.Statement, qt *obs.QueryTrace) (*R
 	var st engine.Stats
 	var err error
 	if stmt.Kind != xquery.Query {
-		if werr := s.writable(); werr != nil {
-			sess.mu.Lock()
-			sess.errors++
-			sess.mu.Unlock()
-			s.met.stmtErrors.Inc()
-			qt.Finish(werr)
-			return nil, werr
-		}
+		err = s.writable()
+	}
+	switch {
+	case err != nil: // refused: a read-only replica or a fenced primary
+	case tx != nil:
+		refs, st, err = tx.ExecuteTraced(stmt, qt)
+	case stmt.Kind != xquery.Query:
 		// Mutations run as single-statement transactions: snapshot,
 		// buffered writes, first-writer-wins commit, automatic retry on
 		// conflict (txn.go). The durability wait happens after the
@@ -532,7 +542,7 @@ func (sess *Session) executeStmt(stmt *xquery.Statement, qt *obs.QueryTrace) (*R
 		// fsync covers the whole batch (group commit) and commit
 		// throughput scales with batch size instead of disk latency.
 		refs, st, err = s.executeTxn(stmt, sess, qt)
-	} else {
+	default:
 		refs, st, err = s.eng.ExecuteTraced(stmt, qt)
 	}
 	s.met.stmtSeconds.Observe(time.Since(start).Seconds())

@@ -10,23 +10,10 @@ import (
 )
 
 // tuner holds the autonomous tuning loop's state between rounds: the
-// hysteresis streaks that keep a churning workload from thrashing the
-// catalog. A definition must be recommended in BuildAfter consecutive
-// rounds before it is built, and a materialized index must be absent
-// from DropAfter consecutive recommendations before it is dropped —
-// one round's blip in either direction resets the other direction's
-// streak.
+// round counter and the build/drop hysteresis streaks.
 type tuner struct {
-	cfg         Config
-	round       int
-	buildStreak map[string]int
-	dropStreak  map[string]int
-}
-
-func (t *tuner) init(cfg Config) {
-	t.cfg = cfg
-	t.buildStreak = make(map[string]int)
-	t.dropStreak = make(map[string]int)
+	round int
+	hyst  optimizer.Hysteresis
 }
 
 // TuneReport is the outcome of one tuning round.
@@ -110,43 +97,16 @@ func (s *Server) tuneOnceLocked() (*TuneReport, error) {
 	rep.WorkloadSize = w.Len()
 
 	opts := core.DefaultOptions()
-	opts.Parallelism = t.cfg.Parallelism
-	rec, err := core.Advise(s.db, s.opt, w, opts, t.cfg.Algorithm, t.cfg.Budget)
+	opts.Parallelism = s.cfg.Parallelism
+	rec, err := core.Advise(s.db, s.opt, w, opts, s.cfg.Algorithm, s.cfg.Budget)
 	if err != nil {
 		return rep, err
 	}
 	rep.Recommended = rec.Definitions()
 	rep.Benefit = rec.Benefit
 
-	toBuild, toDrop := optimizer.DiffConfigs(s.cat.Definitions(), rep.Recommended)
-
-	// Hysteresis: streaks carry over only while the diff keeps asking
-	// for the same action; a definition leaving the diff resets.
-	var buildNow, dropNow []xindex.Definition
-	nextBuild := make(map[string]int, len(toBuild))
-	for _, def := range toBuild {
-		key := def.Key()
-		n := t.buildStreak[key] + 1
-		if n >= t.cfg.BuildAfter {
-			buildNow = append(buildNow, def)
-			continue
-		}
-		nextBuild[key] = n
-	}
-	nextDrop := make(map[string]int, len(toDrop))
-	for _, def := range toDrop {
-		key := def.Key()
-		n := t.dropStreak[key] + 1
-		if n >= t.cfg.DropAfter {
-			dropNow = append(dropNow, def)
-			continue
-		}
-		nextDrop[key] = n
-	}
-	t.buildStreak = nextBuild
-	t.dropStreak = nextDrop
-	rep.PendingBuild = len(nextBuild)
-	rep.PendingDrop = len(nextDrop)
+	buildNow, dropNow := t.hyst.Step(optimizer.DiffConfigs(s.cat.Definitions(), rep.Recommended))
+	rep.PendingBuild, rep.PendingDrop = t.hyst.Pending()
 
 	built, dropped, err := s.mgr.Reconcile(buildNow, dropNow)
 	rep.Built = built
@@ -181,7 +141,7 @@ func (s *Server) tuneOnceLocked() (*TuneReport, error) {
 		}
 	}
 
-	s.capture.Decay(t.cfg.DecayFactor, t.cfg.DecayFloor)
+	s.capture.Decay(s.cfg.DecayFactor, s.cfg.DecayFloor)
 	rep.Elapsed = time.Since(start)
 	return rep, nil
 }

@@ -277,50 +277,14 @@ func (sess *Session) Begin() (*Txn, error) {
 }
 
 // Execute parses and executes one statement inside the transaction
-// under the server's admission control. Mutations buffer in the
-// transaction; queries see the snapshot plus the buffered writes.
+// under the server's admission control and statement accounting (the
+// same path as Session.Execute). Mutations buffer in the transaction;
+// queries see the snapshot plus the buffered writes.
 func (t *Txn) Execute(raw string) (*Result, error) {
-	stmt, err := xquery.Parse(raw)
-	if err != nil {
-		return nil, err
-	}
 	if t.done {
 		return nil, ErrTxnFinished
 	}
-	s := t.sess.srv
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	select {
-	case s.admit <- struct{}{}:
-	default:
-		return nil, ErrOverloaded
-	}
-	defer func() { <-s.admit }()
-	s.slots <- struct{}{}
-	defer func() { <-s.slots }()
-	wg := s.flight.enter()
-	defer wg.Done()
-
-	if stmt.Kind != xquery.Query {
-		if werr := s.writable(); werr != nil {
-			return nil, werr
-		}
-	}
-	refs, st, err := t.tx.Execute(stmt)
-	t.sess.mu.Lock()
-	if err != nil {
-		t.sess.errors++
-	} else {
-		t.sess.stats.Add(st)
-		t.sess.executed++
-	}
-	t.sess.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	s.capture.Observe(stmt, 1)
-	return &Result{Refs: refs, Stats: st}, nil
+	return t.sess.execute(raw, t.tx)
 }
 
 // Commit publishes the transaction atomically. On storage.ErrConflict

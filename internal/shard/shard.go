@@ -42,8 +42,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"xixa/internal/optimizer"
 	"xixa/internal/server"
 	"xixa/internal/storage"
+	"xixa/internal/xindex"
 	"xixa/internal/xpath"
 	"xixa/internal/xquery"
 )
@@ -146,6 +148,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		// the shard catalogs; tuning is cluster-level only.
 		return nil, fmt.Errorf("shard: set tuning on the cluster, not the per-shard server config")
 	}
+	cfg.Server = cfg.Server.WithDefaults()
 	fan := cfg.MaxFanout
 	if fan <= 0 {
 		fan = 4 * runtime.GOMAXPROCS(0)
@@ -162,7 +165,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		c.shards = append(c.shards, server.New(db, cfg.Server))
 	}
 	c.met = newClusterMetrics(c)
-	c.tuner.init(cfg)
+	c.tuner.hyst = optimizer.Hysteresis{BuildAfter: cfg.Server.BuildAfter, DropAfter: cfg.Server.DropAfter}
+	c.tuner.target = make(map[string]xindex.Definition)
 	return c, nil
 }
 

@@ -21,46 +21,9 @@ import (
 // whose data drifts into or out of an index's pattern converges on
 // later rounds without new recommendations.
 type clusterTuner struct {
-	round       int
-	buildStreak map[string]int
-	dropStreak  map[string]int
-	target      map[string]xindex.Definition
-
-	algorithm   string
-	budget      int64
-	buildAfter  int
-	dropAfter   int
-	parallelism int
-	decayFactor float64
-	decayFloor  float64
-}
-
-func (t *clusterTuner) init(cfg Config) {
-	t.buildStreak = make(map[string]int)
-	t.dropStreak = make(map[string]int)
-	t.target = make(map[string]xindex.Definition)
-	t.algorithm = cfg.Server.Algorithm
-	if t.algorithm == "" {
-		t.algorithm = core.AlgoTopDownFull
-	}
-	t.budget = cfg.Server.Budget
-	t.buildAfter = cfg.Server.BuildAfter
-	if t.buildAfter <= 0 {
-		t.buildAfter = 2
-	}
-	t.dropAfter = cfg.Server.DropAfter
-	if t.dropAfter <= 0 {
-		t.dropAfter = 3
-	}
-	t.parallelism = cfg.Server.Parallelism
-	t.decayFactor = cfg.Server.DecayFactor
-	if t.decayFactor <= 0 || t.decayFactor >= 1 {
-		t.decayFactor = 0.7
-	}
-	t.decayFloor = cfg.Server.DecayFloor
-	if t.decayFloor <= 0 {
-		t.decayFloor = 0.25
-	}
+	round  int
+	hyst   optimizer.Hysteresis
+	target map[string]xindex.Definition
 }
 
 func (t *clusterTuner) targetList() []xindex.Definition {
@@ -122,11 +85,7 @@ func (r *TuneReport) String() string {
 // are aligned by workload.Capture.Merge, so shards that decayed a
 // different number of rounds combine with comparable weights.
 func (c *Cluster) MergedCapture() *workload.Capture {
-	size := c.cfg.Server.CaptureSize
-	if size <= 0 {
-		size = workload.DefaultCaptureSize
-	}
-	m := workload.NewCapture(size * c.n)
+	m := workload.NewCapture(c.cfg.Server.CaptureSize * c.n)
 	for _, srv := range c.shards {
 		m.Merge(srv.Capture())
 	}
@@ -240,8 +199,8 @@ func (c *Cluster) tuneOnceLocked() (*TuneReport, error) {
 	// documents.
 	opt := optimizer.New(c.dbs[0], stats)
 	opts := core.DefaultOptions()
-	opts.Parallelism = t.parallelism
-	rec, err := core.Advise(c.dbs[0], opt, w, opts, t.algorithm, t.budget)
+	opts.Parallelism = c.cfg.Server.Parallelism
+	rec, err := core.Advise(c.dbs[0], opt, w, opts, c.cfg.Server.Algorithm, c.cfg.Server.Budget)
 	if err != nil {
 		return rep, err
 	}
@@ -254,29 +213,14 @@ func (c *Cluster) tuneOnceLocked() (*TuneReport, error) {
 	// tuner, but against the cluster-level target instead of one
 	// catalog, since per-shard catalogs legitimately differ under
 	// PolicyPerShard.
-	toBuild, toDrop := optimizer.DiffConfigs(t.targetList(), rep.Recommended)
-	nextBuild := make(map[string]int, len(toBuild))
-	for _, def := range toBuild {
-		key := def.Key()
-		n := t.buildStreak[key] + 1
-		if n >= t.buildAfter {
-			t.target[key] = def
-			continue
-		}
-		nextBuild[key] = n
+	enter, leave := t.hyst.Step(optimizer.DiffConfigs(t.targetList(), rep.Recommended))
+	for _, def := range enter {
+		t.target[def.Key()] = def
 	}
-	nextDrop := make(map[string]int, len(toDrop))
-	for _, def := range toDrop {
-		key := def.Key()
-		n := t.dropStreak[key] + 1
-		if n >= t.dropAfter {
-			delete(t.target, key)
-			continue
-		}
-		nextDrop[key] = n
+	for _, def := range leave {
+		delete(t.target, def.Key())
 	}
-	t.buildStreak, t.dropStreak = nextBuild, nextDrop
-	rep.PendingBuild, rep.PendingDrop = len(nextBuild), len(nextDrop)
+	rep.PendingBuild, rep.PendingDrop = t.hyst.Pending()
 	rep.Target = t.targetList()
 
 	// Reconcile every shard toward the target. PolicyPerShard skips
@@ -311,7 +255,7 @@ func (c *Cluster) tuneOnceLocked() (*TuneReport, error) {
 	}
 
 	for _, srv := range c.shards {
-		srv.Capture().Decay(t.decayFactor, t.decayFloor)
+		srv.Capture().Decay(c.cfg.Server.DecayFactor, c.cfg.Server.DecayFloor)
 	}
 	rep.Elapsed = time.Since(start)
 	return rep, nil

@@ -21,6 +21,10 @@
 //     longest contiguous prefix of published stamps. A snapshot pins
 //     the watermark, so it can never observe stamp S+1 without S —
 //     half-published interleavings stay invisible.
+//  4. CommitTx returns only once the watermark covers its stamp, after
+//     releasing its locks: a commit that has been acknowledged is
+//     visible to every snapshot pinned afterwards, so a client's next
+//     transaction always sees its own previous one.
 //
 // Locking protocol (acquisition order, outermost first):
 // table.commitMu (sorted by table name) -> table.mu -> {mvcc.pinMu,
@@ -80,6 +84,7 @@ type mvccState struct {
 	pubMu     sync.Mutex
 	published map[uint64]bool // finished stamps above the watermark
 	lagPeak   uint64          // max len(published) observed
+	risen     *sync.Cond      // on pubMu; broadcast when the watermark rises
 
 	publishNs atomic.Int64 // total ns from stamp allocation to publish
 
@@ -92,10 +97,12 @@ type mvccState struct {
 }
 
 func newMVCCState() *mvccState {
-	return &mvccState{
+	mv := &mvccState{
 		published: make(map[uint64]bool),
 		pins:      make(map[uint64]int),
 	}
+	mv.risen = sync.NewCond(&mv.pubMu)
+	return mv
 }
 
 // allocStamp hands out the next commit stamp. The caller must
@@ -115,6 +122,7 @@ func (mv *mvccState) finish(stamp uint64) {
 			w++
 		}
 		mv.watermark.Store(w)
+		mv.risen.Broadcast()
 	} else {
 		mv.published[stamp] = true
 		if n := uint64(len(mv.published)); n > mv.lagPeak {
@@ -150,6 +158,23 @@ func (mv *mvccState) advanceTo(stamp uint64) {
 			}
 		}
 		mv.watermark.Store(w)
+		mv.risen.Broadcast()
+	}
+	mv.pubMu.Unlock()
+}
+
+// awaitVisible blocks until the watermark covers stamp: every commit
+// with a smaller stamp has finished publishing, so a snapshot pinned
+// from now on reads stamp's commit. Callers hold no table lock — the
+// commits being waited for hold theirs already (stamps are allocated
+// under the commit locks) and need nothing from the waiter.
+func (mv *mvccState) awaitVisible(stamp uint64) {
+	if mv.watermark.Load() >= stamp {
+		return
+	}
+	mv.pubMu.Lock()
+	for mv.watermark.Load() < stamp {
+		mv.risen.Wait()
 	}
 	mv.pubMu.Unlock()
 }
@@ -458,12 +483,25 @@ func (db *Database) lockTables(ops []TxOp) (names []string, tables map[string]*T
 // watermark does not stall.
 //
 // An empty write set commits trivially: stamp and logLSN are 0 and no
-// state changes. On ErrConflict nothing was applied or logged.
+// state changes. On ErrConflict nothing was applied or logged. A
+// successful commit returns once it is visible: a commit that finished
+// publishing ahead of a smaller stamp waits, its locks released, for
+// the watermark to reach it. Without the wait a client's next snapshot
+// could miss the commit it was just acknowledged — and conflict with
+// it, or silently not find its own insert.
 func (db *Database) CommitTx(snapLSN uint64, ops []TxOp, prepare func(ops []TxOp) (func(stamp uint64) (uint64, error), error)) (stamp, logLSN uint64, err error) {
 	if len(ops) == 0 {
 		return 0, 0, nil
 	}
+	if stamp, logLSN, err = db.commitLocked(snapLSN, ops, prepare); err == nil {
+		db.mv.awaitVisible(stamp)
+	}
+	return stamp, logLSN, err
+}
 
+// commitLocked is CommitTx up to and including the publish, under the
+// written tables' commit locks.
+func (db *Database) commitLocked(snapLSN uint64, ops []TxOp, prepare func(ops []TxOp) (func(stamp uint64) (uint64, error), error)) (stamp, logLSN uint64, err error) {
 	names, tables, unlock, err := db.lockTables(ops)
 	if err != nil {
 		return 0, 0, err

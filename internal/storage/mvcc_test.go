@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"xixa/internal/xmltree"
 )
@@ -258,5 +259,64 @@ func TestPinnedSnapshotBlocksSweep(t *testing.T) {
 	tbl.mu.RUnlock()
 	if chains > 128 {
 		t.Errorf("%d chains survive after release", chains)
+	}
+}
+
+// TestCommitTxReturnsOnlyOnceVisible pins the acknowledged-means-visible
+// rule: a commit that finishes publishing while a smaller stamp is still
+// in flight (here: parked inside its log append) must not return until
+// the watermark covers it, or the committer's next snapshot would miss
+// its own commit. Before the rule, two writers on disjoint documents
+// could conflict with themselves (engine.TestTxnDeterminism failed about
+// one run in three on a two-core box).
+func TestCommitTxReturnsOnlyOnceVisible(t *testing.T) {
+	db := NewDatabase()
+	db.MustCreateTable("A")
+	db.MustCreateTable("B")
+
+	stamped, release := make(chan struct{}), make(chan struct{})
+	slow := func([]TxOp) (func(uint64) (uint64, error), error) {
+		return func(uint64) (uint64, error) {
+			close(stamped) // the stamp is allocated; hold it unpublished
+			<-release
+			return 0, nil
+		}, nil
+	}
+	slowDone := make(chan error, 1)
+	go func() {
+		_, _, err := db.CommitTx(db.Watermark(), []TxOp{{Table: "A", Kind: TxInsert, Doc: doc("SLOW", 1)}}, slow)
+		slowDone <- err
+	}()
+	<-stamped
+
+	type result struct {
+		stamp uint64
+		err   error
+	}
+	fastDone := make(chan result, 1)
+	go func() {
+		stamp, _, err := db.CommitTx(db.Watermark(), []TxOp{{Table: "B", Kind: TxInsert, Doc: doc("FAST", 2)}}, nil)
+		fastDone <- result{stamp, err}
+	}()
+	select {
+	case r := <-fastDone:
+		t.Fatalf("commit %d returned (err %v) while the watermark was still %d", r.stamp, r.err, db.Watermark())
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-slowDone; err != nil {
+		t.Fatal(err)
+	}
+	r := <-fastDone
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	snap := db.PinSnapshot()
+	defer snap.Release()
+	if snap.LSN() < r.stamp {
+		t.Fatalf("snapshot pinned after the commit returned reads at %d, commit stamp %d", snap.LSN(), r.stamp)
+	}
+	if v, _ := snap.Table("B"); fmt.Sprint(viewSymbols(v)) != "[FAST]" {
+		t.Errorf("acknowledged insert invisible to the next snapshot: %v", viewSymbols(v))
 	}
 }

@@ -422,45 +422,6 @@ func (t *Table) applyReplaceLocked(id int64, newDoc *xmltree.Document, stamp, ho
 	return true
 }
 
-// Update mutates a document in place, reporting whether the document
-// exists. Subscribers observe the update as a DocRemoved of the
-// pre-image followed by a DocInserted of the post-image; the mutation
-// counter advances twice so every emitted version is unique. The
-// mutator must not add or remove nodes — it may only rewrite values
-// (the engine's UPDATE dialect only touches leaves) — and must not
-// call back into the table.
-//
-// Concurrency caveat: the table lock serializes Update against other
-// table operations, but readers that fetched the *Document earlier
-// (Scan/Get return live pointers, not copies) evaluate it with no lock
-// held, so an in-place value rewrite is NOT safe to run concurrently
-// with statement execution that may touch the same document, and it
-// breaks the online index build's assumption that captured change
-// events reference immutable documents. The engine's UPDATE path uses
-// Replace (copy-on-write) instead; Update remains for single-writer
-// batch tooling.
-func (t *Table) Update(id int64, mutate func(*xmltree.Document)) bool {
-	t.commitMu.Lock()
-	defer t.commitMu.Unlock()
-	t.mu.RLock()
-	_, ok := t.docs[id]
-	t.mu.RUnlock()
-	if !ok {
-		return false
-	}
-	t.stampedApply(func(stamp, _ uint64) {
-		doc := t.docs[id]
-		t.version++
-		t.notify(Change{Kind: DocRemoved, Doc: doc, Version: t.version, LSN: stamp, Replaced: true})
-		preBytes := doc.StorageBytes()
-		mutate(doc)
-		t.bytes += doc.StorageBytes() - preBytes
-		t.version++
-		t.notify(Change{Kind: DocInserted, Doc: doc, Version: t.version, LSN: stamp, Replaced: true})
-	})
-	return true
-}
-
 // Get fetches a document by ID.
 func (t *Table) Get(id int64) (*xmltree.Document, bool) {
 	t.mu.RLock()

@@ -184,7 +184,7 @@ func TestChangeFeed(t *testing.T) {
 	}
 
 	id1 := tbl.Insert(doc("A", 1))
-	tbl.Update(id1, func(d *xmltree.Document) { d.Nodes[2].Value = "B" })
+	tbl.Replace(id1, doc("B", 1))
 	tbl.Delete(id1)
 	want := []ChangeKind{DocInserted, DocRemoved, DocInserted, DocRemoved}
 	if len(got) != len(want) {
@@ -264,17 +264,18 @@ func TestUnsubscribeStopsDelivery(t *testing.T) {
 	}
 }
 
-func TestUpdateAdjustsAccounting(t *testing.T) {
+func TestReplaceAdjustsAccounting(t *testing.T) {
 	tbl := NewTable("T")
 	id := tbl.Insert(doc("A", 1))
 	before := tbl.SizeBytes()
-	tbl.Update(id, func(d *xmltree.Document) { d.Nodes[2].Value = "MUCHLONGERSYMBOL" })
+	tbl.Replace(id, doc("MUCHLONGERSYMBOL", 1))
 	grown := tbl.SizeBytes()
 	if grown <= before {
 		t.Fatalf("SizeBytes %d did not grow past %d after value grew", grown, before)
 	}
-	if tbl.Update(999, func(*xmltree.Document) {}) {
-		t.Fatal("Update of missing doc succeeded")
+	tbl.Replace(id, doc("A", 1))
+	if got := tbl.SizeBytes(); got != before {
+		t.Fatalf("SizeBytes %d after shrinking back, want %d", got, before)
 	}
 }
 

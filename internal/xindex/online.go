@@ -103,9 +103,10 @@ func (x *Index) applyChange(c storage.Change) {
 // version would produce.
 //
 // The caller owns the returned index and must Release it when the
-// index is dropped, or the feed subscription leaks. Correctness
-// requires copy-on-write updates (Table.Replace): an in-place
-// Table.Update mutates documents referenced by buffered events.
+// index is dropped, or the feed subscription leaks. Correctness rests
+// on updates being copy-on-write (Table.Replace, the only update path
+// storage offers): buffered events reference documents that must not
+// change under them.
 func BuildOnline(t *storage.Table, def Definition) (*Index, error) {
 	if err := def.Validate(); err != nil {
 		return nil, err

@@ -73,7 +73,7 @@ func requireStatsEqual(t *testing.T, label string, got, want *TableStats) {
 }
 
 // TestKeeperMatchesCollectUnderStream is the incremental-maintenance
-// golden test: a stream of inserts, deletes, and in-place updates
+// golden test: a stream of inserts, deletes, and copy-on-write updates
 // maintained through a Keeper must yield, at every checkpoint, a
 // TableStats bit-identical to a fresh full Collect of the table.
 func TestKeeperMatchesCollectUnderStream(t *testing.T) {
@@ -81,17 +81,19 @@ func TestKeeperMatchesCollectUnderStream(t *testing.T) {
 	k := NewKeeper(tbl)
 
 	var ids []int64
-	insert := func(i int) {
-		d := xmltree.NewBuilder().
+	security := func(i int, yield float64) *xmltree.Document {
+		return xmltree.NewBuilder().
 			Begin("Security").
 			Attr("id", fmt.Sprintf("%d", 100000+i)).
 			Leaf("Symbol", fmt.Sprintf("S%04d", i)).
-			LeafFloat("Yield", float64(i%13)+float64(i%7)/10).
+			LeafFloat("Yield", yield).
 			Begin("SecInfo").Begin("StockInformation").
 			Leaf("Sector", []string{"Energy", "Tech", "Finance"}[i%3]).
 			End().End().
 			End().Document()
-		ids = append(ids, tbl.Insert(d))
+	}
+	insert := func(i int) {
+		ids = append(ids, tbl.Insert(security(i, float64(i%13)+float64(i%7)/10)))
 	}
 	checkpoint := func(step string) {
 		t.Helper()
@@ -112,20 +114,11 @@ func TestKeeperMatchesCollectUnderStream(t *testing.T) {
 	}
 	checkpoint("after deletes")
 
-	// In-place updates through Table.Update: rewrite Yield leaves.
+	// Copy-on-write updates through Table.Replace: rewrite Yield leaves.
 	updated := 0
 	for i := 1; i < len(ids); i += 3 {
-		id := ids[i]
-		ok := tbl.Update(id, func(d *xmltree.Document) {
-			for j := range d.Nodes {
-				n := &d.Nodes[j]
-				if n.Kind == xmltree.Text && d.Nodes[n.Parent].Name == "Yield" {
-					n.Value = fmt.Sprintf("%.2f", 99.5+float64(i))
-				}
-			}
-		})
-		if !ok {
-			t.Fatalf("update %d failed", id)
+		if !tbl.Replace(ids[i], security(i, 99.5+float64(i))) {
+			t.Fatalf("update %d failed", ids[i])
 		}
 		updated++
 	}
