@@ -46,8 +46,8 @@
 // are bit-identical to an unsharded daemon. Capture and statistics
 // merge into one global plane the advisor tunes from, and \shards
 // shows the router counters and per-shard placement. Sharded mode is
-// in-memory: incompatible with -wal-dir, -snapshot, -replica-of,
-// -replication-addr, and -demo.
+// in-memory: incompatible with -wal-dir, -snapshot, -archive-dir,
+// -replica-of, -replication-addr, and -demo.
 //
 // With -snapshot (and no -wal-dir), the daemon restores the database
 // AND the materialized index catalog from the file at startup (warm
@@ -57,18 +57,12 @@
 //
 // The wire protocol is line-oriented: one statement per line, responses
 // are "| ..." result lines followed by an "OK ..." summary, or an
-// "ERR ..." line. Meta commands:
-//
-//	\indexes            list the materialized catalog with sizes
-//	\tune               run one advisor round on the captured workload
-//	\stats [json]       session, server, transaction, and replication
-//	                    counters, rendered from the metrics registry
-//	                    (json: the full registry snapshot as JSON)
-//	\metrics            the metrics registry in Prometheus text format
-//	\promote            promote this follower to primary (fences the old one)
-//	\shards             router counters and per-shard placement (-shards N)
-//	\explain <stmt>     show the plan without executing
-//	\quit               close the connection
+// "ERR ..." line. The protocol, its commands (\indexes, \tune,
+// \explain, \stats [json], \metrics, \shards, \promote, \quit) and the
+// accept loop live in internal/frontend, written once over a Backend
+// that a server and a cluster both satisfy; this command builds one of
+// the two from its flags and owns the process: flags, logging, the
+// HTTP listener, signals, and what a graceful shutdown persists.
 //
 // With -demo N, the daemon instead drives N synthetic client goroutines
 // against itself for a few seconds and prints what the tuning loop did
@@ -76,9 +70,7 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -86,21 +78,18 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
 
 	"xixa/internal/core"
-	"xixa/internal/obs"
+	"xixa/internal/frontend"
 	"xixa/internal/replica"
 	"xixa/internal/server"
 	"xixa/internal/shard"
 	"xixa/internal/storage"
 	"xixa/internal/tpox"
 	"xixa/internal/wal"
-	"xixa/internal/xmltree"
-	"xixa/internal/xquery"
 )
 
 func main() {
@@ -119,131 +108,50 @@ func main() {
 	demo := flag.Int("demo", 0, "drive N synthetic clients against the daemon and exit")
 	parallelism := flag.Int("parallelism", 0, "advisor fan-out width (0 = GOMAXPROCS)")
 	httpAddr := flag.String("http-addr", "", "serve /metrics, /trace/last, and /debug/pprof on this address (empty disables)")
-	shards := flag.Int("shards", 1, "partition the database across N in-process shards (N>1; incompatible with -wal-dir, -snapshot, -replica-of, -replication-addr, -demo)")
+	shards := flag.Int("shards", 1, "partition the database across N in-process shards (N>1; incompatible with -wal-dir, -snapshot, -archive-dir, -replica-of, -replication-addr, -demo)")
 	flag.Parse()
 
+	cfg := server.Config{
+		Budget:      *budgetMB << 20,
+		Algorithm:   *algorithm,
+		Parallelism: *parallelism,
+	}
+
+	// Build the backend the flags describe. From here on both modes
+	// are one path: what names the backend in the log lines, shutdown
+	// is what a graceful stop persists and closes.
+	var (
+		sh       *frontend.Shell
+		what     string
+		shutdown func()
+		srv      *server.Server // nil when sharded
+	)
 	if *shards > 1 {
-		if *walDir != "" || *snapshot != "" || *replicaOf != "" || *replAddr != "" {
+		if *walDir != "" || *snapshot != "" || *archiveDir != "" || *replicaOf != "" || *replAddr != "" {
 			log.Fatalf("xixad: -shards does not compose with durability or replication flags yet")
 		}
 		if *demo > 0 {
 			log.Fatalf("xixad: -demo is unsharded only")
 		}
-		runSharded(*shards, *scale, *addr, *httpAddr, shard.Config{
-			Keys: tpoxKeys(),
-			Server: server.Config{
-				Budget:      *budgetMB << 20,
-				Algorithm:   *algorithm,
-				Parallelism: *parallelism,
-			},
+		c := startCluster(*scale, shard.Config{
+			Shards:       *shards,
+			Keys:         tpox.PartitionKeys(),
+			Server:       cfg,
 			TuneInterval: *tuneEvery,
 		})
-		return
-	}
-
-	cfg := server.Config{
-		TuneInterval:    *tuneEvery,
-		Budget:          *budgetMB << 20,
-		Algorithm:       *algorithm,
-		Parallelism:     *parallelism,
-		CheckpointBytes: *checkpointMB << 20,
-		ArchiveDir:      *archiveDir,
-	}
-	if *archiveDir != "" {
-		// Archiving preserves sealed segments; without rolling there is
-		// nothing to seal, so give the log a segment size.
-		cfg.SegmentBytes = 16 << 20
-	}
-
-	rs := &replState{addr: *replAddr}
-	var srv *server.Server
-	if *replicaOf != "" {
-		if *walDir == "" {
-			log.Fatalf("xixad: -replica-of requires -wal-dir (the follower's own durability directory)")
+		sh, what, shutdown = frontend.New(c), fmt.Sprintf("%d shards ", *shards), c.Close
+	} else {
+		cfg.TuneInterval = *tuneEvery
+		cfg.CheckpointBytes = *checkpointMB << 20
+		cfg.ArchiveDir = *archiveDir
+		if *archiveDir != "" {
+			// Archiving preserves sealed segments; without rolling there is
+			// nothing to seal, so give the log a segment size.
+			cfg.SegmentBytes = 16 << 20
 		}
-		policy, err := wal.ParseSyncPolicy(*syncMode)
-		if err != nil {
-			log.Fatalf("xixad: %v", err)
-		}
-		cfg.SyncPolicy = policy
-		f, err := replica.StartFollower(replica.FollowerConfig{
-			PrimaryAddr: *replicaOf,
-			Dir:         *walDir,
-			Server:      cfg,
-		})
-		if err != nil {
-			log.Fatalf("xixad: follow %s: %v", *replicaOf, err)
-		}
-		rs.fol = f
-		srv = f.Server()
-		info := f.Info()
-		log.Printf("following %s from LSN %d (epoch %d); read-only until \\promote",
-			*replicaOf, info.AppliedLSN, info.Epoch)
-	} else if *walDir != "" {
-		policy, err := wal.ParseSyncPolicy(*syncMode)
-		if err != nil {
-			log.Fatalf("xixad: %v", err)
-		}
-		cfg.WALDir = *walDir
-		cfg.SyncPolicy = policy
-		recovered, info, err := server.Recover(cfg, func() (*storage.Database, error) {
-			log.Printf("generating TPoX data (scale %d)", *scale)
-			return tpox.NewDatabase(*scale)
-		})
-		if err != nil {
-			log.Fatalf("xixad: recover: %v", err)
-		}
-		srv = recovered
-		log.Printf("%s (sync=%s)", info, policy)
-	} else if *snapshot != "" {
-		if _, err := os.Stat(*snapshot); err == nil {
-			log.Printf("restoring snapshot %s", *snapshot)
-			restored, err := server.OpenSnapshot(*snapshot, cfg)
-			if err != nil {
-				log.Fatalf("xixad: restore: %v", err)
-			}
-			srv = restored
-			log.Printf("warm start: %d indexes materialized", len(srv.Catalog().Definitions()))
-		}
-	}
-	if srv == nil {
-		log.Printf("generating TPoX data (scale %d)", *scale)
-		db, err := tpox.NewDatabase(*scale)
-		if err != nil {
-			log.Fatalf("xixad: %v", err)
-		}
-		srv = server.New(db, cfg)
-	}
-
-	rs.tuneLog = func(rep *server.TuneReport, err error) {
-		if err != nil {
-			log.Printf("tune: %v", err)
-			return
-		}
-		if !rep.Skipped {
-			log.Print(rep)
-		}
-	}
-	if rs.fol == nil {
-		// Followers don't tune: their catalog converges by replaying the
-		// primary's index records. \promote starts the tuner.
-		srv.StartAutoTune(rs.tuneLog)
-	}
-
-	if *replAddr != "" && rs.fol == nil {
-		if srv.WAL() == nil {
-			log.Fatalf("xixad: -replication-addr requires -wal-dir (streaming replicates the WAL)")
-		}
-		p, err := replica.NewPrimary(srv, replica.PrimaryConfig{})
-		if err != nil {
-			log.Fatalf("xixad: %v", err)
-		}
-		bound, err := p.ListenAndServe(*replAddr)
-		if err != nil {
-			log.Fatalf("xixad: replication listen: %v", err)
-		}
-		rs.prim = p
-		log.Printf("streaming WAL to followers on %s (epoch %d)", bound, p.Epoch())
+		n := startServer(cfg, *scale, *snapshot, *walDir, *syncMode, *replAddr, *replicaOf)
+		srv = n.Server
+		sh, shutdown = frontend.New(n), func() { n.shutdown(*snapshot) }
 	}
 
 	if *httpAddr != "" {
@@ -251,355 +159,255 @@ func main() {
 		if err != nil {
 			log.Fatalf("xixad: http listen: %v", err)
 		}
-		hsrv := &http.Server{Handler: obs.NewMux(srv.Metrics(), srv.Tracer())}
+		hsrv := &http.Server{Handler: sh.HTTPHandler()}
 		go hsrv.Serve(hln)
 		defer hsrv.Close()
-		log.Printf("observability on http://%s/ (metrics, trace/last, debug/pprof)", hln.Addr())
+		log.Printf("%sobservability on http://%s/ (metrics, trace/last, debug/pprof)", what, hln.Addr())
 	}
 
 	if *demo > 0 {
 		runDemo(srv, *demo)
-		shutdown(rs, srv, *snapshot)
+		shutdown()
 		return
 	}
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
+	stop := make(chan struct{})
+	go func() {
+		<-sigc
+		log.Print("shutting down")
+		close(stop)
+	}()
 
 	if *addr == "" {
 		// Headless: no listener — the daemon just keeps its database,
 		// capture, and tuning loop alive until a signal arrives.
 		// (net.Listen("tcp", "") would NOT mean "off": it binds a
 		// random port on all interfaces.)
-		log.Printf("no listen address; running headless (tune every %v)", *tuneEvery)
-		<-sigc
-		log.Print("shutting down")
-		shutdown(rs, srv, *snapshot)
-		return
-	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		log.Fatalf("xixad: listen: %v", err)
-	}
-	log.Printf("serving on %s (tune every %v)", ln.Addr(), *tuneEvery)
-
-	go func() {
-		<-sigc
-		log.Print("shutting down")
-		ln.Close()
-	}()
-
-	var conns sync.WaitGroup
-	for {
-		conn, err := ln.Accept()
+		log.Printf("no listen address; running %sheadless (tune every %v)", what, *tuneEvery)
+		<-stop
+	} else {
+		ln, err := net.Listen("tcp", *addr)
 		if err != nil {
-			break // listener closed
+			log.Fatalf("xixad: listen: %v", err)
 		}
-		conns.Add(1)
-		go func() {
-			defer conns.Done()
-			serveConn(rs, srv, conn)
-		}()
+		log.Printf("serving %son %s (tune every %v)", what, ln.Addr(), *tuneEvery)
+		sh.Serve(ln, stop)
 	}
-	conns.Wait()
-	shutdown(rs, srv, *snapshot)
+	shutdown()
 }
 
-// replState tracks the daemon's replication role: primary (streaming
-// the WAL to followers), follower (promotable via \promote), or
-// neither. A follower that promotes becomes a primary in place.
-type replState struct {
-	addr    string // -replication-addr; a follower binds it at promotion
-	tuneLog func(*server.TuneReport, error)
-
-	mu       sync.Mutex
-	prim     *replica.Primary
-	fol      *replica.Follower
-	promoted bool
+// logTune is the autonomous loop's observer: rounds that did something
+// are logged.
+func logTune[R fmt.Stringer](skipped func(R) bool) func(R, error) {
+	return func(rep R, err error) {
+		if err != nil {
+			log.Printf("tune: %v", err)
+		} else if !skipped(rep) {
+			log.Print(rep)
+		}
+	}
 }
 
-func (rs *replState) primary() *replica.Primary {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.prim
+// node is the unsharded backend: a server plus the daemon's replication
+// role — primary (streaming the WAL to followers), follower (promotable
+// via \promote), or neither. A follower that promotes becomes a primary
+// in place.
+type node struct {
+	*server.Server
+	replAddr string // -replication-addr; a follower binds it at promotion
+
+	mu   sync.Mutex
+	prim *replica.Primary
+	fol  *replica.Follower // nil once promoted
 }
 
-func (rs *replState) follower() (*replica.Follower, bool) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.fol, rs.promoted
+// startServer brings up the server the flags describe — following a
+// primary, recovered from a WAL directory, restored from a snapshot, or
+// fresh over generated TPoX data — with its tuning loop and, on a
+// durable primary, its replication listener.
+func startServer(cfg server.Config, scale int, snapshot, walDir, syncMode, replAddr, replicaOf string) *node {
+	n := &node{replAddr: replAddr}
+	generate := func() (*storage.Database, error) {
+		log.Printf("generating TPoX data (scale %d)", scale)
+		return tpox.NewDatabase(scale)
+	}
+	if walDir != "" {
+		policy, err := wal.ParseSyncPolicy(syncMode)
+		if err != nil {
+			log.Fatalf("xixad: %v", err)
+		}
+		cfg.SyncPolicy = policy
+	}
+	switch {
+	case replicaOf != "":
+		if walDir == "" {
+			log.Fatalf("xixad: -replica-of requires -wal-dir (the follower's own durability directory)")
+		}
+		f, err := replica.StartFollower(replica.FollowerConfig{PrimaryAddr: replicaOf, Dir: walDir, Server: cfg})
+		if err != nil {
+			log.Fatalf("xixad: follow %s: %v", replicaOf, err)
+		}
+		n.fol, n.Server = f, f.Server()
+		info := f.Info()
+		log.Printf("following %s from LSN %d (epoch %d); read-only until \\promote",
+			replicaOf, info.AppliedLSN, info.Epoch)
+	case walDir != "":
+		cfg.WALDir = walDir
+		recovered, info, err := server.Recover(cfg, generate)
+		if err != nil {
+			log.Fatalf("xixad: recover: %v", err)
+		}
+		n.Server = recovered
+		log.Printf("%s (sync=%s)", info, cfg.SyncPolicy)
+	case snapshot != "":
+		if _, err := os.Stat(snapshot); err == nil {
+			log.Printf("restoring snapshot %s", snapshot)
+			restored, err := server.OpenSnapshot(snapshot, cfg)
+			if err != nil {
+				log.Fatalf("xixad: restore: %v", err)
+			}
+			n.Server = restored
+			log.Printf("warm start: %d indexes materialized", len(restored.Catalog().Definitions()))
+		}
+	}
+	if n.Server == nil {
+		db, err := generate()
+		if err != nil {
+			log.Fatalf("xixad: %v", err)
+		}
+		n.Server = server.New(db, cfg)
+	}
+
+	if n.fol == nil {
+		// Followers don't tune: their catalog converges by replaying the
+		// primary's index records. \promote starts the tuner.
+		n.startAutoTune()
+		if replAddr != "" {
+			if n.WAL() == nil {
+				log.Fatalf("xixad: -replication-addr requires -wal-dir (streaming replicates the WAL)")
+			}
+			bound, err := n.streamWAL()
+			if err != nil {
+				log.Fatalf("xixad: %v", err)
+			}
+			log.Printf("streaming WAL to followers on %s (epoch %d)", bound, n.prim.Epoch())
+		}
+	}
+	return n
 }
 
-func shutdown(rs *replState, srv *server.Server, snapshot string) {
-	if p := rs.primary(); p != nil {
+func (n *node) startAutoTune() {
+	n.StartAutoTune(logTune(func(rep *server.TuneReport) bool { return rep.Skipped }))
+}
+
+// streamWAL makes the node a replication primary on replAddr.
+func (n *node) streamWAL() (bound string, err error) {
+	p, err := replica.NewPrimary(n.Server, replica.PrimaryConfig{})
+	if err != nil {
+		return "", err
+	}
+	if bound, err = p.ListenAndServe(n.replAddr); err != nil {
+		return "", fmt.Errorf("replication listen: %w", err)
+	}
+	n.mu.Lock()
+	n.prim = p
+	n.mu.Unlock()
+	return bound, nil
+}
+
+// role returns the node's current replication role: at most one of the
+// two is non-nil.
+func (n *node) role() (*replica.Primary, *replica.Follower) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.prim, n.fol
+}
+
+// PromoteToPrimary is the \promote role (frontend.Promoter): a follower
+// truncates any half-streamed frame, mints the next epoch, opens for
+// writes, starts tuning, and — with -replication-addr — starts
+// streaming to the remaining followers.
+func (n *node) PromoteToPrimary() (string, error) {
+	_, f := n.role()
+	if f == nil {
+		return "", errors.New("not a follower")
+	}
+	epoch, err := f.Promote()
+	if err != nil {
+		return "", err
+	}
+	n.mu.Lock()
+	n.fol = nil
+	n.mu.Unlock()
+	n.startAutoTune()
+	summary := fmt.Sprintf("promoted at epoch %d", epoch)
+	if n.replAddr != "" {
+		bound, err := n.streamWAL()
+		if err != nil {
+			return "", fmt.Errorf("%s but %v", summary, err)
+		}
+		summary += ", streaming to followers on " + bound
+	}
+	log.Printf("promoted to primary at epoch %d (log at LSN %d)", epoch, n.WAL().LastLSN())
+	return summary, nil
+}
+
+// StatsLines adds the replication role's lines to the server's.
+func (n *node) StatsLines(vals map[string]float64) []string {
+	lines := n.Server.StatsLines(vals)
+	p, f := n.role()
+	if p != nil {
+		followers := p.Status()
+		lines = append(lines, fmt.Sprintf("replication: primary at epoch %d, %d followers", p.Epoch(), len(followers)))
+		for _, fs := range followers {
+			lines = append(lines, fmt.Sprintf("replication follower %s: streamed LSN %d, acked %d, lag %d records",
+				fs.Addr, fs.StreamedLSN, fs.AckedLSN, fs.LagRecords))
+		}
+	}
+	if f != nil {
+		info := f.Info()
+		state := "disconnected"
+		if info.Connected {
+			state = "connected"
+		}
+		lines = append(lines, fmt.Sprintf("replication: following at epoch %d, applied LSN %d, primary tip %d, lag %d records (LSN delta %d), %s (%d reconnects)",
+			info.Epoch, info.AppliedLSN, info.PrimaryFlushedLSN, info.LagRecords, info.LagLSN, state, info.Reconnects))
+	}
+	return lines
+}
+
+// shutdown persists what the node's mode promises and closes it.
+func (n *node) shutdown(snapshot string) {
+	p, f := n.role()
+	if p != nil {
 		p.Close()
 	}
-	if f, promoted := rs.follower(); f != nil && !promoted {
+	if f != nil {
 		// A live follower's applier owns the database; stop the stream
 		// and the server together, no shutdown checkpoint (the next
 		// start replays or re-streams the tail).
 		f.Close()
 		return
 	}
-	if srv.WAL() != nil {
+	if n.WAL() != nil {
 		// Durable mode: a shutdown checkpoint empties the WAL so the
 		// next start replays nothing. (Skipping it would be correct
 		// too — recovery would just replay the tail.)
-		if err := srv.Checkpoint(); err != nil {
+		if err := n.Checkpoint(); err != nil {
 			log.Printf("xixad: checkpoint: %v", err)
 		} else {
-			log.Printf("checkpoint written (%d indexes)", len(srv.Catalog().Definitions()))
+			log.Printf("checkpoint written (%d indexes)", len(n.Catalog().Definitions()))
 		}
 	} else if snapshot != "" {
-		if err := srv.SaveSnapshot(snapshot); err != nil {
+		if err := n.SaveSnapshot(snapshot); err != nil {
 			log.Printf("xixad: snapshot: %v", err)
 		} else {
-			log.Printf("snapshot saved to %s (%d indexes)", snapshot, len(srv.Catalog().Definitions()))
+			log.Printf("snapshot saved to %s (%d indexes)", snapshot, len(n.Catalog().Definitions()))
 		}
 	}
-	srv.Close()
-}
-
-func serveConn(rs *replState, srv *server.Server, conn net.Conn) {
-	defer conn.Close()
-	sess, err := srv.NewSession()
-	if err != nil {
-		fmt.Fprintf(conn, "ERR %v\n", err)
-		return
-	}
-	defer sess.Close()
-	out := bufio.NewWriter(conn)
-	fmt.Fprintf(out, "OK xixad session %d\n", sess.ID())
-	out.Flush()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if line == `\quit` || line == "quit" {
-			fmt.Fprintln(out, "OK bye")
-			out.Flush()
-			return
-		}
-		handleLine(rs, srv, sess, out, line)
-		out.Flush()
-	}
-}
-
-func handleLine(rs *replState, srv *server.Server, sess *server.Session, out *bufio.Writer, line string) {
-	switch {
-	case line == `\indexes`:
-		for _, def := range srv.Catalog().Definitions() {
-			idx, ok := srv.Catalog().Get(def)
-			if !ok {
-				continue
-			}
-			fmt.Fprintf(out, "| %s  (%d entries, %d levels, %d bytes)\n",
-				def, idx.Entries(), idx.Levels(), idx.SizeBytes())
-		}
-		fmt.Fprintf(out, "OK %d indexes, %d bytes total\n",
-			len(srv.Catalog().Definitions()), srv.Catalog().TotalSizeBytes())
-	case line == `\tune`:
-		rep, err := srv.TuneOnce()
-		if err != nil {
-			fmt.Fprintf(out, "ERR %v\n", err)
-			return
-		}
-		fmt.Fprintf(out, "OK %s\n", rep)
-	case line == `\stats`:
-		writeStats(rs, srv, sess, out)
-	case line == `\stats json`:
-		writeStatsJSON(rs, srv, sess, out)
-	case line == `\metrics`:
-		var buf bytes.Buffer
-		if err := srv.Metrics().WritePrometheus(&buf); err != nil {
-			fmt.Fprintf(out, "ERR %v\n", err)
-			return
-		}
-		for _, ln := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
-			fmt.Fprintf(out, "| %s\n", ln)
-		}
-		fmt.Fprintln(out, "OK")
-	case line == `\promote`:
-		rs.mu.Lock()
-		f, promoted := rs.fol, rs.promoted
-		rs.mu.Unlock()
-		if f == nil || promoted {
-			fmt.Fprintln(out, "ERR not a follower")
-			return
-		}
-		epoch, err := f.Promote()
-		if err != nil {
-			fmt.Fprintf(out, "ERR %v\n", err)
-			return
-		}
-		rs.mu.Lock()
-		rs.promoted = true
-		rs.mu.Unlock()
-		srv.StartAutoTune(rs.tuneLog)
-		bound := ""
-		if rs.addr != "" {
-			p, perr := replica.NewPrimary(srv, replica.PrimaryConfig{})
-			if perr == nil {
-				bound, perr = p.ListenAndServe(rs.addr)
-			}
-			if perr != nil {
-				fmt.Fprintf(out, "ERR promoted at epoch %d but replication listen failed: %v\n", epoch, perr)
-				return
-			}
-			rs.mu.Lock()
-			rs.prim = p
-			rs.mu.Unlock()
-		}
-		log.Printf("promoted to primary at epoch %d (log at LSN %d)", epoch, srv.WAL().LastLSN())
-		if bound != "" {
-			fmt.Fprintf(out, "OK promoted at epoch %d, streaming to followers on %s\n", epoch, bound)
-			return
-		}
-		fmt.Fprintf(out, "OK promoted at epoch %d\n", epoch)
-	case strings.HasPrefix(line, `\explain `):
-		plan, err := sess.Explain(strings.TrimPrefix(line, `\explain `))
-		if err != nil {
-			fmt.Fprintf(out, "ERR %v\n", err)
-			return
-		}
-		fmt.Fprintf(out, "OK %s (base cost %.0f)\n", plan, plan.EstBaseCost)
-	default:
-		stmt, err := xquery.Parse(line)
-		if err != nil {
-			fmt.Fprintf(out, "ERR %v\n", err)
-			return
-		}
-		res, err := sess.ExecuteStmt(stmt)
-		if err != nil {
-			fmt.Fprintf(out, "ERR %v\n", err)
-			return
-		}
-		tbl, err := srv.DB().Table(stmt.Table)
-		for i, r := range res.Refs {
-			if i >= 5 {
-				fmt.Fprintf(out, "| ... (%d more)\n", len(res.Refs)-i)
-				break
-			}
-			if err != nil {
-				break
-			}
-			if doc, ok := tbl.Get(r.Doc); ok {
-				text := xmltree.SerializeString(doc)
-				if len(text) > 120 {
-					text = text[:120] + "..."
-				}
-				fmt.Fprintf(out, "| %s\n", text)
-			}
-		}
-		fmt.Fprintf(out, "OK %d results, %d nodes scanned, %d index entries, %d docs fetched\n",
-			len(res.Refs), res.Stats.NodesScanned, res.Stats.IndexEntriesRead, res.Stats.DocsFetched)
-	}
-}
-
-// writeStats renders the human \stats view. Every server-wide number
-// comes from one registry snapshot (obs.Values), so this view, the
-// Prometheus endpoint, and TxnStats can never disagree; only the
-// per-session lines read session state.
-func writeStats(rs *replState, srv *server.Server, sess *server.Session, out *bufio.Writer) {
-	vals := obs.Values(srv.Metrics().Snapshot())
-	v := func(name string) float64 { return vals[name] }
-	secs := func(s float64) time.Duration {
-		return time.Duration(s * float64(time.Second)).Round(time.Microsecond)
-	}
-
-	st, executed, errs := sess.Stats()
-	retries, backoff := sess.RetryStats()
-	fmt.Fprintf(out, "| session: %d statements, %d errors, %.0f work units, %d conflict retries, %s backoff slept\n",
-		executed, errs, st.WorkUnits(), retries, backoff)
-	fmt.Fprintf(out, "| server: %.0f sessions open (%.0f opened), %.0f indexes, %.0f captured statements\n",
-		v("xixa_sessions_open"), v("xixa_sessions_opened_total"),
-		v("xixa_index_definitions"), v("xixa_capture_statements"))
-	meanStmt := 0.0
-	if c := v("xixa_statement_seconds_count"); c > 0 {
-		meanStmt = v("xixa_statement_seconds_sum") / c
-	}
-	fmt.Fprintf(out, "| statements: %.0f served, %.0f failed, %.0f rejected overloaded, mean latency %s\n",
-		v("xixa_statements_total"), v("xixa_statement_errors_total"),
-		v("xixa_overloaded_total"), secs(meanStmt))
-	fmt.Fprintf(out, "| txns: %.0f committed, %.0f aborted, %.0f write-write conflicts, %.0f retries, %s backoff\n",
-		v("xixa_txn_commits_total"), v("xixa_txn_aborts_total"), v("xixa_txn_conflicts_total"),
-		v("xixa_txn_retries_total"), time.Duration(v("xixa_txn_backoff_nanoseconds_total")).Round(time.Microsecond))
-	fmt.Fprintf(out, "| commit pipeline: %.0f stamps allocated, watermark %.0f, publish lag %.0f (peak %.0f), publish wait %s\n",
-		v("xixa_mvcc_stamps_allocated"), v("xixa_mvcc_watermark"),
-		v("xixa_mvcc_publish_lag"), v("xixa_mvcc_publish_lag_peak"),
-		secs(v("xixa_mvcc_publish_wait_seconds_total")))
-	fmt.Fprintf(out, "| replay reorder: %.0f frames buffered (peak %.0f)\n",
-		v("xixa_replay_reorder_buffered"), v("xixa_replay_reorder_peak"))
-	if srv.WAL() != nil {
-		meanFsync := 0.0
-		if c := v("xixa_wal_fsync_seconds_count"); c > 0 {
-			meanFsync = v("xixa_wal_fsync_seconds_sum") / c
-		}
-		fmt.Fprintf(out, "| wal: %.0f appends, %.0f fsyncs (mean %s), durable LSN %.0f, %.0f bytes\n",
-			v("xixa_wal_appends_total"), v("xixa_wal_fsyncs_total"), secs(meanFsync),
-			v("xixa_wal_durable_lsn"), v("xixa_wal_size_bytes"))
-	}
-	fmt.Fprintf(out, "| tuner: %.0f rounds (%.0f skipped), %.0f indexes built, %.0f dropped, %.0f checkpoints\n",
-		v("xixa_tuner_rounds_total"), v("xixa_tuner_rounds_skipped_total"),
-		v("xixa_index_builds_total"), v("xixa_index_drops_total"), v("xixa_checkpoints_total"))
-	if p := rs.primary(); p != nil {
-		followers := p.Status()
-		fmt.Fprintf(out, "| replication: primary at epoch %d, %d followers\n", p.Epoch(), len(followers))
-		for _, fs := range followers {
-			fmt.Fprintf(out, "| replication follower %s: streamed LSN %d, acked %d, lag %d records\n",
-				fs.Addr, fs.StreamedLSN, fs.AckedLSN, fs.LagRecords)
-		}
-	}
-	if f, promoted := rs.follower(); f != nil && !promoted {
-		info := f.Info()
-		state := "disconnected"
-		if info.Connected {
-			state = "connected"
-		}
-		fmt.Fprintf(out, "| replication: following at epoch %d, applied LSN %d, primary tip %d, lag %d records (LSN delta %d), %s (%d reconnects)\n",
-			info.Epoch, info.AppliedLSN, info.PrimaryFlushedLSN, info.LagRecords, info.LagLSN, state, info.Reconnects)
-	}
-	fmt.Fprintln(out, "OK")
-}
-
-// writeStatsJSON emits the session counters plus the full registry
-// snapshot as indented JSON, one "| "-prefixed line each, so a client
-// can strip the prefix and parse.
-func writeStatsJSON(rs *replState, srv *server.Server, sess *server.Session, out *bufio.Writer) {
-	st, executed, errs := sess.Stats()
-	retries, backoff := sess.RetryStats()
-	payload := struct {
-		Session struct {
-			Executed  int64   `json:"executed"`
-			Errors    int64   `json:"errors"`
-			WorkUnits float64 `json:"work_units"`
-			Retries   int64   `json:"retries"`
-			BackoffNs int64   `json:"backoff_ns"`
-		} `json:"session"`
-		Followers []replica.FollowerStatus `json:"followers,omitempty"`
-		Metrics   []obs.Metric             `json:"metrics"`
-	}{Metrics: srv.Metrics().Snapshot()}
-	payload.Session.Executed = executed
-	payload.Session.Errors = errs
-	payload.Session.WorkUnits = st.WorkUnits()
-	payload.Session.Retries = retries
-	payload.Session.BackoffNs = backoff.Nanoseconds()
-	if p := rs.primary(); p != nil {
-		payload.Followers = p.Status()
-	}
-	b, err := json.MarshalIndent(payload, "", "  ")
-	if err != nil {
-		fmt.Fprintf(out, "ERR %v\n", err)
-		return
-	}
-	for _, ln := range strings.Split(string(b), "\n") {
-		fmt.Fprintf(out, "| %s\n", ln)
-	}
-	fmt.Fprintln(out, "OK")
+	n.Close()
 }
 
 // runDemo drives n synthetic clients against the server for a few

@@ -1,51 +1,26 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
-	"os"
-	"os/signal"
-	"strings"
-	"sync"
-	"syscall"
 
-	"xixa/internal/obs"
 	"xixa/internal/shard"
 	"xixa/internal/storage"
 	"xixa/internal/tpox"
 	"xixa/internal/xmltree"
-	"xixa/internal/xquery"
 )
 
-// tpoxKeys maps the TPoX tables to their natural partition keys: the
-// document identifier each generator makes unique per document.
-func tpoxKeys() map[string]string {
-	return map[string]string{
-		tpox.TableSecurity: "/Security/Symbol",
-		tpox.TableOrders:   "/Order/@ID",
-		tpox.TableCustAcc:  "/Customer/@id",
-	}
-}
-
-// runSharded is the daemon's sharded serving mode: a shard.Cluster of
-// n in-process shards behind the same line protocol. The TPoX corpus
-// loads through the router (so placement follows the partition keys),
-// the cluster-level tuner advises from the merged per-shard capture
-// and statistics, and \shards exposes the per-shard breakdown.
-func runSharded(n, scale int, addr, httpAddr string, cfg shard.Config) {
-	cfg.Shards = n
+// startCluster brings up the sharded backend: a shard.Cluster behind
+// the same front end as a single server. The TPoX corpus loads through
+// the router (so placement follows the partition keys), and the
+// cluster-level tuner advises from the merged per-shard capture and
+// statistics.
+func startCluster(scale int, cfg shard.Config) *shard.Cluster {
 	c, err := shard.NewCluster(cfg)
 	if err != nil {
 		log.Fatalf("xixad: %v", err)
 	}
-	defer c.Close()
-
-	log.Printf("generating TPoX data (scale %d) across %d shards", scale, n)
+	log.Printf("generating TPoX data (scale %d) across %d shards", scale, c.Shards())
 	staging, err := tpox.NewDatabase(scale)
 	if err != nil {
 		log.Fatalf("xixad: %v", err)
@@ -53,66 +28,8 @@ func runSharded(n, scale int, addr, httpAddr string, cfg shard.Config) {
 	if err := loadCluster(c, staging); err != nil {
 		log.Fatalf("xixad: load: %v", err)
 	}
-
-	c.StartAutoTune(func(rep *shard.TuneReport, err error) {
-		if err != nil {
-			log.Printf("cluster tune: %v", err)
-			return
-		}
-		if !rep.Skipped {
-			log.Print(rep)
-		}
-	})
-
-	if httpAddr != "" {
-		hln, err := net.Listen("tcp", httpAddr)
-		if err != nil {
-			log.Fatalf("xixad: http listen: %v", err)
-		}
-		// The cluster registry carries the router's view (routing
-		// decisions, per-shard dispatch, fan-out latency); per-shard
-		// engine metrics stay in each shard server's own registry.
-		hsrv := &http.Server{Handler: obs.NewMux(c.Metrics(), c.Shard(0).Tracer())}
-		go hsrv.Serve(hln)
-		defer hsrv.Close()
-		log.Printf("cluster observability on http://%s/ (metrics, debug/pprof)", hln.Addr())
-	}
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-
-	if addr == "" {
-		log.Printf("no listen address; running %d shards headless (tune every %v)", n, cfg.TuneInterval)
-		<-sigc
-		log.Print("shutting down")
-		return
-	}
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		log.Fatalf("xixad: listen: %v", err)
-	}
-	log.Printf("serving %d shards on %s (tune every %v)", n, ln.Addr(), cfg.TuneInterval)
-
-	go func() {
-		<-sigc
-		log.Print("shutting down")
-		ln.Close()
-	}()
-
-	var conns sync.WaitGroup
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			break // listener closed
-		}
-		conns.Add(1)
-		go func() {
-			defer conns.Done()
-			serveClusterConn(c, conn)
-		}()
-	}
-	conns.Wait()
+	c.StartAutoTune(logTune(func(rep *shard.TuneReport) bool { return rep.Skipped }))
+	return c
 }
 
 // loadCluster replays a staging database through the cluster's router,
@@ -142,197 +59,4 @@ func loadCluster(c *shard.Cluster, staging *storage.Database) error {
 		log.Printf("loaded %s: %d documents across %d shards", name, docs, c.Shards())
 	}
 	return nil
-}
-
-func serveClusterConn(c *shard.Cluster, conn net.Conn) {
-	defer conn.Close()
-	sess, err := c.NewSession()
-	if err != nil {
-		fmt.Fprintf(conn, "ERR %v\n", err)
-		return
-	}
-	defer sess.Close()
-	out := bufio.NewWriter(conn)
-	fmt.Fprintf(out, "OK xixad cluster of %d shards\n", c.Shards())
-	out.Flush()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if line == `\quit` || line == "quit" {
-			fmt.Fprintln(out, "OK bye")
-			out.Flush()
-			return
-		}
-		handleClusterLine(c, sess, out, line)
-		out.Flush()
-	}
-}
-
-func handleClusterLine(c *shard.Cluster, sess *shard.Session, out *bufio.Writer, line string) {
-	switch {
-	case line == `\shards`:
-		writeShards(c, out)
-	case line == `\indexes`:
-		total := 0
-		for i := 0; i < c.Shards(); i++ {
-			cat := c.Shard(i).Catalog()
-			for _, def := range cat.Definitions() {
-				idx, ok := cat.Get(def)
-				if !ok {
-					continue
-				}
-				fmt.Fprintf(out, "| shard %d: %s  (%d entries, %d levels, %d bytes)\n",
-					i, def, idx.Entries(), idx.Levels(), idx.SizeBytes())
-				total++
-			}
-		}
-		fmt.Fprintf(out, "OK %d indexes across %d shards\n", total, c.Shards())
-	case line == `\tune`:
-		rep, err := c.TuneOnce()
-		if err != nil {
-			fmt.Fprintf(out, "ERR %v\n", err)
-			return
-		}
-		fmt.Fprintf(out, "OK %s\n", rep)
-	case line == `\stats`:
-		writeClusterStats(c, sess, out)
-	case line == `\stats json`:
-		writeClusterStatsJSON(c, sess, out)
-	case line == `\metrics`:
-		var buf bytes.Buffer
-		if err := c.Metrics().WritePrometheus(&buf); err != nil {
-			fmt.Fprintf(out, "ERR %v\n", err)
-			return
-		}
-		for _, ln := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
-			fmt.Fprintf(out, "| %s\n", ln)
-		}
-		fmt.Fprintln(out, "OK")
-	case strings.HasPrefix(line, `\`):
-		fmt.Fprintf(out, "ERR unknown meta command in sharded mode: %s\n", line)
-	default:
-		stmt, err := xquery.Parse(line)
-		if err != nil {
-			fmt.Fprintf(out, "ERR %v\n", err)
-			return
-		}
-		res, err := sess.ExecuteStmt(stmt)
-		if err != nil {
-			fmt.Fprintf(out, "ERR %v\n", err)
-			return
-		}
-		for i, r := range res.Refs {
-			if i >= 5 {
-				fmt.Fprintf(out, "| ... (%d more)\n", len(res.Refs)-i)
-				break
-			}
-			if doc, ok := clusterDoc(c, stmt.Table, r.Doc); ok {
-				text := xmltree.SerializeString(doc)
-				if len(text) > 120 {
-					text = text[:120] + "..."
-				}
-				fmt.Fprintf(out, "| %s\n", text)
-			}
-		}
-		fmt.Fprintf(out, "OK %d results, %d nodes scanned, %d index entries, %d docs fetched\n",
-			len(res.Refs), res.Stats.NodesScanned, res.Stats.IndexEntriesRead, res.Stats.DocsFetched)
-	}
-}
-
-// clusterDoc finds a result document by ID for the preview lines: the
-// owning shard isn't recorded in the ref, so probe the statement's
-// table on every shard (IDs are globally unique per table).
-func clusterDoc(c *shard.Cluster, table string, id int64) (*xmltree.Document, bool) {
-	for i := 0; i < c.Shards(); i++ {
-		tbl, err := c.Shard(i).DB().Table(table)
-		if err != nil {
-			continue
-		}
-		if doc, ok := tbl.Get(id); ok {
-			return doc, true
-		}
-	}
-	return nil, false
-}
-
-// writeShards renders the per-shard breakdown: routed statements,
-// admission rejects, catalog size, and document counts.
-func writeShards(c *shard.Cluster, out *bufio.Writer) {
-	vals := obs.Values(c.Metrics().Snapshot())
-	fmt.Fprintf(out, "| %d shards; router: %.0f local, %.0f fanout, %.0f broadcast, %.0f overloaded\n",
-		c.Shards(), vals["xixa_router_local_total"], vals["xixa_router_fanout_total"],
-		vals["xixa_router_broadcast_total"], vals["xixa_router_overloaded_total"])
-	for i := 0; i < c.Shards(); i++ {
-		srv := c.Shard(i)
-		docs := 0
-		for _, name := range srv.DB().TableNames() {
-			if tbl, err := srv.DB().Table(name); err == nil {
-				docs += tbl.Scan(func(*xmltree.Document) bool { return true })
-			}
-		}
-		fmt.Fprintf(out, "| shard %d: %.0f statements, %.0f rejects, %d documents, %d indexes (%d bytes)\n",
-			i,
-			vals[fmt.Sprintf(`xixa_shard_statements_total{shard="%d"}`, i)],
-			vals[fmt.Sprintf(`xixa_shard_admission_rejects_total{shard="%d"}`, i)],
-			docs, len(srv.Catalog().Definitions()), srv.Catalog().TotalSizeBytes())
-	}
-	fmt.Fprintln(out, "OK")
-}
-
-// writeClusterStats renders the human \stats view for a cluster: the
-// session counters, then the router's registry snapshot — same
-// single-snapshot discipline as the unsharded view.
-func writeClusterStats(c *shard.Cluster, sess *shard.Session, out *bufio.Writer) {
-	vals := obs.Values(c.Metrics().Snapshot())
-	v := func(name string) float64 { return vals[name] }
-	executed, errs := sess.Stats()
-	fmt.Fprintf(out, "| session: %d statements, %d errors (summed across %d shard sessions)\n",
-		executed, errs, c.Shards())
-	fmt.Fprintf(out, "| router: %.0f local, %.0f fanout, %.0f broadcast, %.0f overloaded\n",
-		v("xixa_router_local_total"), v("xixa_router_fanout_total"),
-		v("xixa_router_broadcast_total"), v("xixa_router_overloaded_total"))
-	meanFan := 0.0
-	if cnt := v("xixa_router_fanout_seconds_count"); cnt > 0 {
-		meanFan = v("xixa_router_fanout_seconds_sum") / cnt
-	}
-	fmt.Fprintf(out, "| fan-out: %.0f rounds, mean latency %.3fms\n",
-		v("xixa_router_fanout_seconds_count"), meanFan*1000)
-	for i := 0; i < c.Shards(); i++ {
-		fmt.Fprintf(out, "| shard %d: %.0f statements, %.0f admission rejects\n", i,
-			v(fmt.Sprintf(`xixa_shard_statements_total{shard="%d"}`, i)),
-			v(fmt.Sprintf(`xixa_shard_admission_rejects_total{shard="%d"}`, i)))
-	}
-	fmt.Fprintf(out, "| tuner: %.0f rounds, %.0f index builds, %.0f drops across shards\n",
-		v("xixa_cluster_tune_rounds_total"), v("xixa_cluster_index_builds_total"),
-		v("xixa_cluster_index_drops_total"))
-	fmt.Fprintln(out, "OK")
-}
-
-// writeClusterStatsJSON emits the cluster session counters plus the
-// full cluster registry snapshot as indented JSON.
-func writeClusterStatsJSON(c *shard.Cluster, sess *shard.Session, out *bufio.Writer) {
-	executed, errs := sess.Stats()
-	payload := struct {
-		Session struct {
-			Executed int64 `json:"executed"`
-			Errors   int64 `json:"errors"`
-		} `json:"session"`
-		Shards  int          `json:"shards"`
-		Metrics []obs.Metric `json:"metrics"`
-	}{Shards: c.Shards(), Metrics: c.Metrics().Snapshot()}
-	payload.Session.Executed = executed
-	payload.Session.Errors = errs
-	b, err := json.MarshalIndent(payload, "", "  ")
-	if err != nil {
-		fmt.Fprintf(out, "ERR %v\n", err)
-		return
-	}
-	for _, ln := range strings.Split(string(b), "\n") {
-		fmt.Fprintf(out, "| %s\n", ln)
-	}
-	fmt.Fprintln(out, "OK")
 }

@@ -1,9 +1,11 @@
-// Command xqshell is an interactive shell over a generated TPoX
-// database: type workload statements and see plans, results, and work
-// counters — with or without the advisor's recommended indexes. The
-// shell runs on the same serving layer as the xixad daemon, so every
-// executed statement lands in the workload capture ring and one
-// advisor round away from materialized indexes.
+// Command xqshell is a shell over a generated TPoX database: type
+// workload statements and see plans, results, and work counters — with
+// or without the advisor's recommended indexes. It is the xixad daemon's
+// front end (internal/frontend) on stdin and stdout instead of a
+// socket: the same commands, the same "| ..." / "OK ..." / "ERR ..."
+// replies, the same serving layer underneath, so every executed
+// statement lands in the workload capture ring and one \tune away from
+// materialized indexes (hysteresis is 1 here, so \tune acts at once).
 //
 // Usage:
 //
@@ -11,31 +13,22 @@
 //
 // With -autoindex, the shell first runs the advisor on the 11-query
 // TPoX workload and materializes the recommended indexes (online), so
-// EXPLAIN output shows index plans immediately.
+// \explain shows index plans immediately.
 //
-// Shell commands:
-//
-//	<statement>          execute a query/insert/delete/update
-//	explain <statement>  show the plan without executing
-//	\tune                run one advisor round on the session's captured
-//	                     workload and materialize/drop indexes online
-//	\indexes             list the materialized catalog with sizes
-//	indexes              (alias for \indexes)
-//	quit
+// Shell commands: a statement (query/insert/delete/update) executes;
+// \explain <statement>, \tune, \indexes, \stats [json], \metrics and
+// \quit are the daemon's (see internal/frontend).
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
+	"xixa/internal/frontend"
 	"xixa/internal/server"
 	"xixa/internal/tpox"
 	"xixa/internal/workload"
-	"xixa/internal/xmltree"
-	"xixa/internal/xquery"
 )
 
 func main() {
@@ -53,11 +46,6 @@ func main() {
 	// builds; hysteresis 1 so \tune acts immediately.
 	srv := server.New(db, server.Config{BuildAfter: 1, DropAfter: 1})
 	defer srv.Close()
-	sess, err := srv.NewSession()
-	if err != nil {
-		fatal(err)
-	}
-	defer sess.Close()
 
 	if *autoindex {
 		w, err := workload.ParseStatements(tpox.Queries())
@@ -77,97 +65,7 @@ func main() {
 	}
 
 	fmt.Println(`Ready. Try:  for $s in SECURITY('SDOC')/Security where $s/Symbol = "SYM00042" return $s`)
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for {
-		fmt.Print("xq> ")
-		if !sc.Scan() {
-			break
-		}
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case line == "" || strings.HasPrefix(line, "#"):
-			continue
-		case line == "quit" || line == "exit" || line == `\quit`:
-			return
-		case line == "indexes" || line == `\indexes`:
-			listIndexes(srv)
-			continue
-		case line == `\tune`:
-			rep, err := srv.TuneOnce()
-			if err != nil {
-				fmt.Println("error:", err)
-				continue
-			}
-			if rep.Skipped {
-				fmt.Println("  nothing captured yet — execute some statements first")
-				continue
-			}
-			fmt.Printf("  %s\n", rep)
-			for _, def := range rep.Built {
-				fmt.Printf("  created index %s\n", def)
-			}
-			for _, def := range rep.Dropped {
-				fmt.Printf("  dropped index %s\n", def)
-			}
-			continue
-		case strings.HasPrefix(line, "explain "):
-			plan, err := sess.Explain(strings.TrimPrefix(line, "explain "))
-			if err != nil {
-				fmt.Println("error:", err)
-				continue
-			}
-			fmt.Printf("  %s (base cost %.0f)\n", plan, plan.EstBaseCost)
-			continue
-		}
-		stmt, err := xquery.Parse(line)
-		if err != nil {
-			fmt.Println("error:", err)
-			continue
-		}
-		res, err := sess.ExecuteStmt(stmt)
-		if err != nil {
-			fmt.Println("error:", err)
-			continue
-		}
-		for i, r := range res.Refs {
-			if i >= 5 {
-				fmt.Printf("  ... (%d more)\n", len(res.Refs)-5)
-				break
-			}
-			tbl, err := srv.DB().Table(stmt.Table)
-			if err != nil {
-				continue
-			}
-			if doc, ok := tbl.Get(r.Doc); ok {
-				text := xmltree.SerializeString(doc)
-				if len(text) > 120 {
-					text = text[:120] + "..."
-				}
-				fmt.Printf("  %s\n", text)
-			}
-		}
-		st := res.Stats
-		fmt.Printf("  %d results, %v, %d nodes scanned, %d index entries, %d docs fetched\n",
-			len(res.Refs), st.Elapsed, st.NodesScanned, st.IndexEntriesRead, st.DocsFetched)
-	}
-}
-
-func listIndexes(srv *server.Server) {
-	defs := srv.Catalog().Definitions()
-	if len(defs) == 0 {
-		fmt.Println("  (no indexes materialized — try \\tune)")
-		return
-	}
-	for _, def := range defs {
-		idx, ok := srv.Catalog().Get(def)
-		if !ok {
-			continue
-		}
-		fmt.Printf("  %s  (%d entries, %d levels, %d bytes)\n",
-			def, idx.Entries(), idx.Levels(), idx.SizeBytes())
-	}
-	fmt.Printf("  total %d bytes\n", srv.Catalog().TotalSizeBytes())
+	frontend.New(srv).ServeConn(os.Stdin, os.Stdout)
 }
 
 func fatal(err error) {

@@ -86,9 +86,15 @@
 // runs the advisor on the capture, materializing recommendations with
 // online index builds (xindex.BuildOnline: snapshot, build aside,
 // catch up from the change feed, swap atomically — writers never
-// block) and dropping abandoned indexes with hysteresis. cmd/xixad is
-// the daemon; snapshots persist the materialized catalog so restarts
-// come up warm.
+// block) and dropping abandoned indexes with hysteresis. The loop
+// (server.Tuner) is written once; a server and a sharded cluster each
+// hand it their workload, costing optimizer, hysteresis baseline and
+// apply step. cmd/xixad is the daemon; snapshots persist the
+// materialized catalog so restarts come up warm. internal/frontend is
+// the daemon's front end, also written once: the line protocol, its
+// command table and the accept loop over a Backend that server.Server
+// and shard.Cluster both satisfy, which cmd/xixad (either mode) and
+// cmd/xqshell (on stdin/stdout) serve.
 //
 // # Durability and crash recovery
 //
@@ -153,8 +159,9 @@
 // per-shard synopses merge via xstats.TableStats.Merge, and the
 // cluster tuner reconciles one target configuration — global
 // (identical per shard, scatters stay fast everywhere) or per-shard
-// (each shard tuned to the traffic its keys attract) — with the same
-// build/drop hysteresis as the single-server loop.
+// (each shard tuned to the traffic its keys attract) — through the same
+// tuning loop, and so the same build/drop hysteresis, as a single
+// server.
 //
 // # Observability
 //

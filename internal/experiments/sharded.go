@@ -34,18 +34,6 @@ type ShardedServeResult struct {
 	Identical  bool // every runner produced bit-identical results
 }
 
-// shardedKeys is the partition-key map of the sharded-serve scenario:
-// the three TPoX tables route by their natural document identifiers,
-// while XMARK stays unkeyed — its heterogeneous roots exercise the
-// pure scatter-gather path.
-func shardedKeys() map[string]string {
-	return map[string]string{
-		tpox.TableSecurity: "/Security/Symbol",
-		tpox.TableOrders:   "/Order/@ID",
-		tpox.TableCustAcc:  "/Customer/@id",
-	}
-}
-
 // shardedStream builds the deterministic statement stream: the full
 // TPoX + XMark corpus as inserts (in staging-generation order), three
 // query rounds with a tuning round between each, and a DML burst of
@@ -126,7 +114,7 @@ func ShardedServe(w io.Writer, scale, shards int) (*ShardedServeResult, error) {
 	var runners []*runner
 
 	db := storage.NewDatabase()
-	for name := range shardedKeys() {
+	for name := range tpox.PartitionKeys() {
 		db.MustCreateTable(name)
 	}
 	db.MustCreateTable(xmark.Table)
@@ -146,12 +134,15 @@ func ShardedServe(w io.Writer, scale, shards int) (*ShardedServeResult, error) {
 	})
 
 	for _, n := range []int{1, shards} {
-		c, err := shard.NewCluster(shard.Config{Shards: n, Keys: shardedKeys(), Server: scfg})
+		// The TPoX tables route by their natural document identifiers;
+		// XMARK stays unkeyed — its heterogeneous roots exercise the pure
+		// scatter-gather path.
+		c, err := shard.NewCluster(shard.Config{Shards: n, Keys: tpox.PartitionKeys(), Server: scfg})
 		if err != nil {
 			return nil, err
 		}
 		defer c.Close()
-		for name := range shardedKeys() {
+		for name := range tpox.PartitionKeys() {
 			if err := c.CreateTable(name); err != nil {
 				return nil, err
 			}

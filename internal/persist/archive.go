@@ -65,21 +65,17 @@ func ArchiveCheckpoint(src, archiveDir string, lsn uint64) (string, error) {
 // PeekCheckpointLSN reads just the LSN stamp from a checkpoint's
 // header, without loading (or checksumming) the snapshot body — the
 // replication handshake needs the stamp to decide whether a snapshot
-// ships, long before anyone pays to deserialize it. Pre-stamp format
-// versions report 0.
+// ships, long before anyone pays to deserialize it.
 func PeekCheckpointLSN(r io.Reader) (uint64, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, len(magic))
 	if _, err := io.ReadFull(br, head); err != nil {
 		return 0, fmt.Errorf("persist: reading magic: %w", err)
 	}
-	switch string(head) {
-	case string(magic):
-		return binary.ReadUvarint(br)
-	case string(magicV2), string(magicV1):
-		return 0, nil
+	if err := checkMagic(head); err != nil {
+		return 0, err
 	}
-	return 0, fmt.Errorf("persist: not a xixa snapshot (bad magic %q)", head)
+	return binary.ReadUvarint(br)
 }
 
 // ListArchivedCheckpoints finds the LSN-stamped checkpoints in

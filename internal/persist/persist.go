@@ -6,7 +6,8 @@
 //
 // Format (little-endian):
 //
-//	magic "XIXADB2\n"
+//	magic "XIXADB4\n"
+//	uvarint lsn, uvarint stamp
 //	uvarint tableCount
 //	  table: string name, uvarint nextID, uvarint docCount
 //	    doc: uvarint docID, uvarint nodeCount
@@ -18,26 +19,20 @@
 // Children, levels, and subtree intervals are reconstructed from the
 // parent links and document order on load.
 //
-// Version 2 added the per-table nextID and per-document docID fields so
-// document identities survive a save/load cycle: version 1 re-inserted
-// documents on load, which silently re-numbered every document after
-// any deletion and invalidated external references to document IDs.
-// Version 1 snapshots (magic "XIXADB1\n", no ID fields) still load,
-// with IDs assigned by insertion order as before.
+// The per-table nextID and per-document docID keep document identities
+// across a save/load cycle. lsn makes a snapshot a checkpoint: the
+// write-ahead log position it reflects, so recovery (server.Recover)
+// knows exactly which WAL tail to replay on top of it (0 for a plain
+// snapshot). stamp is the MVCC commit stamp (the watermark) at that
+// point: the storage layer's commit-stamp allocator survives a restart
+// by advancing to it, so stamps stay contiguous across the whole log
+// history and replay can order records by stamp. A checkpoint may carry
+// a capture sidecar (SaveCaptureFile) so a restarted daemon's tuner
+// warm-starts from the checkpointed workload instead of relearning it.
 //
-// Version 3 added a uvarint LSN immediately after the magic: a snapshot
-// is now a checkpoint stamped with the write-ahead log position it
-// reflects, so recovery (server.Recover) knows exactly which WAL tail
-// to replay on top of it. Version 1 and 2 snapshots still load, with
-// LSN 0. A checkpoint may carry a capture sidecar (SaveCaptureFile) so
-// a restarted daemon's tuner warm-starts from the checkpointed
-// workload instead of relearning it.
-//
-// Version 4 added a uvarint commit stamp (the MVCC watermark) right
-// after the LSN: the storage layer's commit-stamp allocator survives a
-// restart by advancing to it, so stamps stay contiguous across the
-// whole log history and replay can order records by stamp. Versions
-// 1-3 still load, with stamp 0.
+// This is the only format read: the three earlier layouts ("XIXADB1"
+// through "XIXADB3", last written before the commit stamp was added)
+// are recognized and rejected as unsupported, not loaded.
 package persist
 
 import (
@@ -60,11 +55,21 @@ import (
 
 var (
 	magic    = []byte("XIXADB4\n")
-	magicV3  = []byte("XIXADB3\n")
-	magicV2  = []byte("XIXADB2\n")
-	magicV1  = []byte("XIXADB1\n")
 	magicCap = []byte("XIXACAP1")
 )
+
+// checkMagic validates a snapshot's leading magic: the current format
+// passes, an earlier format version is named as such, anything else is
+// not a snapshot.
+func checkMagic(head []byte) error {
+	switch string(head) {
+	case string(magic):
+		return nil
+	case "XIXADB1\n", "XIXADB2\n", "XIXADB3\n":
+		return fmt.Errorf("persist: unsupported snapshot version %q (this build reads only %q)", head[:len(head)-1], magic[:len(magic)-1])
+	}
+	return fmt.Errorf("persist: not a xixa snapshot (bad magic %q)", head)
+}
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -271,32 +276,23 @@ func LoadDatabase(r io.Reader) (*storage.Database, []xindex.Definition, error) {
 
 // LoadCheckpoint reads a snapshot, verifies its checksum, and rebuilds
 // the database and index definitions, additionally returning the WAL
-// LSN and MVCC commit stamp the snapshot was stamped with (0 for
-// pre-v3 / pre-v4 snapshots respectively).
+// LSN and MVCC commit stamp the snapshot was stamped with.
 func LoadCheckpoint(r io.Reader) (*storage.Database, []xindex.Definition, uint64, uint64, error) {
 	cr := &checkedReader{r: bufio.NewReader(r), sum: crc32.New(crcTable)}
 	head := make([]byte, len(magic))
 	if err := cr.read(head); err != nil {
 		return nil, nil, 0, 0, fmt.Errorf("persist: reading magic: %w", err)
 	}
-	v4 := string(head) == string(magic)
-	v3 := v4 || string(head) == string(magicV3)
-	v2 := v3 || string(head) == string(magicV2)
-	if !v2 && string(head) != string(magicV1) {
-		return nil, nil, 0, 0, fmt.Errorf("persist: not a xixa snapshot (bad magic %q)", head)
+	if err := checkMagic(head); err != nil {
+		return nil, nil, 0, 0, err
 	}
-	var lsn, stamp uint64
-	if v3 {
-		var err error
-		if lsn, err = cr.uvarint(); err != nil {
-			return nil, nil, 0, 0, err
-		}
+	lsn, err := cr.uvarint()
+	if err != nil {
+		return nil, nil, 0, 0, err
 	}
-	if v4 {
-		var err error
-		if stamp, err = cr.uvarint(); err != nil {
-			return nil, nil, 0, 0, err
-		}
+	stamp, err := cr.uvarint()
+	if err != nil {
+		return nil, nil, 0, 0, err
 	}
 	db := storage.NewDatabase()
 	tableCount, err := cr.uvarint()
@@ -312,37 +308,27 @@ func LoadCheckpoint(r io.Reader) (*storage.Database, []xindex.Definition, uint64
 		if err != nil {
 			return nil, nil, 0, 0, err
 		}
-		if v2 {
-			nextID, err := cr.uvarint()
-			if err != nil {
-				return nil, nil, 0, 0, err
-			}
-			tbl.SetNextID(int64(nextID))
+		nextID, err := cr.uvarint()
+		if err != nil {
+			return nil, nil, 0, 0, err
 		}
+		tbl.SetNextID(int64(nextID))
 		docCount, err := cr.uvarint()
 		if err != nil {
 			return nil, nil, 0, 0, err
 		}
 		for d := uint64(0); d < docCount; d++ {
-			if v2 {
-				docID, err := cr.uvarint()
-				if err != nil {
-					return nil, nil, 0, 0, err
-				}
-				doc, err := readDoc(cr)
-				if err != nil {
-					return nil, nil, 0, 0, fmt.Errorf("persist: table %s doc %d: %w", name, d, err)
-				}
-				if err := tbl.InsertAt(doc, int64(docID)); err != nil {
-					return nil, nil, 0, 0, fmt.Errorf("persist: table %s doc %d: %w", name, d, err)
-				}
-				continue
+			docID, err := cr.uvarint()
+			if err != nil {
+				return nil, nil, 0, 0, err
 			}
 			doc, err := readDoc(cr)
 			if err != nil {
 				return nil, nil, 0, 0, fmt.Errorf("persist: table %s doc %d: %w", name, d, err)
 			}
-			tbl.Insert(doc)
+			if err := tbl.InsertAt(doc, int64(docID)); err != nil {
+				return nil, nil, 0, 0, fmt.Errorf("persist: table %s doc %d: %w", name, d, err)
+			}
 		}
 	}
 	defCount, err := cr.uvarint()

@@ -1,10 +1,6 @@
 package persist
 
 import (
-	"bufio"
-	"encoding/binary"
-	"hash/crc32"
-
 	"bytes"
 	"path/filepath"
 	"strings"
@@ -138,9 +134,22 @@ func TestTruncationDetected(t *testing.T) {
 	}
 }
 
+// TestBadMagicRejected: input that is not a snapshot, and the three
+// retired format versions, are rejected by the loader and by the header
+// peek alike — the old versions by name.
 func TestBadMagicRejected(t *testing.T) {
-	if _, _, err := LoadDatabase(strings.NewReader("NOTADB99 garbage")); err == nil {
-		t.Error("bad magic accepted")
+	for _, tc := range []struct{ head, wantErr string }{
+		{"NOTADB99 garbage", "bad magic"},
+		{"XIXADB1\n\x00\x00", "unsupported snapshot version"},
+		{"XIXADB2\n\x00\x00", "unsupported snapshot version"},
+		{"XIXADB3\n\x00\x00\x00", "unsupported snapshot version"},
+	} {
+		if _, _, err := LoadDatabase(strings.NewReader(tc.head)); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("LoadDatabase(%q): %v, want %q", tc.head, err, tc.wantErr)
+		}
+		if _, err := PeekCheckpointLSN(strings.NewReader(tc.head)); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("PeekCheckpointLSN(%q): %v, want %q", tc.head, err, tc.wantErr)
+		}
 	}
 }
 
@@ -244,82 +253,6 @@ func TestDocIDsSurviveRoundTrip(t *testing.T) {
 	}
 }
 
-// saveV1 writes a version-1 snapshot (no nextID/docID fields), so the
-// read-compat path stays covered without keeping old binaries around.
-func saveV1(t *testing.T, db *storage.Database, defs []xindex.Definition) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	cw := &countingWriter{w: bw, sum: crc32.New(crcTable)}
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(cw.write([]byte("XIXADB1\n")))
-	names := db.TableNames()
-	must(cw.uvarint(uint64(len(names))))
-	for _, name := range names {
-		tbl, err := db.Table(name)
-		must(err)
-		must(cw.str(name))
-		must(cw.uvarint(uint64(tbl.DocCount())))
-		tbl.Scan(func(doc *xmltree.Document) bool {
-			must(writeDoc(cw, doc))
-			return true
-		})
-	}
-	must(cw.uvarint(uint64(len(defs))))
-	for _, def := range defs {
-		must(cw.str(def.Table))
-		must(cw.str(def.Pattern.String()))
-		kind := byte(0)
-		if def.Type == xpath.NumberVal {
-			kind = 1
-		}
-		must(cw.write([]byte{kind}))
-	}
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], cw.sum.Sum32())
-	buf2 := crcBuf[:]
-	if _, err := bw.Write(buf2); err != nil {
-		t.Fatal(err)
-	}
-	must(bw.Flush())
-	return buf.Bytes()
-}
-
-// TestV1SnapshotsStillLoad asserts read-compat for the previous format:
-// documents load with insertion-order IDs, exactly as v1 behaved.
-func TestV1SnapshotsStillLoad(t *testing.T) {
-	db := storage.NewDatabase()
-	tbl := db.MustCreateTable("T")
-	for i := 0; i < 4; i++ {
-		tbl.Insert(xmltree.NewBuilder().Begin("Doc").LeafInt("N", int64(i)).End().Document())
-	}
-	raw := saveV1(t, db, snapshotDefs())
-	db2, defs, err := LoadDatabase(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("loading v1 snapshot: %v", err)
-	}
-	if len(defs) != len(snapshotDefs()) {
-		t.Fatalf("loaded %d defs, want %d", len(defs), len(snapshotDefs()))
-	}
-	tbl2, err := db2.Table("T")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl2.DocCount() != 4 {
-		t.Fatalf("loaded %d docs, want 4", tbl2.DocCount())
-	}
-	for id := int64(0); id < 4; id++ {
-		if _, ok := tbl2.Get(id); !ok {
-			t.Fatalf("v1 doc %d missing (insertion-order IDs expected)", id)
-		}
-	}
-}
-
 // TestRebuildIndexesWarmStart asserts the catalog half of the format's
 // contract: definitions persist, contents rebuild on load, and the
 // rebuilt indexes answer probes exactly like the pre-snapshot ones.
@@ -368,80 +301,6 @@ func TestRebuildIndexesWarmStart(t *testing.T) {
 	// Unknown table fails loudly instead of silently skipping.
 	if _, err := RebuildIndexes(storage.NewDatabase(), defs); err == nil {
 		t.Fatal("RebuildIndexes against empty database succeeded")
-	}
-}
-
-// saveV2 writes a version-2 snapshot (nextID/docID but no LSN), so the
-// read-compat path for the pre-WAL format stays covered.
-func saveV2(t *testing.T, db *storage.Database, defs []xindex.Definition) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	cw := &countingWriter{w: bw, sum: crc32.New(crcTable)}
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(cw.write([]byte("XIXADB2\n")))
-	names := db.TableNames()
-	must(cw.uvarint(uint64(len(names))))
-	for _, name := range names {
-		tbl, err := db.Table(name)
-		must(err)
-		must(cw.str(name))
-		must(cw.uvarint(uint64(tbl.NextID())))
-		must(cw.uvarint(uint64(tbl.DocCount())))
-		tbl.Scan(func(doc *xmltree.Document) bool {
-			must(cw.uvarint(uint64(doc.DocID)))
-			must(writeDoc(cw, doc))
-			return true
-		})
-	}
-	must(cw.uvarint(uint64(len(defs))))
-	for _, def := range defs {
-		must(cw.str(def.Table))
-		must(cw.str(def.Pattern.String()))
-		kind := byte(0)
-		if def.Type == xpath.NumberVal {
-			kind = 1
-		}
-		must(cw.write([]byte{kind}))
-	}
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], cw.sum.Sum32())
-	if _, err := bw.Write(crcBuf[:]); err != nil {
-		t.Fatal(err)
-	}
-	must(bw.Flush())
-	return buf.Bytes()
-}
-
-func TestV2SnapshotsStillLoad(t *testing.T) {
-	db := storage.NewDatabase()
-	tbl := db.MustCreateTable("T")
-	for i := 0; i < 4; i++ {
-		tbl.Insert(xmltree.NewBuilder().Begin("Doc").LeafInt("N", int64(i)).End().Document())
-	}
-	tbl.Delete(1)
-	raw := saveV2(t, db, snapshotDefs())
-	db2, defs, lsn, stamp, err := LoadCheckpoint(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("loading v2 snapshot: %v", err)
-	}
-	if lsn != 0 || stamp != 0 {
-		t.Fatalf("v2 snapshot loaded with LSN %d stamp %d, want 0/0", lsn, stamp)
-	}
-	if len(defs) != len(snapshotDefs()) {
-		t.Fatalf("loaded %d defs, want %d", len(defs), len(snapshotDefs()))
-	}
-	tbl2, err := db2.Table("T")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl2.DocCount() != 3 || tbl2.NextID() != tbl.NextID() {
-		t.Fatalf("v2 load: %d docs nextID %d, want 3/%d", tbl2.DocCount(), tbl2.NextID(), tbl.NextID())
 	}
 }
 

@@ -337,18 +337,18 @@ func (s *Server) Checkpoint() error {
 	if s.wal == nil {
 		return ErrNoWAL
 	}
-	s.loopMu.Lock()
-	defer s.loopMu.Unlock()
+	s.tuner.Lock()
+	defer s.tuner.Unlock()
 	return s.checkpointLocked()
 }
 
-// checkpointLocked is Checkpoint under an already-held loopMu (the
+// checkpointLocked is Checkpoint under an already-held tuner lock (the
 // autonomous loop checkpoints from its own tick).
 func (s *Server) checkpointLocked() error {
 	s.commitGate.Lock()
 	defer s.commitGate.Unlock()
 	// Both held: no transaction can publish (commitGate) and no index
-	// lifecycle changes (loopMu) can append, so LastLSN is exactly the
+	// lifecycle changes (the tuner lock) can append, so LastLSN is exactly the
 	// state the snapshot captures.
 	lsn := s.wal.LastLSN()
 	// With the commit gate held, no commit is mid-publish: the watermark

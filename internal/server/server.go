@@ -38,7 +38,6 @@ package server
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -267,7 +266,7 @@ type Server struct {
 	sessions int
 	nextSess int64
 
-	tuner  tuner
+	tuner  *Tuner // its lock also orders checkpoints against catalog changes
 	closed atomic.Bool
 
 	// readOnly marks a replication follower (mutations refused until
@@ -275,10 +274,6 @@ type Server struct {
 	// epoch (mutations refused forever).
 	readOnly atomic.Bool
 	fenced   atomic.Bool
-
-	loopMu   sync.Mutex
-	loopStop chan struct{}
-	loopDone chan struct{}
 }
 
 // New creates a server over a database: a live (incrementally
@@ -301,7 +296,7 @@ func New(db *storage.Database, cfg Config) *Server {
 	}
 	s.flight.wg = &sync.WaitGroup{}
 	s.mgr = xindex.NewManager(db, cat, s.flight.barrier)
-	s.tuner.hyst = optimizer.Hysteresis{BuildAfter: cfg.BuildAfter, DropAfter: cfg.DropAfter}
+	s.tuner = NewTuner(cfg, s.met.tunerRounds, s.met.tunerSkipped)
 	if cfg.Replica {
 		s.readOnly.Store(true)
 	}
@@ -417,9 +412,6 @@ func (s *Server) NewSession() (*Session, error) {
 	s.met.sessions.Inc()
 	return &Session{srv: s, id: s.nextSess}, nil
 }
-
-// ID returns the session's server-assigned identifier.
-func (sess *Session) ID() int64 { return sess.id }
 
 // Close releases the session's slot. Closing twice is a no-op.
 func (sess *Session) Close() {
@@ -607,11 +599,4 @@ func (s *Server) Close() {
 	if s.wal != nil {
 		s.wal.Close()
 	}
-}
-
-// String summarizes the server state for logs.
-func (s *Server) String() string {
-	return fmt.Sprintf("server{sessions=%d indexes=%d captured=%d}",
-		func() int { s.sessMu.Lock(); defer s.sessMu.Unlock(); return s.sessions }(),
-		len(s.cat.Definitions()), s.capture.Len())
 }

@@ -2,18 +2,58 @@ package server
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"xixa/internal/core"
+	"xixa/internal/obs"
 	"xixa/internal/optimizer"
+	"xixa/internal/storage"
+	"xixa/internal/workload"
 	"xixa/internal/xindex"
 )
 
-// tuner holds the autonomous tuning loop's state between rounds: the
-// round counter and the build/drop hysteresis streaks.
-type tuner struct {
-	round int
-	hyst  optimizer.Hysteresis
+// Tuner is the autonomous tuning loop, written once for a server and a
+// sharded cluster: the state that survives between rounds, the round's
+// shared steps (Round), and the ticker/stop runner (StartTuner, Stop).
+// Its mutex serializes rounds — manual and autonomous — with each other
+// and with whatever else the owner orders against catalog changes (the
+// server's checkpoints).
+type Tuner struct {
+	sync.Mutex
+	cfg           Config // defaults applied: the advisor and decay knobs
+	rounds, skips *obs.Counter
+
+	round      int
+	hyst       optimizer.Hysteresis
+	stop, done chan struct{}
+}
+
+// NewTuner creates a tuner with cfg's knobs (defaults applied) that
+// counts rounds and skipped rounds on the given counters.
+func NewTuner(cfg Config, rounds, skips *obs.Counter) *Tuner {
+	hyst := optimizer.Hysteresis{BuildAfter: cfg.BuildAfter, DropAfter: cfg.DropAfter}
+	return &Tuner{cfg: cfg, rounds: rounds, skips: skips, hyst: hyst}
+}
+
+// TuneInputs is what an owner supplies to one round — everything that
+// differs between a server tuning its catalog and a cluster tuning one
+// per shard.
+type TuneInputs struct {
+	// Workload is the captured workload to advise on; Captures are the
+	// rings it came from, decayed after the round so traffic that
+	// stopped arriving fades from future ones.
+	Workload *workload.Workload
+	Captures []*workload.Capture
+	// Costing returns the optimizer that costs candidate configurations
+	// and the database it resolves tables against; it is called only
+	// for a non-empty workload.
+	Costing func() (*storage.Database, *optimizer.Optimizer, error)
+	// Baseline is the configuration hysteresis treats as already built.
+	Baseline []xindex.Definition
+	// Apply carries out the changes whose streaks matured and returns
+	// what was actually materialized and dropped.
+	Apply func(build, drop []xindex.Definition) (built, dropped []xindex.Definition, err error)
 }
 
 // TuneReport is the outcome of one tuning round.
@@ -58,63 +98,98 @@ func (r *TuneReport) String() string {
 		r.PendingBuild, r.PendingDrop, r.Elapsed.Round(time.Millisecond), suffix)
 }
 
-// TuneOnce runs one tuning round: snapshot the captured workload, run
-// the advisor on it under the configured budget, diff the
-// recommendation against the materialized catalog, apply hysteresis,
-// and schedule online builds and deferred drops for the definitions
-// whose streaks matured. The capture decays afterwards, so traffic
-// that stopped arriving fades from future rounds.
-//
-// TuneOnce serializes with itself (the autonomous loop and manual
-// calls share the tuner) and must not be called from inside statement
-// execution — deferred drops wait for in-flight statements to drain.
-func (s *Server) TuneOnce() (*TuneReport, error) {
-	s.loopMu.Lock()
-	defer s.loopMu.Unlock()
-	return s.tuneOnceLocked()
-}
-
-func (s *Server) tuneOnceLocked() (*TuneReport, error) {
-	// A replica's catalog is driven by the primary's index records; a
-	// locally tuned configuration would diverge from the stream (and
-	// try to log create/drop records into a sink-less WAL). A fenced
-	// ex-primary must not mutate its catalog either.
-	if err := s.writable(); err != nil {
-		return nil, err
-	}
+// Round runs one tuning round: advise on the workload under the
+// configured budget, diff the recommendation against the baseline,
+// apply hysteresis, hand the definitions whose streaks matured to
+// in.Apply, and decay the captures. The caller holds the tuner's lock.
+func (t *Tuner) Round(in TuneInputs) (*TuneReport, error) {
 	start := time.Now()
-	t := &s.tuner
 	t.round++
-	s.met.tunerRounds.Inc()
-	rep := &TuneReport{Round: t.round}
-
-	w := s.capture.Workload()
-	if w.Len() == 0 {
+	t.rounds.Inc()
+	rep := &TuneReport{Round: t.round, WorkloadSize: in.Workload.Len()}
+	if rep.WorkloadSize == 0 {
 		rep.Skipped = true
-		s.met.tunerSkipped.Inc()
+		t.skips.Inc()
 		return rep, nil
 	}
-	rep.WorkloadSize = w.Len()
 
+	db, opt, err := in.Costing()
+	if err != nil {
+		return rep, err
+	}
 	opts := core.DefaultOptions()
-	opts.Parallelism = s.cfg.Parallelism
-	rec, err := core.Advise(s.db, s.opt, w, opts, s.cfg.Algorithm, s.cfg.Budget)
+	opts.Parallelism = t.cfg.Parallelism
+	rec, err := core.Advise(db, opt, in.Workload, opts, t.cfg.Algorithm, t.cfg.Budget)
 	if err != nil {
 		return rep, err
 	}
-	rep.Recommended = rec.Definitions()
-	rep.Benefit = rec.Benefit
+	rep.Recommended, rep.Benefit = rec.Definitions(), rec.Benefit
 
-	buildNow, dropNow := t.hyst.Step(optimizer.DiffConfigs(s.cat.Definitions(), rep.Recommended))
+	build, drop := t.hyst.Step(optimizer.DiffConfigs(in.Baseline, rep.Recommended))
 	rep.PendingBuild, rep.PendingDrop = t.hyst.Pending()
-
-	built, dropped, err := s.mgr.Reconcile(buildNow, dropNow)
-	rep.Built = built
-	rep.Dropped = dropped
-	if err != nil {
+	if rep.Built, rep.Dropped, err = in.Apply(build, drop); err != nil {
 		return rep, err
 	}
+	for _, c := range in.Captures {
+		c.Decay(t.cfg.DecayFactor, t.cfg.DecayFloor)
+	}
+	rep.Elapsed = time.Since(start)
+	return rep, nil
+}
 
+// StartTuner launches t's autonomous loop: every interval it runs
+// round under the tuner's lock and delivers the outcome to observe
+// (which may be nil) outside it. It is a no-op if the interval is zero
+// or a loop is already running. R is the owner's report type.
+func StartTuner[R any](t *Tuner, interval time.Duration, round func() (R, error), observe func(R, error)) {
+	t.Lock()
+	defer t.Unlock()
+	if interval <= 0 || t.stop != nil {
+		return
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	t.stop, t.done = stop, done
+	go func() {
+		defer close(done)
+		ticker := time.NewTicker(interval)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-ticker.C:
+				t.Lock()
+				rep, err := round()
+				t.Unlock()
+				if observe != nil {
+					observe(rep, err)
+				}
+			}
+		}
+	}()
+}
+
+// Stop stops the autonomous loop and waits for the in-progress round,
+// if any, to finish.
+func (t *Tuner) Stop() {
+	t.Lock()
+	stop, done := t.stop, t.done
+	t.stop, t.done = nil, nil
+	t.Unlock()
+	if stop == nil {
+		return
+	}
+	close(stop)
+	<-done
+}
+
+// applyTune is the server's TuneInputs.Apply: online builds and
+// deferred drops, logged to the WAL.
+func (s *Server) applyTune(build, drop []xindex.Definition) (built, dropped []xindex.Definition, err error) {
+	built, dropped, err = s.mgr.Reconcile(build, drop)
+	if err != nil || s.wal == nil || len(built)+len(dropped) == 0 {
+		return built, dropped, err
+	}
 	// Catalog changes are logged like any other mutation: a crash after
 	// this round recovers the same index configuration the tuner left.
 	// Ordering against transaction commits is version-safe without any
@@ -124,26 +199,47 @@ func (s *Server) tuneOnceLocked() (*TuneReport, error) {
 	// create interleaved between two transactions' frames indexes
 	// exactly the first's effects, same as the live BuildOnline did
 	// (its SubscribeScan cut never splits a commit's per-table batch).
-	if s.wal != nil && len(built)+len(dropped) > 0 {
-		var lsn uint64
-		for _, def := range built {
-			if lsn, err = s.wal.AppendIndexCreate(def); err != nil {
-				return rep, err
-			}
-		}
-		for _, def := range dropped {
-			if lsn, err = s.wal.AppendIndexDrop(def); err != nil {
-				return rep, err
-			}
-		}
-		if err := s.wal.Commit(lsn); err != nil {
-			return rep, err
+	var lsn uint64
+	for _, def := range built {
+		if lsn, err = s.wal.AppendIndexCreate(def); err != nil {
+			return built, dropped, err
 		}
 	}
+	for _, def := range dropped {
+		if lsn, err = s.wal.AppendIndexDrop(def); err != nil {
+			return built, dropped, err
+		}
+	}
+	return built, dropped, s.wal.Commit(lsn)
+}
 
-	s.capture.Decay(s.cfg.DecayFactor, s.cfg.DecayFloor)
-	rep.Elapsed = time.Since(start)
-	return rep, nil
+// TuneOnce runs one tuning round (Tuner.Round) over the live capture
+// and optimizer, with the materialized catalog as the baseline.
+//
+// TuneOnce serializes with itself (the autonomous loop and manual
+// calls share the tuner) and must not be called from inside statement
+// execution — deferred drops wait for in-flight statements to drain.
+func (s *Server) TuneOnce() (*TuneReport, error) {
+	s.tuner.Lock()
+	defer s.tuner.Unlock()
+	return s.tuneLocked()
+}
+
+func (s *Server) tuneLocked() (*TuneReport, error) {
+	// A replica's catalog is driven by the primary's index records; a
+	// locally tuned configuration would diverge from the stream (and
+	// try to log create/drop records into a sink-less WAL). A fenced
+	// ex-primary must not mutate its catalog either.
+	if err := s.writable(); err != nil {
+		return nil, err
+	}
+	return s.tuner.Round(TuneInputs{
+		Workload: s.capture.Workload(),
+		Captures: []*workload.Capture{s.capture},
+		Costing:  func() (*storage.Database, *optimizer.Optimizer, error) { return s.db, s.opt, nil },
+		Baseline: s.cat.Definitions(),
+		Apply:    s.applyTune,
+	})
 }
 
 // StartAutoTune launches the autonomous tuning loop at the configured
@@ -151,60 +247,23 @@ func (s *Server) tuneOnceLocked() (*TuneReport, error) {
 // observe, which may be nil. It is a no-op if the interval is zero or
 // a loop is already running.
 func (s *Server) StartAutoTune(observe func(*TuneReport, error)) {
-	s.loopMu.Lock()
-	defer s.loopMu.Unlock()
-	if s.cfg.TuneInterval <= 0 || s.loopStop != nil {
-		return
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	s.loopStop, s.loopDone = stop, done
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(s.cfg.TuneInterval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				s.loopMu.Lock()
-				if s.closed.Load() {
-					s.loopMu.Unlock()
-					return
-				}
-				rep, err := s.tuneOnceLocked()
-				// The loop's ticker doubles as the checkpoint trigger:
-				// once the WAL grows past the threshold, fold a
-				// checkpoint into the round so replay-on-recovery stays
-				// bounded no matter how long the daemon runs.
-				if s.wal != nil && s.wal.SizeBytes() >= s.cfg.CheckpointBytes {
-					cerr := s.checkpointLocked()
-					if cerr == nil {
-						rep.Checkpointed = true
-					} else if err == nil {
-						err = cerr
-					}
-				}
-				s.loopMu.Unlock()
-				if observe != nil {
-					observe(rep, err)
-				}
+	StartTuner(s.tuner, s.cfg.TuneInterval, func() (*TuneReport, error) {
+		rep, err := s.tuneLocked()
+		// The loop's ticker doubles as the checkpoint trigger: once the
+		// WAL grows past the threshold, fold a checkpoint into the round
+		// so replay-on-recovery stays bounded no matter how long the
+		// daemon runs.
+		if s.wal != nil && s.wal.SizeBytes() >= s.cfg.CheckpointBytes {
+			if cerr := s.checkpointLocked(); cerr == nil && rep != nil {
+				rep.Checkpointed = true
+			} else if err == nil {
+				err = cerr
 			}
 		}
-	}()
+		return rep, err
+	}, observe)
 }
 
 // StopAutoTune stops the autonomous loop and waits for the in-progress
 // round, if any, to finish.
-func (s *Server) StopAutoTune() {
-	s.loopMu.Lock()
-	stop, done := s.loopStop, s.loopDone
-	s.loopStop, s.loopDone = nil, nil
-	s.loopMu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
-}
+func (s *Server) StopAutoTune() { s.tuner.Stop() }

@@ -42,7 +42,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"xixa/internal/optimizer"
 	"xixa/internal/server"
 	"xixa/internal/storage"
 	"xixa/internal/xindex"
@@ -105,10 +104,8 @@ type Cluster struct {
 
 	fanGate chan struct{}
 
-	tuner    clusterTuner
-	loopMu   sync.Mutex
-	loopStop chan struct{}
-	loopDone chan struct{}
+	tuner  *server.Tuner
+	target map[string]xindex.Definition // post-hysteresis cluster configuration (tuner.go)
 
 	closed atomic.Bool
 }
@@ -158,6 +155,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		n:       n,
 		tables:  make(map[string]*tableRoute),
 		fanGate: make(chan struct{}, fan),
+		target:  make(map[string]xindex.Definition),
 	}
 	for i := 0; i < n; i++ {
 		db := storage.NewDatabase()
@@ -165,8 +163,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		c.shards = append(c.shards, server.New(db, cfg.Server))
 	}
 	c.met = newClusterMetrics(c)
-	c.tuner.hyst = optimizer.Hysteresis{BuildAfter: cfg.Server.BuildAfter, DropAfter: cfg.Server.DropAfter}
-	c.tuner.target = make(map[string]xindex.Definition)
+	c.tuner = server.NewTuner(cfg.Server, c.met.tunerRounds, nil)
 	return c, nil
 }
 
@@ -368,14 +365,4 @@ func (s *Session) executeInsert(stmt *xquery.Statement) (*server.Result, error) 
 		rt.nextID.CompareAndSwap(id+1, id)
 	}
 	return res, err
-}
-
-// Stats sums the per-shard session execution counters.
-func (s *Session) Stats() (executed, errors int64) {
-	for _, sess := range s.sess {
-		_, e, er := sess.Stats()
-		executed += e
-		errors += er
-	}
-	return executed, errors
 }

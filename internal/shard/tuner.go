@@ -4,36 +4,15 @@ import (
 	"fmt"
 	"time"
 
-	"xixa/internal/core"
 	"xixa/internal/optimizer"
+	"xixa/internal/server"
+	"xixa/internal/storage"
 	"xixa/internal/workload"
 	"xixa/internal/xindex"
 	"xixa/internal/xmltree"
 	"xixa/internal/xquery"
 	"xixa/internal/xstats"
 )
-
-// clusterTuner is the shard-aware tuning round's state. Hysteresis
-// operates on the cluster-level target configuration — the set of
-// definitions the advisor has recommended persistently enough to
-// deserve materialization — and each round reconciles every shard
-// toward that target (filtered by the placement policy), so a shard
-// whose data drifts into or out of an index's pattern converges on
-// later rounds without new recommendations.
-type clusterTuner struct {
-	round  int
-	hyst   optimizer.Hysteresis
-	target map[string]xindex.Definition
-}
-
-func (t *clusterTuner) targetList() []xindex.Definition {
-	out := make([]xindex.Definition, 0, len(t.target))
-	for _, def := range t.target {
-		out = append(out, def)
-	}
-	xindex.SortDefinitions(out)
-	return out
-}
 
 // ShardTune is one shard's share of a tuning round's outcome.
 type ShardTune struct {
@@ -42,27 +21,18 @@ type ShardTune struct {
 	Dropped []xindex.Definition
 }
 
-// TuneReport is the outcome of one cluster tuning round.
+// TuneReport is the outcome of one cluster tuning round: the shared
+// round's report (server.Tuner.Round; Built and Dropped list every
+// shard's changes, so a definition built on three shards appears three
+// times) plus what only a cluster has.
 type TuneReport struct {
-	Round int
-	// Skipped reports that no workload has been captured yet.
-	Skipped bool
-	// WorkloadSize counts unique statements in the merged workload.
-	WorkloadSize int
-	// Recommended is the advisor's configuration from the merged
-	// statistics this round; Target is the post-hysteresis cluster
-	// configuration the shards were reconciled toward.
-	Recommended []xindex.Definition
-	Target      []xindex.Definition
+	server.TuneReport
+	// Target is the post-hysteresis cluster configuration the shards
+	// were reconciled toward. PendingBuild and PendingDrop count
+	// definitions accumulating streak toward entering or leaving it.
+	Target []xindex.Definition
 	// PerShard is each shard's materialization activity this round.
 	PerShard []ShardTune
-	// PendingBuild and PendingDrop count definitions accumulating
-	// streak toward entering or leaving the target.
-	PendingBuild int
-	PendingDrop  int
-	// Benefit is the advisor's estimated workload benefit.
-	Benefit float64
-	Elapsed time.Duration
 }
 
 // String renders the report as one log line.
@@ -70,13 +40,8 @@ func (r *TuneReport) String() string {
 	if r.Skipped {
 		return fmt.Sprintf("cluster tune round %d: skipped (no captured workload)", r.Round)
 	}
-	built, dropped := 0, 0
-	for _, st := range r.PerShard {
-		built += len(st.Built)
-		dropped += len(st.Dropped)
-	}
 	return fmt.Sprintf("cluster tune round %d: %d stmts -> %d recommended, target %d, built %d, dropped %d across %d shards (pending %d/%d) in %v",
-		r.Round, r.WorkloadSize, len(r.Recommended), len(r.Target), built, dropped,
+		r.Round, r.WorkloadSize, len(r.Recommended), len(r.Target), len(r.Built), len(r.Dropped),
 		len(r.PerShard), r.PendingBuild, r.PendingDrop, r.Elapsed.Round(time.Millisecond))
 }
 
@@ -121,17 +86,13 @@ func (c *Cluster) MergedWorkload() *workload.Workload {
 	return w
 }
 
-// MergedTableStats merges every shard's synopsis for a table into one
+// mergedTableStats merges every shard's synopsis for a table into one
 // full-data synopsis over a fresh dictionary — the statistics plane
-// the global advisor costs configurations from. Each shard's snapshot
+// the global advisor costs configurations from — and returns the
+// per-shard snapshots alongside. Each shard's snapshot
 // is cloned under its keeper's lock (server.TableStatsSnapshot), so
 // the merge is consistent while traffic continues. The merged Version
 // is the sum of shard versions: monotone as any shard's data evolves.
-func (c *Cluster) MergedTableStats(table string) (*xstats.TableStats, error) {
-	merged, _, err := c.mergedTableStats(table)
-	return merged, err
-}
-
 func (c *Cluster) mergedTableStats(table string) (*xstats.TableStats, []*xstats.TableStats, error) {
 	perShard := make([]*xstats.TableStats, c.n)
 	var version int64
@@ -153,112 +114,108 @@ func (c *Cluster) mergedTableStats(table string) (*xstats.TableStats, []*xstats.
 	return merged, perShard, nil
 }
 
-// TuneOnce runs one shard-aware tuning round: merge the per-shard
-// captures and statistics, advise a global configuration from them,
-// admit changes through build/drop hysteresis into the cluster
-// target, and reconcile every shard's index set toward that target
-// under the placement policy. Shard captures decay afterwards — all
-// of them, keeping their decay epochs aligned.
+// TuneOnce runs one shard-aware tuning round (server.Tuner.Round). The
+// workload and the statistics that cost candidate configurations are
+// the merged per-shard planes, so the recommendation is the global
+// one. Hysteresis operates on the cluster-level target — the set of
+// definitions recommended persistently enough to deserve
+// materialization — rather than on a catalog, since per-shard catalogs
+// legitimately differ under PolicyPerShard; matured changes enter or
+// leave the target and every shard is reconciled toward it, so a shard
+// whose data drifts into or out of an index's pattern converges on
+// later rounds without new recommendations.
 func (c *Cluster) TuneOnce() (*TuneReport, error) {
-	c.loopMu.Lock()
-	defer c.loopMu.Unlock()
-	return c.tuneOnceLocked()
+	c.tuner.Lock()
+	defer c.tuner.Unlock()
+	return c.tuneLocked()
 }
 
-func (c *Cluster) tuneOnceLocked() (*TuneReport, error) {
-	start := time.Now()
-	t := &c.tuner
-	t.round++
-	c.met.tunerRounds.Inc()
-	rep := &TuneReport{Round: t.round}
-
-	w := c.MergedWorkload()
-	if w.Len() == 0 {
-		rep.Skipped = true
-		return rep, nil
-	}
-	rep.WorkloadSize = w.Len()
-
-	// Merge every table's per-shard synopses; keep the per-shard
-	// snapshots for the placement policy's locality check.
-	stats := make(map[string]*xstats.TableStats)
+func (c *Cluster) tuneLocked() (*TuneReport, error) {
+	// local keeps each table's per-shard synopses from the costing step
+	// for the placement policy's locality check.
 	local := make(map[string][]*xstats.TableStats)
-	for _, name := range c.TableNames() {
-		merged, perShard, err := c.mergedTableStats(name)
-		if err != nil {
-			return rep, err
-		}
-		stats[name] = merged
-		local[name] = perShard
-	}
-
-	// The advisor costs candidate configurations exactly as it would
-	// unsharded, but against the merged synopsis — full data, full
-	// workload — so its recommendation is the global one. The database
-	// handle anchors table resolution only; costing never reads
-	// documents.
-	opt := optimizer.New(c.dbs[0], stats)
-	opts := core.DefaultOptions()
-	opts.Parallelism = c.cfg.Server.Parallelism
-	rec, err := core.Advise(c.dbs[0], opt, w, opts, c.cfg.Server.Algorithm, c.cfg.Server.Budget)
-	if err != nil {
-		return rep, err
-	}
-	rep.Recommended = rec.Definitions()
-	rep.Benefit = rec.Benefit
-
-	// Hysteresis over the cluster target: a definition enters after
-	// buildAfter consecutive recommendations, leaves after dropAfter
-	// consecutive absences — same discipline as the single-server
-	// tuner, but against the cluster-level target instead of one
-	// catalog, since per-shard catalogs legitimately differ under
-	// PolicyPerShard.
-	enter, leave := t.hyst.Step(optimizer.DiffConfigs(t.targetList(), rep.Recommended))
-	for _, def := range enter {
-		t.target[def.Key()] = def
-	}
-	for _, def := range leave {
-		delete(t.target, def.Key())
-	}
-	rep.PendingBuild, rep.PendingDrop = t.hyst.Pending()
-	rep.Target = t.targetList()
-
-	// Reconcile every shard toward the target. PolicyPerShard skips
-	// building where the shard's own synopsis shows no entries for
-	// the pattern — that shard would pay maintenance for an index
-	// nothing probes — and re-evaluates each round, so data drifting
-	// onto a shard brings the index with it (and a shard whose
-	// matching data vanished drops it).
-	for i, srv := range c.shards {
-		var build, drop []xindex.Definition
-		for _, def := range rep.Target {
-			if c.cfg.Policy == PolicyPerShard && !shardHasEntries(local[def.Table], i, def) {
-				drop = append(drop, def)
-				continue
+	out := &TuneReport{}
+	in := server.TuneInputs{
+		Workload: c.MergedWorkload(),
+		Baseline: c.targetList(),
+		Costing: func() (*storage.Database, *optimizer.Optimizer, error) {
+			stats := make(map[string]*xstats.TableStats)
+			for _, name := range c.TableNames() {
+				merged, perShard, err := c.mergedTableStats(name)
+				if err != nil {
+					return nil, nil, err
+				}
+				stats[name], local[name] = merged, perShard
 			}
-			build = append(build, def)
-		}
-		// Definitions a shard materialized that left the target are
-		// dropped by reconciling against the shard's own catalog.
-		for _, def := range srv.Catalog().Definitions() {
-			if _, ok := t.target[def.Key()]; !ok {
-				drop = append(drop, def)
+			// The database handle anchors table resolution only; costing
+			// never reads documents.
+			return c.dbs[0], optimizer.New(c.dbs[0], stats), nil
+		},
+		Apply: func(enter, leave []xindex.Definition) (built, dropped []xindex.Definition, err error) {
+			for _, def := range enter {
+				c.target[def.Key()] = def
 			}
-		}
-		built, dropped, err := srv.Manager().Reconcile(build, drop)
-		rep.PerShard = append(rep.PerShard, ShardTune{Shard: i, Built: built, Dropped: dropped})
-		c.met.tunerBuilds.Add(uint64(len(built)))
-		c.met.tunerDrops.Add(uint64(len(dropped)))
-		if err != nil {
-			return rep, err
-		}
+			for _, def := range leave {
+				delete(c.target, def.Key())
+			}
+			for i := range c.shards {
+				st, err := c.reconcileShard(i, local)
+				out.PerShard = append(out.PerShard, st)
+				built, dropped = append(built, st.Built...), append(dropped, st.Dropped...)
+				if err != nil {
+					return built, dropped, err
+				}
+			}
+			return built, dropped, nil
+		},
 	}
-
+	// Every shard's capture decays, keeping their decay epochs aligned.
 	for _, srv := range c.shards {
-		srv.Capture().Decay(c.cfg.Server.DecayFactor, c.cfg.Server.DecayFloor)
+		in.Captures = append(in.Captures, srv.Capture())
 	}
-	rep.Elapsed = time.Since(start)
-	return rep, nil
+	rep, err := c.tuner.Round(in)
+	out.TuneReport, out.Target = *rep, c.targetList()
+	return out, err
+}
+
+// reconcileShard moves shard i's index set toward the cluster target.
+// PolicyPerShard skips building where the shard's own synopsis shows
+// no entries for the pattern — that shard would pay maintenance for an
+// index nothing probes — and re-evaluates each round, so data drifting
+// onto a shard brings the index with it (and a shard whose matching
+// data vanished drops it).
+func (c *Cluster) reconcileShard(i int, local map[string][]*xstats.TableStats) (ShardTune, error) {
+	srv := c.shards[i]
+	var build, drop []xindex.Definition
+	for _, def := range c.targetList() {
+		if c.cfg.Policy == PolicyPerShard && !shardHasEntries(local[def.Table], i, def) {
+			drop = append(drop, def)
+			continue
+		}
+		build = append(build, def)
+	}
+	// Definitions a shard materialized that left the target are dropped
+	// by reconciling against the shard's own catalog.
+	for _, def := range srv.Catalog().Definitions() {
+		if _, ok := c.target[def.Key()]; !ok {
+			drop = append(drop, def)
+		}
+	}
+	built, dropped, err := srv.Manager().Reconcile(build, drop)
+	c.met.tunerBuilds.Add(uint64(len(built)))
+	c.met.tunerDrops.Add(uint64(len(dropped)))
+	return ShardTune{Shard: i, Built: built, Dropped: dropped}, err
+}
+
+// targetList is the cluster target in definition order. The target is
+// guarded by the tuner's lock.
+func (c *Cluster) targetList() []xindex.Definition {
+	out := make([]xindex.Definition, 0, len(c.target))
+	for _, def := range c.target {
+		out = append(out, def)
+	}
+	xindex.SortDefinitions(out)
+	return out
 }
 
 // shardHasEntries reports whether shard i's local synopsis has any
@@ -275,48 +232,9 @@ func shardHasEntries(perShard []*xstats.TableStats, i int, def xindex.Definition
 // to observe, which may be nil. No-op if the interval is zero or a
 // loop is already running.
 func (c *Cluster) StartAutoTune(observe func(*TuneReport, error)) {
-	c.loopMu.Lock()
-	defer c.loopMu.Unlock()
-	if c.cfg.TuneInterval <= 0 || c.loopStop != nil {
-		return
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	c.loopStop, c.loopDone = stop, done
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(c.cfg.TuneInterval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				c.loopMu.Lock()
-				if c.closed.Load() {
-					c.loopMu.Unlock()
-					return
-				}
-				rep, err := c.tuneOnceLocked()
-				c.loopMu.Unlock()
-				if observe != nil {
-					observe(rep, err)
-				}
-			}
-		}
-	}()
+	server.StartTuner(c.tuner, c.cfg.TuneInterval, c.tuneLocked, observe)
 }
 
 // StopAutoTune stops the autonomous loop and waits for an in-progress
 // round to finish.
-func (c *Cluster) StopAutoTune() {
-	c.loopMu.Lock()
-	stop, done := c.loopStop, c.loopDone
-	c.loopStop, c.loopDone = nil, nil
-	c.loopMu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
-}
+func (c *Cluster) StopAutoTune() { c.tuner.Stop() }

@@ -26,6 +26,17 @@ const (
 	TableCustAcc  = "CUSTACC"
 )
 
+// PartitionKeys maps each table to its natural partition key for a
+// sharded deployment: the document identifier its generator makes
+// unique per document.
+func PartitionKeys() map[string]string {
+	return map[string]string{
+		TableSecurity: "/Security/Symbol",
+		TableOrders:   "/Order/@ID",
+		TableCustAcc:  "/Customer/@id",
+	}
+}
+
 // Config sizes the generated database.
 type Config struct {
 	Securities int
