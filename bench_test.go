@@ -185,10 +185,11 @@ func BenchmarkFig5(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		idx, err := xindex.Build(tbl, def)
+		idx, err := xindex.BuildOnline(tbl, def)
 		if err != nil {
 			b.Fatal(err)
 		}
+		defer idx.Release() // benchEnv's database is shared
 		cat.Add(idx)
 	}
 	eng := engine.New(e.DB, e.Opt, cat)

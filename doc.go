@@ -62,10 +62,10 @@
 // bit-identical to a cold optimizer on freshly collected statistics.
 // Engine-driven flows (cmd/xqshell, examples/autonomous, the
 // update-stream experiment) run in this mode. internal/engine has one
-// statement executor: engine.Txn applies every mutation (Engine.Execute
-// of one is Begin, Execute, Commit) and one plan interpreter runs every
-// match phase, under a live reader outside a transaction and a
-// snapshot reader inside one.
+// statement executor and one visibility rule: every statement is a
+// transaction (Engine.Execute is Begin, Execute, Commit; a query is the
+// read-only case), and one plan interpreter runs every match phase on
+// the pinned snapshot, probing self-maintained indexes as of its stamp.
 //
 // # Serving and autonomous tuning
 //

@@ -87,7 +87,7 @@ func main() {
 	before := run(engine.NewCatalog())
 	cat := engine.NewCatalog()
 	for _, def := range rec.Definitions() {
-		idx, err := xindex.Build(tbl, def)
+		idx, err := xindex.BuildOnline(tbl, def)
 		if err != nil {
 			log.Fatal(err)
 		}

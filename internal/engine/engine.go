@@ -6,6 +6,14 @@
 // The engine reports deterministic work counters (nodes visited, index
 // entries scanned, documents fetched) alongside wall-clock time; the
 // counters are the primary metric because they are reproducible.
+//
+// Every statement runs as a transaction (Txn) against one pinned
+// snapshot — a plain query is the read-only case — so there is one
+// visibility rule, and the plan the optimizer costed is interpreted by
+// one matchDocs. The engine maintains no index: a catalog holds
+// self-maintained indexes (xindex.BuildOnline), which follow commits
+// through the table's change feed and answer as of a snapshot's stamp;
+// a plan naming any other index runs as a scan.
 package engine
 
 import (
@@ -189,14 +197,13 @@ func (v View) TotalSizeBytes() int64 {
 
 // Stats are the work counters of one execution.
 type Stats struct {
-	NodesScanned        int64 // nodes touched by document scans
-	IndexEntriesRead    int64 // index entries visited
-	IndexProbes         int64 // index range scans issued
-	DocsFetched         int64 // documents fetched for verification
-	ResultCount         int64 // bound nodes returned
-	DocsModified        int64 // documents inserted/deleted/updated
-	IndexEntriesTouched int64 // index maintenance operations
-	Elapsed             time.Duration
+	NodesScanned     int64 // nodes touched by document scans
+	IndexEntriesRead int64 // index entries visited
+	IndexProbes      int64 // index range scans issued
+	DocsFetched      int64 // documents fetched for verification
+	ResultCount      int64 // bound nodes returned
+	DocsModified     int64 // documents inserted/deleted/updated
+	Elapsed          time.Duration
 }
 
 // WorkUnits collapses the counters into one deterministic cost-like
@@ -207,8 +214,7 @@ func (s Stats) WorkUnits() float64 {
 		float64(s.IndexEntriesRead)*optimizer.CostPerIndexEntry +
 		float64(s.IndexProbes)*optimizer.CostPerIndexPage +
 		float64(s.DocsFetched)*optimizer.CostPerFetchedNode +
-		float64(s.DocsModified)*optimizer.CostPerModifiedNode +
-		float64(s.IndexEntriesTouched)*optimizer.MaintenancePerEntry
+		float64(s.DocsModified)*optimizer.CostPerModifiedNode
 }
 
 // Add accumulates counters.
@@ -219,7 +225,6 @@ func (s *Stats) Add(o Stats) {
 	s.DocsFetched += o.DocsFetched
 	s.ResultCount += o.ResultCount
 	s.DocsModified += o.DocsModified
-	s.IndexEntriesTouched += o.IndexEntriesTouched
 	s.Elapsed += o.Elapsed
 }
 
@@ -238,13 +243,13 @@ func New(db *storage.Database, opt *optimizer.Optimizer, cat *Catalog) *Engine {
 
 // Execute optimizes the statement against the catalog's real indexes
 // and runs the chosen plan. It returns the bound result nodes (for
-// queries) and the execution statistics. A query reads live state; a
-// mutation runs as an auto-commit transaction (Begin, Execute, Commit),
-// so storage.ErrConflict surfaces when a concurrent commit wins the
-// document first, with nothing applied. Either way the catalog
-// configuration is pinned once for the whole statement, so a concurrent
-// index swap or drop can never leave the chosen plan pointing at an
-// index the execution cannot resolve.
+// queries) and the execution statistics. Every statement runs as an
+// auto-commit transaction (Begin, Execute, Commit): a query reads one
+// snapshot pinned at the watermark, and a mutation surfaces
+// storage.ErrConflict when a concurrent commit wins the document first,
+// with nothing applied. The catalog configuration is pinned with the
+// snapshot, so a concurrent index swap or drop can never leave the
+// chosen plan pointing at an index the execution cannot resolve.
 func (e *Engine) Execute(stmt *xquery.Statement) ([]xindex.Ref, Stats, error) {
 	return e.execute(stmt, nil, nil)
 }
@@ -263,36 +268,21 @@ func (e *Engine) ExecutePlan(plan *optimizer.Plan) ([]xindex.Ref, Stats, error) 
 	return e.execute(plan.Stmt, plan, nil)
 }
 
-// execute runs one statement outside any transaction; a nil plan is
+// execute runs one statement as its own transaction; a nil plan is
 // chosen by the interpreter.
 func (e *Engine) execute(stmt *xquery.Statement, plan *optimizer.Plan, qt *obs.QueryTrace) ([]xindex.Ref, Stats, error) {
 	start := time.Now()
-	if stmt.Kind != xquery.Query {
-		tx := e.Begin()
-		refs, st, err := tx.execute(stmt, plan, qt)
-		if err != nil {
-			tx.Rollback()
-			return nil, st, err
-		}
-		info, err := tx.Commit(nil)
-		if err != nil {
-			return nil, st, err
-		}
-		st.IndexEntriesTouched += info.Maintenance.IndexEntriesTouched
-		st.Elapsed = time.Since(start) // the commit is part of the statement
-		return refs, st, nil
-	}
-	var st Stats
-	tbl, err := e.db.Table(stmt.Table)
+	tx := e.Begin()
+	refs, st, err := tx.execute(stmt, plan, qt)
 	if err != nil {
+		tx.Rollback()
 		return nil, st, err
 	}
-	pass, err := e.matchDocs(stmt, plan, e.cat.View(), liveReader{tbl}, nil, &st, qt)
-	st.Elapsed = time.Since(start)
-	if err != nil {
+	if _, err := tx.Commit(nil); err != nil {
 		return nil, st, err
 	}
-	return pass.refs, st, nil
+	st.Elapsed = time.Since(start) // the commit is part of the statement
+	return refs, st, nil
 }
 
 // setNodeText replaces the text content of an element (or the value of
@@ -361,7 +351,6 @@ func (e *Engine) RunWorkload(items []WorkloadItem) (Stats, error) {
 		weighted.DocsFetched *= f
 		weighted.ResultCount *= f
 		weighted.DocsModified *= f
-		weighted.IndexEntriesTouched *= f
 		weighted.Elapsed = time.Duration(int64(st.Elapsed) * f)
 		total.Add(weighted)
 	}

@@ -22,11 +22,10 @@ import (
 // once — XPath evaluation, pattern containment (index matching), the
 // optimizer's plan choice, B+-tree range scans, key encoding, and
 // fetch-and-verify execution. A bug in any layer surfaces as a result
-// mismatch. The same queries then run through the snapshot reader: on
-// the quiescent database it must agree with the live reader result for
-// result and counter for counter, and inside a transaction holding
-// random buffered writes it must agree with a brute-force xpath.Eval
-// over snapshot plus overlay.
+// mismatch. The same queries then run inside a transaction: a read-only
+// one must agree with the auto-commit run result for result and counter
+// for counter, and one holding random buffered writes must agree with a
+// brute-force xpath.Eval over snapshot plus overlay.
 
 // randomEquivDB builds a small random database over a fixed vocabulary.
 func randomEquivDB(r *rand.Rand) (*storage.Database, *storage.Table) {
@@ -185,7 +184,7 @@ func randomEquivWrite(r *rand.Rand) string {
 }
 
 func TestPropertyIndexPlansEquivalentToScans(t *testing.T) {
-	var snapshotProbes int64 // the snapshot reader's index route must actually run
+	var indexProbes int64 // the index route must actually run
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		db, tbl := randomEquivDB(r)
@@ -194,32 +193,24 @@ func TestPropertyIndexPlansEquivalentToScans(t *testing.T) {
 		// Baseline engine: no indexes.
 		scanEng := New(db, opt, NewCatalog())
 
-		// Indexed engine: random real configuration.
-		cat, onlineCat := NewCatalog(), NewCatalog()
+		// Indexed engine: random real configuration, feed-maintained (the
+		// only kind the engine probes).
+		cat := NewCatalog()
 		for _, def := range randomEquivIndexes(r) {
-			idx, err := xindex.Build(tbl, def)
-			if err != nil {
-				t.Logf("seed %d: build: %v", seed, err)
-				return false
-			}
-			cat.Add(idx)
-			// The same configuration, feed-maintained: the only kind a
-			// transaction's snapshot reader probes.
-			online, err := xindex.BuildOnline(tbl, def)
+			idx, err := xindex.BuildOnline(tbl, def)
 			if err != nil {
 				t.Logf("seed %d: online build: %v", seed, err)
 				return false
 			}
-			defer online.Release()
-			onlineCat.Add(online)
+			defer idx.Release()
+			cat.Add(idx)
 		}
 		idxEng := New(db, opt, cat)
-		onlineEng := New(db, opt, onlineCat)
 
 		// One transaction holding random buffered writes, and the oracle
 		// for what it must see. It is never committed, so the database
-		// stays quiescent for the live-versus-snapshot comparison.
-		writer := onlineEng.Begin()
+		// stays quiescent for the comparison with the scan baseline.
+		writer := idxEng.Begin()
 		defer writer.Rollback()
 		model := &overlayModel{}
 		tbl.Scan(func(d *xmltree.Document) bool { model.docs = append(model.docs, d); return true })
@@ -244,46 +235,28 @@ func TestPropertyIndexPlansEquivalentToScans(t *testing.T) {
 				t.Logf("seed %d: scan exec: %v", seed, err)
 				return false
 			}
-			got, _, err := idxEng.Execute(stmt)
+			auto, autoSt, err := idxEng.Execute(stmt)
 			if err != nil {
 				t.Logf("seed %d: index exec: %v", seed, err)
 				return false
 			}
-			if len(got) != len(want) {
-				t.Logf("seed %d query %q: index plan %d results, scan %d",
-					seed, text, len(got), len(want))
-				return false
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Logf("seed %d query %q: result %d differs", seed, text, i)
-					return false
-				}
-			}
-
-			// Quiescent database: the two readers are indistinguishable.
-			live, liveSt, err := onlineEng.Execute(stmt)
-			if err != nil {
-				t.Logf("seed %d: live exec: %v", seed, err)
-				return false
-			}
-			reader := onlineEng.Begin()
-			snap, snapSt, err := reader.Execute(stmt)
+			reader := idxEng.Begin()
+			inTxn, txSt, err := reader.Execute(stmt)
 			reader.Rollback()
 			if err != nil {
-				t.Logf("seed %d: snapshot exec: %v", seed, err)
+				t.Logf("seed %d: in-transaction exec: %v", seed, err)
 				return false
 			}
-			liveSt.Elapsed, snapSt.Elapsed = 0, 0
-			if !slices.Equal(live, want) || !slices.Equal(snap, want) || liveSt != snapSt {
-				t.Logf("seed %d query %q: live %d refs %+v, snapshot %d refs %+v, scan %d refs",
-					seed, text, len(live), liveSt, len(snap), snapSt, len(want))
+			autoSt.Elapsed, txSt.Elapsed = 0, 0
+			if !slices.Equal(auto, want) || !slices.Equal(inTxn, want) || autoSt != txSt {
+				t.Logf("seed %d query %q: auto-commit %d refs %+v, in-transaction %d refs %+v, scan %d refs",
+					seed, text, len(auto), autoSt, len(inTxn), txSt, len(want))
 				return false
 			}
-			snapshotProbes += snapSt.IndexProbes
+			indexProbes += autoSt.IndexProbes
 
 			// Snapshot plus overlay against brute force.
-			got, _, err = writer.Execute(stmt)
+			got, _, err := writer.Execute(stmt)
 			if err != nil {
 				t.Logf("seed %d: overlay exec: %v", seed, err)
 				return false
@@ -299,14 +272,14 @@ func TestPropertyIndexPlansEquivalentToScans(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
-	if snapshotProbes == 0 {
-		t.Error("no query took the snapshot reader's index route; the property checked nothing new")
+	if indexProbes == 0 {
+		t.Error("no query took the snapshot index route; the property checked only scans")
 	}
 }
 
-// TestPropertyDMLKeepsIndexesConsistent: after random inserts and
-// deletes through the engine, every index still agrees with a freshly
-// built one.
+// TestPropertyDMLKeepsIndexesConsistent: after random inserts, deletes
+// and updates through the engine, every catalog index — maintained by
+// the change feed alone — holds exactly the entries of a fresh build.
 func TestPropertyDMLKeepsIndexesConsistent(t *testing.T) {
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -315,32 +288,19 @@ func TestPropertyDMLKeepsIndexesConsistent(t *testing.T) {
 		cat := NewCatalog()
 		defs := randomEquivIndexes(r)
 		for _, def := range defs {
-			idx, err := xindex.Build(tbl, def)
+			idx, err := xindex.BuildOnline(tbl, def)
 			if err != nil {
 				return false
 			}
+			defer idx.Release()
 			cat.Add(idx)
 		}
 		eng := New(db, opt, cat)
-		// Random DML stream.
 		for op := 0; op < 15; op++ {
-			switch r.Intn(2) {
-			case 0:
-				ins := fmt.Sprintf(
-					`insert into T value <root><a>%s</a><b k="%d"><c>%d</c></b></root>`,
-					[]string{"u", "v", "w"}[r.Intn(3)], r.Intn(5), r.Intn(10))
-				if _, _, err := eng.Execute(xquery.MustParse(ins)); err != nil {
-					return false
-				}
-			case 1:
-				del := fmt.Sprintf(`delete from T where /root[a="%s"]`,
-					[]string{"u", "v", "w"}[r.Intn(3)])
-				if _, _, err := eng.Execute(xquery.MustParse(del)); err != nil {
-					return false
-				}
+			if _, _, err := eng.Execute(xquery.MustParse(randomEquivWrite(r))); err != nil {
+				return false
 			}
 		}
-		// Every maintained index must equal a rebuild from scratch.
 		for _, def := range defs {
 			maintained, ok := cat.Get(def)
 			if !ok {
@@ -350,8 +310,8 @@ func TestPropertyDMLKeepsIndexesConsistent(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if maintained.Entries() != fresh.Entries() {
-				t.Logf("seed %d: index %s maintained %d entries, rebuild %d",
+			if !sameContent(maintained, fresh) {
+				t.Logf("seed %d: index %s maintained %d entries, rebuild %d, or same count and different content",
 					seed, def, maintained.Entries(), fresh.Entries())
 				return false
 			}

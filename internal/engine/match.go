@@ -14,68 +14,21 @@ import (
 	"xixa/internal/xquery"
 )
 
-// reader is the visibility rule a statement's match phase reads under.
-// The interpreter (matchDocs) is one algorithm; what differs between a
-// statement outside a transaction and one inside is only which document
-// versions and index entries it may see. Programs, Get and Scan come
-// from the embedded storage handle.
-type reader interface {
-	Programs() *xpath.ProgramCache
-	Get(id int64) (*xmltree.Document, bool)
-	Scan(visit func(*xmltree.Document) bool) int
-	// accepts reports whether idx answers exactly under this rule; the
-	// interpreter scans instead of probing an index the reader declines.
-	accepts(idx *xindex.Index) bool
-	// probe adds the documents of the entries satisfying (op, lit) to
-	// docs and returns the number of entries read.
-	probe(idx *xindex.Index, op xpath.CmpOp, lit xpath.Value, docs map[int64]bool) int
-}
-
-// collect is the index-scan visitor both readers probe with.
-func collect(docs map[int64]bool) func(xindex.Ref) bool {
-	return func(r xindex.Ref) bool {
-		docs[r.Doc] = true
-		return true
-	}
-}
-
-// liveReader reads current state: the plain-query path of the server
-// and of the standalone engine. It accepts every index, including
-// batch-built ones (xindex.Build — Fig. 5's) that carry no version
-// bookkeeping and so could not serve a snapshot.
-type liveReader struct{ *storage.Table }
-
-func (liveReader) accepts(*xindex.Index) bool { return true }
-
-func (liveReader) probe(idx *xindex.Index, op xpath.CmpOp, lit xpath.Value, docs map[int64]bool) int {
-	return idx.Scan(op, lit, collect(docs))
-}
-
-// snapReader reads as of a transaction's pinned stamp. Only a
-// self-maintained (online) index carries the born/died stamps a
-// snapshot scan filters on, and only from its build's capture instant
-// on; an engine-maintained index updates after commit, outside the
-// publish section, so it is never snapshot-exact. Both are declined.
-type snapReader struct{ *storage.TableView }
-
-func (r snapReader) accepts(idx *xindex.Index) bool {
-	return idx.SelfMaintained() && r.LSN() >= idx.VersionedSince()
-}
-
-func (r snapReader) probe(idx *xindex.Index, op xpath.CmpOp, lit xpath.Value, docs map[int64]bool) int {
-	return idx.ScanAsOf(op, lit, r.LSN(), collect(docs))
-}
-
 // matchDocs is the plan interpreter: it finds the documents satisfying
-// the statement's normalized path under rd, through ov (a transaction's
-// uncommitted writes; nil outside one), and returns the finished match
-// pass — the matching documents of a mutation, the bound nodes of a
-// query. A nil plan is chosen here, by the statement's one optimizer
-// call. An index plan runs as index ANDing → candidate merge → fetch →
-// verify; a scan plan, or an index plan naming an index rd declines,
-// visits every visible document. With a trace attached each phase
-// records its span and, for every costed plan node, the optimizer's
-// estimated cardinality next to the observed actual.
+// the statement's normalized path as of the transaction's snapshot,
+// through its uncommitted writes, and returns the finished match pass —
+// the matching documents of a mutation, the bound nodes of a query. A
+// nil plan is chosen here, by the statement's one optimizer call. An
+// index plan runs as index ANDing → candidate merge → fetch → verify; a
+// scan plan visits every document visible in the snapshot. With a trace
+// attached each phase records its span and, for every costed plan node,
+// the optimizer's estimated cardinality next to the observed actual.
+//
+// The decline rule: an index answers as of a stamp only if it maintains
+// itself from the change feed (born/died stamps are recorded inside the
+// publish section; a detached xindex.Build index carries none) and only
+// from its build's capture instant on. An index plan naming an index
+// that cannot answer as of the snapshot runs as a scan of the snapshot.
 //
 // The overlay layers differently over the two routes because index
 // entries reflect committed pre-images: on the index route documents
@@ -84,14 +37,15 @@ func (r snapReader) probe(idx *xindex.Index, op xpath.CmpOp, lit xpath.Value, do
 // document into the predicate's range). Every candidate is re-verified
 // against the full path — index ANDing over linear predicate sites
 // over-approximates the match set.
-func (e *Engine) matchDocs(stmt *xquery.Statement, plan *optimizer.Plan, view View, rd reader, ov *overlay, st *Stats, qt *obs.QueryTrace) (*matchPass, error) {
+func (tx *Txn) matchDocs(stmt *xquery.Statement, plan *optimizer.Plan, tv *storage.TableView, st *Stats, qt *obs.QueryTrace) (*matchPass, error) {
+	ov := tx.overlays[stmt.Table] // nil until the transaction writes the table
 	var clock time.Time
 	if plan == nil {
 		if qt != nil {
 			clock = time.Now()
 		}
 		var err error
-		plan, err = e.opt.EvaluateIndexes(stmt, view.Definitions())
+		plan, err = tx.eng.opt.EvaluateIndexes(stmt, tx.view.Definitions())
 		if qt != nil {
 			qt.Span("optimize", time.Since(clock), 0)
 		}
@@ -102,22 +56,22 @@ func (e *Engine) matchDocs(stmt *xquery.Statement, plan *optimizer.Plan, view Vi
 	var buf [4]*xindex.Index
 	indexes, declined := buf[:0], false
 	for _, acc := range plan.Accesses {
-		idx, ok := view.Get(acc.Index)
+		idx, ok := tx.view.Get(acc.Index)
 		if !ok {
 			return nil, fmt.Errorf("engine: plan references unmaterialized index %s", acc.Index)
 		}
-		declined = declined || !rd.accepts(idx)
+		declined = declined || !idx.SelfMaintained() || idx.VersionedSince() > tv.LSN()
 		indexes = append(indexes, idx)
 	}
 
-	pass := newMatchPass(rd.Programs(), stmt)
+	pass := newMatchPass(tv.Programs(), stmt)
 	defer pass.finish(st)
 	if qt != nil {
 		clock = time.Now()
 	}
 	sourceOp, sourced := optimizer.OpTbScan, 0 // the node feeding the filter, and the documents it produced
 	if declined || !plan.UsesIndexes() {
-		sourced = rd.Scan(func(d *xmltree.Document) bool {
+		sourced = tv.Scan(func(d *xmltree.Document) bool {
 			if d = ov.current(d); d != nil {
 				pass.visit(d)
 			}
@@ -130,7 +84,10 @@ func (e *Engine) matchDocs(stmt *xquery.Statement, plan *optimizer.Plan, view Vi
 		for i, acc := range plan.Accesses {
 			st.IndexProbes++
 			docSet := make(map[int64]bool)
-			entries := int64(rd.probe(indexes[i], acc.Site.Op, acc.Site.Lit, docSet))
+			entries := int64(indexes[i].ScanAsOf(acc.Site.Op, acc.Site.Lit, tv.LSN(), func(r xindex.Ref) bool {
+				docSet[r.Doc] = true
+				return true
+			}))
 			st.IndexEntriesRead += entries
 			if qt != nil {
 				cards = append(cards, obs.NodeCard{
@@ -175,7 +132,7 @@ func (e *Engine) matchDocs(stmt *xquery.Statement, plan *optimizer.Plan, view Vi
 		for _, id := range ids {
 			if ov != nil && ov.replaced[id] != nil {
 				pass.visit(ov.replaced[id])
-			} else if doc, ok := rd.Get(id); ok {
+			} else if doc, ok := tv.Get(id); ok {
 				st.DocsFetched++
 				pass.visit(doc) // verification re-evaluates the path
 			}

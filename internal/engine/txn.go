@@ -2,18 +2,17 @@
 // database snapshot plus a private write overlay, buffering mutations
 // as storage.TxOp records instead of applying them. Commit hands the
 // buffer to storage.CommitTx, which validates first-writer-wins and
-// publishes the whole write set under one commit stamp; index upkeep
-// for engine-maintained indexes follows the successful commit
-// (self-maintained online indexes update themselves from the change
-// feed when the write set applies).
+// publishes the whole write set under one commit stamp; the catalog's
+// indexes update themselves from the change feed as the write set
+// applies, so the engine does no index upkeep of its own.
 //
-// Reads inside a transaction go through the same plan interpreter as
-// every other statement (matchDocs), under the snapshot reader: index
-// plans run as version-aware scans filtered to the snapshot stamp
-// (xindex.ScanAsOf) where every chosen index can answer as of it, and
-// as a scan of the snapshot otherwise. Overlay writes (this
-// transaction's uncommitted inserts/deletes/replacements) are layered
-// over either route.
+// Every statement is read this way — a plain query is a transaction
+// that never writes, pinned at the watermark. The match phase goes
+// through the plan interpreter (matchDocs): index plans run as
+// version-aware scans filtered to the snapshot stamp (xindex.ScanAsOf)
+// where every chosen index can answer as of it, and as a scan of the
+// snapshot otherwise. Overlay writes (this transaction's uncommitted
+// inserts/deletes/replacements) are layered over either route.
 package engine
 
 import (
@@ -34,13 +33,6 @@ import (
 // transaction.
 var ErrTxnDone = errors.New("engine: transaction already finished")
 
-// txWrite is one buffered mutation plus the pre-image its
-// engine-maintained index upkeep needs at commit.
-type txWrite struct {
-	op  storage.TxOp
-	pre *xmltree.Document // version current when the write was buffered
-}
-
 // overlay is a transaction's private view of one table's uncommitted
 // writes, layered over the snapshot for read-your-own-writes.
 type overlay struct {
@@ -56,8 +48,8 @@ type Txn struct {
 	eng      *Engine
 	snap     *storage.Snapshot
 	view     View
-	writes   []txWrite
-	overlays map[string]*overlay
+	writes   []storage.TxOp
+	overlays map[string]*overlay // allocated by the first write
 	provSeq  int64
 	done     bool
 }
@@ -66,20 +58,15 @@ type Txn struct {
 // configuration are pinned here and stay fixed until Commit or
 // Rollback.
 func (e *Engine) Begin() *Txn {
-	return &Txn{
-		eng:      e,
-		snap:     e.db.PinSnapshot(),
-		view:     e.cat.View(),
-		overlays: make(map[string]*overlay),
-	}
+	return &Txn{eng: e, snap: e.db.PinSnapshot(), view: e.cat.View()}
 }
-
-// Snapshot returns the transaction's pinned snapshot.
-func (tx *Txn) Snapshot() *storage.Snapshot { return tx.snap }
 
 func (tx *Txn) overlay(table string) *overlay {
 	ov, ok := tx.overlays[table]
 	if !ok {
+		if tx.overlays == nil {
+			tx.overlays = make(map[string]*overlay)
+		}
 		ov = &overlay{deleted: make(map[int64]bool), replaced: make(map[int64]*xmltree.Document)}
 		tx.overlays[table] = ov
 	}
@@ -88,8 +75,8 @@ func (tx *Txn) overlay(table string) *overlay {
 
 // current maps a committed document to what the transaction sees in
 // its place: nil when it deleted the document, the post-image when it
-// replaced it. A nil overlay (no transaction, or no writes yet) maps
-// every document to itself.
+// replaced it. A nil overlay (no writes to the table yet) maps every
+// document to itself.
 func (ov *overlay) current(d *xmltree.Document) *xmltree.Document {
 	if ov == nil {
 		return d
@@ -136,7 +123,7 @@ func (tx *Txn) execute(stmt *xquery.Statement, plan *optimizer.Plan, qt *obs.Que
 			break
 		}
 		var pass *matchPass
-		pass, err = tx.eng.matchDocs(stmt, plan, tx.view, snapReader{tv}, tx.overlays[stmt.Table], &st, qt)
+		pass, err = tx.matchDocs(stmt, plan, tv, &st, qt)
 		if err != nil {
 			break
 		}
@@ -169,9 +156,9 @@ func (tx *Txn) runInsert(stmt *xquery.Statement, st *Stats) error {
 	doc.DocID = tx.provSeq // provisional; the real ID arrives at commit
 	ov := tx.overlay(stmt.Table)
 	ov.inserted = append(ov.inserted, doc)
-	tx.writes = append(tx.writes, txWrite{op: storage.TxOp{
+	tx.writes = append(tx.writes, storage.TxOp{
 		Table: stmt.Table, Kind: storage.TxInsert, DocID: doc.DocID, Doc: doc,
-	}})
+	})
 	st.DocsModified++
 	return nil
 }
@@ -181,7 +168,7 @@ func (tx *Txn) runInsert(stmt *xquery.Statement, st *Stats) error {
 func (tx *Txn) dropProvisional(table string, provID int64) {
 	for i := range tx.writes {
 		w := &tx.writes[i]
-		if w.op.Kind == storage.TxInsert && w.op.Table == table && w.op.DocID == provID {
+		if w.Kind == storage.TxInsert && w.Table == table && w.DocID == provID {
 			tx.writes = append(tx.writes[:i], tx.writes[i+1:]...)
 			break
 		}
@@ -202,10 +189,7 @@ func (tx *Txn) runDelete(stmt *xquery.Statement, docs []*xmltree.Document, st *S
 			tx.dropProvisional(stmt.Table, d.DocID)
 		} else {
 			ov.deleted[d.DocID] = true
-			tx.writes = append(tx.writes, txWrite{
-				op:  storage.TxOp{Table: stmt.Table, Kind: storage.TxDelete, DocID: d.DocID},
-				pre: d,
-			})
+			tx.writes = append(tx.writes, storage.TxOp{Table: stmt.Table, Kind: storage.TxDelete, DocID: d.DocID})
 		}
 		st.DocsModified++
 	}
@@ -233,8 +217,8 @@ func (tx *Txn) runUpdate(stmt *xquery.Statement, docs []*xmltree.Document, st *S
 			// in the buffer; the commit logs only the final image.
 			for i := range tx.writes {
 				w := &tx.writes[i]
-				if w.op.Kind == storage.TxInsert && w.op.Table == stmt.Table && w.op.DocID == d.DocID {
-					w.op.Doc = newDoc
+				if w.Kind == storage.TxInsert && w.Table == stmt.Table && w.DocID == d.DocID {
+					w.Doc = newDoc
 					break
 				}
 			}
@@ -246,10 +230,7 @@ func (tx *Txn) runUpdate(stmt *xquery.Statement, docs []*xmltree.Document, st *S
 			}
 		} else {
 			ov.replaced[d.DocID] = newDoc
-			tx.writes = append(tx.writes, txWrite{
-				op:  storage.TxOp{Table: stmt.Table, Kind: storage.TxReplace, DocID: d.DocID, Doc: newDoc},
-				pre: d,
-			})
+			tx.writes = append(tx.writes, storage.TxOp{Table: stmt.Table, Kind: storage.TxReplace, DocID: d.DocID, Doc: newDoc})
 		}
 		st.DocsModified++
 	}
@@ -264,21 +245,6 @@ type CommitInfo struct {
 	// records (0 without a log or for an empty transaction); the
 	// caller's group-commit fsync targets it.
 	LogLSN uint64
-	// Maintenance counts the index upkeep applied after the commit.
-	Maintenance Stats
-}
-
-// maintain applies one maintenance callback to every engine-maintained
-// index of a table. Self-maintained (online-built) indexes are skipped:
-// they update themselves synchronously from the table's change feed,
-// and applying engine maintenance on top would double-apply entries.
-func maintain(view View, table string, st *Stats, apply func(*xindex.Index) int) {
-	for _, idx := range view.ForTable(table) {
-		if idx.SelfMaintained() {
-			continue
-		}
-		st.IndexEntriesTouched += int64(apply(idx))
-	}
 }
 
 // Commit publishes the transaction's write set atomically via
@@ -292,38 +258,12 @@ func (tx *Txn) Commit(prepare func([]storage.TxOp) (func(uint64) (uint64, error)
 	}
 	tx.done = true
 	defer tx.snap.Release()
-	if len(tx.writes) == 0 {
-		return CommitInfo{}, nil
-	}
-	ops := make([]storage.TxOp, len(tx.writes))
-	for i := range tx.writes {
-		ops[i] = tx.writes[i].op
-	}
-	stamp, logLSN, err := tx.eng.db.CommitTx(tx.snap.LSN(), ops, prepare)
+	// An empty write set (every plain query) commits trivially.
+	stamp, logLSN, err := tx.eng.db.CommitTx(tx.snap.LSN(), tx.writes, prepare)
 	if err != nil {
 		return CommitInfo{}, err
 	}
-	info := CommitInfo{Stamp: stamp, LogLSN: logLSN}
-	// Engine-maintained index upkeep mirrors the write set in order.
-	// Commits racing here touch disjoint documents (first-writer-wins
-	// guarantees it), and the index structures lock internally, so the
-	// entries commute.
-	for i := range tx.writes {
-		w := &tx.writes[i]
-		switch w.op.Kind {
-		case storage.TxInsert:
-			doc := w.op.Doc
-			maintain(tx.view, w.op.Table, &info.Maintenance, func(idx *xindex.Index) int { return idx.OnInsert(doc) })
-		case storage.TxDelete:
-			pre := w.pre
-			maintain(tx.view, w.op.Table, &info.Maintenance, func(idx *xindex.Index) int { return idx.OnDelete(pre) })
-		case storage.TxReplace:
-			pre, post := w.pre, w.op.Doc
-			maintain(tx.view, w.op.Table, &info.Maintenance, func(idx *xindex.Index) int { return idx.OnDelete(pre) })
-			maintain(tx.view, w.op.Table, &info.Maintenance, func(idx *xindex.Index) int { return idx.OnInsert(post) })
-		}
-	}
-	return info, nil
+	return CommitInfo{Stamp: stamp, LogLSN: logLSN}, nil
 }
 
 // Rollback discards the write set and releases the snapshot. Rolling

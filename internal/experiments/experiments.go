@@ -428,10 +428,12 @@ func Fig5(w io.Writer, env *Env, trainSizes []int) ([]Fig5Point, error) {
 			if err != nil {
 				continue
 			}
-			idx, err := xindex.Build(tbl, def)
+			idx, err := xindex.BuildOnline(tbl, def)
 			if err != nil {
 				return 0, err
 			}
+			// Every call rebuilds its catalog on the one shared env.DB.
+			defer idx.Release()
 			cat.Add(idx)
 		}
 		eng := engine.New(env.DB, env.Opt, cat)

@@ -230,12 +230,11 @@ func (s *Server) executeTxn(stmt *xquery.Statement, sess *Session, qt *obs.Query
 		if qt != nil {
 			commitStart = time.Now()
 		}
-		info, cerr := s.commitTxn(tx)
+		_, cerr := s.commitTxn(tx)
 		if qt != nil {
 			qt.Span("commit", time.Since(commitStart), 0)
 		}
 		if cerr == nil {
-			st.Add(engine.Stats{IndexEntriesTouched: info.Maintenance.IndexEntriesTouched})
 			return refs, st, nil
 		}
 		if errors.Is(cerr, storage.ErrConflict) && attempt < maxConflictRetries {

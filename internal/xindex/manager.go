@@ -81,7 +81,7 @@ func (m *Manager) EnsureBuilt(def Definition) (bool, error) {
 	}
 	m.cat.Add(idx)
 	m.metBuilds.Inc()
-	m.metCatchup.Add(uint64(idx.CatchupEvents()))
+	m.metCatchup.Add(uint64(idx.catchupEvents))
 	return true, nil
 }
 

@@ -25,9 +25,8 @@
 //     neither buffered nor applied. From then on the index maintains
 //     itself synchronously from the feed.
 //
-// The finished index is "self-maintained": the engine's explicit
-// per-statement maintenance must skip it (SelfMaintained reports true)
-// or entries would be double-applied. Release detaches the feed
+// The finished index is "self-maintained" (SelfMaintained reports
+// true): the only kind the engine probes. Release detaches the feed
 // subscription when the index is dropped.
 package xindex
 
@@ -50,8 +49,8 @@ type onlineState struct {
 }
 
 // SelfMaintained reports whether the index maintains itself from the
-// table's change feed. The engine skips explicit maintenance for such
-// indexes.
+// table's change feed. The engine probes only such indexes; a plan
+// naming a detached one runs as a scan.
 func (x *Index) SelfMaintained() bool { return x.online != nil }
 
 // Release detaches a self-maintained index from its table's change
@@ -160,8 +159,3 @@ func BuildOnline(t *storage.Table, def Definition) (*Index, error) {
 		}
 	}
 }
-
-// CatchupEvents reports how many buffered change-feed events the
-// build's catch-up phase replayed — the concurrent-mutation pressure
-// the online build absorbed. Fixed once BuildOnline returns.
-func (x *Index) CatchupEvents() int { return x.catchupEvents }

@@ -4,9 +4,16 @@
 //
 // An index contains one entry per node reachable by its pattern, keyed
 // by the node's typed value and carrying a (document, node) reference.
-// Real indexes are backed by a B+-tree; virtual indexes carry only the
-// statistics derived from the path synopsis and are what the optimizer
-// manipulates in its Enumerate/Evaluate modes.
+// Indexes are backed by a B+-tree. The optimizer's Enumerate/Evaluate
+// modes never build one: a hypothetical index is just its Definition,
+// sized and costed from the path synopsis (xstats.TableStats.ForPattern).
+//
+// Build makes a detached index: a one-off image of the table that
+// follows no later change — the reference online builds are compared
+// against, and what offline sizing uses. BuildOnline makes the kind a
+// serving catalog holds: it maintains itself from the table's change
+// feed and stamps every entry's birth and death, so it can answer as of
+// any snapshot from its build on (ScanAsOf).
 package xindex
 
 import (
@@ -21,7 +28,6 @@ import (
 	"xixa/internal/storage"
 	"xixa/internal/xmltree"
 	"xixa/internal/xpath"
-	"xixa/internal/xstats"
 )
 
 // Definition identifies an index: the table it indexes, its linear
@@ -74,12 +80,12 @@ func unpackRef(v uint64) Ref {
 	return Ref{Doc: int64(v >> 24), Node: xmltree.NodeID(v & 0xFFFFFF)}
 }
 
-// EncodeKey produces the order-preserving byte encoding of a typed
+// encodeKey produces the order-preserving byte encoding of a typed
 // value: strings are tagged raw bytes; doubles are tagged big-endian
 // with the sign bit flipped (and negative values complemented) so byte
 // order equals numeric order. NaN has no place in that order — callers
 // must filter NaN out (keyFor and Scan do) before encoding.
-func EncodeKey(kind xpath.ValueKind, str string, num float64) []byte {
+func encodeKey(kind xpath.ValueKind, str string, num float64) []byte {
 	if kind == xpath.StringVal {
 		out := make([]byte, 1+len(str))
 		out[0] = 's'
@@ -123,8 +129,7 @@ type Index struct {
 	states  []xpath.MatchState
 
 	// online is non-nil for indexes built by BuildOnline: they maintain
-	// themselves from the table's change feed and the engine must not
-	// apply explicit maintenance to them (it would double-apply).
+	// themselves from the table's change feed.
 	online *onlineState
 
 	// Version bookkeeping for snapshot (as-of-stamp) scans. borns maps a
@@ -157,7 +162,9 @@ type tomb struct {
 
 // Build creates and populates an index over the current contents of the
 // table. Nodes whose value does not parse as a number are skipped for
-// numeric indexes (DB2's IGNORE INVALID VALUES behaviour).
+// numeric indexes (DB2's IGNORE INVALID VALUES behaviour). The index is
+// detached: it never subscribes to the table, so it moves only through
+// OnInsert/OnDelete, and an engine declines to probe it.
 func Build(t *storage.Table, def Definition) (*Index, error) {
 	if err := def.Validate(); err != nil {
 		return nil, err
@@ -218,9 +225,9 @@ func (x *Index) keyFor(doc *xmltree.Document, id xmltree.NodeID) ([]byte, bool) 
 		if !ok || math.IsNaN(v) {
 			return nil, false
 		}
-		return EncodeKey(xpath.NumberVal, "", v), true
+		return encodeKey(xpath.NumberVal, "", v), true
 	}
-	return EncodeKey(xpath.StringVal, s, 0), true
+	return encodeKey(xpath.StringVal, s, 0), true
 }
 
 // eachMatch visits every node of the document the index pattern
@@ -251,8 +258,8 @@ func (x *Index) insertDoc(doc *xmltree.Document) int { return x.insertDocAt(doc,
 func (x *Index) deleteDoc(doc *xmltree.Document) int { return x.deleteDocAt(doc, 0) }
 
 // insertDocAt indexes one document version born at the given commit
-// stamp (0 for unstamped maintenance: batch builds, engine-maintained
-// upkeep, legacy replay — visible to every snapshot).
+// stamp (0 for unstamped maintenance: batch builds and OnInsert on a
+// detached index — visible to every snapshot).
 func (x *Index) insertDocAt(doc *xmltree.Document, stamp uint64) int {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -273,6 +280,7 @@ func (x *Index) insertDocAt(doc *xmltree.Document, stamp uint64) int {
 			}
 		}
 	})
+	x.pruneLocked()
 	return added
 }
 
@@ -307,10 +315,10 @@ func (x *Index) deleteDocAt(doc *xmltree.Document, stamp uint64) int {
 // whose death is at or below the table's horizon (every current and
 // future snapshot reads at or above it) and born records at or below it
 // (the born <= asOf filter is then vacuous, which absence also means).
-// Amortized by a doubling heuristic so a churn-heavy feed does not scan
-// the graveyard per delete.
+// Amortized by a doubling heuristic over both kinds of record, so
+// neither a churn-heavy nor an insert-only feed pays a pass per event.
 func (x *Index) pruneLocked() {
-	if x.online == nil || len(x.graveyard) < 64 || len(x.graveyard) < 2*x.lastPrune {
+	if n := len(x.graveyard) + len(x.borns); x.online == nil || n < 64 || n < 2*x.lastPrune {
 		return
 	}
 	h := x.online.table.Horizon()
@@ -329,15 +337,15 @@ func (x *Index) pruneLocked() {
 			delete(x.borns, ref)
 		}
 	}
-	x.lastPrune = len(x.graveyard)
+	x.lastPrune = len(x.graveyard) + len(x.borns)
 }
 
-// OnInsert maintains the index for a newly inserted document and
-// returns the number of entries added.
+// OnInsert indexes a document by hand — the way to move a detached
+// index, which follows no feed — and returns the number of entries added.
 func (x *Index) OnInsert(doc *xmltree.Document) int { return x.insertDoc(doc) }
 
-// OnDelete maintains the index for a document about to be deleted and
-// returns the number of entries removed.
+// OnDelete unindexes a document by hand (see OnInsert) and returns the
+// number of entries removed.
 func (x *Index) OnDelete(doc *xmltree.Document) int { return x.deleteDoc(doc) }
 
 // Entries returns the number of index entries.
@@ -373,27 +381,13 @@ func (x *Index) Walk(visit func(key []byte, ref Ref) bool) {
 	})
 }
 
-// Scan visits entries satisfying (op, lit) in key order. For OpNe the
-// scan is a full scan with the equal keys skipped. It reports the
-// number of index entries visited (the scan work), which the engine's
-// work counters use.
+// Scan visits the current entries satisfying (op, lit) in key order —
+// ScanAsOf at a stamp no commit has reached. For OpNe the scan is a
+// full scan with the equal keys skipped. The visit function returns
+// false to stop. It reports the number of index entries visited (the
+// scan work), which the engine's work counters use.
 func (x *Index) Scan(op xpath.CmpOp, lit xpath.Value, visit func(Ref) bool) int {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return x.scanLocked(op, lit, visit)
-}
-
-func (x *Index) scanLocked(op xpath.CmpOp, lit xpath.Value, visit func(Ref) bool) int {
-	r, ok := x.scanBounds(op, lit)
-	if !ok {
-		return 0
-	}
-	return x.tree.AscendRange(r.lo, r.hi, r.loIncl, r.hiIncl, func(k []byte, v uint64) bool {
-		if r.skipEq != nil && string(k) == string(r.skipEq) {
-			return true
-		}
-		return visit(unpackRef(v))
-	})
+	return x.ScanAsOf(op, lit, math.MaxUint64, visit)
 }
 
 // scanRange is the key-space interval a comparison translates to.
@@ -436,7 +430,7 @@ func (x *Index) scanBounds(op xpath.CmpOp, lit xpath.Value) (scanRange, bool) {
 	if lit.Kind == xpath.NumberVal && math.IsNaN(lit.Num) {
 		return r, false // no comparison against NaN holds, and NaN has no key
 	}
-	key := EncodeKey(lit.Kind, lit.Str, lit.Num)
+	key := encodeKey(lit.Kind, lit.Str, lit.Num)
 	switch op {
 	case xpath.OpEq:
 		r.lo, r.hi = key, key
@@ -465,8 +459,8 @@ func (x *Index) scanBounds(op xpath.CmpOp, lit xpath.Value) (scanRange, bool) {
 // answers exactly: for a self-maintained index, the table's stamp
 // ceiling at the online build's capture instant (deletes committed
 // before capture left no tombs, so older snapshots cannot be served).
-// Batch-built indexes return 0 but carry no version bookkeeping at all;
-// only self-maintained indexes support snapshot scans.
+// Detached (Build) indexes return 0 but carry no version bookkeeping at
+// all; only self-maintained indexes support snapshot scans.
 func (x *Index) VersionedSince() uint64 {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
@@ -477,9 +471,10 @@ func (x *Index) VersionedSince() uint64 {
 // asOf: live entries born at or before asOf, plus graveyard entries
 // whose version was current at asOf (born <= asOf < died). Tree entries
 // arrive in key order; graveyard entries follow unordered — callers
-// intersect document sets, so order is immaterial. Valid only on a
+// intersect document sets, so order is immaterial. The visit function
+// returns false to stop. Exact for a past stamp only on a
 // self-maintained index with asOf >= VersionedSince; it returns the
-// number of entries visited, like Scan.
+// number of entries visited.
 func (x *Index) ScanAsOf(op xpath.CmpOp, lit xpath.Value, asOf uint64, visit func(Ref) bool) int {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
@@ -487,6 +482,7 @@ func (x *Index) ScanAsOf(op xpath.CmpOp, lit xpath.Value, asOf uint64, visit fun
 	if !ok {
 		return 0
 	}
+	stopped := false
 	n := x.tree.AscendRange(r.lo, r.hi, r.loIncl, r.hiIncl, func(k []byte, v uint64) bool {
 		if r.skipEq != nil && string(k) == string(r.skipEq) {
 			return true
@@ -494,15 +490,14 @@ func (x *Index) ScanAsOf(op xpath.CmpOp, lit xpath.Value, asOf uint64, visit fun
 		if x.borns[v] > asOf {
 			return true // version created after the snapshot
 		}
-		return visit(unpackRef(v))
+		stopped = !visit(unpackRef(v))
+		return !stopped
 	})
-	for i := range x.graveyard {
+	for i := 0; i < len(x.graveyard) && !stopped; i++ {
 		t := &x.graveyard[i]
 		if t.born <= asOf && asOf < t.died && r.contains(t.key) {
 			n++
-			if !visit(unpackRef(t.ref)) {
-				break
-			}
+			stopped = !visit(unpackRef(t.ref))
 		}
 	}
 	return n
@@ -533,22 +528,3 @@ func (d Definition) Matches(queryPattern xpath.Path, litKind xpath.ValueKind) bo
 	}
 	return xpath.Contains(d.Pattern, queryPattern)
 }
-
-// Virtual is a hypothetical index: a definition plus statistics derived
-// from the path synopsis. Virtual indexes participate in optimization
-// exactly like real ones but have no B+-tree.
-type Virtual struct {
-	Def   Definition
-	Stats xstats.PatternStats
-}
-
-// NewVirtual derives a virtual index from table statistics.
-func NewVirtual(ts *xstats.TableStats, def Definition) (*Virtual, error) {
-	if err := def.Validate(); err != nil {
-		return nil, err
-	}
-	return &Virtual{Def: def, Stats: ts.ForPattern(def.Pattern, def.Type)}, nil
-}
-
-// SizeBytes returns the estimated size of the virtual index.
-func (v *Virtual) SizeBytes() int64 { return v.Stats.SizeBytes }

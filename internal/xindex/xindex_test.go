@@ -193,8 +193,8 @@ func TestEncodeKeyOrderPreserving(t *testing.T) {
 		if math.IsNaN(a) || math.IsNaN(b) {
 			return true
 		}
-		ka := EncodeKey(xpath.NumberVal, "", a)
-		kb := EncodeKey(xpath.NumberVal, "", b)
+		ka := encodeKey(xpath.NumberVal, "", a)
+		kb := encodeKey(xpath.NumberVal, "", b)
 		cmp := 0
 		for i := range ka {
 			if ka[i] != kb[i] {
@@ -221,14 +221,17 @@ func TestEncodeKeyOrderPreserving(t *testing.T) {
 	// Explicit spot checks across sign and magnitude boundaries.
 	vals := []float64{math.Inf(-1), -1e300, -2, -1, -0.5, 0, 0.5, 1, 2, 1e300, math.Inf(1)}
 	for i := 1; i < len(vals); i++ {
-		ka := string(EncodeKey(xpath.NumberVal, "", vals[i-1]))
-		kb := string(EncodeKey(xpath.NumberVal, "", vals[i]))
+		ka := string(encodeKey(xpath.NumberVal, "", vals[i-1]))
+		kb := string(encodeKey(xpath.NumberVal, "", vals[i]))
 		if !(ka < kb) {
 			t.Errorf("encoding order broken between %v and %v", vals[i-1], vals[i])
 		}
 	}
 }
 
+// TestVirtualMatchesRealSize: a hypothetical index is its definition
+// sized from the path synopsis; the estimate must track what building
+// the index really produces.
 func TestVirtualMatchesRealSize(t *testing.T) {
 	tbl := buildSecurityTable(500)
 	ts := xstats.Collect(tbl)
@@ -245,18 +248,85 @@ func TestVirtualMatchesRealSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		virt, err := NewVirtual(ts, d)
-		if err != nil {
-			t.Fatal(err)
+		virt := ts.ForPattern(d.Pattern, d.Type)
+		if int64(real.Entries()) != virt.Entries {
+			t.Errorf("%s: real entries %d != virtual %d", tc.pattern, real.Entries(), virt.Entries)
 		}
-		if int64(real.Entries()) != virt.Stats.Entries {
-			t.Errorf("%s: real entries %d != virtual %d", tc.pattern, real.Entries(), virt.Stats.Entries)
-		}
-		ratio := float64(real.SizeBytes()) / float64(virt.SizeBytes())
+		ratio := float64(real.SizeBytes()) / float64(virt.SizeBytes)
 		if ratio < 0.5 || ratio > 2 {
 			t.Errorf("%s: real size %d vs virtual %d (ratio %.2f)",
-				tc.pattern, real.SizeBytes(), virt.SizeBytes(), ratio)
+				tc.pattern, real.SizeBytes(), virt.SizeBytes, ratio)
 		}
+	}
+}
+
+// TestScanHonoursEarlyStop: visit returning false ends the scan, in the
+// tree phase and in the graveyard phase of an as-of scan alike.
+func TestScanHonoursEarlyStop(t *testing.T) {
+	db := storage.NewDatabase()
+	tbl := db.MustCreateTable("SECURITY")
+	for i := 0; i < 10; i++ {
+		tbl.Insert(secDoc(i))
+	}
+	idx, err := BuildOnline(tbl, def("/Security/Yield", xpath.NumberVal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Release()
+	snap := db.PinSnapshot() // still sees the three documents deleted next
+	defer snap.Release()
+	for id := int64(0); id < 3; id++ {
+		tbl.Delete(id)
+	}
+	for _, tc := range []struct {
+		name      string
+		asOf      uint64
+		stopAfter int // 0: never
+		calls     int
+	}{
+		{"as-of, stop in the tree", snap.LSN(), 1, 1},
+		{"as-of, stop in the graveyard", snap.LSN(), 8, 8},
+		{"as-of, full", snap.LSN(), 0, 10},
+		{"current, stop", math.MaxUint64, 1, 1},
+		{"current, full", math.MaxUint64, 0, 7},
+	} {
+		calls := 0
+		visit := func(Ref) bool { calls++; return calls != tc.stopAfter }
+		if tc.asOf == math.MaxUint64 {
+			idx.Scan(xpath.OpGe, xpath.NumberValue(0), visit)
+		} else {
+			idx.ScanAsOf(xpath.OpGe, xpath.NumberValue(0), tc.asOf, visit)
+		}
+		if calls != tc.calls {
+			t.Errorf("%s: visit called %d times, want %d", tc.name, calls, tc.calls)
+		}
+	}
+}
+
+// TestBornRecordsBoundedWithoutDeletes: on a table that is only
+// inserted into, with no snapshot pinned, born stamps at or below the
+// horizon are forgotten as they accumulate — the prune must not wait
+// for a delete.
+func TestBornRecordsBoundedWithoutDeletes(t *testing.T) {
+	db := storage.NewDatabase()
+	tbl := db.MustCreateTable("SECURITY")
+	idx, err := BuildOnline(tbl, def("/Security/Symbol", xpath.StringVal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Release()
+	const n = 1000
+	for i := 0; i < n; i++ {
+		tbl.Insert(secDoc(i))
+	}
+	idx.mu.RLock()
+	borns := len(idx.borns)
+	idx.mu.RUnlock()
+	if borns > 64 {
+		t.Errorf("%d born records after %d stamped inserts and no deletes, want at most 64", borns, n)
+	}
+	if got := idx.ScanAsOf(xpath.OpGe, xpath.StringValue(""), db.Watermark(), func(Ref) bool { return true }); got != n {
+		t.Errorf("scan at the watermark visited %d entries, want %d", got, n)
 	}
 }
 
