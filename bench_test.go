@@ -616,38 +616,97 @@ func BenchmarkUpdateThroughput(b *testing.B) {
 	b.Run("recollect", func(b *testing.B) { run(b, false) })
 }
 
-// BenchmarkStatsRefreshAfterDelta isolates the statistics-refresh unit:
-// after a 100-document insert+delete batch on a TPoX-scale table, bring
-// the synopsis current. The incremental keeper does O(batch) work;
-// compare with BenchmarkCollectStats, the full re-pass the same refresh
-// used to require.
+// BenchmarkStatsRefreshAfterDelta isolates the statistics-refresh unit
+// on TPoX scale 1: mutate, then bring the synopsis current.
+//
+//   - docs=200 is the batch shape: 100 clones of document 0 inserted
+//     and deleted again, then Keeper.Stats. Compare with
+//     BenchmarkCollectStats, the full re-pass the refresh replaces.
+//   - The docs=1 arms are the serving shape, what one DML statement
+//     pays before it can plan: one copy-on-write replace of a SECURITY
+//     document (a new in-range Yield), or one insert plus one delete on
+//     ORDERS, then Keeper.Stats and ForPattern of the table's key path.
 func BenchmarkStatsRefreshAfterDelta(b *testing.B) {
-	db, err := tpox.NewDatabase(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tbl, err := db.Table(tpox.TableSecurity)
-	if err != nil {
-		b.Fatal(err)
-	}
-	keeper := xstats.NewKeeper(tbl)
-	keeper.Stats()
-	src, _ := tbl.Get(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		var ids []int64
-		for j := 0; j < 100; j++ {
-			d := &xmltree.Document{Nodes: append([]xmltree.Node(nil), src.Nodes...), Dict: src.Dict,
-				PathIDs: append([]xmltree.PathID(nil), src.PathIDs...)}
-			ids = append(ids, tbl.Insert(d))
+	open := func(b *testing.B, table string) (*storage.Table, *xstats.Keeper) {
+		db, err := tpox.NewDatabase(1)
+		if err != nil {
+			b.Fatal(err)
 		}
-		for _, id := range ids {
-			tbl.Delete(id)
+		tbl, err := db.Table(table)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.StartTimer()
+		keeper := xstats.NewKeeper(tbl)
 		keeper.Stats()
+		return tbl, keeper
 	}
+	clone := func(src *xmltree.Document) *xmltree.Document {
+		return &xmltree.Document{Nodes: append([]xmltree.Node(nil), src.Nodes...), Dict: src.Dict,
+			PathIDs: append([]xmltree.PathID(nil), src.PathIDs...)}
+	}
+	b.Run("docs=200", func(b *testing.B) {
+		tbl, keeper := open(b, tpox.TableSecurity)
+		src, _ := tbl.Get(0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			var ids []int64
+			for j := 0; j < 100; j++ {
+				ids = append(ids, tbl.Insert(clone(src)))
+			}
+			for _, id := range ids {
+				tbl.Delete(id)
+			}
+			b.StartTimer()
+			keeper.Stats()
+		}
+	})
+	b.Run("docs=1/security-replace", func(b *testing.B) {
+		tbl, keeper := open(b, tpox.TableSecurity)
+		key := xpath.MustParse("/Security/Symbol")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			id := int64(i % 1000)
+			src, _ := tbl.Get(id)
+			d := clone(src)
+			for j := range d.Nodes {
+				if d.Nodes[j].Name == "Yield" {
+					// 1.00 .. 8.99: inside the generator's 0.00 .. 9.99.
+					d.Nodes[j+1].Value = fmt.Sprintf("%.2f", 1+float64(i%800)/100)
+				}
+			}
+			tbl.Replace(id, d)
+			b.StartTimer()
+			keeper.Stats().ForPattern(key, xpath.StringVal)
+		}
+	})
+	b.Run("docs=1/orders-insert-delete", func(b *testing.B) {
+		tbl, keeper := open(b, tpox.TableOrders)
+		key := xpath.MustParse("/Order/@ID")
+		src, _ := tbl.Get(0)
+		order := func(i int) *xmltree.Document {
+			d := clone(src)
+			d.Nodes[1].Value = fmt.Sprintf("ORD9%08d", i) // the @ID attribute
+			return d
+		}
+		// An order lives 64 iterations, as in xixabench's write stream.
+		const lag = 64
+		for i := 0; i < lag; i++ {
+			tbl.Insert(order(i))
+		}
+		keeper.Stats()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			tbl.Delete(tbl.Insert(order(lag+i)) - lag)
+			b.StartTimer()
+			keeper.Stats().ForPattern(key, xpath.StringVal)
+		}
+	})
 }
 
 // --- serving daemon / online build benchmarks (PR 4) ---

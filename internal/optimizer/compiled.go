@@ -101,16 +101,18 @@ func (o *Optimizer) compile(stmt *xquery.Statement, ts *xstats.TableStats) *Comp
 		}
 	}
 	cs := newCompiledStatement(stmt, ts)
-	if o.compiledLen.Add(1) > maxCompiledStatements {
+	// Concurrent compilations of the same statement produce identical
+	// values; whichever lands is correct. Only a new statement counts
+	// toward the overflow flush: recompiling a known one after its
+	// table's statistics moved replaces its entry and holds no more.
+	if _, known := o.compiled.Swap(stmt, cs); !known && o.compiledLen.Add(1) > maxCompiledStatements {
 		o.compiled.Range(func(k, _ any) bool {
 			o.compiled.Delete(k)
 			return true
 		})
 		o.compiledLen.Store(1)
+		o.compiled.Store(stmt, cs)
 	}
-	// Concurrent compilations of the same statement produce identical
-	// values; whichever lands is correct.
-	o.compiled.Store(stmt, cs)
 	return cs
 }
 

@@ -223,6 +223,17 @@ func (o *Optimizer) SnapshotTableStats(table string) (*xstats.TableStats, error)
 	return ts.Clone(), nil
 }
 
+// StatsFoldCounts reports the live statistics' maintenance work: how
+// many change deltas were folded into table statistics and how many
+// paths those folds re-derived from their full value multisets (see
+// xstats.Keeper.FoldCounts). Both are zero for frozen statistics.
+func (o *Optimizer) StatsFoldCounts() (folds, pathRebuilds int64) {
+	if ks, ok := o.source.(*xstats.KeeperSet); ok {
+		return ks.FoldCounts()
+	}
+	return 0, 0
+}
+
 // ExtractSites rewrites the statement into its normalized predicate
 // form and extracts every indexable predicate site: for a predicate
 // [rel op lit] attached to step i of the normalized path, the site

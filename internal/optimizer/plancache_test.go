@@ -201,3 +201,42 @@ func TestPlanCacheInvalidatedByTableVersion(t *testing.T) {
 			after.EstCost, after.EstBaseCost, fresh.EstCost, fresh.EstBaseCost)
 	}
 }
+
+// TestRecompileDoesNotFlushCompiledCache pins the overflow flush to the
+// number of statements held, not the number of compilations: a tuner
+// over a mutating table recompiles its few hundred statements after
+// every statistics fold, and used to empty the whole cache every 4,096
+// recompilations.
+func TestRecompileDoesNotFlushCompiledCache(t *testing.T) {
+	db, _ := newFixture(t, 50)
+	opt := NewLive(db)
+	tbl, err := db.Table("SECURITY")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stmts := make([]*xquery.Statement, 215)
+	for i := range stmts {
+		stmts[i] = xquery.MustParse(fmt.Sprintf(
+			`for $sec in SECURITY('SDOC')/Security where $sec/Symbol = "S%05d" return $sec`, i))
+	}
+	for round := 0; round < 100; round++ {
+		// One mutation a round: every statement's compilation is stale.
+		tbl.Insert(xmltree.NewBuilder().Begin("Security").
+			Leaf("Symbol", fmt.Sprintf("R%05d", round)).End().Document())
+		ts, err := opt.TableStats("SECURITY")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, stmt := range stmts {
+			if cs := opt.compile(stmt, ts); cs.ts != ts {
+				t.Fatal("compile returned a compilation against other statistics")
+			}
+		}
+		held := 0
+		opt.compiled.Range(func(_, _ any) bool { held++; return true })
+		if held != len(stmts) || opt.compiledLen.Load() != int64(len(stmts)) {
+			t.Fatalf("round %d: cache holds %d statements and counts %d, want %d of both",
+				round, held, opt.compiledLen.Load(), len(stmts))
+		}
+	}
+}

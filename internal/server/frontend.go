@@ -73,6 +73,8 @@ func (s *Server) StatsLines(v map[string]float64) []string {
 			secs(v["xixa_mvcc_publish_wait_seconds_total"])),
 		fmt.Sprintf("replay reorder: %.0f frames buffered (peak %.0f)",
 			v["xixa_replay_reorder_buffered"], v["xixa_replay_reorder_peak"]),
+		fmt.Sprintf("statistics: %.0f folds, %.0f paths re-derived in full",
+			v["xixa_stats_folds_total"], v["xixa_stats_path_rebuilds_total"]),
 	}
 	if s.wal != nil {
 		lines = append(lines, fmt.Sprintf("wal: %.0f appends, %.0f fsyncs (mean %s), durable LSN %.0f, %.0f bytes",

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -125,6 +126,16 @@ func TestRegistryMatchesSessionTotals(t *testing.T) {
 	}
 	if got := vals["xixa_statement_seconds_count"]; uint64(got) != uint64(executed+errs) {
 		t.Errorf("latency histogram count %v, want %d (every admitted statement observes)", got, executed+errs)
+	}
+	// The updates planned against live statistics, so mutations were
+	// folded in; the gauges and the \stats line read the same counters.
+	folds, rebuilds := srv.opt.StatsFoldCounts()
+	if folds == 0 || v("xixa_stats_folds_total") != uint64(folds) || v("xixa_stats_path_rebuilds_total") != uint64(rebuilds) {
+		t.Errorf("statistics gauges (%d folds, %d rebuilds), keepers count (%d, %d), want equal and folds > 0",
+			v("xixa_stats_folds_total"), v("xixa_stats_path_rebuilds_total"), folds, rebuilds)
+	}
+	if line := fmt.Sprintf("statistics: %d folds, %d paths re-derived in full", folds, rebuilds); !slices.Contains(srv.StatsLines(vals), line) {
+		t.Errorf("\\stats lacks %q: %q", line, srv.StatsLines(vals))
 	}
 }
 

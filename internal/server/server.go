@@ -314,6 +314,14 @@ func New(db *storage.Database, cfg Config) *Server {
 	s.met.reg.GaugeFunc("xixa_index_definitions", func() float64 { return float64(len(s.cat.Definitions())) })
 	s.met.reg.GaugeFunc("xixa_replay_reorder_buffered", func() float64 { return float64(s.reorderBuffered.Load()) })
 	s.met.reg.GaugeFunc("xixa_replay_reorder_peak", func() float64 { return float64(s.reorderPeak.Load()) })
+	s.met.reg.GaugeFunc("xixa_stats_folds_total", func() float64 {
+		folds, _ := s.opt.StatsFoldCounts()
+		return float64(folds)
+	})
+	s.met.reg.GaugeFunc("xixa_stats_path_rebuilds_total", func() float64 {
+		_, rebuilds := s.opt.StatsFoldCounts()
+		return float64(rebuilds)
+	})
 	return s
 }
 

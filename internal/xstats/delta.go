@@ -3,6 +3,7 @@ package xstats
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -30,16 +31,37 @@ type valueAcc struct {
 	// key a map (NaN != NaN), and the streaming collector counts every
 	// NaN occurrence as a fresh distinct value, which this reproduces.
 	nan int64
+
+	// The derived summary: what a PathStat needs beyond the scalars and
+	// len(strs)/len(nums). Only accumulators of a retained store carry
+	// one: summarize establishes it and foldInto keeps it current while
+	// summarized is set. A fold that moves the numeric range clears the
+	// flag, because the equi-width buckets have to be re-cut then.
+	summarized bool
+	numeric    int64   // numeric occurrences, NaN included
+	min, max   float64 // the histogram's range; NaN while nan > 0
+	buckets    [histogramBuckets]int64
 }
 
-// foldInto adds src's contribution (possibly negative) into dst.
-func (src *valueAcc) foldInto(dst *valueAcc) {
+// foldInto adds src's contribution (possibly negative) into dst and
+// reports whether it changed anything: a replace that rewrites one leaf
+// nets to zero on every other path of the document.
+//
+// A summarized dst has its summary updated in place, in O(values in
+// src). The numeric range moves — and dst stops being summarized — when
+// a value lands outside [min, max], the last holder of min or max goes,
+// the path gains its first numeric value, or NaN appears or disappears
+// (NaN pins the range at NaN; comparisons against it are all false, so
+// while it stays nothing else can move the range).
+func (src *valueAcc) foldInto(dst *valueAcc) (changed bool) {
+	changed = src.count != 0 || src.bytes != 0 || src.nan != 0
 	dst.count += src.count
 	dst.bytes += src.bytes
 	for s, p := range src.strs {
 		if *p == 0 {
 			continue
 		}
+		changed = true
 		dp := dst.strs[s]
 		if dp == nil {
 			dp = new(int64)
@@ -50,17 +72,36 @@ func (src *valueAcc) foldInto(dst *valueAcc) {
 			delete(dst.strs, s)
 		}
 	}
+	if (dst.nan > 0) != (dst.nan+src.nan > 0) {
+		dst.summarized = false
+	}
 	for v, c := range src.nums {
 		if c == 0 {
 			continue
 		}
-		if n := dst.nums[v] + c; n == 0 {
+		changed = true
+		n := dst.nums[v] + c
+		if n == 0 {
 			delete(dst.nums, v)
 		} else {
 			dst.nums[v] = n
 		}
+		if !dst.summarized {
+			continue
+		}
+		if dst.numeric == 0 || v < dst.min || v > dst.max || (n == 0 && (v == dst.min || v == dst.max)) {
+			dst.summarized = false
+			continue
+		}
+		dst.buckets[bucketIndex(dst.min, dst.max, v)] += c
+		dst.numeric += c
+	}
+	if dst.summarized && src.nan != 0 {
+		dst.buckets[bucketIndex(dst.min, dst.max, math.NaN())] += src.nan
+		dst.numeric += src.nan
 	}
 	dst.nan += src.nan
+	return changed
 }
 
 // Delta is a PathID-indexed accumulation of document insertions and
@@ -75,6 +116,7 @@ type Delta struct {
 	nodes   int64
 	accs    []*valueAcc // dense by PathID; nil = untouched
 	touched []xmltree.PathID
+	free    []*valueAcc // cleared accumulators Reset kept for ensure
 
 	// Per-document scratch, reused across documents (see Collect).
 	textAt  []xmltree.NodeID
@@ -95,11 +137,26 @@ func (d *Delta) Empty() bool {
 	return d.docs == 0 && d.nodes == 0 && len(d.touched) == 0
 }
 
-// Reset clears the delta for reuse, keeping its scratch buffers.
+// recycleMaxValues bounds the accumulators Reset keeps: clearing a map
+// costs its capacity, not its length, so one that a bulk load grew is
+// dropped rather than cleared on every later statement.
+const recycleMaxValues = 16
+
+// Reset clears the delta for reuse, keeping its scratch buffers and the
+// touched accumulators (cleared), so a steady stream of small deltas
+// folds without allocating an accumulator and two maps per path.
 func (d *Delta) Reset() {
 	d.docs, d.nodes = 0, 0
 	for _, pid := range d.touched {
+		acc := d.accs[pid]
 		d.accs[pid] = nil
+		if len(acc.strs) > recycleMaxValues || len(acc.nums) > recycleMaxValues {
+			continue
+		}
+		clear(acc.strs)
+		clear(acc.nums)
+		*acc = valueAcc{strs: acc.strs, nums: acc.nums}
+		d.free = append(d.free, acc)
 	}
 	d.touched = d.touched[:0]
 }
@@ -136,13 +193,10 @@ func (d *Delta) Clone() *Delta {
 	copy(out.touched, d.touched)
 	for _, pid := range d.touched {
 		src := d.accs[pid]
-		dst := &valueAcc{
-			count: src.count,
-			bytes: src.bytes,
-			nan:   src.nan,
-			strs:  make(map[string]*int64, len(src.strs)),
-			nums:  make(map[float64]int64, len(src.nums)),
-		}
+		dst := new(valueAcc)
+		*dst = *src
+		dst.strs = make(map[string]*int64, len(src.strs))
+		dst.nums = make(map[float64]int64, len(src.nums))
 		for s, p := range src.strs {
 			v := *p
 			dst.strs[s] = &v
@@ -192,7 +246,11 @@ func (d *Delta) ensure(pid xmltree.PathID) *valueAcc {
 	}
 	acc := d.accs[pid]
 	if acc == nil {
-		acc = &valueAcc{strs: make(map[string]*int64), nums: make(map[float64]int64)}
+		if n := len(d.free); n > 0 {
+			acc, d.free = d.free[n-1], d.free[:n-1]
+		} else {
+			acc = &valueAcc{strs: make(map[string]*int64), nums: make(map[float64]int64)}
+		}
 		d.accs[pid] = acc
 		d.touched = append(d.touched, pid)
 	}
@@ -309,66 +367,69 @@ func (d *Delta) addDoc(doc *xmltree.Document, sign int64) {
 	}
 }
 
-// buildPathStat derives the immutable PathStat of one path from its
-// accumulator, pruning values whose occurrences cancelled to zero. It
-// returns nil when the path no longer has any nodes. The derivation is
-// order-independent, so it is bit-compatible with the streaming
-// collector: min/max folds, distinct counts, and equi-width histogram
-// buckets do not depend on the order values were seen in.
-func buildPathStat(dict *xmltree.PathDict, pid xmltree.PathID, acc *valueAcc) *PathStat {
+// summarize derives the accumulator's summary from its full multisets,
+// pruning values whose occurrences cancelled to zero: O(distinct values
+// on the path). The derivation is order-independent, so it is
+// bit-compatible with the streaming collector: min/max folds, distinct
+// counts, and equi-width histogram buckets do not depend on the order
+// values were seen in.
+func (acc *valueAcc) summarize() {
 	for s, p := range acc.strs {
 		if *p == 0 {
 			delete(acc.strs, s)
 		}
 	}
+	acc.numeric = acc.nan
+	acc.min, acc.max = 0, 0
+	first := true
 	for v, c := range acc.nums {
 		if c == 0 {
 			delete(acc.nums, v)
+			continue
+		}
+		acc.numeric += c
+		if first {
+			acc.min, acc.max = v, v
+			first = false
+		} else {
+			acc.min = math.Min(acc.min, v)
+			acc.max = math.Max(acc.max, v)
 		}
 	}
+	if acc.nan > 0 {
+		// math.Min/Max propagate NaN, so any NaN occurrence makes the
+		// streaming fold NaN regardless of order.
+		acc.min, acc.max = math.NaN(), math.NaN()
+	}
+	acc.buckets = [histogramBuckets]int64{}
+	for v, c := range acc.nums {
+		acc.buckets[bucketIndex(acc.min, acc.max, v)] += c
+	}
+	if acc.nan > 0 {
+		acc.buckets[bucketIndex(acc.min, acc.max, math.NaN())] += acc.nan
+	}
+	acc.summarized = true
+}
+
+// pathStat renders a summarized accumulator as a fresh immutable
+// PathStat — O(1), the histogram's 16 buckets included — or nil when
+// the path no longer has any nodes.
+func (acc *valueAcc) pathStat(labels []string, pid xmltree.PathID) *PathStat {
 	if acc.count <= 0 {
 		return nil
 	}
 	ps := &PathStat{
-		Labels:          dict.Labels(pid),
+		Labels:          labels,
 		PathID:          pid,
 		Count:           acc.count,
 		ValueBytes:      acc.bytes,
 		DistinctStrings: int64(len(acc.strs)),
 	}
-	numeric := acc.nan
-	for _, c := range acc.nums {
-		numeric += c
-	}
-	if numeric > 0 {
-		ps.NumericCount = numeric
+	if acc.numeric > 0 {
+		ps.NumericCount = acc.numeric
 		ps.DistinctNums = int64(len(acc.nums)) + acc.nan
-		if acc.nan > 0 {
-			// math.Min/Max propagate NaN, so any NaN occurrence makes
-			// the streaming fold NaN regardless of order.
-			ps.Min, ps.Max = math.NaN(), math.NaN()
-		} else {
-			first := true
-			for v := range acc.nums {
-				if first {
-					ps.Min, ps.Max = v, v
-					first = false
-				} else {
-					ps.Min = math.Min(ps.Min, v)
-					ps.Max = math.Max(ps.Max, v)
-				}
-			}
-		}
-		h := &Histogram{Min: ps.Min, Max: ps.Max, Buckets: make([]int64, histogramBuckets)}
-		for v, c := range acc.nums {
-			h.Buckets[h.bucketOf(v)] += c
-			h.Total += c
-		}
-		if acc.nan > 0 {
-			h.Buckets[h.bucketOf(math.NaN())] += acc.nan
-			h.Total += acc.nan
-		}
-		ps.Hist = h
+		ps.Min, ps.Max = acc.min, acc.max
+		ps.Hist = &Histogram{Min: acc.min, Max: acc.max, Total: acc.numeric, Buckets: append([]int64(nil), acc.buckets[:]...)}
 	}
 	return ps
 }
@@ -378,37 +439,51 @@ func buildPathStat(dict *xmltree.PathDict, pid xmltree.PathID, acc *valueAcc) *P
 // retained mergeable store (later ApplyDelta calls fold into it).
 func FromDelta(table string, version int64, d *Delta) *TableStats {
 	ts := &TableStats{
-		Table:        table,
-		Version:      version,
-		DocCount:     d.docs,
-		TotalNodes:   d.nodes,
-		Paths:        make(map[string]*PathStat),
-		dict:         d.dict,
-		acc:          d,
-		patternCache: make(map[string]PatternStats),
-		matchedCache: make(map[string][]*PathStat),
+		Table:      table,
+		Version:    version,
+		DocCount:   d.docs,
+		TotalNodes: d.nodes,
+		dict:       d.dict,
+		acc:        d,
+		patterns:   newPatternTable(d.dict),
 	}
 	ts.byID = make([]*PathStat, len(d.accs))
-	ts.List = make([]*PathStat, 0, len(d.touched))
 	for _, pid := range d.touched {
-		ps := buildPathStat(d.dict, pid, d.accs[pid])
-		if ps == nil {
-			continue
+		acc := d.accs[pid]
+		acc.summarize()
+		ts.byID[pid] = acc.pathStat(d.dict.Labels(pid), pid)
+	}
+	ts.listPaths()
+	return ts
+}
+
+// listPaths rebuilds List and Paths from byID: every present path is
+// rendered, keyed and sorted, so this is for a new snapshot or a fold
+// that made a path appear or vanish.
+func (ts *TableStats) listPaths() {
+	ts.Paths = make(map[string]*PathStat)
+	ts.List = nil
+	for _, ps := range ts.byID {
+		if ps != nil {
+			ts.Paths[ps.Path()] = ps
+			ts.List = append(ts.List, ps)
 		}
-		ts.byID[pid] = ps
-		ts.Paths[ps.Path()] = ps
-		ts.List = append(ts.List, ps)
 	}
 	sort.Slice(ts.List, func(i, j int) bool { return ts.List[i].Path() < ts.List[j].Path() })
-	return ts
 }
 
 // ApplyDelta folds a delta of document insertions/removals into the
 // statistics' retained accumulator store and returns a fresh snapshot
-// at the given table version. Only paths the delta touches are
-// recomputed; every other PathStat is shared with the old snapshot, so
-// the work is proportional to the delta (plus a sort of the path list),
-// never to the table.
+// at the given table version, bit-identical to a Collect at that
+// version. The work is O(values in the delta) plus one pointer per
+// path of the table (byID, List and Paths are copied, not re-derived):
+// a touched path's summary is updated in place and rendered as a new
+// PathStat, a touched path whose changes net to zero keeps its old one,
+// and every untouched PathStat is shared with the old snapshot. The
+// exception is a fold that moves a path's numeric range (see
+// valueAcc.foldInto): that path is re-derived from its full multiset,
+// O(distinct values on it), because its histogram buckets must be
+// re-cut. A path appearing or vanishing also re-sorts the path list.
 //
 // The receiver must be the newest snapshot built over its store: older
 // snapshots stay valid for concurrent readers but must not apply
@@ -429,34 +504,63 @@ func (ts *TableStats) ApplyDelta(d *Delta, version int64) (*TableStats, error) {
 	store.docs += d.docs
 	store.nodes += d.nodes
 	for _, pid := range d.touched {
-		d.accs[pid].foldInto(store.ensure(pid))
+		store.ensure(pid)
 	}
 
 	out := &TableStats{
-		Table:        ts.Table,
-		Version:      version,
-		DocCount:     store.docs,
-		TotalNodes:   store.nodes,
-		dict:         ts.dict,
-		acc:          store,
-		patternCache: make(map[string]PatternStats),
-		matchedCache: make(map[string][]*PathStat),
+		Table:      ts.Table,
+		Version:    version,
+		DocCount:   store.docs,
+		TotalNodes: store.nodes,
+		Paths:      ts.Paths,
+		dict:       ts.dict,
+		acc:        store,
+		patterns:   ts.patterns,
 	}
 	out.byID = make([]*PathStat, len(store.accs))
 	copy(out.byID, ts.byID)
+	var changed []xmltree.PathID
+	relist := false
 	for _, pid := range d.touched {
-		out.byID[pid] = buildPathStat(ts.dict, pid, store.accs[pid])
-	}
-	out.Paths = make(map[string]*PathStat, len(ts.Paths))
-	out.List = make([]*PathStat, 0, len(ts.List))
-	for _, ps := range out.byID {
-		if ps == nil {
+		acc, prev := store.accs[pid], out.byID[pid]
+		if !d.accs[pid].foldInto(acc) {
 			continue
 		}
-		out.Paths[ps.Path()] = ps
-		out.List = append(out.List, ps)
+		var labels []string
+		if prev != nil {
+			labels = prev.Labels
+		} else {
+			labels = ts.dict.Labels(pid)
+		}
+		if !acc.summarized {
+			acc.summarize()
+			out.rederived++
+		}
+		ps := acc.pathStat(labels, pid)
+		if ps == nil && prev == nil {
+			continue
+		}
+		out.byID[pid] = ps
+		changed = append(changed, pid)
+		relist = relist || (ps == nil) != (prev == nil)
 	}
-	sort.Slice(out.List, func(i, j int) bool { return out.List[i].Path() < out.List[j].Path() })
+	out.seq = ts.patterns.advance(changed)
+
+	switch {
+	case relist:
+		out.listPaths()
+	case len(changed) == 0:
+		out.List = ts.List
+	default:
+		out.List = make([]*PathStat, len(ts.List))
+		for i, ps := range ts.List {
+			out.List[i] = out.byID[ps.PathID]
+		}
+		out.Paths = maps.Clone(ts.Paths)
+		for _, pid := range changed {
+			out.Paths[out.byID[pid].Path()] = out.byID[pid]
+		}
+	}
 	return out, nil
 }
 

@@ -23,16 +23,21 @@ func newHistogram(min, max float64, samples []float64) *Histogram {
 	return h
 }
 
-func (h *Histogram) bucketOf(v float64) int {
-	if h.Max <= h.Min {
+func (h *Histogram) bucketOf(v float64) int { return bucketIndex(h.Min, h.Max, v) }
+
+// bucketIndex is the equi-width bucket of v over [min, max]: a pure
+// function of the three, which is what lets a statistics fold move one
+// value's mass between buckets without re-cutting the histogram.
+func bucketIndex(min, max, v float64) int {
+	if max <= min {
 		return 0
 	}
-	i := int((v - h.Min) / (h.Max - h.Min) * float64(len(h.Buckets)))
+	i := int((v - min) / (max - min) * histogramBuckets)
 	if i < 0 {
 		i = 0
 	}
-	if i >= len(h.Buckets) {
-		i = len(h.Buckets) - 1
+	if i >= histogramBuckets {
+		i = histogramBuckets - 1
 	}
 	return i
 }

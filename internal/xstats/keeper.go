@@ -12,9 +12,13 @@ import (
 // to the table's change feed, accumulates insertions/removals into a
 // pending Delta, and folds the delta into the current TableStats
 // snapshot on demand. After a K-document change batch, refreshing costs
-// O(K · doc size) — never a full table re-pass — and a snapshot at
-// table version V is bit-identical to a fresh Collect at version V
-// (the xstats golden tests assert this).
+// O(values in the K documents) plus one pointer per path of the table
+// — never a re-pass over the table, and not a re-derivation of the
+// touched paths either: a path is re-derived from its full value
+// multiset only when the batch moves its numeric range (see
+// TableStats.ApplyDelta). A snapshot at table version V is
+// bit-identical to a fresh Collect at version V (the xstats golden
+// tests assert this after every step of a mutation stream).
 //
 // Snapshots returned by Stats are immutable and safe to share with
 // concurrent readers; the keeper alone mutates the underlying store.
@@ -31,6 +35,9 @@ type Keeper struct {
 	snap    atomic.Pointer[TableStats] // latest built snapshot
 	mu      sync.Mutex                 // guards pending and snapshot rebuilds
 	pending *Delta
+
+	folds    atomic.Int64 // deltas folded into the snapshot
+	rebuilds atomic.Int64 // paths those folds re-derived from their full multisets
 }
 
 // NewKeeper builds the initial statistics for the table and subscribes
@@ -65,9 +72,10 @@ func (k *Keeper) onChange(c storage.Change) {
 }
 
 // Stats returns the current statistics snapshot, folding any pending
-// changes in first. Work is proportional to the changes since the last
-// call, never to the table size; when nothing changed it is two atomic
-// loads.
+// changes in first: O(values in the documents changed since the last
+// call) plus one pointer per path of the table, and O(distinct values)
+// more for each path whose numeric range the changes moved. When
+// nothing changed it is two atomic loads.
 func (k *Keeper) Stats() *TableStats {
 	if snap := k.snap.Load(); snap.Version == k.version.Load() {
 		// A concurrent rebuild may publish a newer snapshot between the
@@ -94,6 +102,8 @@ func (k *Keeper) statsLocked() *TableStats {
 		}
 		k.snap.Store(ns)
 		k.pending.Reset()
+		k.folds.Add(1)
+		k.rebuilds.Add(int64(ns.rederived))
 		snap = ns
 	}
 	return snap
@@ -117,6 +127,14 @@ func (k *Keeper) CloneStats() *TableStats {
 // Version returns the table version the keeper has observed (which the
 // next Stats call will cover).
 func (k *Keeper) Version() int64 { return k.version.Load() }
+
+// FoldCounts returns how many deltas the keeper has folded into its
+// snapshot and how many paths those folds re-derived from their full
+// value multisets instead of updating in place: a path whose numeric
+// range the delta moved, or one the store had not seen.
+func (k *Keeper) FoldCounts() (folds, pathRebuilds int64) {
+	return k.folds.Load(), k.rebuilds.Load()
+}
 
 // KeeperSet lazily maintains one Keeper per table of a database. It
 // implements the optimizer's StatsSource, making every statistics read
@@ -166,6 +184,17 @@ func (ks *KeeperSet) TableStats(table string) (*TableStats, error) {
 		return nil, err
 	}
 	return k.Stats(), nil
+}
+
+// FoldCounts sums Keeper.FoldCounts over the tables kept so far.
+func (ks *KeeperSet) FoldCounts() (folds, pathRebuilds int64) {
+	ks.mu.RLock()
+	defer ks.mu.RUnlock()
+	for _, k := range ks.keepers {
+		f, r := k.FoldCounts()
+		folds, pathRebuilds = folds+f, pathRebuilds+r
+	}
+	return folds, pathRebuilds
 }
 
 // CloneTableStats returns an independently-owned copy of the table's

@@ -18,10 +18,9 @@ import (
 // use this on hot paths.
 func CollectReference(t *storage.Table) *TableStats {
 	ts := &TableStats{
-		Table:        t.Name,
-		Version:      t.Version(),
-		Paths:        make(map[string]*PathStat),
-		patternCache: make(map[string]PatternStats),
+		Table:   t.Name,
+		Version: t.Version(),
+		Paths:   make(map[string]*PathStat),
 	}
 	distinctStr := make(map[string]map[string]struct{})
 	distinctNum := make(map[string]map[float64]struct{})

@@ -19,7 +19,6 @@ package xstats
 import (
 	"math"
 	"strings"
-	"sync"
 
 	"xixa/internal/btree"
 	"xixa/internal/storage"
@@ -81,16 +80,15 @@ type TableStats struct {
 	// the table. Nil for the reference collector, whose stats cannot be
 	// incrementally maintained.
 	acc *Delta
+	// rederived is how many paths the fold that built this snapshot
+	// re-derived from their full multisets (see ApplyDelta).
+	rederived int
 
-	// mu guards the caches below. A read-write lock because ForPattern
-	// is on the optimizer's hot path and, once warm, is all cache hits —
-	// parallel advisor pipelines would otherwise serialize here.
-	mu           sync.RWMutex
-	patternCache map[string]PatternStats
-	// matchedCache memoizes, per stripped pattern, the List entries the
-	// pattern matches — the pattern is matched against the (tiny)
-	// dictionary once instead of per ForPattern type variant.
-	matchedCache map[string][]*PathStat
+	// patterns memoizes ForPattern for every snapshot over the store
+	// and seq places this snapshot in it (see patternTable). Nil for
+	// the reference collector, which has no dictionary to match over.
+	patterns *patternTable
+	seq      uint64
 }
 
 // PathDict returns the dictionary the statistics were collected
@@ -163,90 +161,76 @@ func (ts *TableStats) EntriesPerDoc(p PatternStats) float64 {
 // mirroring xindex's key encoding.
 const numericKeyBytes = 9
 
-// matchedStats returns the List entries (in List order) whose label
-// path the linear pattern matches, memoized per stripped pattern. With
-// a dictionary the pattern NFA is threaded parent→child over the
-// dictionary's entries — O(paths·steps) regardless of depth; without
-// one (reference collector) each entry's label slice is matched
-// directly.
-func (ts *TableStats) matchedStats(strip string, p xpath.Path) []*PathStat {
-	ts.mu.RLock()
-	matched, ok := ts.matchedCache[strip]
-	ts.mu.RUnlock()
-	if ok {
-		return matched
-	}
+// patternSum accumulates PatternStats over the PathStats a pattern
+// matches, which must be added in List order: merging histograms is not
+// commutative.
+type patternSum struct {
+	kind   xpath.ValueKind
+	out    PatternStats
+	ranged bool // out.Min/Max hold a numeric path's range already
+}
 
-	if ts.dict != nil && xpath.CompilablePattern(p) {
-		pm := xpath.NewPathMatcher(p)
-		snap := ts.dict.Snapshot()
-		states := pm.ExtendStates(snap, make([]xpath.MatchState, 0, len(snap)))
-		for _, st := range ts.List {
-			if st.PathID >= 0 && int(st.PathID) < len(states) && pm.Matched(states[st.PathID]) {
-				matched = append(matched, st)
+func (s *patternSum) add(st *PathStat) {
+	out := &s.out
+	if s.kind == xpath.NumberVal {
+		out.Entries += st.NumericCount
+		out.KeyBytes += st.NumericCount * numericKeyBytes
+		out.Distinct += st.DistinctNums
+		if st.NumericCount > 0 {
+			if !s.ranged {
+				out.Min, out.Max = st.Min, st.Max
+				s.ranged = true
+			} else {
+				out.Min = math.Min(out.Min, st.Min)
+				out.Max = math.Max(out.Max, st.Max)
 			}
+			out.Hist = out.Hist.merge(st.Hist)
 		}
-	} else {
-		for _, st := range ts.List {
-			if xpath.MatchesLabelPath(p, st.Labels) {
-				matched = append(matched, st)
-			}
-		}
+		return
 	}
+	out.Entries += st.Count
+	// +1 per key for the type tag byte used by the key encoding.
+	out.KeyBytes += st.ValueBytes + st.Count
+	out.Distinct += st.DistinctStrings
+}
 
-	ts.mu.Lock()
-	if ts.matchedCache == nil {
-		ts.matchedCache = make(map[string][]*PathStat)
-	}
-	ts.matchedCache[strip] = matched
-	ts.mu.Unlock()
-	return matched
+func (s *patternSum) stats() PatternStats {
+	s.out.SizeBytes = btree.EstimateSizeBytes(int(s.out.Entries), s.out.KeyBytes, 0)
+	s.out.Levels = btree.EstimateLevels(int(s.out.Entries), 0)
+	return s.out
 }
 
 // ForPattern aggregates the synopsis over all label paths matched by the
 // linear pattern, producing the statistics a virtual index on that
-// pattern would have. Results are memoized per (pattern, kind).
+// pattern would have. Results are memoized per (pattern, kind) in the
+// store's pattern table, so they outlive this snapshot: after a fold,
+// only patterns matching a path the fold changed are derived again, and
+// those from their remembered PathIDs, without re-running the pattern
+// NFA.
 func (ts *TableStats) ForPattern(p xpath.Path, kind xpath.ValueKind) PatternStats {
-	strip := p.StripPreds().String()
-	key := strip + "|" + kind.String()
-	ts.mu.RLock()
-	if ps, ok := ts.patternCache[key]; ok {
-		ts.mu.RUnlock()
-		return ps
-	}
-	ts.mu.RUnlock()
-
-	var out PatternStats
-	first := true
-	for _, st := range ts.matchedStats(strip, p) {
-		if kind == xpath.NumberVal {
-			out.Entries += st.NumericCount
-			out.KeyBytes += st.NumericCount * numericKeyBytes
-			out.Distinct += st.DistinctNums
-			if st.NumericCount > 0 {
-				if first {
-					out.Min, out.Max = st.Min, st.Max
-					first = false
-				} else {
-					out.Min = math.Min(out.Min, st.Min)
-					out.Max = math.Max(out.Max, st.Max)
-				}
-				out.Hist = out.Hist.merge(st.Hist)
+	sum := patternSum{kind: kind}
+	if ts.patterns == nil {
+		// The reference collector: no dictionary, so each path's label
+		// slice is matched directly and nothing is remembered.
+		for _, st := range ts.List {
+			if xpath.MatchesLabelPath(p, st.Labels) {
+				sum.add(st)
 			}
-		} else {
-			out.Entries += st.Count
-			// +1 per key for the type tag byte used by the key encoding.
-			out.KeyBytes += st.ValueBytes + st.Count
-			out.Distinct += st.DistinctStrings
+		}
+		return sum.stats()
+	}
+	stats, e, pids := ts.patterns.lookup(p.StripPreds().String(), p, kind, ts.seq)
+	if e == nil {
+		return stats
+	}
+	for _, pid := range pids {
+		if st := ts.ByPathID(pid); st != nil {
+			sum.add(st)
 		}
 	}
-	out.SizeBytes = btree.EstimateSizeBytes(int(out.Entries), out.KeyBytes, 0)
-	out.Levels = btree.EstimateLevels(int(out.Entries), 0)
-
-	ts.mu.Lock()
-	ts.patternCache[key] = out
-	ts.mu.Unlock()
-	return out
+	stats = sum.stats()
+	ts.patterns.remember(e, kind, ts.seq, stats)
+	return stats
 }
 
 // Selectivity estimates the fraction of index entries satisfying a
