@@ -913,6 +913,16 @@ func benchWALDoc() *xmltree.Document {
 		End().Document()
 }
 
+// appendWALDoc logs one SECURITY insert the way a commit does: encode
+// the payload, append it through AppendTxn.
+func appendWALDoc(l *wal.Log, doc *xmltree.Document) (uint64, error) {
+	p, err := wal.EncodeDocInsert("SECURITY", doc, 0)
+	if err != nil {
+		return 0, err
+	}
+	return l.AppendTxn([][]byte{p})
+}
+
 // BenchmarkCommitThroughput measures committed mutations per second at
 // 8 concurrent writers under each durability discipline:
 //
@@ -946,7 +956,7 @@ func BenchmarkCommitThroughput(b *testing.B) {
 					if syncEach {
 						// No grouping: the statement's fsync is its own.
 						syncMu.Lock()
-						_, err := l.AppendDocInsert("SECURITY", doc, 0)
+						_, err := appendWALDoc(l, doc)
 						if err == nil {
 							err = l.Sync()
 						}
@@ -957,7 +967,7 @@ func BenchmarkCommitThroughput(b *testing.B) {
 						}
 						continue
 					}
-					lsn, err := l.AppendDocInsert("SECURITY", doc, 0)
+					lsn, err := appendWALDoc(l, doc)
 					if err == nil {
 						err = l.Commit(lsn)
 					}
@@ -1160,7 +1170,7 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 	for i := 0; i < records; i++ {
 		doc := benchWALDoc()
 		doc.DocID = int64(i)
-		if _, err := l.AppendDocInsert("SECURITY", doc, 0); err != nil {
+		if _, err := appendWALDoc(l, doc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -99,20 +99,23 @@
 // # Durability and crash recovery
 //
 // internal/wal layers a write-ahead log under the serving stack
-// (server.Recover, xixad -wal-dir): every table's change feed appends
-// its logical mutations — full-document inserts, removes, and the
-// tuning loop's index create/drop — as CRC-checked, length-prefixed
-// records — multi-statement transactions framed by txn-begin/commit
-// records so recovery applies committed transactions atomically and
-// discards unterminated frames; every record carries its commit stamp
-// and replay (server.Applier) restores stamp order through a reorder
-// buffer when disjoint-table commits interleaved in the log — and a
-// mutating statement returns
-// only after wal.Log.Commit makes its LSN durable. Commits group:
-// concurrent writers batch into
-// one fsync (SyncAlways), or flush to the OS with a background fsync
-// bounding the power-loss window (SyncBatched), so commit throughput
-// scales with batch size instead of disk latency. Checkpoints — LSN-
+// (server.Recover, xixad -wal-dir). A change reaches the log one way:
+// a committing transaction encodes its write set — full-document
+// inserts, replaces, removes — before its commit stamp exists, patches
+// the stamp in, and appends the batch (wal.Log.AppendTxn) under its
+// tables' commit locks, before the write set publishes; the tuning
+// loop's index create/drop records take the same entry point. Records
+// are CRC-checked and length-prefixed, and a multi-operation write set
+// is framed by txn-begin/commit records so recovery applies committed
+// transactions atomically and discards unterminated frames; every
+// commit carries its stamp and replay (server.Applier) restores stamp
+// order through a reorder buffer when disjoint-table commits
+// interleaved in the log. A mutating statement returns only after
+// wal.Log.Commit makes its LSN durable — a wait taken outside the
+// commit gate, so concurrent writers batch into one fsync (SyncAlways),
+// or flush to the OS with a background fsync bounding the power-loss
+// window (SyncBatched), and commit throughput scales with batch size
+// instead of disk latency. Checkpoints — LSN-
 // stamped snapshots plus a workload-capture sidecar, written
 // automatically once the log passes a size threshold — truncate the
 // log and bound recovery, which replays the tail past the checkpoint,

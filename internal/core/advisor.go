@@ -225,12 +225,6 @@ func (a *Advisor) AllIndexSize() int64 {
 	return totalSize(a.AllIndexConfig())
 }
 
-// WorkloadCost estimates the total workload cost under a configuration
-// (frequency-weighted, maintenance included).
-func (a *Advisor) WorkloadCost(cfg []*Candidate) float64 {
-	return a.eval.WorkloadCost(cfg)
-}
-
 // EstimatedSpeedup is the paper's evaluation metric: workload cost with
 // no XML indexes divided by workload cost under the configuration.
 func (a *Advisor) EstimatedSpeedup(cfg []*Candidate) float64 {

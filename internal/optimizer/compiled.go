@@ -64,16 +64,6 @@ type siteEval struct {
 	probe   float64
 }
 
-// Sites returns the statement's indexable predicate sites.
-func (cs *CompiledStatement) Sites() []PredSite { return cs.sites }
-
-// BaseCost returns the statement's no-index full-scan cost.
-func (cs *CompiledStatement) BaseCost() float64 { return cs.baseCost }
-
-// MatchingDocs returns the estimated number of documents satisfying all
-// of the statement's predicates.
-func (cs *CompiledStatement) MatchingDocs() float64 { return cs.matchingDocs }
-
 // Compile returns the compiled form of the statement, building and
 // caching it on first use. It fails only when the statement's table has
 // no collected statistics.

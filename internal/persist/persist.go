@@ -542,10 +542,10 @@ func LoadCheckpointFile(path string) (*storage.Database, []xindex.Definition, ui
 // node count, then kind/parent/name/value per node) — the payload
 // format the write-ahead log reuses for its doc-insert records so the
 // snapshot and the log can never disagree on what a document is. It
-// runs on the per-mutation hot path (inside the change-feed callback,
-// under the table lock), so it writes straight to w with no checksum
-// and no buffering of its own — the WAL frames the payload with its
-// own CRC.
+// runs on the per-commit hot path (the server's commit prepare hook,
+// before the commit stamp is allocated), so it writes straight to w
+// with no checksum and no buffering of its own — the WAL frames the
+// payload with its own CRC.
 func EncodeDoc(w io.Writer, doc *xmltree.Document) error {
 	return writeDoc(&countingWriter{w: w}, doc)
 }

@@ -45,13 +45,6 @@ func Wrap(c net.Conn, plan Plan) *Conn {
 	return &Conn{Conn: c, plan: plan}
 }
 
-// Severed reports whether the plan's sever has fired.
-func (c *Conn) Severed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.severed
-}
-
 // account charges n stream bytes and severs the connection when the
 // budget crosses. It returns how many of the n bytes are allowed
 // through before the cut.

@@ -454,6 +454,100 @@ func TestPromoteTruncatesOpenFrame(t *testing.T) {
 	}
 }
 
+// TestFollowerReplaysIndexDrop is the follower twin of the server's
+// TestRecoverReplaysIndexDrop: the primary's tuner builds indexes and
+// later drops one, the drop record arrives on the stream, and the
+// follower's index hook runs DropDeferred — its catalog and database
+// must end bit-identical to the primary's, with the surviving indexes
+// still maintained by the writes that follow.
+func TestFollowerReplaysIndexDrop(t *testing.T) {
+	cfg := primaryCfg(t.TempDir())
+	cfg.DropAfter = 1
+	srv, _, err := server.Recover(cfg, bootstrap(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	p, err := NewPrimary(srv, PrimaryConfig{Heartbeat: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	addr, err := p.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := StartFollower(followerCfg(t.TempDir(), addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	sess, err := srv.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := func(raw string) {
+		t.Helper()
+		if _, err := sess.Execute(raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	point := func(i int) string {
+		return fmt.Sprintf(`for $s in SECURITY('SDOC')/Security where $s/Symbol = "B%05d" return $s`, i)
+	}
+	// Round 1 sees both query shapes and builds an index for each; after
+	// that only the point queries keep arriving, so the sector query
+	// decays out of the capture and its index is dropped.
+	query(`for $s in SECURITY('SDOC')/Security where $s/Yield > 8.5 return $s`)
+	built, dropped := 0, 0
+	for round := 0; round < 12 && dropped == 0; round++ {
+		for i := 0; i < 10; i++ {
+			query(point(i))
+		}
+		rep, err := srv.TuneOnce()
+		if err != nil {
+			t.Fatal(err)
+		}
+		built += len(rep.Built)
+		dropped += len(rep.Dropped)
+	}
+	if built < 2 || dropped == 0 {
+		t.Fatalf("tuner built %d and dropped %d indexes; the streamed drop path is untested", built, dropped)
+	}
+	if _, err := sess.Execute(insertStmt("B00007", 88)); err != nil {
+		t.Fatal(err)
+	}
+	waitApplied(t, f, srv.WAL().LastLSN(), 5*time.Second)
+
+	want := srv.Catalog().Definitions()
+	got := f.Server().Catalog().Definitions()
+	if len(want) == 0 || len(got) != len(want) {
+		t.Fatalf("follower catalog holds %d definitions, primary %d (want equal and non-empty)", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Key() != want[i].Key() {
+			t.Fatalf("follower definition %d = %s, primary has %s", i, got[i], want[i])
+		}
+	}
+	if !bytes.Equal(dbBytes(t, f.Server()), dbBytes(t, srv)) {
+		t.Fatal("follower image diverged from primary after the streamed index drop")
+	}
+	// The surviving index answers on the follower, the post-drop insert
+	// included (two documents now carry the symbol).
+	fsess, err := f.Server().NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fsess.Execute(point(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Refs) != 2 {
+		t.Fatalf("follower point query found %d documents, want 2", len(res.Refs))
+	}
+}
+
 // TestZombieFencing: when any node that has witnessed a newer epoch
 // contacts the old primary, the old primary fences itself permanently
 // — reads keep serving, writes refuse, followers are turned away.

@@ -25,8 +25,10 @@ import (
 // below it closes, then the whole run drains in stamp order. Frames
 // that share a table are appended under that table's commit lock, so
 // they can never arrive stamp-inverted — only commuting
-// (disjoint-table) frames park. Unstamped records (stamp 0, from
-// legacy or synthetic logs) apply immediately in arrival order.
+// (disjoint-table) frames park. Every commit carries a stamp of at
+// least 1; a committed frame or bare document record stamped 0 is a
+// replay error, while an unterminated frame is discarded whatever its
+// records carry.
 //
 // Records must arrive in LSN order with no gaps; a record at or below
 // AppliedLSN is skipped silently (the dedup a follower needs when it
@@ -161,14 +163,15 @@ func (a *Applier) Apply(rec wal.Record) error {
 	return nil
 }
 
-// enqueueFrame routes one completed frame: unstamped frames apply
-// immediately in arrival order; stamped frames apply when their stamp
-// is next in sequence (then drain any parked successors) and park
+// enqueueFrame routes one completed frame: it applies when its stamp
+// is next in sequence (then drains any parked successors) and parks
 // otherwise. Stamps below the sequence are duplicates of
-// already-applied commits and are dropped.
+// already-applied commits and are dropped — except 0, which no commit
+// ever carried: dropping it as a "duplicate" would lose the write
+// silently.
 func (a *Applier) enqueueFrame(stamp, lsn uint64, frame []wal.Record) error {
 	if stamp == 0 {
-		return a.applyLegacyFrame(frame)
+		return fmt.Errorf("server: unstamped commit at LSN %d: log predates commit stamps or is corrupt", lsn)
 	}
 	if stamp < a.nextStamp {
 		return nil
@@ -265,35 +268,6 @@ func (a *Applier) applyFrame(stamp, lsn uint64, frame []wal.Record) error {
 		return fmt.Errorf("server: replay stamp %d: %w", stamp, err)
 	}
 	a.ops += len(ops)
-	return nil
-}
-
-// applyLegacyFrame publishes an unstamped frame through the table's
-// live mutation paths, in arrival order — the pre-stamp log format and
-// synthetic test logs.
-func (a *Applier) applyLegacyFrame(frame []wal.Record) error {
-	for i := range frame {
-		rec := &frame[i]
-		tbl, err := a.table(rec.Table)
-		if err != nil {
-			return err
-		}
-		switch rec.Kind {
-		case wal.RecDocInsert:
-			if err := tbl.InsertAt(rec.Doc, rec.DocID); err != nil {
-				return fmt.Errorf("server: replay LSN %d: %w", rec.LSN, err)
-			}
-		case wal.RecDocReplace:
-			if !tbl.Replace(rec.DocID, rec.Doc) {
-				return fmt.Errorf("server: replay LSN %d: replace of missing doc %d in %s", rec.LSN, rec.DocID, rec.Table)
-			}
-		case wal.RecDocRemove:
-			tbl.Delete(rec.DocID)
-		default:
-			return fmt.Errorf("server: replay LSN %d: record kind %v inside txn frame", rec.LSN, rec.Kind)
-		}
-		a.ops++
-	}
 	return nil
 }
 

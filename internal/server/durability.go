@@ -85,11 +85,10 @@ func (i *RecoverInfo) String() string {
 // LSN (tolerating a torn final record: replay stops at the first CRC
 // mismatch and the tear is truncated away), rebuilds the recovered
 // index catalog online, warm-starts the workload capture from the
-// checkpoint's sidecar, and attaches the WAL sink to every table
-// before the first session can open. If the directory holds no durable
-// state, bootstrap (may be nil) seeds the database and an initial
-// checkpoint is written before serving, so the seed data itself is
-// never at risk.
+// checkpoint's sidecar, and hands the server the open log before the
+// first session can open. If the directory holds no durable state,
+// bootstrap (may be nil) seeds the database and an initial checkpoint
+// is written before serving, so the seed data itself is never at risk.
 //
 // This is the daemon's one start path: a graceful restart and a
 // crash recovery differ only in how many records the tail holds.
@@ -128,7 +127,6 @@ func Recover(cfg Config, bootstrap func() (*storage.Database, error)) (*Server, 
 	// Open the log and scan its intact records.
 	l, scanned, err := wal.Open(filepath.Join(cfg.WALDir, walLogFile), wal.Options{
 		Policy:       cfg.SyncPolicy,
-		MaxDelay:     cfg.SyncMaxDelay,
 		SegmentBytes: cfg.SegmentBytes,
 		ArchiveDir:   cfg.ArchiveDir,
 	})
@@ -219,17 +217,13 @@ func Recover(cfg Config, bootstrap func() (*storage.Database, error)) (*Server, 
 	}
 	info.IndexesRebuilt = len(defs)
 
-	// The sink attaches only now: replayed mutations must not be
-	// re-logged, and no session can open before Recover returns. A
-	// replica gets the log WITHOUT the sink — its mutations arrive
-	// pre-logged from the primary's stream, and re-logging each applied
-	// record would double every write; Promote attaches the sink when
-	// the replica opens for writes.
-	if cfg.Replica {
-		s.setWAL(l, cfg.WALDir)
-	} else {
-		s.attachWAL(l, cfg.WALDir)
-	}
+	// The log attaches only now: replay applied its records straight to
+	// the tables, and no session can open before Recover returns. From
+	// here a record enters the log only through a commit (txnPrepare), a
+	// tuning round (applyTune) or, on a replica, the follower's stream.
+	s.wal = l
+	s.walDir = cfg.WALDir
+	l.InstrumentWith(s.met.reg)
 
 	// The capture sidecar is a warm-start cache, not data: a corrupt
 	// one must not block recovery of an otherwise-healthy server. The
@@ -268,59 +262,6 @@ func removeDef(defs []xindex.Definition, def xindex.Definition) []xindex.Definit
 		}
 	}
 	return defs
-}
-
-// attachWAL wires the log under the server: every table's change feed
-// gains a sink that appends the mutation to the log (buffered; the
-// statement's group-commit fsync makes it durable), so the WAL sees
-// exactly the logical events the statistics keeper and online indexes
-// see. Changes published by transaction commits (Change.Txn) are
-// skipped: the commit already appended them itself, framed, inside the
-// publish lock (txnPrepare), and re-logging them here would double
-// every transactional write on replay.
-func (s *Server) attachWAL(l *wal.Log, dir string) {
-	s.setWAL(l, dir)
-	s.attachSink()
-}
-
-// setWAL hands the server its log without a change-feed sink — the
-// replica configuration, where every record arrives from the primary's
-// stream already logged. Promote upgrades to a full attachWAL. The log
-// joins the server's metrics registry here, on both paths.
-func (s *Server) setWAL(l *wal.Log, dir string) {
-	s.wal = l
-	s.walDir = dir
-	l.InstrumentWith(s.met.reg)
-}
-
-// attachSink subscribes the WAL sink to every table's change feed.
-func (s *Server) attachSink() {
-	for _, name := range s.db.TableNames() {
-		tbl, err := s.db.Table(name)
-		if err != nil {
-			continue
-		}
-		t := tbl
-		id := t.Subscribe(func(c storage.Change) {
-			if c.Txn {
-				return
-			}
-			// Append errors are sticky inside the log; the committing
-			// statement surfaces them. A copy-on-write replacement
-			// arrives as a Replaced remove+insert pair under one table
-			// lock hold; only the insert half is logged, as a single
-			// atomic RecDocReplace, so no crash can tear the pair.
-			switch {
-			case c.Kind == storage.DocInserted && c.Replaced:
-				s.wal.AppendDocReplace(t.Name, c.Doc, c.LSN)
-			case c.Kind == storage.DocInserted:
-				s.wal.AppendDocInsert(t.Name, c.Doc, c.LSN)
-			case c.Kind == storage.DocRemoved && !c.Replaced:
-				s.wal.AppendDocRemove(t.Name, c.Doc.DocID, c.LSN)
-			}
-		})
-		s.walSubs = append(s.walSubs, walSub{tbl: t, id: id})
-	}
 }
 
 // WAL returns the server's write-ahead log (nil without durability).

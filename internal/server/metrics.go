@@ -5,7 +5,7 @@ package server
 // and a replica under test — never share counters) and one obs.Tracer.
 // The serving layer's own counters live here as registry handles, and
 // the layers below (storage, WAL, xindex manager) register theirs in
-// New/attachWAL, so TxnStats, \stats, and /metrics all read the same
+// New/Recover, so TxnStats, \stats, and /metrics all read the same
 // numbers.
 
 import (

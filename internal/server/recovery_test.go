@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +14,8 @@ import (
 	"xixa/internal/persist"
 	"xixa/internal/storage"
 	"xixa/internal/wal"
+	"xixa/internal/xindex"
+	"xixa/internal/xpath"
 	"xixa/internal/xquery"
 )
 
@@ -712,5 +716,171 @@ func TestRecoverRefusesMissingCheckpointAtStartZero(t *testing.T) {
 	}
 	if _, _, err := Recover(durableCfg(dir), bootstrapFixture(10)); err == nil {
 		t.Fatal("recovery with WAL records but no checkpoint must fail loudly")
+	}
+}
+
+// TestRecoverRejectsUnstampedCommit: every commit carries a stamp of at
+// least 1, so a stamp-0 bare document record or commit record is a log
+// from before commit stamps, or corruption. Replay must refuse it by
+// LSN — dropping it as a "duplicate" of an applied stamp would lose the
+// write silently — while an unterminated frame is discarded whatever
+// its records carry.
+func TestRecoverRejectsUnstampedCommit(t *testing.T) {
+	ins := func(stamp uint64) []byte {
+		doc := secDoc("UNSTAMPED", "Recovered", 1)
+		doc.DocID = 1000
+		p, err := wal.EncodeDocInsert("SECURITY", doc, stamp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, tc := range []struct {
+		name     string
+		payloads [][]byte
+		wantErr  string // "" = replay succeeds and discards the frame
+	}{
+		{"bare record", [][]byte{ins(0)}, "unstamped commit at LSN 1"},
+		{"committed frame", [][]byte{wal.EncodeTxnBegin(7), ins(0), wal.EncodeTxnCommit(7, 0)}, "unstamped commit at LSN 3"},
+		{"unterminated frame", [][]byte{wal.EncodeTxnBegin(7), ins(0)}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := storage.NewDatabase()
+			tbl := db.MustCreateTable("SECURITY")
+			a := NewApplier(db, nil, 0, 0)
+			var err error
+			for i, p := range tc.payloads {
+				if err = a.Apply(record(t, uint64(i+1), p)); err != nil {
+					break
+				}
+			}
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !a.FrameOpen() || a.CommittedLSN() != 0 {
+					t.Fatalf("FrameOpen=%v CommittedLSN=%d, want an open frame and nothing committed", a.FrameOpen(), a.CommittedLSN())
+				}
+			} else if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("replay error = %v, want one naming %q", err, tc.wantErr)
+			}
+			if tbl.DocCount() != 0 {
+				t.Fatalf("unstamped records published %d documents", tbl.DocCount())
+			}
+		})
+	}
+
+	// End to end: the same bare record behind a real checkpoint fails
+	// Recover instead of resurfacing as a document.
+	dir := t.TempDir()
+	srv, _, err := Recover(durableCfg(dir), bootstrapFixture(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	l, _, err := wal.Open(WALPath(dir), wal.Options{Policy: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.AppendTxn([][]byte{ins(0)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if srv2, _, err := Recover(durableCfg(dir), nil); err == nil {
+		srv2.Close()
+		t.Fatal("Recover accepted an unstamped commit")
+	} else if !strings.Contains(err.Error(), "unstamped commit at LSN") {
+		t.Fatalf("Recover error = %v, want the unstamped-commit refusal", err)
+	}
+}
+
+// TestRecoverReplaysIndexDrop covers the replay of an index *drop*
+// record, on both redo paths that see it. A durable server builds two
+// indexes and drops one through the tuner's apply path, inserts a
+// document both patterns match, and is abandoned without a checkpoint:
+// Recover must come back with exactly the surviving definition, its
+// online index equal to a cold build, and RestoreToLSN must see two
+// definitions just before the drop record and one at it.
+func TestRecoverReplaysIndexDrop(t *testing.T) {
+	dir := t.TempDir()
+	srv, _, err := Recover(durableCfg(dir), bootstrapFixture(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := func(pattern string) xindex.Definition {
+		pat, err := xpath.ParsePattern(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return xindex.Definition{Table: "SECURITY", Pattern: pat, Type: xpath.StringVal}
+	}
+	keep, gone := def("/Security/Symbol"), def("/Security/SecInfo/*/Sector")
+
+	apply := func(build, drop []xindex.Definition) {
+		t.Helper()
+		srv.tuner.Lock()
+		defer srv.tuner.Unlock()
+		built, dropped, err := srv.applyTune(build, drop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(built) != len(build) || len(dropped) != len(drop) {
+			t.Fatalf("applyTune built %d dropped %d, want %d and %d", len(built), len(dropped), len(build), len(drop))
+		}
+	}
+	apply([]xindex.Definition{keep, gone}, nil)
+	apply(nil, []xindex.Definition{gone})
+	dropLSN := srv.WAL().LastLSN()
+
+	sess, err := srv.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, sess, insertStmt("DROPPED", 3))
+	want := dbBytes(t, srv)
+	// Crash: no Close, no checkpoint — the drop record is replayed, not
+	// folded into a snapshot.
+
+	srv2, info, err := Recover(durableCfg(dir), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	if info.IndexesRebuilt != 1 || !strings.Contains(info.String(), "1 indexes rebuilt") {
+		t.Fatalf("recovery reports %q (%d indexes rebuilt), want 1", info, info.IndexesRebuilt)
+	}
+	if got := dbBytes(t, srv2); !bytes.Equal(got, want) {
+		t.Fatal("recovered database and catalog not bit-identical to the pre-crash image")
+	}
+	defs := srv2.Catalog().Definitions()
+	if len(defs) != 1 || defs[0].Key() != keep.Key() {
+		t.Fatalf("recovered catalog = %v, want exactly %s", defs, keep)
+	}
+	tbl, err := srv2.DB().Table("SECURITY")
+	if err != nil {
+		t.Fatal(err)
+	}
+	online, _ := srv2.Catalog().Get(keep)
+	cold, err := xindex.Build(tbl, keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := indexEntries(online), indexEntries(cold); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered online index has %d entries, cold build %d (or they differ)", len(got), len(want))
+	}
+
+	for _, tc := range []struct {
+		target uint64
+		defs   int
+	}{{dropLSN - 1, 2}, {dropLSN, 1}} {
+		res, err := RestoreToLSN(dir, "", tc.target)
+		if err != nil {
+			t.Fatalf("RestoreToLSN(%d): %v", tc.target, err)
+		}
+		if len(res.Defs) != tc.defs {
+			t.Fatalf("RestoreToLSN(%d) holds %d definitions, want %d", tc.target, len(res.Defs), tc.defs)
+		}
 	}
 }

@@ -86,9 +86,6 @@ type Config struct {
 	// MaxSessions caps open sessions (0 = 256).
 	MaxSessions int
 
-	// CaptureSize bounds the workload capture ring
-	// (0 = workload.DefaultCaptureSize).
-	CaptureSize int
 	// DecayFactor is the per-tuning-round exponential decay applied to
 	// captured statement weights (0 = 0.7).
 	DecayFactor float64
@@ -125,9 +122,6 @@ type Config struct {
 	// (wal.SyncAlways / SyncBatched / SyncOff; the zero value is
 	// SyncAlways).
 	SyncPolicy wal.SyncPolicy
-	// SyncMaxDelay bounds the background fsync lag under
-	// wal.SyncBatched (0 = 2ms).
-	SyncMaxDelay time.Duration
 	// CheckpointBytes triggers an automatic checkpoint from the tuning
 	// loop's ticker once the WAL grows past it (0 = 64 MiB).
 	CheckpointBytes int64
@@ -141,10 +135,10 @@ type Config struct {
 	// from. Same filesystem as WALDir.
 	ArchiveDir string
 	// Replica starts the server as a read-only replication follower:
-	// mutations are refused with ErrReadOnly, the tuner refuses to run,
-	// and the WAL attaches without a change-feed sink (records arrive
-	// pre-logged from the primary's stream). Promote flips the server
-	// into a writable primary.
+	// mutations are refused with ErrReadOnly and the tuner refuses to
+	// run, so the only records entering its log are the ones the
+	// follower appends from the primary's stream. Promote flips the
+	// server into a writable primary.
 	Replica bool
 }
 
@@ -160,9 +154,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 256
-	}
-	if c.CaptureSize <= 0 {
-		c.CaptureSize = workload.DefaultCaptureSize
 	}
 	if c.DecayFactor <= 0 || c.DecayFactor >= 1 {
 		c.DecayFactor = 0.7
@@ -183,12 +174,6 @@ func (c Config) WithDefaults() Config {
 		c.CheckpointBytes = 64 << 20
 	}
 	return c
-}
-
-// walSub is one table's WAL-sink subscription handle.
-type walSub struct {
-	tbl *storage.Table
-	id  storage.SubID
 }
 
 // gate is the in-flight statement barrier deferred drops wait on:
@@ -230,12 +215,10 @@ type Server struct {
 	capture *workload.Capture
 
 	// wal, when non-nil (servers started through Recover), is the
-	// write-ahead log every table's change feed appends into; walSubs
-	// are the sink subscriptions, detached on Close because the
-	// database is caller-owned and may outlive the server.
-	wal     *wal.Log
-	walDir  string
-	walSubs []walSub
+	// write-ahead log every commit appends its write set to (txnPrepare)
+	// before publishing it.
+	wal    *wal.Log
+	walDir string
 
 	admit  chan struct{} // bounds statements in the system
 	slots  chan struct{} // bounds statements executing
@@ -289,7 +272,7 @@ func New(db *storage.Database, cfg Config) *Server {
 		opt:     opt,
 		cat:     cat,
 		eng:     engine.New(db, opt, cat),
-		capture: workload.NewCapture(cfg.CaptureSize),
+		capture: workload.NewCapture(workload.DefaultCaptureSize),
 		met:     newServerMetrics(),
 		admit:   make(chan struct{}, cfg.MaxConcurrent+cfg.QueueDepth),
 		slots:   make(chan struct{}, cfg.MaxConcurrent),
@@ -348,19 +331,12 @@ func (s *Server) Fenced() bool { return s.fenced.Load() }
 // working — a fenced server is a stale replica, not a corpse.
 func (s *Server) Fence() { s.fenced.Store(true) }
 
-// Promote flips a read-only replica into a writable primary: the WAL
-// change-feed sink attaches (a replica runs without one) and mutations
-// are accepted. The caller — replica.Follower.Promote — has already
-// stopped the stream and truncated any unterminated transaction frame
-// from the log. Promoting a server that is not a replica is a no-op.
-func (s *Server) Promote() {
-	if !s.readOnly.CompareAndSwap(true, false) {
-		return
-	}
-	if s.wal != nil && len(s.walSubs) == 0 {
-		s.attachSink()
-	}
-}
+// Promote flips a read-only replica into a writable primary: mutations
+// are accepted, and their commits append to the log the stream used to
+// feed. The caller — replica.Follower.Promote — has already stopped the
+// stream and truncated any unterminated transaction frame from the log.
+// Promoting a server that is not a replica is a no-op.
+func (s *Server) Promote() { s.readOnly.Store(false) }
 
 // WALDir returns the durability directory ("" without durability).
 func (s *Server) WALDir() string { return s.walDir }
@@ -586,10 +562,10 @@ func (sess *Session) Explain(raw string) (*optimizer.Plan, error) {
 // statements are rejected with ErrClosed, in-flight statements drain,
 // every online-built index releases its change-feed subscription — the
 // database is caller-owned and may outlive the server, and a dead
-// server's indexes must not keep taxing its mutations — and the WAL
-// sink detaches and the log flushes, fsyncs, and closes. Close does
-// NOT checkpoint; a shutdown without one simply leaves a longer tail
-// for the next Recover to replay.
+// server's indexes must not keep taxing its mutations — and the log
+// flushes, fsyncs, and closes. Close does NOT checkpoint; a shutdown
+// without one simply leaves a longer tail for the next Recover to
+// replay.
 func (s *Server) Close() {
 	if !s.closed.CompareAndSwap(false, true) {
 		return
@@ -600,9 +576,6 @@ func (s *Server) Close() {
 		if idx, ok := s.cat.Get(def); ok {
 			idx.Release()
 		}
-	}
-	for _, sub := range s.walSubs {
-		sub.tbl.Unsubscribe(sub.id)
 	}
 	if s.wal != nil {
 		s.wal.Close()

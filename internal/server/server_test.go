@@ -67,6 +67,16 @@ func refsKey(refs []xindex.Ref) string {
 	return string(b)
 }
 
+// indexEntries lists an index's entries in key order.
+func indexEntries(idx *xindex.Index) []string {
+	var out []string
+	idx.Walk(func(k []byte, r xindex.Ref) bool {
+		out = append(out, fmt.Sprintf("%x|%d|%d", k, r.Doc, r.Node))
+		return true
+	})
+	return out
+}
+
 // TestServeWhileTuneE2E is the subsystem's acceptance test: 8
 // concurrent clients issue queries while a mutator streams
 // inserts/updates/deletes through the same server; the tuning loop
@@ -238,15 +248,7 @@ func TestServeWhileTuneE2E(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got, want []string
-		online.Walk(func(k []byte, r xindex.Ref) bool {
-			got = append(got, fmt.Sprintf("%x|%d|%d", k, r.Doc, r.Node))
-			return true
-		})
-		cold.Walk(func(k []byte, r xindex.Ref) bool {
-			want = append(want, fmt.Sprintf("%x|%d|%d", k, r.Doc, r.Node))
-			return true
-		})
+		got, want := indexEntries(online), indexEntries(cold)
 		if len(got) != len(want) {
 			t.Fatalf("online %s: %d entries, cold build %d", def, len(got), len(want))
 		}

@@ -9,6 +9,7 @@ import (
 	"xixa/internal/obs"
 	"xixa/internal/optimizer"
 	"xixa/internal/storage"
+	"xixa/internal/wal"
 	"xixa/internal/workload"
 	"xixa/internal/xindex"
 )
@@ -199,16 +200,16 @@ func (s *Server) applyTune(build, drop []xindex.Definition) (built, dropped []xi
 	// create interleaved between two transactions' frames indexes
 	// exactly the first's effects, same as the live BuildOnline did
 	// (its SubscribeScan cut never splits a commit's per-table batch).
-	var lsn uint64
+	payloads := make([][]byte, 0, len(built)+len(dropped))
 	for _, def := range built {
-		if lsn, err = s.wal.AppendIndexCreate(def); err != nil {
-			return built, dropped, err
-		}
+		payloads = append(payloads, wal.EncodeIndexCreate(def))
 	}
 	for _, def := range dropped {
-		if lsn, err = s.wal.AppendIndexDrop(def); err != nil {
-			return built, dropped, err
-		}
+		payloads = append(payloads, wal.EncodeIndexDrop(def))
+	}
+	lsn, err := s.wal.AppendTxn(payloads)
+	if err != nil {
+		return built, dropped, err
 	}
 	return built, dropped, s.wal.Commit(lsn)
 }
@@ -228,8 +229,8 @@ func (s *Server) TuneOnce() (*TuneReport, error) {
 func (s *Server) tuneLocked() (*TuneReport, error) {
 	// A replica's catalog is driven by the primary's index records; a
 	// locally tuned configuration would diverge from the stream (and
-	// try to log create/drop records into a sink-less WAL). A fenced
-	// ex-primary must not mutate its catalog either.
+	// its create/drop records would collide with the LSNs the stream
+	// appends). A fenced ex-primary must not mutate its catalog either.
 	if err := s.writable(); err != nil {
 		return nil, err
 	}

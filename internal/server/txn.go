@@ -7,20 +7,22 @@ package server
 // losing transaction aborts without side effects and — for the
 // single-statement auto-commit path — retries on a fresh snapshot.
 //
-// Durability composes with MVCC here: commitTxn threads txnPrepare
-// into engine.Txn.Commit as the storage layer's prepare hook. The hook
-// encodes the write set into WAL payloads before the commit stamp
-// exists (document encoding is the expensive part), and the returned
-// append closure receives the stamp, patches it into the payloads
-// (wal.PatchStamp), and appends the batch while the commit holds its
-// tables' commit locks. Commits on disjoint tables append
+// Durability composes with MVCC here, and this is the one way a change
+// reaches the log: commitTxn threads txnPrepare into engine.Txn.Commit
+// as the storage layer's prepare hook. The hook encodes the write set
+// into WAL payloads before the commit stamp exists (document encoding
+// is the expensive part), and the returned append closure receives the
+// stamp, patches it into the payloads (wal.PatchStamp), and appends the
+// batch (wal.AppendTxn) while the commit holds its tables' commit locks
+// — before the write set publishes. commitTxn then waits for the group
+// fsync outside the commit gate. Commits on disjoint tables append
 // concurrently, so log order and stamp order may differ; every
 // bare/commit record carries its stamp and replay (server.Applier)
 // reorders frames back into stamp order — a serial replay of the log
 // in stamp order reproduces the concurrent execution bit for bit.
 // Multi-operation transactions are framed with txn-begin/txn-commit
-// records (wal.AppendTxn keeps the batch contiguous); recovery applies
-// a frame atomically and discards unterminated frames.
+// records (AppendTxn keeps the batch contiguous); recovery applies a
+// frame atomically and discards unterminated frames.
 // Single-operation transactions skip the framing: a bare document
 // record is self-framing, and the WAL's CRC tail-scan already drops a
 // torn final record.

@@ -50,7 +50,7 @@ func (r *TuneReport) String() string {
 // are aligned by workload.Capture.Merge, so shards that decayed a
 // different number of rounds combine with comparable weights.
 func (c *Cluster) MergedCapture() *workload.Capture {
-	m := workload.NewCapture(c.cfg.Server.CaptureSize * c.n)
+	m := workload.NewCapture(workload.DefaultCaptureSize * c.n)
 	for _, srv := range c.shards {
 		m.Merge(srv.Capture())
 	}

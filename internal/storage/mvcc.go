@@ -349,9 +349,6 @@ func (v *TableView) Scan(visit func(*xmltree.Document) bool) int {
 	return visitDocs(docs, visit)
 }
 
-// PathDict returns the table's shared path dictionary.
-func (v *TableView) PathDict() *xmltree.PathDict { return v.t.dict }
-
 // Programs returns the table's cache of compiled scan predicates.
 func (v *TableView) Programs() *xpath.ProgramCache { return v.t.programs }
 
@@ -578,11 +575,11 @@ func (db *Database) commitLocked(snapLSN uint64, ops []TxOp, prepare func(ops []
 			}
 			switch op.Kind {
 			case TxInsert:
-				t.applyInsertLocked(op.Doc, op.DocID, stamp, horizon, true)
+				t.applyInsertLocked(op.Doc, op.DocID, stamp, horizon)
 			case TxDelete:
-				t.applyDeleteLocked(op.DocID, stamp, horizon, true)
+				t.applyDeleteLocked(op.DocID, stamp, horizon)
 			case TxReplace:
-				t.applyReplaceLocked(op.DocID, op.Doc, stamp, horizon, true)
+				t.applyReplaceLocked(op.DocID, op.Doc, stamp, horizon)
 			}
 		}
 		t.mu.Unlock()
@@ -635,11 +632,11 @@ func (db *Database) ApplyCommitted(stamp uint64, ops []TxOp) error {
 				if op.DocID >= t.nextID {
 					t.nextID = op.DocID + 1
 				}
-				t.applyInsertLocked(op.Doc, op.DocID, stamp, horizon, true)
+				t.applyInsertLocked(op.Doc, op.DocID, stamp, horizon)
 			case TxDelete:
-				t.applyDeleteLocked(op.DocID, stamp, horizon, true)
+				t.applyDeleteLocked(op.DocID, stamp, horizon)
 			case TxReplace:
-				if !t.applyReplaceLocked(op.DocID, op.Doc, stamp, horizon, true) {
+				if !t.applyReplaceLocked(op.DocID, op.Doc, stamp, horizon) {
 					t.mu.Unlock()
 					return fmt.Errorf("storage: replay replace of missing doc %d in %q", op.DocID, name)
 				}

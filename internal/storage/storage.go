@@ -43,25 +43,10 @@ type Change struct {
 	Doc *xmltree.Document
 	// Version is the table's mutation counter after this change.
 	Version int64
-	// Replaced marks the two halves of an atomic replacement
-	// (Replace or Update): a DocRemoved with Replaced set is followed
-	// immediately, under the same lock hold, by a DocInserted with
-	// Replaced set for the same document ID. Subscribers that must
-	// treat the replacement as one indivisible event (the write-ahead
-	// log, which cannot afford a crash splitting the pair) key on it;
-	// value-level subscribers can ignore it and handle the pair as an
-	// ordinary remove+insert.
-	Replaced bool
 	// LSN is the commit stamp that produced this change. Every change
 	// of one transaction carries the same stamp, so feed subscribers
 	// can tell transaction boundaries apart.
 	LSN uint64
-	// Txn marks a change applied by a transaction commit (CommitTx).
-	// The write-ahead log sink skips such changes — the transaction
-	// manager logs them itself, framed, before they apply — while
-	// value-level subscribers (statistics, online indexes) treat them
-	// like any other mutation.
-	Txn bool
 }
 
 // tombstone marks a deleted slot in the insertion-order slice.
@@ -98,8 +83,8 @@ type Table struct {
 	// snapshot pins); standalone tables carry a private one.
 	mv *mvccState
 
-	// commitMu serializes committers targeting this table: legacy
-	// single-statement mutations and CommitTx validation+apply. It is
+	// commitMu serializes committers targeting this table: direct
+	// bulk-load mutations and CommitTx validation+apply. It is
 	// the outermost lock of the commit protocol (see mvcc.go) and is
 	// per-table, so commits on disjoint tables run concurrently.
 	commitMu sync.Mutex
@@ -221,7 +206,7 @@ func (t *Table) notify(c Change) {
 	}
 }
 
-// stampedApply runs one legacy (non-transactional) mutation under the
+// stampedApply runs one direct (non-transactional) mutation under the
 // table's commit lock. It allocates a commit stamp from the atomic
 // allocator, applies via fn (under t.mu, with the garbage-collection
 // horizon), and finishes the stamp so the watermark can advance over
@@ -247,7 +232,7 @@ func (t *Table) Insert(doc *xmltree.Document) int64 {
 	t.stampedApply(func(stamp, horizon uint64) {
 		id = t.nextID
 		t.nextID++
-		t.applyInsertLocked(doc, id, stamp, horizon, false)
+		t.applyInsertLocked(doc, id, stamp, horizon)
 	})
 	return id
 }
@@ -272,14 +257,14 @@ func (t *Table) InsertAt(doc *xmltree.Document, id int64) error {
 		if id >= t.nextID {
 			t.nextID = id + 1
 		}
-		t.applyInsertLocked(doc, id, stamp, horizon, false)
+		t.applyInsertLocked(doc, id, stamp, horizon)
 	})
 	return nil
 }
 
 // applyInsertLocked stores doc under id at the given commit stamp.
 // Callers hold t.mu and the commit protocol's outer locks.
-func (t *Table) applyInsertLocked(doc *xmltree.Document, id int64, stamp, horizon uint64, txn bool) {
+func (t *Table) applyInsertLocked(doc *xmltree.Document, id int64, stamp, horizon uint64) {
 	doc.InternPaths(t.dict)
 	doc.DocID = id
 	if old, ok := t.pos[id]; ok {
@@ -300,7 +285,7 @@ func (t *Table) applyInsertLocked(doc *xmltree.Document, id int64, stamp, horizo
 	t.nodes += int64(doc.Len())
 	t.bytes += doc.StorageBytes()
 	t.version++
-	t.notify(Change{Kind: DocInserted, Doc: doc, Version: t.version, LSN: stamp, Txn: txn})
+	t.notify(Change{Kind: DocInserted, Doc: doc, Version: t.version, LSN: stamp})
 }
 
 // SetNextID raises the table's next document ID (snapshot restore: the
@@ -336,7 +321,7 @@ func (t *Table) Delete(id int64) bool {
 		return false
 	}
 	t.stampedApply(func(stamp, horizon uint64) {
-		t.applyDeleteLocked(id, stamp, horizon, false)
+		t.applyDeleteLocked(id, stamp, horizon)
 	})
 	return true
 }
@@ -344,7 +329,7 @@ func (t *Table) Delete(id int64) bool {
 // applyDeleteLocked pushes a delete marker for id at the given commit
 // stamp, returning the removed document. Callers hold t.mu and the
 // commit protocol's outer locks.
-func (t *Table) applyDeleteLocked(id int64, stamp, horizon uint64, txn bool) (*xmltree.Document, bool) {
+func (t *Table) applyDeleteLocked(id int64, stamp, horizon uint64) (*xmltree.Document, bool) {
 	doc, ok := t.docs[id]
 	if !ok {
 		return nil, false
@@ -355,7 +340,7 @@ func (t *Table) applyDeleteLocked(id int64, stamp, horizon uint64, txn bool) (*x
 	t.pushVersionLocked(id, nil, stamp, horizon)
 	t.dead++
 	t.version++
-	t.notify(Change{Kind: DocRemoved, Doc: doc, Version: t.version, LSN: stamp, Txn: txn})
+	t.notify(Change{Kind: DocRemoved, Doc: doc, Version: t.version, LSN: stamp})
 	if t.dead > 64 && t.dead*2 > len(t.order) {
 		t.sweepLocked(horizon)
 	}
@@ -396,7 +381,7 @@ func (t *Table) Replace(id int64, newDoc *xmltree.Document) bool {
 		return false
 	}
 	t.stampedApply(func(stamp, horizon uint64) {
-		t.applyReplaceLocked(id, newDoc, stamp, horizon, false)
+		t.applyReplaceLocked(id, newDoc, stamp, horizon)
 	})
 	return true
 }
@@ -404,7 +389,7 @@ func (t *Table) Replace(id int64, newDoc *xmltree.Document) bool {
 // applyReplaceLocked swaps the document under id for newDoc at the
 // given commit stamp. Callers hold t.mu and the commit protocol's
 // outer locks.
-func (t *Table) applyReplaceLocked(id int64, newDoc *xmltree.Document, stamp, horizon uint64, txn bool) bool {
+func (t *Table) applyReplaceLocked(id int64, newDoc *xmltree.Document, stamp, horizon uint64) bool {
 	old, ok := t.docs[id]
 	if !ok {
 		return false
@@ -414,11 +399,11 @@ func (t *Table) applyReplaceLocked(id int64, newDoc *xmltree.Document, stamp, ho
 	t.nodes += int64(newDoc.Len()) - int64(old.Len())
 	t.bytes += newDoc.StorageBytes() - old.StorageBytes()
 	t.version++
-	t.notify(Change{Kind: DocRemoved, Doc: old, Version: t.version, LSN: stamp, Txn: txn, Replaced: true})
+	t.notify(Change{Kind: DocRemoved, Doc: old, Version: t.version, LSN: stamp})
 	t.docs[id] = newDoc
 	t.pushVersionLocked(id, newDoc, stamp, horizon)
 	t.version++
-	t.notify(Change{Kind: DocInserted, Doc: newDoc, Version: t.version, LSN: stamp, Txn: txn, Replaced: true})
+	t.notify(Change{Kind: DocInserted, Doc: newDoc, Version: t.version, LSN: stamp})
 	return true
 }
 

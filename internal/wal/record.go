@@ -11,9 +11,10 @@ import (
 	"xixa/internal/xpath"
 )
 
-// RecKind discriminates log records. The set mirrors the storage
-// change feed (document insert/remove) plus the catalog's index
-// definition lifecycle.
+// RecKind discriminates log records: the three operations of a
+// committed write set (storage.TxOp insert, replace, delete), the
+// frame markers that keep a multi-operation write set atomic, and the
+// catalog's index definition lifecycle.
 type RecKind uint8
 
 const (
@@ -74,8 +75,10 @@ type Record struct {
 	// RecDocRemove, or RecTxnCommit record. Log order and stamp order
 	// may differ for commits on disjoint tables (appends race outside
 	// any global lock), so replay applies frames in stamp order, not
-	// log order. Zero means unstamped (legacy/synthetic records):
-	// replay applies those in arrival order.
+	// log order. Commit stamps start at 1, and replay reads a frame's
+	// stamp from its commit record (a bare document record's from the
+	// record itself): a zero there is a replay error. Zero is only ever
+	// seen inside a frame that never committed, which replay discards.
 	Stamp uint64
 	// DocID identifies the document for RecDocInsert and RecDocRemove.
 	DocID int64
@@ -142,34 +145,9 @@ func putStamp(b *bytes.Buffer, stamp uint64) {
 	b.Write(tmp[:])
 }
 
-// AppendDocInsert logs a document (with its assigned ID) entering a
-// table at commit stamp stamp, returning the record's LSN.
-func (l *Log) AppendDocInsert(table string, doc *xmltree.Document, stamp uint64) (uint64, error) {
-	return l.appendDoc(RecDocInsert, table, doc, stamp)
-}
-
-// AppendDocReplace logs an atomic replacement: the document under
-// doc.DocID swaps to this post-image in one record.
-func (l *Log) AppendDocReplace(table string, doc *xmltree.Document, stamp uint64) (uint64, error) {
-	return l.appendDoc(RecDocReplace, table, doc, stamp)
-}
-
-func (l *Log) appendDoc(kind RecKind, table string, doc *xmltree.Document, stamp uint64) (uint64, error) {
-	p, err := encodeDoc(kind, table, doc, stamp)
-	if err != nil {
-		return 0, err
-	}
-	return l.append(p)
-}
-
-// AppendDocRemove logs a document leaving a table.
-func (l *Log) AppendDocRemove(table string, docID int64, stamp uint64) (uint64, error) {
-	return l.append(EncodeDocRemove(table, docID, stamp))
-}
-
-// Standalone payload encoders: transaction commits pre-encode their
-// record payloads outside the commit locks, then hand the batch to
-// AppendTxn in one piece (after PatchStamp fills the commit stamp in).
+// Payload encoders: a commit pre-encodes its record payloads outside
+// the commit locks, then hands the batch to AppendTxn in one piece
+// (after PatchStamp fills the commit stamp in).
 
 func encodeDoc(kind RecKind, table string, doc *xmltree.Document, stamp uint64) ([]byte, error) {
 	var b bytes.Buffer
@@ -183,17 +161,19 @@ func encodeDoc(kind RecKind, table string, doc *xmltree.Document, stamp uint64) 
 	return b.Bytes(), nil
 }
 
-// EncodeDocInsert builds the payload AppendDocInsert would log.
+// EncodeDocInsert builds the payload of a document (with its assigned
+// ID) entering a table at commit stamp stamp.
 func EncodeDocInsert(table string, doc *xmltree.Document, stamp uint64) ([]byte, error) {
 	return encodeDoc(RecDocInsert, table, doc, stamp)
 }
 
-// EncodeDocReplace builds the payload AppendDocReplace would log.
+// EncodeDocReplace builds the payload of an atomic replacement: the
+// document under doc.DocID swaps to this post-image in one record.
 func EncodeDocReplace(table string, doc *xmltree.Document, stamp uint64) ([]byte, error) {
 	return encodeDoc(RecDocReplace, table, doc, stamp)
 }
 
-// EncodeDocRemove builds the payload AppendDocRemove would log.
+// EncodeDocRemove builds the payload of a document leaving a table.
 func EncodeDocRemove(table string, docID int64, stamp uint64) []byte {
 	var b bytes.Buffer
 	b.WriteByte(byte(RecDocRemove))
@@ -222,17 +202,15 @@ func EncodeTxnCommit(txnID, stamp uint64) []byte {
 	return b.Bytes()
 }
 
-// AppendIndexCreate logs an index definition entering the catalog.
-func (l *Log) AppendIndexCreate(def xindex.Definition) (uint64, error) {
-	return l.appendIndex(RecIndexCreate, def)
-}
+// EncodeIndexCreate builds the payload of an index definition entering
+// the catalog.
+func EncodeIndexCreate(def xindex.Definition) []byte { return encodeIndex(RecIndexCreate, def) }
 
-// AppendIndexDrop logs an index definition leaving the catalog.
-func (l *Log) AppendIndexDrop(def xindex.Definition) (uint64, error) {
-	return l.appendIndex(RecIndexDrop, def)
-}
+// EncodeIndexDrop builds the payload of an index definition leaving
+// the catalog.
+func EncodeIndexDrop(def xindex.Definition) []byte { return encodeIndex(RecIndexDrop, def) }
 
-func (l *Log) appendIndex(kind RecKind, def xindex.Definition) (uint64, error) {
+func encodeIndex(kind RecKind, def xindex.Definition) []byte {
 	var b bytes.Buffer
 	b.WriteByte(byte(kind))
 	putStr(&b, def.Table)
@@ -242,7 +220,7 @@ func (l *Log) appendIndex(kind RecKind, def xindex.Definition) (uint64, error) {
 		vk = 1
 	}
 	b.WriteByte(vk)
-	return l.append(b.Bytes())
+	return b.Bytes()
 }
 
 // byteReader reads the scalar prefix of a payload.

@@ -34,7 +34,7 @@ func TestSegmentRollAndReopen(t *testing.T) {
 	l, _ := openTestLog(t, path, Options{Policy: SyncOff, SegmentBytes: smallSeg})
 	const n = 100
 	for i := 0; i < n; i++ {
-		if _, err := l.AppendDocRemove("SECURITY", int64(i), 0); err != nil {
+		if _, err := appendDocRemove(l, "SECURITY", int64(i), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,7 +61,7 @@ func TestSegmentRollAndReopen(t *testing.T) {
 		}
 	}
 	// Appends continue the sequence across the reopen.
-	lsn, err := l2.AppendDocRemove("SECURITY", 999, 0)
+	lsn, err := appendDocRemove(l2, "SECURITY", 999, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestCorruptTxnFrameBoundary(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	l, _ := openTestLog(t, path, Options{Policy: SyncOff})
 	// One standalone record, then the frame.
-	if _, err := l.AppendDocRemove("SECURITY", 100, 0); err != nil {
+	if _, err := appendDocRemove(l, "SECURITY", 100, 0); err != nil {
 		t.Fatal(err)
 	}
 	preFrame := l.SizeBytes()
@@ -179,7 +179,7 @@ func TestSegmentCorruptionTearsChain(t *testing.T) {
 	path := filepath.Join(dir, "wal.log")
 	l, _ := openTestLog(t, path, Options{Policy: SyncOff, SegmentBytes: smallSeg})
 	for i := 0; i < 100; i++ {
-		if _, err := l.AppendDocRemove("SECURITY", int64(i), 0); err != nil {
+		if _, err := appendDocRemove(l, "SECURITY", int64(i), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,7 +214,7 @@ func TestSegmentCorruptionTearsChain(t *testing.T) {
 		t.Fatalf("kept %d records, want everything before segment 2 (%d)", got, victim.start)
 	}
 	// The log is appendable and the sequence continues at the tear.
-	lsn, err := l2.AppendDocRemove("SECURITY", 999, 0)
+	lsn, err := appendDocRemove(l2, "SECURITY", 999, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestTruncateArchivesSegments(t *testing.T) {
 	l, _ := openTestLog(t, path, opts)
 	const n = 50
 	for i := 0; i < n; i++ {
-		if _, err := l.AppendDocRemove("SECURITY", int64(i), 0); err != nil {
+		if _, err := appendDocRemove(l, "SECURITY", int64(i), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -261,7 +261,7 @@ func TestTruncateArchivesSegments(t *testing.T) {
 	// New appends continue; a cursor from zero streams archived history
 	// and the live tail in one pass.
 	for i := n; i < n+10; i++ {
-		if _, err := l.AppendDocRemove("SECURITY", int64(i), 0); err != nil {
+		if _, err := appendDocRemove(l, "SECURITY", int64(i), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -306,14 +306,14 @@ func TestCursorTruncatedHistory(t *testing.T) {
 	l, _ := openTestLog(t, path, Options{Policy: SyncOff})
 	defer l.Close()
 	for i := 0; i < 5; i++ {
-		if _, err := l.AppendDocRemove("SECURITY", int64(i), 0); err != nil {
+		if _, err := appendDocRemove(l, "SECURITY", int64(i), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := l.Truncate(5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendDocRemove("SECURITY", 9, 0); err != nil {
+	if _, err := appendDocRemove(l, "SECURITY", 9, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Commit(6); err != nil {
@@ -343,7 +343,7 @@ func TestCursorFollowsLiveWriter(t *testing.T) {
 	writerDone := make(chan error, 1)
 	go func() {
 		for i := 0; i < n; i++ {
-			lsn, err := l.AppendDocRemove("SECURITY", int64(i), 0)
+			lsn, err := appendDocRemove(l, "SECURITY", int64(i), 0)
 			if err == nil {
 				err = l.Commit(lsn)
 			}
@@ -392,7 +392,7 @@ func TestTruncateTailInFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	l, _ := openTestLog(t, path, Options{Policy: SyncOff})
 	for i := 0; i < 5; i++ {
-		if _, err := l.AppendDocRemove("SECURITY", int64(i), 0); err != nil {
+		if _, err := appendDocRemove(l, "SECURITY", int64(i), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -404,7 +404,7 @@ func TestTruncateTailInFile(t *testing.T) {
 	}
 	// The sequence resumes at 4 and the dropped records stay dropped
 	// across a reopen.
-	lsn, err := l.AppendDocRemove("SECURITY", 40, 0)
+	lsn, err := appendDocRemove(l, "SECURITY", 40, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +429,7 @@ func TestTruncateTailUnwindsSegments(t *testing.T) {
 	path := filepath.Join(dir, "wal.log")
 	l, _ := openTestLog(t, path, Options{Policy: SyncOff, SegmentBytes: smallSeg})
 	for i := 0; i < 100; i++ {
-		if _, err := l.AppendDocRemove("SECURITY", int64(i), 0); err != nil {
+		if _, err := appendDocRemove(l, "SECURITY", int64(i), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -504,7 +504,7 @@ func TestFsyncGate(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	l, _ := openTestLog(t, path, Options{Policy: SyncAlways})
 	defer l.Close()
-	lsn1, err := l.AppendDocRemove("SECURITY", 1, 0)
+	lsn1, err := appendDocRemove(l, "SECURITY", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +517,7 @@ func TestFsyncGate(t *testing.T) {
 	l.f = &failingSyncFile{logFile: l.f, err: injected}
 	l.mu.Unlock()
 
-	lsn2, err := l.AppendDocRemove("SECURITY", 2, 0)
+	lsn2, err := appendDocRemove(l, "SECURITY", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +530,7 @@ func TestFsyncGate(t *testing.T) {
 	l.mu.Lock()
 	l.f = l.f.(*failingSyncFile).logFile
 	l.mu.Unlock()
-	if _, err := l.AppendDocRemove("SECURITY", 3, 0); !errors.Is(err, injected) {
+	if _, err := appendDocRemove(l, "SECURITY", 3, 0); !errors.Is(err, injected) {
 		t.Fatalf("append after fsync failure = %v, want sticky injected error", err)
 	}
 	if err := l.Commit(lsn2); !errors.Is(err, injected) {
@@ -550,7 +550,7 @@ func TestWaitFlushed(t *testing.T) {
 	}
 	done := make(chan uint64, 1)
 	go func() { done <- l.WaitFlushed(0, 5*time.Second) }()
-	lsn, err := l.AppendDocRemove("SECURITY", 1, 0)
+	lsn, err := appendDocRemove(l, "SECURITY", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

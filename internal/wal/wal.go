@@ -1,8 +1,11 @@
 // Package wal implements the write-ahead log underneath the serving
-// layer: an append-only, CRC-per-record, length-prefixed log of the
-// logical mutations the storage change feed emits (document insert,
-// remove, and atomic replace with the full node payload, index
-// definition create and drop).
+// layer: an append-only, CRC-per-record, length-prefixed log of
+// committed write sets (document insert, remove, and atomic replace
+// with the full node payload, framed when a commit holds several) and
+// index definition creates and drops. Records enter it two ways: a
+// local writer pre-encodes its payloads (record.go's Encode helpers)
+// and appends the batch with AppendTxn; a replication follower appends
+// the primary's payloads verbatim with AppendRaw.
 // A snapshot stamped with the log's LSN (persist's checkpoint format)
 // plus the log tail past that LSN is a complete redo history, so a
 // crashed server recovers every committed mutation by replaying the
@@ -36,12 +39,12 @@
 // Group commit: appends only buffer; durability comes from Commit. Under
 // SyncAlways, concurrent committers elect a leader that flushes the
 // buffer and issues one fsync covering every record appended so far —
-// concurrent transaction commits (which append under the storage
-// layer's publish lock, so log order equals commit order) batch into
+// concurrent transaction commits (which append under their tables'
+// commit locks and wait for the fsync after releasing them) batch into
 // one fsync, and commit throughput scales with the batch size instead
 // of disk latency. SyncBatched commits flush to the OS (surviving a
 // process crash) and leave fsync to a background ticker, bounding the
-// power-loss window to MaxDelay. SyncOff never syncs.
+// power-loss window to batchedSyncDelay. SyncOff never syncs.
 //
 // A failed append, flush, or fsync poisons the log with a sticky error:
 // every later append and commit is refused with it. Retrying an fsync
@@ -99,8 +102,8 @@ const (
 	// LSN, with concurrent committers grouped into one fsync.
 	SyncAlways SyncPolicy = iota
 	// SyncBatched flushes commits to the OS immediately (they survive a
-	// process crash) and fsyncs in the background at most every
-	// MaxDelay (the power-loss window).
+	// process crash) and fsyncs in the background every
+	// batchedSyncDelay (the power-loss window).
 	SyncBatched
 	// SyncOff never fsyncs; the OS flushes when it pleases.
 	SyncOff
@@ -134,9 +137,6 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 // Options tune a log.
 type Options struct {
 	Policy SyncPolicy
-	// MaxDelay is the background fsync period under SyncBatched
-	// (0 = 2ms).
-	MaxDelay time.Duration
 	// SegmentBytes rolls the active file into a sealed segment once it
 	// grows past this size (0 = never roll; the log stays one file).
 	SegmentBytes int64
@@ -147,12 +147,8 @@ type Options struct {
 	ArchiveDir string
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxDelay <= 0 {
-		o.MaxDelay = 2 * time.Millisecond
-	}
-	return o
-}
+// batchedSyncDelay is the background fsync period under SyncBatched.
+const batchedSyncDelay = 2 * time.Millisecond
 
 // logFile is the slice of *os.File the log writes through. It is an
 // interface so tests can inject failures (a Sync that returns an error
@@ -229,7 +225,6 @@ type OpenResult struct {
 // trimmed, and every later segment is removed. The returned log is
 // positioned for appending.
 func Open(path string, opts Options) (*Log, *OpenResult, error) {
-	opts = opts.withDefaults()
 	l := &Log{path: path, opts: opts}
 	l.cond = sync.NewCond(&l.mu)
 	res := &OpenResult{}
@@ -545,29 +540,6 @@ func (l *Log) appendLocked(payload []byte) error {
 	return nil
 }
 
-// append frames payload and buffers it, returning its LSN. Durability
-// comes from a later Commit or Sync.
-func (l *Log) append(payload []byte) (uint64, error) {
-	if len(payload) > maxRecordLen {
-		return 0, fmt.Errorf("wal: record of %d bytes exceeds limit", len(payload))
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, ErrClosed
-	}
-	if l.fail != nil {
-		return 0, l.fail
-	}
-	if err := l.appendLocked(payload); err != nil {
-		return 0, err
-	}
-	if err := l.maybeRollLocked(); err != nil {
-		return 0, err
-	}
-	return l.last, nil
-}
-
 // AppendRaw appends a pre-framed payload received from a replication
 // stream. lsn must be exactly LastLSN()+1 — the follower's dedup and
 // gap detection happen by LSN before calling this, so the local log
@@ -593,9 +565,11 @@ func (l *Log) AppendRaw(lsn uint64, payload []byte) error {
 	return l.maybeRollLocked()
 }
 
-// AppendTxn frames and buffers a transaction's payloads contiguously —
-// no other writer's records can interleave with the batch — and
-// returns the LSN of the batch's last record. A write failure poisons
+// AppendTxn is the local writer's one way into the log: it frames and
+// buffers a batch of pre-encoded payloads (a commit's write set, or a
+// tuning round's index records) contiguously — no other writer's
+// records can interleave with the batch — and returns the LSN of the
+// batch's last record. Durability comes from a later Commit or Sync. A write failure poisons
 // the log (l.fail), so a half-written batch can never be followed by
 // more records; recovery's tail-scan then drops the torn frame and the
 // transaction framing discards the unterminated transaction. The log
@@ -821,7 +795,7 @@ func (l *Log) syncLocked() error {
 // flusher is the SyncBatched background fsync loop.
 func (l *Log) flusher() {
 	defer close(l.flushDone)
-	ticker := time.NewTicker(l.opts.MaxDelay)
+	ticker := time.NewTicker(batchedSyncDelay)
 	defer ticker.Stop()
 	for {
 		select {

@@ -42,22 +42,47 @@ func openTestLog(t *testing.T, path string, opts Options) (*Log, *OpenResult) {
 	return l, res
 }
 
+// appendPayload logs one record through AppendTxn, the entry point
+// every local writer uses; the appendDoc* helpers encode one document
+// record each for it.
+func appendPayload(l *Log, p []byte) (uint64, error) { return l.AppendTxn([][]byte{p}) }
+
+func appendDocInsert(l *Log, table string, doc *xmltree.Document, stamp uint64) (uint64, error) {
+	p, err := EncodeDocInsert(table, doc, stamp)
+	if err != nil {
+		return 0, err
+	}
+	return appendPayload(l, p)
+}
+
+func appendDocReplace(l *Log, table string, doc *xmltree.Document, stamp uint64) (uint64, error) {
+	p, err := EncodeDocReplace(table, doc, stamp)
+	if err != nil {
+		return 0, err
+	}
+	return appendPayload(l, p)
+}
+
+func appendDocRemove(l *Log, table string, docID int64, stamp uint64) (uint64, error) {
+	return appendPayload(l, EncodeDocRemove(table, docID, stamp))
+}
+
 func TestRoundTripAllRecordKinds(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	l, _ := openTestLog(t, path, Options{Policy: SyncOff})
 	def := testDef(t)
 
 	doc := testDoc(t, 7)
-	if _, err := l.AppendDocInsert("SECURITY", doc, 0); err != nil {
+	if _, err := appendDocInsert(l, "SECURITY", doc, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendIndexCreate(def); err != nil {
+	if _, err := appendPayload(l, EncodeIndexCreate(def)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendDocRemove("SECURITY", 7, 0); err != nil {
+	if _, err := appendDocRemove(l, "SECURITY", 7, 0); err != nil {
 		t.Fatal(err)
 	}
-	lsn, err := l.AppendIndexDrop(def)
+	lsn, err := appendPayload(l, EncodeIndexDrop(def))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +140,7 @@ func TestTornFinalRecord(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "wal.log")
 			l, _ := openTestLog(t, path, Options{Policy: SyncOff})
 			for i := 0; i < 5; i++ {
-				if _, err := l.AppendDocInsert("SECURITY", testDoc(t, i), 0); err != nil {
+				if _, err := appendDocInsert(l, "SECURITY", testDoc(t, i), 0); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -143,7 +168,7 @@ func TestTornFinalRecord(t *testing.T) {
 			}
 			// The tear is gone: appends continue, and a further reopen
 			// sees a clean log.
-			lsn, err := l2.AppendDocRemove("SECURITY", 2, 0)
+			lsn, err := appendDocRemove(l2, "SECURITY", 2, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +198,7 @@ func TestCorruptMidFile(t *testing.T) {
 	l, _ := openTestLog(t, path, Options{Policy: SyncOff})
 	var offsets []int64
 	for i := 0; i < 5; i++ {
-		if _, err := l.AppendDocRemove("SECURITY", int64(i), 0); err != nil {
+		if _, err := appendDocRemove(l, "SECURITY", int64(i), 0); err != nil {
 			t.Fatal(err)
 		}
 		offsets = append(offsets, l.SizeBytes())
@@ -217,7 +242,7 @@ func TestTruncateResetsStartLSN(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	l, _ := openTestLog(t, path, Options{Policy: SyncOff})
 	for i := 0; i < 3; i++ {
-		if _, err := l.AppendDocRemove("SECURITY", int64(i), 0); err != nil {
+		if _, err := appendDocRemove(l, "SECURITY", int64(i), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -231,7 +256,7 @@ func TestTruncateResetsStartLSN(t *testing.T) {
 		t.Fatalf("size after truncate = %d, want %d", l.SizeBytes(), headerLen)
 	}
 	// Appends continue with the LSN sequence intact.
-	lsn, err := l.AppendDocRemove("SECURITY", 9, 0)
+	lsn, err := appendDocRemove(l, "SECURITY", 9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +292,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				lsn, err := l.AppendDocRemove("SECURITY", int64(w*1000+i), 0)
+				lsn, err := appendDocRemove(l, "SECURITY", int64(w*1000+i), 0)
 				if err == nil {
 					err = l.Commit(lsn)
 				}
@@ -306,7 +331,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 func TestBatchedPolicyDurableAfterClose(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	l, _ := openTestLog(t, path, Options{Policy: SyncBatched})
-	lsn, err := l.AppendDocRemove("SECURITY", 1, 0)
+	lsn, err := appendDocRemove(l, "SECURITY", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +383,7 @@ func TestDocPayloadMatchesPersistEncoding(t *testing.T) {
 	doc.DocID = 42
 	path := filepath.Join(t.TempDir(), "wal.log")
 	l, _ := openTestLog(t, path, Options{Policy: SyncOff})
-	if _, err := l.AppendDocInsert("ORDERS", doc, 0); err != nil {
+	if _, err := appendDocInsert(l, "ORDERS", doc, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -376,7 +401,7 @@ func TestDocReplaceRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	l, _ := openTestLog(t, path, Options{Policy: SyncOff})
 	doc := testDoc(t, 3)
-	if _, err := l.AppendDocReplace("SECURITY", doc, 0); err != nil {
+	if _, err := appendDocReplace(l, "SECURITY", doc, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -405,7 +430,7 @@ func TestPartialHeaderHeals(t *testing.T) {
 	if res.Torn || len(res.Records) != 0 {
 		t.Fatalf("healed log reports torn=%v records=%d", res.Torn, len(res.Records))
 	}
-	if _, err := l.AppendDocRemove("SECURITY", 1, 0); err != nil {
+	if _, err := appendDocRemove(l, "SECURITY", 1, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -416,13 +441,13 @@ func TestPartialHeaderHeals(t *testing.T) {
 func TestTruncateAdvancesPastLast(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	l, _ := openTestLog(t, path, Options{Policy: SyncOff})
-	if _, err := l.AppendDocRemove("SECURITY", 1, 0); err != nil {
+	if _, err := appendDocRemove(l, "SECURITY", 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Truncate(100); err != nil {
 		t.Fatal(err)
 	}
-	lsn, err := l.AppendDocRemove("SECURITY", 2, 0)
+	lsn, err := appendDocRemove(l, "SECURITY", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +494,7 @@ func TestAppendTxnFramingRoundTrip(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			if _, err := l.AppendDocRemove("NOISE", int64(i), 0); err != nil {
+			if _, err := appendDocRemove(l, "NOISE", int64(i), 0); err != nil {
 				t.Error(err)
 				return
 			}

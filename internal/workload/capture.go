@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"sort"
 	"sync"
 
 	"xixa/internal/xquery"
@@ -293,15 +292,4 @@ func (c *Capture) Summarize() Summary {
 	s := c.Workload().SummarizeWeighted()
 	s.DecayEpoch = c.DecayEpoch()
 	return s
-}
-
-// TopK returns the k heaviest captured statements with their rounded
-// frequencies, heaviest first (first-seen order on ties).
-func (c *Capture) TopK(k int) []Item {
-	w := c.Workload()
-	sort.SliceStable(w.Items, func(i, j int) bool { return w.Items[i].Freq > w.Items[j].Freq })
-	if k < len(w.Items) {
-		w.Items = w.Items[:k]
-	}
-	return w.Items
 }

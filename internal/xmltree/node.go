@@ -151,15 +151,6 @@ func (d *Document) NumericValue(id NodeID) (v float64, ok bool) {
 	return ParseNumeric(d.TextOf(id))
 }
 
-// PathIDOf returns the node's interned path ID, or NoPath when the
-// document's paths have not been interned.
-func (d *Document) PathIDOf(id NodeID) PathID {
-	if int(id) >= len(d.PathIDs) {
-		return NoPath
-	}
-	return d.PathIDs[id]
-}
-
 // LabelPath returns the rooted label path of the node, e.g.
 // "/Security/SecInfo/Sector" or "/Security/@id" for attributes.
 // Text nodes report their parent's path. With an attached path
