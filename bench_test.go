@@ -627,7 +627,7 @@ func BenchmarkUpdateThroughput(b *testing.B) {
 //     document (a new in-range Yield), or one insert plus one delete on
 //     ORDERS, then Keeper.Stats and ForPattern of the table's key path.
 func BenchmarkStatsRefreshAfterDelta(b *testing.B) {
-	open := func(b *testing.B, table string) (*storage.Table, *xstats.Keeper) {
+	open := func(b *testing.B, table string) (*storage.Database, *storage.Table, *xstats.Keeper) {
 		db, err := tpox.NewDatabase(1)
 		if err != nil {
 			b.Fatal(err)
@@ -638,14 +638,14 @@ func BenchmarkStatsRefreshAfterDelta(b *testing.B) {
 		}
 		keeper := xstats.NewKeeper(tbl)
 		keeper.Stats()
-		return tbl, keeper
+		return db, tbl, keeper
 	}
 	clone := func(src *xmltree.Document) *xmltree.Document {
 		return &xmltree.Document{Nodes: append([]xmltree.Node(nil), src.Nodes...), Dict: src.Dict,
 			PathIDs: append([]xmltree.PathID(nil), src.PathIDs...)}
 	}
 	b.Run("docs=200", func(b *testing.B) {
-		tbl, keeper := open(b, tpox.TableSecurity)
+		db, tbl, keeper := open(b, tpox.TableSecurity)
 		src, _ := tbl.Get(0)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -653,17 +653,17 @@ func BenchmarkStatsRefreshAfterDelta(b *testing.B) {
 			b.StopTimer()
 			var ids []int64
 			for j := 0; j < 100; j++ {
-				ids = append(ids, tbl.Insert(clone(src)))
+				ids = append(ids, benchCommit(b, db, storage.TxOp{Table: tpox.TableSecurity, Kind: storage.TxInsert, Doc: clone(src)}))
 			}
 			for _, id := range ids {
-				tbl.Delete(id)
+				benchCommit(b, db, storage.TxOp{Table: tpox.TableSecurity, Kind: storage.TxDelete, DocID: id})
 			}
 			b.StartTimer()
 			keeper.Stats()
 		}
 	})
 	b.Run("docs=1/security-replace", func(b *testing.B) {
-		tbl, keeper := open(b, tpox.TableSecurity)
+		db, tbl, keeper := open(b, tpox.TableSecurity)
 		key := xpath.MustParse("/Security/Symbol")
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -678,13 +678,13 @@ func BenchmarkStatsRefreshAfterDelta(b *testing.B) {
 					d.Nodes[j+1].Value = fmt.Sprintf("%.2f", 1+float64(i%800)/100)
 				}
 			}
-			tbl.Replace(id, d)
+			benchCommit(b, db, storage.TxOp{Table: tpox.TableSecurity, Kind: storage.TxReplace, DocID: id, Doc: d})
 			b.StartTimer()
 			keeper.Stats().ForPattern(key, xpath.StringVal)
 		}
 	})
 	b.Run("docs=1/orders-insert-delete", func(b *testing.B) {
-		tbl, keeper := open(b, tpox.TableOrders)
+		db, tbl, keeper := open(b, tpox.TableOrders)
 		key := xpath.MustParse("/Order/@ID")
 		src, _ := tbl.Get(0)
 		order := func(i int) *xmltree.Document {
@@ -694,15 +694,18 @@ func BenchmarkStatsRefreshAfterDelta(b *testing.B) {
 		}
 		// An order lives 64 iterations, as in xixabench's write stream.
 		const lag = 64
+		insert := func(i int) int64 {
+			return benchCommit(b, db, storage.TxOp{Table: tpox.TableOrders, Kind: storage.TxInsert, Doc: order(i)})
+		}
 		for i := 0; i < lag; i++ {
-			tbl.Insert(order(i))
+			insert(i)
 		}
 		keeper.Stats()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			tbl.Delete(tbl.Insert(order(lag+i)) - lag)
+			benchCommit(b, db, storage.TxOp{Table: tpox.TableOrders, Kind: storage.TxDelete, DocID: insert(lag+i) - lag})
 			b.StartTimer()
 			keeper.Stats().ForPattern(key, xpath.StringVal)
 		}
@@ -864,8 +867,16 @@ func BenchmarkOnlineBuildCatchup(b *testing.B) {
 					return
 				default:
 				}
-				id := tbl.Insert(mkDoc(j))
-				tbl.Delete(id)
+				ops := []storage.TxOp{{Table: tpox.TableSecurity, Kind: storage.TxInsert, Doc: mkDoc(j)}}
+				if _, _, err := db.CommitTx(db.Watermark(), ops, nil); err != nil {
+					b.Error(err)
+					return
+				}
+				ops = []storage.TxOp{{Table: tpox.TableSecurity, Kind: storage.TxDelete, DocID: ops[0].DocID}}
+				if _, _, err := db.CommitTx(db.Watermark(), ops, nil); err != nil {
+					b.Error(err)
+					return
+				}
 			}
 		}()
 		idx, err := xindex.BuildOnline(tbl, def)
@@ -883,23 +894,31 @@ func BenchmarkOnlineBuildCatchup(b *testing.B) {
 // stream. The id→position map keeps the delete O(1); the seed spliced
 // the insertion-order slice per delete, going quadratic under churn.
 func BenchmarkTableChurn(b *testing.B) {
-	tbl := storage.NewTable("CHURN")
+	db := storage.NewDatabase()
+	db.MustCreateTable("CHURN")
 	mk := func(i int) *xmltree.Document {
 		return xmltree.NewBuilder().
 			Begin("Doc").Leaf("V", fmt.Sprintf("%d", i)).End().Document()
 	}
 	var ids []int64
 	for i := 0; i < 20000; i++ {
-		ids = append(ids, tbl.Insert(mk(i)))
+		ids = append(ids, benchCommit(b, db, storage.TxOp{Table: "CHURN", Kind: storage.TxInsert, Doc: mk(i)}))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		victim := ids[i%len(ids)]
-		if !tbl.Delete(victim) {
-			b.Fatal("delete failed")
-		}
-		ids[i%len(ids)] = tbl.Insert(mk(i))
+		benchCommit(b, db, storage.TxOp{Table: "CHURN", Kind: storage.TxDelete, DocID: ids[i%len(ids)]})
+		ids[i%len(ids)] = benchCommit(b, db, storage.TxOp{Table: "CHURN", Kind: storage.TxInsert, Doc: mk(i)})
 	}
+}
+
+// benchCommit runs one operation as its own transaction at the current
+// watermark and returns its document ID.
+func benchCommit(b *testing.B, db *storage.Database, op storage.TxOp) int64 {
+	ops := []storage.TxOp{op}
+	if _, _, err := db.CommitTx(db.Watermark(), ops, nil); err != nil {
+		b.Fatal(err)
+	}
+	return ops[0].DocID
 }
 
 // benchWALDoc is the record payload of the commit benchmarks: a small
@@ -1010,9 +1029,12 @@ func BenchmarkMultiTableCommit(b *testing.B) {
 	run := func(b *testing.B, writers int, mode string) {
 		db := storage.NewDatabase()
 		for w := 0; w < writers; w++ {
-			tbl := db.MustCreateTable(fmt.Sprintf("T%02d", w))
-			tbl.Insert(xmltree.NewBuilder().
-				Begin("Security").Leaf("Symbol", "SEED").Leaf("Yield", "1.0").End().Document())
+			name := fmt.Sprintf("T%02d", w)
+			db.MustCreateTable(name)
+			if _, err := db.Load(name, xmltree.NewBuilder().
+				Begin("Security").Leaf("Symbol", "SEED").Leaf("Yield", "1.0").End().Document()); err != nil {
+				b.Fatal(err)
+			}
 		}
 		srv := server.New(db, server.Config{MaxConcurrent: writers, QueueDepth: 4 * writers})
 		defer srv.Close()
@@ -1187,12 +1209,12 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 			b.Fatalf("replayed %d records, want %d", len(res.Records), records)
 		}
 		db := storage.NewDatabase()
-		tbl := db.MustCreateTable("SECURITY")
+		db.MustCreateTable("SECURITY")
 		for _, rec := range res.Records {
 			if rec.Kind != wal.RecDocInsert {
 				b.Fatalf("unexpected record kind %v", rec.Kind)
 			}
-			if err := tbl.InsertAt(rec.Doc, rec.DocID); err != nil {
+			if err := db.ApplyCommitted(rec.Stamp, []storage.TxOp{{Table: "SECURITY", Kind: storage.TxInsert, DocID: rec.DocID, Doc: rec.Doc}}); err != nil {
 				b.Fatal(err)
 			}
 		}

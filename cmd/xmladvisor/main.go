@@ -176,15 +176,14 @@ func loadTable(db *storage.Database, spec string) error {
 		return fmt.Errorf("bad -load %q, want TABLE=dir", spec)
 	}
 	table, dir := spec[:eq], spec[eq+1:]
-	tbl, err := db.CreateTable(table)
-	if err != nil {
+	if _, err := db.CreateTable(table); err != nil {
 		return err
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return err
 	}
-	loaded := 0
+	var docs []*xmltree.Document
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".xml") {
 			continue
@@ -198,10 +197,12 @@ func loadTable(db *storage.Database, spec string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.Name(), err)
 		}
-		tbl.Insert(doc)
-		loaded++
+		docs = append(docs, doc)
 	}
-	fmt.Printf("Loaded %d documents into %s\n", loaded, table)
+	if _, err := db.Load(table, docs...); err != nil {
+		return err
+	}
+	fmt.Printf("Loaded %d documents into %s\n", len(docs), table)
 	return nil
 }
 

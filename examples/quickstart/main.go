@@ -21,8 +21,9 @@ func main() {
 	// 1. A database with one XML table holding Security documents.
 	db := storage.NewDatabase()
 	tbl := db.MustCreateTable("SECURITY")
-	for i := 0; i < 5000; i++ {
-		doc := xmltree.NewBuilder().
+	docs := make([]*xmltree.Document, 5000)
+	for i := range docs {
+		docs[i] = xmltree.NewBuilder().
 			Begin("Security").
 			Leaf("Symbol", fmt.Sprintf("SYM%05d", i)).
 			LeafFloat("Yield", float64(i%100)/10).
@@ -30,7 +31,9 @@ func main() {
 			Leaf("Sector", []string{"Energy", "Tech", "Finance"}[i%3]).
 			End().End().
 			End().Document()
-		tbl.Insert(doc)
+	}
+	if _, err := db.Load("SECURITY", docs...); err != nil {
+		log.Fatal(err)
 	}
 
 	// 2. Statistics (RUNSTATS) and the optimizer.

@@ -16,7 +16,7 @@ import (
 func newFixture(t testing.TB, docs int, stmts ...string) *Advisor {
 	t.Helper()
 	db := storage.NewDatabase()
-	tbl := db.MustCreateTable("SECURITY")
+	db.MustCreateTable("SECURITY")
 	sectors := []string{"Energy", "Tech", "Finance", "Retail"}
 	for i := 0; i < docs; i++ {
 		d := xmltree.NewBuilder().
@@ -30,7 +30,9 @@ func newFixture(t testing.TB, docs int, stmts ...string) *Advisor {
 			End().End().
 			Begin("Price").LeafFloat("Open", float64(i%50)).LeafFloat("Close", float64(i%50)+1).End().
 			End().Document()
-		tbl.Insert(d)
+		if _, err := db.Load("SECURITY", d); err != nil {
+			t.Fatal(err)
+		}
 	}
 	opt := optimizer.New(db, optimizer.CollectStats(db))
 	w, err := workload.ParseStatements(stmts)

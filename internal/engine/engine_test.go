@@ -16,7 +16,7 @@ import (
 func newFixture(t testing.TB, n int) (*storage.Database, *optimizer.Optimizer, *Engine, *Catalog) {
 	t.Helper()
 	db := storage.NewDatabase()
-	tbl := db.MustCreateTable("SECURITY")
+	db.MustCreateTable("SECURITY")
 	sectors := []string{"Energy", "Tech", "Finance", "Retail"}
 	for i := 0; i < n; i++ {
 		d := xmltree.NewBuilder().
@@ -27,7 +27,9 @@ func newFixture(t testing.TB, n int) (*storage.Database, *optimizer.Optimizer, *
 			Leaf("Sector", sectors[i%len(sectors)]).
 			End().End().
 			End().Document()
-		tbl.Insert(d)
+		if _, err := db.Load("SECURITY", d); err != nil {
+			t.Fatal(err)
+		}
 	}
 	opt := optimizer.New(db, optimizer.CollectStats(db))
 	cat := NewCatalog()

@@ -57,7 +57,9 @@ func randomEquivDB(r *rand.Rand) (*storage.Database, *storage.Table) {
 			gen(1)
 		}
 		b.End()
-		tbl.Insert(b.Document())
+		if _, err := db.Load("T", b.Document()); err != nil {
+			panic(err)
+		}
 	}
 	return db, tbl
 }

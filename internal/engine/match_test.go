@@ -23,7 +23,9 @@ func matchFixture(t testing.TB, n int) (*storage.Table, *Engine) {
 		if i%3 == 0 {
 			info = fmt.Sprintf(`<bond><rating>%s</rating></bond>`, []string{"AAA", "BB"}[i%2])
 		}
-		tbl.Insert(xmltree.MustParse(fmt.Sprintf(`<s id="%d"><sym>S%04d</sym><y>%d.5</y><info>%s</info></s>`, i, i, i%10, info)))
+		if _, err := db.Load("T", xmltree.MustParse(fmt.Sprintf(`<s id="%d"><sym>S%04d</sym><y>%d.5</y><info>%s</info></s>`, i, i, i%10, info))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return tbl, New(db, optimizer.NewLive(db), NewCatalog())
 }
@@ -100,7 +102,9 @@ func TestCachedProgramSeesDictionaryGrowth(t *testing.T) {
 	db := storage.NewDatabase()
 	tbl := db.MustCreateTable("T")
 	for i := 0; i < 5; i++ {
-		tbl.Insert(xmltree.MustParse(fmt.Sprintf(`<s><sym>S%d</sym></s>`, i)))
+		if _, err := db.Load("T", xmltree.MustParse(fmt.Sprintf(`<s><sym>S%d</sym></s>`, i))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	eng := New(db, optimizer.NewLive(db), NewCatalog())
 	template := func(lit string) *xquery.Statement {

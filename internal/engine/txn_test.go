@@ -20,13 +20,15 @@ func txnFixture(t testing.TB, tables []string, n int) (*storage.Database, *Engin
 	t.Helper()
 	db := storage.NewDatabase()
 	for ti, name := range tables {
-		tbl := db.MustCreateTable(name)
+		db.MustCreateTable(name)
 		for i := 0; i < n; i++ {
 			raw := fmt.Sprintf(
 				`insert into %s value <Security><Symbol>T%d-S%04d</Symbol><Yield>%d.%d</Yield></Security>`,
 				name, ti, i, i%12, i%10)
 			stmt := xquery.MustParse(raw)
-			tbl.Insert(stmt.Doc)
+			if _, err := db.Load(name, stmt.Doc); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	opt := optimizer.NewLive(db)

@@ -181,7 +181,7 @@ func TestStaleStaticStatsDiverge(t *testing.T) {
 // the keeper's statistics must equal a fresh full collection.
 //
 // UPDATE statements joined the writer mix when the engine's update
-// path became copy-on-write (storage.Table.Replace): readers evaluate
+// path became copy-on-write (storage.TxReplace): readers evaluate
 // immutable pre-images, so value rewrites are safe against concurrent
 // statement execution. (The writers still serialize among themselves
 // here, as the serving layer's transaction commit protocol does for

@@ -16,7 +16,7 @@ import (
 func newFixture(t testing.TB, n int) (*storage.Database, *Optimizer) {
 	t.Helper()
 	db := storage.NewDatabase()
-	tbl := db.MustCreateTable("SECURITY")
+	db.MustCreateTable("SECURITY")
 	sectors := []string{"Energy", "Tech", "Finance", "Retail"}
 	for i := 0; i < n; i++ {
 		d := xmltree.NewBuilder().
@@ -29,7 +29,9 @@ func newFixture(t testing.TB, n int) (*storage.Database, *Optimizer) {
 			Leaf("Industry", fmt.Sprintf("Ind%d", i%20)).
 			End().End().
 			End().Document()
-		tbl.Insert(d)
+		if _, err := db.Load("SECURITY", d); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return db, New(db, CollectStats(db))
 }
@@ -105,9 +107,11 @@ func TestEnumerateIndexesTableI(t *testing.T) {
 
 func TestEnumerateAttributeSites(t *testing.T) {
 	db := storage.NewDatabase()
-	tbl := db.MustCreateTable("ORDERS")
+	db.MustCreateTable("ORDERS")
 	for i := 0; i < 10; i++ {
-		tbl.Insert(xmltree.MustParse(fmt.Sprintf(`<Order id="%d"><Qty>%d</Qty></Order>`, i, i)))
+		if _, err := db.Load("ORDERS", xmltree.MustParse(fmt.Sprintf(`<Order id="%d"><Qty>%d</Qty></Order>`, i, i))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	opt := New(db, CollectStats(db))
 	stmt := xquery.MustParse(`ORDERS('ODOC')/Order[@id="5"]`)

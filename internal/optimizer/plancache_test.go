@@ -168,17 +168,15 @@ func TestPlanCacheInvalidatedByTableVersion(t *testing.T) {
 	}
 
 	// Mutate the table: grow it by a third.
-	tbl, err := db.Table("SECURITY")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 100; i++ {
 		d := xmltree.NewBuilder().
 			Begin("Security").
 			Leaf("Symbol", fmt.Sprintf("V%05d", i)).
 			LeafFloat("Yield", 5.0+float64(i%40)/10).
 			End().Document()
-		tbl.Insert(d)
+		if _, err := db.Load("SECURITY", d); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	after, err := opt.EvaluateIndexes(xquery.MustParse(oq2), cfg)
@@ -210,10 +208,6 @@ func TestPlanCacheInvalidatedByTableVersion(t *testing.T) {
 func TestRecompileDoesNotFlushCompiledCache(t *testing.T) {
 	db, _ := newFixture(t, 50)
 	opt := NewLive(db)
-	tbl, err := db.Table("SECURITY")
-	if err != nil {
-		t.Fatal(err)
-	}
 	stmts := make([]*xquery.Statement, 215)
 	for i := range stmts {
 		stmts[i] = xquery.MustParse(fmt.Sprintf(
@@ -221,8 +215,10 @@ func TestRecompileDoesNotFlushCompiledCache(t *testing.T) {
 	}
 	for round := 0; round < 100; round++ {
 		// One mutation a round: every statement's compilation is stale.
-		tbl.Insert(xmltree.NewBuilder().Begin("Security").
-			Leaf("Symbol", fmt.Sprintf("R%05d", round)).End().Document())
+		if _, err := db.Load("SECURITY", xmltree.NewBuilder().Begin("Security").
+			Leaf("Symbol", fmt.Sprintf("R%05d", round)).End().Document()); err != nil {
+			t.Fatal(err)
+		}
 		ts, err := opt.TableStats("SECURITY")
 		if err != nil {
 			t.Fatal(err)

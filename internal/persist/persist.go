@@ -24,9 +24,13 @@
 // write-ahead log position it reflects, so recovery (server.Recover)
 // knows exactly which WAL tail to replay on top of it (0 for a plain
 // snapshot). stamp is the MVCC commit stamp (the watermark) at that
-// point: the storage layer's commit-stamp allocator survives a restart
-// by advancing to it, so stamps stay contiguous across the whole log
-// history and replay can order records by stamp. A checkpoint may carry
+// point: loading applies the whole image as one committed write set at
+// that stamp, so the loaded database's watermark is exactly stamp — a
+// checkpoint is the committed prefix through stamp — and stamps stay
+// contiguous across the whole log history. An image has one encoding:
+// the loader rejects anything SaveCheckpoint would not have written
+// (non-minimal varints, unsorted tables, IDs at or past nextID,
+// non-canonical index patterns, trailing bytes). A checkpoint may carry
 // a capture sidecar (SaveCaptureFile) so a restarted daemon's tuner
 // warm-starts from the checkpointed workload instead of relearning it.
 //
@@ -214,8 +218,10 @@ type byteScanner interface {
 }
 
 type checkedReader struct {
-	r   byteScanner
-	sum hash.Hash32 // nil = no checksum (the WAL frames payloads with its own CRC)
+	r    byteScanner
+	sum  hash.Hash32 // nil = no checksum (the WAL frames payloads with its own CRC)
+	n    int         // bytes consumed through ReadByte
+	last byte        // the last of them
 }
 
 func (cr *checkedReader) ReadByte() (byte, error) {
@@ -226,6 +232,8 @@ func (cr *checkedReader) ReadByte() (byte, error) {
 	if cr.sum != nil {
 		cr.sum.Write([]byte{b})
 	}
+	cr.n++
+	cr.last = b
 	return b, nil
 }
 
@@ -239,12 +247,25 @@ func (cr *checkedReader) read(p []byte) error {
 	return nil
 }
 
+// uvarint reads a minimally encoded uvarint: a multi-byte encoding
+// ending in a zero byte has a shorter spelling the writer would have
+// used.
 func (cr *checkedReader) uvarint() (uint64, error) {
-	return binary.ReadUvarint(cr)
+	start := cr.n
+	v, err := binary.ReadUvarint(cr)
+	if err == nil && cr.n-start > 1 && cr.last == 0 {
+		return 0, fmt.Errorf("persist: non-minimal varint")
+	}
+	return v, err
 }
 
 func (cr *checkedReader) varint() (int64, error) {
-	return binary.ReadVarint(cr)
+	ux, err := cr.uvarint()
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x, err
 }
 
 // maxStringLen bounds string fields to keep corrupted lengths from
@@ -266,17 +287,11 @@ func (cr *checkedReader) str() (string, error) {
 	return string(buf), nil
 }
 
-// LoadDatabase reads a snapshot, verifies its checksum, and rebuilds
-// the database and index definitions, discarding the checkpoint LSN
-// and stamp.
-func LoadDatabase(r io.Reader) (*storage.Database, []xindex.Definition, error) {
-	db, defs, _, _, err := LoadCheckpoint(r)
-	return db, defs, err
-}
-
 // LoadCheckpoint reads a snapshot, verifies its checksum, and rebuilds
 // the database and index definitions, additionally returning the WAL
-// LSN and MVCC commit stamp the snapshot was stamped with.
+// LSN and MVCC commit stamp the snapshot was stamped with. The
+// documents enter through one storage.ApplyCommitted at that stamp, so
+// the database's Watermark() equals it.
 func LoadCheckpoint(r io.Reader) (*storage.Database, []xindex.Definition, uint64, uint64, error) {
 	cr := &checkedReader{r: bufio.NewReader(r), sum: crc32.New(crcTable)}
 	head := make([]byte, len(magic))
@@ -299,11 +314,17 @@ func LoadCheckpoint(r io.Reader) (*storage.Database, []xindex.Definition, uint64
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
+	var ops []storage.TxOp
+	prev := ""
 	for t := uint64(0); t < tableCount; t++ {
 		name, err := cr.str()
 		if err != nil {
 			return nil, nil, 0, 0, err
 		}
+		if t > 0 && name <= prev {
+			return nil, nil, 0, 0, fmt.Errorf("persist: table %q out of order after %q", name, prev)
+		}
+		prev = name
 		tbl, err := db.CreateTable(name)
 		if err != nil {
 			return nil, nil, 0, 0, err
@@ -311,6 +332,9 @@ func LoadCheckpoint(r io.Reader) (*storage.Database, []xindex.Definition, uint64
 		nextID, err := cr.uvarint()
 		if err != nil {
 			return nil, nil, 0, 0, err
+		}
+		if nextID > math.MaxInt64 {
+			return nil, nil, 0, 0, fmt.Errorf("persist: table %s nextID %d out of range", name, nextID)
 		}
 		tbl.SetNextID(int64(nextID))
 		docCount, err := cr.uvarint()
@@ -322,13 +346,14 @@ func LoadCheckpoint(r io.Reader) (*storage.Database, []xindex.Definition, uint64
 			if err != nil {
 				return nil, nil, 0, 0, err
 			}
+			if docID >= nextID {
+				return nil, nil, 0, 0, fmt.Errorf("persist: table %s doc ID %d at or past nextID %d", name, docID, nextID)
+			}
 			doc, err := readDoc(cr)
 			if err != nil {
 				return nil, nil, 0, 0, fmt.Errorf("persist: table %s doc %d: %w", name, d, err)
 			}
-			if err := tbl.InsertAt(doc, int64(docID)); err != nil {
-				return nil, nil, 0, 0, fmt.Errorf("persist: table %s doc %d: %w", name, d, err)
-			}
+			ops = append(ops, storage.TxOp{Table: name, Kind: storage.TxInsert, DocID: int64(docID), Doc: doc})
 		}
 	}
 	defCount, err := cr.uvarint()
@@ -349,9 +374,15 @@ func LoadCheckpoint(r io.Reader) (*storage.Database, []xindex.Definition, uint64
 		if err != nil {
 			return nil, nil, 0, 0, fmt.Errorf("persist: index %d: %w", i, err)
 		}
+		if pattern.String() != patText {
+			return nil, nil, 0, 0, fmt.Errorf("persist: index %d: pattern %q not in canonical form %q", i, patText, pattern.String())
+		}
 		var kindByte [1]byte
 		if err := cr.read(kindByte[:]); err != nil {
 			return nil, nil, 0, 0, err
+		}
+		if kindByte[0] > 1 {
+			return nil, nil, 0, 0, fmt.Errorf("persist: index %d: bad key type %d", i, kindByte[0])
 		}
 		kind := xpath.StringVal
 		if kindByte[0] == 1 {
@@ -367,6 +398,12 @@ func LoadCheckpoint(r io.Reader) (*storage.Database, []xindex.Definition, uint64
 	if got := binary.LittleEndian.Uint32(crcBuf[:]); got != wantSum {
 		return nil, nil, 0, 0, fmt.Errorf("persist: checksum mismatch (snapshot corrupted)")
 	}
+	if _, err := cr.r.ReadByte(); err != io.EOF {
+		return nil, nil, 0, 0, fmt.Errorf("persist: data after the checksum")
+	}
+	if err := db.ApplyCommitted(stamp, ops); err != nil {
+		return nil, nil, 0, 0, fmt.Errorf("persist: %w", err)
+	}
 	return db, defs, lsn, stamp, nil
 }
 
@@ -381,7 +418,9 @@ func readDoc(cr *checkedReader) (*xmltree.Document, error) {
 	if nodeCount > maxStringLen {
 		return nil, fmt.Errorf("node count %d exceeds limit", nodeCount)
 	}
-	doc := &xmltree.Document{Nodes: make([]xmltree.Node, nodeCount)}
+	// Capacity grows with bytes actually read: a corrupt count must not
+	// allocate millions of nodes up front.
+	doc := &xmltree.Document{Nodes: make([]xmltree.Node, 0, min(nodeCount, 4096))}
 	for i := uint64(0); i < nodeCount; i++ {
 		var kind [1]byte
 		if err := cr.read(kind[:]); err != nil {
@@ -405,14 +444,14 @@ func readDoc(cr *checkedReader) (*xmltree.Document, error) {
 		if err != nil {
 			return nil, err
 		}
-		doc.Nodes[i] = xmltree.Node{
+		doc.Nodes = append(doc.Nodes, xmltree.Node{
 			ID:     xmltree.NodeID(i),
 			Kind:   xmltree.Kind(kind[0]),
 			Name:   name,
 			Value:  value,
 			Parent: xmltree.NodeID(parent),
 			EndID:  xmltree.NodeID(i),
-		}
+		})
 	}
 	// Reconstruct children, levels, and subtree intervals from the
 	// parent links: document order means a child always follows its

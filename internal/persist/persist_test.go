@@ -21,6 +21,16 @@ func snapshotDefs() []xindex.Definition {
 	}
 }
 
+// mustLoad inserts one document as its own commit and returns its ID.
+func mustLoad(t testing.TB, db *storage.Database, table string, doc *xmltree.Document) int64 {
+	t.Helper()
+	ids, err := db.Load(table, doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids[0]
+}
+
 func TestRoundTripTPoX(t *testing.T) {
 	db := storage.NewDatabase()
 	if err := tpox.Generate(db, tpox.Config{Securities: 50, Orders: 80, Customers: 20, Seed: 3}); err != nil {
@@ -30,7 +40,7 @@ func TestRoundTripTPoX(t *testing.T) {
 	if err := SaveDatabase(&buf, db, snapshotDefs()); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	db2, defs, err := LoadDatabase(bytes.NewReader(buf.Bytes()))
+	db2, defs, _, _, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -86,7 +96,7 @@ func TestRoundTripEmptyDatabase(t *testing.T) {
 	if err := SaveDatabase(&buf, db, nil); err != nil {
 		t.Fatal(err)
 	}
-	db2, defs, err := LoadDatabase(&buf)
+	db2, defs, _, _, err := LoadCheckpoint(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +111,8 @@ func TestRoundTripEmptyDatabase(t *testing.T) {
 
 func TestChecksumDetectsCorruption(t *testing.T) {
 	db := storage.NewDatabase()
-	tbl := db.MustCreateTable("T")
-	tbl.Insert(xmltree.MustParse(`<a><b>hello</b></a>`))
+	db.MustCreateTable("T")
+	mustLoad(t, db, "T", xmltree.MustParse(`<a><b>hello</b></a>`))
 	var buf bytes.Buffer
 	if err := SaveDatabase(&buf, db, nil); err != nil {
 		t.Fatal(err)
@@ -111,16 +121,16 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	// Flip a byte in the middle (document payload region).
 	corrupted := append([]byte(nil), data...)
 	corrupted[len(corrupted)/2] ^= 0xFF
-	if _, _, err := LoadDatabase(bytes.NewReader(corrupted)); err == nil {
+	if _, _, _, _, err := LoadCheckpoint(bytes.NewReader(corrupted)); err == nil {
 		t.Error("corrupted snapshot loaded without error")
 	}
 }
 
 func TestTruncationDetected(t *testing.T) {
 	db := storage.NewDatabase()
-	tbl := db.MustCreateTable("T")
+	db.MustCreateTable("T")
 	for i := 0; i < 10; i++ {
-		tbl.Insert(xmltree.MustParse(`<a><b>x</b></a>`))
+		mustLoad(t, db, "T", xmltree.MustParse(`<a><b>x</b></a>`))
 	}
 	var buf bytes.Buffer
 	if err := SaveDatabase(&buf, db, nil); err != nil {
@@ -128,7 +138,7 @@ func TestTruncationDetected(t *testing.T) {
 	}
 	data := buf.Bytes()
 	for _, cut := range []int{1, len(data) / 2, len(data) - 1} {
-		if _, _, err := LoadDatabase(bytes.NewReader(data[:cut])); err == nil {
+		if _, _, _, _, err := LoadCheckpoint(bytes.NewReader(data[:cut])); err == nil {
 			t.Errorf("truncated snapshot (%d bytes) loaded without error", cut)
 		}
 	}
@@ -144,8 +154,8 @@ func TestBadMagicRejected(t *testing.T) {
 		{"XIXADB2\n\x00\x00", "unsupported snapshot version"},
 		{"XIXADB3\n\x00\x00\x00", "unsupported snapshot version"},
 	} {
-		if _, _, err := LoadDatabase(strings.NewReader(tc.head)); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("LoadDatabase(%q): %v, want %q", tc.head, err, tc.wantErr)
+		if _, _, _, _, err := LoadCheckpoint(strings.NewReader(tc.head)); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("LoadCheckpoint(%q): %v, want %q", tc.head, err, tc.wantErr)
 		}
 		if _, err := PeekCheckpointLSN(strings.NewReader(tc.head)); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("PeekCheckpointLSN(%q): %v, want %q", tc.head, err, tc.wantErr)
@@ -157,8 +167,8 @@ func TestSaveLoadFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.xdb")
 	db := storage.NewDatabase()
-	tbl := db.MustCreateTable("T")
-	tbl.Insert(xmltree.MustParse(`<a t="1"><b>v</b></a>`))
+	db.MustCreateTable("T")
+	mustLoad(t, db, "T", xmltree.MustParse(`<a t="1"><b>v</b></a>`))
 	if err := SaveFile(path, db, snapshotDefs()[:1]); err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +189,8 @@ func TestHostileInputsDoNotPanic(t *testing.T) {
 	// Fuzz-ish: random prefixes of a valid snapshot plus mutated
 	// headers must return errors, never panic or over-allocate.
 	db := storage.NewDatabase()
-	tbl := db.MustCreateTable("T")
-	tbl.Insert(xmltree.MustParse(`<a><b>v</b></a>`))
+	db.MustCreateTable("T")
+	mustLoad(t, db, "T", xmltree.MustParse(`<a><b>v</b></a>`))
 	var buf bytes.Buffer
 	if err := SaveDatabase(&buf, db, nil); err != nil {
 		t.Fatal(err)
@@ -189,7 +199,7 @@ func TestHostileInputsDoNotPanic(t *testing.T) {
 	for i := 0; i < len(base); i += 3 {
 		mut := append([]byte(nil), base...)
 		mut[i] = 0xFF
-		_, _, _ = LoadDatabase(bytes.NewReader(mut)) // must not panic
+		_, _, _, _, _ = LoadCheckpoint(bytes.NewReader(mut)) // must not panic
 	}
 }
 
@@ -206,17 +216,20 @@ func TestDocIDsSurviveRoundTrip(t *testing.T) {
 	}
 	var ids []int64
 	for i := 0; i < 6; i++ {
-		ids = append(ids, tbl.Insert(mkDoc(strings.Repeat("X", i+1))))
+		ids = append(ids, mustLoad(t, db, "T", mkDoc(strings.Repeat("X", i+1))))
 	}
-	tbl.Delete(ids[0])
-	tbl.Delete(ids[3])
+	for _, id := range []int64{ids[0], ids[3]} {
+		if _, _, err := db.CommitTx(db.Watermark(), []storage.TxOp{{Table: "T", Kind: storage.TxDelete, DocID: id}}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
 	nextBefore := tbl.NextID()
 
 	var buf bytes.Buffer
 	if err := SaveDatabase(&buf, db, nil); err != nil {
 		t.Fatal(err)
 	}
-	db2, _, err := LoadDatabase(&buf)
+	db2, _, _, _, err := LoadCheckpoint(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +261,7 @@ func TestDocIDsSurviveRoundTrip(t *testing.T) {
 	if tbl2.NextID() != nextBefore {
 		t.Fatalf("nextID = %d after load, want %d", tbl2.NextID(), nextBefore)
 	}
-	if id := tbl2.Insert(mkDoc("NEW")); id != nextBefore {
+	if id := mustLoad(t, db2, "T", mkDoc("NEW")); id != nextBefore {
 		t.Fatalf("post-load insert assigned %d, want %d", id, nextBefore)
 	}
 }
@@ -278,7 +291,7 @@ func TestRebuildIndexesWarmStart(t *testing.T) {
 	if err := SaveDatabase(&buf, db, snapshotDefs()); err != nil {
 		t.Fatal(err)
 	}
-	db2, defs, err := LoadDatabase(&buf)
+	db2, defs, _, _, err := LoadCheckpoint(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +319,8 @@ func TestRebuildIndexesWarmStart(t *testing.T) {
 
 func TestCheckpointLSNRoundTrip(t *testing.T) {
 	db := storage.NewDatabase()
-	db.MustCreateTable("T").Insert(xmltree.MustParse(`<a><b>x</b></a>`))
+	db.MustCreateTable("T")
+	mustLoad(t, db, "T", xmltree.MustParse(`<a><b>x</b></a>`))
 	for _, lsn := range []uint64{0, 1, 127, 128, 1 << 40} {
 		var buf bytes.Buffer
 		stamp := lsn * 3
@@ -331,9 +345,9 @@ func TestCheckpointLSNRoundTrip(t *testing.T) {
 // structural error), never panic, and never return corrupt data.
 func TestCorruptByteRegions(t *testing.T) {
 	db := storage.NewDatabase()
-	tbl := db.MustCreateTable("SECURITY")
+	db.MustCreateTable("SECURITY")
 	for i := 0; i < 6; i++ {
-		tbl.Insert(xmltree.MustParse(`<Security><Symbol>AAA</Symbol><Yield>4.5</Yield></Security>`))
+		mustLoad(t, db, "SECURITY", xmltree.MustParse(`<Security><Symbol>AAA</Symbol><Yield>4.5</Yield></Security>`))
 	}
 	var buf bytes.Buffer
 	if err := SaveCheckpoint(&buf, db, snapshotDefs(), 42, 7); err != nil {

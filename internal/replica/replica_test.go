@@ -36,11 +36,13 @@ func secDoc(symbol string, yield int) *xmltree.Document {
 func bootstrap(n int) func() (*storage.Database, error) {
 	return func() (*storage.Database, error) {
 		db := storage.NewDatabase()
-		tbl := db.MustCreateTable("SECURITY")
-		for i := 0; i < n; i++ {
-			tbl.Insert(secDoc(fmt.Sprintf("B%05d", i), i))
+		db.MustCreateTable("SECURITY")
+		docs := make([]*xmltree.Document, n)
+		for i := range docs {
+			docs[i] = secDoc(fmt.Sprintf("B%05d", i), i)
 		}
-		return db, nil
+		_, err := db.Load("SECURITY", docs...)
+		return db, err
 	}
 }
 
@@ -238,6 +240,55 @@ func TestSnapshotBootstrap(t *testing.T) {
 	waitApplied(t, f, tip, 5*time.Second)
 	if !bytes.Equal(dbBytes(t, f.Server()), dbBytes(t, p.Server())) {
 		t.Fatal("snapshot-bootstrapped follower diverged from primary")
+	}
+}
+
+// TestSnapshotBootstrapAfterMultiInsertTxn: a checkpoint holding more
+// documents than its stamp — one 12-insert transaction commits under
+// stamp 1 — must bootstrap a follower at exactly that stamp. Loading it
+// one stamp per document put the follower at watermark 12, so it dropped
+// the primary's stamps 2-7 as duplicates and reported itself caught up
+// holding 12 documents against the primary's 18.
+func TestSnapshotBootstrapAfterMultiInsertTxn(t *testing.T) {
+	p, addr := startPrimary(t, t.TempDir(), 0)
+	defer p.Close()
+	defer p.Server().Close()
+	sess, err := p.Server().NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err := sess.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		if _, err := tx.Execute(insertStmt(fmt.Sprintf("MT%03d", i), i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Server().Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 12; i < 18; i++ {
+		if _, err := sess.Execute(insertStmt(fmt.Sprintf("MT%03d", i), i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	f, err := StartFollower(followerCfg(t.TempDir(), addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	waitApplied(t, f, p.Server().WAL().LastLSN(), 5*time.Second)
+	if got, want := f.Server().DB().Watermark(), p.Server().DB().Watermark(); got != want || want != 7 {
+		t.Fatalf("follower watermark %d, primary %d; want both 7 (checkpoint stamp 1 + 6 commits)", got, want)
+	}
+	if !bytes.Equal(dbBytes(t, f.Server()), dbBytes(t, p.Server())) {
+		t.Fatal("follower bootstrapped from a multi-insert checkpoint diverged from primary")
 	}
 }
 

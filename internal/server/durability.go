@@ -115,10 +115,6 @@ func Recover(cfg Config, bootstrap func() (*storage.Database, error)) (*Server, 
 		if err != nil {
 			return nil, nil, fmt.Errorf("server: loading checkpoint: %w", err)
 		}
-		// The snapshot already reflects every commit through its stamp;
-		// advance the allocator so post-recovery commits continue the
-		// sequence instead of re-issuing stamps the image covers.
-		db.AdvanceStamp(checkpointStamp)
 		hadCheckpoint = true
 	} else if !os.IsNotExist(err) {
 		return nil, nil, fmt.Errorf("server: checking checkpoint: %w", err)

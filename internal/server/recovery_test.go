@@ -180,6 +180,80 @@ func TestRecoverCrashMidBurst(t *testing.T) {
 	}
 }
 
+// TestRecoverKeepsCheckpointStamp: a checkpoint holding more documents
+// than its stamp — one 12-insert transaction commits under stamp 1 —
+// must reload at exactly that stamp. Loading it one stamp per document
+// came back at watermark 12, so the next commit took stamp 13 and stamps
+// 2-12 never appeared in the log. A later restart and a point-in-time
+// restore past the checkpoint both land on stamp 1 plus the replayed
+// commit.
+func TestRecoverKeepsCheckpointStamp(t *testing.T) {
+	dir := t.TempDir()
+	cfg := restoreCfg(dir)
+	srv, _, err := Recover(cfg, bootstrapFixture(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := srv.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err := sess.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		if _, err := tx.Execute(insertStmt(fmt.Sprintf("CS%03d", i), i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// Crash: the server is abandoned.
+
+	srv2, _, err := Recover(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := srv2.DB().Watermark(); w != 1 {
+		t.Fatalf("recovered at watermark %d, want the checkpoint's stamp 1", w)
+	}
+	sess2, err := srv2.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, sess2, insertStmt("CSAFTER", 1))
+	if w := srv2.DB().Watermark(); w != 2 {
+		t.Fatalf("first commit after restart took stamp %d, want 2", w)
+	}
+	want, tip := dbBytes(t, srv2), srv2.WAL().LastLSN()
+	srv2.Close()
+
+	srv3, _, err := Recover(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv3.Close()
+	if w := srv3.DB().Watermark(); w != 2 || !bytes.Equal(dbBytes(t, srv3), want) {
+		t.Fatalf("second restart: watermark %d (want 2), image identical %v", w, bytes.Equal(dbBytes(t, srv3), want))
+	}
+	res, err := RestoreToLSN(dir, cfg.ArchiveDir, tip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := persist.SaveDatabase(&buf, res.DB, res.Defs); err != nil {
+		t.Fatal(err)
+	}
+	if w := res.DB.Watermark(); w != 2 || !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("restore past the checkpoint: watermark %d (want 2), image identical %v", w, bytes.Equal(buf.Bytes(), want))
+	}
+}
+
 // TestRecoverTornFinalRecord tears the WAL's final record (the
 // canonical crash-mid-append wreckage): recovery must keep every
 // statement before the tear and the daemon must keep accepting

@@ -107,9 +107,6 @@ func RestoreToLSN(walDir, archiveDir string, target uint64) (*RestoreResult, err
 	}
 	files = append(files, sealed...)
 
-	if haveBase {
-		db.AdvanceStamp(baseStamp)
-	}
 	applier := NewApplier(db, defs, base, baseStamp)
 	applyFile := func(recs []wal.Record) error {
 		for i := range recs {

@@ -12,7 +12,7 @@
 //   - Queries execute concurrently and never take a server-wide lock.
 //     The read path is lock-free against mutators: the catalog is read
 //     through immutable snapshots (engine.View), documents are
-//     immutable (updates are copy-on-write storage.Table.Replace), and
+//     immutable (an update is a copy-on-write storage.TxReplace), and
 //     statistics snapshots publish through atomic pointers.
 //   - Mutating statements run as snapshot-isolated transactions
 //     (engine.Txn over storage's MVCC version chains): each executes

@@ -31,9 +31,13 @@ func secDoc(symbol, sector string, yield float64) *xmltree.Document {
 // invariant under any interleaving with the storm.
 func fixtureDB(n int) *storage.Database {
 	db := storage.NewDatabase()
-	tbl := db.MustCreateTable("SECURITY")
-	for i := 0; i < n; i++ {
-		tbl.Insert(secDoc(fmt.Sprintf("S%05d", i), sectors[i%len(sectors)], float64(i%100)/10))
+	db.MustCreateTable("SECURITY")
+	docs := make([]*xmltree.Document, n)
+	for i := range docs {
+		docs[i] = secDoc(fmt.Sprintf("S%05d", i), sectors[i%len(sectors)], float64(i%100)/10)
+	}
+	if _, err := db.Load("SECURITY", docs...); err != nil {
+		panic(err)
 	}
 	return db
 }
@@ -553,12 +557,10 @@ func TestClosedServerRejects(t *testing.T) {
 		t.Fatalf("session on closed server: %v, want ErrClosed", err)
 	}
 	// Closed server's indexes no longer tax the database's mutations.
-	tbl, err := db.Table("SECURITY")
-	if err != nil {
+	entries := idx.Entries()
+	if _, err := db.Load("SECURITY", secDoc("POSTCLOSE", "Tech", 1.0)); err != nil {
 		t.Fatal(err)
 	}
-	entries := idx.Entries()
-	tbl.Insert(secDoc("POSTCLOSE", "Tech", 1.0))
 	if idx.Entries() != entries {
 		t.Fatal("closed server's index still feed-maintained")
 	}

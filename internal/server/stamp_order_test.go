@@ -34,12 +34,15 @@ func TestStampOrderReplayProperty(t *testing.T) {
 	srv, _, err := Recover(durableCfg(dir), func() (*storage.Database, error) {
 		db := storage.NewDatabase()
 		for w := 0; w < writers; w++ {
-			tbl := db.MustCreateTable(fmt.Sprintf("T%02d", w))
+			name := fmt.Sprintf("T%02d", w)
+			db.MustCreateTable(name)
 			doc, perr := xmltree.ParseString(`<Security><Symbol>SEED</Symbol><Yield>1.5</Yield></Security>`)
 			if perr != nil {
 				return nil, perr
 			}
-			tbl.Insert(doc)
+			if _, perr := db.Load(name, doc); perr != nil {
+				return nil, perr
+			}
 		}
 		return db, nil
 	})
@@ -99,7 +102,6 @@ func TestStampOrderReplayProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.AdvanceStamp(chkStamp)
 	var published []uint64
 	for _, name := range db.TableNames() {
 		tbl, terr := db.Table(name)

@@ -15,11 +15,13 @@ import (
 func bootstrapTwoTables(n int) func() (*storage.Database, error) {
 	return func() (*storage.Database, error) {
 		db := fixtureDB(n) // SECURITY
-		ord := db.MustCreateTable("ORDERS")
-		for i := 0; i < n; i++ {
-			ord.Insert(secDoc(fmt.Sprintf("O%05d", i), "Orders", float64(i%10)))
+		db.MustCreateTable("ORDERS")
+		docs := make([]*xmltree.Document, n)
+		for i := range docs {
+			docs[i] = secDoc(fmt.Sprintf("O%05d", i), "Orders", float64(i%10))
 		}
-		return db, nil
+		_, err := db.Load("ORDERS", docs...)
+		return db, err
 	}
 }
 

@@ -75,8 +75,7 @@ type docVersion struct {
 }
 
 // mvccState is the commit-stamp allocator, publish watermark, and
-// snapshot pin registry shared by every table of one database (a
-// standalone NewTable gets a private one).
+// snapshot pin registry shared by every table of one database.
 type mvccState struct {
 	next      atomic.Uint64 // last allocated commit stamp
 	watermark atomic.Uint64 // highest W with all stamps <= W published
@@ -220,12 +219,6 @@ func (mv *mvccState) horizon() uint64 {
 // fully published — the stamp a snapshot pinned right now would read
 // at.
 func (db *Database) Watermark() uint64 { return db.mv.watermark.Load() }
-
-// AdvanceStamp raises the commit-stamp allocator and watermark to at
-// least stamp. Recovery calls it after loading a checkpoint so stamps
-// allocated after restart continue the pre-crash sequence, keeping the
-// log's stamp space contiguous across restarts.
-func (db *Database) AdvanceStamp(stamp uint64) { db.mv.advanceTo(stamp) }
 
 // MVCCStats is a snapshot of the commit pipeline's counters.
 type MVCCStats struct {
@@ -496,6 +489,24 @@ func (db *Database) CommitTx(snapLSN uint64, ops []TxOp, prepare func(ops []TxOp
 	return stamp, logLSN, err
 }
 
+// Load inserts docs into table as one commit at the current watermark,
+// with no log hook, and returns their assigned IDs in order — how
+// generators and tests fill a table.
+func (db *Database) Load(table string, docs ...*xmltree.Document) ([]int64, error) {
+	ops := make([]TxOp, len(docs))
+	for i, d := range docs {
+		ops[i] = TxOp{Table: table, Kind: TxInsert, Doc: d}
+	}
+	if _, _, err := db.CommitTx(db.Watermark(), ops, nil); err != nil {
+		return nil, err
+	}
+	ids := make([]int64, len(ops))
+	for i := range ops {
+		ids[i] = ops[i].DocID
+	}
+	return ids, nil
+}
+
 // commitLocked is CommitTx up to and including the publish, under the
 // written tables' commit locks.
 func (db *Database) commitLocked(snapLSN uint64, ops []TxOp, prepare func(ops []TxOp) (func(stamp uint64) (uint64, error), error)) (stamp, logLSN uint64, err error) {
@@ -592,18 +603,15 @@ func (db *Database) commitLocked(snapLSN uint64, ops []TxOp, prepare func(ops []
 }
 
 // ApplyCommitted applies a replayed transaction's write set at its
-// recorded commit stamp — the recovery and replication path. No
-// validation runs (the commit already won on the primary or the
-// pre-crash process) and document IDs are explicit: inserts restore
+// recorded commit stamp — the recovery, replication and checkpoint-load
+// path. No validation runs (the commit already won on the primary or
+// the pre-crash process) and document IDs are explicit: inserts restore
 // under op.DocID (raising nextID past it), deletes of missing
 // documents are tolerated (idempotent re-apply), replaces of missing
 // documents are errors. The allocator and watermark advance to the
-// stamp, so live commits after recovery continue the log's stamp
-// sequence.
+// stamp even for an empty write set, so live commits after recovery
+// continue the log's stamp sequence.
 func (db *Database) ApplyCommitted(stamp uint64, ops []TxOp) error {
-	if len(ops) == 0 {
-		return nil
-	}
 	names, tables, unlock, err := db.lockTables(ops)
 	if err != nil {
 		return err

@@ -37,16 +37,16 @@ func viewSymbols(v *TableView) []string {
 func TestSnapshotVisibility(t *testing.T) {
 	db := NewDatabase()
 	tbl := db.MustCreateTable("SECURITY")
-	idA := tbl.Insert(doc("AAA", 1))
-	idB := tbl.Insert(doc("BBB", 2))
+	idA := insert(t, db, tbl, doc("AAA", 1))
+	idB := insert(t, db, tbl, doc("BBB", 2))
 
 	snap := db.PinSnapshot()
 	defer snap.Release()
 
 	// Mutate after the pin: delete A, replace B, insert C.
-	tbl.Delete(idA)
-	tbl.Replace(idB, doc("BBB2", 3))
-	tbl.Insert(doc("CCC", 4))
+	del(t, db, tbl, idA)
+	replace(t, db, tbl, idB, doc("BBB2", 3))
+	insert(t, db, tbl, doc("CCC", 4))
 
 	v, err := snap.Table("SECURITY")
 	if err != nil {
@@ -86,7 +86,7 @@ func TestSnapshotVisibility(t *testing.T) {
 func TestCommitTxFirstWriterWins(t *testing.T) {
 	db := NewDatabase()
 	tbl := db.MustCreateTable("SECURITY")
-	id := tbl.Insert(doc("AAA", 1))
+	id := insert(t, db, tbl, doc("AAA", 1))
 
 	s1 := db.PinSnapshot()
 	s2 := db.PinSnapshot()
@@ -203,10 +203,10 @@ func TestVersionChainsPruneWithoutPins(t *testing.T) {
 	tbl := db.MustCreateTable("SECURITY")
 	// Churn: delete+insert pairs with no snapshot pinned. Chains and
 	// order slots must stay bounded, not accumulate 2N versions.
-	id := tbl.Insert(doc("CHURN", 1))
+	id := insert(t, db, tbl, doc("CHURN", 1))
 	for i := 0; i < 5000; i++ {
-		tbl.Delete(id)
-		id = tbl.Insert(doc("CHURN", float64(i)))
+		del(t, db, tbl, id)
+		id = insert(t, db, tbl, doc("CHURN", float64(i)))
 	}
 	tbl.mu.RLock()
 	chains, slots := len(tbl.heads), len(tbl.order)
@@ -219,7 +219,7 @@ func TestVersionChainsPruneWithoutPins(t *testing.T) {
 	}
 	// Replace churn: one document's chain must prune to ~1 version.
 	for i := 0; i < 1000; i++ {
-		tbl.Replace(id, doc("CHURN", float64(i)))
+		replace(t, db, tbl, id, doc("CHURN", float64(i)))
 	}
 	tbl.mu.RLock()
 	depth := 0
@@ -237,11 +237,11 @@ func TestPinnedSnapshotBlocksSweep(t *testing.T) {
 	tbl := db.MustCreateTable("SECURITY")
 	var ids []int64
 	for i := 0; i < 200; i++ {
-		ids = append(ids, tbl.Insert(doc(fmt.Sprintf("S%03d", i), 1)))
+		ids = append(ids, insert(t, db, tbl, doc(fmt.Sprintf("S%03d", i), 1)))
 	}
 	snap := db.PinSnapshot()
 	for _, id := range ids {
-		tbl.Delete(id)
+		del(t, db, tbl, id)
 	}
 	v, _ := snap.Table("SECURITY")
 	if n := v.Scan(func(*xmltree.Document) bool { return true }); n != 200 {
@@ -251,8 +251,8 @@ func TestPinnedSnapshotBlocksSweep(t *testing.T) {
 	// With the pin gone the next mutation's sweep may collect; force
 	// enough deletes to cross the sweep threshold again.
 	for i := 0; i < 200; i++ {
-		id := tbl.Insert(doc("X", 1))
-		tbl.Delete(id)
+		id := insert(t, db, tbl, doc("X", 1))
+		del(t, db, tbl, id)
 	}
 	tbl.mu.RLock()
 	chains := len(tbl.heads)

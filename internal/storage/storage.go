@@ -79,14 +79,14 @@ type Table struct {
 	// table.
 	programs *xpath.ProgramCache
 
-	// mv is the database-wide MVCC state (commit stamps, publish lock,
-	// snapshot pins); standalone tables carry a private one.
+	// mv is the owning database's MVCC state (commit stamps, publish
+	// lock, snapshot pins).
 	mv *mvccState
 
-	// commitMu serializes committers targeting this table: direct
-	// bulk-load mutations and CommitTx validation+apply. It is
-	// the outermost lock of the commit protocol (see mvcc.go) and is
-	// per-table, so commits on disjoint tables run concurrently.
+	// commitMu serializes committers targeting this table: CommitTx
+	// validation+apply and ApplyCommitted replay. It is the outermost
+	// lock of the commit protocol (see mvcc.go) and is per-table, so
+	// commits on disjoint tables run concurrently.
 	commitMu sync.Mutex
 
 	mu      sync.RWMutex
@@ -103,25 +103,6 @@ type Table struct {
 
 	listeners []subscriber
 	nextSub   SubID
-}
-
-// NewTable creates an empty standalone table with its own MVCC state.
-// Tables created through Database.CreateTable share the database's.
-func NewTable(name string) *Table {
-	return newTable(name, newMVCCState())
-}
-
-func newTable(name string, mv *mvccState) *Table {
-	dict := xmltree.NewPathDict()
-	return &Table{
-		Name:     name,
-		dict:     dict,
-		programs: xpath.NewProgramCache(dict),
-		mv:       mv,
-		docs:     make(map[int64]*xmltree.Document),
-		heads:    make(map[int64]*docVersion),
-		pos:      make(map[int64]int),
-	}
 }
 
 // PathDict returns the table's shared path dictionary.
@@ -206,62 +187,6 @@ func (t *Table) notify(c Change) {
 	}
 }
 
-// stampedApply runs one direct (non-transactional) mutation under the
-// table's commit lock. It allocates a commit stamp from the atomic
-// allocator, applies via fn (under t.mu, with the garbage-collection
-// horizon), and finishes the stamp so the watermark can advance over
-// it. Applicability checks must happen BEFORE calling stampedApply —
-// a no-op must not burn a stamp, or the log's stamp sequence gains
-// holes (replay relies on stamps being contiguous).
-func (t *Table) stampedApply(fn func(stamp, horizon uint64)) uint64 {
-	stamp := t.mv.allocStamp()
-	horizon := t.mv.horizon()
-	t.mu.Lock()
-	fn(stamp, horizon)
-	t.mu.Unlock()
-	t.mv.finish(stamp)
-	return stamp
-}
-
-// Insert stores a document and returns its assigned document ID. The
-// document's paths are interned into the table's shared dictionary.
-func (t *Table) Insert(doc *xmltree.Document) int64 {
-	t.commitMu.Lock()
-	defer t.commitMu.Unlock()
-	var id int64
-	t.stampedApply(func(stamp, horizon uint64) {
-		id = t.nextID
-		t.nextID++
-		t.applyInsertLocked(doc, id, stamp, horizon)
-	})
-	return id
-}
-
-// InsertAt stores a document under an explicit ID — the snapshot-restore
-// path, which must preserve the IDs real indexes and references were
-// built against. It fails if the ID is already taken, and raises nextID
-// past the restored ID so later Inserts cannot collide.
-func (t *Table) InsertAt(doc *xmltree.Document, id int64) error {
-	if id < 0 {
-		return fmt.Errorf("storage: invalid document ID %d", id)
-	}
-	t.commitMu.Lock()
-	defer t.commitMu.Unlock()
-	t.mu.RLock()
-	_, taken := t.docs[id]
-	t.mu.RUnlock()
-	if taken {
-		return fmt.Errorf("storage: document ID %d already exists in table %q", id, t.Name)
-	}
-	t.stampedApply(func(stamp, horizon uint64) {
-		if id >= t.nextID {
-			t.nextID = id + 1
-		}
-		t.applyInsertLocked(doc, id, stamp, horizon)
-	})
-	return nil
-}
-
 // applyInsertLocked stores doc under id at the given commit stamp.
 // Callers hold t.mu and the commit protocol's outer locks.
 func (t *Table) applyInsertLocked(doc *xmltree.Document, id int64, stamp, horizon uint64) {
@@ -306,33 +231,15 @@ func (t *Table) NextID() int64 {
 	return t.nextID
 }
 
-// Delete removes a document by ID, reporting whether it existed. The
-// version chain gains a delete marker so pinned snapshots keep seeing
-// the document; once no snapshot can (the marker falls below the GC
-// horizon), the chain and its insertion-order slot are swept and
-// compacted, so heavy delete streams stay amortized O(1) per delete.
-func (t *Table) Delete(id int64) bool {
-	t.commitMu.Lock()
-	defer t.commitMu.Unlock()
-	t.mu.RLock()
-	_, ok := t.docs[id]
-	t.mu.RUnlock()
-	if !ok {
-		return false
-	}
-	t.stampedApply(func(stamp, horizon uint64) {
-		t.applyDeleteLocked(id, stamp, horizon)
-	})
-	return true
-}
-
 // applyDeleteLocked pushes a delete marker for id at the given commit
-// stamp, returning the removed document. Callers hold t.mu and the
-// commit protocol's outer locks.
-func (t *Table) applyDeleteLocked(id int64, stamp, horizon uint64) (*xmltree.Document, bool) {
+// stamp (a missing id is a no-op). Pinned snapshots keep seeing the
+// document; once the marker falls below the GC horizon the chain and
+// its order slot are swept, so delete streams stay amortized O(1).
+// Callers hold t.mu and the commit protocol's outer locks.
+func (t *Table) applyDeleteLocked(id int64, stamp, horizon uint64) {
 	doc, ok := t.docs[id]
 	if !ok {
-		return nil, false
+		return
 	}
 	delete(t.docs, id)
 	t.nodes -= int64(doc.Len())
@@ -344,7 +251,6 @@ func (t *Table) applyDeleteLocked(id int64, stamp, horizon uint64) (*xmltree.Doc
 	if t.dead > 64 && t.dead*2 > len(t.order) {
 		t.sweepLocked(horizon)
 	}
-	return doc, true
 }
 
 // compactLocked rewrites order without tombstones and rebuilds pos.
@@ -362,33 +268,13 @@ func (t *Table) compactLocked() {
 	t.tombs = 0
 }
 
-// Replace swaps the document stored under id for a new document — the
-// copy-on-write update path. The old document is never mutated, so
-// readers that fetched its pointer earlier (Scan/Get return live
-// pointers) keep evaluating a consistent pre-image with no lock held;
-// this is what makes the serving read path safe against concurrent
-// UPDATE statements. Subscribers observe a DocRemoved of the old
-// document followed by a DocInserted of the new one (two version
-// increments), and the new document keeps the old document's ID and
-// insertion-order position.
-func (t *Table) Replace(id int64, newDoc *xmltree.Document) bool {
-	t.commitMu.Lock()
-	defer t.commitMu.Unlock()
-	t.mu.RLock()
-	_, ok := t.docs[id]
-	t.mu.RUnlock()
-	if !ok {
-		return false
-	}
-	t.stampedApply(func(stamp, horizon uint64) {
-		t.applyReplaceLocked(id, newDoc, stamp, horizon)
-	})
-	return true
-}
-
 // applyReplaceLocked swaps the document under id for newDoc at the
-// given commit stamp. Callers hold t.mu and the commit protocol's
-// outer locks.
+// given commit stamp, reporting whether id existed. It is copy-on-write:
+// the old document is never mutated, so readers holding its pointer keep
+// a consistent pre-image. Subscribers see a DocRemoved of the old
+// document then a DocInserted of the new one, which keeps the old ID
+// and insertion-order position. Callers hold t.mu and the commit
+// protocol's outer locks.
 func (t *Table) applyReplaceLocked(id int64, newDoc *xmltree.Document, stamp, horizon uint64) bool {
 	old, ok := t.docs[id]
 	if !ok {
@@ -500,7 +386,16 @@ func (db *Database) CreateTable(name string) (*Table, error) {
 	if _, ok := db.tables[name]; ok {
 		return nil, fmt.Errorf("storage: table %q already exists", name)
 	}
-	t := newTable(name, db.mv)
+	dict := xmltree.NewPathDict()
+	t := &Table{
+		Name:     name,
+		dict:     dict,
+		programs: xpath.NewProgramCache(dict),
+		mv:       db.mv,
+		docs:     make(map[int64]*xmltree.Document),
+		heads:    make(map[int64]*docVersion),
+		pos:      make(map[int64]int),
+	}
 	db.tables[name] = t
 	return t, nil
 }

@@ -165,29 +165,29 @@ func custAccDoc(r *rand.Rand, i int) *xmltree.Document {
 	return b.Document()
 }
 
-// Generate creates the three TPoX tables in db and fills them per cfg.
+// Generate creates the three TPoX tables in db and fills them per cfg,
+// one commit per table.
 func Generate(db *storage.Database, cfg Config) error {
 	r := rand.New(rand.NewSource(cfg.Seed))
-	sec, err := db.CreateTable(TableSecurity)
-	if err != nil {
-		return err
-	}
-	ord, err := db.CreateTable(TableOrders)
-	if err != nil {
-		return err
-	}
-	cust, err := db.CreateTable(TableCustAcc)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < cfg.Securities; i++ {
-		sec.Insert(securityDoc(r, i))
-	}
-	for i := 0; i < cfg.Orders; i++ {
-		ord.Insert(orderDoc(r, i, cfg.Securities, cfg.Customers))
-	}
-	for i := 0; i < cfg.Customers; i++ {
-		cust.Insert(custAccDoc(r, i))
+	for _, t := range []struct {
+		name string
+		n    int
+		doc  func(i int) *xmltree.Document
+	}{
+		{TableSecurity, cfg.Securities, func(i int) *xmltree.Document { return securityDoc(r, i) }},
+		{TableOrders, cfg.Orders, func(i int) *xmltree.Document { return orderDoc(r, i, cfg.Securities, cfg.Customers) }},
+		{TableCustAcc, cfg.Customers, func(i int) *xmltree.Document { return custAccDoc(r, i) }},
+	} {
+		if _, err := db.CreateTable(t.name); err != nil {
+			return err
+		}
+		docs := make([]*xmltree.Document, t.n)
+		for i := range docs {
+			docs[i] = t.doc(i)
+		}
+		if _, err := db.Load(t.name, docs...); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"xixa/internal/storage"
 	"xixa/internal/xmltree"
 	"xixa/internal/xpath"
 	"xixa/internal/xstats"
@@ -87,8 +86,11 @@ func TestDeepDocumentNoStackOverflow(t *testing.T) {
 		// Insert interns the 50k-deep path chain into the table
 		// dictionary; index build matches the pattern against the
 		// dictionary and scans linearly.
-		tbl := storage.NewTable("DEEP")
-		tbl.Insert(doc)
+		db, tbl := newTable("DEEP")
+		if _, err := db.Load("DEEP", doc); err != nil {
+			t.Errorf("load deep doc: %v", err)
+			return
+		}
 		if got := tbl.PathDict().Len(); got != depth {
 			t.Errorf("table dictionary has %d paths, want %d", got, depth)
 			return
@@ -122,8 +124,8 @@ func TestDeepDocumentNoStackOverflow(t *testing.T) {
 // document (every level is a distinct path).
 func TestDeepDocumentCollect(t *testing.T) {
 	const depth = 4_000
-	tbl := storage.NewTable("DEEP")
-	tbl.Insert(chainDoc(depth))
+	db, tbl := newTable("DEEP")
+	insert(t, db, "DEEP", chainDoc(depth))
 	ts := xstats.Collect(tbl)
 	if len(ts.List) != depth {
 		t.Fatalf("collected %d paths, want %d", len(ts.List), depth)

@@ -17,7 +17,7 @@
 //     per-table batches in commit-stamp order. Events buffer while the
 //     build runs.
 //  2. Build: index the snapshot off to the side. Documents are
-//     immutable (updates are copy-on-write storage.Table.Replace), so
+//     immutable (an update is a copy-on-write storage.TxReplace), so
 //     no lock is needed while indexing them.
 //  3. Catch-up: drain the buffered change events in feed order. When
 //     the buffer runs dry, flip to direct mode under the same mutex
@@ -103,9 +103,9 @@ func (x *Index) applyChange(c storage.Change) {
 //
 // The caller owns the returned index and must Release it when the
 // index is dropped, or the feed subscription leaks. Correctness rests
-// on updates being copy-on-write (Table.Replace, the only update path
-// storage offers): buffered events reference documents that must not
-// change under them.
+// on updates being copy-on-write (CommitTx's TxReplace, the only update
+// path storage offers): buffered events reference documents that must
+// not change under them.
 func BuildOnline(t *storage.Table, def Definition) (*Index, error) {
 	if err := def.Validate(); err != nil {
 		return nil, err

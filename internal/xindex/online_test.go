@@ -21,6 +21,28 @@ func soakDoc(symbol string, yield float64) *xmltree.Document {
 		End().Document()
 }
 
+// newTable creates a database holding one empty table.
+func newTable(name string) (*storage.Database, *storage.Table) {
+	db := storage.NewDatabase()
+	return db, db.MustCreateTable(name)
+}
+
+// insert commits docs into table and returns the first one's ID.
+func insert(t testing.TB, db *storage.Database, table string, docs ...*xmltree.Document) int64 {
+	t.Helper()
+	ids, err := db.Load(table, docs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids[0]
+}
+
+// commit runs ops as one transaction at the current watermark.
+func commit(db *storage.Database, ops ...storage.TxOp) error {
+	_, _, err := db.CommitTx(db.Watermark(), ops, nil)
+	return err
+}
+
 // dump renders the index's full content in canonical order for
 // bit-identical comparison.
 func dump(x *Index) []string {
@@ -57,10 +79,10 @@ func assertIdentical(t *testing.T, tbl *storage.Table, online *Index) {
 // correctness soak: the capture/buffer/catch-up state machine must
 // lose no event and double-apply none, under real concurrency.
 func TestOnlineBuildSoak(t *testing.T) {
-	tbl := storage.NewTable("SECURITY")
+	db, tbl := newTable("SECURITY")
 	const seed = 300
 	for i := 0; i < seed; i++ {
-		tbl.Insert(soakDoc(fmt.Sprintf("S%05d", i), float64(i%100)/10))
+		insert(t, db, "SECURITY", soakDoc(fmt.Sprintf("S%05d", i), float64(i%100)/10))
 	}
 
 	const (
@@ -72,22 +94,29 @@ func TestOnlineBuildSoak(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			// Each writer only deletes and replaces documents it
+			// inserted itself, so no commit can conflict.
 			var mine []int64 // storm docs this writer owns
 			for i := 0; i < ops; i++ {
+				op := storage.TxOp{Table: "SECURITY", Kind: storage.TxInsert, Doc: soakDoc(fmt.Sprintf("W%d-%05d", w, i), float64(i%55)/5)}
 				switch {
 				case i%4 == 3 && len(mine) > 0:
 					// Delete an owned storm doc.
-					id := mine[0]
+					op = storage.TxOp{Table: "SECURITY", Kind: storage.TxDelete, DocID: mine[0]}
 					mine = mine[1:]
-					tbl.Delete(id)
 				case i%4 == 2 && len(mine) > 0:
 					// Copy-on-write update: replace with a new document
 					// under the same ID, yield changed.
-					id := mine[len(mine)-1]
-					tbl.Replace(id, soakDoc(fmt.Sprintf("W%d-%05d", w, i), float64(i%77)/7))
-				default:
-					id := tbl.Insert(soakDoc(fmt.Sprintf("W%d-%05d", w, i), float64(i%55)/5))
-					mine = append(mine, id)
+					op = storage.TxOp{Table: "SECURITY", Kind: storage.TxReplace, DocID: mine[len(mine)-1],
+						Doc: soakDoc(fmt.Sprintf("W%d-%05d", w, i), float64(i%77)/7)}
+				}
+				tx := []storage.TxOp{op}
+				if err := commit(db, tx...); err != nil {
+					t.Error(err)
+					return
+				}
+				if op.Kind == storage.TxInsert {
+					mine = append(mine, tx[0].DocID)
 				}
 			}
 		}(w)
@@ -122,7 +151,7 @@ func TestOnlineBuildSoak(t *testing.T) {
 	before := released.Entries()
 	released.Release()
 	released.Release() // idempotent
-	tbl.Insert(soakDoc("AFTERRELEASE", 1.5))
+	insert(t, db, "SECURITY", soakDoc("AFTERRELEASE", 1.5))
 	if released.Entries() != before {
 		t.Fatal("released index still maintained from the feed")
 	}
@@ -135,9 +164,9 @@ func TestOnlineBuildSoak(t *testing.T) {
 // concurrent writers, BuildOnline equals Build exactly and flips to
 // direct maintenance.
 func TestBuildOnlineQuietTable(t *testing.T) {
-	tbl := storage.NewTable("SECURITY")
+	db, tbl := newTable("SECURITY")
 	for i := 0; i < 50; i++ {
-		tbl.Insert(soakDoc(fmt.Sprintf("S%03d", i), float64(i)))
+		insert(t, db, "SECURITY", soakDoc(fmt.Sprintf("S%03d", i), float64(i)))
 	}
 	def := Definition{Table: "SECURITY", Pattern: xpath.MustParsePattern("/Security/Symbol"), Type: xpath.StringVal}
 	idx, err := BuildOnline(tbl, def)
@@ -148,9 +177,13 @@ func TestBuildOnlineQuietTable(t *testing.T) {
 	assertIdentical(t, tbl, idx)
 
 	// Post-build mutations apply directly.
-	id := tbl.Insert(soakDoc("ZZZ", 9.9))
-	tbl.Replace(id, soakDoc("ZZY", 8.8))
-	tbl.Delete(0)
+	id := insert(t, db, "SECURITY", soakDoc("ZZZ", 9.9))
+	if err := commit(db, storage.TxOp{Table: "SECURITY", Kind: storage.TxReplace, DocID: id, Doc: soakDoc("ZZY", 8.8)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := commit(db, storage.TxOp{Table: "SECURITY", Kind: storage.TxDelete, DocID: 0}); err != nil {
+		t.Fatal(err)
+	}
 	assertIdentical(t, tbl, idx)
 }
 
@@ -159,9 +192,9 @@ func TestBuildOnlineQuietTable(t *testing.T) {
 // happens only after the drain.
 func TestManagerLifecycle(t *testing.T) {
 	db := storage.NewDatabase()
-	tbl := db.MustCreateTable("SECURITY")
+	db.MustCreateTable("SECURITY")
 	for i := 0; i < 40; i++ {
-		tbl.Insert(soakDoc(fmt.Sprintf("S%03d", i), float64(i)))
+		insert(t, db, "SECURITY", soakDoc(fmt.Sprintf("S%03d", i), float64(i)))
 	}
 	cat := &mapCatalog{m: make(map[string]*Index)}
 	drained := 0
@@ -191,7 +224,7 @@ func TestManagerLifecycle(t *testing.T) {
 	}
 	// Released: further table mutations no longer touch it.
 	n := idx.Entries()
-	tbl.Insert(soakDoc("NEW", 1))
+	insert(t, db, "SECURITY", soakDoc("NEW", 1))
 	if idx.Entries() != n {
 		t.Fatal("dropped index still feed-maintained")
 	}

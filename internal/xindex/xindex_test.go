@@ -26,12 +26,14 @@ func secDoc(i int) *xmltree.Document {
 		End().Document()
 }
 
-func buildSecurityTable(n int) *storage.Table {
-	tbl := storage.NewTable("SECURITY")
-	for i := 0; i < n; i++ {
-		tbl.Insert(secDoc(i))
+func buildSecurityTable(t testing.TB, n int) (*storage.Database, *storage.Table) {
+	db, tbl := newTable("SECURITY")
+	docs := make([]*xmltree.Document, n)
+	for i := range docs {
+		docs[i] = secDoc(i)
 	}
-	return tbl
+	insert(t, db, "SECURITY", docs...)
+	return db, tbl
 }
 
 func def(pattern string, kind xpath.ValueKind) Definition {
@@ -53,7 +55,7 @@ func TestDefinitionValidate(t *testing.T) {
 }
 
 func TestBuildStringIndex(t *testing.T) {
-	tbl := buildSecurityTable(100)
+	_, tbl := buildSecurityTable(t, 100)
 	idx, err := Build(tbl, def("/Security/Symbol", xpath.StringVal))
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -79,7 +81,7 @@ func TestBuildStringIndex(t *testing.T) {
 }
 
 func TestBuildNumericIndexAndRanges(t *testing.T) {
-	tbl := buildSecurityTable(100)
+	_, tbl := buildSecurityTable(t, 100)
 	idx, err := Build(tbl, def("/Security/Yield", xpath.NumberVal))
 	if err != nil {
 		t.Fatalf("Build: %v", err)
@@ -114,9 +116,9 @@ func TestBuildNumericIndexAndRanges(t *testing.T) {
 }
 
 func TestNumericIndexSkipsNonNumeric(t *testing.T) {
-	tbl := storage.NewTable("SECURITY")
-	tbl.Insert(xmltree.MustParse(`<Security><Yield>4.5</Yield></Security>`))
-	tbl.Insert(xmltree.MustParse(`<Security><Yield>not-a-number</Yield></Security>`))
+	db, tbl := newTable("SECURITY")
+	insert(t, db, "SECURITY", xmltree.MustParse(`<Security><Yield>4.5</Yield></Security>`),
+		xmltree.MustParse(`<Security><Yield>not-a-number</Yield></Security>`))
 	idx, err := Build(tbl, def("/Security/Yield", xpath.NumberVal))
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +129,7 @@ func TestNumericIndexSkipsNonNumeric(t *testing.T) {
 }
 
 func TestGeneralPatternIndexesAllCoveredNodes(t *testing.T) {
-	tbl := buildSecurityTable(20)
+	_, tbl := buildSecurityTable(t, 20)
 	idx, err := Build(tbl, def("/Security//*", xpath.StringVal))
 	if err != nil {
 		t.Fatal(err)
@@ -149,10 +151,10 @@ func TestGeneralPatternIndexesAllCoveredNodes(t *testing.T) {
 }
 
 func TestMaintenanceOnInsertDelete(t *testing.T) {
-	tbl := buildSecurityTable(10)
+	db, tbl := buildSecurityTable(t, 10)
 	idx, _ := Build(tbl, def("/Security/Symbol", xpath.StringVal))
 	d := secDoc(999)
-	tbl.Insert(d)
+	insert(t, db, "SECURITY", d)
 	if added := idx.OnInsert(d); added != 1 {
 		t.Errorf("OnInsert added %d entries, want 1", added)
 	}
@@ -162,7 +164,9 @@ func TestMaintenanceOnInsertDelete(t *testing.T) {
 	if removed := idx.OnDelete(d); removed != 1 {
 		t.Errorf("OnDelete removed %d, want 1", removed)
 	}
-	tbl.Delete(d.DocID)
+	if err := commit(db, storage.TxOp{Table: "SECURITY", Kind: storage.TxDelete, DocID: d.DocID}); err != nil {
+		t.Fatal(err)
+	}
 	if idx.Entries() != 10 {
 		t.Errorf("Entries = %d, want 10", idx.Entries())
 	}
@@ -175,7 +179,7 @@ func TestMaintenanceOnInsertDelete(t *testing.T) {
 }
 
 func TestScanTypeMismatch(t *testing.T) {
-	tbl := buildSecurityTable(10)
+	_, tbl := buildSecurityTable(t, 10)
 	strIdx, _ := Build(tbl, def("/Security/Symbol", xpath.StringVal))
 	n := strIdx.Scan(xpath.OpEq, xpath.NumberValue(4.5), func(Ref) bool { return true })
 	if n != 0 {
@@ -233,7 +237,7 @@ func TestEncodeKeyOrderPreserving(t *testing.T) {
 // sized from the path synopsis; the estimate must track what building
 // the index really produces.
 func TestVirtualMatchesRealSize(t *testing.T) {
-	tbl := buildSecurityTable(500)
+	_, tbl := buildSecurityTable(t, 500)
 	ts := xstats.Collect(tbl)
 	for _, tc := range []struct {
 		pattern string
@@ -266,7 +270,7 @@ func TestScanHonoursEarlyStop(t *testing.T) {
 	db := storage.NewDatabase()
 	tbl := db.MustCreateTable("SECURITY")
 	for i := 0; i < 10; i++ {
-		tbl.Insert(secDoc(i))
+		insert(t, db, "SECURITY", secDoc(i))
 	}
 	idx, err := BuildOnline(tbl, def("/Security/Yield", xpath.NumberVal))
 	if err != nil {
@@ -276,7 +280,9 @@ func TestScanHonoursEarlyStop(t *testing.T) {
 	snap := db.PinSnapshot() // still sees the three documents deleted next
 	defer snap.Release()
 	for id := int64(0); id < 3; id++ {
-		tbl.Delete(id)
+		if err := commit(db, storage.TxOp{Table: "SECURITY", Kind: storage.TxDelete, DocID: id}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, tc := range []struct {
 		name      string
@@ -317,7 +323,7 @@ func TestBornRecordsBoundedWithoutDeletes(t *testing.T) {
 	defer idx.Release()
 	const n = 1000
 	for i := 0; i < n; i++ {
-		tbl.Insert(secDoc(i))
+		insert(t, db, "SECURITY", secDoc(i))
 	}
 	idx.mu.RLock()
 	borns := len(idx.borns)
@@ -350,7 +356,7 @@ func TestPropertyIndexAgreesWithEval(t *testing.T) {
 	patterns := []string{"/a/b", "/a//c", "//b", "/a/*", "/a//*", "/a/b/c"}
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		tbl := storage.NewTable("SECURITY")
+		db, tbl := newTable("SECURITY")
 		names := []string{"a", "b", "c"}
 		for d := 0; d < 10; d++ {
 			b := xmltree.NewBuilder()
@@ -370,7 +376,10 @@ func TestPropertyIndexAgreesWithEval(t *testing.T) {
 				gen(1)
 			}
 			b.End()
-			tbl.Insert(b.Document())
+			if _, err := db.Load("SECURITY", b.Document()); err != nil {
+				t.Error(err)
+				return false
+			}
 		}
 		pat := patterns[r.Intn(len(patterns))]
 		idx, err := Build(tbl, Definition{Table: "SECURITY", Pattern: xpath.MustParsePattern(pat), Type: xpath.StringVal})
@@ -418,15 +427,13 @@ func TestPropertyIndexAgreesWithEval(t *testing.T) {
 // sign-flipped encoding landed inside the positive-number key range and
 // surfaced from range scans, even though no comparison is true of NaN.
 func TestNumericIndexSkipsNaN(t *testing.T) {
-	tbl := storage.NewTable("SECURITY")
+	db, tbl := newTable("SECURITY")
 	mk := func(yield string) *xmltree.Document {
 		return xmltree.NewBuilder().
 			Begin("Security").Leaf("Yield", yield).End().Document()
 	}
 	docs := []*xmltree.Document{mk("NaN"), mk("1.5"), mk("nan"), mk("7.25"), mk("NAN")}
-	for _, d := range docs {
-		tbl.Insert(d)
-	}
+	insert(t, db, "SECURITY", docs...)
 	idx, err := Build(tbl, def("/Security/Yield", xpath.NumberVal))
 	if err != nil {
 		t.Fatal(err)

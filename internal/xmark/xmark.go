@@ -101,23 +101,24 @@ func closedAuctionDoc(r *rand.Rand, i int) *xmltree.Document {
 
 // Generate fills the XMARK table with items, people, and closed
 // auctions (heterogeneous roots in one table, as XMark's single
-// document would shred).
+// document would shred), as one commit.
 func Generate(db *storage.Database, cfg Config) error {
-	tbl, err := db.CreateTable(Table)
-	if err != nil {
+	if _, err := db.CreateTable(Table); err != nil {
 		return err
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
+	docs := make([]*xmltree.Document, 0, cfg.Items+cfg.People+cfg.Auction)
 	for i := 0; i < cfg.Items; i++ {
-		tbl.Insert(itemDoc(r, i))
+		docs = append(docs, itemDoc(r, i))
 	}
 	for i := 0; i < cfg.People; i++ {
-		tbl.Insert(personDoc(r, i))
+		docs = append(docs, personDoc(r, i))
 	}
 	for i := 0; i < cfg.Auction; i++ {
-		tbl.Insert(closedAuctionDoc(r, i))
+		docs = append(docs, closedAuctionDoc(r, i))
 	}
-	return nil
+	_, err := db.Load(Table, docs...)
+	return err
 }
 
 // NewDatabase generates a fresh XMark-lite database.

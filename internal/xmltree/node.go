@@ -75,7 +75,7 @@ type Document struct {
 	// Nodes holds every node in document order; Nodes[i].ID == i.
 	Nodes []Node
 	// Dict is the path dictionary PathIDs refer to. Parse and Builder
-	// attach a per-document dictionary; storage.Table.Insert rebases it
+	// attach a per-document dictionary; a storage commit rebases it
 	// onto the table's shared dictionary. Nil for documents constructed
 	// by hand (use InternPaths to attach one).
 	Dict *PathDict

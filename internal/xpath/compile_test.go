@@ -122,11 +122,22 @@ func TestCompiledMatchesEval(t *testing.T) {
 	}
 }
 
+// loadTable creates table "T" in a fresh database and commits docs
+// into it.
+func loadTable(t testing.TB, docs ...*xmltree.Document) (*storage.Database, *storage.Table) {
+	t.Helper()
+	db := storage.NewDatabase()
+	tbl := db.MustCreateTable("T")
+	if _, err := db.Load("T", docs...); err != nil {
+		t.Fatal(err)
+	}
+	return db, tbl
+}
+
 // TestProgramCacheBounded feeds the cache more distinct shapes than it
 // keeps: it must start over rather than grow without end.
 func TestProgramCacheBounded(t *testing.T) {
-	tbl := storage.NewTable("T")
-	tbl.Insert(xmltree.MustParse(`<a><b>1</b></a>`))
+	_, tbl := loadTable(t, xmltree.MustParse(`<a><b>1</b></a>`))
 	cache := tbl.Programs()
 	for i := 0; i < 1500; i++ {
 		cache.Bind(xpath.MustParse(fmt.Sprintf(`/a[b%d=1]`, i)))
@@ -216,16 +227,19 @@ func genPath(r *rand.Rand, relative bool, depth int) string {
 // generated documents whose labels recur, plus the case that motivates
 // context-relative predicate matching, pinned explicitly.
 func TestCompiledMatchesEvalRecursiveLabels(t *testing.T) {
-	tbl := storage.NewTable("T")
-	tbl.Insert(xmltree.MustParse(`<x><x><x><y>1</y></x></x></x>`))
+	db, tbl := loadTable(t, xmltree.MustParse(`<x><x><x><y>1</y></x></x></x>`))
 	pinned := xpath.MustParse(`//x[x/y=1]`)
 	doc := tableDocs(tbl)[0]
 	if got := tbl.Programs().Bind(pinned).Select(doc, nil); fmt.Sprint(got) != "[1]" {
 		t.Fatalf("//x[x/y=1] over /x/x/x/y selected %v, want only the middle x [1]", got)
 	}
 	r := rand.New(rand.NewSource(12))
-	for i := 0; i < 300; i++ {
-		tbl.Insert(genDoc(r, 40))
+	gen := make([]*xmltree.Document, 300)
+	for i := range gen {
+		gen[i] = genDoc(r, 40)
+	}
+	if _, err := db.Load("T", gen...); err != nil {
+		t.Fatal(err)
 	}
 	docs := tableDocs(tbl)
 	for i := 0; i < 400; i++ {
@@ -244,8 +258,7 @@ func TestCompiledMatchesEvalRecursiveLabels(t *testing.T) {
 // does not answer itself: a document on another dictionary, and a path
 // beyond the step budget.
 func TestCompiledFallsBackToEval(t *testing.T) {
-	tbl := storage.NewTable("T")
-	tbl.Insert(xmltree.MustParse(`<a><b>1</b></a>`))
+	_, tbl := loadTable(t, xmltree.MustParse(`<a><b>1</b></a>`))
 	foreign := xmltree.MustParse(`<a><b>1</b><b>2</b></a>`)
 	sameAsEval(t, tbl.Programs(), foreign, xpath.MustParse(`/a[b=2]/b`))
 	m := tbl.Programs().Bind(xpath.MustParse(`/a/b`))
@@ -273,9 +286,7 @@ func TestCompiledDeepDocuments(t *testing.T) {
 	}
 	paths := []string{`//x[y=1]/y`, `/x//x[x]/x//y`, `//x[x[x/y]]//z[y=2]/y`, `//x[.//y=2]/x/x/y`, `//y`, `/x/x/x`}
 	for _, depth := range []int{40, 70} {
-		tbl := storage.NewTable("T")
-		tbl.Insert(nest(depth))
-		tbl.Insert(nest(3))
+		_, tbl := loadTable(t, nest(depth), nest(3))
 		for _, raw := range paths {
 			for _, doc := range tableDocs(tbl) {
 				sameAsEval(t, tbl.Programs(), doc, xpath.MustParse(raw))
@@ -288,9 +299,8 @@ func TestCompiledDeepDocuments(t *testing.T) {
 // for a document rejected on its path summary, and only the nodes up to
 // the first match when Exists stops early.
 func TestCompiledNodesVisited(t *testing.T) {
-	tbl := storage.NewTable("T")
-	tbl.Insert(xmltree.MustParse(`<s><k>stock</k><p><q>1</q><q>2</q><q>3</q></p></s>`))
-	tbl.Insert(xmltree.MustParse(`<s><k>bond</k><r>AAA</r></s>`))
+	_, tbl := loadTable(t, xmltree.MustParse(`<s><k>stock</k><p><q>1</q><q>2</q><q>3</q></p></s>`),
+		xmltree.MustParse(`<s><k>bond</k><r>AAA</r></s>`))
 	docs := tableDocs(tbl)
 
 	m := tbl.Programs().Bind(xpath.MustParse(`/s[r="AAA"]`))
@@ -363,9 +373,7 @@ func FuzzCompiledMatchesEval(f *testing.F) {
 		if err != nil {
 			return
 		}
-		tbl := storage.NewTable("T")
-		tbl.Insert(xmltree.MustParse(`<x><y>1</y><z w="2"><x>a</x></z></x>`))
-		tbl.Insert(fuzzDoc(data))
+		_, tbl := loadTable(t, xmltree.MustParse(`<x><y>1</y><z w="2"><x>a</x></z></x>`), fuzzDoc(data))
 		for _, doc := range tableDocs(tbl) {
 			sameAsEval(t, tbl.Programs(), doc, p)
 		}

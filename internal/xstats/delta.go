@@ -276,7 +276,7 @@ func (d *Delta) addDoc(doc *xmltree.Document, sign int64) {
 	d.docs += sign
 	d.nodes += sign * int64(doc.Len())
 	if doc.Dict != d.dict || len(doc.PathIDs) != doc.Len() {
-		// Defensive: Table.Insert interns on the way in, so this is
+		// Defensive: a storage commit interns on the way in, so this is
 		// only reachable for documents placed by unusual means.
 		doc.InternPaths(d.dict)
 	}

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"xixa/internal/storage"
 	"xixa/internal/xmltree"
 )
 
@@ -77,7 +76,7 @@ func requireStatsEqual(t *testing.T, label string, got, want *TableStats) {
 // maintained through a Keeper must yield, at every checkpoint, a
 // TableStats bit-identical to a fresh full Collect of the table.
 func TestKeeperMatchesCollectUnderStream(t *testing.T) {
-	tbl := storage.NewTable("SECURITY")
+	db, tbl := newTable("SECURITY")
 	k := NewKeeper(tbl)
 
 	var ids []int64
@@ -93,7 +92,7 @@ func TestKeeperMatchesCollectUnderStream(t *testing.T) {
 			End().Document()
 	}
 	insert := func(i int) {
-		ids = append(ids, tbl.Insert(security(i, float64(i%13)+float64(i%7)/10)))
+		ids = append(ids, insertDoc(t, db, tbl, security(i, float64(i%13)+float64(i%7)/10)))
 	}
 	checkpoint := func(step string) {
 		t.Helper()
@@ -108,18 +107,14 @@ func TestKeeperMatchesCollectUnderStream(t *testing.T) {
 	// Delete every third document (including the current min/max Yield
 	// holders eventually), forcing bound and histogram recomputation.
 	for i := 0; i < len(ids); i += 3 {
-		if !tbl.Delete(ids[i]) {
-			t.Fatalf("delete %d failed", ids[i])
-		}
+		deleteDoc(t, db, tbl, ids[i])
 	}
 	checkpoint("after deletes")
 
-	// Copy-on-write updates through Table.Replace: rewrite Yield leaves.
+	// Copy-on-write updates: rewrite Yield leaves.
 	updated := 0
 	for i := 1; i < len(ids); i += 3 {
-		if !tbl.Replace(ids[i], security(i, 99.5+float64(i))) {
-			t.Fatalf("update %d failed", ids[i])
-		}
+		replaceDoc(t, db, tbl, ids[i], security(i, 99.5+float64(i)))
 		updated++
 	}
 	if updated == 0 {
@@ -134,10 +129,10 @@ func TestKeeperMatchesCollectUnderStream(t *testing.T) {
 			Leaf("Symbol", fmt.Sprintf("S%04d", i)).
 			Begin("Price").LeafFloat("Open", float64(i)).LeafFloat("Close", float64(i)+0.5).End().
 			End().Document()
-		ids = append(ids, tbl.Insert(d))
+		ids = append(ids, insertDoc(t, db, tbl, d))
 	}
 	for i := 2; i < 60; i += 3 {
-		tbl.Delete(ids[i])
+		deleteDoc(t, db, tbl, ids[i])
 	}
 	checkpoint("after churn")
 }
@@ -146,16 +141,16 @@ func TestKeeperMatchesCollectUnderStream(t *testing.T) {
 // returns the statistics to their empty state: no paths survive, even
 // transiently-touched ones.
 func TestDeltaCancellation(t *testing.T) {
-	tbl := storage.NewTable("T")
+	db, tbl := newTable("T")
 	k := NewKeeper(tbl)
 	var ids []int64
 	for i := 0; i < 10; i++ {
 		d := xmltree.NewBuilder().
 			Begin("Doc").Leaf("V", fmt.Sprintf("%d", i)).End().Document()
-		ids = append(ids, tbl.Insert(d))
+		ids = append(ids, insertDoc(t, db, tbl, d))
 	}
 	for _, id := range ids {
-		tbl.Delete(id)
+		deleteDoc(t, db, tbl, id)
 	}
 	st := k.Stats()
 	requireStatsEqual(t, "emptied", st, Collect(tbl))
@@ -169,7 +164,7 @@ func TestDeltaCancellation(t *testing.T) {
 // incremental path: NaN and infinite numerics, empty elements,
 // multi-text concatenation, and attribute values.
 func TestDeltaEdgeValues(t *testing.T) {
-	tbl := storage.NewTable("T")
+	db, tbl := newTable("T")
 	k := NewKeeper(tbl)
 	mk := func(val string) *xmltree.Document {
 		return xmltree.NewBuilder().
@@ -180,19 +175,19 @@ func TestDeltaEdgeValues(t *testing.T) {
 	}
 	var ids []int64
 	for _, v := range []string{"NaN", "NaN", "Inf", "-Inf", "1.5", "", "  2.5  ", "text"} {
-		ids = append(ids, tbl.Insert(mk(v)))
+		ids = append(ids, insertDoc(t, db, tbl, mk(v)))
 	}
 	// Multi-text concatenation: element with two text children around a
 	// child element.
 	b := xmltree.NewBuilder()
 	b.Begin("Doc").Begin("V").Text("12").Begin("Sep").End().Text("34").End().End()
-	ids = append(ids, tbl.Insert(b.Document()))
+	ids = append(ids, insertDoc(t, db, tbl, b.Document()))
 
 	requireStatsEqual(t, "edge inserts", k.Stats(), Collect(tbl))
 
 	// Remove one NaN and the concat doc; incremental must track both.
-	tbl.Delete(ids[0])
-	tbl.Delete(ids[len(ids)-1])
+	deleteDoc(t, db, tbl, ids[0])
+	deleteDoc(t, db, tbl, ids[len(ids)-1])
 	requireStatsEqual(t, "edge deletes", k.Stats(), Collect(tbl))
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"xixa/internal/storage"
 	"xixa/internal/tpox"
 	"xixa/internal/xmltree"
 	"xixa/internal/xpath"
@@ -57,7 +56,7 @@ type heldSnapshot struct {
 // reading them while the keeper folds on: what they answer must not
 // move.
 func TestKeeperMatchesCollectEveryStep(t *testing.T) {
-	tbl := storage.NewTable("SECURITY")
+	db, tbl := newTable("SECURITY")
 	k := NewKeeper(tbl)
 	r := rand.New(rand.NewSource(17))
 
@@ -143,17 +142,13 @@ func TestKeeperMatchesCollectEveryStep(t *testing.T) {
 		op := r.Intn(10)
 		switch {
 		case len(ids) < 12 || (op < 4 && len(ids) < 60):
-			ids = append(ids, tbl.Insert(build(random())))
+			ids = append(ids, insertDoc(t, db, tbl, build(random())))
 		case op < 7:
 			i := r.Intn(len(ids))
-			if !tbl.Replace(ids[i], build(random())) {
-				t.Fatalf("step %d: replace %d failed", step, ids[i])
-			}
+			replaceDoc(t, db, tbl, ids[i], build(random()))
 		default:
 			i := r.Intn(len(ids))
-			if !tbl.Delete(ids[i]) {
-				t.Fatalf("step %d: delete %d failed", step, ids[i])
-			}
+			deleteDoc(t, db, tbl, ids[i])
 			ids = append(ids[:i], ids[i+1:]...)
 		}
 
@@ -242,9 +237,7 @@ func TestFoldRederivesOnlyMovedRanges(t *testing.T) {
 		d := &xmltree.Document{Nodes: append([]xmltree.Node(nil), src.Nodes...), Dict: src.Dict,
 			PathIDs: append([]xmltree.PathID(nil), src.PathIDs...)}
 		leaf(d, "Yield").Value, leaf(d, "PE").Value = yieldText, peText
-		if !tbl.Replace(id, d) {
-			t.Fatal("replace failed")
-		}
+		replaceDoc(t, db, tbl, id, d)
 		f0, r0 := k.FoldCounts()
 		got := k.Stats()
 		requireStatsEqual(t, "replace "+yieldText+"/"+peText, got, Collect(tbl))

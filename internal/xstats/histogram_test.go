@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"xixa/internal/storage"
 	"xixa/internal/xmltree"
 	"xixa/internal/xpath"
 )
@@ -136,12 +135,12 @@ func TestSelectivityUsesHistogramForSkew(t *testing.T) {
 	// Build a table whose Qty values are heavily skewed: 95% small,
 	// 5% large. Histogram-based selectivity must see that a "> mid"
 	// range is rare; the uniformity assumption would say ~50%.
-	tbl := storage.NewTable("T")
+	db, tbl := newTable("T")
 	for i := 0; i < 950; i++ {
-		tbl.Insert(xmltree.MustParse(`<r><q>1</q></r>`))
+		insertDoc(t, db, tbl, xmltree.MustParse(`<r><q>1</q></r>`))
 	}
 	for i := 0; i < 50; i++ {
-		tbl.Insert(xmltree.MustParse(`<r><q>1000</q></r>`))
+		insertDoc(t, db, tbl, xmltree.MustParse(`<r><q>1000</q></r>`))
 	}
 	ts := Collect(tbl)
 	ps := ts.ForPattern(xpath.MustParse("/r/q"), xpath.NumberVal)

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"xixa/internal/storage"
 	"xixa/internal/xmltree"
 )
 
@@ -107,9 +106,9 @@ func identity(n int) []int {
 //     (modulo dictionary numbering, which carries no information)
 func TestMergeKWaySplitProperty(t *testing.T) {
 	const docs = 60
-	whole := storage.NewTable("SECURITY")
+	wholeDB, whole := newTable("SECURITY")
 	for i := 0; i < docs; i++ {
-		whole.Insert(shardDoc(i))
+		insertDoc(t, wholeDB, whole, shardDoc(i))
 	}
 	want := Collect(whole)
 
@@ -123,10 +122,10 @@ func TestMergeKWaySplitProperty(t *testing.T) {
 
 		parts := make([]*TableStats, k)
 		for s := 0; s < k; s++ {
-			tbl := storage.NewTable("SECURITY")
+			db, tbl := newTable("SECURITY")
 			for i := 0; i < docs; i++ {
 				if assign[i] == s {
-					tbl.Insert(shardDoc(i))
+					insertDoc(t, db, tbl, shardDoc(i))
 				}
 			}
 			parts[s] = Collect(tbl)

@@ -9,11 +9,42 @@ import (
 	"xixa/internal/xpath"
 )
 
+// newTable creates a database holding one empty table.
+func newTable(name string) (*storage.Database, *storage.Table) {
+	db := storage.NewDatabase()
+	return db, db.MustCreateTable(name)
+}
+
+// commitOp runs op as its own transaction and returns its document ID.
+func commitOp(t testing.TB, db *storage.Database, op storage.TxOp) int64 {
+	t.Helper()
+	ops := []storage.TxOp{op}
+	if _, _, err := db.CommitTx(db.Watermark(), ops, nil); err != nil {
+		t.Fatal(err)
+	}
+	return ops[0].DocID
+}
+
+func insertDoc(t testing.TB, db *storage.Database, tbl *storage.Table, d *xmltree.Document) int64 {
+	t.Helper()
+	return commitOp(t, db, storage.TxOp{Table: tbl.Name, Kind: storage.TxInsert, Doc: d})
+}
+
+func deleteDoc(t testing.TB, db *storage.Database, tbl *storage.Table, id int64) {
+	t.Helper()
+	commitOp(t, db, storage.TxOp{Table: tbl.Name, Kind: storage.TxDelete, DocID: id})
+}
+
+func replaceDoc(t testing.TB, db *storage.Database, tbl *storage.Table, id int64, d *xmltree.Document) {
+	t.Helper()
+	commitOp(t, db, storage.TxOp{Table: tbl.Name, Kind: storage.TxReplace, DocID: id, Doc: d})
+}
+
 // buildTable creates n Security docs with Symbol "S<i>", Yield i%10,
 // and a Sector drawn from 4 values.
 func buildTable(t *testing.T, n int) *storage.Table {
 	t.Helper()
-	tbl := storage.NewTable("SECURITY")
+	db, tbl := newTable("SECURITY")
 	sectors := []string{"Energy", "Tech", "Finance", "Retail"}
 	for i := 0; i < n; i++ {
 		d := xmltree.NewBuilder().
@@ -24,7 +55,7 @@ func buildTable(t *testing.T, n int) *storage.Table {
 			Leaf("Sector", sectors[i%len(sectors)]).
 			End().End().
 			End().Document()
-		tbl.Insert(d)
+		insertDoc(t, db, tbl, d)
 	}
 	return tbl
 }
@@ -168,9 +199,9 @@ func TestPatternCacheStable(t *testing.T) {
 }
 
 func TestAttributeStats(t *testing.T) {
-	tbl := storage.NewTable("T")
+	db, tbl := newTable("T")
 	for i := 0; i < 5; i++ {
-		tbl.Insert(xmltree.MustParse(fmt.Sprintf(`<Order id="%d"><Qty>%d</Qty></Order>`, i, i*10)))
+		insertDoc(t, db, tbl, xmltree.MustParse(fmt.Sprintf(`<Order id="%d"><Qty>%d</Qty></Order>`, i, i*10)))
 	}
 	ts := Collect(tbl)
 	attr := ts.Paths["/Order/@id"]
