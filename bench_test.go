@@ -536,7 +536,7 @@ func BenchmarkGeneralizePair(b *testing.B) {
 	}
 }
 
-// --- update-stream / incremental statistics benchmarks (PR 3) ---
+// --- update stream / incremental statistics benchmarks ---
 
 // updateMixRound pushes one TPoX-style transaction batch through the
 // engine: kInserts new securities, their deletion, and a few point/range

@@ -3,12 +3,10 @@
 //
 // Usage:
 //
-//	experiments [-scale N] [-run name[,name...]]
+//	experiments [-scale N] [-run name[,name...]] [-parallelism N]
 //
-// Names: table1, fig2, fig3, table3, table4, fig4, fig5,
-// ablation-calls, ablation-beta, updates, update-stream, serve-tune,
-// multi-writer, crash-recover, replica-failover, restore-lsn, xmark,
-// sharded-serve, all (default).
+// -run takes the step names listed by experiments -h, or all (the
+// default).
 package main
 
 import (
@@ -22,22 +20,55 @@ import (
 
 func main() {
 	scale := flag.Int("scale", 1, "TPoX data scale factor (1 = 1000 securities, 2000 orders, 500 customers)")
-	run := flag.String("run", "all", "comma-separated experiment names (table1,fig2,fig3,table3,table4,fig4,fig5,ablation-calls,ablation-beta,updates,update-stream,serve-tune,multi-writer,crash-recover,replica-failover,restore-lsn,xmark,sharded-serve,all)")
 	parallelism := flag.Int("parallelism", 0, "advisor fan-out width (0 = GOMAXPROCS, 1 = the paper's serial pipeline)")
+
+	out := os.Stdout
+	var env *experiments.Env
+	type step struct {
+		name     string
+		needsEnv bool // runs on env, the shared generated TPoX database
+		run      func() error
+	}
+	steps := []step{
+		{"table1", true, func() error { _, err := experiments.TableI(out, env); return err }},
+		{"fig2", true, func() error { _, err := experiments.Fig2(out, env); return err }},
+		{"fig3", true, func() error { _, err := experiments.Fig3(out, env); return err }},
+		{"table3", true, func() error { _, err := experiments.Table3(out, env); return err }},
+		{"table4", true, func() error { _, err := experiments.Table4(out, env); return err }},
+		{"fig4", true, func() error { _, err := experiments.Fig4(out, env); return err }},
+		{"fig5", true, func() error {
+			_, err := experiments.Fig5(out, env, []int{1, 3, 5, 8, 10, 12, 15, 18, 20})
+			return err
+		}},
+		{"ablation-calls", true, func() error { _, err := experiments.AblationCalls(out, env); return err }},
+		{"ablation-beta", true, func() error { _, err := experiments.AblationBeta(out, env); return err }},
+		{"updates", true, func() error { _, err := experiments.Updates(out, env); return err }},
+		{"observe", false, func() error { _, err := experiments.Observe(out, *scale); return err }},
+		{"xmark", false, func() error { _, err := experiments.XMark(out, *scale, *parallelism); return err }},
+	}
+	names := make([]string, 0, len(steps)+1)
+	for _, s := range steps {
+		names = append(names, s.name)
+	}
+	run := flag.String("run", "all", "comma-separated experiment names ("+strings.Join(append(names, "all"), ",")+")")
 	flag.Parse()
 
 	want := map[string]bool{}
 	for _, name := range strings.Split(*run, ",") {
 		want[strings.TrimSpace(name)] = true
 	}
-	all := want["all"]
-	selected := func(name string) bool { return all || want[name] }
+	var selected []step
+	needEnv := false
+	for _, s := range steps {
+		if want["all"] || want[s.name] {
+			selected = append(selected, s)
+			needEnv = needEnv || s.needsEnv
+		}
+	}
+	if len(selected) == 0 {
+		fatal(fmt.Errorf("no experiment matched -run=%s", *run))
+	}
 
-	out := os.Stdout
-	var env *experiments.Env
-	needEnv := all || want["table1"] || want["fig2"] || want["fig3"] || want["table3"] ||
-		want["table4"] || want["fig4"] || want["fig5"] || want["ablation-calls"] ||
-		want["ablation-beta"] || want["updates"]
 	if needEnv {
 		fmt.Fprintf(out, "Generating TPoX data (scale %d) and collecting statistics...\n\n", *scale)
 		e, err := experiments.NewEnv(*scale)
@@ -47,69 +78,11 @@ func main() {
 		e.Parallelism = *parallelism
 		env = e
 	}
-
-	type step struct {
-		name string
-		run  func() error
-	}
-	steps := []step{
-		{"table1", func() error { _, err := experiments.TableI(out, env); return err }},
-		{"fig2", func() error { _, err := experiments.Fig2(out, env); return err }},
-		{"fig3", func() error { _, err := experiments.Fig3(out, env); return err }},
-		{"table3", func() error { _, err := experiments.Table3(out, env); return err }},
-		{"table4", func() error { _, err := experiments.Table4(out, env); return err }},
-		{"fig4", func() error { _, err := experiments.Fig4(out, env); return err }},
-		{"fig5", func() error {
-			_, err := experiments.Fig5(out, env, []int{1, 3, 5, 8, 10, 12, 15, 18, 20})
-			return err
-		}},
-		{"ablation-calls", func() error { _, err := experiments.AblationCalls(out, env); return err }},
-		{"ablation-beta", func() error { _, err := experiments.AblationBeta(out, env); return err }},
-		{"updates", func() error { _, err := experiments.Updates(out, env); return err }},
-		{"update-stream", func() error {
-			_, err := experiments.UpdateStream(out, *scale, *parallelism, 5)
-			return err
-		}},
-		{"serve-tune", func() error {
-			_, err := experiments.ServeTune(out, *scale, 8, 5)
-			return err
-		}},
-		{"multi-writer", func() error {
-			_, err := experiments.MultiWriter(out, *scale, 6, 5)
-			return err
-		}},
-		{"crash-recover", func() error {
-			_, err := experiments.CrashRecover(out, *scale)
-			return err
-		}},
-		{"replica-failover", func() error {
-			_, err := experiments.ReplicaFailover(out, *scale)
-			return err
-		}},
-		{"restore-lsn", func() error {
-			_, err := experiments.RestoreLSN(out, *scale)
-			return err
-		}},
-		{"observe", func() error { _, err := experiments.Observe(out, *scale); return err }},
-		{"xmark", func() error { _, err := experiments.XMark(out, *scale, *parallelism); return err }},
-		{"sharded-serve", func() error {
-			_, err := experiments.ShardedServe(out, *scale, 4)
-			return err
-		}},
-	}
-	ran := 0
-	for _, s := range steps {
-		if !selected(s.name) {
-			continue
-		}
+	for _, s := range selected {
 		if err := s.run(); err != nil {
 			fatal(fmt.Errorf("%s: %w", s.name, err))
 		}
 		fmt.Fprintln(out)
-		ran++
-	}
-	if ran == 0 {
-		fatal(fmt.Errorf("no experiment matched -run=%s", *run))
 	}
 }
 

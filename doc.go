@@ -60,8 +60,8 @@
 // plan-cache entries are keyed by statistics version and rebuilt on
 // mismatch, and post-mutation plans and recommendations are
 // bit-identical to a cold optimizer on freshly collected statistics.
-// Engine-driven flows (cmd/xqshell, examples/autonomous, the
-// update-stream experiment) run in this mode. internal/engine has one
+// Engine-driven flows (cmd/xqshell, examples/autonomous, the serving
+// daemon) run in this mode. internal/engine has one
 // statement executor and one visibility rule: every statement is a
 // transaction (Engine.Execute is Begin, Execute, Commit; a query is the
 // read-only case), and one plan interpreter runs every match phase on
@@ -156,11 +156,12 @@
 // document-ID-ordered merge. Pin detection is conservative: a missed
 // pin costs a scatter, never a wrong answer, so cluster results — IDs
 // and ordering included — are bit-identical to an unsharded server
-// (enforced end to end by the sharded-serve experiment over the full
-// TPoX+XMark corpus). The advisor tunes the cluster from a global
-// plane: per-shard capture rings merge with decay-epoch alignment and
-// per-shard synopses merge via xstats.TableStats.Merge, and the
-// cluster tuner reconciles one target configuration — global
+// (enforced end to end by shard.TestClusterMatchesUnshardedBitIdentical
+// over a TPoX+XMark load with tuning rounds). The advisor tunes the
+// cluster from a global plane: per-shard capture rings merge with
+// decay-epoch alignment and per-shard synopses merge via
+// xstats.TableStats.Merge, and the cluster tuner reconciles one
+// target configuration — global
 // (identical per shard, scatters stay fast everywhere) or per-shard
 // (each shard tuned to the traffic its keys attract) — through the same
 // tuning loop, and so the same build/drop hysteresis, as a single

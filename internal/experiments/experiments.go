@@ -12,9 +12,8 @@
 //	Fig. 5    — actual speedup (real execution) for the Fig. 4 setup
 //
 // plus the repository's ablations (optimizer-call reduction of §VI-C,
-// β sensitivity of §VI-A), the update-workload experiment, the
-// sustained update+query stream with live statistics (updatestream.go),
-// and the XMark extension.
+// β sensitivity of §VI-A), the update-workload experiment, the XMark
+// extension, and the observability loop (observe.go).
 //
 // Disk budgets are expressed relative to the All-Index configuration
 // size, and printed with the paper's MB labels scaled to our data size,
@@ -34,16 +33,13 @@ import (
 	"xixa/internal/tpox"
 	"xixa/internal/workload"
 	"xixa/internal/xindex"
-	"xixa/internal/xstats"
 )
 
 // Env is a generated TPoX database with statistics and an optimizer —
 // the shared fixture of all experiments.
 type Env struct {
-	Scale int
-	DB    *storage.Database
-	Stats map[string]*xstats.TableStats
-	Opt   *optimizer.Optimizer
+	DB  *storage.Database
+	Opt *optimizer.Optimizer
 	// Parallelism is threaded into every advisor the experiments
 	// construct (core.Options.Parallelism): 0 = GOMAXPROCS, 1 = the
 	// paper's serial pipeline. Either way results are identical; only
@@ -58,8 +54,7 @@ func NewEnv(scale int) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	stats := optimizer.CollectStats(db)
-	return &Env{Scale: scale, DB: db, Stats: stats, Opt: optimizer.New(db, stats)}, nil
+	return &Env{DB: db, Opt: optimizer.New(db, optimizer.CollectStats(db))}, nil
 }
 
 // options is the environment's advisor options: the paper's defaults
@@ -359,11 +354,7 @@ func Fig4(w io.Writer, env *Env) ([]Fig4Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	allDefs := make([]xindex.Definition, 0)
-	for _, c := range test.AllIndexConfig() {
-		allDefs = append(allDefs, c.Def)
-	}
-	allSpeedup := test.SpeedupUnder(allDefs)
+	allSpeedup := test.SpeedupUnder(recDefsOf(test.AllIndexConfig()))
 	budget := int64(table4Fractions[3].frac * float64(test.AllIndexSize())) // the 2 GB point
 
 	fmt.Fprintf(w, "Figure 4: estimated speedup on the 20-query test workload vs training size (budget %s)\n", mb(budget))
@@ -379,19 +370,17 @@ func Fig4(w io.Writer, env *Env) ([]Fig4Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		pt.TopDown = test.SpeedupUnder(recDefs(rec))
+		pt.TopDown = test.SpeedupUnder(rec.Definitions())
 		rec, err = train.Recommend(core.AlgoHeuristic, budget)
 		if err != nil {
 			return nil, err
 		}
-		pt.Heuristic = test.SpeedupUnder(recDefs(rec))
+		pt.Heuristic = test.SpeedupUnder(rec.Definitions())
 		pts = append(pts, pt)
 		fmt.Fprintf(w, "  %6d %13.1fx %13.1fx %13.1fx\n", n, pt.TopDown, pt.Heuristic, pt.AllIndex)
 	}
 	return pts, nil
 }
-
-func recDefs(r *core.Recommendation) []xindex.Definition { return r.Definitions() }
 
 // Fig5Point is one actual-execution sample.
 type Fig5Point struct {

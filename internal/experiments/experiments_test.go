@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xixa/internal/core"
+	"xixa/internal/tpox"
 )
 
 // envCache shares one generated database across tests (generation and
@@ -306,59 +307,41 @@ func TestOutputRendering(t *testing.T) {
 	}
 }
 
-func TestUpdateStreamExperiment(t *testing.T) {
-	rows, err := UpdateStream(io.Discard, 1, 0, 2)
+func TestObserveExperiment(t *testing.T) {
+	res, err := Observe(io.Discard, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows, want 2", len(rows))
-	}
-	for i, row := range rows {
-		if row.Mutations != updateStreamInserts+updateStreamUpdates+updateStreamDeletes {
-			t.Errorf("round %d executed %d mutations", i+1, row.Mutations)
-		}
-		if row.Queries == 0 || row.WorkUnits <= 0 {
-			t.Errorf("round %d: queries %d, work %f", i+1, row.Queries, row.WorkUnits)
-		}
-		if row.Indexes == 0 {
-			t.Errorf("round %d recommended no indexes", i+1)
+	// Untuned, every access is a table scan: each site is a TBSCAN or
+	// the FILTER applied to one.
+	scanned := map[string]bool{}
+	for _, r := range res.Before {
+		if r.Op == "TBSCAN" {
+			scanned[r.Site] = true
 		}
 	}
-	// Net growth: each round inserts 40 and deletes 20.
-	if rows[1].Docs != rows[0].Docs+updateStreamInserts-updateStreamDeletes {
-		t.Errorf("doc counts %d -> %d do not reflect the net mix", rows[0].Docs, rows[1].Docs)
-	}
-}
-
-func TestServeTuneExperiment(t *testing.T) {
-	rows, err := ServeTune(io.Discard, 1, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("got %d rows, want 3", len(rows))
-	}
-	for i, row := range rows {
-		if row.Statements == 0 || row.Mutations == 0 {
-			t.Errorf("round %d: %d statements, %d mutations", i+1, row.Statements, row.Mutations)
-		}
-		if row.Captured == 0 {
-			t.Errorf("round %d captured nothing", i+1)
+	for _, r := range res.Before {
+		if r.Op != "TBSCAN" && !(r.Op == "FILTER" && scanned[r.Site]) {
+			t.Errorf("untuned run reported %s at %s", r.Op, r.Site)
 		}
 	}
-	// Hysteresis (BuildAfter=2): round 1 builds nothing, round 2
-	// materializes the captured workload's indexes online.
-	if rows[0].Built != 0 {
-		t.Errorf("round 1 built %d indexes despite hysteresis", rows[0].Built)
+	if len(scanned) == 0 {
+		t.Error("untuned run reported no TBSCAN site")
 	}
-	if rows[1].Built == 0 || rows[1].Indexes == 0 {
-		t.Errorf("round 2 built %d (catalog %d), want online materialization", rows[1].Built, rows[1].Indexes)
+	ixscan := false
+	for _, r := range res.After {
+		ixscan = ixscan || r.Op == "IXSCAN"
 	}
-	// Once tuned, per-statement work collapses: round 3's average work
-	// per statement must be well under round 1's.
-	per := func(r ServeTuneRow) float64 { return r.WorkUnits / float64(r.Statements) }
-	if per(rows[2]) >= per(rows[0])/2 {
-		t.Errorf("tuning did not pay off: %.0f work/stmt before, %.0f after", per(rows[0]), per(rows[2]))
+	if !ixscan {
+		t.Error("no IXSCAN site after the tuning round")
+	}
+	// Two mixes of two rounds, each round the TPoX queries plus an
+	// insert after every fourth one.
+	q := len(tpox.Queries())
+	if want := uint64(4 * (q + (q+3)/4)); res.Statements != want {
+		t.Errorf("registry counted %d statements, want %d", res.Statements, want)
+	}
+	if res.TunerRounds != 1 {
+		t.Errorf("registry counted %d tuner rounds, want 1", res.TunerRounds)
 	}
 }

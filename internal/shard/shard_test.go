@@ -4,16 +4,22 @@ import (
 	"fmt"
 	"testing"
 
+	"xixa/internal/obs"
 	"xixa/internal/server"
 	"xixa/internal/storage"
+	"xixa/internal/tpox"
 	"xixa/internal/xindex"
+	"xixa/internal/xmark"
+	"xixa/internal/xmltree"
 	"xixa/internal/xquery"
 )
+
+var securityKeys = map[string]string{"SECURITY": "/Security/Symbol"}
 
 func testConfig(shards int) Config {
 	return Config{
 		Shards: shards,
-		Keys:   map[string]string{"SECURITY": "/Security/Symbol"},
+		Keys:   securityKeys,
 		Server: server.Config{BuildAfter: 1, DropAfter: 1},
 	}
 }
@@ -310,69 +316,174 @@ func refsKey(refs []xindex.Ref) string {
 	return string(b)
 }
 
+// tuneMark in a stream marks where each runner runs one tuning round.
+const tuneMark = `\tune`
+
+// tpoxXMarkStream is the multi-table stream: a TPoX + XMark load at a
+// tenth of scale 1 as inserts (TPoX tables keyed by tpox.PartitionKeys,
+// XMARK unkeyed, so its queries always scatter), three query rounds with a
+// tuning round between each, and a DML burst of keyed and unkeyed
+// updates, deletes and re-inserts before the second tuning round.
+func tpoxXMarkStream(t *testing.T) []string {
+	t.Helper()
+	tcfg := tpox.DefaultConfig(1)
+	tcfg.Securities, tcfg.Orders, tcfg.Customers = tcfg.Securities/10, tcfg.Orders/10, tcfg.Customers/10
+	xcfg := xmark.DefaultConfig(1)
+	xcfg.Items, xcfg.People, xcfg.Auction = xcfg.Items/10, xcfg.People/10, xcfg.Auction/10
+	staging := storage.NewDatabase()
+	if err := tpox.Generate(staging, tcfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := xmark.Generate(staging, xcfg); err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, name := range []string{tpox.TableSecurity, tpox.TableOrders, tpox.TableCustAcc, xmark.Table} {
+		tbl, err := staging.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl.Scan(func(d *xmltree.Document) bool {
+			out = append(out, fmt.Sprintf("insert into %s value %s", name, xmltree.SerializeString(d)))
+			return true
+		})
+	}
+
+	queryRound := func() {
+		out = append(out, tpox.Queries()...)
+		out = append(out, xmark.Queries()...)
+		for i := 0; i < 20; i++ {
+			out = append(out, pointQuery(tpox.SymbolOf(i*13%tcfg.Securities)))
+		}
+	}
+	queryRound()
+	out = append(out, tuneMark)
+	queryRound()
+	out = append(out,
+		fmt.Sprintf(`update SECURITY set Yield = 9.75 where /Security[Symbol="%s"]`, tpox.SymbolOf(7)),
+		`update SECURITY set Yield = 1.25 where /Security[SecInfo/StockInformation/Sector="Energy"]`,
+		fmt.Sprintf(`delete from SECURITY where /Security[Symbol="%s"]`, tpox.SymbolOf(11)),
+		`delete from ORDERS where /Order[Status="cancelled"]`,
+	)
+	for i := 0; i < 8; i++ {
+		out = append(out, insertSec(fmt.Sprintf("SRD%03d", i), "Sharded", i%10))
+	}
+	out = append(out, tuneMark)
+	queryRound()
+	return out
+}
+
 // TestClusterMatchesUnshardedBitIdentical is the subsystem's core
 // guarantee: the same statement stream through an unsharded server,
 // a one-shard cluster, and a multi-shard cluster yields bit-identical
 // results — document IDs, node IDs, and output ordering included —
-// with a tuning round in the middle of each run.
+// with tuning rounds mid-stream. Two streams: the SECURITY-only script,
+// and the multi-table TPoX + XMark stream.
 func TestClusterMatchesUnshardedBitIdentical(t *testing.T) {
-	script := streamScript(45)
-	tuneAt := 60 // mid-stream statement index to tune after
+	security := streamScript(45)
+	// Tune after statement 60.
+	security = append(security[:61:61], append([]string{tuneMark}, security[61:]...)...)
 
-	type runner struct {
-		name string
-		exec func(string) (*server.Result, error)
-		tune func() error
-	}
-	var runs []runner
-
-	plain := server.New(fixtureDatabase(), server.Config{BuildAfter: 1, DropAfter: 1})
-	defer plain.Close()
-	psess, err := plain.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer psess.Close()
-	runs = append(runs, runner{"unsharded", psess.Execute, func() error {
-		_, err := plain.TuneOnce()
-		return err
-	}})
-
-	for _, n := range []int{1, 3} {
-		c := newTestCluster(t, n)
-		sess, err := c.NewSession()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sess.Close()
-		runs = append(runs, runner{fmt.Sprintf("cluster-%d", n), sess.Execute, func() error {
-			_, err := c.TuneOnce()
-			return err
-		}})
-	}
-
-	outputs := make([][]string, len(runs))
-	for ri, r := range runs {
-		for si, raw := range script {
-			res, err := r.exec(raw)
-			if err != nil {
-				t.Fatalf("%s stmt %d (%s): %v", r.name, si, raw, err)
-			}
-			outputs[ri] = append(outputs[ri], refsKey(res.Refs))
-			if si == tuneAt {
-				if err := r.tune(); err != nil {
-					t.Fatalf("%s tune: %v", r.name, err)
+	for _, in := range []struct {
+		name   string
+		keys   map[string]string
+		tables []string
+		shards int
+		script []string
+	}{
+		{"security", securityKeys, []string{"SECURITY"}, 3, security},
+		{"tpox+xmark", tpox.PartitionKeys(),
+			[]string{tpox.TableSecurity, tpox.TableOrders, tpox.TableCustAcc, xmark.Table}, 4, tpoxXMarkStream(t)},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			var stmts []string
+			for _, raw := range in.script {
+				if raw != tuneMark {
+					stmts = append(stmts, raw)
 				}
 			}
-		}
-	}
-	for ri := 1; ri < len(runs); ri++ {
-		for si := range script {
-			if outputs[ri][si] != outputs[0][si] {
-				t.Fatalf("%s diverged from unsharded at stmt %d (%s):\n got %s\nwant %s",
-					runs[ri].name, si, script[si], outputs[ri][si], outputs[0][si])
+			scfg := server.Config{BuildAfter: 1, DropAfter: 1}
+
+			type runner struct {
+				name string
+				exec func(string) (*server.Result, error)
+				tune func() error
 			}
-		}
+			var runs []runner
+			var multi *Cluster // the in.shards-way cluster
+
+			db := storage.NewDatabase()
+			for _, name := range in.tables {
+				db.MustCreateTable(name)
+			}
+			plain := server.New(db, scfg)
+			defer plain.Close()
+			psess, err := plain.NewSession()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer psess.Close()
+			runs = append(runs, runner{"unsharded", psess.Execute, func() error {
+				_, err := plain.TuneOnce()
+				return err
+			}})
+
+			for _, n := range []int{1, in.shards} {
+				c, err := NewCluster(Config{Shards: n, Keys: in.keys, Server: scfg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				multi = c
+				for _, name := range in.tables {
+					if err := c.CreateTable(name); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sess, err := c.NewSession()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sess.Close()
+				runs = append(runs, runner{fmt.Sprintf("cluster-%d", n), sess.Execute, func() error {
+					_, err := c.TuneOnce()
+					return err
+				}})
+			}
+
+			outputs := make([][]string, len(runs))
+			for ri, r := range runs {
+				for _, raw := range in.script {
+					if raw == tuneMark {
+						if err := r.tune(); err != nil {
+							t.Fatalf("%s tune: %v", r.name, err)
+						}
+						continue
+					}
+					res, err := r.exec(raw)
+					if err != nil {
+						t.Fatalf("%s stmt %d (%s): %v", r.name, len(outputs[ri]), raw, err)
+					}
+					outputs[ri] = append(outputs[ri], refsKey(res.Refs))
+				}
+			}
+			for ri := 1; ri < len(runs); ri++ {
+				for si := range stmts {
+					if outputs[ri][si] != outputs[0][si] {
+						t.Fatalf("%s diverged from unsharded at stmt %d (%s):\n got %s\nwant %s",
+							runs[ri].name, si, stmts[si], outputs[ri][si], outputs[0][si])
+					}
+				}
+			}
+			// The multi-shard run crossed every router path: pinned,
+			// scatter-gathered, and broadcast.
+			vals := obs.Values(multi.Metrics().Snapshot())
+			for _, m := range []string{"xixa_router_local_total", "xixa_router_fanout_total", "xixa_router_broadcast_total"} {
+				if vals[m] == 0 {
+					t.Errorf("cluster-%d: %s = 0", in.shards, m)
+				}
+			}
+		})
 	}
 }
 
