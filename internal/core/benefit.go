@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"xixa/internal/workload"
 	"xixa/internal/xindex"
 	"xixa/internal/xquery"
 )
@@ -35,6 +36,10 @@ type Evaluator struct {
 	// baseCost[i] is the no-index cost of statement i times its
 	// frequency.
 	baseCost []float64
+	// mc[k][id] is freq·mc(candidate id, s) for the k-th data-modifying
+	// statement s in workload order: configuration-invariant, so it is
+	// computed once per advisor rather than on every benefit evaluation.
+	mc [][]float64
 	// subCache maps a sub-configuration key to its query benefit.
 	subCache *benefitCache
 	// CacheHits counts sub-configuration cache hits (ablation metric).
@@ -53,6 +58,22 @@ func newEvaluator(a *Advisor) *Evaluator {
 			return
 		}
 		e.baseCost[i] = float64(item.Freq) * plan.EstCost
+	})
+	var modifying []workload.Item
+	for _, item := range a.W.Items {
+		if item.Stmt.Kind != xquery.Query {
+			modifying = append(modifying, item)
+		}
+	}
+	all := a.Candidates.All
+	e.mc = make([][]float64, len(modifying))
+	for k := range e.mc {
+		e.mc[k] = make([]float64, len(all))
+	}
+	a.parallelFor(len(all), func(id int) {
+		for k, item := range modifying {
+			e.mc[k][id] = float64(item.Freq) * a.Opt.MaintenanceCost(all[id].Def, item.Stmt)
+		}
 	})
 	return e
 }
@@ -233,16 +254,15 @@ func (e *Evaluator) evaluateGroupAllStatements(cfg []*Candidate) float64 {
 }
 
 // maintenanceCost sums mc over the workload's data-modifying statements
-// for every index in the configuration. This needs no optimizer plan
-// search, only the analytic mc model.
+// for every index in the configuration, reading the advisor's mc table.
+// The additions run statements-outer, configuration-inner, one table
+// entry at a time: pre-summing per candidate would reorder the float
+// additions and change the benefit's bits.
 func (e *Evaluator) maintenanceCost(cfg []*Candidate) float64 {
 	total := 0.0
-	for _, item := range e.a.W.Items {
-		if item.Stmt.Kind == xquery.Query {
-			continue
-		}
+	for _, row := range e.mc {
 		for _, c := range cfg {
-			total += float64(item.Freq) * e.a.Opt.MaintenanceCost(c.Def, item.Stmt)
+			total += row[c.ID]
 		}
 	}
 	return total

@@ -70,6 +70,9 @@ type CandidateSet struct {
 	// BasicCount is how many of All (a prefix) are basic candidates.
 	BasicCount int
 	byKey      map[string]*Candidate
+	// covers[i][j] is All[i].Covers(All[j]), computed once after
+	// generalization for the affected-set propagation and the DAG.
+	covers [][]bool
 }
 
 // Basic returns the optimizer-enumerated candidates.
@@ -148,12 +151,15 @@ func (a *Advisor) enumerateBasic(w *workload.Workload) (*CandidateSet, error) {
 // until no new pattern appears (paper §V), then builds the DAG edges.
 func (a *Advisor) generalizeAll(cs *CandidateSet) {
 	changed := true
-	for changed {
+	// Each pass pairs the candidates of the current list. A pair an
+	// earlier pass already took yields nothing new (its generalizations
+	// are candidates, or equivalent to one, by then), so a pass starts j
+	// at the previous pass's length: same pair order, same IDs.
+	for prev := 0; changed; {
 		changed = false
-		// Snapshot: pairs over the current candidate list.
 		n := len(cs.All)
 		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
+			for j := max(i+1, prev); j < n; j++ {
 				ci, cj := cs.All[i], cs.All[j]
 				if ci.Def.Table != cj.Def.Table || ci.Def.Type != cj.Def.Type {
 					continue // compatibility check (§V: data type, namespace)
@@ -183,12 +189,22 @@ func (a *Advisor) generalizeAll(cs *CandidateSet) {
 				}
 			}
 		}
+		prev = n
 	}
+	n := len(cs.All)
+	cs.covers = make([][]bool, n)
+	a.parallelFor(n, func(i int) {
+		row := make([]bool, n)
+		for j, o := range cs.All {
+			row[j] = cs.All[i].Covers(o)
+		}
+		cs.covers[i] = row
+	})
 	// Propagate affected sets and site keys: a general candidate
 	// affects every statement whose basic patterns it covers.
 	for _, g := range cs.All[cs.BasicCount:] {
 		for _, b := range cs.Basic() {
-			if g.Covers(b) {
+			if cs.covers[g.ID][b.ID] {
 				g.Affected.Or(b.Affected)
 				for k := range b.SiteKeys {
 					g.SiteKeys[k] = true
@@ -221,7 +237,7 @@ func buildDAG(cs *CandidateSet) {
 	}
 	n := len(cs.All)
 	strict := func(a, b *Candidate) bool { // a strictly covers b
-		return a != b && a.Covers(b) && !b.Covers(a)
+		return a != b && cs.covers[a.ID][b.ID] && !cs.covers[b.ID][a.ID]
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {

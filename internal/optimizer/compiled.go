@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"xixa/internal/xindex"
-	"xixa/internal/xpath"
 	"xixa/internal/xquery"
 	"xixa/internal/xstats"
 )
@@ -42,18 +41,36 @@ type CompiledStatement struct {
 	// evaluation of each candidate definition (matched?, entries
 	// scanned, probe cost) — all invariant across configurations.
 	mu        sync.RWMutex
-	siteEvals []map[defRef]siteEval
+	siteEvals []map[string]siteEval
 }
 
-// defRef identifies an index definition inside a site's evaluation
-// cache without string rendering: linear patterns are immutable once
-// built, so the identity of their step array plus the key type pins the
-// definition. Definitions sharing a step array are by construction the
-// same pattern.
-type defRef struct {
-	steps *xpath.Step
-	n     int
-	typ   xpath.ValueKind
+// The probe memo is keyed by the definition's value — its type and the
+// axis and name test of each step (predicates play no part in matching
+// or in pattern statistics) — not by the identity of its step array.
+// Every advisor builds its own Definitions and the serving planner
+// parses fresh ones, so an identity key would add an entry per
+// definition object and pin every old step array for as long as the
+// compiled statement lives; a value key holds one entry per distinct
+// pattern, and later advisors hit what earlier ones computed. The key is
+// a byte string the map hashes and, on a hash collision, compares in
+// full. The planner builds it in a stack buffer once per definition and
+// call, and looks it up through a string(b) map index, which Go compiles
+// without a copy: only a miss allocates.
+
+// appendDefKey appends the definition's memo key to b: the type, the
+// relative flag, then per step its axis byte (0 or 1, never part of a
+// name test) followed by the name test.
+func appendDefKey(b []byte, def xindex.Definition) []byte {
+	rel := byte(0)
+	if def.Pattern.Relative {
+		rel = 1
+	}
+	b = append(b, byte(def.Type), rel)
+	for _, st := range def.Pattern.Steps {
+		b = append(b, byte(st.Axis))
+		b = append(b, st.Test...)
+	}
+	return b
 }
 
 // siteEval is the configuration-invariant part of matching one index
@@ -116,7 +133,7 @@ func newCompiledStatement(stmt *xquery.Statement, ts *xstats.TableStats) *Compil
 		avgNodes: ts.AvgNodesPerDoc(),
 	}
 	cs.siteDocFrac = make([]float64, len(cs.sites))
-	cs.siteEvals = make([]map[defRef]siteEval, len(cs.sites))
+	cs.siteEvals = make([]map[string]siteEval, len(cs.sites))
 	frac := 1.0
 	for i, site := range cs.sites {
 		siteStats := ts.ForPattern(site.Pattern, site.Lit.Kind)
@@ -148,13 +165,9 @@ func newCompiledStatement(stmt *xquery.Statement, ts *xstats.TableStats) *Compil
 // siteEvalFor returns the memoized (matched, entries, probe) evaluation
 // of one definition against one site. The definition's table is assumed
 // to already match the statement's.
-func (cs *CompiledStatement) siteEvalFor(si int, def xindex.Definition) siteEval {
-	if len(def.Pattern.Steps) == 0 {
-		return cs.computeSiteEval(si, def)
-	}
-	ref := defRef{steps: &def.Pattern.Steps[0], n: len(def.Pattern.Steps), typ: def.Type}
+func (cs *CompiledStatement) siteEvalFor(si int, def xindex.Definition, key []byte) siteEval {
 	cs.mu.RLock()
-	ev, ok := cs.siteEvals[si][ref]
+	ev, ok := cs.siteEvals[si][string(key)]
 	cs.mu.RUnlock()
 	if ok {
 		return ev
@@ -162,9 +175,9 @@ func (cs *CompiledStatement) siteEvalFor(si int, def xindex.Definition) siteEval
 	ev = cs.computeSiteEval(si, def)
 	cs.mu.Lock()
 	if cs.siteEvals[si] == nil {
-		cs.siteEvals[si] = make(map[defRef]siteEval)
+		cs.siteEvals[si] = make(map[string]siteEval)
 	}
-	cs.siteEvals[si][ref] = ev
+	cs.siteEvals[si][string(key)] = ev
 	cs.mu.Unlock()
 	return ev
 }

@@ -1,0 +1,17 @@
+package optimizer
+
+// SiteEvalEntries counts the probe-memo entries held by every compiled
+// statement of the optimizer.
+func (o *Optimizer) SiteEvalEntries() int {
+	n := 0
+	o.compiled.Range(func(_, v any) bool {
+		cs := v.(*CompiledStatement)
+		cs.mu.RLock()
+		for _, m := range cs.siteEvals {
+			n += len(m)
+		}
+		cs.mu.RUnlock()
+		return true
+	})
+	return n
+}

@@ -17,9 +17,10 @@
 package optimizer
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -369,15 +370,26 @@ func (o *Optimizer) plan(stmt *xquery.Statement, ts *xstats.TableStats, config [
 		access Access
 		cost   float64 // probe cost of this access alone
 	}
-	var choices []choice
+	var choiceBuf [8]choice
+	choices := choiceBuf[:0]
+	// The probe memo's keys, built once per definition rather than once
+	// per (site, definition), in stack buffers: definition di's key is
+	// keys[ends[di]:ends[di+1]].
+	var keyBuf [512]byte
+	var endBuf [17]int
+	keys, ends := keyBuf[:0], endBuf[:1]
+	for _, def := range config {
+		keys = appendDefKey(keys, def)
+		ends = append(ends, len(keys))
+	}
 	for si, site := range cs.sites {
 		best := choice{cost: math.Inf(1)}
 		found := false
-		for _, def := range config {
+		for di, def := range config {
 			if def.Table != stmt.Table {
 				continue
 			}
-			ev := cs.siteEvalFor(si, def)
+			ev := cs.siteEvalFor(si, def, keys[ends[di]:ends[di+1]])
 			if !ev.ok {
 				continue
 			}
@@ -399,11 +411,14 @@ func (o *Optimizer) plan(stmt *xquery.Statement, ts *xstats.TableStats, config [
 
 	// Index ANDing: add accesses in order of increasing document
 	// fraction while each addition lowers the total plan cost.
-	sort.Slice(choices, func(i, j int) bool {
-		if choices[i].access.DocFraction != choices[j].access.DocFraction {
-			return choices[i].access.DocFraction < choices[j].access.DocFraction
+	slices.SortFunc(choices, func(a, b choice) int {
+		if a.access.DocFraction != b.access.DocFraction {
+			if a.access.DocFraction < b.access.DocFraction {
+				return -1
+			}
+			return 1
 		}
-		return choices[i].access.Site.Ordinal < choices[j].access.Site.Ordinal
+		return cmp.Compare(a.access.Site.Ordinal, b.access.Site.Ordinal)
 	})
 	var accesses []Access
 	bestCost := base

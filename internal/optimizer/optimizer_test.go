@@ -369,3 +369,36 @@ func TestPlanString(t *testing.T) {
 		t.Errorf("index plan String = %q", s)
 	}
 }
+
+// Every advisor builds its own Definitions and the serving planner
+// parses fresh ones, so the per-site probe memo must be keyed by the
+// definition's value: equal definitions from fresh parses hit the
+// entries the first call made instead of adding (and pinning) new ones.
+func TestSiteEvalMemoIsKeyedByValue(t *testing.T) {
+	_, opt := newFixture(t, 50)
+	stmt := xquery.MustParse(oq2)
+	var first int
+	var cost float64
+	for i := 0; i < 20; i++ {
+		cfg := []xindex.Definition{
+			defOf("/Security/Yield", xpath.NumberVal),
+			defOf("/Security/SecInfo/*/Sector", xpath.StringVal),
+			defOf("/Security//*", xpath.StringVal),
+		}
+		p, err := opt.EvaluateIndexes(stmt, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first, cost = opt.SiteEvalEntries(), p.EstCost
+			if first == 0 {
+				t.Fatal("the first evaluation memoized nothing")
+			}
+		} else if p.EstCost != cost {
+			t.Fatalf("call %d: cost %v, first call %v", i+1, p.EstCost, cost)
+		}
+	}
+	if got := opt.SiteEvalEntries(); got != first {
+		t.Errorf("probe memo holds %d entries after 20 calls with equal definitions, %d after the first", got, first)
+	}
+}

@@ -129,16 +129,57 @@ func alphabetOf(a, b machine) []string {
 // every rooted label path matched by sub is matched by super.
 // Both patterns are taken as linear (predicates are stripped).
 func Contains(super, sub Path) bool {
-	key := super.StripPreds().String() + "\x00" + sub.StripPreds().String()
-	if v, ok := containsCache.Load(key); ok {
-		return v.(bool)
+	// The key is built in a stack buffer and looked up through a
+	// string(b) map index, which Go compiles without a copy, so a cache
+	// hit allocates nothing.
+	var buf [128]byte
+	key := appendLinear(buf[:0], super)
+	key = append(key, 0)
+	key = appendLinear(key, sub)
+	containsCache.mu.RLock()
+	v, ok := containsCache.m[string(key)]
+	containsCache.mu.RUnlock()
+	if ok {
+		return v
 	}
 	res := containsUncached(super, sub)
-	containsCache.Store(key, res)
+	containsCache.mu.Lock()
+	containsCache.m[string(key)] = res
+	containsCache.mu.Unlock()
 	return res
 }
 
-var containsCache sync.Map // string -> bool
+// containsCache memoizes Contains by the two patterns' linear forms.
+var containsCache = struct {
+	mu sync.RWMutex
+	m  map[string]bool
+}{m: make(map[string]bool)}
+
+// appendLinear appends p's linear form to b: the same bytes as
+// p.StripPreds().String(), without building the copy or the string.
+func appendLinear(b []byte, p Path) []byte {
+	if len(p.Steps) == 0 {
+		if p.Relative {
+			return append(b, '.')
+		}
+		return append(b, '/')
+	}
+	for i, s := range p.Steps {
+		switch {
+		case i == 0 && p.Relative:
+			// A leading child axis is implicit for relative paths.
+			if s.Axis == Descendant {
+				b = append(b, ".//"...)
+			}
+		case s.Axis == Descendant:
+			b = append(b, "//"...)
+		default:
+			b = append(b, '/')
+		}
+		b = append(b, s.Test...)
+	}
+	return b
+}
 
 func containsUncached(super, sub Path) bool {
 	mi := compile(super) // the candidate superset (index pattern)

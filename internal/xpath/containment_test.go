@@ -243,3 +243,50 @@ func TestContainsCacheConsistency(t *testing.T) {
 		}
 	}
 }
+
+// The containment cache key is each path's linear form, appended
+// without building the stripped copy: it must be byte-identical to
+// StripPreds().String(), and a predicate-bearing path must get the
+// answer of its stripped form, relative and .// first steps included.
+func TestContainsKeyIsLinearForm(t *testing.T) {
+	cases := []struct{ super, sub string }{
+		{"/Security//*", `/Security[Yield>4.5]/Symbol`},
+		{`/Security[Symbol="S1"]//*`, `/Security/SecInfo/*[Sector="Energy"]/Sector`},
+		{"//Yield", `/Security[@id>3]/Yield`},
+		{"Security/Yield", `Security[Yield<1]/Yield`},
+		{".//Sector", `.//SecInfo[Industry="x"]//Sector`},
+		{`.//*[@id]`, "./Security/@id"},
+		{"/a/*/b", `/a/x[y=1]/b`},
+		{"//@*", `/a[b="c"]/@id`},
+	}
+	for _, tc := range cases {
+		super, sub := MustParse(tc.super), MustParse(tc.sub)
+		for _, p := range []Path{super, sub} {
+			if got, want := string(appendLinear(nil, p)), p.StripPreds().String(); got != want {
+				t.Errorf("linear form of %q = %q, want %q", p, got, want)
+			}
+		}
+		if got, want := Contains(super, sub), Contains(super.StripPreds(), sub.StripPreds()); got != want {
+			t.Errorf("Contains(%q, %q) = %v, stripped forms say %v", tc.super, tc.sub, got, want)
+		}
+		if got, want := Contains(sub, super), Contains(sub.StripPreds(), super.StripPreds()); got != want {
+			t.Errorf("Contains(%q, %q) = %v, stripped forms say %v", tc.sub, tc.super, got, want)
+		}
+	}
+	for _, p := range []Path{{}, {Relative: true}} {
+		if got, want := string(appendLinear(nil, p)), p.StripPreds().String(); got != want {
+			t.Errorf("linear form of empty path (relative %v) = %q, want %q", p.Relative, got, want)
+		}
+	}
+}
+
+// A Contains cache hit allocates nothing: the candidate generator and
+// the index matcher ask the same questions thousands of times a round.
+func TestContainsHitAllocatesNothing(t *testing.T) {
+	super := MustParse("/Security//*")
+	sub := MustParse(`/Security/SecInfo/*[Sector="Energy"]/Sector`)
+	Contains(super, sub)
+	if allocs := testing.AllocsPerRun(100, func() { Contains(super, sub) }); allocs != 0 {
+		t.Errorf("Contains cache hit made %v allocations, want 0", allocs)
+	}
+}
