@@ -32,6 +32,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -99,6 +100,11 @@ type Shell struct {
 	tune     func() (fmt.Stringer, error)
 	promoter Promoter // nil: no such role
 	sharded  Sharded  // nil: no such role
+
+	// stmts holds one parsed statement per distinct query line, shared
+	// by every connection (see parse).
+	stmtsMu sync.RWMutex
+	stmts   map[string]*xquery.Statement
 }
 
 // New creates the shell over a backend.
@@ -198,7 +204,7 @@ func (sh *Shell) ServeConn(r io.Reader, w io.Writer) {
 			return
 		case line[0] != '\\':
 			// Statements are the hot path: one byte decides, and the
-			// line goes straight to the executor.
+			// line goes to the executor.
 			sh.execute(sess, out, line)
 		default:
 			sh.command(sess, out, line)
@@ -213,7 +219,7 @@ func (sh *Shell) ServeConn(r io.Reader, w io.Writer) {
 // execute runs one statement and writes its reply: up to five result
 // documents, abbreviated, then the summary line.
 func (sh *Shell) execute(sess Session, out *bufio.Writer, line string) {
-	stmt, err := xquery.Parse(line)
+	stmt, err := sh.parse(line)
 	if err != nil {
 		fmt.Fprintf(out, "ERR %v\n", err)
 		return
@@ -229,15 +235,114 @@ func (sh *Shell) execute(sess Session, out *bufio.Writer, line string) {
 			break
 		}
 		if doc, ok := sh.b.Doc(stmt.Table, r.Doc); ok {
-			text := xmltree.SerializeString(doc)
-			if len(text) > 120 {
-				text = text[:120] + "..."
-			}
-			fmt.Fprintf(out, "| %s\n", text)
+			writePreview(out, doc)
 		}
 	}
-	fmt.Fprintf(out, "OK %d results, %d nodes scanned, %d index entries, %d docs fetched\n",
-		len(res.Refs), res.Stats.NodesScanned, res.Stats.IndexEntriesRead, res.Stats.DocsFetched)
+	b := append(out.AvailableBuffer(), "OK "...)
+	b = strconv.AppendInt(b, int64(len(res.Refs)), 10)
+	b = append(b, " results, "...)
+	b = strconv.AppendInt(b, res.Stats.NodesScanned, 10)
+	b = append(b, " nodes scanned, "...)
+	b = strconv.AppendInt(b, res.Stats.IndexEntriesRead, 10)
+	b = append(b, " index entries, "...)
+	b = strconv.AppendInt(b, res.Stats.DocsFetched, 10)
+	b = append(b, " docs fetched\n"...)
+	out.Write(b)
+}
+
+// maxCachedStatements bounds the parsed-statement cache; at the bound
+// it starts over, as xpath's program cache does. It holds a tuned
+// workload's distinct key lookups (thousands) and no more statements
+// than the optimizer's compiled-statement cache, so those stay hits.
+const maxCachedStatements = 4096
+
+// parse returns the statement for a line, parsing each distinct query
+// text once. Executing the same pointer again is what makes the
+// optimizer's compiled-statement cache, its probe memo and the
+// statement's NormalizedKey hit instead of being rebuilt per line.
+// Only queries are kept: an insert carries a document, and updates and
+// deletes carry per-row literals. A line that fails to parse is not
+// kept.
+func (sh *Shell) parse(line string) (*xquery.Statement, error) {
+	sh.stmtsMu.RLock()
+	stmt := sh.stmts[line]
+	sh.stmtsMu.RUnlock()
+	if stmt != nil {
+		return stmt, nil
+	}
+	stmt, err := xquery.Parse(line)
+	if err != nil || stmt.Kind != xquery.Query {
+		return stmt, err
+	}
+	sh.stmtsMu.Lock()
+	defer sh.stmtsMu.Unlock()
+	if cached := sh.stmts[line]; cached != nil {
+		return cached, nil
+	}
+	if sh.stmts == nil || len(sh.stmts) >= maxCachedStatements {
+		sh.stmts = make(map[string]*xquery.Statement)
+	}
+	sh.stmts[line] = stmt
+	return stmt, nil
+}
+
+// previewLen is how many bytes of a result document's XML a reply
+// line shows; a longer document's line ends in "..." after them.
+const previewLen = 120
+
+// errPreviewFull stops xmltree.Serialize once a preview is complete.
+var errPreviewFull = errors.New("preview full")
+
+// writePreview writes one result document's reply line: "| ", the
+// first previewLen bytes of its XML, "..." if there are more, and a
+// newline — byte for byte what cutting xmltree.SerializeString would
+// give, without serializing the rest of the document. A document that
+// does not serialize (an empty one) shows nothing after "| ".
+func writePreview(out *bufio.Writer, doc *xmltree.Document) {
+	out.WriteString("| ")
+	w := previewWriter{out: out}
+	// The error is errPreviewFull, an empty document's (which shows
+	// nothing), or out's own: a connection that is gone.
+	_ = xmltree.Serialize(doc, &w)
+	if w.cut {
+		out.WriteString("...")
+	}
+	out.WriteByte('\n')
+}
+
+// previewWriter passes the first previewLen bytes written to it on to
+// out and fails the write that would go past them.
+type previewWriter struct {
+	out *bufio.Writer
+	n   int  // bytes passed on
+	cut bool // a write went past previewLen
+}
+
+// fit reports how many of n more bytes fit in the preview.
+func (w *previewWriter) fit(n int) int {
+	if room := previewLen - w.n; n > room {
+		n, w.cut = room, true
+	}
+	w.n += n
+	return n
+}
+
+func (w *previewWriter) Write(b []byte) (int, error) {
+	n := w.fit(len(b))
+	w.out.Write(b[:n])
+	if w.cut {
+		return n, errPreviewFull
+	}
+	return n, nil
+}
+
+func (w *previewWriter) WriteString(s string) (int, error) {
+	n := w.fit(len(s))
+	w.out.WriteString(s[:n])
+	if w.cut {
+		return n, errPreviewFull
+	}
+	return n, nil
 }
 
 // commands is the one command table: a command returns its reply's

@@ -93,10 +93,13 @@ func (o *Optimizer) Compile(stmt *xquery.Statement) (*CompiledStatement, error) 
 }
 
 // maxCompiledStatements bounds the compiled-statement cache. Advisor
-// workloads hold tens of statements, but a long-lived engine executing
-// freshly parsed statements would otherwise grow the cache by one entry
-// per statement forever. Compiled statements are pure caches, so on
-// overflow the whole map is flushed and rebuilt on demand.
+// workloads hold tens of statements, and the serving front end reuses
+// one pointer per distinct query text (frontend.Shell keeps at most as
+// many), but a long-lived engine executing freshly parsed statements —
+// inserts, updates and deletes, or a caller that parses every time —
+// would otherwise grow the cache by one entry per statement forever.
+// Compiled statements are pure caches, so on overflow the whole map is
+// flushed and rebuilt on demand.
 const maxCompiledStatements = 4096
 
 // compile fetches or builds the statement's compilation against ts.

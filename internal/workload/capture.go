@@ -30,8 +30,7 @@ type Capture struct {
 	mu      sync.Mutex
 	size    int
 	entries map[string]*captureEntry
-	order   []string // first-seen order, for deterministic output
-	seq     int64
+	order   []*captureEntry // first-seen order, for deterministic output
 
 	// decays counts Decay rounds applied — the capture's decay epoch.
 	// Two rings decayed a different number of times hold weights in
@@ -50,9 +49,9 @@ type Capture struct {
 }
 
 type captureEntry struct {
+	key    string // the statement's NormalizedKey
 	stmt   *xquery.Statement
 	weight float64
-	seen   int64 // first-seen sequence, eviction tie-break
 }
 
 // DefaultCaptureSize bounds the ring when NewCapture is given 0.
@@ -86,29 +85,26 @@ func (c *Capture) observeLocked(key string, stmt *xquery.Statement, weight float
 	if len(c.entries) >= c.size {
 		c.evictLocked()
 	}
-	c.seq++
-	c.entries[key] = &captureEntry{stmt: stmt, weight: weight, seen: c.seq}
-	c.order = append(c.order, key)
+	e := &captureEntry{key: key, stmt: stmt, weight: weight}
+	c.entries[key] = e
+	c.order = append(c.order, e)
 }
 
-// evictLocked drops the lowest-weight (oldest on ties) entry.
+// evictLocked drops the lowest-weight entry, the oldest on ties: order
+// is first-seen order, so that is the first of the lightest. It runs
+// under the capture's mutex on every observation of a new statement
+// into a full ring, so it scans the entries themselves, not the map.
 func (c *Capture) evictLocked() {
-	victim := -1
-	for i, key := range c.order {
-		e := c.entries[key]
-		if victim < 0 {
-			victim = i
-			continue
-		}
-		v := c.entries[c.order[victim]]
-		if e.weight < v.weight || (e.weight == v.weight && e.seen < v.seen) {
-			victim = i
-		}
-	}
-	if victim < 0 {
+	if len(c.order) == 0 {
 		return
 	}
-	delete(c.entries, c.order[victim])
+	victim := 0
+	for i, e := range c.order {
+		if e.weight < c.order[victim].weight {
+			victim = i
+		}
+	}
+	delete(c.entries, c.order[victim].key)
 	c.order = append(c.order[:victim], c.order[victim+1:]...)
 }
 
@@ -134,9 +130,8 @@ func (c *Capture) Merge(other *Capture) {
 		weight float64
 	}
 	pairs := make([]pair, 0, len(other.order))
-	for _, key := range other.order {
-		e := other.entries[key]
-		pairs = append(pairs, pair{key: key, stmt: e.stmt, weight: e.weight})
+	for _, e := range other.order {
+		pairs = append(pairs, pair{key: e.key, stmt: e.stmt, weight: e.weight})
 	}
 	otherDecays, otherFactor := other.decays, other.decayFactor
 	other.mu.Unlock()
@@ -153,8 +148,8 @@ func (c *Capture) Merge(other *Capture) {
 		// Receiver is younger: catch our existing entries up to the
 		// incoming ring's epoch, then adopt it.
 		s := alignScale(c.decayFactor, otherFactor, -d)
-		for _, key := range c.order {
-			c.entries[key].weight *= s
+		for _, e := range c.order {
+			e.weight *= s
 		}
 		c.decays = otherDecays
 		if c.decayFactor <= 0 || c.decayFactor >= 1 {
@@ -197,15 +192,15 @@ func (c *Capture) Decay(factor, floor float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	live := c.order[:0]
-	for _, key := range c.order {
-		e := c.entries[key]
+	for _, e := range c.order {
 		e.weight *= factor
 		if e.weight < floor {
-			delete(c.entries, key)
+			delete(c.entries, e.key)
 			continue
 		}
-		live = append(live, key)
+		live = append(live, e)
 	}
+	clear(c.order[len(live):])
 	c.order = live
 	c.decays++
 	c.decayFactor = factor
@@ -236,8 +231,7 @@ func (c *Capture) Export() []CaptureState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]CaptureState, 0, len(c.order))
-	for _, key := range c.order {
-		e := c.entries[key]
+	for _, e := range c.order {
 		out = append(out, CaptureState{Raw: e.stmt.Raw, Weight: e.weight})
 	}
 	return out
@@ -274,8 +268,7 @@ func (c *Capture) Workload() *Workload {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w := &Workload{}
-	for _, key := range c.order {
-		e := c.entries[key]
+	for _, e := range c.order {
 		freq := int(e.weight + 0.5)
 		if freq < 1 {
 			freq = 1

@@ -104,6 +104,55 @@ func TestCaptureDecayAndEviction(t *testing.T) {
 	}
 }
 
+// TestCaptureEvictionOrder pins the ring's victim rule — lowest weight,
+// the oldest first-seen on a tie — and that Export and Workload list
+// the survivors in first-seen order through evictions, Decay and Merge.
+func TestCaptureEvictionOrder(t *testing.T) {
+	stmts := map[string]*xquery.Statement{}
+	for _, name := range []string{"A", "B", "C", "D", "E", "F", "G"} {
+		stmts[name] = xquery.MustParse(`for $s in SECURITY('SDOC')/Security where $s/Symbol = "` + name + `" return $s`)
+	}
+	check := func(step string, c *Capture, names []string, weights []float64) {
+		t.Helper()
+		states, w := c.Export(), c.Workload()
+		if len(states) != len(names) || w.Len() != len(names) {
+			t.Fatalf("%s: %d exported, %d workload items, want %d", step, len(states), w.Len(), len(names))
+		}
+		for i, name := range names {
+			if states[i].Raw != stmts[name].Raw || states[i].Weight != weights[i] {
+				t.Fatalf("%s: entry %d = %q weight %v, want %s weight %v", step, i, states[i].Raw, states[i].Weight, name, weights[i])
+			}
+			if w.Items[i].Stmt != stmts[name] {
+				t.Fatalf("%s: workload item %d is %q, want %s", step, i, w.Items[i].Stmt.Raw, name)
+			}
+		}
+	}
+
+	c := NewCapture(3)
+	for _, name := range []string{"A", "B", "C"} {
+		c.Observe(stmts[name], 1)
+	}
+	c.Observe(stmts["D"], 1) // all weigh 1: A is the oldest
+	check("first eviction", c, []string{"B", "C", "D"}, []float64{1, 1, 1})
+
+	c.Observe(stmts["B"], 1)
+	c.Observe(stmts["E"], 1) // C and D weigh 1: C is older
+	check("tie after a hit", c, []string{"B", "D", "E"}, []float64{2, 1, 1})
+
+	c.Decay(0.5, 0.4)
+	check("decay", c, []string{"B", "D", "E"}, []float64{1, 0.5, 0.5})
+	c.Observe(stmts["F"], 0.5) // D and E weigh 0.5: D is older
+	check("eviction after decay", c, []string{"B", "E", "F"}, []float64{1, 0.5, 0.5})
+
+	// The incoming ring never decayed, so its weights are halved: E
+	// gains 1 in place, and G evicts F, the lightest.
+	other := NewCapture(4)
+	other.Observe(stmts["E"], 2)
+	other.Observe(stmts["G"], 4)
+	c.Merge(other)
+	check("merge", c, []string{"B", "E", "G"}, []float64{1, 1.5, 2})
+}
+
 func findStmt(c *Capture, stmt *xquery.Statement) (Item, bool) {
 	for _, it := range c.Workload().Items {
 		if it.Stmt.NormalizedKey() == stmt.NormalizedKey() {

@@ -102,8 +102,9 @@ type Statement struct {
 	// that are fixed once parsing returns, and it is re-read on every
 	// workload-capture observation and plan-trace site, so rebuilding
 	// the string each time is measurable on the serve path. Statements
-	// are shared by pointer (the optimizer's plan cache keys on the
-	// pointer too), which makes per-statement memoization safe.
+	// are shared by pointer (the optimizer's compiled-statement cache
+	// keys on the pointer too; its plan cache keys on Raw), which makes
+	// per-statement memoization safe.
 	normKey atomic.Pointer[string]
 }
 
