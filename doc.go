@@ -42,7 +42,9 @@
 // OptimizerCalls count are bit-for-bit identical at every width. The
 // benefit Evaluator is safe for concurrent searches sharing one
 // advisor: its §VI-C sub-configuration cache is sharded behind
-// RWMutexes and its counters are atomic.
+// RWMutexes, probed once per group with a key built in a stack buffer,
+// each evaluation splits into its own reused scratch, and its counters
+// are atomic.
 //
 // Independently, optimizer.EnablePlanCache (core.Options.PlanCacheSize)
 // adds a bounded LRU memo of Evaluate Indexes results. Cache hits skip

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"xixa/internal/workload"
@@ -42,6 +41,10 @@ type Evaluator struct {
 	mc [][]float64
 	// subCache maps a sub-configuration key to its query benefit.
 	subCache *benefitCache
+	// spare is split scratch no evaluation is using. Searches evaluate
+	// one configuration at a time, so one is enough; a concurrent
+	// evaluation that finds it taken makes its own.
+	spare atomic.Pointer[subConfigs]
 	// CacheHits counts sub-configuration cache hits (ablation metric).
 	CacheHits atomic.Int64
 }
@@ -110,128 +113,198 @@ func (e *Evaluator) StandaloneBenefit(c *Candidate) float64 {
 }
 
 // queryBenefit computes Σ freq·(s_old − s_new) using the affected-set
-// and sub-configuration machinery. The cache is probed per group, then
-// the optimizer calls of every uncached group are flattened into one
-// task list and fanned out together — a single parallelFor at maximal
-// width instead of nested group/statement pools. Gains are reduced per
-// group in statement order and groups are summed in group order, so
-// the float result is identical at every Parallelism level.
+// and sub-configuration machinery. The cache is probed once per group,
+// with the group's key built in a stack buffer; when every group hits,
+// the sum is all there is to do. Otherwise the optimizer calls of every
+// uncached group are flattened into one task list and fanned out
+// together — a single parallelFor at maximal width instead of nested
+// group/statement pools. Gains are reduced per group in statement order
+// and groups are summed in group order, so the float result is
+// identical at every Parallelism level.
 func (e *Evaluator) queryBenefit(cfg []*Candidate) float64 {
 	if e.a.Opts.DisableAffectedSets {
 		return e.evaluateGroupAllStatements(cfg)
 	}
-	groups := splitSubConfigs(cfg)
-	useCache := !e.a.Opts.DisableSubConfigCache
-	benefits := make([]float64, len(groups))
-	cached := make([]bool, len(groups))
-	keys := make([]string, len(groups))
-	defsOf := make([][]xindex.Definition, len(groups))
-
-	// One task per (uncached group, affected statement).
-	type evalTask struct {
-		group int
-		ord   int
+	s := e.spare.Swap(nil)
+	if s == nil {
+		s = new(subConfigs)
 	}
-	var tasks []evalTask
-	starts := make([]int, len(groups))
-	ends := make([]int, len(groups))
-	for gi, group := range groups {
-		keys[gi] = groupKey(group)
+	defer func() {
+		clear(s.members) // keep no candidates alive
+		e.spare.Store(s)
+	}()
+	s.split(cfg)
+	useCache := !e.a.Opts.DisableSubConfigCache
+	benefits := resized(s.benefits, s.len())
+	s.benefits = benefits
+	missed := s.missed[:0]
+	var kb [256]byte
+	var hits int64
+	for gi := range benefits {
 		if useCache {
-			if b, ok := e.subCache.get(keys[gi]); ok {
-				e.CacheHits.Add(1)
+			if b, ok := e.subCache.get(appendGroupKey(kb[:0], s.group(gi))); ok {
+				hits++
 				benefits[gi] = b
-				cached[gi] = true
 				continue
 			}
 		}
+		missed = append(missed, gi)
+	}
+	s.missed = missed
+	if hits > 0 {
+		e.CacheHits.Add(hits)
+	}
+	if len(missed) == 0 {
+		return sumInOrder(benefits)
+	}
+
+	// One task per (uncached group, affected statement), in miss order:
+	// missed[k]'s tasks are tasks[starts[k]:starts[k+1]].
+	type evalTask struct {
+		miss int
+		ord  int
+	}
+	var tasks []evalTask
+	starts := append(make([]int, 0, len(missed)+1), 0)
+	defsOf := make([][]xindex.Definition, len(missed))
+	for k, gi := range missed {
+		group := s.group(gi)
 		affected := NewBitSet(e.a.W.Len())
 		defs := make([]xindex.Definition, len(group))
 		for i, c := range group {
 			affected.Or(c.Affected)
 			defs[i] = c.Def
 		}
-		defsOf[gi] = defs
-		starts[gi] = len(tasks)
+		defsOf[k] = defs
 		for _, ord := range affected.Elements() {
-			tasks = append(tasks, evalTask{group: gi, ord: ord})
+			tasks = append(tasks, evalTask{miss: k, ord: ord})
 		}
-		ends[gi] = len(tasks)
+		starts = append(starts, len(tasks))
 	}
 
 	gains := make([]float64, len(tasks))
-	e.a.parallelFor(len(tasks), func(k int) {
-		t := tasks[k]
-		item := e.a.W.Items[t.ord]
-		plan, err := e.a.Opt.EvaluateIndexes(item.Stmt, defsOf[t.group])
+	e.a.parallelFor(len(tasks), func(t int) {
+		task := tasks[t]
+		item := e.a.W.Items[task.ord]
+		plan, err := e.a.Opt.EvaluateIndexes(item.Stmt, defsOf[task.miss])
 		if err != nil {
 			return
 		}
-		gains[k] = e.baseCost[t.ord] - float64(item.Freq)*plan.EstCost
+		gains[t] = e.baseCost[task.ord] - float64(item.Freq)*plan.EstCost
 	})
 
-	for gi := range groups {
-		if cached[gi] {
-			continue
-		}
-		benefits[gi] = sumInOrder(gains[starts[gi]:ends[gi]])
+	for k, gi := range missed {
+		benefits[gi] = sumInOrder(gains[starts[k]:starts[k+1]])
 		if useCache {
-			e.subCache.put(keys[gi], benefits[gi])
+			e.subCache.put(string(appendGroupKey(kb[:0], s.group(gi))), benefits[gi])
 		}
 	}
 	return sumInOrder(benefits)
 }
 
-// splitSubConfigs groups candidates whose affected sets overlap
-// (transitively): indexes in different groups cannot appear in the same
-// statement's plan, so their benefits are independent (§VI-C).
-func splitSubConfigs(cfg []*Candidate) [][]*Candidate {
+// subConfigs is one configuration's §VI-C split: its groups, in order,
+// as consecutive runs of members. The evaluator reuses these, so a
+// split allocates nothing once its scratch has grown to size.
+type subConfigs struct {
+	parent  []int // union-find forest over cfg positions
+	slot    []int // a root's group number
+	members []*Candidate
+	// bounds[g] and bounds[g+1] delimit group g in members.
+	bounds   []int
+	benefits []float64
+	missed   []int
+}
+
+func (s *subConfigs) len() int { return len(s.bounds) - 1 }
+
+func (s *subConfigs) group(g int) []*Candidate { return s.members[s.bounds[g]:s.bounds[g+1]] }
+
+// split groups candidates whose affected sets overlap (transitively):
+// indexes in different groups cannot appear in the same statement's
+// plan, so their benefits are independent (§VI-C). Groups come in
+// ascending order of their union-find root under the union order below
+// — the order their benefits are summed in, so it fixes the benefit's
+// bits — and each group's members ascend by ID.
+func (s *subConfigs) split(cfg []*Candidate) {
 	n := len(cfg)
-	parent := make([]int, n)
+	parent := resized(s.parent, n)
+	s.parent = parent
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(i int) int {
-		if parent[i] != i {
-			parent[i] = find(parent[i])
-		}
-		return parent[i]
-	}
-	union := func(i, j int) { parent[find(i)] = find(j) }
 	for i := 0; i < n; i++ {
+		ri := find(parent, i)
 		for j := i + 1; j < n; j++ {
-			if cfg[i].Affected.Intersects(cfg[j].Affected) {
-				union(i, j)
+			// union(i, j) makes i's root a child of j's; for a pair
+			// already in one group that changes nothing, so the
+			// intersection test is skipped.
+			if rj := find(parent, j); rj != ri && cfg[i].Affected.Intersects(cfg[j].Affected) {
+				parent[ri] = rj
+				ri = rj
 			}
 		}
 	}
-	groups := make(map[int][]*Candidate)
-	for i, c := range cfg {
-		r := find(i)
-		groups[r] = append(groups[r], c)
+	slot := resized(s.slot, n)
+	s.slot = slot
+	groups := 0
+	for i := range parent {
+		if parent[i] == i {
+			slot[i] = groups
+			groups++
+		}
 	}
-	keys := make([]int, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
+	// A counting sort of the members by group: count, sum, then place
+	// from the back, which leaves bounds[g] at group g's first member.
+	bounds := resized(s.bounds, groups+1)
+	s.bounds = bounds
+	clear(bounds)
+	for i := range cfg {
+		bounds[slot[find(parent, i)]]++
 	}
-	sort.Ints(keys)
-	out := make([][]*Candidate, 0, len(groups))
-	for _, k := range keys {
-		g := groups[k]
-		sort.Slice(g, func(i, j int) bool { return g[i].ID < g[j].ID })
-		out = append(out, g)
+	for g := 1; g <= groups; g++ {
+		bounds[g] += bounds[g-1]
 	}
-	return out
+	members := resized(s.members, n)
+	s.members = members
+	for i := n - 1; i >= 0; i-- {
+		g := slot[find(parent, i)]
+		bounds[g]--
+		members[bounds[g]] = cfg[i]
+	}
+	for g := 0; g < groups; g++ {
+		slices.SortFunc(s.group(g), func(a, b *Candidate) int { return a.ID - b.ID })
+	}
 }
 
-// groupKey canonically identifies a sub-configuration.
-func groupKey(group []*Candidate) string {
-	ids := make([]string, len(group))
-	for i, c := range group {
-		ids[i] = strconv.Itoa(c.ID)
+// find returns i's union-find root, halving the path on the way. Path
+// compression never changes which element is a root.
+func find(parent []int, i int) int {
+	for parent[i] != i {
+		parent[i] = parent[parent[i]]
+		i = parent[i]
 	}
-	return strings.Join(ids, ",")
+	return i
+}
+
+// resized returns a slice of length n, reusing buf's array when it is
+// large enough.
+func resized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// appendGroupKey appends the key that canonically identifies a
+// sub-configuration: its candidate IDs in decimal, comma-separated.
+func appendGroupKey(b []byte, group []*Candidate) []byte {
+	for i, c := range group {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(c.ID), 10)
+	}
+	return b
 }
 
 // evaluateGroupAllStatements is the naive evaluation used when affected

@@ -1,8 +1,15 @@
 package core
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
+	"strconv"
 	"testing"
 
+	"xixa/internal/optimizer"
+	"xixa/internal/storage"
+	"xixa/internal/tpox"
 	"xixa/internal/workload"
 	"xixa/internal/xquery"
 )
@@ -53,14 +60,14 @@ func TestSubConfigDecomposition(t *testing.T) {
 	if len(basic) != 2 {
 		t.Fatalf("basic = %v", candidateStrings(basic))
 	}
-	groups := splitSubConfigs(basic)
+	groups := splitGroups(basic)
 	if len(groups) != 2 {
 		t.Errorf("sub-configs = %d, want 2 (disjoint affected sets)", len(groups))
 	}
 
 	// Q2's two candidates come from the same statement: one group.
 	b := newFixture(t, 200, aq2)
-	groups2 := splitSubConfigs(b.Candidates.Basic())
+	groups2 := splitGroups(b.Candidates.Basic())
 	if len(groups2) != 1 {
 		t.Errorf("Q2 sub-configs = %d, want 1 (overlapping affected sets)", len(groups2))
 	}
@@ -151,5 +158,190 @@ func TestFrequencyScalesBenefit(t *testing.T) {
 	ratio := b10 / b1
 	if ratio < 9.99 || ratio > 10.01 {
 		t.Errorf("freq-10 benefit ratio = %v, want 10", ratio)
+	}
+}
+
+// splitGroups returns the evaluator's split of cfg as one slice per
+// group, in group order.
+func splitGroups(cfg []*Candidate) [][]*Candidate {
+	var s subConfigs
+	s.split(cfg)
+	out := make([][]*Candidate, s.len())
+	for g := range out {
+		out[g] = append([]*Candidate(nil), s.group(g)...)
+	}
+	return out
+}
+
+// splitSubConfigs is the map-based split the evaluator used before the
+// pooled one: union-find over every pair, then a map from root to
+// members, the roots sorted ascending and each group sorted by ID. It
+// is the oracle of TestSplitSubConfigsMatchesReference.
+func splitSubConfigs(cfg []*Candidate) [][]*Candidate {
+	n := len(cfg)
+	parent := make([]int, n)
+	for i := range parent {
+		parent[i] = i
+	}
+	var find func(int) int
+	find = func(i int) int {
+		if parent[i] != i {
+			parent[i] = find(parent[i])
+		}
+		return parent[i]
+	}
+	union := func(i, j int) { parent[find(i)] = find(j) }
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if cfg[i].Affected.Intersects(cfg[j].Affected) {
+				union(i, j)
+			}
+		}
+	}
+	groups := make(map[int][]*Candidate)
+	for i, c := range cfg {
+		r := find(i)
+		groups[r] = append(groups[r], c)
+	}
+	keys := make([]int, 0, len(groups))
+	for k := range groups {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	out := make([][]*Candidate, 0, len(groups))
+	for _, k := range keys {
+		g := groups[k]
+		sort.Slice(g, func(i, j int) bool { return g[i].ID < g[j].ID })
+		out = append(out, g)
+	}
+	return out
+}
+
+// groupIDs lists each group's candidate IDs, in group order.
+func groupIDs(groups [][]*Candidate) [][]int {
+	out := make([][]int, len(groups))
+	for g, group := range groups {
+		out[g] = make([]int, len(group))
+		for i, c := range group {
+			out[g][i] = c.ID
+		}
+	}
+	return out
+}
+
+// candidatesWith makes candidate i with affected set sets[i], over
+// stmts statements.
+func candidatesWith(stmts int, sets ...[]int) []*Candidate {
+	all := make([]*Candidate, len(sets))
+	for i, set := range sets {
+		all[i] = &Candidate{ID: i, Affected: NewBitSet(stmts)}
+		for _, ord := range set {
+			all[i].Affected.Set(ord)
+		}
+	}
+	return all
+}
+
+// The split decides which statements each optimizer call covers and,
+// through the group order, the order benefits are summed in: the groups
+// and their order must be the map-based split's exactly.
+func TestSplitSubConfigsMatchesReference(t *testing.T) {
+	check := func(name string, cfg []*Candidate) [][]int {
+		t.Helper()
+		got := groupIDs(splitGroups(cfg))
+		if want := groupIDs(splitSubConfigs(cfg)); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: groups %v, reference %v", name, got, want)
+		}
+		return got
+	}
+	const stmts = 150
+
+	// The unions (0,1), (0,5), (1,3) leave {0,1,3,5} under root 3, which
+	// is neither its smallest nor its largest member.
+	chained := candidatesWith(stmts, []int{10, 11}, []int{10, 12}, []int{20}, []int{12}, []int{30}, []int{11})
+	if got, want := check("chained", chained), [][]int{{2}, {0, 1, 3, 5}, {4}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("chained: groups %v, want %v", got, want)
+	}
+	disjoint := candidatesWith(stmts, []int{1}, []int{2}, []int{3}, []int{4})
+	overlapping := candidatesWith(stmts, []int{0, 1}, []int{0, 2}, []int{0}, []int{0, 99})
+	check("n=0", nil)
+	check("n=1", disjoint[2:3])
+	check("n=1, empty affected set", candidatesWith(stmts, nil))
+	check("all disjoint", disjoint)
+	check("all overlapping", []*Candidate{overlapping[3], overlapping[1], overlapping[0], overlapping[2]})
+
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		m := 1 + r.Intn(40)
+		density := []int{1, 3, 10}[r.Intn(3)] // affected statements per candidate
+		sets := make([][]int, m)
+		for i := range sets {
+			for k := r.Intn(density + 1); k > 0; k-- {
+				sets[i] = append(sets[i], r.Intn(stmts))
+			}
+		}
+		all := candidatesWith(stmts, sets...)
+		// A random subset in random order; a search may also pass the
+		// same candidate twice.
+		var cfg []*Candidate
+		for _, i := range r.Perm(m)[:r.Intn(m+1)] {
+			cfg = append(cfg, all[i])
+			if r.Intn(10) == 0 {
+				cfg = append(cfg, all[i])
+			}
+		}
+		check("random trial "+strconv.Itoa(trial), cfg)
+	}
+}
+
+// adviseWorkload is the advise workload of TestAdviseRoundMatchesGolden:
+// TPoX scale 1, its 11 queries, 200 synthetic queries (seed 130) and
+// the 4 update statements, shuffled with seed 1.
+func adviseWorkload(t testing.TB) (*storage.Database, *workload.Workload) {
+	t.Helper()
+	db, err := tpox.NewDatabase(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stmts := append([]string(nil), tpox.Queries()...)
+	stmts = append(stmts, tpox.SyntheticQueries(db, 200, 130)...)
+	stmts = append(stmts, tpox.UpdateStatements()...)
+	rand.New(rand.NewSource(1)).Shuffle(len(stmts), func(i, j int) { stmts[i], stmts[j] = stmts[j], stmts[i] })
+	w, err := workload.ParseStatements(stmts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db, w
+}
+
+// Re-evaluating a configuration whose groups are all cached is the
+// greedy search's common case: it must cost a few allocations, however
+// many groups the configuration splits into.
+func TestCachedConfigBenefitAllocs(t *testing.T) {
+	db, w := adviseWorkload(t)
+	opts := DefaultOptions()
+	opts.Parallelism = 1
+	a, err := New(db, optimizer.New(db, optimizer.CollectStats(db)), w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := a.Recommend(AlgoHeuristic, a.AllIndexSize()/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Recommend evaluated rec.Config, so every group is cached.
+	cfg := rec.Config
+	groups := len(splitGroups(cfg))
+	if groups < 10 {
+		t.Fatalf("heuristic configuration splits into %d groups; want a configuration with many", groups)
+	}
+	hits := a.eval.CacheHits.Load()
+	allocs := testing.AllocsPerRun(100, func() { a.eval.ConfigBenefit(cfg) })
+	// AllocsPerRun makes one warm-up call besides the 100 it measures.
+	if got, want := a.eval.CacheHits.Load()-hits, int64(101*groups); got != want {
+		t.Errorf("%d cache hits over 101 evaluations of %d groups, want %d", got, groups, want)
+	}
+	if allocs > 4 {
+		t.Errorf("cached ConfigBenefit of %d indexes in %d groups made %v allocations, want <= 4", len(cfg), groups, allocs)
 	}
 }

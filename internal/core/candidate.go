@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -121,12 +122,14 @@ func (a *Advisor) enumerateBasic(w *workload.Workload) (*CandidateSet, error) {
 		results[ord] = enumResult{defs: defs, err: err}
 	})
 	cs := &CandidateSet{byKey: make(map[string]*Candidate)}
+	var kb [128]byte
 	for ord, r := range results {
 		if r.err != nil {
 			return nil, r.err
 		}
 		for _, def := range r.defs {
-			c, ok := cs.byKey[def.Key()]
+			key := def.AppendKey(kb[:0])
+			c, ok := cs.byKey[string(key)]
 			if !ok {
 				stats := a.statsFor(def)
 				c = &Candidate{
@@ -136,7 +139,7 @@ func (a *Advisor) enumerateBasic(w *workload.Workload) (*CandidateSet, error) {
 					Affected:  NewBitSet(w.Len()),
 					SiteKeys:  map[string]bool{def.Pattern.String() + "|" + def.Type.String(): true},
 				}
-				cs.byKey[def.Key()] = c
+				cs.byKey[string(key)] = c
 				cs.All = append(cs.All, c)
 			}
 			c.Affected.Set(ord)
@@ -151,6 +154,10 @@ func (a *Advisor) enumerateBasic(w *workload.Workload) (*CandidateSet, error) {
 // until no new pattern appears (paper §V), then builds the DAG edges.
 func (a *Advisor) generalizeAll(cs *CandidateSet) {
 	changed := true
+	// Keys are built in a stack buffer: a lookup allocates nothing, and
+	// only an added candidate's key becomes a string.
+	var kb [128]byte
+	var pg pairGen
 	// Each pass pairs the candidates of the current list. A pair an
 	// earlier pass already took yields nothing new (its generalizations
 	// are candidates, or equivalent to one, by then), so a pass starts j
@@ -164,9 +171,10 @@ func (a *Advisor) generalizeAll(cs *CandidateSet) {
 				if ci.Def.Table != cj.Def.Table || ci.Def.Type != cj.Def.Type {
 					continue // compatibility check (§V: data type, namespace)
 				}
-				for _, g := range GeneralizePair(ci.Def.Pattern, cj.Def.Pattern) {
+				for _, g := range pg.pair(ci.Def.Pattern, cj.Def.Pattern) {
 					def := xindex.Definition{Table: ci.Def.Table, Pattern: g, Type: ci.Def.Type}
-					if _, ok := cs.byKey[def.Key()]; ok {
+					key := def.AppendKey(kb[:0])
+					if _, ok := cs.byKey[string(key)]; ok {
 						continue
 					}
 					// Skip generalizations equivalent to an existing
@@ -174,6 +182,7 @@ func (a *Advisor) generalizeAll(cs *CandidateSet) {
 					if equivalentExists(cs, def) {
 						continue
 					}
+					def.Pattern.Steps = slices.Clone(g.Steps)
 					stats := a.statsFor(def)
 					nc := &Candidate{
 						ID:        len(cs.All),
@@ -183,7 +192,7 @@ func (a *Advisor) generalizeAll(cs *CandidateSet) {
 						Affected:  NewBitSet(0),
 						SiteKeys:  map[string]bool{},
 					}
-					cs.byKey[def.Key()] = nc
+					cs.byKey[string(key)] = nc
 					cs.All = append(cs.All, nc)
 					changed = true
 				}

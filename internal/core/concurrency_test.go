@@ -1,9 +1,13 @@
 package core
 
 import (
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 
+	"xixa/internal/optimizer"
+	"xixa/internal/tpox"
 	"xixa/internal/workload"
 	"xixa/internal/xindex"
 )
@@ -187,6 +191,68 @@ func TestParallelismDeterminism(t *testing.T) {
 		if sr.OptimizerCalls != pr.OptimizerCalls {
 			t.Fatalf("%s: optimizer calls differ: serial %d, parallel %d",
 				algo, sr.OptimizerCalls, pr.OptimizerCalls)
+		}
+	}
+}
+
+// §VI-C's sub-configuration cache and the parallel fan-out only save
+// work: on generated workloads (the Table III query generator plus the
+// update statements), every algorithm must recommend the same
+// definitions with the same benefit bits with the cache off and at
+// Parallelism 1 and 4 as under the default options.
+func TestRecommendationInvariantUnderCacheAndParallelism(t *testing.T) {
+	db, err := tpox.NewDatabase(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := int64(6)
+	if testing.Short() {
+		seeds = 2
+	}
+	variants := []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"default", func(*Options) {}},
+		{"DisableSubConfigCache", func(o *Options) { o.DisableSubConfigCache = true }},
+		{"Parallelism 1", func(o *Options) { o.Parallelism = 1 }},
+		{"Parallelism 4", func(o *Options) { o.Parallelism = 4 }},
+	}
+	type answer struct {
+		defs        []string
+		benefitBits uint64
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		stmts := append(tpox.SyntheticQueries(db, 60, seed), tpox.UpdateStatements()...)
+		w, err := workload.ParseStatements(stmts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := optimizer.New(db, optimizer.CollectStats(db))
+		want := make(map[string]answer)
+		for _, v := range variants {
+			opts := DefaultOptions()
+			v.set(&opts)
+			for _, algo := range Algorithms() {
+				a, err := New(db, opt, w, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec, err := a.Recommend(algo, a.AllIndexSize()/3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := answer{benefitBits: math.Float64bits(rec.Benefit)}
+				for _, d := range rec.Definitions() {
+					got.defs = append(got.defs, d.String())
+				}
+				if v.name == variants[0].name {
+					want[algo] = got
+				} else if !reflect.DeepEqual(got, want[algo]) {
+					t.Errorf("seed %d, %s, %s:\n got %v, benefit bits %#x\nwant %v, benefit bits %#x (default options)",
+						seed, algo, v.name, got.defs, got.benefitBits, want[algo].defs, want[algo].benefitBits)
+				}
+			}
 		}
 	}
 }

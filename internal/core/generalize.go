@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"bytes"
+	"slices"
 
 	"xixa/internal/xpath"
 )
@@ -45,45 +46,89 @@ func compatibleTests(a, b string) bool {
 
 // GeneralizePair runs the pair generalization of §V on two linear
 // absolute patterns and returns the distinct generalized patterns
-// (after the Rule 0 rewrite). The result may be empty when the last
-// steps are incompatible (element vs attribute targets).
+// (after the Rule 0 rewrite), ordered by their XPath spelling. The
+// result may be empty when the last steps are incompatible (element vs
+// attribute targets).
 func GeneralizePair(a, b xpath.Path) []xpath.Path {
-	pa := a.StripPreds()
-	pb := b.StripPreds()
+	var g pairGen
+	return g.pair(a, b)
+}
+
+// pairGen runs pair generalizations. The recursion appends into one
+// shared step buffer: a branch writes at its own depth and emit copies
+// the steps out, so sibling branches may overwrite what an earlier
+// branch left there. out is kept sorted by spelling; spans[i] locates
+// out[i]'s spelling in keys, so each pattern is rendered once.
+type pairGen struct {
+	gen   []xpath.Step
+	steps []xpath.Step // the steps of out's patterns
+	out   []xpath.Path
+	spans [][2]int
+	keys  []byte
+}
+
+// pair returns GeneralizePair(a, b). It reuses g's buffers, so the
+// result is valid until the next call: a caller that keeps a pattern
+// clones its steps.
+func (g *pairGen) pair(a, b xpath.Path) []xpath.Path {
+	g.steps, g.out, g.spans, g.keys = g.steps[:0], g.out[:0], g.spans[:0], g.keys[:0]
+	pa, pb := linear(a), linear(b)
 	if pa.Relative || pb.Relative || len(pa.Steps) == 0 || len(pb.Steps) == 0 {
 		return nil
 	}
-	seen := make(map[string]bool)
-	var out []xpath.Path
-	for _, g := range generalizeStep(nil, pa.Steps, pb.Steps) {
-		rewritten := xpath.RewriteMiddleWildcards(xpath.Path{Steps: g})
-		key := rewritten.String()
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, rewritten)
-		}
+	// Every appended step consumes a step of pa or pb, so the recursion
+	// never outgrows this buffer.
+	g.gen = slices.Grow(g.gen[:0], len(pa.Steps)+len(pb.Steps))
+	g.generalizeStep(g.gen, pa.Steps, pb.Steps)
+	return g.out
+}
+
+// linear returns p itself when it carries no predicates and its
+// stripped copy otherwise.
+func linear(p xpath.Path) xpath.Path {
+	if p.IsLinear() {
+		return p
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
+	return p.StripPreds()
+}
+
+// emit records gen's Rule 0 rewrite unless an equal pattern is already
+// recorded.
+func (g *pairGen) emit(gen []xpath.Step) {
+	from, kfrom := len(g.steps), len(g.keys)
+	g.steps = xpath.AppendMiddleWildcardsRewritten(g.steps, gen)
+	steps := g.steps[from:len(g.steps):len(g.steps)]
+	g.keys = xpath.AppendLinear(g.keys, xpath.Path{Steps: steps})
+	key := g.keys[kfrom:]
+	i, found := slices.BinarySearchFunc(g.spans, key, func(sp [2]int, key []byte) int {
+		return bytes.Compare(g.keys[sp[0]:sp[1]], key)
+	})
+	if found {
+		g.steps, g.keys = g.steps[:from], g.keys[:kfrom]
+		return
+	}
+	g.out = slices.Insert(g.out, i, xpath.Path{Steps: steps})
+	g.spans = slices.Insert(g.spans, i, [2]int{kfrom, len(g.keys)})
 }
 
 // generalizeStep is Algorithm 1: generalize the heads of pi and pj into
 // a new node appended to gen, then advance per Table II. pi and pj are
 // the remaining steps of each expression (the "pointers" of the paper).
-func generalizeStep(gen []xpath.Step, pi, pj []xpath.Step) [][]xpath.Step {
+func (g *pairGen) generalizeStep(gen []xpath.Step, pi, pj []xpath.Step) {
 	isLastI := len(pi) == 1
 	isLastJ := len(pj) == 1
 	if isLastI != isLastJ {
 		// Lines 1-3: a last step can only generalize with another last
 		// step; let advanceStep align the pointers first.
-		return advanceStep(gen, pi, pj)
+		g.advanceStep(gen, pi, pj)
+		return
 	}
 	head := xpath.Step{Axis: genAxis(pi[0].Axis, pj[0].Axis)}
 	if !compatibleTests(pi[0].Test, pj[0].Test) {
 		if isLastI && isLastJ {
 			// Incompatible targets (element vs attribute): no
 			// generalized index can cover both.
-			return nil
+			return
 		}
 		head.Test = "*" // middle steps: element wildcard placeholder
 	} else if pi[0].Test == pj[0].Test {
@@ -91,45 +136,39 @@ func generalizeStep(gen []xpath.Step, pi, pj []xpath.Step) [][]xpath.Step {
 	} else {
 		head.Test = wildcardFor(pi[0].Test)
 	}
-	gen2 := appendStep(gen, head)
-	return advanceStep(gen2, pi, pj)
+	g.advanceStep(append(gen, head), pi, pj)
 }
 
 // advanceStep implements Table II.
-func advanceStep(gen []xpath.Step, pi, pj []xpath.Step) [][]xpath.Step {
+func (g *pairGen) advanceStep(gen []xpath.Step, pi, pj []xpath.Step) {
 	isLastI := len(pi) == 1
 	isLastJ := len(pj) == 1
+	skipped := xpath.Step{Axis: xpath.Child, Test: "*"}
 	switch {
 	case isLastI && isLastJ:
 		// Rule 1: both expressions fully consumed (their generalized
 		// last node has been appended by the caller).
-		return [][]xpath.Step{gen}
+		g.emit(gen)
 	case isLastI && !isLastJ:
 		// Rule 2: skip pj's middle steps down to its last step,
 		// recording the skipped run as a /* placeholder.
-		gen2 := appendStep(gen, xpath.Step{Axis: xpath.Child, Test: "*"})
-		return generalizeStep(gen2, pi, pj[len(pj)-1:])
+		g.generalizeStep(append(gen, skipped), pi, pj[len(pj)-1:])
 	case !isLastI && isLastJ:
 		// Rule 3: symmetric to Rule 2.
-		gen2 := appendStep(gen, xpath.Step{Axis: xpath.Child, Test: "*"})
-		return generalizeStep(gen2, pi[len(pi)-1:], pj)
+		g.generalizeStep(append(gen, skipped), pi[len(pi)-1:], pj)
 	default:
 		// Rule 4: both in the middle. Three alternatives: advance both,
 		// or search for the reoccurrence of one expression's next node
 		// in the other and align there.
-		var out [][]xpath.Step
-		out = append(out, generalizeStep(gen, pi[1:], pj[1:])...)
+		g.generalizeStep(gen, pi[1:], pj[1:])
 		// Occurrence of pj's next node within pi's remainder.
 		if k := findStep(pi[1:], pj[1].Test); k > 0 {
-			gen2 := appendStep(gen, xpath.Step{Axis: xpath.Child, Test: "*"})
-			out = append(out, generalizeStep(gen2, pi[1+k:], pj[1:])...)
+			g.generalizeStep(append(gen, skipped), pi[1+k:], pj[1:])
 		}
 		// Occurrence of pi's next node within pj's remainder.
 		if k := findStep(pj[1:], pi[1].Test); k > 0 {
-			gen2 := appendStep(gen, xpath.Step{Axis: xpath.Child, Test: "*"})
-			out = append(out, generalizeStep(gen2, pi[1:], pj[1+k:])...)
+			g.generalizeStep(append(gen, skipped), pi[1:], pj[1+k:])
 		}
-		return out
 	}
 }
 
@@ -143,13 +182,4 @@ func findStep(steps []xpath.Step, test string) int {
 		}
 	}
 	return -1
-}
-
-// appendStep copies gen and appends s (the recursion shares prefixes,
-// so in-place append would corrupt sibling branches).
-func appendStep(gen []xpath.Step, s xpath.Step) []xpath.Step {
-	out := make([]xpath.Step, len(gen)+1)
-	copy(out, gen)
-	out[len(gen)] = s
-	return out
 }

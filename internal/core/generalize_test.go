@@ -2,9 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"xixa/internal/optimizer"
 	"xixa/internal/xpath"
 )
 
@@ -214,5 +217,159 @@ func TestBitSetBasics(t *testing.T) {
 	c.Set(99)
 	if b.Has(99) {
 		t.Error("Clone shares storage")
+	}
+}
+
+// referenceGeneralizePair is GeneralizePair as it was before the shared
+// step buffer: every recursion copies its prefix, each result is
+// rewritten into a fresh path, and the results are deduplicated through
+// a map and sorted with String() inside the comparator. It is the
+// oracle of TestGeneralizePairMatchesReference.
+func referenceGeneralizePair(a, b xpath.Path) []xpath.Path {
+	pa := a.StripPreds()
+	pb := b.StripPreds()
+	if pa.Relative || pb.Relative || len(pa.Steps) == 0 || len(pb.Steps) == 0 {
+		return nil
+	}
+	seen := make(map[string]bool)
+	var out []xpath.Path
+	for _, g := range refGeneralizeStep(nil, pa.Steps, pb.Steps) {
+		rewritten := refRewriteMiddleWildcards(xpath.Path{Steps: g})
+		key := rewritten.String()
+		if !seen[key] {
+			seen[key] = true
+			out = append(out, rewritten)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	return out
+}
+
+func refGeneralizeStep(gen []xpath.Step, pi, pj []xpath.Step) [][]xpath.Step {
+	isLastI := len(pi) == 1
+	isLastJ := len(pj) == 1
+	if isLastI != isLastJ {
+		return refAdvanceStep(gen, pi, pj)
+	}
+	head := xpath.Step{Axis: genAxis(pi[0].Axis, pj[0].Axis)}
+	if !compatibleTests(pi[0].Test, pj[0].Test) {
+		if isLastI && isLastJ {
+			return nil
+		}
+		head.Test = "*"
+	} else if pi[0].Test == pj[0].Test {
+		head.Test = pi[0].Test
+	} else {
+		head.Test = wildcardFor(pi[0].Test)
+	}
+	return refAdvanceStep(refAppendStep(gen, head), pi, pj)
+}
+
+func refAdvanceStep(gen []xpath.Step, pi, pj []xpath.Step) [][]xpath.Step {
+	isLastI := len(pi) == 1
+	isLastJ := len(pj) == 1
+	switch {
+	case isLastI && isLastJ:
+		return [][]xpath.Step{gen}
+	case isLastI && !isLastJ:
+		return refGeneralizeStep(refAppendStep(gen, xpath.Step{Axis: xpath.Child, Test: "*"}), pi, pj[len(pj)-1:])
+	case !isLastI && isLastJ:
+		return refGeneralizeStep(refAppendStep(gen, xpath.Step{Axis: xpath.Child, Test: "*"}), pi[len(pi)-1:], pj)
+	default:
+		var out [][]xpath.Step
+		out = append(out, refGeneralizeStep(gen, pi[1:], pj[1:])...)
+		if k := findStep(pi[1:], pj[1].Test); k > 0 {
+			out = append(out, refGeneralizeStep(refAppendStep(gen, xpath.Step{Axis: xpath.Child, Test: "*"}), pi[1+k:], pj[1:])...)
+		}
+		if k := findStep(pj[1:], pi[1].Test); k > 0 {
+			out = append(out, refGeneralizeStep(refAppendStep(gen, xpath.Step{Axis: xpath.Child, Test: "*"}), pi[1:], pj[1+k:])...)
+		}
+		return out
+	}
+}
+
+func refRewriteMiddleWildcards(p xpath.Path) xpath.Path {
+	if len(p.Steps) == 0 {
+		return p
+	}
+	out := xpath.Path{Relative: p.Relative}
+	pendingDesc := false
+	for i, st := range p.Steps {
+		last := i == len(p.Steps)-1
+		if !last && st.Test == "*" && len(st.Preds) == 0 {
+			pendingDesc = true
+			continue
+		}
+		cs := st
+		if pendingDesc {
+			cs.Axis = xpath.Descendant
+			pendingDesc = false
+		}
+		out.Steps = append(out.Steps, cs)
+	}
+	return out
+}
+
+func refAppendStep(gen []xpath.Step, s xpath.Step) []xpath.Step {
+	out := make([]xpath.Step, len(gen)+1)
+	copy(out, gen)
+	out[len(gen)] = s
+	return out
+}
+
+// GeneralizePair, and the reused generator generalizeAll runs, must
+// return the reference's patterns in the reference's order: on every
+// ordered pair of the advise workload's basic candidate patterns, and
+// on hand cases for attribute targets, descendant axes, predicates and
+// Rule 4's reoccurrence.
+func TestGeneralizePairMatchesReference(t *testing.T) {
+	db, w := adviseWorkload(t)
+	a, err := New(db, optimizer.New(db, optimizer.CollectStats(db)), w, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var patterns []xpath.Path
+	for _, c := range a.Candidates.Basic() {
+		patterns = append(patterns, c.Def.Pattern)
+	}
+	hand := [][2]string{
+		{"/a/b/d", "/a/d/b/d"}, // Rule 4: /a//b/d and /a//d
+		{"/a/d/b/d", "/a/b/d"},
+		{"/a/@id", "/b/@id"},     // attribute targets generalize to /*/@id
+		{"/a/b", "/a/@id"},       // element vs attribute target: nothing
+		{"/a/@x", "/a/b/c/@y"},   // attribute wildcard after a skipped run
+		{"/a/b/@x", "/a/b"},      // attribute vs element, different lengths
+		{"/a//b", "/a/b"},        // a descendant axis wins
+		{"//a/b/c", "/x//a/y/c"}, // descendant axes on both sides
+		{"/a//b//c", "/a//c"},
+		{"/a/*/b", "/a/b/*/b"}, // wildcards in the inputs
+		{`/Security[Yield>4.5]/Symbol`, `/Security/SecInfo/*[Sector="Energy"]/Sector`},
+		{"/a/b/c/d/e", "/a/e/d/c/b/e"},
+		{"/a/b/a/b/a", "/a/a/b/b/a"},
+		{"/a", "/a"},
+		{"/a", "/b/c/d/a"},
+		{"a/b", "/a/b"}, // relative input: nothing
+	}
+	for _, h := range hand {
+		patterns = append(patterns, xpath.MustParse(h[0]), xpath.MustParse(h[1]))
+	}
+	var pg pairGen
+	check := func(pa, pb xpath.Path) {
+		want := pats(referenceGeneralizePair(pa, pb))
+		if got := pats(GeneralizePair(pa, pb)); !reflect.DeepEqual(got, want) {
+			t.Errorf("GeneralizePair(%s, %s) = %v, reference %v", pa, pb, got, want)
+		}
+		if got := pats(pg.pair(pa, pb)); !reflect.DeepEqual(got, want) {
+			t.Errorf("reused pair(%s, %s) = %v, reference %v", pa, pb, got, want)
+		}
+	}
+	for _, pa := range patterns {
+		for _, pb := range patterns {
+			check(pa, pb)
+		}
+	}
+	rule4 := pats(GeneralizePair(xpath.MustParse("/a/b/d"), xpath.MustParse("/a/d/b/d")))
+	if want := []string{"/a//b/d", "/a//d"}; !reflect.DeepEqual(rule4, want) {
+		t.Errorf("Rule 4 example = %v, want %v", rule4, want)
 	}
 }

@@ -46,20 +46,25 @@ func parallelFor(workers, n int, fn func(i int)) {
 		return
 	}
 	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
+	}
+	// The calling goroutine is one of the workers.
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 }
 
@@ -103,7 +108,7 @@ func newBenefitCache() *benefitCache {
 
 // shardFor is an inline FNV-1a over the key: this runs on every cache
 // probe of every benefit evaluation, so it must not allocate.
-func (c *benefitCache) shardFor(key string) int {
+func shardFor[K string | []byte](key K) int {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h ^= uint32(key[i])
@@ -112,16 +117,18 @@ func (c *benefitCache) shardFor(key string) int {
 	return int(h % benefitShards)
 }
 
-func (c *benefitCache) get(key string) (float64, bool) {
-	s := &c.shards[c.shardFor(key)]
+// get looks key up. It takes the key's bytes: the m[string(key)] index
+// does not copy them, so a probe allocates nothing.
+func (c *benefitCache) get(key []byte) (float64, bool) {
+	s := &c.shards[shardFor(key)]
 	s.mu.RLock()
-	v, ok := s.m[key]
+	v, ok := s.m[string(key)]
 	s.mu.RUnlock()
 	return v, ok
 }
 
 func (c *benefitCache) put(key string, v float64) {
-	s := &c.shards[c.shardFor(key)]
+	s := &c.shards[shardFor(key)]
 	s.mu.Lock()
 	s.m[key] = v
 	s.mu.Unlock()

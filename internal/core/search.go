@@ -66,6 +66,9 @@ func (a *Advisor) searchGreedyHeuristic(budget int64) []*Candidate {
 	covered := make(map[string]bool)
 	var used int64
 	curBenefit := 0.0
+	// trial holds the configurations under test; ConfigBenefit keeps
+	// none of them, so one array serves them all.
+	var trial []*Candidate
 
 	for {
 		type scored struct {
@@ -78,11 +81,12 @@ func (a *Advisor) searchGreedyHeuristic(budget int64) []*Candidate {
 				continue
 			}
 			if c.General {
-				if !a.generalAdmissible(c, cfg, covered) {
+				if !a.generalAdmissible(c, cfg, covered, &trial) {
 					continue
 				}
 			}
-			gain := a.eval.ConfigBenefit(append(cfg[:len(cfg):len(cfg)], c)) - curBenefit
+			trial = append(append(trial[:0], cfg...), c)
+			gain := a.eval.ConfigBenefit(trial) - curBenefit
 			if gain <= 0 {
 				continue
 			}
@@ -115,7 +119,9 @@ func (a *Advisor) searchGreedyHeuristic(budget int64) []*Candidate {
 //     chosen index covers yet (otherwise it replicates existing ones).
 //  2. IB(x_general) >= IB(x_1..x_n) for the specifics it generalizes.
 //  3. Size(x_general) <= (1+β) * Σ Size(x_i).
-func (a *Advisor) generalAdmissible(g *Candidate, cfg []*Candidate, covered map[string]bool) bool {
+//
+// The configurations it evaluates are built in *trial.
+func (a *Advisor) generalAdmissible(g *Candidate, cfg []*Candidate, covered map[string]bool, trial *[]*Candidate) bool {
 	news := 0
 	for k := range g.SiteKeys {
 		if !covered[k] {
@@ -136,9 +142,10 @@ func (a *Advisor) generalAdmissible(g *Candidate, cfg []*Candidate, covered map[
 	if float64(g.SizeBytes) > (1+a.Opts.Beta)*float64(sumSize) {
 		return false
 	}
-	base := cfg[:len(cfg):len(cfg)]
-	ibGeneral := a.eval.ConfigBenefit(append(base, g))
-	ibSpecifics := a.eval.ConfigBenefit(append(base, specifics...))
+	*trial = append(append((*trial)[:0], cfg...), g)
+	ibGeneral := a.eval.ConfigBenefit(*trial)
+	*trial = append(append((*trial)[:0], cfg...), specifics...)
+	ibSpecifics := a.eval.ConfigBenefit(*trial)
 	return ibGeneral >= ibSpecifics
 }
 

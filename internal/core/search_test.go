@@ -105,7 +105,7 @@ func TestMultiTableWorkload(t *testing.T) {
 	}
 	// Sub-configurations never mix tables (affected sets are per
 	// statement, and a statement touches one table).
-	groups := splitSubConfigs(a.Candidates.Basic())
+	groups := splitGroups(a.Candidates.Basic())
 	for _, g := range groups {
 		seen := map[string]bool{}
 		for _, c := range g {

@@ -46,7 +46,19 @@ func (d Definition) String() string {
 
 // Key returns a canonical identity string for maps.
 func (d Definition) Key() string {
-	return d.Table + "|" + d.Pattern.StripPreds().String() + "|" + d.Type.String()
+	var buf [128]byte
+	return string(d.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the bytes of Key to b. A caller that builds the key
+// in a stack buffer and looks a map up with m[string(key)] allocates
+// nothing.
+func (d Definition) AppendKey(b []byte) []byte {
+	b = append(b, d.Table...)
+	b = append(b, '|')
+	b = xpath.AppendLinear(b, d.Pattern)
+	b = append(b, '|')
+	return append(b, d.Type.String()...)
 }
 
 // Validate checks the definition's pattern is a legal index pattern.

@@ -130,10 +130,19 @@ type Pred struct {
 
 // String renders the predicate including brackets.
 func (p Pred) String() string {
-	if p.Op == OpNone {
-		return "[" + p.Rel.String() + "]"
+	var sb strings.Builder
+	p.writeTo(&sb)
+	return sb.String()
+}
+
+func (p Pred) writeTo(sb *strings.Builder) {
+	sb.WriteByte('[')
+	p.Rel.writeTo(sb)
+	if p.Op != OpNone {
+		sb.WriteString(p.Op.String())
+		sb.WriteString(p.Lit.String())
 	}
-	return "[" + p.Rel.String() + p.Op.String() + p.Lit.String() + "]"
+	sb.WriteByte(']')
 }
 
 // Step is one location step: an axis, a name test, and any predicates.
@@ -168,11 +177,16 @@ func (s Step) MatchesLabel(label string) bool {
 func (s Step) String() string {
 	var sb strings.Builder
 	sb.WriteString(s.Axis.String())
+	s.writeTestTo(&sb)
+	return sb.String()
+}
+
+// writeTestTo writes the step's name test and predicates.
+func (s Step) writeTestTo(sb *strings.Builder) {
 	sb.WriteString(s.Test)
 	for _, p := range s.Preds {
-		sb.WriteString(p.String())
+		p.writeTo(sb)
 	}
-	return sb.String()
 }
 
 // Path is a location path. Absolute paths (Relative == false) navigate
@@ -185,28 +199,37 @@ type Path struct {
 
 // String renders the path in XPath syntax.
 func (p Path) String() string {
+	var sb strings.Builder
+	n := 0
+	for _, s := range p.Steps {
+		n += len("//") + len(s.Test)
+	}
+	sb.Grow(n) // exact or nearly so for a linear path: one allocation
+	p.writeTo(&sb)
+	return sb.String()
+}
+
+// writeTo writes the path in XPath syntax, each step straight into sb.
+func (p Path) writeTo(sb *strings.Builder) {
 	if len(p.Steps) == 0 {
 		if p.Relative {
-			return "."
+			sb.WriteByte('.')
+		} else {
+			sb.WriteByte('/')
 		}
-		return "/"
+		return
 	}
-	var sb strings.Builder
 	for i, s := range p.Steps {
 		if i == 0 && p.Relative {
 			// A leading child axis is implicit for relative paths.
 			if s.Axis == Descendant {
 				sb.WriteString(".//")
 			}
-			sb.WriteString(s.Test)
-			for _, pr := range s.Preds {
-				sb.WriteString(pr.String())
-			}
-			continue
+		} else {
+			sb.WriteString(s.Axis.String())
 		}
-		sb.WriteString(s.String())
+		s.writeTestTo(sb)
 	}
-	return sb.String()
 }
 
 // IsLinear reports whether the path has no predicates on any step —

@@ -133,9 +133,9 @@ func Contains(super, sub Path) bool {
 	// string(b) map index, which Go compiles without a copy, so a cache
 	// hit allocates nothing.
 	var buf [128]byte
-	key := appendLinear(buf[:0], super)
+	key := AppendLinear(buf[:0], super)
 	key = append(key, 0)
-	key = appendLinear(key, sub)
+	key = AppendLinear(key, sub)
 	containsCache.mu.RLock()
 	v, ok := containsCache.m[string(key)]
 	containsCache.mu.RUnlock()
@@ -155,9 +155,9 @@ var containsCache = struct {
 	m  map[string]bool
 }{m: make(map[string]bool)}
 
-// appendLinear appends p's linear form to b: the same bytes as
+// AppendLinear appends p's linear form to b: the same bytes as
 // p.StripPreds().String(), without building the copy or the string.
-func appendLinear(b []byte, p Path) []byte {
+func AppendLinear(b []byte, p Path) []byte {
 	if len(p.Steps) == 0 {
 		if p.Relative {
 			return append(b, '.')
@@ -227,31 +227,27 @@ func Equivalent(a, b Path) bool {
 	return Contains(a, b) && Contains(b, a)
 }
 
-// RewriteMiddleWildcards applies the paper's Rule 0 (Table II): every
-// occurrence of one or more contiguous wildcard steps in the middle of
-// an expression is replaced by a descendant axis on the following step.
-// For example /a/*/b and /a/*/*/b both become /a//b. The result is a
-// generalization of the input (it matches at least the same paths).
-func RewriteMiddleWildcards(p Path) Path {
-	if len(p.Steps) == 0 {
-		return p
-	}
-	out := Path{Relative: p.Relative}
+// AppendMiddleWildcardsRewritten appends steps to dst after the
+// paper's Rule 0 (Table II): every occurrence of one or more contiguous
+// wildcard steps in the middle of an expression is replaced by a
+// descendant axis on the following step. For example /a/*/b and
+// /a/*/*/b both become /a//b. The result is a generalization of the
+// input (it matches at least the same paths).
+func AppendMiddleWildcardsRewritten(dst, steps []Step) []Step {
 	pendingDesc := false
-	for i, st := range p.Steps {
-		last := i == len(p.Steps)-1
+	for i, st := range steps {
+		last := i == len(steps)-1
 		if !last && st.Test == "*" && len(st.Preds) == 0 {
 			// Middle wildcard: fold into a descendant axis on the next
 			// emitted step.
 			pendingDesc = true
 			continue
 		}
-		cs := st
 		if pendingDesc {
-			cs.Axis = Descendant
+			st.Axis = Descendant
 			pendingDesc = false
 		}
-		out.Steps = append(out.Steps, cs)
+		dst = append(dst, st)
 	}
-	return out
+	return dst
 }
