@@ -5,8 +5,7 @@
 // Usage:
 //
 //	xmladvisor -load TABLE=dir [-load TABLE=dir ...] -workload file \
-//	           [-budget bytes] [-algo name] [-parallelism N] \
-//	           [-plancache entries] [-verbose]
+//	           [-budget bytes] [-algo name] [-parallelism N] [-verbose]
 //
 //	xmladvisor -tpox 1 -workload file ...   (generate TPoX data instead)
 //	xmladvisor -db snap.xdb -workload file  (load a persisted snapshot)
@@ -52,8 +51,6 @@ func main() {
 		fmt.Sprintf("search algorithm %v", core.Algorithms()))
 	parallelism := flag.Int("parallelism", 0,
 		"advisor fan-out width (0 = GOMAXPROCS, 1 = serial; results are identical either way)")
-	planCache := flag.Int("plancache", 0,
-		"optimizer plan-cache capacity in entries (0 = off; makes the reported optimizer-call count approximate)")
 	verbose := flag.Bool("verbose", false, "print candidates and search details")
 	flag.Parse()
 
@@ -115,7 +112,6 @@ func main() {
 	opt := optimizer.New(db, stats)
 	opts := core.DefaultOptions()
 	opts.Parallelism = *parallelism
-	opts.PlanCacheSize = *planCache
 	adv, err := core.New(db, opt, w, opts)
 	if err != nil {
 		fatal(err)
@@ -152,9 +148,6 @@ func main() {
 	fmt.Printf("  estimated benefit: %.0f timerons\n", rec.Benefit)
 	fmt.Printf("  estimated workload speedup: %.1fx\n", adv.EstimatedSpeedup(rec.Config))
 	fmt.Printf("  optimizer calls: %d, advisor time: %s\n", rec.OptimizerCalls, rec.Elapsed)
-	if hits, misses, size := opt.PlanCacheStats(); hits+misses > 0 {
-		fmt.Printf("  plan cache: %d hits, %d misses, %d entries\n", hits, misses, size)
-	}
 	if *saveDB != "" {
 		if err := persist.SaveFile(*saveDB, db, rec.Definitions()); err != nil {
 			fatal(err)

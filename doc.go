@@ -44,13 +44,9 @@
 // advisor: its §VI-C sub-configuration cache is sharded behind
 // RWMutexes, probed once per group with a key built in a stack buffer,
 // each evaluation splits into its own reused scratch, and its counters
-// are atomic.
-//
-// Independently, optimizer.EnablePlanCache (core.Options.PlanCacheSize)
-// adds a bounded LRU memo of Evaluate Indexes results. Cache hits skip
-// plan selection and are elided from the optimizer's EvaluateCalls
-// counter, so the cache stays off by default and is forced off under
-// the ablation options that audit optimizer-call counts.
+// are atomic. Every Evaluate Indexes call is planned and counted: no
+// memo sits in front of the optimizer, so EvaluateCalls is exactly the
+// number the ablation options audit.
 //
 // # Live statistics under updates
 //

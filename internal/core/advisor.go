@@ -51,11 +51,6 @@ type Options struct {
 	// reproduces the serial pipeline exactly — results are bit-for-bit
 	// identical at every level either way, only wall-clock changes.
 	Parallelism int
-	// PlanCacheSize bounds the optimizer's memoized plan cache
-	// (entries). 0 — the default — leaves the cache off. The cache is
-	// forced off whenever an ablation flag is set, so the
-	// OptimizerCalls accounting in Recommendation stays exact.
-	PlanCacheSize int
 }
 
 // DefaultOptions returns the paper's settings.
@@ -86,15 +81,6 @@ func New(db *storage.Database, opt *optimizer.Optimizer,
 		return nil, fmt.Errorf("core: empty workload")
 	}
 	a := &Advisor{DB: db, Opt: opt, Opts: opts, W: w}
-	switch {
-	case opts.DisableSubConfigCache || opts.DisableAffectedSets:
-		// Ablations audit the optimizer-call counters, which plan-cache
-		// hits elide — force the cache off even if another advisor on
-		// this optimizer enabled it.
-		opt.DisablePlanCache()
-	case opts.PlanCacheSize > 0:
-		opt.EnablePlanCache(opts.PlanCacheSize)
-	}
 	cs, err := a.enumerateBasic(w)
 	if err != nil {
 		return nil, err

@@ -77,45 +77,6 @@ func TestConcurrentBenefitsDeterministic(t *testing.T) {
 	}
 }
 
-// PlanCacheSize must only reach the optimizer when no ablation flag is
-// set: the ablations audit OptimizerCalls, and plan-cache hits elide
-// calls from that counter.
-func TestPlanCacheGatedByAblations(t *testing.T) {
-	base := newFixture(t, 200, aq1, aq2)
-	w, err := workload.ParseStatements([]string{aq1, aq2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(opts Options) {
-		t.Helper()
-		opts.PlanCacheSize = 32
-		if _, err := New(base.DB, base.Opt, w, opts); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	mk(Options{Beta: 0.10, DisableSubConfigCache: true})
-	if h, m, _ := base.Opt.PlanCacheStats(); h+m != 0 {
-		t.Fatalf("plan cache active under DisableSubConfigCache: %d hits, %d misses", h, m)
-	}
-	mk(Options{Beta: 0.10, DisableAffectedSets: true})
-	if h, m, _ := base.Opt.PlanCacheStats(); h+m != 0 {
-		t.Fatalf("plan cache active under DisableAffectedSets: %d hits, %d misses", h, m)
-	}
-
-	mk(DefaultOptions())
-	if _, m, _ := base.Opt.PlanCacheStats(); m == 0 {
-		t.Fatal("plan cache not enabled by PlanCacheSize")
-	}
-
-	// Constructing an ablation advisor on the same optimizer must force
-	// an already-enabled cache off, not merely decline to enable one.
-	mk(Options{Beta: 0.10, DisableSubConfigCache: true})
-	if h, m, s := base.Opt.PlanCacheStats(); h+m+int64(s) != 0 {
-		t.Fatalf("ablation advisor did not force the plan cache off: %d hits, %d misses, %d entries", h, m, s)
-	}
-}
-
 // newParallelFixture builds two advisors over the same database and
 // workload, differing only in Parallelism.
 func newParallelFixture(t *testing.T, stmts []string) (serial, parallel *Advisor) {

@@ -9,9 +9,7 @@ import (
 // actually uses across the workload's plans. The paper motivates tight
 // coupling precisely so that "the indexes that we recommend are
 // actually used by the optimizer in the query execution plans" (§I);
-// this report verifies that property for any configuration, and powers
-// the drop-unused postpass that §VI-A describes (and argues is inferior
-// to the in-search heuristics).
+// this report verifies that property for any configuration.
 type UsageReport struct {
 	// UsedBy maps candidate IDs to the workload statement ordinals
 	// whose chosen plan uses that index.
@@ -50,28 +48,4 @@ func (a *Advisor) ValidateUsage(cfg []*Candidate) (*UsageReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-// PruneUnused returns the configuration with never-used indexes
-// removed. This is the postpass the paper mentions as the naive fix for
-// greedy's redundancy ("compile all workload queries after the indexes
-// ... are selected, and then eliminate indexes that are never used");
-// the space it reclaims is NOT refilled, which is exactly why the paper
-// prefers detecting redundancy during the search.
-func (a *Advisor) PruneUnused(cfg []*Candidate) ([]*Candidate, error) {
-	rep, err := a.ValidateUsage(cfg)
-	if err != nil {
-		return nil, err
-	}
-	unused := make(map[int]bool, len(rep.Unused))
-	for _, c := range rep.Unused {
-		unused[c.ID] = true
-	}
-	var out []*Candidate
-	for _, c := range cfg {
-		if !unused[c.ID] {
-			out = append(out, c)
-		}
-	}
-	return out, nil
 }

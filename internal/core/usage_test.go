@@ -51,33 +51,4 @@ func TestValidateUsageDetectsRedundancy(t *testing.T) {
 	if len(rep.Unused) != 1 || rep.Unused[0] != general {
 		t.Errorf("unused = %v, want the general index", candidateStrings(rep.Unused))
 	}
-	pruned, err := a.PruneUnused([]*Candidate{specific, general})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pruned) != 1 || pruned[0] != specific {
-		t.Errorf("pruned = %v, want only the specific index", candidateStrings(pruned))
-	}
-}
-
-func TestPruneUnusedPreservesBenefit(t *testing.T) {
-	// Removing unused indexes must not change the configuration's
-	// benefit (they were contributing nothing but size).
-	a := newFixture(t, 300, aq1, aq2)
-	rec, err := a.Recommend(AlgoGreedy, a.AllIndexSize()*4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := a.eval.ConfigBenefit(rec.Config)
-	pruned, err := a.PruneUnused(rec.Config)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := a.eval.ConfigBenefit(pruned)
-	if diff := after - before; diff < -1e-6 || diff > 1e-6 {
-		t.Errorf("pruning changed benefit: %v -> %v", before, after)
-	}
-	if totalSize(pruned) > totalSize(rec.Config) {
-		t.Error("pruning increased size")
-	}
 }

@@ -63,13 +63,3 @@ func (o *Optimizer) MaintenanceCost(def xindex.Definition, stmt *xquery.Statemen
 		return 0
 	}
 }
-
-// ConfigMaintenanceCost sums mc over every index of a configuration for
-// one statement occurrence.
-func (o *Optimizer) ConfigMaintenanceCost(config []xindex.Definition, stmt *xquery.Statement) float64 {
-	total := 0.0
-	for _, def := range config {
-		total += o.MaintenanceCost(def, stmt)
-	}
-	return total
-}

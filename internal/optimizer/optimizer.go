@@ -135,10 +135,6 @@ type Optimizer struct {
 	// overflow flush.
 	compiled    sync.Map // *xquery.Statement -> *CompiledStatement
 	compiledLen atomic.Int64
-
-	// planCache, when non-nil, memoizes Evaluate Indexes results (see
-	// plancache.go). Off unless EnablePlanCache is called.
-	planCache atomic.Pointer[planCache]
 }
 
 // New creates an optimizer over a database with collected statistics.
@@ -154,8 +150,8 @@ func New(db *storage.Database, stats map[string]*xstats.TableStats) *Optimizer {
 // subscribed to its change feed, built lazily on first use. Every
 // optimization then sees statistics bit-identical to a fresh RUNSTATS
 // at the table's current version, at O(changes) refresh cost, and
-// compiled statements and plan-cache entries keyed against stale
-// versions are rebuilt automatically.
+// compiled statements built against stale versions are rebuilt
+// automatically.
 func NewLive(db *storage.Database) *Optimizer {
 	return &Optimizer{db: db, source: xstats.NewKeeperSet(db)}
 }
@@ -313,34 +309,12 @@ func (o *Optimizer) EnumerateIndexes(stmt *xquery.Statement) ([]xindex.Definitio
 // the given virtual index configuration, optimizes the statement, and
 // returns the chosen plan with its estimated cost (paper §III). A nil
 // configuration yields the no-index baseline cost.
-//
-// With the plan cache enabled (EnablePlanCache), a repeated
-// (statement, table version, configuration) triple returns the memoized
-// plan without re-optimizing and without incrementing EvaluateCalls;
-// the returned plan is shared and must be treated as read-only. Keying
-// by the statistics version means a table mutation invalidates every
-// cached plan for that table: the next evaluation re-optimizes against
-// the current statistics instead of serving a stale plan.
 func (o *Optimizer) EvaluateIndexes(stmt *xquery.Statement, config []xindex.Definition) (*Plan, error) {
+	o.evaluateCalls.Add(1)
 	ts, err := o.tableStats(stmt.Table)
 	if err != nil {
-		o.evaluateCalls.Add(1)
 		return nil, err
 	}
-	if pc := o.planCache.Load(); pc != nil {
-		key := planKey(stmt.Raw, ts.Version, config)
-		if p, ok := pc.get(key); ok {
-			return p, nil
-		}
-		o.evaluateCalls.Add(1)
-		p, err := o.plan(stmt, ts, config)
-		if err != nil {
-			return nil, err
-		}
-		pc.put(key, p)
-		return p, nil
-	}
-	o.evaluateCalls.Add(1)
 	return o.plan(stmt, ts, config)
 }
 

@@ -320,21 +320,6 @@ func TestMaintenanceCostUpdate(t *testing.T) {
 	}
 }
 
-func TestConfigMaintenanceCostSums(t *testing.T) {
-	_, opt := newFixture(t, 100)
-	ins := xquery.MustParse(`insert into SECURITY value <Security><Symbol>NEW</Symbol><Yield>1</Yield></Security>`)
-	cfg := []xindex.Definition{
-		defOf("/Security/Symbol", xpath.StringVal),
-		defOf("/Security/Yield", xpath.NumberVal),
-	}
-	sum := opt.ConfigMaintenanceCost(cfg, ins)
-	a := opt.MaintenanceCost(cfg[0], ins)
-	b := opt.MaintenanceCost(cfg[1], ins)
-	if sum != a+b {
-		t.Errorf("ConfigMaintenanceCost = %v, want %v", sum, a+b)
-	}
-}
-
 func TestMissingStatsError(t *testing.T) {
 	db := storage.NewDatabase()
 	db.MustCreateTable("SECURITY")
@@ -400,5 +385,87 @@ func TestSiteEvalMemoIsKeyedByValue(t *testing.T) {
 	}
 	if got := opt.SiteEvalEntries(); got != first {
 		t.Errorf("probe memo holds %d entries after 20 calls with equal definitions, %d after the first", got, first)
+	}
+}
+
+// TestLiveOptimizerCostsCurrentStatistics asserts a live optimizer
+// costs against the table as it is now: after a load grows the table,
+// Evaluate Indexes must cost above the pre-load base and equal an
+// optimizer over freshly collected statistics exactly.
+func TestLiveOptimizerCostsCurrentStatistics(t *testing.T) {
+	db, _ := newFixture(t, 300)
+	opt := NewLive(db)
+
+	stmt := xquery.MustParse(oq2)
+	cfg := []xindex.Definition{defOf("/Security/Yield", xpath.NumberVal)}
+	before, err := opt.EvaluateIndexes(stmt, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Mutate the table: grow it by a third.
+	for i := 0; i < 100; i++ {
+		d := xmltree.NewBuilder().
+			Begin("Security").
+			Leaf("Symbol", fmt.Sprintf("V%05d", i)).
+			LeafFloat("Yield", 5.0+float64(i%40)/10).
+			End().Document()
+		if _, err := db.Load("SECURITY", d); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	after, err := opt.EvaluateIndexes(xquery.MustParse(oq2), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.EstBaseCost <= before.EstBaseCost {
+		t.Fatalf("post-mutation base cost %v not above pre-mutation %v", after.EstBaseCost, before.EstBaseCost)
+	}
+	want := New(db, CollectStats(db))
+	fresh, err := want.EvaluateIndexes(xquery.MustParse(oq2), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.EstCost != fresh.EstCost || after.EstBaseCost != fresh.EstBaseCost {
+		t.Fatalf("live path (%v,%v) != fresh stats (%v,%v)",
+			after.EstCost, after.EstBaseCost, fresh.EstCost, fresh.EstBaseCost)
+	}
+}
+
+// TestRecompileDoesNotFlushCompiledCache pins the overflow flush to the
+// number of statements held, not the number of compilations: a tuner
+// over a mutating table recompiles its few hundred statements after
+// every statistics fold, and used to empty the whole cache every 4,096
+// recompilations.
+func TestRecompileDoesNotFlushCompiledCache(t *testing.T) {
+	db, _ := newFixture(t, 50)
+	opt := NewLive(db)
+	stmts := make([]*xquery.Statement, 215)
+	for i := range stmts {
+		stmts[i] = xquery.MustParse(fmt.Sprintf(
+			`for $sec in SECURITY('SDOC')/Security where $sec/Symbol = "S%05d" return $sec`, i))
+	}
+	for round := 0; round < 100; round++ {
+		// One mutation a round: every statement's compilation is stale.
+		if _, err := db.Load("SECURITY", xmltree.NewBuilder().Begin("Security").
+			Leaf("Symbol", fmt.Sprintf("R%05d", round)).End().Document()); err != nil {
+			t.Fatal(err)
+		}
+		ts, err := opt.TableStats("SECURITY")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, stmt := range stmts {
+			if cs := opt.compile(stmt, ts); cs.ts != ts {
+				t.Fatal("compile returned a compilation against other statistics")
+			}
+		}
+		held := 0
+		opt.compiled.Range(func(_, _ any) bool { held++; return true })
+		if held != len(stmts) || opt.compiledLen.Load() != int64(len(stmts)) {
+			t.Fatalf("round %d: cache holds %d statements and counts %d, want %d of both",
+				round, held, opt.compiledLen.Load(), len(stmts))
+		}
 	}
 }

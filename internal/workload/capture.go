@@ -277,12 +277,3 @@ func (c *Capture) Workload() *Workload {
 	}
 	return w
 }
-
-// Summarize reports the capture as a frequency-weighted Summary,
-// stamped with the capture's decay epoch so downstream merges can see
-// whether the inputs were comparable.
-func (c *Capture) Summarize() Summary {
-	s := c.Workload().SummarizeWeighted()
-	s.DecayEpoch = c.DecayEpoch()
-	return s
-}

@@ -13,48 +13,6 @@ const (
 	spellB = `for $s in SECURITY('SDOC')/Security where  $s/Symbol="A"  return $s`
 )
 
-func TestNormalizedMergeWeightsByFrequency(t *testing.T) {
-	a, b := xquery.MustParse(spellA), xquery.MustParse(spellB)
-	if a.NormalizedKey() != b.NormalizedKey() {
-		t.Fatalf("spellings normalize differently:\n%s\n%s", a.NormalizedKey(), b.NormalizedKey())
-	}
-
-	// Session 1 saw the statement 7 times, session 2 saw it 3 times
-	// under another spelling. The merged workload must hold ONE item
-	// with frequency 10 — not two items, and not the last session's 3.
-	s1 := New()
-	s1.Add(a, 7)
-	s2 := New()
-	s2.Add(b, 3)
-	m := s1.Merge(s2)
-	if m.Len() != 1 {
-		t.Fatalf("merged len = %d, want 1", m.Len())
-	}
-	if m.Items[0].Freq != 10 {
-		t.Fatalf("merged freq = %d, want 7+3=10", m.Items[0].Freq)
-	}
-}
-
-func TestSummaryMergeSumsFrequencies(t *testing.T) {
-	w1 := New()
-	w1.Add(xquery.MustParse(spellA), 7)
-	w2 := New()
-	w2.Add(xquery.MustParse(spellB), 3)
-	w2.Add(xquery.MustParse(ins), 2)
-
-	s := w1.SummarizeWeighted()
-	s.Merge(w2.SummarizeWeighted())
-	if s.TotalFreq != 12 {
-		t.Errorf("TotalFreq = %d, want 12", s.TotalFreq)
-	}
-	if s.ByKind[xquery.Query] != 10 || s.ByKind[xquery.Insert] != 2 {
-		t.Errorf("ByKind = %v", s.ByKind)
-	}
-	if s.ByTable["SECURITY"] != 12 {
-		t.Errorf("ByTable = %v", s.ByTable)
-	}
-}
-
 func TestCaptureAccumulatesAcrossSpellings(t *testing.T) {
 	c := NewCapture(8)
 	c.Observe(xquery.MustParse(spellA), 1)

@@ -89,24 +89,3 @@ func TestCaptureMergeAlignsReceiverBehind(t *testing.T) {
 		t.Fatalf("same-epoch merge weight = %v, want 7", w)
 	}
 }
-
-// The summary plane carries the epoch along: Summarize stamps it and
-// Summary.Merge keeps the maximum of its inputs.
-func TestSummaryCarriesDecayEpoch(t *testing.T) {
-	c := NewCapture(8)
-	c.Observe(xquery.MustParse(epochQ1), 8)
-	c.Decay(0.7, 0.01)
-	c.Decay(0.7, 0.01)
-	c.Decay(0.7, 0.01)
-	s := c.Summarize()
-	if s.DecayEpoch != 3 {
-		t.Fatalf("Summarize epoch = %d, want 3", s.DecayEpoch)
-	}
-	var merged Summary
-	merged.Merge(Summary{DecayEpoch: 1})
-	merged.Merge(s)
-	merged.Merge(Summary{DecayEpoch: 2})
-	if merged.DecayEpoch != 3 {
-		t.Fatalf("merged summary epoch = %d, want 3", merged.DecayEpoch)
-	}
-}

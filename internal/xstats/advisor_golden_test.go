@@ -1,4 +1,4 @@
-package experiments
+package xstats_test
 
 import (
 	"testing"
@@ -15,21 +15,24 @@ import (
 // recursive collector (xstats.CollectReference) and once on the
 // single-pass PathID-keyed collector — and asserts that for every
 // search algorithm the recommendations, benefits, and optimizer call
-// counts are bit-identical. Together with the package xstats golden
-// tests this pins the whole refactored path: dictionary, collector,
+// counts are bit-identical. Together with the package's golden tests
+// this pins the whole refactored path: dictionary, collector,
 // pattern matching, and compiled-statement planning.
 func TestAdvisorGoldenAgainstReferenceStats(t *testing.T) {
-	e := testEnv(t)
+	db, err := tpox.NewDatabase(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	refStats := make(map[string]*xstats.TableStats)
-	for _, name := range e.DB.TableNames() {
-		tbl, err := e.DB.Table(name)
+	for _, name := range db.TableNames() {
+		tbl, err := db.Table(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		refStats[name] = xstats.CollectReference(tbl)
 	}
-	newStats := optimizer.CollectStats(e.DB)
+	newStats := optimizer.CollectStats(db)
 
 	type result struct {
 		defs    []string
@@ -38,12 +41,12 @@ func TestAdvisorGoldenAgainstReferenceStats(t *testing.T) {
 		eval    int64
 	}
 	run := func(stats map[string]*xstats.TableStats, algo string) result {
-		opt := optimizer.New(e.DB, stats)
+		opt := optimizer.New(db, stats)
 		w, err := workload.ParseStatements(tpox.Queries())
 		if err != nil {
 			t.Fatal(err)
 		}
-		adv, err := core.New(e.DB, opt, w, core.DefaultOptions())
+		adv, err := core.New(db, opt, w, core.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

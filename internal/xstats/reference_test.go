@@ -14,8 +14,7 @@ import (
 // (re-extracting text for the numeric interpretation) and keys paths by
 // rendered strings. The production Collect is a single-pass collector
 // over the flat node slice keyed by interned PathIDs; the golden
-// equivalence tests assert both produce identical TableStats. Do not
-// use this on hot paths.
+// equivalence tests assert both produce identical TableStats.
 func CollectReference(t *storage.Table) *TableStats {
 	ts := &TableStats{
 		Table:   t.Name,
