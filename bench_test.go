@@ -1211,10 +1211,10 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 		db := storage.NewDatabase()
 		db.MustCreateTable("SECURITY")
 		for _, rec := range res.Records {
-			if rec.Kind != wal.RecDocInsert {
+			if rec.Kind != wal.RecCommit {
 				b.Fatalf("unexpected record kind %v", rec.Kind)
 			}
-			if err := db.ApplyCommitted(rec.Stamp, []storage.TxOp{{Table: "SECURITY", Kind: storage.TxInsert, DocID: rec.DocID, Doc: rec.Doc}}); err != nil {
+			if err := db.ApplyCommitted(rec.Stamp, rec.Ops); err != nil {
 				b.Fatal(err)
 			}
 		}

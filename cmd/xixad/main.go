@@ -30,10 +30,10 @@
 // WAL to followers: each follower runs xixad with -replica-of pointing
 // here and its own -wal-dir, replays the stream continuously, and
 // serves read-only sessions. When the primary dies, \promote on a
-// follower truncates any half-streamed transaction frame, mints a new
-// epoch that fences the old primary if it comes back, and opens the
-// follower for writes (binding its own -replication-addr, if set, so
-// the remaining followers can re-point to it). -archive-dir preserves
+// follower mints a new epoch that fences the old primary if it comes
+// back, and opens the follower for writes (binding its own
+// -replication-addr, if set, so the remaining followers can re-point
+// to it). -archive-dir preserves
 // checkpointed-away WAL segments and LSN-stamped checkpoints — the
 // retention that lets any follower catch up from any age and
 // server.RestoreToLSN rebuild the exact image at any committed LSN.
@@ -326,9 +326,8 @@ func (n *node) role() (*replica.Primary, *replica.Follower) {
 }
 
 // PromoteToPrimary is the \promote role (frontend.Promoter): a follower
-// truncates any half-streamed frame, mints the next epoch, opens for
-// writes, starts tuning, and — with -replication-addr — starts
-// streaming to the remaining followers.
+// mints the next epoch, opens for writes, starts tuning, and — with
+// -replication-addr — starts streaming to the remaining followers.
 func (n *node) PromoteToPrimary() (string, error) {
 	_, f := n.role()
 	if f == nil {

@@ -99,16 +99,16 @@
 // internal/wal layers a write-ahead log under the serving stack
 // (server.Recover, xixad -wal-dir). A change reaches the log one way:
 // a committing transaction encodes its write set — full-document
-// inserts, replaces, removes — before its commit stamp exists, patches
-// the stamp in, and appends the batch (wal.Log.AppendTxn) under its
-// tables' commit locks, before the write set publishes; the tuning
-// loop's index create/drop records take the same entry point. Records
-// are CRC-checked and length-prefixed, and a multi-operation write set
-// is framed by txn-begin/commit records so recovery applies committed
-// transactions atomically and discards unterminated frames; every
-// commit carries its stamp and replay (server.Applier) restores stamp
-// order through a reorder buffer when disjoint-table commits
-// interleaved in the log. A mutating statement returns only after
+// inserts, replaces, removes — into one commit record before its
+// commit stamp exists, patches the stamp in, and appends it
+// (wal.Log.AppendTxn) under its tables' commit locks, before the write
+// set publishes; the tuning loop's index create/drop records take the
+// same entry point. Records are CRC-checked and length-prefixed, so a
+// commit is atomic in the log — a torn commit record is dropped whole —
+// and every LSN is a commit boundary; every commit record carries its
+// stamp and replay (server.Applier) restores stamp order through a
+// reorder buffer when disjoint-table commits interleaved in the log.
+// A mutating statement returns only after
 // wal.Log.Commit makes its LSN durable — a wait taken outside the
 // commit gate, so concurrent writers batch into one fsync (SyncAlways),
 // or flush to the OS with a background fsync bounding the power-loss
@@ -132,10 +132,9 @@
 // corrupted — dies on the frame CRC and reconnects with jittered
 // backoff from the follower's tip; LSN continuity makes redelivery
 // idempotent, so no fault short of disk loss loses or duplicates a
-// record. When the primary dies, promotion (\promote) truncates any
-// transaction frame streamed without its commit record, mints a
-// durable epoch that permanently fences the old primary if it
-// returns, and opens the follower for writes. With an archive
+// record. When the primary dies, promotion (\promote) mints a durable
+// epoch that permanently fences the old primary if it returns, and
+// opens the follower for writes. With an archive
 // directory, checkpoints preserve WAL segments and LSN-stamped
 // snapshots instead of deleting them, and server.RestoreToLSN
 // rebuilds the exact committed image at any LSN in history.

@@ -579,7 +579,7 @@ func LoadCheckpointFile(path string) (*storage.Database, []xindex.Definition, ui
 
 // EncodeDoc writes one document in the snapshot node encoding (uvarint
 // node count, then kind/parent/name/value per node) — the payload
-// format the write-ahead log reuses for its doc-insert records so the
+// format the write-ahead log reuses for its commit records so the
 // snapshot and the log can never disagree on what a document is. It
 // runs on the per-commit hot path (the server's commit prepare hook,
 // before the commit stamp is allocated), so it writes straight to w

@@ -17,15 +17,8 @@ import (
 	"xixa/internal/xindex"
 )
 
-var (
-	// ErrTooStale reports a follower whose local history fell behind
-	// the primary's retained WAL while its server was already live; it
-	// must be restarted to take the snapshot bootstrap path. With a WAL
-	// archive configured on the primary this cannot happen.
-	ErrTooStale = errors.New("replica: follower too stale for the primary's retained history")
-	// ErrPromoted reports an operation on a follower already promoted.
-	ErrPromoted = errors.New("replica: follower already promoted")
-)
+// ErrPromoted reports an operation on a follower already promoted.
+var ErrPromoted = errors.New("replica: follower already promoted")
 
 // FollowerConfig configures StartFollower.
 type FollowerConfig struct {
@@ -85,7 +78,7 @@ type Follower struct {
 	applier *server.Applier
 
 	epoch          atomic.Uint64
-	applied        atomic.Uint64 // last LSN consumed (incl. open-frame records)
+	applied        atomic.Uint64 // last LSN consumed
 	primaryFlushed atomic.Uint64 // primary's flushed tip, from records + heartbeats
 	lastContact    atomic.Int64  // unix nanos of the last frame received
 	reconnects     atomic.Uint64
@@ -200,7 +193,7 @@ func bootstrapSnapshot(cfg FollowerConfig, epoch uint64) error {
 		hasWAL = true
 	}
 	if hasWAL {
-		l, scanned, oerr := wal.Open(walPath, wal.Options{
+		l, _, oerr := wal.Open(walPath, wal.Options{
 			Policy:       wal.SyncOff,
 			SegmentBytes: cfg.Server.SegmentBytes,
 			ArchiveDir:   cfg.Server.ArchiveDir,
@@ -209,28 +202,6 @@ func bootstrapSnapshot(cfg FollowerConfig, epoch uint64) error {
 			return oerr
 		}
 		lastLSN = l.LastLSN()
-		// Present the committed prefix, not the raw tip: if the log
-		// ends inside an unterminated transaction frame (the dead
-		// primary's last gasp, streamed but never committed), Recover
-		// will truncate that frame before the stream resumes — and a
-		// new primary, which truncated the same frame at promotion,
-		// would refuse the raw tip as divergent history.
-		if n := len(scanned.Records); n > 0 {
-			prev := scanned.Records[0].LSN - 1
-			open, inTxn := uint64(0), false
-			for _, r := range scanned.Records {
-				switch r.Kind {
-				case wal.RecTxnBegin:
-					inTxn, open = true, prev
-				case wal.RecTxnCommit:
-					inTxn = false
-				}
-				prev = r.LSN
-			}
-			if inTxn {
-				lastLSN = open
-			}
-		}
 		l.Close()
 	}
 	// Fresh means no durable state at all: a node that has never held
@@ -332,46 +303,25 @@ func (f *Follower) Info() FollowerInfo {
 	}
 }
 
-// CheckFresh bounds read staleness: it returns ErrTooStale when the
-// follower has not heard from the primary within maxSilence AND is not
-// caught up to the last tip it heard — silence while caught up just
-// means an idle primary.
-func (f *Follower) CheckFresh(maxSilence time.Duration) error {
-	if f.applied.Load() >= f.primaryFlushed.Load() && f.connected.Load() {
-		return nil
-	}
-	last := time.Unix(0, f.lastContact.Load())
-	if time.Since(last) > maxSilence {
-		return ErrTooStale
-	}
-	return nil
-}
-
-// Promote upgrades the follower to primary: the stream stops, any
-// transaction frame the dead primary left unterminated is truncated
-// off the log (its commit record never arrived — those effects were
-// never visible anywhere and must not survive into the new history),
-// a new epoch = maxWitnessed+1 is durably recorded, and the server
-// opens for writes. Returns the new epoch; a subsequent NewPrimary on
-// this server presents it to fence any zombie.
+// Promote upgrades the follower to primary: the stream stops, the
+// commits the applier held back behind a stamp gap publish, a new
+// epoch = maxWitnessed+1 is durably recorded, and the server opens for
+// writes. Every streamed record is a whole commit, so the local log is
+// a committed prefix of the dead primary's history as it stands.
+// Returns the new epoch; a subsequent NewPrimary on this server
+// presents it to fence any zombie.
 func (f *Follower) Promote() (uint64, error) {
 	if !f.promoted.CompareAndSwap(false, true) {
 		return 0, ErrPromoted
 	}
 	f.stopLoop()
-	// Completed frames parked behind a stamp gap (their lower-stamped
-	// sibling's records died with the primary) must publish before the
-	// node opens for writes; the gap commutes, so the flushed history is
+	// Commits parked behind a stamp gap (their lower-stamped sibling's
+	// record died with the primary) must publish before the node opens
+	// for writes; the gap commutes, so the flushed history is
 	// consistent and the local log stays byte-identical.
 	if err := f.applier.Flush(); err != nil {
 		f.promoted.Store(false)
 		return 0, err
-	}
-	if f.applier.FrameOpen() {
-		if err := f.srv.WAL().TruncateTail(f.applier.CommittedLSN()); err != nil {
-			return 0, err
-		}
-		f.applied.Store(f.applier.CommittedLSN())
 	}
 	epoch := f.epoch.Load() + 1
 	if err := StoreEpoch(f.cfg.Dir, epoch); err != nil {
@@ -514,7 +464,7 @@ func (f *Follower) streamOnce() (progressed bool, err error) {
 		// A snapshot mid-life means our history no longer chains — the
 		// primary checkpointed past us without an archive. The live
 		// server cannot swallow a whole new image; restart to bootstrap.
-		return false, ErrTooStale
+		return false, errors.New("replica: primary checkpointed past this follower's history; restart the follower to bootstrap from its snapshot")
 	}
 	f.connected.Store(true)
 	f.lastContact.Store(time.Now().UnixNano())

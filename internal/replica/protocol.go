@@ -3,9 +3,9 @@
 // number of followers over length-prefixed TCP frames, each follower
 // replays the records continuously through the same applier that
 // drives crash recovery, and a follower can be promoted to primary —
-// truncating any transaction frame the dead primary left unterminated
-// and fencing the old primary through a monotonically increasing
-// epoch carried in every handshake.
+// fencing the old primary through a monotonically increasing epoch
+// carried in every handshake. Every record is a whole commit, so a
+// follower's log is always a committed prefix of the primary's.
 //
 // The protocol is deliberately small. The follower connects and sends
 // Hello(epoch, lastLSN): the highest primary epoch it has ever

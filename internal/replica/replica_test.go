@@ -417,12 +417,11 @@ func TestByteFaultsDesyncAndRecover(t *testing.T) {
 	}
 }
 
-// TestPromoteTruncatesOpenFrame is the failover acceptance test: the
-// primary dies after streaming half a transaction frame; the promoted
-// follower truncates the unterminated frame and is bit-identical to
-// the dead primary's committed prefix, then accepts writes under a
-// higher epoch.
-func TestPromoteTruncatesOpenFrame(t *testing.T) {
+// TestPromoteAfterPrimaryDies is the failover acceptance test: the
+// primary dies right after a streamed 3-insert transaction commits;
+// the promoted follower is bit-identical to the dead primary, then
+// accepts writes at the next LSN under a higher epoch.
+func TestPromoteAfterPrimaryDies(t *testing.T) {
 	pdir := t.TempDir()
 	p, addr := startPrimary(t, pdir, 15)
 	sess, err := p.Server().NewSession()
@@ -439,25 +438,29 @@ func TestPromoteTruncatesOpenFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	committedTip := p.Server().WAL().LastLSN()
-	committedImage := dbBytes(t, p.Server())
-	waitApplied(t, f, committedTip, 5*time.Second)
+	waitApplied(t, f, p.Server().WAL().LastLSN(), 5*time.Second)
 
-	// The primary "dies" mid-transaction: a begin record and one
-	// operation reach the wire, the commit record never does. The
-	// records stream to the follower (Sync flushes them) and buffer in
-	// its applier without publishing.
-	ins, err := wal.EncodeDocInsert("SECURITY", secDoc("PMLOST", 1), 0)
+	// The last thing the primary does: a 3-insert transaction, one
+	// commit record, streamed to the follower before the primary dies.
+	before := p.Server().WAL().LastLSN()
+	tx, err := sess.Begin()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Server().WAL().AppendTxn([][]byte{wal.EncodeTxnBegin(7), ins}); err != nil {
+	for i := 0; i < 3; i++ {
+		if _, err := tx.Execute(insertStmt(fmt.Sprintf("PMTX%d", i), i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Server().WAL().Sync(); err != nil {
-		t.Fatal(err)
+	committedTip := p.Server().WAL().LastLSN()
+	if committedTip != before+1 {
+		t.Fatalf("3-insert transaction spans LSNs (%d, %d], want exactly one", before, committedTip)
 	}
-	waitApplied(t, f, committedTip+2, 5*time.Second)
+	committedImage := dbBytes(t, p.Server())
+	waitApplied(t, f, committedTip, 5*time.Second)
 	p.Close()
 	p.Server().Close()
 
@@ -469,10 +472,10 @@ func TestPromoteTruncatesOpenFrame(t *testing.T) {
 		t.Fatalf("promoted epoch = %d, want 2", epoch)
 	}
 	if got := f.Server().WAL().LastLSN(); got != committedTip {
-		t.Fatalf("promotion left the log at LSN %d, want the committed prefix %d", got, committedTip)
+		t.Fatalf("promotion left the log at LSN %d, want the primary's tip %d", got, committedTip)
 	}
 	if !bytes.Equal(dbBytes(t, f.Server()), committedImage) {
-		t.Fatal("promoted follower is not bit-identical to the dead primary's committed prefix")
+		t.Fatal("promoted follower is not bit-identical to the dead primary")
 	}
 
 	// The promoted node serves writes, and its own recovery holds them.
@@ -484,7 +487,7 @@ func TestPromoteTruncatesOpenFrame(t *testing.T) {
 		t.Fatalf("write on promoted follower: %v", err)
 	}
 	if f.Server().WAL().LastLSN() != committedTip+1 {
-		t.Fatal("post-promotion write did not land at the truncated tail")
+		t.Fatal("post-promotion write did not land at the primary's tip + 1")
 	}
 	f.Server().Close()
 	f.Close()
@@ -656,7 +659,7 @@ func TestZombieFencing(t *testing.T) {
 }
 
 // TestReplicationSoak runs concurrent writers (plain statements and
-// multi-op transaction frames) against a primary with two followers —
+// multi-op transaction commits) against a primary with two followers —
 // one clean, one behind a fault-injecting dialer — plus a mid-run
 // checkpoint into an archive, and requires both followers to converge
 // bit-identically with gapless logs. CI runs this under -race.

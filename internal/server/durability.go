@@ -44,11 +44,6 @@ type RecoverInfo struct {
 	// which was truncated away — the expected wreckage of a crash
 	// mid-append, not an error.
 	Torn bool
-	// DanglingTxn reports that the WAL ended inside an unterminated
-	// transaction frame (a crash between AppendTxn and its fsync); the
-	// frame's records were discarded from replay AND physically
-	// truncated from the log, so the next recovery never sees them.
-	DanglingTxn bool
 	// Bootstrapped reports that no durable state existed and the
 	// bootstrap callback seeded the database.
 	Bootstrapped bool
@@ -173,8 +168,8 @@ func Recover(cfg Config, bootstrap func() (*storage.Database, error)) (*Server, 
 	}
 
 	// Redo the tail past the checkpoint through the shared applier,
-	// then flush: completed frames parked above a stamp gap (the gap's
-	// commit died with the log) still publish, in stamp order.
+	// then flush: commits parked above a stamp gap (the gap's commit
+	// died with the log) still publish, in stamp order.
 	applier := NewApplier(db, defs, info.CheckpointLSN, checkpointStamp)
 	for i := range scanned.Records {
 		if scanned.Records[i].LSN <= info.CheckpointLSN {
@@ -189,18 +184,6 @@ func Recover(cfg Config, bootstrap func() (*storage.Database, error)) (*Server, 
 	}
 	defs = applier.Defs()
 	info.Replayed = applier.OpsApplied()
-
-	// An unterminated frame at the tail was discarded from replay, but
-	// its records are still physically in the log — and new commits
-	// would append AFTER them, so the next recovery's framing pass
-	// would swallow those commits into the dead frame. Truncate the
-	// frame away before any append can land.
-	if applier.FrameOpen() {
-		if err := l.TruncateTail(applier.CommittedLSN()); err != nil {
-			return fail(err)
-		}
-		info.DanglingTxn = true
-	}
 
 	s := New(db, cfg)
 	buffered, peak := applier.ReorderStats()

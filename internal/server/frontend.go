@@ -71,7 +71,7 @@ func (s *Server) StatsLines(v map[string]float64) []string {
 			v["xixa_mvcc_stamps_allocated"], v["xixa_mvcc_watermark"],
 			v["xixa_mvcc_publish_lag"], v["xixa_mvcc_publish_lag_peak"],
 			secs(v["xixa_mvcc_publish_wait_seconds_total"])),
-		fmt.Sprintf("replay reorder: %.0f frames buffered (peak %.0f)",
+		fmt.Sprintf("replay reorder: %.0f commits buffered (peak %.0f)",
 			v["xixa_replay_reorder_buffered"], v["xixa_replay_reorder_peak"]),
 		fmt.Sprintf("statistics: %.0f folds, %.0f paths re-derived in full",
 			v["xixa_stats_folds_total"], v["xixa_stats_path_rebuilds_total"]),

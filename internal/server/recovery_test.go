@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -611,8 +613,8 @@ func TestRecoveryFixtureStatementsParse(t *testing.T) {
 }
 
 // TestRecoverTornReplaceKeepsPreImage tears the WAL so an update's
-// RecDocReplace record is the torn one: recovery must keep the
-// committed pre-image — logging the update as remove+insert pairs
+// commit record (one replace op) is the torn one: recovery must keep
+// the committed pre-image — logging the update as remove+insert pairs
 // would instead delete the document, a state that never existed.
 func TestRecoverTornReplaceKeepsPreImage(t *testing.T) {
 	dir := t.TempDir()
@@ -794,11 +796,10 @@ func TestRecoverRefusesMissingCheckpointAtStartZero(t *testing.T) {
 }
 
 // TestRecoverRejectsUnstampedCommit: every commit carries a stamp of at
-// least 1, so a stamp-0 bare document record or commit record is a log
+// least 1, so a commit record stamped 0 — one op or several — is a log
 // from before commit stamps, or corruption. Replay must refuse it by
-// LSN — dropping it as a "duplicate" of an applied stamp would lose the
-// write silently — while an unterminated frame is discarded whatever
-// its records carry.
+// LSN: dropping it as a "duplicate" of an applied stamp would lose the
+// write silently.
 func TestRecoverRejectsUnstampedCommit(t *testing.T) {
 	ins := func(stamp uint64) []byte {
 		doc := secDoc("UNSTAMPED", "Recovered", 1)
@@ -809,34 +810,32 @@ func TestRecoverRejectsUnstampedCommit(t *testing.T) {
 		}
 		return p
 	}
+	multi := func(stamp uint64) []byte {
+		ops := make([]storage.TxOp, 3)
+		for i := range ops {
+			doc := secDoc(fmt.Sprintf("UNSTAMPED%d", i), "Recovered", 1)
+			doc.DocID = int64(1000 + i)
+			ops[i] = storage.TxOp{Table: "SECURITY", Kind: storage.TxInsert, DocID: doc.DocID, Doc: doc}
+		}
+		p, err := wal.EncodeCommit(ops, stamp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
 	for _, tc := range []struct {
-		name     string
-		payloads [][]byte
-		wantErr  string // "" = replay succeeds and discards the frame
+		name    string
+		payload []byte
 	}{
-		{"bare record", [][]byte{ins(0)}, "unstamped commit at LSN 1"},
-		{"committed frame", [][]byte{wal.EncodeTxnBegin(7), ins(0), wal.EncodeTxnCommit(7, 0)}, "unstamped commit at LSN 3"},
-		{"unterminated frame", [][]byte{wal.EncodeTxnBegin(7), ins(0)}, ""},
+		{"bare record", ins(0)},
+		{"multi-op commit", multi(0)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			db := storage.NewDatabase()
 			tbl := db.MustCreateTable("SECURITY")
 			a := NewApplier(db, nil, 0, 0)
-			var err error
-			for i, p := range tc.payloads {
-				if err = a.Apply(record(t, uint64(i+1), p)); err != nil {
-					break
-				}
-			}
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !a.FrameOpen() || a.CommittedLSN() != 0 {
-					t.Fatalf("FrameOpen=%v CommittedLSN=%d, want an open frame and nothing committed", a.FrameOpen(), a.CommittedLSN())
-				}
-			} else if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("replay error = %v, want one naming %q", err, tc.wantErr)
+			if err := a.Apply(record(t, 1, tc.payload)); err == nil || !strings.Contains(err.Error(), "unstamped commit at LSN 1") {
+				t.Fatalf("replay error = %v, want one naming %q", err, "unstamped commit at LSN 1")
 			}
 			if tbl.DocCount() != 0 {
 				t.Fatalf("unstamped records published %d documents", tbl.DocCount())
@@ -844,7 +843,7 @@ func TestRecoverRejectsUnstampedCommit(t *testing.T) {
 		})
 	}
 
-	// End to end: the same bare record behind a real checkpoint fails
+	// End to end: the same one-op commit behind a real checkpoint fails
 	// Recover instead of resurfacing as a document.
 	dir := t.TempDir()
 	srv, _, err := Recover(durableCfg(dir), bootstrapFixture(5))
@@ -867,6 +866,64 @@ func TestRecoverRejectsUnstampedCommit(t *testing.T) {
 		t.Fatal("Recover accepted an unstamped commit")
 	} else if !strings.Contains(err.Error(), "unstamped commit at LSN") {
 		t.Fatalf("Recover error = %v, want the unstamped-commit refusal", err)
+	}
+}
+
+// appendTornCommit appends one multi-op commit at stamp — an insert into
+// SECURITY per symbol — to the log at path, lets it reach the file, and
+// chops its last byte: the wreckage of a crash in the middle of writing
+// the record. It returns the LSN the record took.
+func appendTornCommit(t *testing.T, l *wal.Log, path string, stamp uint64, syms ...string) uint64 {
+	t.Helper()
+	ops := make([]storage.TxOp, len(syms))
+	for i, sym := range syms {
+		doc := secDoc(sym, "Recovered", 1)
+		doc.DocID = int64(900000 + i)
+		ops[i] = storage.TxOp{Table: "SECURITY", Kind: storage.TxInsert, DocID: doc.DocID, Doc: doc}
+	}
+	p, err := wal.EncodeCommit(ops, stamp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsn, err := l.AppendTxn([][]byte{p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, st.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+	return lsn
+}
+
+// TestRecoverRefusesOldLogVersion: a log in the earlier format (magic
+// XIXAWAL1, multi-op commits framed by begin/commit records) fails
+// recovery by name — it is never read as torn or empty, which would
+// silently drop its history.
+func TestRecoverRefusesOldLogVersion(t *testing.T) {
+	dir := t.TempDir()
+	srv, _, err := Recover(durableCfg(dir), bootstrapFixture(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	var head [20]byte
+	copy(head[:8], "XIXAWAL1")
+	binary.LittleEndian.PutUint32(head[16:], crc32.Checksum(head[:16], crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(WALPath(dir), head[:], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if srv2, _, err := Recover(durableCfg(dir), nil); err == nil {
+		srv2.Close()
+		t.Fatal("Recover accepted an XIXAWAL1 log")
+	} else if !strings.Contains(err.Error(), "unsupported log version") {
+		t.Fatalf("Recover error = %v, want the unsupported-version refusal", err)
 	}
 }
 

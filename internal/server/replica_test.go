@@ -11,13 +11,11 @@ import (
 	"xixa/internal/wal"
 )
 
-// TestRecoverTruncatesDanglingFrame is the regression test for the
-// dangling-frame hazard: an unterminated transaction frame left in the
-// log after a crash must be physically truncated by recovery, not just
-// skipped during replay — otherwise new commits append after the
-// orphaned begin, and the *next* recovery's framing pass buffers them
-// into the dead frame and discards them.
-func TestRecoverTruncatesDanglingFrame(t *testing.T) {
+// TestRecoverAfterTornCommit: a multi-op commit torn at the tail of
+// the log is dropped whole — recovery reports the tear, the log ends at
+// the committed LSN, and the image is the committed prefix — and a
+// commit made after that recovery survives the next one.
+func TestRecoverAfterTornCommit(t *testing.T) {
 	dir := t.TempDir()
 	srv, _, err := Recover(durableCfg(dir), bootstrapFixture(10))
 	if err != nil {
@@ -29,25 +27,16 @@ func TestRecoverTruncatesDanglingFrame(t *testing.T) {
 	}
 	mustExec(t, sess, insertStmt("DF000", 1))
 	committed := srv.WAL().LastLSN()
+	prefix := dbBytes(t, srv)
+	stamp := srv.DB().Watermark() + 1
 	srv.Close()
 
-	// Crash mid-frame: append txn-begin plus one operation with no
-	// commit record, as a writer killed between AppendTxn batches of a
-	// larger story would leave. AppendTxn appends whatever payloads it
-	// is given; framing is the caller's contract.
-	l, _, err := wal.Open(filepath.Join(dir, walLogFile), wal.Options{Policy: wal.SyncOff})
+	l, _, err := wal.Open(WALPath(dir), wal.Options{Policy: wal.SyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ins, err := wal.EncodeDocInsert("SECURITY", secDoc("DFLOST", "Recovered", 1), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.AppendTxn([][]byte{wal.EncodeTxnBegin(99), ins}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
+	if lsn := appendTornCommit(t, l, WALPath(dir), stamp, "DFLOST0", "DFLOST1"); lsn != committed+1 {
+		t.Fatalf("torn commit at LSN %d, want %d", lsn, committed+1)
 	}
 	l.Close()
 
@@ -55,20 +44,26 @@ func TestRecoverTruncatesDanglingFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.DanglingTxn {
-		t.Fatal("recovery did not report the dangling frame")
+	if !info.Torn {
+		t.Fatal("recovery did not report the torn commit")
 	}
 	if got := srv2.WAL().LastLSN(); got != committed {
-		t.Fatalf("dangling frame not truncated: log at LSN %d, committed prefix ends at %d", got, committed)
+		t.Fatalf("torn commit not truncated: log at LSN %d, committed prefix ends at %d", got, committed)
+	}
+	if !bytes.Equal(dbBytes(t, srv2), prefix) {
+		t.Fatal("recovered image is not the committed prefix")
 	}
 
-	// The once-latent corruption: commit after recovery, then recover
-	// again. With the frame physically gone the new commit must survive.
+	// A commit after recovery lands at the next LSN and survives the
+	// next recovery.
 	sess2, err := srv2.NewSession()
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, sess2, insertStmt("DF001", 2))
+	if got := srv2.WAL().LastLSN(); got != committed+1 {
+		t.Fatalf("post-recovery commit at LSN %d, want %d", got, committed+1)
+	}
 	want := dbBytes(t, srv2)
 	srv2.Close()
 
@@ -77,11 +72,11 @@ func TestRecoverTruncatesDanglingFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv3.Close()
-	if info3.DanglingTxn {
-		t.Fatal("second recovery saw a dangling frame that should be gone")
+	if info3.Torn {
+		t.Fatal("second recovery saw a tear that should be gone")
 	}
 	if !bytes.Equal(dbBytes(t, srv3), want) {
-		t.Fatal("commit after dangling-frame recovery was lost on the next recovery")
+		t.Fatal("commit after torn-commit recovery was lost on the next recovery")
 	}
 }
 
@@ -201,8 +196,8 @@ func restoreCfg(dir string) Config {
 // TestRestoreToLSN drives the point-in-time restore acceptance
 // criterion: with WAL archiving on, RestoreToLSN reproduces the exact
 // image at every committed LSN — across segment rolls and a checkpoint
-// that truncated the live log — and a target inside a transaction
-// frame restores to the state just before the frame.
+// that truncated the live log — and a multi-op transaction takes
+// exactly one LSN, so there is no target inside it.
 func TestRestoreToLSN(t *testing.T) {
 	dir := t.TempDir()
 	cfg := restoreCfg(dir)
@@ -235,7 +230,7 @@ func TestRestoreToLSN(t *testing.T) {
 		}
 	}
 
-	// A multi-operation frame, so a mid-frame target exists.
+	// A three-insert transaction: one commit record, one LSN.
 	tx, err := sess.Begin()
 	if err != nil {
 		t.Fatal(err)
@@ -245,21 +240,21 @@ func TestRestoreToLSN(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	preFrame := points[len(points)-1]
+	preTxn := points[len(points)-1]
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	record()
 	final := points[len(points)-1]
 	srv.Close()
+	if final.lsn != preTxn.lsn+1 {
+		t.Fatalf("3-insert transaction spans LSNs (%d, %d], want exactly one", preTxn.lsn, final.lsn)
+	}
 
 	for _, p := range points {
 		res, err := RestoreToLSN(dir, cfg.ArchiveDir, p.lsn)
 		if err != nil {
 			t.Fatalf("RestoreToLSN(%d): %v", p.lsn, err)
-		}
-		if res.LSN != p.lsn {
-			t.Fatalf("RestoreToLSN(%d) landed at %d", p.lsn, res.LSN)
 		}
 		var buf bytes.Buffer
 		if err := persist.SaveDatabase(&buf, res.DB, res.Defs); err != nil {
@@ -268,28 +263,6 @@ func TestRestoreToLSN(t *testing.T) {
 		if !bytes.Equal(buf.Bytes(), p.snap) {
 			t.Fatalf("restored image at LSN %d is not bit-identical to the live image", p.lsn)
 		}
-	}
-
-	// Mid-frame target: the frame spans (preFrame.lsn, final.lsn]; a
-	// target two records in must drop the open frame and land on the
-	// pre-frame image.
-	mid := preFrame.lsn + 2
-	if mid >= final.lsn {
-		t.Fatalf("frame too short for a mid-frame target: %d..%d", preFrame.lsn, final.lsn)
-	}
-	res, err := RestoreToLSN(dir, cfg.ArchiveDir, mid)
-	if err != nil {
-		t.Fatalf("RestoreToLSN(mid-frame %d): %v", mid, err)
-	}
-	if res.LSN != preFrame.lsn {
-		t.Fatalf("mid-frame restore landed at %d, want the pre-frame LSN %d", res.LSN, preFrame.lsn)
-	}
-	var buf bytes.Buffer
-	if err := persist.SaveDatabase(&buf, res.DB, res.Defs); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), preFrame.snap) {
-		t.Fatal("mid-frame restore is not the pre-frame image")
 	}
 
 	// Beyond history: a loud error, not a silent partial image.

@@ -5,8 +5,8 @@ package server
 // stamp, rebuild the exact database image at any committed LSN. The
 // replay runs through the same Applier as crash recovery and
 // replication, so "the image at LSN N" means the same thing
-// everywhere: every bare record and every fully committed transaction
-// frame through N, and nothing of a frame still open at N.
+// everywhere: every commit and index record through N. Every LSN is a
+// commit boundary, so any N in the retained history is a restore point.
 
 import (
 	"fmt"
@@ -25,10 +25,6 @@ type RestoreResult struct {
 	// definitions in force at the restore point.
 	DB   *storage.Database
 	Defs []xindex.Definition
-	// LSN is the exact position restored to: the last committed record
-	// at or before the requested target (a target landing inside a
-	// transaction frame restores to just before the frame began).
-	LSN uint64
 	// BaseLSN is the stamp of the checkpoint the replay started from.
 	BaseLSN uint64
 	// Replayed is the number of record operations applied past the base.
@@ -160,7 +156,6 @@ func RestoreToLSN(walDir, archiveDir string, target uint64) (*RestoreResult, err
 
 	res.DB = db
 	res.Defs = applier.Defs()
-	res.LSN = applier.CommittedLSN()
 	res.Replayed = applier.OpsApplied()
 	return res, nil
 }

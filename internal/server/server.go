@@ -229,17 +229,14 @@ type Server struct {
 	// stable point-in-time image. Commits never block each other here.
 	commitGate sync.RWMutex
 
-	// txnSeq issues WAL framing IDs for multi-op transactions. The
-	// commit/abort/conflict counters live on met (metrics.go): the
-	// registry is the single source of truth and TxnStats reads it.
-	txnSeq atomic.Uint64
-
 	// met is the server's observability bundle: the metrics registry,
 	// the serving layer's counter/histogram handles, and the trace ring.
+	// The commit/abort/conflict counters live there (metrics.go): the
+	// registry is the single source of truth and TxnStats reads it.
 	met *serverMetrics
 
 	// reorderBuffered/reorderPeak snapshot the recovery applier's
-	// stamp-reorder counters (frames that arrived ahead of a stamp gap
+	// stamp-reorder counters (commits that arrived ahead of a stamp gap
 	// during replay); set once by Recover, read by TxnStats and the
 	// registry's gauges.
 	reorderBuffered atomic.Uint64
@@ -334,7 +331,7 @@ func (s *Server) Fence() { s.fenced.Store(true) }
 // Promote flips a read-only replica into a writable primary: mutations
 // are accepted, and their commits append to the log the stream used to
 // feed. The caller — replica.Follower.Promote — has already stopped the
-// stream and truncated any unterminated transaction frame from the log.
+// stream and flushed the commits its applier held back.
 // Promoting a server that is not a replica is a no-op.
 func (s *Server) Promote() { s.readOnly.Store(false) }
 

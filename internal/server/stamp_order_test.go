@@ -20,14 +20,15 @@ import (
 )
 
 // TestStampOrderReplayProperty runs concurrent committers over
-// disjoint tables — the interleaving of their WAL frames is whatever
-// the scheduler produced — and asserts the two invariants the commit
-// pipeline promises:
+// disjoint tables — the interleaving of their two-op commit records is
+// whatever the scheduler produced — and asserts the invariants the
+// commit pipeline promises:
 //
 //  1. a fresh Recover of the log is bit-identical to the live image,
-//  2. replay publishes frames in commit-stamp order, with per-table
-//     stamps appearing in log order (same-table frames append under the
-//     table's commit lock and can never arrive stamp-inverted).
+//  2. replay publishes commits in commit-stamp order, with per-table
+//     stamps appearing in log order (same-table commits append under
+//     the table's commit lock and can never arrive stamp-inverted),
+//  3. every commit is one record: one LSN per transaction.
 func TestStampOrderReplayProperty(t *testing.T) {
 	const writers, perWriter = 4, 10
 	dir := t.TempDir()
@@ -114,13 +115,20 @@ func TestStampOrderReplayProperty(t *testing.T) {
 	}
 	applier := NewApplier(db, defs, chkLSN, chkStamp)
 	perTable := make(map[string][]uint64) // commit stamps in log order
+	commits := 0
 	for i := range scanned.Records {
 		rec := scanned.Records[i]
 		if rec.LSN <= chkLSN {
 			continue
 		}
-		if rec.Kind == wal.RecDocInsert || rec.Kind == wal.RecDocReplace || rec.Kind == wal.RecDocRemove {
-			perTable[rec.Table] = append(perTable[rec.Table], rec.Stamp)
+		if rec.Kind == wal.RecCommit {
+			commits++
+			if len(rec.Ops) != 2 {
+				t.Fatalf("commit at LSN %d holds %d ops, want the transaction's 2", rec.LSN, len(rec.Ops))
+			}
+			for _, op := range rec.Ops {
+				perTable[op.Table] = append(perTable[op.Table], rec.Stamp)
+			}
 		}
 		if err := applier.Apply(rec); err != nil {
 			t.Fatal(err)
@@ -128,6 +136,10 @@ func TestStampOrderReplayProperty(t *testing.T) {
 	}
 	if err := applier.Flush(); err != nil {
 		t.Fatal(err)
+	}
+	if commits != writers*perWriter || applier.AppliedLSN() != chkLSN+uint64(commits) {
+		t.Fatalf("%d commit records through LSN %d past checkpoint %d, want %d transactions at one LSN each",
+			commits, applier.AppliedLSN(), chkLSN, writers*perWriter)
 	}
 
 	for i := 1; i < len(published); i++ {
@@ -168,7 +180,7 @@ func TestStampOrderReplayProperty(t *testing.T) {
 }
 
 // propDoc builds a one-node document with an explicit document ID, the
-// shape replayed frames carry.
+// shape replayed commits carry.
 func propDoc(t *testing.T, sym string, id int64) *xmltree.Document {
 	t.Helper()
 	doc, err := xmltree.ParseString(`<Security><Symbol>` + sym + `</Symbol></Security>`)
@@ -189,11 +201,26 @@ func record(t *testing.T, lsn uint64, payload []byte) wal.Record {
 	return rec
 }
 
+// commitOf encodes a commit inserting one document per symbol into
+// table, with IDs counting up from 1.
+func commitOf(t *testing.T, table string, stamp uint64, syms ...string) []byte {
+	t.Helper()
+	ops := make([]storage.TxOp, len(syms))
+	for i, sym := range syms {
+		ops[i] = storage.TxOp{Table: table, Kind: storage.TxInsert, DocID: int64(i + 1), Doc: propDoc(t, sym, int64(i+1))}
+	}
+	p, err := wal.EncodeCommit(ops, stamp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestApplierReorder pins the reorder buffer's exact behavior on a
-// hand-crafted stream: a frame arriving ahead of its stamp parks and
-// drains when the gap closes, and Flush publishes parked frames across
-// a true stamp gap (the missing commit died with the log) in ascending
-// order.
+// hand-crafted stream of multi-op commits: a commit arriving ahead of
+// its stamp parks and drains when the gap closes, and Flush publishes
+// parked commits across a true stamp gap (the missing commit died with
+// the log) in ascending order.
 func TestApplierReorder(t *testing.T) {
 	t.Run("park-then-drain", func(t *testing.T) {
 		db := storage.NewDatabase()
@@ -209,36 +236,28 @@ func TestApplierReorder(t *testing.T) {
 		// Log order inverts stamp order: table B's commit (stamp 2)
 		// appended before table A's (stamp 1) — only possible because
 		// the tables are disjoint.
-		insB, err := wal.EncodeDocInsert("B", propDoc(t, "B1", 1), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		insA, err := wal.EncodeDocInsert("A", propDoc(t, "A1", 1), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := a.Apply(record(t, 1, insB)); err != nil {
+		if err := a.Apply(record(t, 1, commitOf(t, "B", 2, "B1", "B2"))); err != nil {
 			t.Fatal(err)
 		}
 		if got := len(published); got != 0 {
-			t.Fatalf("frame ahead of its stamp published %d changes, want 0 (parked)", got)
+			t.Fatalf("commit ahead of its stamp published %d changes, want 0 (parked)", got)
 		}
-		if err := a.Apply(record(t, 2, insA)); err != nil {
+		if err := a.Apply(record(t, 2, commitOf(t, "A", 1, "A1", "A2"))); err != nil {
 			t.Fatal(err)
 		}
-		if want := []uint64{1, 2}; len(published) != 2 || published[0] != want[0] || published[1] != want[1] {
+		if want := []uint64{1, 1, 2, 2}; fmt.Sprint(published) != fmt.Sprint(want) {
 			t.Fatalf("published stamps %v, want %v", published, want)
 		}
 		if buf, peak := a.ReorderStats(); buf != 1 || peak != 1 {
 			t.Fatalf("ReorderStats = (%d, %d), want (1, 1)", buf, peak)
 		}
-		if got := a.CommittedLSN(); got != 2 {
-			t.Fatalf("CommittedLSN = %d, want 2", got)
+		if got := a.AppliedLSN(); got != 2 {
+			t.Fatalf("AppliedLSN = %d, want 2", got)
 		}
 		for _, name := range []string{"A", "B"} {
 			tbl, _ := db.Table(name)
-			if tbl.DocCount() != 1 {
-				t.Errorf("table %s holds %d docs, want 1", name, tbl.DocCount())
+			if tbl.DocCount() != 2 {
+				t.Errorf("table %s holds %d docs, want 2", name, tbl.DocCount())
 			}
 		}
 		if got := db.Watermark(); got != 2 {
@@ -260,24 +279,15 @@ func TestApplierReorder(t *testing.T) {
 		// Stamp 1 was allocated but its commit never reached the log
 		// (crash between allocation and append): stamps 2 and 3 park
 		// forever until Flush skips the gap.
-		frame := func(txnID uint64, table, sym string, stamp uint64) [][]byte {
-			ins, err := wal.EncodeDocInsert(table, propDoc(t, sym, 1), stamp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return [][]byte{wal.EncodeTxnBegin(txnID), ins, wal.EncodeTxnCommit(txnID, stamp)}
-		}
 		lsn := uint64(0)
-		for _, payloads := range [][][]byte{frame(1, "B", "B1", 3), frame(2, "A", "A1", 2)} {
-			for _, p := range payloads {
-				lsn++
-				if err := a.Apply(record(t, lsn, p)); err != nil {
-					t.Fatal(err)
-				}
+		for _, p := range [][]byte{commitOf(t, "B", 3, "B1", "B2"), commitOf(t, "A", 2, "A1", "A2")} {
+			lsn++
+			if err := a.Apply(record(t, lsn, p)); err != nil {
+				t.Fatal(err)
 			}
 		}
 		if got := len(published); got != 0 {
-			t.Fatalf("gapped frames published %d changes before Flush, want 0", got)
+			t.Fatalf("gapped commits published %d changes before Flush, want 0", got)
 		}
 		if buf, peak := a.ReorderStats(); buf != 2 || peak != 2 {
 			t.Fatalf("ReorderStats = (%d, %d), want (2, 2)", buf, peak)
@@ -285,11 +295,11 @@ func TestApplierReorder(t *testing.T) {
 		if err := a.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if want := []uint64{2, 3}; len(published) != 2 || published[0] != want[0] || published[1] != want[1] {
+		if want := []uint64{2, 2, 3, 3}; fmt.Sprint(published) != fmt.Sprint(want) {
 			t.Fatalf("Flush published stamps %v, want %v", published, want)
 		}
-		if got := a.CommittedLSN(); got != lsn {
-			t.Fatalf("CommittedLSN = %d, want %d (parked frames count as committed)", got, lsn)
+		if got := a.AppliedLSN(); got != lsn {
+			t.Fatalf("AppliedLSN = %d, want %d (parked commits count as applied)", got, lsn)
 		}
 	})
 }

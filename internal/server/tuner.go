@@ -197,7 +197,7 @@ func (s *Server) applyTune(build, drop []xindex.Definition) (built, dropped []xi
 	// extra locking: an index-create record only ever replays onto the
 	// committed document state the preceding WAL records rebuilt, and
 	// recovery rebuilds the index through the online build path — so a
-	// create interleaved between two transactions' frames indexes
+	// create interleaved between two transactions' records indexes
 	// exactly the first's effects, same as the live BuildOnline did
 	// (its SubscribeScan cut never splits a commit's per-table batch).
 	payloads := make([][]byte, 0, len(built)+len(dropped))

@@ -9,23 +9,19 @@ package server
 //
 // Durability composes with MVCC here, and this is the one way a change
 // reaches the log: commitTxn threads txnPrepare into engine.Txn.Commit
-// as the storage layer's prepare hook. The hook encodes the write set
-// into WAL payloads before the commit stamp exists (document encoding
-// is the expensive part), and the returned append closure receives the
-// stamp, patches it into the payloads (wal.PatchStamp), and appends the
-// batch (wal.AppendTxn) while the commit holds its tables' commit locks
-// — before the write set publishes. commitTxn then waits for the group
-// fsync outside the commit gate. Commits on disjoint tables append
-// concurrently, so log order and stamp order may differ; every
-// bare/commit record carries its stamp and replay (server.Applier)
-// reorders frames back into stamp order — a serial replay of the log
-// in stamp order reproduces the concurrent execution bit for bit.
-// Multi-operation transactions are framed with txn-begin/txn-commit
-// records (AppendTxn keeps the batch contiguous); recovery applies a
-// frame atomically and discards unterminated frames.
-// Single-operation transactions skip the framing: a bare document
-// record is self-framing, and the WAL's CRC tail-scan already drops a
-// torn final record.
+// as the storage layer's prepare hook. The hook encodes the whole write
+// set into one WAL commit record before the commit stamp exists
+// (document encoding is the expensive part), and the returned append
+// closure receives the stamp, patches it into the payload
+// (wal.PatchStamp), and appends it (wal.AppendTxn) while the commit
+// holds its tables' commit locks — before the write set publishes.
+// commitTxn then waits for the group fsync outside the commit gate.
+// Commits on disjoint tables append concurrently, so log order and
+// stamp order may differ; every commit record carries its stamp and
+// replay (server.Applier) reorders commits back into stamp order — a
+// serial replay of the log in stamp order reproduces the concurrent
+// execution bit for bit. One record per commit makes a commit atomic
+// in the log: the WAL's CRC tail scan drops a torn record whole.
 
 import (
 	"errors"
@@ -100,7 +96,7 @@ type TxnStats struct {
 	// allocation and publish completion (WAL append + apply + watermark
 	// bookkeeping).
 	PublishWait time.Duration
-	// ReorderBuffered counts replay frames (recovery on this server)
+	// ReorderBuffered counts replayed commits (recovery on this server)
 	// that arrived ahead of a stamp gap and had to wait in the
 	// applier's reorder buffer; ReorderPeak is the largest number
 	// buffered at once.
@@ -127,27 +123,13 @@ func (s *Server) TxnStats() TxnStats {
 	}
 }
 
-// encodeTxnOp builds the WAL payload for one buffered write. The
-// commit stamp is not yet known — it is encoded as 0 and patched in by
-// the append closure once allocated.
-func encodeTxnOp(op storage.TxOp) ([]byte, error) {
-	switch op.Kind {
-	case storage.TxInsert:
-		return wal.EncodeDocInsert(op.Table, op.Doc, 0)
-	case storage.TxReplace:
-		return wal.EncodeDocReplace(op.Table, op.Doc, 0)
-	case storage.TxDelete:
-		return wal.EncodeDocRemove(op.Table, op.DocID, 0), nil
-	}
-	return nil, fmt.Errorf("server: unknown tx op kind %d", op.Kind)
-}
-
 // txnPrepare is the storage prepare hook: called after commit
 // validation with document IDs assigned, before the write set
-// publishes. Encoding happens here, before the commit stamp exists;
-// the returned closure patches the allocated stamp into every payload
-// and appends the finished batch (under the commit's table locks, so
-// same-table records stay log-ordered by stamp).
+// publishes. Encoding happens here, before the commit stamp exists, so
+// an unencodable or oversized write set fails without burning a stamp;
+// the returned closure patches the allocated stamp into the payload
+// and appends it (under the commit's table locks, so same-table
+// records stay log-ordered by stamp).
 func (s *Server) txnPrepare(ops []storage.TxOp) (func(stamp uint64) (uint64, error), error) {
 	// The last line of defense for replica/fencing enforcement: no
 	// write set may reach the log of a read-only or fenced server, even
@@ -155,30 +137,13 @@ func (s *Server) txnPrepare(ops []storage.TxOp) (func(stamp uint64) (uint64, err
 	if err := s.writable(); err != nil {
 		return nil, err
 	}
-	payloads := make([][]byte, 0, len(ops)+2)
-	if len(ops) > 1 {
-		id := s.txnSeq.Add(1)
-		payloads = append(payloads, wal.EncodeTxnBegin(id))
-		for _, op := range ops {
-			p, err := encodeTxnOp(op)
-			if err != nil {
-				return nil, err
-			}
-			payloads = append(payloads, p)
-		}
-		payloads = append(payloads, wal.EncodeTxnCommit(id, 0))
-	} else {
-		p, err := encodeTxnOp(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		payloads = append(payloads, p)
+	payload, err := wal.EncodeCommit(ops, 0)
+	if err != nil {
+		return nil, err
 	}
 	return func(stamp uint64) (uint64, error) {
-		for _, p := range payloads {
-			wal.PatchStamp(p, stamp)
-		}
-		return s.wal.AppendTxn(payloads)
+		wal.PatchStamp(payload, stamp)
+		return s.wal.AppendTxn([][]byte{payload})
 	}, nil
 }
 

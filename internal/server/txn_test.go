@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"xixa/internal/storage"
-	"xixa/internal/wal"
 	"xixa/internal/xmltree"
 )
 
@@ -202,13 +201,12 @@ func TestTxnWriterScalingDisjointTables(t *testing.T) {
 }
 
 // TestRecoverInterleavedTxns is the transactional durability
-// acceptance test: two writers commit framed multi-operation
-// transactions on different tables concurrently (their WAL frames
-// interleave at batch granularity), the process "crashes" with one
-// more transaction's frame appended but never terminated, and recovery
-// reproduces exactly the committed transactions — the unterminated
-// frame leaves no trace, and the recovered image is bit-identical to
-// the pre-crash committed state.
+// acceptance test: two writers commit multi-operation transactions on
+// different tables concurrently (their commit records interleave in
+// the log), the process "crashes" with one more transaction's commit
+// record torn at the tail, and recovery reproduces exactly the
+// committed transactions — the torn commit leaves no trace, and the
+// recovered image is bit-identical to the pre-crash committed state.
 func TestRecoverInterleavedTxns(t *testing.T) {
 	dir := t.TempDir()
 	srv, _, err := Recover(durableCfg(dir), bootstrapTwoTables(20))
@@ -237,8 +235,8 @@ func TestRecoverInterleavedTxns(t *testing.T) {
 					return
 				}
 				// Two inserts plus an update of the first: the update
-				// folds into the buffered insert's image, so the WAL
-				// frame carries two operation records per transaction.
+				// folds into the buffered insert's image, so the commit
+				// record carries two operations per transaction.
 				for j := 0; j < 2; j++ {
 					raw := fmt.Sprintf(`insert into %s value <Security><Symbol>TX%d-%03d-%d</Symbol><Yield>3.5</Yield></Security>`, table, w, i, j)
 					if _, err := tx.Execute(raw); err != nil {
@@ -266,27 +264,11 @@ func TestRecoverInterleavedTxns(t *testing.T) {
 	}
 	want := dbBytes(t, srv)
 
-	// The crash: one more transaction got its begin frame and first
-	// operation into the log, but the commit record never made it —
-	// exactly what a tear inside AppendTxn's batch leaves behind after
-	// the CRC tail-scan.
-	doc, err := xmltree.ParseString(`<Security><Symbol>TORN</Symbol><Yield>6.66</Yield></Security>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc.DocID = 999999
-	ins, err := wal.EncodeDocInsert("SECURITY", doc, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := srv.WAL()
-	lsn, err := l.AppendTxn([][]byte{wal.EncodeTxnBegin(777), ins})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Commit(lsn); err != nil {
-		t.Fatal(err)
-	}
+	// The crash: one more two-insert transaction's commit record was
+	// being written when the process died, so its tail never reached
+	// the file.
+	committed := srv.WAL().LastLSN()
+	appendTornCommit(t, srv.WAL(), WALPath(dir), srv.DB().Watermark()+1, "TORN0", "TORN1")
 	// Abandon without Close: the WAL is all that survives.
 	srv = nil
 
@@ -298,11 +280,14 @@ func TestRecoverInterleavedTxns(t *testing.T) {
 	if got := dbBytes(t, srv2); !bytes.Equal(got, want) {
 		t.Fatalf("recovered image (%d bytes) differs from committed pre-crash state (%d bytes)", len(got), len(want))
 	}
-	// Replayed counts operations, not framing records, and the
-	// unterminated transaction contributes nothing.
+	if !info.Torn || srv2.WAL().LastLSN() != committed {
+		t.Fatalf("torn=%v, log at LSN %d: want the torn commit truncated back to LSN %d", info.Torn, srv2.WAL().LastLSN(), committed)
+	}
+	// Replayed counts operations, not records, and the torn
+	// transaction contributes nothing.
 	wantOps := len(tables) * perWriter * 2
 	if info.Replayed != wantOps {
-		t.Fatalf("Replayed = %d, want %d (2 ops per committed txn, dangling frame dropped)", info.Replayed, wantOps)
+		t.Fatalf("Replayed = %d, want %d (2 ops per committed txn, torn commit dropped)", info.Replayed, wantOps)
 	}
 
 	// A second crash-free recovery is idempotent: replaying the same

@@ -8,9 +8,11 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"xixa/internal/storage"
 )
 
-// smallSeg rolls after every few doc-remove records.
+// smallSeg rolls after every few one-delete commit records.
 const smallSeg = 256
 
 func countSegFiles(t *testing.T, dir string) int {
@@ -56,8 +58,8 @@ func TestSegmentRollAndReopen(t *testing.T) {
 		t.Fatalf("replayed %d records across segments, want %d", len(res.Records), n)
 	}
 	for i, rec := range res.Records {
-		if rec.LSN != uint64(i+1) || rec.DocID != int64(i) {
-			t.Fatalf("record %d = LSN %d DocID %d, want contiguous replay", i, rec.LSN, rec.DocID)
+		if rec.LSN != uint64(i+1) || rec.Ops[0].DocID != int64(i) {
+			t.Fatalf("record %d = LSN %d DocID %d, want contiguous replay", i, rec.LSN, rec.Ops[0].DocID)
 		}
 	}
 	// Appends continue the sequence across the reopen.
@@ -73,73 +75,25 @@ func TestSegmentRollAndReopen(t *testing.T) {
 	}
 }
 
-// TestTxnFrameSpansSegmentBoundary forces a roll in the middle of an
-// AppendTxn batch: the frame's records land in two different files but
-// must replay as one intact transaction.
-func TestTxnFrameSpansSegmentBoundary(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "wal.log")
-	l, _ := openTestLog(t, path, Options{Policy: SyncOff, SegmentBytes: smallSeg})
-
-	var batch [][]byte
-	batch = append(batch, EncodeTxnBegin(7))
-	const ops = 40 // plenty of bytes to cross smallSeg at least once
-	for i := 0; i < ops; i++ {
-		batch = append(batch, EncodeDocRemove("SECURITY", int64(i), 0))
-	}
-	batch = append(batch, EncodeTxnCommit(7, 0))
-	last, err := l.AppendTxn(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Commit(last); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if countSegFiles(t, dir) == 0 {
-		t.Fatal("batch did not cross a segment boundary; shrink SegmentBytes")
-	}
-
-	l2, res := openTestLog(t, path, Options{Policy: SyncOff, SegmentBytes: smallSeg})
-	defer l2.Close()
-	if res.Torn {
-		t.Fatal("spanning frame reported torn")
-	}
-	if len(res.Records) != ops+2 {
-		t.Fatalf("replayed %d records, want %d", len(res.Records), ops+2)
-	}
-	if res.Records[0].Kind != RecTxnBegin || res.Records[ops+1].Kind != RecTxnCommit {
-		t.Fatal("frame records out of order after spanning a segment")
-	}
-	for i, rec := range res.Records {
-		if rec.LSN != uint64(i+1) {
-			t.Fatalf("record %d LSN = %d, want %d", i, rec.LSN, i+1)
-		}
-	}
-}
-
-// TestCorruptTxnFrameBoundary lands a CRC failure exactly inside a
-// transaction frame — between the begin and its commit — and verifies
-// the scan tears at the corrupt record, keeping the begin and the ops
-// before the flip (the server-level framing pass then discards the
-// unterminated transaction; see the server package's applier tests).
-func TestCorruptTxnFrameBoundary(t *testing.T) {
+// TestCorruptCommitRecordDropsWholeCommit lands a CRC failure inside
+// a multi-op commit record: the scan tears at that record, so none of
+// its operations survive, and the record before it is kept.
+func TestCorruptCommitRecordDropsWholeCommit(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	l, _ := openTestLog(t, path, Options{Policy: SyncOff})
-	// One standalone record, then the frame.
 	if _, err := appendDocRemove(l, "SECURITY", 100, 0); err != nil {
 		t.Fatal(err)
 	}
-	preFrame := l.SizeBytes()
-	batch := [][]byte{
-		EncodeTxnBegin(9),
-		EncodeDocRemove("SECURITY", 1, 0),
-		EncodeDocRemove("SECURITY", 2, 0),
-		EncodeTxnCommit(9, 0),
+	preCommit := l.SizeBytes()
+	commit, err := EncodeCommit([]storage.TxOp{
+		{Table: "SECURITY", Kind: storage.TxDelete, DocID: 1},
+		{Table: "SECURITY", Kind: storage.TxDelete, DocID: 2},
+		{Table: "SECURITY", Kind: storage.TxDelete, DocID: 3},
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := l.AppendTxn(batch); err != nil {
+	if _, err := l.AppendTxn([][]byte{commit}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -150,24 +104,23 @@ func TestCorruptTxnFrameBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the first op after the begin record: flip a payload byte
-	// past the begin frame (frameLen + len(begin payload)).
-	beginEnd := preFrame + frameLen + int64(len(EncodeTxnBegin(9)))
-	raw[beginEnd+frameLen] ^= 0xFF
+	// Flip the last byte of the commit payload: the second and third
+	// operations' bytes, past the first operation's.
+	raw[preCommit+frameLen+int64(len(commit))-1] ^= 0xFF
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	l2, res := openTestLog(t, path, Options{Policy: SyncOff})
 	defer l2.Close()
-	if !res.Torn || res.TornLSN != 3 {
-		t.Fatalf("torn=%v tornLSN=%d, want tear at LSN 3 (first frame op)", res.Torn, res.TornLSN)
+	if !res.Torn || res.TornLSN != 2 {
+		t.Fatalf("torn=%v tornLSN=%d, want tear at LSN 2 (the commit)", res.Torn, res.TornLSN)
 	}
-	if len(res.Records) != 2 {
-		t.Fatalf("kept %d records, want standalone + dangling begin", len(res.Records))
+	if len(res.Records) != 1 || res.Records[0].Ops[0].DocID != 100 {
+		t.Fatalf("kept %+v, want only the record before the commit", res.Records)
 	}
-	if res.Records[1].Kind != RecTxnBegin {
-		t.Fatalf("surviving record kinds = %v, %v", res.Records[0].Kind, res.Records[1].Kind)
+	if l2.LastLSN() != 1 {
+		t.Fatalf("LastLSN = %d, want 1", l2.LastLSN())
 	}
 }
 
@@ -282,8 +235,8 @@ func TestTruncateArchivesSegments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec.DocID != int64(want-1) {
-			t.Fatalf("cursor record %d DocID = %d", lsn, rec.DocID)
+		if rec.Ops[0].DocID != int64(want-1) {
+			t.Fatalf("cursor record %d DocID = %d", lsn, rec.Ops[0].DocID)
 		}
 	}
 	if lsn, _, err := c.Next(); lsn != 0 || err != nil {
@@ -378,91 +331,13 @@ func TestCursorFollowsLiveWriter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec.DocID != int64(next-1) {
-			t.Fatalf("record %d DocID = %d", lsn, rec.DocID)
+		if rec.Ops[0].DocID != int64(next-1) {
+			t.Fatalf("record %d DocID = %d", lsn, rec.Ops[0].DocID)
 		}
 		next = lsn + 1
 	}
 	if err := <-writerDone; err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTruncateTailInFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	l, _ := openTestLog(t, path, Options{Policy: SyncOff})
-	for i := 0; i < 5; i++ {
-		if _, err := appendDocRemove(l, "SECURITY", int64(i), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.TruncateTail(3); err != nil {
-		t.Fatal(err)
-	}
-	if l.LastLSN() != 3 {
-		t.Fatalf("LastLSN after tail truncate = %d, want 3", l.LastLSN())
-	}
-	// The sequence resumes at 4 and the dropped records stay dropped
-	// across a reopen.
-	lsn, err := appendDocRemove(l, "SECURITY", 40, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lsn != 4 {
-		t.Fatalf("post-truncate LSN = %d, want 4", lsn)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l2, res := openTestLog(t, path, Options{Policy: SyncOff})
-	defer l2.Close()
-	if res.Torn || len(res.Records) != 4 {
-		t.Fatalf("reopened: torn=%v records=%d, want clean 4", res.Torn, len(res.Records))
-	}
-	if res.Records[3].DocID != 40 {
-		t.Fatalf("record 4 DocID = %d, want the re-append", res.Records[3].DocID)
-	}
-}
-
-func TestTruncateTailUnwindsSegments(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "wal.log")
-	l, _ := openTestLog(t, path, Options{Policy: SyncOff, SegmentBytes: smallSeg})
-	for i := 0; i < 100; i++ {
-		if _, err := appendDocRemove(l, "SECURITY", int64(i), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	segs, err := listSegments(dir, "wal.log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) < 3 {
-		t.Fatalf("need >=3 segments, got %d", len(segs))
-	}
-	// Cut into the middle of the second segment.
-	target := segs[1].start + 1
-	if err := l.TruncateTail(target); err != nil {
-		t.Fatal(err)
-	}
-	if l.LastLSN() != target {
-		t.Fatalf("LastLSN = %d, want %d", l.LastLSN(), target)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l2, res := openTestLog(t, path, Options{Policy: SyncOff, SegmentBytes: smallSeg})
-	defer l2.Close()
-	if res.Torn {
-		t.Fatal("tail-truncated log reported torn")
-	}
-	if uint64(len(res.Records)) != target {
-		t.Fatalf("reopened %d records, want %d", len(res.Records), target)
-	}
-	for i, rec := range res.Records {
-		if rec.LSN != uint64(i+1) {
-			t.Fatalf("record %d LSN = %d", i, rec.LSN)
-		}
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package wal implements the write-ahead log underneath the serving
-// layer: an append-only, CRC-per-record, length-prefixed log of
-// committed write sets (document insert, remove, and atomic replace
-// with the full node payload, framed when a commit holds several) and
-// index definition creates and drops. Records enter it two ways: a
-// local writer pre-encodes its payloads (record.go's Encode helpers)
-// and appends the batch with AppendTxn; a replication follower appends
-// the primary's payloads verbatim with AppendRaw.
+// layer: an append-only, CRC-per-record, length-prefixed log with one
+// record per committed write set (its inserts, replaces and deletes,
+// with full node payloads) and one per index definition create or
+// drop. Records enter it two ways: a local writer encodes its payloads
+// (record.go's Encode helpers) and appends them with AppendTxn; a
+// replication follower appends the primary's payloads verbatim with
+// AppendRaw. Every LSN is therefore a commit boundary.
 // A snapshot stamped with the log's LSN (persist's checkpoint format)
 // plus the log tail past that LSN is a complete redo history, so a
 // crashed server recovers every committed mutation by replaying the
@@ -13,7 +13,7 @@
 //
 // File format (little-endian):
 //
-//	header: magic "XIXAWAL1", uint64 startLSN, uint32 CRC-32C of both
+//	header: magic "XIXAWAL2", uint64 startLSN, uint32 CRC-32C of both
 //	record: uint32 payloadLen, uint32 CRC-32C(payload), payload
 //
 // Records carry no explicit LSN: the i-th record in the file (counting
@@ -75,7 +75,21 @@ import (
 	"xixa/internal/persist"
 )
 
-var magic = []byte("XIXAWAL1")
+var magic = []byte("XIXAWAL2")
+
+// checkMagic validates a log file's leading magic: the current format
+// passes, the earlier format (a commit of several operations framed by
+// begin and commit records, last written before XIXAWAL2) is named as
+// such, anything else is not a log.
+func checkMagic(head []byte) error {
+	switch string(head) {
+	case string(magic):
+		return nil
+	case "XIXAWAL1":
+		return fmt.Errorf("wal: unsupported log version %q (this build reads only %q)", head, magic)
+	}
+	return fmt.Errorf("wal: not a wal file (bad magic %q)", head)
+}
 
 const (
 	headerLen = 8 + 8 + 4 // magic, startLSN, CRC
@@ -159,7 +173,6 @@ type logFile interface {
 	io.Seeker
 	Sync() error
 	Close() error
-	Truncate(size int64) error
 }
 
 // segMeta locates one sealed or archived segment file; its records
@@ -471,8 +484,7 @@ func scan(f io.ReadSeeker) (startLSN uint64, recs []Record, goodEnd int64, torn 
 		err = fmt.Errorf("wal: reading header: %w", err)
 		return
 	}
-	if string(head[:8]) != string(magic) {
-		err = fmt.Errorf("wal: not a wal file (bad magic %q)", head[:8])
+	if err = checkMagic(head[:8]); err != nil {
 		return
 	}
 	if crc32.Checksum(head[:16], crcTable) != binary.LittleEndian.Uint32(head[16:20]) {
@@ -508,7 +520,7 @@ func scan(f io.ReadSeeker) (startLSN uint64, recs []Record, goodEnd int64, torn 
 			return
 		}
 		lsn++
-		rec, derr := decodeRecord(lsn, payload)
+		rec, derr := DecodePayload(lsn, payload)
 		if derr != nil {
 			// The frame checksum passed but the payload does not parse:
 			// treat it like a tear so recovery keeps everything before it.
@@ -566,16 +578,12 @@ func (l *Log) AppendRaw(lsn uint64, payload []byte) error {
 }
 
 // AppendTxn is the local writer's one way into the log: it frames and
-// buffers a batch of pre-encoded payloads (a commit's write set, or a
-// tuning round's index records) contiguously — no other writer's
-// records can interleave with the batch — and returns the LSN of the
-// batch's last record. Durability comes from a later Commit or Sync. A write failure poisons
-// the log (l.fail), so a half-written batch can never be followed by
-// more records; recovery's tail-scan then drops the torn frame and the
-// transaction framing discards the unterminated transaction. The log
-// may roll a segment between two of the batch's records — a frame
-// spanning a segment boundary replays fine, since Open concatenates
-// the chain before the framing pass.
+// buffers a batch of pre-encoded payloads (a commit's record, or a
+// tuning round's index records) contiguously and returns the LSN of
+// the batch's last record. Durability comes from a later Commit or
+// Sync. A write failure poisons the log (l.fail), so a half-written
+// record can never be followed by more; recovery's tail scan then
+// drops the torn record, and with it the whole commit.
 func (l *Log) AppendTxn(payloads [][]byte) (uint64, error) {
 	for _, p := range payloads {
 		if len(p) > maxRecordLen {
@@ -605,8 +613,8 @@ func (l *Log) AppendTxn(payloads [][]byte) (uint64, error) {
 // fresh one when it has outgrown SegmentBytes. Rolling is skipped while
 // a group-commit leader's fsync is in flight: waiting on the condition
 // variable would release l.mu mid-AppendTxn and let another writer
-// interleave records inside the transaction frame, so the roll stays
-// opportunistic and the next append retries it.
+// interleave records inside the batch, so the roll stays opportunistic
+// and the next append retries it.
 func (l *Log) maybeRollLocked() error {
 	if l.opts.SegmentBytes <= 0 || l.size < l.opts.SegmentBytes || l.syncing || l.last == l.segStart {
 		return nil
@@ -927,120 +935,6 @@ func (l *Log) Truncate(upTo uint64) error {
 		return persist.SyncDir(l.opts.ArchiveDir)
 	}
 	return nil
-}
-
-// TruncateTail physically removes every record after toLSN — the
-// promotion step that drops a dead primary's unterminated transaction
-// frame, and recovery's cleanup of a dangling frame before new commits
-// append after it. toLSN must not reach into archived history. The
-// caller has quiesced appenders.
-func (l *Log) TruncateTail(toLSN uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.fail != nil {
-		return l.fail
-	}
-	for l.syncing {
-		l.cond.Wait()
-		if l.closed {
-			return ErrClosed
-		}
-	}
-	if err := l.flushLocked(); err != nil {
-		return err
-	}
-	if toLSN >= l.last {
-		return nil
-	}
-	if toLSN < l.start {
-		return fmt.Errorf("wal: truncate tail to LSN %d but history starts after %d", toLSN, l.start)
-	}
-	// Unwind whole segments first: drop the active file and re-adopt
-	// the newest sealed segment as active until toLSN lands inside it.
-	for toLSN < l.segStart {
-		sm := l.segs[len(l.segs)-1]
-		if err := l.f.Close(); err != nil {
-			l.fail = err
-			return err
-		}
-		if err := os.Remove(l.path); err != nil {
-			l.fail = err
-			return err
-		}
-		if err := os.Rename(sm.path, l.path); err != nil {
-			l.fail = err
-			return err
-		}
-		f, err := os.OpenFile(l.path, os.O_RDWR, 0o644)
-		if err != nil {
-			l.fail = err
-			return err
-		}
-		l.segs = l.segs[:len(l.segs)-1]
-		l.sealed -= sm.size
-		l.segStart = sm.start
-		l.last = sm.end
-		l.size = sm.size
-		l.f = f
-		l.w = bufio.NewWriter(f)
-	}
-	// Drop the active file's tail past toLSN: walk the frames to the
-	// byte offset just past record toLSN, then cut there.
-	off, err := l.tailOffsetLocked(toLSN)
-	if err != nil {
-		l.fail = err
-		return err
-	}
-	if err := l.f.Truncate(off); err != nil {
-		l.fail = err
-		return err
-	}
-	if _, err := l.f.Seek(off, io.SeekStart); err != nil {
-		l.fail = err
-		return err
-	}
-	if err := l.f.Sync(); err != nil {
-		l.fail = err
-		return err
-	}
-	l.w = bufio.NewWriter(l.f)
-	l.last = toLSN
-	l.durable = toLSN
-	l.flushed = toLSN
-	l.size = off
-	return persist.SyncDir(filepath.Dir(l.path))
-}
-
-// tailOffsetLocked walks the active file's frames and returns the byte
-// offset just past record toLSN. The buffer is flushed; the file
-// offset is left wherever the walk stopped (the caller reseeks).
-func (l *Log) tailOffsetLocked(toLSN uint64) (int64, error) {
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return 0, err
-	}
-	r := bufio.NewReader(l.f)
-	if _, err := io.CopyN(io.Discard, r, headerLen); err != nil {
-		return 0, err
-	}
-	off := int64(headerLen)
-	var frame [frameLen]byte
-	for lsn := l.segStart; lsn < toLSN; lsn++ {
-		if _, err := io.ReadFull(r, frame[:]); err != nil {
-			return 0, fmt.Errorf("wal: truncate tail walk at LSN %d: %w", lsn+1, err)
-		}
-		n := binary.LittleEndian.Uint32(frame[:4])
-		if n == 0 || n > maxRecordLen {
-			return 0, fmt.Errorf("wal: truncate tail walk at LSN %d: bad frame length %d", lsn+1, n)
-		}
-		if _, err := io.CopyN(io.Discard, r, int64(n)); err != nil {
-			return 0, fmt.Errorf("wal: truncate tail walk at LSN %d: %w", lsn+1, err)
-		}
-		off += frameLen + int64(n)
-	}
-	return off, nil
 }
 
 // LastLSN returns the LSN of the most recently appended record.

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"xixa/internal/storage"
 	"xixa/internal/xindex"
 	"xixa/internal/xmltree"
 	"xixa/internal/xpath"
@@ -105,7 +106,7 @@ func TestRoundTripAllRecordKinds(t *testing.T) {
 	if len(recs) != 4 {
 		t.Fatalf("replayed %d records, want 4", len(recs))
 	}
-	wantKinds := []RecKind{RecDocInsert, RecIndexCreate, RecDocRemove, RecIndexDrop}
+	wantKinds := []RecKind{RecCommit, RecIndexCreate, RecCommit, RecIndexDrop}
 	for i, rec := range recs {
 		if rec.Kind != wantKinds[i] {
 			t.Fatalf("record %d kind = %v, want %v", i, rec.Kind, wantKinds[i])
@@ -114,14 +115,17 @@ func TestRoundTripAllRecordKinds(t *testing.T) {
 			t.Fatalf("record %d LSN = %d, want %d", i, rec.LSN, i+1)
 		}
 	}
-	got := recs[0].Doc
+	if op := recs[0].Ops[0]; len(recs[0].Ops) != 1 || op.Kind != storage.TxInsert || op.Table != "SECURITY" || op.DocID != 7 {
+		t.Fatalf("doc-insert op: %+v", recs[0].Ops)
+	}
+	got := recs[0].Ops[0].Doc
 	if got.DocID != 7 || got.Len() != doc.Len() {
 		t.Fatalf("doc-insert payload: DocID=%d Len=%d, want 7/%d", got.DocID, got.Len(), doc.Len())
 	}
 	if xmltree.SerializeString(got) != xmltree.SerializeString(doc) {
 		t.Fatal("doc-insert payload does not round-trip")
 	}
-	if recs[2].DocID != 7 || recs[2].Table != "SECURITY" {
+	if op := recs[2].Ops[0]; len(recs[2].Ops) != 1 || op.Kind != storage.TxDelete || op.DocID != 7 || op.Table != "SECURITY" {
 		t.Fatalf("doc-remove payload: %+v", recs[2])
 	}
 	if recs[1].Def.Key() != def.Key() || recs[3].Def.Key() != def.Key() {
@@ -183,8 +187,8 @@ func TestTornFinalRecord(t *testing.T) {
 			if res3.Torn || len(res3.Records) != 5 {
 				t.Fatalf("after heal: torn=%v records=%d, want clean 5", res3.Torn, len(res3.Records))
 			}
-			if res3.Records[4].Kind != RecDocRemove {
-				t.Fatalf("post-tear record kind = %v", res3.Records[4].Kind)
+			if op := res3.Records[4].Ops[0]; op.Kind != storage.TxDelete {
+				t.Fatalf("post-tear op kind = %v", op.Kind)
 			}
 		})
 	}
@@ -321,7 +325,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	}
 	seen := make(map[int64]bool)
 	for _, rec := range res.Records {
-		seen[rec.DocID] = true
+		seen[rec.Ops[0].DocID] = true
 	}
 	if len(seen) != writers*perWriter {
 		t.Fatalf("lost records: %d distinct IDs, want %d", len(seen), writers*perWriter)
@@ -390,7 +394,7 @@ func TestDocPayloadMatchesPersistEncoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, res := openTestLog(t, path, Options{Policy: SyncOff})
-	got := res.Records[0].Doc
+	got := res.Records[0].Ops[0].Doc
 	if !bytes.Equal([]byte(xmltree.SerializeString(got)), []byte(xmltree.SerializeString(doc))) {
 		t.Fatalf("round-trip mismatch:\n got %s\nwant %s",
 			xmltree.SerializeString(got), xmltree.SerializeString(doc))
@@ -409,10 +413,10 @@ func TestDocReplaceRoundTrip(t *testing.T) {
 	}
 	l2, res := openTestLog(t, path, Options{Policy: SyncOff})
 	defer l2.Close()
-	if len(res.Records) != 1 || res.Records[0].Kind != RecDocReplace {
+	if len(res.Records) != 1 || len(res.Records[0].Ops) != 1 || res.Records[0].Ops[0].Kind != storage.TxReplace {
 		t.Fatalf("records = %+v, want one doc-replace", res.Records)
 	}
-	got := res.Records[0]
+	got := res.Records[0].Ops[0]
 	if got.DocID != 3 || xmltree.SerializeString(got.Doc) != xmltree.SerializeString(doc) {
 		t.Fatal("doc-replace payload does not round-trip")
 	}
@@ -464,37 +468,31 @@ func TestTruncateAdvancesPastLast(t *testing.T) {
 	}
 }
 
-// TestAppendTxnFramingRoundTrip: a transaction batch appends as one
-// contiguous run of frames — begin, the operations, commit — and the
-// records round-trip with matching transaction IDs and consecutive
-// LSNs even when standalone appends race the batch.
-func TestAppendTxnFramingRoundTrip(t *testing.T) {
+// TestCommitRecordRoundTrip: a multi-op commit is one record — one
+// LSN — that round-trips its operations, documents and stamp in order
+// even when standalone appends race it.
+func TestCommitRecordRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	l, _ := openTestLog(t, path, Options{Policy: SyncOff})
 
-	ins, err := EncodeDocInsert("SECURITY", testDoc(t, 3), 0)
+	ins, rep := testDoc(t, 3), testDoc(t, 4)
+	ops := []storage.TxOp{
+		{Table: "SECURITY", Kind: storage.TxInsert, DocID: 3, Doc: ins},
+		{Table: "ORDERS", Kind: storage.TxReplace, DocID: 4, Doc: rep},
+		{Table: "SECURITY", Kind: storage.TxDelete, DocID: 9},
+	}
+	commit, err := EncodeCommit(ops, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := EncodeDocReplace("ORDERS", testDoc(t, 4), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := [][]byte{
-		EncodeTxnBegin(42),
-		ins,
-		rep,
-		EncodeDocRemove("SECURITY", 9, 0),
-		EncodeTxnCommit(42, 0),
-	}
+	PatchStamp(commit, 42)
 
-	// Standalone appends race the batch from another goroutine; the
-	// batch frames must still come out contiguous.
+	// Standalone appends race the commits from another goroutine.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			if _, err := appendDocRemove(l, "NOISE", int64(i), 0); err != nil {
+			if _, err := appendDocRemove(l, "NOISE", int64(i), 1); err != nil {
 				t.Error(err)
 				return
 			}
@@ -502,8 +500,12 @@ func TestAppendTxnFramingRoundTrip(t *testing.T) {
 	}()
 	var last uint64
 	for i := 0; i < 50; i++ {
-		if last, err = l.AppendTxn(batch); err != nil {
+		before := l.LastLSN()
+		if last, err = l.AppendTxn([][]byte{commit}); err != nil {
 			t.Fatal(err)
+		}
+		if last <= before {
+			t.Fatalf("commit landed at LSN %d, not past %d", last, before)
 		}
 	}
 	<-done
@@ -518,39 +520,41 @@ func TestAppendTxnFramingRoundTrip(t *testing.T) {
 	if res.Torn {
 		t.Fatal("clean log reported torn")
 	}
-	wantKinds := []RecKind{RecTxnBegin, RecDocInsert, RecDocReplace, RecDocRemove, RecTxnCommit}
-	batches := 0
-	for i := 0; i < len(res.Records); {
-		rec := res.Records[i]
-		if rec.Kind != RecTxnBegin {
-			if rec.Table != "NOISE" {
-				t.Fatalf("unexpected standalone record %+v", rec)
+	if len(res.Records) != 100 {
+		t.Fatalf("replayed %d records, want 100 (one per commit)", len(res.Records))
+	}
+	commits := 0
+	for i, rec := range res.Records {
+		if rec.LSN != uint64(i+1) || rec.Kind != RecCommit {
+			t.Fatalf("record %d: LSN %d kind %v", i, rec.LSN, rec.Kind)
+		}
+		if rec.Ops[0].Table == "NOISE" {
+			if len(rec.Ops) != 1 || rec.Stamp != 1 {
+				t.Fatalf("standalone record %+v", rec)
 			}
-			i++
 			continue
 		}
-		if rec.TxnID != 42 {
-			t.Fatalf("txn-begin ID = %d, want 42", rec.TxnID)
+		if rec.Stamp != 42 || len(rec.Ops) != len(ops) {
+			t.Fatalf("commit record stamp %d with %d ops, want 42 with %d", rec.Stamp, len(rec.Ops), len(ops))
 		}
-		for j, want := range wantKinds {
-			got := res.Records[i+j]
-			if got.Kind != want {
-				t.Fatalf("batch record %d kind = %v, want %v (batch interleaved?)", j, got.Kind, want)
+		for j, got := range rec.Ops {
+			want := ops[j]
+			if got.Table != want.Table || got.Kind != want.Kind || got.DocID != want.DocID {
+				t.Fatalf("op %d = %+v, want %+v", j, got, want)
 			}
-			if got.LSN != rec.LSN+uint64(j) {
-				t.Fatalf("batch LSNs not consecutive: %d vs %d+%d", got.LSN, rec.LSN, j)
+			if want.Doc == nil {
+				if got.Doc != nil {
+					t.Fatalf("op %d: delete carries a document", j)
+				}
+				continue
+			}
+			if got.Doc.DocID != want.DocID || xmltree.SerializeString(got.Doc) != xmltree.SerializeString(want.Doc) {
+				t.Fatalf("op %d document does not round-trip", j)
 			}
 		}
-		if res.Records[i+len(wantKinds)-1].TxnID != 42 {
-			t.Fatal("txn-commit ID does not round-trip")
-		}
-		if res.Records[i+1].Table != "SECURITY" || res.Records[i+2].Table != "ORDERS" {
-			t.Fatalf("batch op payloads corrupted: %+v", res.Records[i:i+5])
-		}
-		batches++
-		i += len(wantKinds)
+		commits++
 	}
-	if batches != 50 {
-		t.Fatalf("found %d intact batches, want 50", batches)
+	if commits != 50 {
+		t.Fatalf("found %d intact commits, want 50", commits)
 	}
 }
