@@ -299,9 +299,8 @@ func setNodeText(doc *xmltree.Document, id xmltree.NodeID, v xpath.Value) {
 	}
 	// Element: rewrite its first text child, or do nothing for
 	// structure-only elements (the dialect only updates leaves).
-	for _, c := range n.Children {
-		cn := doc.Node(c)
-		if cn.Kind == xmltree.Text {
+	for c := id + 1; c <= n.EndID; c = doc.Nodes[c].EndID + 1 {
+		if cn := doc.Node(c); cn.Kind == xmltree.Text {
 			cn.Value = text
 			return
 		}
@@ -314,15 +313,10 @@ func trimFloat(f float64) string {
 
 // cloneDoc deep-copies a document so repeated inserts do not alias.
 // The clone shares the source's (append-only) path dictionary and
-// copies its PathIDs, so insertion only needs to rebase them.
+// copies its PathIDs, so insertion only needs to rebase them. It has no
+// columns until its commit interns it: setNodeText may edit it first.
 func cloneDoc(d *xmltree.Document) *xmltree.Document {
-	out := &xmltree.Document{Nodes: make([]xmltree.Node, len(d.Nodes)), Dict: d.Dict}
-	copy(out.Nodes, d.Nodes)
-	for i := range out.Nodes {
-		if len(d.Nodes[i].Children) > 0 {
-			out.Nodes[i].Children = append([]xmltree.NodeID(nil), d.Nodes[i].Children...)
-		}
-	}
+	out := &xmltree.Document{Nodes: append([]xmltree.Node(nil), d.Nodes...), Dict: d.Dict}
 	if len(d.PathIDs) > 0 {
 		out.PathIDs = append([]xmltree.PathID(nil), d.PathIDs...)
 	}

@@ -10,6 +10,8 @@ import (
 	"xixa/internal/optimizer"
 	"xixa/internal/storage"
 	"xixa/internal/workload"
+	"xixa/internal/xmltree"
+	"xixa/internal/xpath"
 	"xixa/internal/xquery"
 )
 
@@ -282,5 +284,62 @@ func TestConcurrentQueriesAndMutations(t *testing.T) {
 	}
 	if tbl.DocCount() != int(ts.DocCount) {
 		t.Fatalf("stats DocCount %d != table DocCount %d", ts.DocCount, tbl.DocCount())
+	}
+}
+
+// TestUpdatedLeafScansByVersion updates a leaf's numeric text through
+// the engine. A compiled scan of the new snapshot must select the
+// document by its new value, and one pinned before the update by its
+// old value: the update edits a copy, whose commit builds its own
+// columns, and the pre-image keeps the columns it was committed with.
+func TestUpdatedLeafScansByVersion(t *testing.T) {
+	db, _, eng, _ := newFixture(t, 20)
+	before := db.PinSnapshot()
+	defer before.Release()
+	if _, st, err := eng.Execute(xquery.MustParse(`update SECURITY set Yield = 77.5 where /Security[Symbol="S00003"]`)); err != nil || st.DocsModified != 1 {
+		t.Fatalf("update: %v, %d documents modified", err, st.DocsModified)
+	}
+	after := db.PinSnapshot()
+	defer after.Release()
+
+	symbol := xpath.MustParse(`/Security/Symbol`)
+	selected := func(snap *storage.Snapshot, raw string) []string {
+		t.Helper()
+		view, err := snap.Table("SECURITY")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := view.Programs().Bind(xpath.MustParse(raw))
+		var out []string
+		view.Scan(func(d *xmltree.Document) bool {
+			if d.Ends() == nil {
+				t.Fatalf("committed document %d has no columns", d.DocID)
+			}
+			if m.Exists(d) {
+				out = append(out, d.TrimmedText(xpath.Eval(d, symbol)[0]))
+			}
+			return true
+		})
+		return out
+	}
+	for _, c := range []struct {
+		snap *storage.Snapshot
+		path string
+		want string
+	}{
+		{after, `/Security[Yield=77.5]`, "[S00003]"},
+		{after, `/Security[Yield=0.3]`, "[]"},
+		{after, `/Security[Yield>50]/Symbol`, "[S00003]"},
+		{before, `/Security[Yield=77.5]`, "[]"},
+		{before, `/Security[Yield=0.3]`, "[S00003]"},
+		{before, `/Security[Yield>50]/Symbol`, "[]"},
+	} {
+		if got := fmt.Sprint(selected(c.snap, c.path)); got != c.want {
+			t.Errorf("%s at stamp %d selects %s, want %s", c.path, c.snap.LSN(), got, c.want)
+		}
+	}
+	refs, _, err := eng.Execute(xquery.MustParse(`for $s in SECURITY('SDOC')/Security[Yield=77.5] return $s`))
+	if err != nil || len(refs) != 1 {
+		t.Fatalf("engine query after the update: %v, %d results, want 1", err, len(refs))
 	}
 }

@@ -137,3 +137,44 @@ func fuzzImage(t testing.TB, lsn, stamp uint64) []byte {
 	}
 	return buf.Bytes()
 }
+
+// TestDecodeDocRejectsMisplacedParents: in document order a node's
+// parent is an element still open before it. Any other link would give
+// the node a subtree interval outside its parent's, and children are
+// walked through those intervals, so the decoder refuses it.
+func TestDecodeDocRejectsMisplacedParents(t *testing.T) {
+	el := func(name string, parent xmltree.NodeID) xmltree.Node {
+		return xmltree.Node{Kind: xmltree.Element, Name: name, Parent: parent}
+	}
+	for name, nodes := range map[string][]xmltree.Node{
+		"closed element": {el("a", -1), el("b", 0), el("c", 0), el("d", 1)},
+		"text parent":    {el("a", -1), {Kind: xmltree.Text, Value: "t", Parent: 0}, el("b", 1)},
+		"attribute parent": {el("a", -1), {Kind: xmltree.Attribute, Name: "x", Value: "1", Parent: 0},
+			{Kind: xmltree.Text, Value: "t", Parent: 1}},
+	} {
+		var buf bytes.Buffer
+		if err := EncodeDoc(&buf, &xmltree.Document{Nodes: nodes}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeDoc(&buf); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+	want := xmltree.MustParse(`<a x="1">t<b><c/>u</b><d y="2"/></a>`)
+	var buf bytes.Buffer
+	if err := EncodeDoc(&buf, want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeDoc(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if xmltree.SerializeString(got) != xmltree.SerializeString(want) {
+		t.Errorf("round trip: %s, want %s", xmltree.SerializeString(got), xmltree.SerializeString(want))
+	}
+	for i := range want.Nodes {
+		if got.Nodes[i] != want.Nodes[i] {
+			t.Errorf("node %d: decoded %+v, parsed %+v", i, got.Nodes[i], want.Nodes[i])
+		}
+	}
+}

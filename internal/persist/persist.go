@@ -16,8 +16,9 @@
 //	  def: string table, string pattern, byte type
 //	uint32 CRC-32 (Castagnoli) of everything before it
 //
-// Children, levels, and subtree intervals are reconstructed from the
-// parent links and document order on load.
+// Levels and subtree intervals are reconstructed from the parent links
+// and document order on load; a parent link must name an element still
+// open at its node.
 //
 // The per-table nextID and per-document docID keep document identities
 // across a save/load cycle. lsn makes a snapshot a checkpoint: the
@@ -453,9 +454,11 @@ func readDoc(cr *checkedReader) (*xmltree.Document, error) {
 			EndID:  xmltree.NodeID(i),
 		})
 	}
-	// Reconstruct children, levels, and subtree intervals from the
-	// parent links: document order means a child always follows its
-	// parent.
+	// Reconstruct levels and subtree intervals from the parent links.
+	// In document order a node's parent is one of the elements still
+	// open before it; any other link would give the node a subtree
+	// interval its parent's does not contain.
+	var open []*xmltree.Node
 	for i := range doc.Nodes {
 		n := &doc.Nodes[i]
 		if n.Parent < 0 {
@@ -463,11 +466,18 @@ func readDoc(cr *checkedReader) (*xmltree.Document, error) {
 				return nil, fmt.Errorf("node %d is a second root", i)
 			}
 			n.Level = 1
-			continue
+		} else {
+			for len(open) > 0 && open[len(open)-1].ID != n.Parent {
+				open = open[:len(open)-1]
+			}
+			if len(open) == 0 {
+				return nil, fmt.Errorf("node %d: parent %d is not an open element", i, n.Parent)
+			}
+			n.Level = open[len(open)-1].Level + 1
 		}
-		p := &doc.Nodes[n.Parent]
-		p.Children = append(p.Children, n.ID)
-		n.Level = p.Level + 1
+		if n.Kind == xmltree.Element {
+			open = append(open, n)
+		}
 	}
 	for i := len(doc.Nodes) - 1; i > 0; i-- {
 		n := &doc.Nodes[i]
@@ -590,7 +600,7 @@ func EncodeDoc(w io.Writer, doc *xmltree.Document) error {
 }
 
 // DecodeDoc reads one EncodeDoc-encoded document, reconstructing
-// children, levels, and subtree intervals from the parent links.
+// levels and subtree intervals from the parent links.
 // Readers that are not already byte-oriented are buffered, in which
 // case the document must be the trailing field of whatever frame
 // contains it.

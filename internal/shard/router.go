@@ -2,7 +2,6 @@ package shard
 
 import (
 	"hash/fnv"
-	"strings"
 
 	"xixa/internal/xpath"
 	"xixa/internal/xquery"
@@ -51,7 +50,7 @@ func (rt *tableRoute) insertShard(stmt *xquery.Statement, n int) int {
 			// compares TrimSpace'd node text against the literal), so a
 			// whitespace-padded key lands on the shard its equality pins
 			// route to.
-			return int(hashString(strings.TrimSpace(stmt.Doc.TextOf(nodes[0]))) % uint64(n))
+			return int(hashString(stmt.Doc.TrimmedText(nodes[0])) % uint64(n))
 		}
 		rt.scatterOnly.Store(true)
 	}

@@ -15,7 +15,7 @@ func symbolOf(d *xmltree.Document) string {
 	for i := range d.Nodes {
 		n := &d.Nodes[i]
 		if n.Kind == xmltree.Element && n.Name == "Symbol" {
-			for _, c := range n.Children {
+			for c := n.ID + 1; c <= n.EndID; c = d.Nodes[c].EndID + 1 {
 				if cn := d.Node(c); cn.Kind == xmltree.Text {
 					return cn.Value
 				}

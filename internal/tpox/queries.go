@@ -96,7 +96,7 @@ func collectSamples(db *storage.Database, maxDocs int) []pathSample {
 				}
 				labels = append(labels, label)
 				elemChildren := 0
-				for _, c := range n.Children {
+				for c := id + 1; c <= n.EndID; c = doc.Nodes[c].EndID + 1 {
 					if doc.Node(c).Kind != xmltree.Text {
 						elemChildren++
 					}
@@ -108,15 +108,15 @@ func collectSamples(db *storage.Database, maxDocs int) []pathSample {
 						s := pathSample{
 							table:  tname,
 							labels: append([]string(nil), labels...),
-							value:  strings.TrimSpace(doc.TextOf(id)),
+							value:  doc.TrimmedText(id),
 						}
-						if f, ok := xmltree.ParseNumeric(s.value); ok {
+						if f, ok := doc.NumericValue(id); ok {
 							s.numeric, s.num = true, f
 						}
 						out = append(out, s)
 					}
 				}
-				for _, c := range n.Children {
+				for c := id + 1; c <= n.EndID; c = doc.Nodes[c].EndID + 1 {
 					if doc.Node(c).Kind != xmltree.Text {
 						walk(c)
 					}

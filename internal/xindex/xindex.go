@@ -21,7 +21,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 
 	"xixa/internal/btree"
@@ -224,12 +223,11 @@ func (x *Index) matchingNodes(doc *xmltree.Document) []xmltree.NodeID {
 	return xpath.Eval(doc, x.Def.Pattern)
 }
 
+// keyFor encodes the node's typed value — the one a scan compares,
+// read from the document's value column when it has one.
 func (x *Index) keyFor(doc *xmltree.Document, id xmltree.NodeID) ([]byte, bool) {
-	// Extract the node text once; the numeric key parses the same
-	// string rather than re-walking the subtree.
-	s := strings.TrimSpace(doc.TextOf(id))
 	if x.Def.Type == xpath.NumberVal {
-		v, ok := xmltree.ParseNumeric(s)
+		v, ok := doc.NumericValue(id)
 		// NaN is an invalid index value (DB2's IGNORE INVALID VALUES):
 		// its sign-flipped encoding would land in the positive-number
 		// key range and surface from range scans, yet no comparison is
@@ -239,7 +237,7 @@ func (x *Index) keyFor(doc *xmltree.Document, id xmltree.NodeID) ([]byte, bool) 
 		}
 		return encodeKey(xpath.NumberVal, "", v), true
 	}
-	return encodeKey(xpath.StringVal, s, 0), true
+	return encodeKey(xpath.StringVal, doc.TrimmedText(id), 0), true
 }
 
 // eachMatch visits every node of the document the index pattern

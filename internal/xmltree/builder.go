@@ -24,7 +24,6 @@ func (b *Builder) push(n Node) NodeID {
 	parentPath := NoPath
 	if len(b.stack) > 0 {
 		parent := b.stack[len(b.stack)-1]
-		b.doc.Nodes[parent].Children = append(b.doc.Nodes[parent].Children, id)
 		b.doc.Nodes[id].Parent = parent
 		b.doc.Nodes[id].Level = b.doc.Nodes[parent].Level + 1
 		parentPath = b.doc.PathIDs[parent]

@@ -47,14 +47,19 @@ type NodeID int32
 
 // Node is a single node of a parsed XML document. Nodes are owned by
 // their Document and referenced by index; they must not be copied.
+//
+// A node keeps no child list: its children are the sibling walk
+//
+//	for c := n.ID + 1; c <= n.EndID; c = d.Nodes[c].EndID + 1
+//
+// over its subtree interval, in document order.
 type Node struct {
-	ID       NodeID
-	Kind     Kind
-	Name     string // element/attribute name; empty for text nodes
-	Value    string // attribute value or text content; empty for elements
-	Parent   NodeID // -1 for the root element
-	Level    int32  // root element is level 1
-	Children []NodeID
+	ID     NodeID
+	Kind   Kind
+	Name   string // element/attribute name; empty for text nodes
+	Value  string // attribute value or text content; empty for elements
+	Parent NodeID // -1 for the root element
+	Level  int32  // root element is level 1
 	// EndID is the largest NodeID in this node's subtree, enabling O(1)
 	// ancestor/descendant tests: d is a descendant of a iff
 	// a.ID < d.ID <= a.EndID.
@@ -85,6 +90,10 @@ type Document struct {
 
 	// paths summarizes PathIDs; InternPaths fills it (see PathSummary).
 	paths pathSummary
+	// ends and vals are the scan columns InternPaths builds (see
+	// columns.go): each node's EndID, and each node's typed value.
+	ends []NodeID
+	vals []leafValue
 }
 
 // Root returns the root element of the document, or nil if empty.
@@ -142,12 +151,26 @@ func (d *Document) TextOf(id NodeID) string {
 	return sb.String()
 }
 
+// TrimmedText returns the node's text content (TextOf) with leading and
+// trailing space trimmed: the string a comparison or an index key sees.
+// A document InternPaths has attached answers from its value column.
+func (d *Document) TrimmedText(id NodeID) string {
+	if int(id) < len(d.vals) && d.vals[id].texts < 2 {
+		return d.vals[id].str
+	}
+	return strings.TrimSpace(d.TextOf(id))
+}
+
 // NumericValue extracts the typed numeric value of the node, following
 // the XML Schema double lexical space (leading/trailing space trimmed).
-// ok is false when the content does not parse as a number. Callers that
-// already hold the extracted text should use ParseNumeric instead to
-// avoid a second subtree walk.
+// ok is false when the content does not parse as a number; text "NaN"
+// parses, to NaN. A document InternPaths has attached answers from its
+// value column; callers that already hold the extracted text use
+// ParseNumeric instead.
 func (d *Document) NumericValue(id NodeID) (v float64, ok bool) {
+	if int(id) < len(d.vals) && d.vals[id].texts < 2 {
+		return d.vals[id].num, d.vals[id].numeric
+	}
 	return ParseNumeric(d.TextOf(id))
 }
 
@@ -202,9 +225,8 @@ func (d *Document) LabelPath(id NodeID) string {
 
 // ElementChildren returns the element-kind children of the node.
 func (d *Document) ElementChildren(id NodeID) []NodeID {
-	n := d.Node(id)
-	out := make([]NodeID, 0, len(n.Children))
-	for _, c := range n.Children {
+	var out []NodeID
+	for c := id + 1; c <= d.Nodes[id].EndID; c = d.Nodes[c].EndID + 1 {
 		if d.Nodes[c].Kind == Element {
 			out = append(out, c)
 		}
@@ -217,7 +239,7 @@ func (d *Document) ElementChildren(id NodeID) []NodeID {
 // layer and the statistics collector use this to size tables and
 // indexes consistently.
 func (d *Document) StorageBytes() int64 {
-	const perNodeOverhead = 16 // ID, kind, parent, level, child slots
+	const perNodeOverhead = 16 // ID, kind, parent, level, subtree end
 	var total int64
 	for i := range d.Nodes {
 		n := &d.Nodes[i]

@@ -25,7 +25,6 @@ func Parse(r io.Reader) (*Document, error) {
 		parentPath := NoPath
 		if len(stack) > 0 {
 			parent := stack[len(stack)-1]
-			doc.Nodes[parent].Children = append(doc.Nodes[parent].Children, id)
 			doc.Nodes[id].Parent = parent
 			doc.Nodes[id].Level = doc.Nodes[parent].Level + 1
 			parentPath = doc.PathIDs[parent]
@@ -125,7 +124,7 @@ func Serialize(d *Document, w io.Writer) error {
 		if _, err := io.WriteString(w, "<"+n.Name); err != nil {
 			return err
 		}
-		for _, c := range n.Children {
+		for c := id + 1; c <= n.EndID; c = d.Nodes[c].EndID + 1 {
 			cn := d.Node(c)
 			if cn.Kind != Attribute {
 				continue
@@ -141,7 +140,7 @@ func Serialize(d *Document, w io.Writer) error {
 			}
 		}
 		hasContent := false
-		for _, c := range n.Children {
+		for c := id + 1; c <= n.EndID; c = d.Nodes[c].EndID + 1 {
 			if d.Node(c).Kind != Attribute {
 				hasContent = true
 				break
@@ -154,7 +153,7 @@ func Serialize(d *Document, w io.Writer) error {
 		if _, err := io.WriteString(w, ">"); err != nil {
 			return err
 		}
-		for _, c := range n.Children {
+		for c := id + 1; c <= n.EndID; c = d.Nodes[c].EndID + 1 {
 			if d.Node(c).Kind == Attribute {
 				continue
 			}

@@ -171,20 +171,6 @@ func (doc *Document) PathSummary() (sig *PathSig, max PathID, ok bool) {
 	return &doc.paths.sig, doc.paths.max, doc.paths.done
 }
 
-func (doc *Document) summarizePaths() {
-	ps := pathSummary{max: NoPath, done: true}
-	for _, id := range doc.PathIDs {
-		if id < 0 {
-			continue
-		}
-		ps.sig.Add(id)
-		if id > ps.max {
-			ps.max = id
-		}
-	}
-	doc.paths = ps
-}
-
 // nodeLabel spells a node's dictionary label: the element name, or
 // "@name" for attributes.
 func nodeLabel(kind Kind, name string) string {
@@ -227,15 +213,17 @@ func (doc *Document) internPathsFrom(dict *PathDict) {
 // (one pass over the old dictionary plus one over the PathIDs, not a
 // per-node re-intern); otherwise paths are interned from scratch.
 //
-// storage.Table calls this on insert so all documents of a table share
-// the table's dictionary.
+// It also summarizes the PathIDs (PathSummary) and builds the document's
+// scan columns (see columns.go), once: the document must not change
+// afterwards. storage.Table calls this on insert so all documents of a
+// table share the table's dictionary.
 func (doc *Document) InternPaths(dict *PathDict) {
 	if dict == nil {
 		return
 	}
 	if doc.Dict == dict && len(doc.PathIDs) == len(doc.Nodes) {
 		if !doc.paths.done {
-			doc.summarizePaths()
+			doc.summarize()
 		}
 		return
 	}
@@ -255,11 +243,11 @@ func (doc *Document) InternPaths(dict *PathDict) {
 			}
 		}
 		doc.Dict = dict
-		doc.summarizePaths()
+		doc.summarize()
 		return
 	}
 	doc.internPathsFrom(dict)
-	doc.summarizePaths()
+	doc.summarize()
 }
 
 // NumericLead reports whether a first byte can start any lexical form

@@ -2,6 +2,7 @@ package xmltree
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -259,15 +260,24 @@ func TestPropertyIntervalEncoding(t *testing.T) {
 			if n.EndID < n.ID {
 				return false
 			}
-			// Children lie inside the parent interval and levels increase by 1.
-			for _, c := range n.Children {
+			// The sibling walk over (ID, EndID] yields exactly the nodes
+			// whose parent is n, in order, one level down, each inside
+			// n's interval.
+			var walked, linked []NodeID
+			for c := n.ID + 1; c <= n.EndID; c = d.Nodes[c].EndID + 1 {
 				cn := d.Node(c)
-				if cn.Parent != n.ID || cn.Level != n.Level+1 {
+				if cn.Level != n.Level+1 || cn.EndID > n.EndID {
 					return false
 				}
-				if !(n.ID < cn.ID && cn.EndID <= n.EndID) {
-					return false
+				walked = append(walked, c)
+			}
+			for j := range d.Nodes {
+				if d.Nodes[j].Parent == n.ID {
+					linked = append(linked, NodeID(j))
 				}
+			}
+			if !slices.Equal(walked, linked) {
+				return false
 			}
 			// Interval nesting: any node inside (ID, EndID] must have n as ancestor.
 			for j := n.ID + 1; j <= n.EndID; j++ {

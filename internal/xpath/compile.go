@@ -431,20 +431,31 @@ func (m *Matcher) top(doc *xmltree.Document, dst *[]xmltree.NodeID) bool {
 // that satisfies the comparison; for the spine it appends each to dst,
 // or with no dst returns true at the first. It reports whether any node
 // was selected.
+//
+// The loop reads the document's PathIDs and its EndID column, and a
+// node only for a selected one: a node whose below bit is clear has no
+// selectable descendant, so the scan jumps past its subtree, hit or
+// miss. That also steps over the text children of such a hit; a text
+// node (which carries its parent's PathID) is reached only under a node
+// whose below bit is set, so only there is the kind checked.
 func (m *Matcher) scan(doc *xmltree.Document, path *progPath, from, to xmltree.NodeID, ctxLevel int32, pred *progPred, dst *[]xmltree.NodeID) bool {
 	match, below := m.tab.match[path.table], m.tab.below[path.table]
+	pids, ends := doc.PathIDs[:to+1], doc.Ends()[:to+1]
 	ctx := uint(ctxLevel)
 	found := false
 	for j := from; j <= to; j++ {
-		pid := doc.PathIDs[j]
+		pid := pids[j]
+		deep := below[pid]>>ctx&1 != 0
 		if match[pid]>>ctx&1 == 0 {
+			if !deep {
+				j = ends[j]
+			}
 			continue
 		}
-		n := &doc.Nodes[j]
-		if n.Kind == xmltree.Text {
-			continue // a text node carries its parent's PathID
+		if deep && doc.Nodes[j].Kind == xmltree.Text {
+			continue
 		}
-		if !path.hasPreds || m.confirm(doc, path, ctxLevel, n) {
+		if !path.hasPreds || m.confirm(doc, path, ctxLevel, j) {
 			switch {
 			case pred != nil:
 				if pred.op == OpNone || CompareNodeValue(doc, j, pred.op, m.lits[pred.lit]) {
@@ -459,8 +470,8 @@ func (m *Matcher) scan(doc *xmltree.Document, path *progPath, from, to xmltree.N
 				found = true
 			}
 		}
-		if below[pid]>>ctx&1 == 0 {
-			j = n.EndID // nothing under this node can be selected
+		if !deep {
+			j = ends[j] // nothing under this node can be selected
 		}
 	}
 	m.reached(to)
@@ -474,22 +485,22 @@ func (m *Matcher) reached(j xmltree.NodeID) {
 }
 
 // confirm runs the path's NFA with its predicates down the chain of
-// nodes from the context (at ctxLevel, exclusive) to n, which the
+// nodes from the context (at ctxLevel, exclusive) to id, which the
 // path's table already selects: a step is taken at an ancestor when its
 // label passes and its predicates hold there.
-func (m *Matcher) confirm(doc *xmltree.Document, path *progPath, ctxLevel int32, n *xmltree.Node) bool {
+func (m *Matcher) confirm(doc *xmltree.Document, path *progPath, ctxLevel int32, id xmltree.NodeID) bool {
 	steps := path.steps
 	if len(steps) == 1 {
-		return m.holds(doc, n.ID, &steps[0]) // its one step can only land on n
+		return m.holds(doc, id, &steps[0]) // its one step can only land on id
 	}
 	var chainBuf [16]xmltree.NodeID
 	chain := chainBuf[:]
-	if k := int(n.Level - ctxLevel); k <= len(chain) {
+	if k := int(doc.Nodes[id].Level - ctxLevel); k <= len(chain) {
 		chain = chain[:k]
 	} else {
 		chain = make([]xmltree.NodeID, k)
 	}
-	for i, id := len(chain)-1, n.ID; i >= 0; i-- {
+	for i := len(chain) - 1; i >= 0; i-- {
 		chain[i] = id
 		id = doc.Nodes[id].Parent
 	}
@@ -516,19 +527,20 @@ func (m *Matcher) confirm(doc *xmltree.Document, path *progPath, ctxLevel int32,
 }
 
 // holds reports whether every predicate of the step holds at the node.
+// The context's subtree end and level come from the EndID column and the
+// depth of its PathID.
 func (m *Matcher) holds(doc *xmltree.Document, id xmltree.NodeID, st *progStep) bool {
 	memo := &m.memo[st.memo]
 	if memo.doc == doc && memo.node == id {
 		return memo.ok
 	}
-	ctx := &doc.Nodes[id]
 	ok := true
 	for i := range st.preds {
 		pr := &st.preds[i]
 		if len(pr.path.steps) == 0 {
 			ok = pr.op == OpNone || CompareNodeValue(doc, id, pr.op, m.lits[pr.lit])
 		} else {
-			ok = m.scan(doc, &pr.path, id+1, ctx.EndID, ctx.Level, pr, nil)
+			ok = m.scan(doc, &pr.path, id+1, doc.Ends()[id], int32(m.tab.depth[doc.PathIDs[id]]), pr, nil)
 		}
 		if !ok {
 			break

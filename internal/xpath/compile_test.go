@@ -15,10 +15,13 @@ import (
 )
 
 // sameAsEval checks one document against one path: Select must return
-// Eval's node IDs in Eval's order, and Exists must agree with them.
-func sameAsEval(t testing.TB, cache *xpath.ProgramCache, doc *xmltree.Document, p xpath.Path) {
+// the node IDs Eval returns on ref, in Eval's order, and Exists must
+// agree with them. ref is the document itself, or a column-less copy of
+// it (see columnless) so that what the scan reads from the document's
+// columns is checked against values extracted from its nodes.
+func sameAsEval(t testing.TB, cache *xpath.ProgramCache, doc, ref *xmltree.Document, p xpath.Path) {
 	t.Helper()
-	want := xpath.Eval(doc, p)
+	want := xpath.Eval(ref, p)
 	m := cache.Bind(p)
 	got := m.Select(doc, nil)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -33,6 +36,12 @@ func tableDocs(tbl *storage.Table) []*xmltree.Document {
 	var docs []*xmltree.Document
 	tbl.Scan(func(d *xmltree.Document) bool { docs = append(docs, d); return true })
 	return docs
+}
+
+// columnless copies a document's nodes into a document with neither
+// PathIDs nor columns: Eval over it extracts every value from the nodes.
+func columnless(doc *xmltree.Document) *xmltree.Document {
+	return &xmltree.Document{DocID: doc.DocID, Nodes: append([]xmltree.Node(nil), doc.Nodes...)}
 }
 
 // scanTemplates are the four statement templates of xixabench's
@@ -103,9 +112,13 @@ func TestCompiledMatchesEval(t *testing.T) {
 			if len(docs) == 0 {
 				t.Fatalf("table %s is empty", name)
 			}
+			refs := make([]*xmltree.Document, len(docs))
+			for i, doc := range docs {
+				refs[i] = columnless(doc)
+			}
 			for _, p := range paths {
-				for _, doc := range docs {
-					sameAsEval(t, tbl.Programs(), doc, p)
+				for i, doc := range docs {
+					sameAsEval(t, tbl.Programs(), doc, refs[i], p)
 				}
 			}
 		}
@@ -115,7 +128,8 @@ func TestCompiledMatchesEval(t *testing.T) {
 	fresh := xpath.NewProgramCache(sec.PathDict())
 	for i := 0; i < 50; i++ {
 		p := xpath.MustParse(fmt.Sprintf(`/Security[Yield>%d.5][SecInfo/*/Sector="%s"]`, i%10, []string{"Energy", "Finance", "x"}[i%3]))
-		sameAsEval(t, fresh, tableDocs(sec)[i], p)
+		doc := tableDocs(sec)[i]
+		sameAsEval(t, fresh, doc, doc, p)
 	}
 	if got := fresh.Len(); got != 1 {
 		t.Errorf("50 parameter sets of one template compiled %d programs, want 1", got)
@@ -242,14 +256,18 @@ func TestCompiledMatchesEvalRecursiveLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 	docs := tableDocs(tbl)
+	refs := make([]*xmltree.Document, len(docs))
+	for i, doc := range docs {
+		refs[i] = columnless(doc)
+	}
 	for i := 0; i < 400; i++ {
 		raw := genPath(r, false, 0)
 		p, err := xpath.Parse(raw)
 		if err != nil {
 			t.Fatalf("generated path %q: %v", raw, err)
 		}
-		for _, doc := range docs {
-			sameAsEval(t, tbl.Programs(), doc, p)
+		for j, doc := range docs {
+			sameAsEval(t, tbl.Programs(), doc, refs[j], p)
 		}
 	}
 }
@@ -260,7 +278,7 @@ func TestCompiledMatchesEvalRecursiveLabels(t *testing.T) {
 func TestCompiledFallsBackToEval(t *testing.T) {
 	_, tbl := loadTable(t, xmltree.MustParse(`<a><b>1</b></a>`))
 	foreign := xmltree.MustParse(`<a><b>1</b><b>2</b></a>`)
-	sameAsEval(t, tbl.Programs(), foreign, xpath.MustParse(`/a[b=2]/b`))
+	sameAsEval(t, tbl.Programs(), foreign, foreign, xpath.MustParse(`/a[b=2]/b`))
 	m := tbl.Programs().Bind(xpath.MustParse(`/a/b`))
 	m.Select(foreign, nil)
 	if m.Visited != int64(foreign.Len()) {
@@ -274,7 +292,8 @@ func TestCompiledFallsBackToEval(t *testing.T) {
 	if xpath.CompileFor(tbl.PathDict(), long) != nil {
 		t.Fatal("CompileFor accepted a 40-step path")
 	}
-	sameAsEval(t, tbl.Programs(), tableDocs(tbl)[0], long)
+	doc := tableDocs(tbl)[0]
+	sameAsEval(t, tbl.Programs(), doc, columnless(doc), long)
 }
 
 // TestCompiledDeepDocuments covers ancestor chains longer than the
@@ -289,7 +308,7 @@ func TestCompiledDeepDocuments(t *testing.T) {
 		_, tbl := loadTable(t, nest(depth), nest(3))
 		for _, raw := range paths {
 			for _, doc := range tableDocs(tbl) {
-				sameAsEval(t, tbl.Programs(), doc, xpath.MustParse(raw))
+				sameAsEval(t, tbl.Programs(), doc, columnless(doc), xpath.MustParse(raw))
 			}
 		}
 	}
@@ -359,9 +378,10 @@ func fuzzDoc(data []byte) *xmltree.Document {
 }
 
 // FuzzCompiledMatchesEval checks Program.Select against Eval for an
-// arbitrary path string over a document decoded from the input bytes.
-// Two documents share the table, so the program sees a dictionary with
-// paths the document under test does not carry.
+// arbitrary path string over a document decoded from the input bytes,
+// Eval running both on the committed document and on a column-less
+// copy of it. Two documents share the table, so the program sees a
+// dictionary with paths the document under test does not carry.
 func FuzzCompiledMatchesEval(f *testing.F) {
 	f.Add(`//x[x/y=1]`, []byte{0, 0, 4, 1})
 	f.Add(`/x/*[@y="a"]//z`, []byte{7, 0, 8, 1, 2, 11})
@@ -375,7 +395,41 @@ func FuzzCompiledMatchesEval(f *testing.F) {
 		}
 		_, tbl := loadTable(t, xmltree.MustParse(`<x><y>1</y><z w="2"><x>a</x></z></x>`), fuzzDoc(data))
 		for _, doc := range tableDocs(tbl) {
-			sameAsEval(t, tbl.Programs(), doc, p)
+			sameAsEval(t, tbl.Programs(), doc, doc, p)
+			sameAsEval(t, tbl.Programs(), doc, columnless(doc), p)
 		}
 	})
+}
+
+// TestNaNTextIsNumeric pins the numeric-valid bit of the value column:
+// text "NaN" parses to the number NaN, for which [v != 5] holds, while
+// non-numeric text fails every numeric comparison. A column that
+// marked "not numeric" with a NaN would answer both documents alike.
+func TestNaNTextIsNumeric(t *testing.T) {
+	_, tbl := loadTable(t, xmltree.MustParse(`<r><v>NaN</v></r>`), xmltree.MustParse(`<r><v>abc</v></r>`),
+		xmltree.MustParse(`<r a=" NaN "><v>abc</v></r>`))
+	docs := tableDocs(tbl)
+	for _, c := range []struct {
+		path string
+		want string // per document: does the path select it
+	}{
+		{`/r[v!=5]`, "+--"},
+		{`/r[v=5]`, "---"},
+		{`/r[v<5]`, "---"},
+		{`/r[v>=5]`, "---"},
+		{`/r[v!="NaN"]`, "-++"},
+		{`/r[@a!=5]`, "--+"},
+		{`/r[@a="NaN"]`, "--+"},
+	} {
+		p := xpath.MustParse(c.path)
+		for i, doc := range docs {
+			want := c.want[i] == '+'
+			if got := tbl.Programs().Bind(p).Exists(doc); got != want {
+				t.Errorf("%s on %s: compiled %v, want %v", c.path, xmltree.SerializeString(doc), got, want)
+			}
+			if got := len(xpath.Eval(columnless(doc), p)) > 0; got != want {
+				t.Errorf("%s on %s: Eval %v, want %v", c.path, xmltree.SerializeString(doc), got, want)
+			}
+		}
+	}
 }

@@ -2,7 +2,6 @@ package xpath
 
 import (
 	"slices"
-	"strings"
 
 	"xixa/internal/xmltree"
 )
@@ -74,7 +73,7 @@ func evalSteps(doc *xmltree.Document, ctx []xmltree.NodeID, fromDoc bool, steps 
 			switch st.Axis {
 			case Child:
 				for _, c := range ctx {
-					for _, ch := range doc.Node(c).Children {
+					for ch, end := c+1, doc.Nodes[c].EndID; ch <= end; ch = doc.Nodes[ch].EndID + 1 {
 						if matchNode(doc, ch, st) {
 							next = append(next, ch)
 						}
@@ -164,18 +163,15 @@ func evalPred(doc *xmltree.Document, ctx xmltree.NodeID, pr Pred) bool {
 // uses when matching indexes: numeric literals force numeric comparison
 // (non-numeric node values never match), string literals compare
 // codepoint-wise.
+//
+// A committed document answers from its value column, parsed once when
+// it was committed; others extract the text as they go.
 func CompareNodeValue(doc *xmltree.Document, id xmltree.NodeID, op CmpOp, lit Value) bool {
-	// Extract the subtree text once; the numeric interpretation parses
-	// the same string instead of re-walking the subtree.
-	s := strings.TrimSpace(doc.TextOf(id))
 	if lit.Kind == NumberVal {
-		v, ok := xmltree.ParseNumeric(s)
-		if !ok {
-			return false
-		}
-		return compareFloat(v, op, lit.Num)
+		v, ok := doc.NumericValue(id)
+		return ok && compareFloat(v, op, lit.Num)
 	}
-	return compareString(s, op, lit.Str)
+	return compareString(doc.TrimmedText(id), op, lit.Str)
 }
 
 func compareFloat(a float64, op CmpOp, b float64) bool {

@@ -52,7 +52,7 @@ func CollectReference(t *storage.Table) *TableStats {
 				distinctStr[key][val] = struct{}{}
 				ps.DistinctStrings++
 			}
-			if f, ok := doc.NumericValue(id); ok {
+			if f, ok := xmltree.ParseNumeric(val); ok {
 				if ps.NumericCount == 0 {
 					ps.Min, ps.Max = f, f
 				} else {
@@ -66,7 +66,7 @@ func CollectReference(t *storage.Table) *TableStats {
 					ps.DistinctNums++
 				}
 			}
-			for _, c := range n.Children {
+			for c := id + 1; c <= n.EndID; c = doc.Nodes[c].EndID + 1 {
 				if doc.Node(c).Kind != xmltree.Text {
 					walk(c)
 				}
