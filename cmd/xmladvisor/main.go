@@ -60,7 +60,7 @@ func main() {
 	db := storage.NewDatabase()
 	switch {
 	case *dbPath != "":
-		loaded, defs, err := persist.LoadFile(*dbPath)
+		loaded, defs, _, _, err := persist.LoadCheckpointFile(*dbPath)
 		if err != nil {
 			fatal(err)
 		}
@@ -149,7 +149,7 @@ func main() {
 	fmt.Printf("  estimated workload speedup: %.1fx\n", adv.EstimatedSpeedup(rec.Config))
 	fmt.Printf("  optimizer calls: %d, advisor time: %s\n", rec.OptimizerCalls, rec.Elapsed)
 	if *saveDB != "" {
-		if err := persist.SaveFile(*saveDB, db, rec.Definitions()); err != nil {
+		if err := persist.SaveCheckpointFile(*saveDB, db, rec.Definitions(), 0, 0); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("  snapshot written to %s\n", *saveDB)

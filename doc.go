@@ -25,6 +25,8 @@
 //   - internal/server — the concurrent serving layer: sessions,
 //     admission control, live workload capture, and the autonomous
 //     tuning loop behind cmd/xixad.
+//   - internal/daemon — xixad assembled from its flags: the backend,
+//     its replication role, the listeners, and graceful shutdown.
 //   - internal/shard — horizontal sharding: the key-hash router,
 //     scatter-gather execution, and the cluster-level advisor.
 //   - internal/tpox, xmark — benchmark data and workload generators.
@@ -54,12 +56,11 @@
 // instead maintains them incrementally from each table's change feed
 // (storage.Table.Subscribe, xstats.Keeper): a K-document change batch
 // folds into the synopsis in O(K) via exact value multisets
-// (xstats.Delta, TableStats.ApplyDelta), compiled statements and
-// plan-cache entries are keyed by statistics version and rebuilt on
-// mismatch, and post-mutation plans and recommendations are
-// bit-identical to a cold optimizer on freshly collected statistics.
-// Engine-driven flows (cmd/xqshell, examples/autonomous, the serving
-// daemon) run in this mode. internal/engine has one
+// (xstats.Delta, TableStats.ApplyDelta), compiled statements are keyed
+// by statistics version and recompiled on mismatch, and post-mutation
+// plans and recommendations are bit-identical to a cold optimizer on
+// freshly collected statistics. Engine-driven flows (cmd/xqshell, the
+// serving daemon) run in this mode. internal/engine has one
 // statement executor and one visibility rule: every statement is a
 // transaction (Engine.Execute is Begin, Execute, Commit; a query is the
 // read-only case), and one plan interpreter runs every match phase on
@@ -87,8 +88,9 @@
 // block) and dropping abandoned indexes with hysteresis. The loop
 // (server.Tuner) is written once; a server and a sharded cluster each
 // hand it their workload, costing optimizer, hysteresis baseline and
-// apply step. cmd/xixad is the daemon; snapshots persist the
-// materialized catalog so restarts come up warm. internal/frontend is
+// apply step. internal/daemon assembles the daemon from cmd/xixad's
+// flags; its checkpoints persist the materialized catalog so restarts
+// come up warm. internal/frontend is
 // the daemon's front end, also written once: the line protocol, its
 // command table and the accept loop over a Backend that server.Server
 // and shard.Cluster both satisfy, which cmd/xixad (either mode) and

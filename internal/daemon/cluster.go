@@ -1,4 +1,4 @@
-package main
+package daemon
 
 import (
 	"fmt"
@@ -15,21 +15,22 @@ import (
 // the router (so placement follows the partition keys), and the
 // cluster-level tuner advises from the merged per-shard capture and
 // statistics.
-func startCluster(scale int, cfg shard.Config) *shard.Cluster {
+func startCluster(scale int, cfg shard.Config) (*shard.Cluster, error) {
 	c, err := shard.NewCluster(cfg)
 	if err != nil {
-		log.Fatalf("xixad: %v", err)
+		return nil, err
 	}
 	log.Printf("generating TPoX data (scale %d) across %d shards", scale, c.Shards())
 	staging, err := tpox.NewDatabase(scale)
-	if err != nil {
-		log.Fatalf("xixad: %v", err)
+	if err == nil {
+		err = loadCluster(c, staging)
 	}
-	if err := loadCluster(c, staging); err != nil {
-		log.Fatalf("xixad: load: %v", err)
+	if err != nil {
+		c.Close()
+		return nil, fmt.Errorf("load: %w", err)
 	}
 	c.StartAutoTune(logTune(func(rep *shard.TuneReport) bool { return rep.Skipped }))
-	return c
+	return c, nil
 }
 
 // loadCluster replays a staging database through the cluster's router,

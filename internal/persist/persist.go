@@ -556,24 +556,12 @@ func SyncDir(dir string) error {
 	return d.Sync()
 }
 
-// SaveFile writes a snapshot to path atomically (temp file + fsync +
-// rename + directory fsync).
-func SaveFile(path string, db *storage.Database, defs []xindex.Definition) error {
-	return SaveCheckpointFile(path, db, defs, 0, 0)
-}
-
 // SaveCheckpointFile writes an LSN- and stamp-stamped snapshot to path
-// atomically.
+// atomically (temp file + fsync + rename + directory fsync).
 func SaveCheckpointFile(path string, db *storage.Database, defs []xindex.Definition, lsn, stamp uint64) error {
 	return writeFileAtomic(path, func(w io.Writer) error {
 		return SaveCheckpoint(w, db, defs, lsn, stamp)
 	})
-}
-
-// LoadFile reads a snapshot from path.
-func LoadFile(path string) (*storage.Database, []xindex.Definition, error) {
-	db, defs, _, _, err := LoadCheckpointFile(path)
-	return db, defs, err
 }
 
 // LoadCheckpointFile reads an LSN- and stamp-stamped snapshot from

@@ -169,10 +169,10 @@ func TestSaveLoadFile(t *testing.T) {
 	db := storage.NewDatabase()
 	db.MustCreateTable("T")
 	mustLoad(t, db, "T", xmltree.MustParse(`<a t="1"><b>v</b></a>`))
-	if err := SaveFile(path, db, snapshotDefs()[:1]); err != nil {
+	if err := SaveCheckpointFile(path, db, snapshotDefs()[:1], 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	db2, defs, err := LoadFile(path)
+	db2, defs, _, _, err := LoadCheckpointFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -413,6 +413,89 @@ func TestCheckpointBoundsReplayAndWarmStartsCapture(t *testing.T) {
 	}
 }
 
+// TestCheckpointWarmStart checkpoints a tuned server and asserts the
+// recovered one comes up with the catalog materialized and serving
+// index plans immediately: the indexes rebuild from the checkpoint's
+// definitions, not from replayed log records.
+func TestCheckpointWarmStart(t *testing.T) {
+	dir := t.TempDir()
+	srv, _, err := Recover(durableCfg(dir), bootstrapFixture(150))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := srv.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := sess.Execute(pointQuery(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := srv.TuneOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Built) == 0 {
+		t.Fatal("no index built before the checkpoint")
+	}
+	wantDefs := srv.Catalog().Definitions()
+	wantRes, err := sess.Execute(pointQuery(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Close()
+
+	if err := srv.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+
+	restored, info, err := Recover(Config{WALDir: dir, SyncPolicy: wal.SyncOff}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	if info.Replayed != 0 || info.IndexesRebuilt != len(wantDefs) {
+		t.Fatalf("recovery replayed %d records and rebuilt %d indexes, want 0 and %d", info.Replayed, info.IndexesRebuilt, len(wantDefs))
+	}
+	gotDefs := restored.Catalog().Definitions()
+	if len(gotDefs) != len(wantDefs) {
+		t.Fatalf("restored catalog has %d defs, want %d", len(gotDefs), len(wantDefs))
+	}
+	for i := range gotDefs {
+		if gotDefs[i].Key() != wantDefs[i].Key() {
+			t.Fatalf("restored def %d = %s, want %s", i, gotDefs[i], wantDefs[i])
+		}
+		idx, ok := restored.Catalog().Get(gotDefs[i])
+		if !ok || idx.Entries() == 0 {
+			t.Fatalf("restored index %s is cold", gotDefs[i])
+		}
+		if !idx.SelfMaintained() {
+			t.Fatalf("restored index %s not feed-maintained", gotDefs[i])
+		}
+	}
+	rsess, err := restored.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rsess.Close()
+	plan, err := rsess.Explain(pointQuery(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plan.UsesIndexes() {
+		t.Fatalf("restored server scans instead of probing: %s", plan)
+	}
+	res, err := rsess.Execute(pointQuery(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refsKey(res.Refs) != refsKey(wantRes.Refs) {
+		t.Fatalf("restored results diverge: %s vs %s", refsKey(res.Refs), refsKey(wantRes.Refs))
+	}
+}
+
 // TestAutoCheckpointFromTuneLoop: the autonomous loop's ticker writes
 // a checkpoint once the WAL passes the size threshold.
 func TestAutoCheckpointFromTuneLoop(t *testing.T) {

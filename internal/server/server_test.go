@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -448,82 +447,6 @@ func TestTuneHysteresis(t *testing.T) {
 	}
 	if _, ok := symbolDef(); ok {
 		t.Fatal("dropped index still in catalog")
-	}
-}
-
-// TestSnapshotWarmStart persists a tuned server and asserts the
-// restarted one comes up with the catalog materialized and serving
-// index plans immediately.
-func TestSnapshotWarmStart(t *testing.T) {
-	srv := New(fixtureDB(150), Config{BuildAfter: 1})
-	sess, err := srv.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if _, err := sess.Execute(pointQuery(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rep, err := srv.TuneOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Built) == 0 {
-		t.Fatal("no index built before snapshot")
-	}
-	wantDefs := srv.Catalog().Definitions()
-	wantRes, err := sess.Execute(pointQuery(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess.Close()
-
-	path := filepath.Join(t.TempDir(), "xixa.db")
-	if err := srv.SaveSnapshot(path); err != nil {
-		t.Fatal(err)
-	}
-	srv.Close()
-
-	restored, err := OpenSnapshot(path, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restored.Close()
-	gotDefs := restored.Catalog().Definitions()
-	if len(gotDefs) != len(wantDefs) {
-		t.Fatalf("restored catalog has %d defs, want %d", len(gotDefs), len(wantDefs))
-	}
-	for i := range gotDefs {
-		if gotDefs[i].Key() != wantDefs[i].Key() {
-			t.Fatalf("restored def %d = %s, want %s", i, gotDefs[i], wantDefs[i])
-		}
-		idx, ok := restored.Catalog().Get(gotDefs[i])
-		if !ok || idx.Entries() == 0 {
-			t.Fatalf("restored index %s is cold", gotDefs[i])
-		}
-		if !idx.SelfMaintained() {
-			t.Fatalf("restored index %s not feed-maintained", gotDefs[i])
-		}
-	}
-	rsess, err := restored.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rsess.Close()
-	plan, err := rsess.Explain(pointQuery(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plan.UsesIndexes() {
-		t.Fatalf("restored server scans instead of probing: %s", plan)
-	}
-	res, err := rsess.Execute(pointQuery(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if refsKey(res.Refs) != refsKey(wantRes.Refs) {
-		t.Fatalf("restored results diverge: %s vs %s", refsKey(res.Refs), refsKey(wantRes.Refs))
 	}
 }
 
