@@ -159,12 +159,9 @@
 // over a TPoX+XMark load with tuning rounds). The advisor tunes the
 // cluster from a global plane: per-shard capture rings merge with
 // decay-epoch alignment and per-shard synopses merge via
-// xstats.TableStats.Merge, and the cluster tuner reconciles one
-// target configuration — global
-// (identical per shard, scatters stay fast everywhere) or per-shard
-// (each shard tuned to the traffic its keys attract) — through the same
-// tuning loop, and so the same build/drop hysteresis, as a single
-// server.
+// xstats.TableStats.Merge, and the cluster tuner reconciles every
+// shard to one target configuration through the same tuning loop, and
+// so the same build/drop hysteresis, as a single server.
 //
 // # Observability
 //

@@ -326,11 +326,6 @@ func (t *Tree) AscendRange(lo, hi []byte, loIncl, hiIncl bool, visit func(key []
 	return visited
 }
 
-// Ascend visits all entries in order.
-func (t *Tree) Ascend(visit func(key []byte, val uint64) bool) int {
-	return t.AscendRange(nil, nil, true, true, visit)
-}
-
 // Levels returns the height of the tree (1 for a single leaf), matching
 // the "number of index levels" statistic the optimizer cost model uses.
 func (t *Tree) Levels() int {
@@ -339,19 +334,6 @@ func (t *Tree) Levels() int {
 		levels++
 	}
 	return levels
-}
-
-// LeafPages returns the number of leaf nodes.
-func (t *Tree) LeafPages() int {
-	pages := 0
-	n := t.root
-	for !n.leaf {
-		n = n.children[0]
-	}
-	for ; n != nil; n = n.next {
-		pages++
-	}
-	return pages
 }
 
 // SizeBytes estimates the stored size of the tree: key bytes plus

@@ -336,3 +336,21 @@ func TestKeyAliasing(t *testing.T) {
 		t.Error("tree affected by caller mutation of key buffer")
 	}
 }
+
+// Ascend visits all entries in order.
+func (t *Tree) Ascend(visit func(key []byte, val uint64) bool) int {
+	return t.AscendRange(nil, nil, true, true, visit)
+}
+
+// LeafPages returns the number of leaf nodes.
+func (t *Tree) LeafPages() int {
+	pages := 0
+	n := t.root
+	for !n.leaf {
+		n = n.children[0]
+	}
+	for ; n != nil; n = n.next {
+		pages++
+	}
+	return pages
+}

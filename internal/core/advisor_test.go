@@ -7,6 +7,7 @@ import (
 	"xixa/internal/optimizer"
 	"xixa/internal/storage"
 	"xixa/internal/workload"
+	"xixa/internal/xindex"
 	"xixa/internal/xmltree"
 	"xixa/internal/xquery"
 )
@@ -376,4 +377,22 @@ func TestRecommendationCounts(t *testing.T) {
 	if rec.OptimizerCalls < 0 {
 		t.Error("negative optimizer calls")
 	}
+}
+
+// Lookup finds a candidate by definition.
+func (cs *CandidateSet) Lookup(def xindex.Definition) (*Candidate, bool) {
+	c, ok := cs.byKey[def.Key()]
+	return c, ok
+}
+
+// Roots returns the DAG roots: candidates with no parents. These are
+// the starting configuration of the top-down search.
+func (cs *CandidateSet) Roots() []*Candidate {
+	var out []*Candidate
+	for _, c := range cs.All {
+		if len(c.Parents) == 0 {
+			out = append(out, c)
+		}
+	}
+	return out
 }

@@ -22,15 +22,6 @@ func (b *BitSet) Set(i int) {
 	b.words[w] |= 1 << uint(i%64)
 }
 
-// Has reports membership of element i.
-func (b *BitSet) Has(i int) bool {
-	w := i / 64
-	if w >= len(b.words) {
-		return false
-	}
-	return b.words[w]&(1<<uint(i%64)) != 0
-}
-
 // Or merges other into b.
 func (b *BitSet) Or(other *BitSet) {
 	for len(b.words) < len(other.words) {
@@ -55,29 +46,6 @@ func (b *BitSet) Intersects(other *BitSet) bool {
 	return false
 }
 
-// ContainsAll reports whether every element of other is in b.
-func (b *BitSet) ContainsAll(other *BitSet) bool {
-	for i, w := range other.words {
-		var mine uint64
-		if i < len(b.words) {
-			mine = b.words[i]
-		}
-		if w&^mine != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Count returns the number of elements.
-func (b *BitSet) Count() int {
-	n := 0
-	for _, w := range b.words {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // Elements returns the members in ascending order.
 func (b *BitSet) Elements() []int {
 	var out []int
@@ -88,12 +56,5 @@ func (b *BitSet) Elements() []int {
 			w &^= 1 << uint(bit)
 		}
 	}
-	return out
-}
-
-// Clone returns a copy.
-func (b *BitSet) Clone() *BitSet {
-	out := &BitSet{words: make([]uint64, len(b.words))}
-	copy(out.words, b.words)
 	return out
 }

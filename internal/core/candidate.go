@@ -82,24 +82,6 @@ func (cs *CandidateSet) Basic() []*Candidate { return cs.All[:cs.BasicCount] }
 // Generalized returns the candidates added by generalization.
 func (cs *CandidateSet) Generalized() []*Candidate { return cs.All[cs.BasicCount:] }
 
-// Lookup finds a candidate by definition.
-func (cs *CandidateSet) Lookup(def xindex.Definition) (*Candidate, bool) {
-	c, ok := cs.byKey[def.Key()]
-	return c, ok
-}
-
-// Roots returns the DAG roots: candidates with no parents. These are
-// the starting configuration of the top-down search.
-func (cs *CandidateSet) Roots() []*Candidate {
-	var out []*Candidate
-	for _, c := range cs.All {
-		if len(c.Parents) == 0 {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // enumerateBasic asks the optimizer (Enumerate Indexes mode) for the
 // basic candidates of every workload statement and records affected
 // sets and site keys. The per-statement Enumerate Indexes calls are

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -372,4 +373,43 @@ func TestGeneralizePairMatchesReference(t *testing.T) {
 	if want := []string{"/a//b/d", "/a//d"}; !reflect.DeepEqual(rule4, want) {
 		t.Errorf("Rule 4 example = %v, want %v", rule4, want)
 	}
+}
+
+// Has reports membership of element i.
+func (b *BitSet) Has(i int) bool {
+	w := i / 64
+	if w >= len(b.words) {
+		return false
+	}
+	return b.words[w]&(1<<uint(i%64)) != 0
+}
+
+// ContainsAll reports whether every element of other is in b.
+func (b *BitSet) ContainsAll(other *BitSet) bool {
+	for i, w := range other.words {
+		var mine uint64
+		if i < len(b.words) {
+			mine = b.words[i]
+		}
+		if w&^mine != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Count returns the number of elements.
+func (b *BitSet) Count() int {
+	n := 0
+	for _, w := range b.words {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// Clone returns a copy.
+func (b *BitSet) Clone() *BitSet {
+	out := &BitSet{words: make([]uint64, len(b.words))}
+	copy(out.words, b.words)
+	return out
 }

@@ -12,9 +12,12 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
+	"xixa/internal/core"
 	"xixa/internal/frontend"
 	"xixa/internal/replica"
 	"xixa/internal/server"
@@ -44,7 +47,15 @@ type Config struct {
 }
 
 // check refuses the flag settings that cannot be served as asked.
+// An unknown -algorithm or -sync is refused in every mode, before any
+// data is generated or any tuning round pays for candidate enumeration.
 func (c Config) check() error {
+	if !slices.Contains(core.Algorithms(), c.Algorithm) {
+		return fmt.Errorf("-algorithm %q: want one of %s", c.Algorithm, strings.Join(core.Algorithms(), ", "))
+	}
+	if _, err := wal.ParseSyncPolicy(c.Sync); err != nil {
+		return fmt.Errorf("-sync: %w", err)
+	}
 	switch {
 	case c.Shards < 1:
 		return fmt.Errorf("-shards %d: need at least 1", c.Shards)

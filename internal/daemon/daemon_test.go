@@ -311,6 +311,9 @@ func TestStartRefusesConflictingFlags(t *testing.T) {
 		{"-replica-of without -wal-dir", func(c *Config) { c.ReplicaOf = "127.0.0.1:1" }, "-replica-of requires -wal-dir"},
 		{"-replication-addr without -wal-dir", func(c *Config) { c.ReplicationAddr = "127.0.0.1:0" }, "-replication-addr requires -wal-dir"},
 		{"unknown -sync", func(c *Config) { c.WALDir, c.Sync = t.TempDir(), "sometimes" }, "sometimes"},
+		{"unknown -sync without -wal-dir", func(c *Config) { c.Sync = "sometimes" }, "-sync: wal: unknown sync policy \"sometimes\""},
+		{"unknown -algorithm", func(c *Config) { c.Algorithm = "topdwon-full" }, `-algorithm "topdwon-full": want one of greedy`},
+		{"unknown -algorithm with -shards", func(c *Config) { c.Shards, c.Algorithm = 2, "" }, `-algorithm "": want one of`},
 		{"-addr in use", func(c *Config) { c.Addr = inUse }, "listen: "},
 		{"-http-addr in use", func(c *Config) { c.HTTPAddr = inUse }, "http listen: "},
 		{"-replication-addr in use", func(c *Config) { c.WALDir, c.ReplicationAddr = t.TempDir(), inUse }, "replication listen: "},

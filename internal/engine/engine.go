@@ -34,7 +34,7 @@ import (
 
 // Catalog holds the materialized indexes available for execution. The
 // catalog maintains its indexes sorted by definition key, so the
-// per-statement listing calls (Definitions, ForTable, TotalSizeBytes)
+// per-statement listing calls (Definitions, TotalSizeBytes)
 // iterate a ready-sorted slice instead of re-sorting on every call.
 //
 // The catalog is safe for concurrent use and its read path is
@@ -122,7 +122,7 @@ func (c *Catalog) Drop(def xindex.Definition) bool {
 }
 
 // View pins the current configuration: an immutable snapshot that
-// answers Get/Definitions/ForTable consistently no matter what Add and
+// answers Get/Definitions consistently no matter what Add and
 // Drop do afterwards. Views are cheap (one atomic load) and need no
 // release.
 func (c *Catalog) View() View { return View{s: c.state.Load()} }
@@ -135,11 +135,6 @@ func (c *Catalog) Get(def xindex.Definition) (*xindex.Index, bool) {
 // Definitions lists the catalog's definitions in deterministic order.
 func (c *Catalog) Definitions() []xindex.Definition {
 	return c.View().Definitions()
-}
-
-// ForTable returns the indexes on one table.
-func (c *Catalog) ForTable(table string) []*xindex.Index {
-	return c.View().ForTable(table)
 }
 
 // TotalSizeBytes sums the materialized index sizes.
@@ -171,17 +166,6 @@ func (v View) Definitions() []xindex.Definition {
 	out := make([]xindex.Definition, len(s.sorted))
 	for i, idx := range s.sorted {
 		out[i] = idx.Def
-	}
-	return out
-}
-
-// ForTable returns the view's indexes on one table.
-func (v View) ForTable(table string) []*xindex.Index {
-	var out []*xindex.Index
-	for _, idx := range v.state().sorted {
-		if idx.Def.Table == table {
-			out = append(out, idx)
-		}
 	}
 	return out
 }

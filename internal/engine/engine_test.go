@@ -335,3 +335,19 @@ func TestRunWorkloadWeightsByFrequency(t *testing.T) {
 		t.Errorf("frequency weighting broken: %d vs 3*%d", st3.NodesScanned, st1.NodesScanned)
 	}
 }
+
+// ForTable returns the indexes on one table.
+func (c *Catalog) ForTable(table string) []*xindex.Index {
+	return c.View().ForTable(table)
+}
+
+// ForTable returns the view's indexes on one table.
+func (v View) ForTable(table string) []*xindex.Index {
+	var out []*xindex.Index
+	for _, idx := range v.state().sorted {
+		if idx.Def.Table == table {
+			out = append(out, idx)
+		}
+	}
+	return out
+}

@@ -14,6 +14,15 @@ import (
 	"xixa/internal/xquery"
 )
 
+// The plan nodes a query trace pairs estimated with actual
+// cardinalities for, named after their DB2 EXPLAIN operators.
+const (
+	opTbScan = "TBSCAN"
+	opIxScan = "IXSCAN"
+	opFetch  = "FETCH"
+	opFilter = "FILTER"
+)
+
 // matchDocs is the plan interpreter: it finds the documents satisfying
 // the statement's normalized path as of the transaction's snapshot,
 // through its uncommitted writes, and returns the finished match pass —
@@ -69,7 +78,7 @@ func (tx *Txn) matchDocs(stmt *xquery.Statement, plan *optimizer.Plan, tv *stora
 	if qt != nil {
 		clock = time.Now()
 	}
-	sourceOp, sourced := optimizer.OpTbScan, 0 // the node feeding the filter, and the documents it produced
+	sourceOp, sourced := opTbScan, 0 // the node feeding the filter, and the documents it produced
 	if declined || !plan.UsesIndexes() {
 		sourced = tv.Scan(func(d *xmltree.Document) bool {
 			if d = ov.current(d); d != nil {
@@ -91,7 +100,7 @@ func (tx *Txn) matchDocs(stmt *xquery.Statement, plan *optimizer.Plan, tv *stora
 			st.IndexEntriesRead += entries
 			if qt != nil {
 				cards = append(cards, obs.NodeCard{
-					Op: optimizer.OpIxScan, Site: acc.Site.Key(),
+					Op: opIxScan, Site: acc.Site.Key(),
 					Est: int64(acc.EntriesScanned + 0.5), Actual: entries,
 				})
 			}
@@ -137,7 +146,7 @@ func (tx *Txn) matchDocs(stmt *xquery.Statement, plan *optimizer.Plan, tv *stora
 				pass.visit(doc) // verification re-evaluates the path
 			}
 		}
-		sourceOp, sourced = optimizer.OpFetch, len(ids)
+		sourceOp, sourced = opFetch, len(ids)
 	}
 	if ov != nil {
 		for _, d := range ov.inserted {
@@ -154,7 +163,7 @@ func (tx *Txn) matchDocs(stmt *xquery.Statement, plan *optimizer.Plan, tv *stora
 			// calibration loop a false estimation error.
 			qt.AddNodes(span, obs.NodeCard{Op: sourceOp, Site: site, Est: int64(plan.EstCandidateDocs + 0.5), Actual: int64(sourced)})
 		}
-		qt.AddNodes(span, obs.NodeCard{Op: optimizer.OpFilter, Site: site, Est: int64(plan.EstMatchingDocs + 0.5), Actual: pass.hits})
+		qt.AddNodes(span, obs.NodeCard{Op: opFilter, Site: site, Est: int64(plan.EstMatchingDocs + 0.5), Actual: pass.hits})
 	}
 	return pass, nil
 }

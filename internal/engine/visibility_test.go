@@ -46,8 +46,8 @@ func TestTraceShapeSameAutoCommitAndInTxn(t *testing.T) {
 		name, raw string
 		want      []string // operators, in order
 	}{
-		{"index plan", eq1, []string{optimizer.OpIxScan, optimizer.OpFetch, optimizer.OpFilter}},
-		{"scan plan", `SECURITY('SDOC')/Security[Yield>4.5]`, []string{optimizer.OpTbScan, optimizer.OpFilter}},
+		{"index plan", eq1, []string{opIxScan, opFetch, opFilter}},
+		{"scan plan", `SECURITY('SDOC')/Security[Yield>4.5]`, []string{opTbScan, opFilter}},
 	} {
 		stmt := xquery.MustParse(tc.raw)
 		auto, inTxn := tracer.Begin(tc.raw), tracer.Begin(tc.raw)
@@ -88,8 +88,8 @@ func TestTraceShapeSameAutoCommitAndInTxn(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []obs.NodeCard{
-		{Op: optimizer.OpTbScan, Site: del.NormalizedKey(), Est: int64(plan.EstCandidateDocs + 0.5), Actual: 200},
-		{Op: optimizer.OpFilter, Site: del.NormalizedKey(), Est: int64(plan.EstMatchingDocs + 0.5), Actual: 8},
+		{Op: opTbScan, Site: del.NormalizedKey(), Est: int64(plan.EstCandidateDocs + 0.5), Actual: 200},
+		{Op: opFilter, Site: del.NormalizedKey(), Est: int64(plan.EstMatchingDocs + 0.5), Actual: 8},
 	}
 	inTxn := tracer.Begin(del.Raw)
 	tx := eng.Begin()
@@ -135,8 +135,8 @@ func TestDeclinesIndexesThatCannotAnswerTheSnapshot(t *testing.T) {
 		}
 		return st.IndexProbes
 	}
-	declined := []string{optimizer.OpFilter}
-	probed := []string{optimizer.OpIxScan, optimizer.OpFetch, optimizer.OpFilter}
+	declined := []string{opFilter}
+	probed := []string{opIxScan, opFetch, opFilter}
 
 	old := eng.Begin() // pinned before any index exists
 	defer old.Rollback()

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -173,34 +172,4 @@ func (h *Histogram) Snapshot() *HistogramSnapshot {
 		s.mu.Unlock()
 	}
 	return snap
-}
-
-// Quantile estimates the q-th quantile (0..1) from the bucket counts,
-// interpolating linearly within the winning bucket. Good enough for
-// \stats display; Prometheus consumers compute their own.
-func (s *HistogramSnapshot) Quantile(q float64) float64 {
-	if s == nil || s.Count == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(s.Count)
-	cum := 0.0
-	for i, c := range s.Counts {
-		prev := cum
-		cum += float64(c)
-		if cum < rank || c == 0 {
-			continue
-		}
-		lower := 0.0
-		if i > 0 {
-			lower = s.Bounds[i-1]
-		}
-		if i == len(s.Bounds) {
-			// Overflow bucket has no upper bound; report its lower edge.
-			return lower
-		}
-		upper := s.Bounds[i]
-		frac := (rank - prev) / float64(c)
-		return lower + (upper-lower)*frac
-	}
-	return s.Bounds[len(s.Bounds)-1]
 }

@@ -104,9 +104,6 @@ func NewPrimary(srv *server.Server, cfg PrimaryConfig) (*Primary, error) {
 // Epoch returns the primary's epoch.
 func (p *Primary) Epoch() uint64 { return p.epoch }
 
-// Server returns the underlying server.
-func (p *Primary) Server() *server.Server { return p.srv }
-
 // ListenAndServe binds addr and serves followers until Close,
 // returning the bound address (useful with ":0").
 func (p *Primary) ListenAndServe(addr string) (string, error) {

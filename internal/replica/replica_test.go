@@ -766,3 +766,6 @@ func TestReplicationSoak(t *testing.T) {
 	verifyLogSequence(t, clean.Server().WAL(), tip)
 	verifyLogSequence(t, faulty.Server().WAL(), tip)
 }
+
+// Server returns the underlying server.
+func (p *Primary) Server() *server.Server { return p.srv }

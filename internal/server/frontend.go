@@ -45,8 +45,8 @@ func (s *Server) Doc(table string, id int64) (*xmltree.Document, bool) {
 }
 
 // StatsLines renders the server's part of the human \stats view from
-// one registry snapshot (obs.Values), so this view, the Prometheus
-// endpoint, and TxnStats can never disagree.
+// one registry snapshot (obs.Values), so this view and the Prometheus
+// endpoint can never disagree.
 func (s *Server) StatsLines(v map[string]float64) []string {
 	secs := func(s float64) time.Duration {
 		return time.Duration(s * float64(time.Second)).Round(time.Microsecond)

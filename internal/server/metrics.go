@@ -5,8 +5,7 @@ package server
 // and a replica under test — never share counters) and one obs.Tracer.
 // The serving layer's own counters live here as registry handles, and
 // the layers below (storage, WAL, xindex manager) register theirs in
-// New/Recover, so TxnStats, \stats, and /metrics all read the same
-// numbers.
+// New/Recover, so \stats and /metrics read the same numbers.
 
 import (
 	"xixa/internal/obs"
@@ -36,8 +35,7 @@ type serverMetrics struct {
 	stmtSeconds *obs.Histogram // end-to-end latency of served statements
 	sessions    *obs.Counter   // sessions ever opened
 
-	// Transaction layer (the single source of truth: TxnStats reads
-	// these, not shadow atomics).
+	// Transaction layer.
 	commits   *obs.Counter
 	aborts    *obs.Counter
 	conflicts *obs.Counter

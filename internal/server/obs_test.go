@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -8,19 +9,22 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"xixa/internal/obs"
+	"xixa/internal/storage"
 )
 
 // TestRegistryMatchesSessionTotals hammers one server from 8 sessions
 // with a conflict-heavy mix (every writer updating the same hot
 // document, plus inserts and point queries, then one BEGIN … COMMIT
 // block holding a failing statement) and then requires the
-// registry's counters to equal — exactly, not approximately — both
-// TxnStats and the sums of the per-session counters. The registry
-// handles ARE the server's counters, so any double-count or missed
-// path shows up as an integer mismatch. Run under -race, this is also
+// registry's counters to equal — exactly, not approximately — the sums
+// of the per-session counters, the conflicts the clients saw, and the
+// commit stamps the storage layer handed out. The registry handles ARE
+// the server's counters, so any double-count or missed path shows up
+// as an integer mismatch. Run under -race, this is also
 // the concurrency soak for the lock-striped histograms and counters.
 func TestRegistryMatchesSessionTotals(t *testing.T) {
 	srv := New(fixtureDB(50), Config{MaxConcurrent: 8, QueueDepth: 64})
@@ -38,6 +42,8 @@ func TestRegistryMatchesSessionTotals(t *testing.T) {
 		defer sess.Close()
 		sessions[i] = sess
 	}
+	base := readTxnSeries(srv)
+	var surfaced atomic.Uint64 // conflicts returned to a client after the retries ran out
 	var wg sync.WaitGroup
 	for i, sess := range sessions {
 		wg.Add(1)
@@ -57,7 +63,9 @@ func TestRegistryMatchesSessionTotals(t *testing.T) {
 				}
 				// Retry-exhaustion conflicts may surface; they are part of
 				// what the counters must agree on.
-				sess.Execute(stmt)
+				if _, err := sess.Execute(stmt); errors.Is(err, storage.ErrConflict) {
+					surfaced.Add(1)
+				}
 			}
 			// An explicit transaction's statements take the same
 			// accounting path: two that succeed, one that fails.
@@ -104,21 +112,27 @@ func TestRegistryMatchesSessionTotals(t *testing.T) {
 		t.Errorf("backoff counter %d ns, session sum %d ns", got, want)
 	}
 
-	ts := srv.TxnStats()
-	if got := v("xixa_txn_commits_total"); got != ts.Commits {
-		t.Errorf("commits counter %d, TxnStats %d", got, ts.Commits)
+	// Without a log, a commit fails only on a first-writer-wins
+	// conflict, and every statement of the mix executes: each abort is
+	// a conflict, and each conflict was retried or surfaced.
+	ts := readTxnSeries(srv)
+	if ts.commits != ts.stamps-base.stamps {
+		t.Errorf("commits counter %d, stamps allocated %d", ts.commits, ts.stamps-base.stamps)
 	}
-	if got := v("xixa_txn_aborts_total"); got != ts.Aborts {
-		t.Errorf("aborts counter %d, TxnStats %d", got, ts.Aborts)
+	if ts.watermark != ts.stamps || ts.lag != 0 {
+		t.Errorf("watermark %d of %d stamps, publish lag %d after the hammer", ts.watermark, ts.stamps, ts.lag)
 	}
-	if got := v("xixa_txn_conflicts_total"); got != ts.Conflicts {
-		t.Errorf("conflicts counter %d, TxnStats %d", got, ts.Conflicts)
+	if ts.aborts != ts.conflicts {
+		t.Errorf("aborts counter %d, conflicts counter %d", ts.aborts, ts.conflicts)
+	}
+	if got, want := ts.conflicts, uint64(retries)+surfaced.Load(); got != want {
+		t.Errorf("conflicts counter %d, retries + surfaced conflicts %d", got, want)
 	}
 	if uint64(executed) < nSess*2 || uint64(errs) < nSess {
 		t.Errorf("sessions counted %d executed, %d failed; the explicit transactions alone account for %d and %d",
 			executed, errs, nSess*2, nSess)
 	}
-	if ts.Commits == 0 {
+	if ts.commits == 0 {
 		t.Error("no commits recorded; the hammer did nothing")
 	}
 	if got := v("xixa_sessions_opened_total"); got != nSess {

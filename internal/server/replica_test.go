@@ -337,3 +337,6 @@ func TestCheckpointArchivesHistory(t *testing.T) {
 		t.Fatalf("cursor stopped at LSN %d, want to reach %d", next-1, tip)
 	}
 }
+
+// ReadOnly reports that the server is a not-yet-promoted replica.
+func (s *Server) ReadOnly() bool { return s.readOnly.Load() }

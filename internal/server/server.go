@@ -86,13 +86,6 @@ type Config struct {
 	// MaxSessions caps open sessions (0 = 256).
 	MaxSessions int
 
-	// DecayFactor is the per-tuning-round exponential decay applied to
-	// captured statement weights (0 = 0.7).
-	DecayFactor float64
-	// DecayFloor evaporates captured entries whose decayed weight falls
-	// below it (0 = 0.25).
-	DecayFloor float64
-
 	// Algorithm is the advisor search the tuning loop runs
 	// ("" = core.AlgoTopDownFull).
 	Algorithm string
@@ -154,12 +147,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 256
-	}
-	if c.DecayFactor <= 0 || c.DecayFactor >= 1 {
-		c.DecayFactor = 0.7
-	}
-	if c.DecayFloor <= 0 {
-		c.DecayFloor = 0.25
 	}
 	if c.Algorithm == "" {
 		c.Algorithm = core.AlgoTopDownFull
@@ -232,13 +219,13 @@ type Server struct {
 	// met is the server's observability bundle: the metrics registry,
 	// the serving layer's counter/histogram handles, and the trace ring.
 	// The commit/abort/conflict counters live there (metrics.go): the
-	// registry is the single source of truth and TxnStats reads it.
+	// registry is the single source of truth.
 	met *serverMetrics
 
 	// reorderBuffered/reorderPeak snapshot the recovery applier's
 	// stamp-reorder counters (commits that arrived ahead of a stamp gap
-	// during replay); set once by Recover, read by TxnStats and the
-	// registry's gauges.
+	// during replay); set once by Recover, read by the registry's
+	// gauges.
 	reorderBuffered atomic.Uint64
 	reorderPeak     atomic.Uint64
 
@@ -315,9 +302,6 @@ func (s *Server) writable() error {
 	}
 	return nil
 }
-
-// ReadOnly reports that the server is a not-yet-promoted replica.
-func (s *Server) ReadOnly() bool { return s.readOnly.Load() }
 
 // Fenced reports that the server has been fenced by a newer primary
 // epoch.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -370,12 +371,7 @@ func TestSessionCap(t *testing.T) {
 // evaporates the old query), the index is dropped only after DropAfter
 // consecutive rounds without it.
 func TestTuneHysteresis(t *testing.T) {
-	srv := New(fixtureDB(200), Config{
-		BuildAfter:  2,
-		DropAfter:   2,
-		DecayFactor: 0.5,
-		DecayFloor:  3, // weight 16 survives 2 decays, evaporates on the 3rd
-	})
+	srv := New(fixtureDB(200), Config{BuildAfter: 2, DropAfter: 2})
 	defer srv.Close()
 	sess, err := srv.NewSession()
 	if err != nil {
@@ -420,14 +416,27 @@ func TestTuneHysteresis(t *testing.T) {
 	}
 
 	// Workload shift: only sector queries from here on. The point
-	// query's weight decays out of the capture; the symbol index must
-	// survive DropAfter-1 rounds and fall on the next.
-	droppedAt := 0
-	for round := 3; round <= 8; round++ {
+	// query's weight, 16, shrinks by decayFactor a round until it falls
+	// below decayFloor and evaporates from the capture; from the first
+	// round advised without it, the symbol index must survive
+	// DropAfter-1 rounds and fall on the next.
+	pointCaptured := func() bool {
+		for _, it := range srv.Capture().Workload().Items {
+			if strings.Contains(it.Stmt.NormalizedKey(), "Symbol") {
+				return true
+			}
+		}
+		return false
+	}
+	evaporatedAt, droppedAt := 0, 0
+	for round := 3; round <= 20; round++ {
 		for i := 0; i < 4; i++ {
 			if _, err := sess.Execute(sectorQuery("Tech")); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if evaporatedAt == 0 && !pointCaptured() {
+			evaporatedAt = round
 		}
 		rep, err := srv.TuneOnce()
 		if err != nil {
@@ -442,8 +451,12 @@ func TestTuneHysteresis(t *testing.T) {
 			break
 		}
 	}
-	if droppedAt == 0 {
-		t.Fatal("symbol index never dropped after the workload shifted")
+	if evaporatedAt == 0 {
+		t.Fatal("the point query never evaporated from the capture")
+	}
+	if droppedAt != evaporatedAt+1 {
+		t.Fatalf("symbol index dropped in round %d, want round %d: DropAfter=2 rounds after the point query evaporated before round %d",
+			droppedAt, evaporatedAt+1, evaporatedAt)
 	}
 	if _, ok := symbolDef(); ok {
 		t.Fatal("dropped index still in catalog")

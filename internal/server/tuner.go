@@ -22,13 +22,21 @@ import (
 // server's checkpoints).
 type Tuner struct {
 	sync.Mutex
-	cfg           Config // defaults applied: the advisor and decay knobs
+	cfg           Config // defaults applied: the advisor knobs
 	rounds, skips *obs.Counter
 
 	round      int
 	hyst       optimizer.Hysteresis
 	stop, done chan struct{}
 }
+
+// After every round each captured statement's weight is multiplied by
+// decayFactor, and an entry whose weight falls below decayFloor
+// evaporates: traffic that stopped arriving leaves the workload.
+const (
+	decayFactor = 0.7
+	decayFloor  = 0.25
+)
 
 // NewTuner creates a tuner with cfg's knobs (defaults applied) that
 // counts rounds and skipped rounds on the given counters.
@@ -132,7 +140,7 @@ func (t *Tuner) Round(in TuneInputs) (*TuneReport, error) {
 		return rep, err
 	}
 	for _, c := range in.Captures {
-		c.Decay(t.cfg.DecayFactor, t.cfg.DecayFloor)
+		c.Decay(decayFactor, decayFloor)
 	}
 	rep.Elapsed = time.Since(start)
 	return rep, nil

@@ -69,60 +69,6 @@ func sleepConflictBackoff(attempt int) time.Duration {
 // explicit transaction.
 var ErrTxnFinished = errors.New("server: transaction already finished")
 
-// TxnStats are the server-lifetime transaction counters, including the
-// commit pipeline's stamp-allocator, publish, and replay reorder
-// counters.
-type TxnStats struct {
-	// Commits counts successfully committed mutation transactions.
-	Commits uint64
-	// Aborts counts transactions that finished without committing:
-	// execution errors, commit failures, and explicit rollbacks.
-	Aborts uint64
-	// Conflicts counts first-writer-wins validation failures; each
-	// automatic retry that loses again counts separately.
-	Conflicts uint64
-	// StampsAllocated is the total number of commit stamps handed out
-	// by the storage layer's atomic allocator.
-	StampsAllocated uint64
-	// Watermark is the highest commit stamp with every predecessor
-	// published (the stamp a new snapshot reads at).
-	Watermark uint64
-	// PublishLag is the number of commits currently published above the
-	// watermark (finished while a lower stamp was still applying);
-	// PublishLagPeak is its lifetime maximum.
-	PublishLag     uint64
-	PublishLagPeak uint64
-	// PublishWait is the cumulative time commits spent between stamp
-	// allocation and publish completion (WAL append + apply + watermark
-	// bookkeeping).
-	PublishWait time.Duration
-	// ReorderBuffered counts replayed commits (recovery on this server)
-	// that arrived ahead of a stamp gap and had to wait in the
-	// applier's reorder buffer; ReorderPeak is the largest number
-	// buffered at once.
-	ReorderBuffered uint64
-	ReorderPeak     uint64
-}
-
-// TxnStats returns the server's transaction counters, read from the
-// same registry handles the commit path updates — TxnStats, \stats, and
-// /metrics can never disagree.
-func (s *Server) TxnStats() TxnStats {
-	mv := s.db.MVCCStats()
-	return TxnStats{
-		Commits:         s.met.commits.Value(),
-		Aborts:          s.met.aborts.Value(),
-		Conflicts:       s.met.conflicts.Value(),
-		StampsAllocated: mv.StampsAllocated,
-		Watermark:       mv.Watermark,
-		PublishLag:      mv.PublishLag,
-		PublishLagPeak:  mv.PublishLagPeak,
-		PublishWait:     time.Duration(mv.PublishWaitNs),
-		ReorderBuffered: s.reorderBuffered.Load(),
-		ReorderPeak:     s.reorderPeak.Load(),
-	}
-}
-
 // txnPrepare is the storage prepare hook: called after commit
 // validation with document IDs assigned, before the write set
 // publishes. Encoding happens here, before the commit stamp exists, so

@@ -7,9 +7,29 @@ import (
 	"sync"
 	"testing"
 
+	"xixa/internal/obs"
 	"xixa/internal/storage"
 	"xixa/internal/xmltree"
 )
+
+// txnSeries reads the transaction and commit-pipeline series from the
+// server's registry, the numbers \stats and /metrics render.
+type txnSeries struct {
+	commits, aborts, conflicts uint64
+	stamps, watermark, lag     uint64
+}
+
+func readTxnSeries(srv *Server) txnSeries {
+	v := obs.Values(srv.Metrics().Snapshot())
+	return txnSeries{
+		commits:   uint64(v["xixa_txn_commits_total"]),
+		aborts:    uint64(v["xixa_txn_aborts_total"]),
+		conflicts: uint64(v["xixa_txn_conflicts_total"]),
+		stamps:    uint64(v["xixa_mvcc_stamps_allocated"]),
+		watermark: uint64(v["xixa_mvcc_watermark"]),
+		lag:       uint64(v["xixa_mvcc_publish_lag"]),
+	}
+}
 
 func bootstrapTwoTables(n int) func() (*storage.Database, error) {
 	return func() (*storage.Database, error) {
@@ -88,7 +108,7 @@ func TestTxnConflictCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	base := srv.TxnStats()
+	base := readTxnSeries(srv)
 
 	t1, err := sess.Begin()
 	if err != nil {
@@ -111,15 +131,20 @@ func TestTxnConflictCounters(t *testing.T) {
 		t.Fatalf("second committer err = %v, want storage.ErrConflict", err)
 	}
 
-	st := srv.TxnStats()
-	if st.Commits != base.Commits+1 {
-		t.Errorf("Commits = %d, want %d", st.Commits, base.Commits+1)
+	st := readTxnSeries(srv)
+	if st.commits != base.commits+1 {
+		t.Errorf("commits = %d, want %d", st.commits, base.commits+1)
 	}
-	if st.Conflicts != base.Conflicts+1 {
-		t.Errorf("Conflicts = %d, want %d", st.Conflicts, base.Conflicts+1)
+	if st.conflicts != base.conflicts+1 {
+		t.Errorf("conflicts = %d, want %d", st.conflicts, base.conflicts+1)
 	}
-	if st.Aborts != base.Aborts+1 {
-		t.Errorf("Aborts = %d, want %d", st.Aborts, base.Aborts+1)
+	if st.aborts != base.aborts+1 {
+		t.Errorf("aborts = %d, want %d", st.aborts, base.aborts+1)
+	}
+	// The loser burned no stamp: validation fails before allocation.
+	if st.stamps != base.stamps+1 || st.watermark != st.stamps || st.lag != 0 {
+		t.Errorf("stamps %d (want %d), watermark %d, publish lag %d after one commit",
+			st.stamps, base.stamps+1, st.watermark, st.lag)
 	}
 
 	// The auto-commit path retries conflicts away: concurrent
@@ -156,7 +181,7 @@ func TestTxnWriterScalingDisjointTables(t *testing.T) {
 	srv := New(db, Config{MaxConcurrent: writers, QueueDepth: 4 * writers})
 	defer srv.Close()
 
-	base := srv.TxnStats()
+	base := readTxnSeries(srv)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -191,12 +216,18 @@ func TestTxnWriterScalingDisjointTables(t *testing.T) {
 			t.Errorf("table T%02d holds %d docs, want %d", w, tbl.DocCount(), perWriter)
 		}
 	}
-	st := srv.TxnStats()
-	if got := st.Commits - base.Commits; got != writers*perWriter {
-		t.Errorf("Commits = %d, want %d", got, writers*perWriter)
+	st := readTxnSeries(srv)
+	if got := st.commits - base.commits; got != writers*perWriter {
+		t.Errorf("commits = %d, want %d", got, writers*perWriter)
 	}
-	if st.Conflicts != base.Conflicts {
-		t.Errorf("disjoint-table writers conflicted %d times", st.Conflicts-base.Conflicts)
+	if st.conflicts != base.conflicts {
+		t.Errorf("disjoint-table writers conflicted %d times", st.conflicts-base.conflicts)
+	}
+	// Every commit published: the watermark caught up with the stamps
+	// handed out and nothing is left above it.
+	if got := st.stamps - base.stamps; got != writers*perWriter || st.watermark != st.stamps || st.lag != 0 {
+		t.Errorf("%d stamps allocated (want %d), watermark %d of %d, publish lag %d",
+			got, writers*perWriter, st.watermark, st.stamps, st.lag)
 	}
 }
 

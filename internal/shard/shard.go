@@ -49,19 +49,6 @@ import (
 	"xixa/internal/xquery"
 )
 
-// Policy selects where the tuner materializes a recommended index.
-type Policy int
-
-const (
-	// PolicyGlobal builds every recommended index on every shard —
-	// uniform plans everywhere, at N times the maintenance cost.
-	PolicyGlobal Policy = iota
-	// PolicyPerShard skips shards whose local statistics show no
-	// entries for the index pattern: a shard holding none of the
-	// matching paths pays neither the build nor the maintenance.
-	PolicyPerShard
-)
-
 // Config tunes the cluster. The zero value selects one shard with
 // server defaults (a degenerate but valid cluster).
 type Config struct {
@@ -82,12 +69,10 @@ type Config struct {
 	// (0 = 4x GOMAXPROCS). Past the cap the router fails fast with
 	// server.ErrOverloaded, mirroring per-shard admission.
 	MaxFanout int
-	// Policy selects global vs per-shard index placement (tuner.go).
-	Policy Policy
 	// TuneInterval is the cluster's autonomous tuning period for
 	// StartAutoTune (0 = disabled; TuneOnce still works). The advisor
-	// knobs — Algorithm, Budget, BuildAfter, DropAfter, Parallelism,
-	// DecayFactor, DecayFloor — come from the Server template.
+	// knobs — Algorithm, Budget, BuildAfter, DropAfter, Parallelism —
+	// come from the Server template.
 	TuneInterval time.Duration
 }
 

@@ -88,18 +88,17 @@ func (c *Cluster) MergedWorkload() *workload.Workload {
 
 // mergedTableStats merges every shard's synopsis for a table into one
 // full-data synopsis over a fresh dictionary — the statistics plane
-// the global advisor costs configurations from — and returns the
-// per-shard snapshots alongside. Each shard's snapshot
+// the global advisor costs configurations from. Each shard's snapshot
 // is cloned under its keeper's lock (server.TableStatsSnapshot), so
 // the merge is consistent while traffic continues. The merged Version
 // is the sum of shard versions: monotone as any shard's data evolves.
-func (c *Cluster) mergedTableStats(table string) (*xstats.TableStats, []*xstats.TableStats, error) {
+func (c *Cluster) mergedTableStats(table string) (*xstats.TableStats, error) {
 	perShard := make([]*xstats.TableStats, c.n)
 	var version int64
 	for i, srv := range c.shards {
 		ts, err := srv.TableStatsSnapshot(table)
 		if err != nil {
-			return nil, nil, fmt.Errorf("shard %d: %w", i, err)
+			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		perShard[i] = ts
 		version += ts.Version
@@ -108,10 +107,10 @@ func (c *Cluster) mergedTableStats(table string) (*xstats.TableStats, []*xstats.
 	var err error
 	for _, ts := range perShard {
 		if merged, err = merged.Merge(ts, version); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return merged, perShard, nil
+	return merged, nil
 }
 
 // TuneOnce runs one shard-aware tuning round (server.Tuner.Round). The
@@ -119,11 +118,8 @@ func (c *Cluster) mergedTableStats(table string) (*xstats.TableStats, []*xstats.
 // the merged per-shard planes, so the recommendation is the global
 // one. Hysteresis operates on the cluster-level target — the set of
 // definitions recommended persistently enough to deserve
-// materialization — rather than on a catalog, since per-shard catalogs
-// legitimately differ under PolicyPerShard; matured changes enter or
-// leave the target and every shard is reconciled toward it, so a shard
-// whose data drifts into or out of an index's pattern converges on
-// later rounds without new recommendations.
+// materialization — rather than on a catalog; matured changes enter or
+// leave the target and every shard is reconciled toward it.
 func (c *Cluster) TuneOnce() (*TuneReport, error) {
 	c.tuner.Lock()
 	defer c.tuner.Unlock()
@@ -131,9 +127,6 @@ func (c *Cluster) TuneOnce() (*TuneReport, error) {
 }
 
 func (c *Cluster) tuneLocked() (*TuneReport, error) {
-	// local keeps each table's per-shard synopses from the costing step
-	// for the placement policy's locality check.
-	local := make(map[string][]*xstats.TableStats)
 	out := &TuneReport{}
 	in := server.TuneInputs{
 		Workload: c.MergedWorkload(),
@@ -141,11 +134,11 @@ func (c *Cluster) tuneLocked() (*TuneReport, error) {
 		Costing: func() (*storage.Database, *optimizer.Optimizer, error) {
 			stats := make(map[string]*xstats.TableStats)
 			for _, name := range c.TableNames() {
-				merged, perShard, err := c.mergedTableStats(name)
+				merged, err := c.mergedTableStats(name)
 				if err != nil {
 					return nil, nil, err
 				}
-				stats[name], local[name] = merged, perShard
+				stats[name] = merged
 			}
 			// The database handle anchors table resolution only; costing
 			// never reads documents.
@@ -159,7 +152,7 @@ func (c *Cluster) tuneLocked() (*TuneReport, error) {
 				delete(c.target, def.Key())
 			}
 			for i := range c.shards {
-				st, err := c.reconcileShard(i, local)
+				st, err := c.reconcileShard(i)
 				out.PerShard = append(out.PerShard, st)
 				built, dropped = append(built, st.Built...), append(dropped, st.Dropped...)
 				if err != nil {
@@ -178,22 +171,11 @@ func (c *Cluster) tuneLocked() (*TuneReport, error) {
 	return out, err
 }
 
-// reconcileShard moves shard i's index set toward the cluster target.
-// PolicyPerShard skips building where the shard's own synopsis shows
-// no entries for the pattern — that shard would pay maintenance for an
-// index nothing probes — and re-evaluates each round, so data drifting
-// onto a shard brings the index with it (and a shard whose matching
-// data vanished drops it).
-func (c *Cluster) reconcileShard(i int, local map[string][]*xstats.TableStats) (ShardTune, error) {
+// reconcileShard moves shard i's index set to the cluster target.
+func (c *Cluster) reconcileShard(i int) (ShardTune, error) {
 	srv := c.shards[i]
-	var build, drop []xindex.Definition
-	for _, def := range c.targetList() {
-		if c.cfg.Policy == PolicyPerShard && !shardHasEntries(local[def.Table], i, def) {
-			drop = append(drop, def)
-			continue
-		}
-		build = append(build, def)
-	}
+	build := c.targetList()
+	var drop []xindex.Definition
 	// Definitions a shard materialized that left the target are dropped
 	// by reconciling against the shard's own catalog.
 	for _, def := range srv.Catalog().Definitions() {
@@ -216,15 +198,6 @@ func (c *Cluster) targetList() []xindex.Definition {
 	}
 	xindex.SortDefinitions(out)
 	return out
-}
-
-// shardHasEntries reports whether shard i's local synopsis has any
-// entries matching the definition's pattern and type.
-func shardHasEntries(perShard []*xstats.TableStats, i int, def xindex.Definition) bool {
-	if perShard == nil || perShard[i] == nil {
-		return false
-	}
-	return perShard[i].ForPattern(def.Pattern, def.Type).Entries > 0
 }
 
 // StartAutoTune launches the cluster's autonomous tuning loop at the

@@ -11,9 +11,9 @@ import (
 )
 
 // TestOneShardClusterTunesLikeServer checks the "same code" claim of
-// the shared tuning round: a 1-shard PolicyGlobal cluster and a plain
-// server fed the same statements recommend, hold pending and build the
-// same definitions round for round, through a workload shift that
+// the shared tuning round: a 1-shard cluster and a plain server fed
+// the same statements recommend, hold pending and build the same
+// definitions round for round, through a workload shift that
 // exercises both hysteresis directions (default BuildAfter 2,
 // DropAfter 3).
 func TestOneShardClusterTunesLikeServer(t *testing.T) {

@@ -26,9 +26,9 @@ func loadAndQuery(t *testing.T, c *Cluster, docs, queries int) *Session {
 	return sess
 }
 
-// TestClusterTuneBuildsEverywhere: under PolicyGlobal a tuning round
-// advised from the merged stats materializes the recommended indexes
-// on every shard, and post-tune pinned queries probe them.
+// TestClusterTuneBuildsEverywhere: a tuning round advised from the
+// merged stats materializes the recommended indexes on every shard,
+// and post-tune pinned queries probe them.
 func TestClusterTuneBuildsEverywhere(t *testing.T) {
 	c := newTestCluster(t, 3)
 	sess := loadAndQuery(t, c, 60, 40)
@@ -49,7 +49,7 @@ func TestClusterTuneBuildsEverywhere(t *testing.T) {
 	}
 	for _, st := range rep.PerShard {
 		if len(st.Built) == 0 {
-			t.Fatalf("shard %d built nothing under PolicyGlobal", st.Shard)
+			t.Fatalf("shard %d built nothing", st.Shard)
 		}
 	}
 	for i := 0; i < c.Shards(); i++ {
@@ -65,85 +65,6 @@ func TestClusterTuneBuildsEverywhere(t *testing.T) {
 	}
 	if len(res.Refs) != 1 {
 		t.Fatalf("post-tune refs = %d, want 1", len(res.Refs))
-	}
-}
-
-// symbolForShard finds a key value owning shard `shard` in an n-shard
-// cluster — the deterministic hash makes placement plannable in tests.
-func symbolForShard(n, shard, i int) string {
-	for j := 0; ; j++ {
-		s := fmt.Sprintf("K%d-%d-%d", shard, i, j)
-		if int(hashString(s)%uint64(n)) == shard {
-			return s
-		}
-	}
-}
-
-// TestPolicyPerShardSkipsEmptyShards: documents carrying the queried
-// path live only on shard 0; under PolicyPerShard the recommended
-// index materializes there and is skipped on the shard whose synopsis
-// shows no matching entries.
-func TestPolicyPerShardSkipsEmptyShards(t *testing.T) {
-	cfg := testConfig(2)
-	cfg.Policy = PolicyPerShard
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.CreateTable("SECURITY"); err != nil {
-		t.Fatal(err)
-	}
-	sess, err := c.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-
-	// Shard 0's documents carry <PE>; shard 1's never do.
-	for i := 0; i < 40; i++ {
-		sym := symbolForShard(2, 0, i)
-		mustExec(t, sess, fmt.Sprintf(
-			`insert into SECURITY value <Security><Symbol>%s</Symbol><PE>PE%02d</PE></Security>`, sym, i%13))
-	}
-	for i := 0; i < 40; i++ {
-		sym := symbolForShard(2, 1, i)
-		mustExec(t, sess, fmt.Sprintf(
-			`insert into SECURITY value <Security><Symbol>%s</Symbol><Yield>%d</Yield></Security>`, sym, i%9))
-	}
-	// A PE-heavy workload: scatters (PE is not the key), so the merged
-	// workload sees it; only shard 0 has matching entries.
-	for i := 0; i < 50; i++ {
-		mustExec(t, sess, fmt.Sprintf(
-			`for $s in SECURITY('SDOC')/Security where $s/PE = "PE%02d" return $s`, i%13))
-	}
-
-	rep, err := c.TuneOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var peTargeted bool
-	for _, def := range rep.Target {
-		if def.Pattern.String() == "/Security/PE" {
-			peTargeted = true
-		}
-	}
-	if !peTargeted {
-		t.Skipf("advisor did not target /Security/PE this round (recommended %v); placement not exercised", rep.Recommended)
-	}
-	hasPE := func(shard int) bool {
-		for _, def := range c.Shard(shard).Catalog().Definitions() {
-			if def.Pattern.String() == "/Security/PE" {
-				return true
-			}
-		}
-		return false
-	}
-	if !hasPE(0) {
-		t.Fatal("shard 0 (holding PE entries) did not build the PE index")
-	}
-	if hasPE(1) {
-		t.Fatal("shard 1 (no PE entries) built the PE index under PolicyPerShard")
 	}
 }
 

@@ -5,9 +5,9 @@ import (
 )
 
 // InstrumentWith registers the commit pipeline's metrics on reg. The
-// counters and watermarks export as pull-style gauges reading the same
-// mvccState the MVCCStats accessor reads — one source of truth — and
-// commit publish latency (stamp allocation to watermark publish)
+// counters and watermarks export as pull-style gauges reading the
+// mvccState the commit path updates — one source of truth — and commit
+// publish latency (stamp allocation to watermark publish)
 // additionally lands in a histogram observed in CommitTx. Safe to call
 // at any point; an uninstrumented database pays one nil-check per
 // commit.

@@ -220,42 +220,6 @@ func (mv *mvccState) horizon() uint64 {
 // at.
 func (db *Database) Watermark() uint64 { return db.mv.watermark.Load() }
 
-// MVCCStats is a snapshot of the commit pipeline's counters.
-type MVCCStats struct {
-	// StampsAllocated is the total number of commit stamps handed out
-	// by the atomic allocator (including stamps burned by failed
-	// appends).
-	StampsAllocated uint64
-	// Watermark is the highest stamp with all predecessors published.
-	Watermark uint64
-	// PublishLag is the number of stamps currently published above the
-	// watermark (commits that finished while a lower stamp was still
-	// applying).
-	PublishLag uint64
-	// PublishLagPeak is the maximum PublishLag ever observed.
-	PublishLagPeak uint64
-	// PublishWaitNs is the total nanoseconds commits spent between
-	// stamp allocation and publish completion (append + apply +
-	// watermark bookkeeping).
-	PublishWaitNs int64
-}
-
-// MVCCStats reports the commit pipeline's counters.
-func (db *Database) MVCCStats() MVCCStats {
-	mv := db.mv
-	mv.pubMu.Lock()
-	lag := uint64(len(mv.published))
-	peak := mv.lagPeak
-	mv.pubMu.Unlock()
-	return MVCCStats{
-		StampsAllocated: mv.next.Load(),
-		Watermark:       mv.watermark.Load(),
-		PublishLag:      lag,
-		PublishLagPeak:  peak,
-		PublishWaitNs:   mv.publishNs.Load(),
-	}
-}
-
 // Snapshot is a pinned, immutable view of the whole database at one
 // commit stamp. It must be Released when done or garbage collection
 // stalls at its stamp.

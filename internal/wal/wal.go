@@ -1020,9 +1020,6 @@ func (l *Log) SizeBytes() int64 {
 	return l.sealed + l.size
 }
 
-// Path returns the log's file path.
-func (l *Log) Path() string { return l.path }
-
 // ArchiveDir returns the configured archive directory ("" when
 // archiving is off).
 func (l *Log) ArchiveDir() string { return l.opts.ArchiveDir }

@@ -206,15 +206,6 @@ func (c *Capture) Decay(factor, floor float64) {
 	c.decayFactor = factor
 }
 
-// DecayEpoch reports how many Decay rounds have been applied. Merge
-// uses the epoch difference between two captures to bring their
-// weights into the same units before summing.
-func (c *Capture) DecayEpoch() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.decays
-}
-
 // CaptureState is one entry of a capture's persistent form: the raw
 // statement text (re-parsed on Import) and its decayed weight. The
 // normalized key is not stored — it is a function of the parsed

@@ -89,3 +89,12 @@ func TestCaptureMergeAlignsReceiverBehind(t *testing.T) {
 		t.Fatalf("same-epoch merge weight = %v, want 7", w)
 	}
 }
+
+// DecayEpoch reports how many Decay rounds have been applied. Merge
+// uses the epoch difference between two captures to bring their
+// weights into the same units before summing.
+func (c *Capture) DecayEpoch() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.decays
+}

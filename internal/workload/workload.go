@@ -63,27 +63,6 @@ func (w *Workload) Prefix(n int) *Workload {
 	return out
 }
 
-// Queries returns only the read-only statements.
-func (w *Workload) Queries() *Workload {
-	out := &Workload{}
-	for _, it := range w.Items {
-		if it.Stmt.Kind == xquery.Query {
-			out.Items = append(out.Items, it)
-		}
-	}
-	return out
-}
-
-// HasUpdates reports whether any statement modifies data.
-func (w *Workload) HasUpdates() bool {
-	for _, it := range w.Items {
-		if it.Stmt.Kind != xquery.Query {
-			return true
-		}
-	}
-	return false
-}
-
 // ParseFile reads a workload file: one statement per line, optionally
 // prefixed with "<freq>|". Blank lines and lines starting with '#' are
 // skipped. Example:

@@ -104,3 +104,24 @@ func TestParseStatements(t *testing.T) {
 		t.Error("bad statement accepted")
 	}
 }
+
+// Queries returns only the read-only statements.
+func (w *Workload) Queries() *Workload {
+	out := &Workload{}
+	for _, it := range w.Items {
+		if it.Stmt.Kind == xquery.Query {
+			out.Items = append(out.Items, it)
+		}
+	}
+	return out
+}
+
+// HasUpdates reports whether any statement modifies data.
+func (w *Workload) HasUpdates() bool {
+	for _, it := range w.Items {
+		if it.Stmt.Kind != xquery.Query {
+			return true
+		}
+	}
+	return false
+}

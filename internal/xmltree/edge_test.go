@@ -99,3 +99,14 @@ func TestDeeplyNestedDocument(t *testing.T) {
 		t.Errorf("deep round trip: %v", err)
 	}
 }
+
+// ElementChildren returns the element-kind children of the node.
+func (d *Document) ElementChildren(id NodeID) []NodeID {
+	var out []NodeID
+	for c := id + 1; c <= d.Nodes[id].EndID; c = d.Nodes[c].EndID + 1 {
+		if d.Nodes[c].Kind == Element {
+			out = append(out, c)
+		}
+	}
+	return out
+}

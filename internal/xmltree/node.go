@@ -66,12 +66,6 @@ type Node struct {
 	EndID NodeID
 }
 
-// IsDescendantOf reports whether n lies strictly below a in the tree,
-// using the (ID, EndID] interval encoding.
-func (n *Node) IsDescendantOf(a *Node) bool {
-	return a.ID < n.ID && n.ID <= a.EndID
-}
-
 // Document is a parsed XML document: a flat, document-ordered slice of
 // nodes. The zero value is an empty document.
 type Document struct {
@@ -221,17 +215,6 @@ func (d *Document) LabelPath(id NodeID) string {
 		}
 	}
 	return string(buf)
-}
-
-// ElementChildren returns the element-kind children of the node.
-func (d *Document) ElementChildren(id NodeID) []NodeID {
-	var out []NodeID
-	for c := id + 1; c <= d.Nodes[id].EndID; c = d.Nodes[c].EndID + 1 {
-		if d.Nodes[c].Kind == Element {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // StorageBytes estimates the stored size of the document in bytes,

@@ -83,13 +83,6 @@ func (d *PathDict) Intern(parent PathID, label string) PathID {
 	return id
 }
 
-// Entry returns the (parent, label) edge of a path.
-func (d *PathDict) Entry(id PathID) PathEntry {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.entries[id]
-}
-
 // Snapshot returns the current entries indexed by PathID. Entries are
 // append-only, so the returned slice stays valid as the dictionary
 // grows; parents always precede children, enabling single-pass

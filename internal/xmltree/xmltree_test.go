@@ -334,3 +334,9 @@ func TestStorageBytesMonotone(t *testing.T) {
 		t.Error("StorageBytes must be positive for nonempty docs")
 	}
 }
+
+// IsDescendantOf reports whether n lies strictly below a in the tree,
+// using the (ID, EndID] interval encoding.
+func (n *Node) IsDescendantOf(a *Node) bool {
+	return a.ID < n.ID && n.ID <= a.EndID
+}

@@ -59,26 +59,6 @@ var opNames = map[CmpOp]string{
 // String returns the operator spelling; empty for OpNone.
 func (o CmpOp) String() string { return opNames[o] }
 
-// Negate returns the complementary operator (e.g. < becomes >=).
-func (o CmpOp) Negate() CmpOp {
-	switch o {
-	case OpEq:
-		return OpNe
-	case OpNe:
-		return OpEq
-	case OpLt:
-		return OpGe
-	case OpLe:
-		return OpGt
-	case OpGt:
-		return OpLe
-	case OpGe:
-		return OpLt
-	default:
-		return OpNone
-	}
-}
-
 // ValueKind is the type of a predicate literal and, by extension, the
 // data type of an index (paper Table I: string vs numerical).
 type ValueKind uint8
@@ -284,14 +264,6 @@ func Concat(prefix Path, suffix Path) Path {
 
 // Equal reports structural equality of two paths, including predicates.
 func (p Path) Equal(q Path) bool { return p.String() == q.String() && p.Relative == q.Relative }
-
-// LastStep returns the final step of the path. It panics on empty paths.
-func (p Path) LastStep() Step {
-	if len(p.Steps) == 0 {
-		panic("xpath: LastStep of empty path")
-	}
-	return p.Steps[len(p.Steps)-1]
-}
 
 // Fprintf-style helper for error messages.
 func pathErrorf(format string, args ...interface{}) error {

@@ -122,3 +122,11 @@ func TestIsWildcardAndIsAttribute(t *testing.T) {
 		}
 	}
 }
+
+// LastStep returns the final step of the path. It panics on empty paths.
+func (p Path) LastStep() Step {
+	if len(p.Steps) == 0 {
+		panic("xpath: LastStep of empty path")
+	}
+	return p.Steps[len(p.Steps)-1]
+}

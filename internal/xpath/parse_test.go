@@ -187,3 +187,23 @@ func TestConcat(t *testing.T) {
 	}()
 	Concat(pre, MustParse("/abs"))
 }
+
+// Negate returns the complementary operator (e.g. < becomes >=).
+func (o CmpOp) Negate() CmpOp {
+	switch o {
+	case OpEq:
+		return OpNe
+	case OpNe:
+		return OpEq
+	case OpLt:
+		return OpGe
+	case OpLe:
+		return OpGt
+	case OpGt:
+		return OpLe
+	case OpGe:
+		return OpLt
+	default:
+		return OpNone
+	}
+}

@@ -129,14 +129,6 @@ func NewDelta(dict *xmltree.PathDict) *Delta {
 	return &Delta{dict: dict}
 }
 
-// Docs returns the delta's net document count.
-func (d *Delta) Docs() int64 { return d.docs }
-
-// Empty reports whether the delta carries no changes.
-func (d *Delta) Empty() bool {
-	return d.docs == 0 && d.nodes == 0 && len(d.touched) == 0
-}
-
 // recycleMaxValues bounds the accumulators Reset keeps: clearing a map
 // costs its capacity, not its length, so one that a bulk load grew is
 // dropped rather than cleared on every later statement.
@@ -168,19 +160,6 @@ func (d *Delta) CollectDoc(doc *xmltree.Document) { d.addDoc(doc, 1) }
 // document must be in the state it was collected in (call before
 // mutating or after fetching the pre-image).
 func (d *Delta) RemoveDoc(doc *xmltree.Document) { d.addDoc(doc, -1) }
-
-// Merge folds another delta over the same dictionary into this one.
-func (d *Delta) Merge(other *Delta) error {
-	if other.dict != d.dict {
-		return fmt.Errorf("xstats: cannot merge deltas over different dictionaries")
-	}
-	d.docs += other.docs
-	d.nodes += other.nodes
-	for _, pid := range other.touched {
-		other.accs[pid].foldInto(d.ensure(pid))
-	}
-	return nil
-}
 
 // Clone returns a deep copy of the delta: same dictionary, independent
 // accumulators. Folding into either copy leaves the other untouched,

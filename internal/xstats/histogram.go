@@ -14,15 +14,6 @@ type Histogram struct {
 // histogramBuckets is the bucket count collected per path.
 const histogramBuckets = 16
 
-// newHistogram builds an equi-width histogram from samples.
-func newHistogram(min, max float64, samples []float64) *Histogram {
-	h := &Histogram{Min: min, Max: max, Buckets: make([]int64, histogramBuckets)}
-	for _, v := range samples {
-		h.add(v)
-	}
-	return h
-}
-
 func (h *Histogram) bucketOf(v float64) int { return bucketIndex(h.Min, h.Max, v) }
 
 // bucketIndex is the equi-width bucket of v over [min, max]: a pure
@@ -40,11 +31,6 @@ func bucketIndex(min, max, v float64) int {
 		i = histogramBuckets - 1
 	}
 	return i
-}
-
-func (h *Histogram) add(v float64) {
-	h.Buckets[h.bucketOf(v)]++
-	h.Total++
 }
 
 // FractionBelow estimates P(value < bound) (or <= when incl), with

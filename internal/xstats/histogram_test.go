@@ -156,3 +156,17 @@ func TestSelectivityUsesHistogramForSkew(t *testing.T) {
 		t.Errorf("complementary selectivity = %v, want ~0.95", selLow)
 	}
 }
+
+// newHistogram builds an equi-width histogram from samples.
+func newHistogram(min, max float64, samples []float64) *Histogram {
+	h := &Histogram{Min: min, Max: max, Buckets: make([]int64, histogramBuckets)}
+	for _, v := range samples {
+		h.add(v)
+	}
+	return h
+}
+
+func (h *Histogram) add(v float64) {
+	h.Buckets[h.bucketOf(v)]++
+	h.Total++
+}

@@ -124,10 +124,6 @@ func (k *Keeper) CloneStats() *TableStats {
 	return FromDelta(snap.Table, snap.Version, snap.acc.Clone())
 }
 
-// Version returns the table version the keeper has observed (which the
-// next Stats call will cover).
-func (k *Keeper) Version() int64 { return k.version.Load() }
-
 // FoldCounts returns how many deltas the keeper has folded into its
 // snapshot and how many paths those folds re-derived from their full
 // value multisets instead of updating in place: a path whose numeric

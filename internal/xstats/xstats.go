@@ -91,10 +91,6 @@ type TableStats struct {
 	seq      uint64
 }
 
-// PathDict returns the dictionary the statistics were collected
-// against, or nil when collected without one.
-func (ts *TableStats) PathDict() *xmltree.PathDict { return ts.dict }
-
 // ByPathID returns the statistics of one interned path, or nil.
 func (ts *TableStats) ByPathID(id xmltree.PathID) *PathStat {
 	if id < 0 || int(id) >= len(ts.byID) {
