@@ -89,10 +89,16 @@ func (e *Evaluator) BaselineCost() float64 {
 // ConfigBenefit returns the benefit of a configuration over the empty
 // configuration, per the §III formula (query gains minus maintenance).
 func (e *Evaluator) ConfigBenefit(cfg []*Candidate) float64 {
-	if len(cfg) == 0 {
+	return e.extendedBenefit(&keptSplit{}, cfg)
+}
+
+// extendedBenefit is ConfigBenefit(k.cfg ++ extra), bit for bit, cache
+// hits included, evaluating only the groups the extras touch.
+func (e *Evaluator) extendedBenefit(k *keptSplit, extra []*Candidate) float64 {
+	if len(k.cfg)+len(extra) == 0 {
 		return 0
 	}
-	return e.queryBenefit(cfg) - e.maintenanceCost(cfg)
+	return e.queryBenefit(k, extra) - e.maintenanceCost(k.cfg, extra)
 }
 
 // WorkloadCost is the frequency-weighted workload cost under cfg,
@@ -112,54 +118,130 @@ func (e *Evaluator) StandaloneBenefit(c *Candidate) float64 {
 	return c.standalone
 }
 
-// queryBenefit computes Σ freq·(s_old − s_new) using the affected-set
-// and sub-configuration machinery. The cache is probed once per group,
-// with the group's key built in a stack buffer; when every group hits,
-// the sum is all there is to do. Otherwise the optimizer calls of every
-// uncached group are flattened into one task list and fanned out
-// together — a single parallelFor at maximal width instead of nested
-// group/statement pools. Gains are reduced per group in statement order
-// and groups are summed in group order, so the float result is
-// identical at every Parallelism level.
-func (e *Evaluator) queryBenefit(cfg []*Candidate) float64 {
+// keptSplit is a configuration with its §VI-C split kept for
+// extension. The greedy heuristic (§VI-A) scores every trial
+// cfg ++ extra against one cfg, so keep splits cfg once per greedy
+// step and each trial splits only what its extras touch. A
+// configuration evaluated from scratch is the extension of the empty
+// split. groupOf covers all of cfg when the evaluator reuses splits
+// and none of it under the ablation options (DisableSubConfigCache,
+// DisableAffectedSets), where every trial is split and evaluated
+// whole.
+type keptSplit struct {
+	cfg     []*Candidate
+	groupOf []int       // groupOf[p] is the group of cfg[p]
+	groups  []keptGroup // in ascending order of root
+}
+
+// keptGroup is one group of a kept split.
+type keptGroup struct {
+	root     int     // position in cfg of the group's union-find root
+	affected BitSet  // the union of the members' affected sets
+	benefit  float64 // the group's query benefit, as cached
+}
+
+// queryBenefit computes Σ freq·(s_old − s_new) of k.cfg ++ extra using
+// the affected-set and sub-configuration machinery. Kept groups no
+// extra touches bring their benefit along and count as cache hits, as
+// the probe of their key would have; the other groups come from
+// componentBenefits. Groups are summed in root order, so the float
+// result is the whole trial's split's at every Parallelism level.
+func (e *Evaluator) queryBenefit(k *keptSplit, extra []*Candidate) float64 {
 	if e.a.Opts.DisableAffectedSets {
-		return e.evaluateGroupAllStatements(cfg)
+		return e.evaluateGroupAllStatements(k.cfg, extra)
 	}
-	s := e.spare.Swap(nil)
-	if s == nil {
-		s = new(subConfigs)
+	s := e.scratch()
+	defer e.release(s)
+	s.split(k, extra)
+	hits := e.componentBenefits(s)
+	total := 0.0
+	for _, g := range s.order {
+		if g >= 0 {
+			hits++
+			total += k.groups[g].benefit
+		} else {
+			total += s.benefits[^g]
+		}
 	}
-	defer func() {
-		clear(s.members) // keep no candidates alive
-		e.spare.Store(s)
-	}()
-	s.split(cfg)
+	if hits > 0 {
+		e.CacheHits.Add(hits)
+	}
+	return total
+}
+
+// keep appends c to k's configuration and splits it again: once per
+// greedy step, against thousands of trials. Groups missing from the
+// cache are evaluated, but the search has just evaluated k.cfg ++ c,
+// so there every group is a hit; keep counts none of them, that
+// evaluation did. A reused group stands for a cache hit, so with the
+// cache or the affected sets off no split is kept.
+func (e *Evaluator) keep(k *keptSplit, c *Candidate) {
+	k.cfg = append(k.cfg, c)
+	if e.a.Opts.DisableSubConfigCache || e.a.Opts.DisableAffectedSets {
+		return
+	}
+	s := e.scratch()
+	defer e.release(s)
+	s.split(&keptSplit{}, k.cfg)
+	e.componentBenefits(s)
+	k.groups = make([]keptGroup, s.len())
+	for g := range k.groups {
+		kg := &k.groups[g]
+		kg.root, kg.benefit = s.roots[g], s.benefits[g]
+		for _, m := range s.group(g) {
+			kg.affected.Or(m.Affected)
+		}
+	}
+	k.groupOf = make([]int, len(k.cfg))
+	for p := range k.groupOf { // the split's members are k.cfg, in order
+		k.groupOf[p] = s.slot[find(s.parent, p)]
+	}
+}
+
+// scratch takes the evaluator's spare split scratch, or makes one when
+// a concurrent evaluation holds it.
+func (e *Evaluator) scratch() *subConfigs {
+	if s := e.spare.Swap(nil); s != nil {
+		return s
+	}
+	return new(subConfigs)
+}
+
+func (e *Evaluator) release(s *subConfigs) {
+	clear(s.news) // keep no candidates alive
+	clear(s.members)
+	e.spare.Store(s)
+}
+
+// componentBenefits fills s.benefits with each component's query
+// benefit, from the cache or from the optimizer, and returns the number
+// of cache hits. The optimizer calls of every missed component are one
+// task list fanned out by a single parallelFor at maximal width instead
+// of nested component/statement pools.
+func (e *Evaluator) componentBenefits(s *subConfigs) int64 {
 	useCache := !e.a.Opts.DisableSubConfigCache
 	benefits := resized(s.benefits, s.len())
 	s.benefits = benefits
 	missed := s.missed[:0]
-	var kb [256]byte
 	var hits int64
-	for gi := range benefits {
+	for c := range benefits {
 		if useCache {
-			if b, ok := e.subCache.get(appendGroupKey(kb[:0], s.group(gi))); ok {
+			s.key = appendGroupKey(s.key[:0], s.group(c))
+			if b, ok := e.subCache.get(s.key); ok {
 				hits++
-				benefits[gi] = b
+				benefits[c] = b
 				continue
 			}
 		}
-		missed = append(missed, gi)
+		missed = append(missed, c)
 	}
 	s.missed = missed
-	if hits > 0 {
-		e.CacheHits.Add(hits)
-	}
 	if len(missed) == 0 {
-		return sumInOrder(benefits)
+		return hits
 	}
 
-	// One task per (uncached group, affected statement), in miss order:
-	// missed[k]'s tasks are tasks[starts[k]:starts[k+1]].
+	// One task per (uncached component, affected statement), in miss
+	// order: missed[k]'s tasks are tasks[starts[k]:starts[k+1]].
 	type evalTask struct {
 		miss int
 		ord  int
@@ -167,13 +249,13 @@ func (e *Evaluator) queryBenefit(cfg []*Candidate) float64 {
 	var tasks []evalTask
 	starts := append(make([]int, 0, len(missed)+1), 0)
 	defsOf := make([][]xindex.Definition, len(missed))
-	for k, gi := range missed {
-		group := s.group(gi)
+	for k, c := range missed {
+		group := s.group(c)
 		affected := NewBitSet(e.a.W.Len())
 		defs := make([]xindex.Definition, len(group))
-		for i, c := range group {
-			affected.Or(c.Affected)
-			defs[i] = c.Def
+		for i, m := range group {
+			affected.Or(m.Affected)
+			defs[i] = m.Def
 		}
 		defsOf[k] = defs
 		for _, ord := range affected.Elements() {
@@ -193,87 +275,148 @@ func (e *Evaluator) queryBenefit(cfg []*Candidate) float64 {
 		gains[t] = e.baseCost[task.ord] - float64(item.Freq)*plan.EstCost
 	})
 
-	for k, gi := range missed {
-		benefits[gi] = sumInOrder(gains[starts[k]:starts[k+1]])
+	for k, c := range missed {
+		benefits[c] = sumInOrder(gains[starts[k]:starts[k+1]])
 		if useCache {
-			e.subCache.put(string(appendGroupKey(kb[:0], s.group(gi))), benefits[gi])
+			e.subCache.put(string(appendGroupKey(s.key[:0], s.group(c))), benefits[c])
 		}
 	}
-	return sumInOrder(benefits)
+	return hits
 }
 
-// subConfigs is one configuration's §VI-C split: its groups, in order,
-// as consecutive runs of members. The evaluator reuses these, so a
-// split allocates nothing once its scratch has grown to size.
+// subConfigs is the §VI-C split of one trial configuration
+// k.cfg ++ extra over a kept split k. The kept groups whose union no
+// new member's affected set intersects stay whole. The rest — the
+// extras, cfg's unsplit positions and the members of the kept groups
+// they touch — are the new members, split into components. The
+// evaluator reuses these, so a split allocates nothing once its
+// scratch has grown to size.
 type subConfigs struct {
-	parent  []int // union-find forest over cfg positions
-	slot    []int // a root's group number
-	members []*Candidate
-	// bounds[g] and bounds[g+1] delimit group g in members.
-	bounds   []int
-	benefits []float64
+	touched  []bool       // touched[g]: kept group g merges into a component
+	pos      []int        // the new members' trial positions, ascending
+	news     []*Candidate // the new members, in trial order
+	parent   []int        // union-find forest over news
+	slot     []int        // a root's component number
+	members  []*Candidate // the new members by component
+	bounds   []int        // bounds[c] and bounds[c+1] delimit component c in members
+	roots    []int        // component c's root position in the trial
+	order    []int        // the trial's groups in root order: g >= 0 is kept group g, ^c is component c
+	benefits []float64    // component c's query benefit
 	missed   []int
+	key      []byte
 }
 
 func (s *subConfigs) len() int { return len(s.bounds) - 1 }
 
-func (s *subConfigs) group(g int) []*Candidate { return s.members[s.bounds[g]:s.bounds[g+1]] }
+func (s *subConfigs) group(c int) []*Candidate { return s.members[s.bounds[c]:s.bounds[c+1]] }
 
-// split groups candidates whose affected sets overlap (transitively):
-// indexes in different groups cannot appear in the same statement's
-// plan, so their benefits are independent (§VI-C). Groups come in
-// ascending order of their union-find root under the union order below
-// — the order their benefits are summed in, so it fixes the benefit's
-// bits — and each group's members ascend by ID.
-func (s *subConfigs) split(cfg []*Candidate) {
-	n := len(cfg)
-	parent := resized(s.parent, n)
+// split groups the trial's candidates whose affected sets overlap
+// (transitively): indexes in different groups cannot appear in the
+// same statement's plan, so their benefits are independent (§VI-C).
+// The groups and their order are those of the union-find below run
+// over the whole trial in trial order: groups ascend by root position,
+// the order their benefits are summed in, so it fixes the benefit's
+// bits; each group's members ascend by ID.
+//
+// Running the union-find over the new members only gives the same
+// groups and roots. A union or a find touches the members of one group
+// only, so a group's root depends only on its own members in trial
+// order, and a kept group no new member touches keeps its root.
+func (s *subConfigs) split(k *keptSplit, extra []*Candidate) {
+	kept, n := len(k.groupOf), len(k.cfg)
+	touched := resized(s.touched, len(k.groups))
+	s.touched = touched
+	clear(touched)
+	// cfg has unsplit positions only when it has no groups, so only
+	// the extras can touch one.
+	for _, c := range extra {
+		for g := range k.groups {
+			if !touched[g] && k.groups[g].affected.Intersects(c.Affected) {
+				touched[g] = true
+			}
+		}
+	}
+	pos, news := s.pos[:0], s.news[:0]
+	for p, g := range k.groupOf {
+		if touched[g] {
+			pos, news = append(pos, p), append(news, k.cfg[p])
+		}
+	}
+	for p := kept; p < n; p++ {
+		pos, news = append(pos, p), append(news, k.cfg[p])
+	}
+	for i, c := range extra {
+		pos, news = append(pos, n+i), append(news, c)
+	}
+	s.pos, s.news = pos, news
+
+	m := len(news)
+	parent := resized(s.parent, m)
 	s.parent = parent
 	for i := range parent {
 		parent[i] = i
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < m; i++ {
 		ri := find(parent, i)
-		for j := i + 1; j < n; j++ {
+		for j := i + 1; j < m; j++ {
 			// union(i, j) makes i's root a child of j's; for a pair
 			// already in one group that changes nothing, so the
 			// intersection test is skipped.
-			if rj := find(parent, j); rj != ri && cfg[i].Affected.Intersects(cfg[j].Affected) {
+			if rj := find(parent, j); rj != ri && news[i].Affected.Intersects(news[j].Affected) {
 				parent[ri] = rj
 				ri = rj
 			}
 		}
 	}
-	slot := resized(s.slot, n)
+	slot := resized(s.slot, m)
 	s.slot = slot
-	groups := 0
+	roots := s.roots[:0]
 	for i := range parent {
 		if parent[i] == i {
-			slot[i] = groups
-			groups++
+			slot[i] = len(roots)
+			roots = append(roots, pos[i])
 		}
 	}
-	// A counting sort of the members by group: count, sum, then place
-	// from the back, which leaves bounds[g] at group g's first member.
-	bounds := resized(s.bounds, groups+1)
+	s.roots = roots
+	comps := len(roots)
+	// A counting sort of the members by component: count, sum, then
+	// place from the back, which leaves bounds[c] at component c's
+	// first member.
+	bounds := resized(s.bounds, comps+1)
 	s.bounds = bounds
 	clear(bounds)
-	for i := range cfg {
+	for i := range news {
 		bounds[slot[find(parent, i)]]++
 	}
-	for g := 1; g <= groups; g++ {
-		bounds[g] += bounds[g-1]
+	for c := 1; c <= comps; c++ {
+		bounds[c] += bounds[c-1]
 	}
-	members := resized(s.members, n)
+	members := resized(s.members, m)
 	s.members = members
-	for i := n - 1; i >= 0; i-- {
-		g := slot[find(parent, i)]
-		bounds[g]--
-		members[bounds[g]] = cfg[i]
+	for i := m - 1; i >= 0; i-- {
+		c := slot[find(parent, i)]
+		bounds[c]--
+		members[bounds[c]] = news[i]
 	}
-	for g := 0; g < groups; g++ {
-		slices.SortFunc(s.group(g), func(a, b *Candidate) int { return a.ID - b.ID })
+	for c := 0; c < comps; c++ {
+		slices.SortFunc(s.group(c), func(a, b *Candidate) int { return a.ID - b.ID })
 	}
+
+	// Merge the untouched kept groups and the components by root.
+	order := s.order[:0]
+	for g, c := 0, 0; g < len(k.groups) || c < comps; {
+		switch {
+		case g < len(k.groups) && touched[g]:
+			g++
+		case c == comps || g < len(k.groups) && k.groups[g].root < roots[c]:
+			order = append(order, g)
+			g++
+		default:
+			order = append(order, ^c)
+			c++
+		}
+	}
+	s.order = order
 }
 
 // find returns i's union-find root, halving the path on the way. Path
@@ -309,10 +452,13 @@ func appendGroupKey(b []byte, group []*Candidate) []byte {
 
 // evaluateGroupAllStatements is the naive evaluation used when affected
 // sets are disabled (ablation): every statement is re-optimized.
-func (e *Evaluator) evaluateGroupAllStatements(cfg []*Candidate) float64 {
-	defs := make([]xindex.Definition, len(cfg))
-	for i, c := range cfg {
-		defs[i] = c.Def
+func (e *Evaluator) evaluateGroupAllStatements(cfg, extra []*Candidate) float64 {
+	defs := make([]xindex.Definition, 0, len(cfg)+len(extra))
+	for _, c := range cfg {
+		defs = append(defs, c.Def)
+	}
+	for _, c := range extra {
+		defs = append(defs, c.Def)
 	}
 	gains := make([]float64, len(e.a.W.Items))
 	e.a.parallelFor(len(e.a.W.Items), func(ord int) {
@@ -327,14 +473,18 @@ func (e *Evaluator) evaluateGroupAllStatements(cfg []*Candidate) float64 {
 }
 
 // maintenanceCost sums mc over the workload's data-modifying statements
-// for every index in the configuration, reading the advisor's mc table.
-// The additions run statements-outer, configuration-inner, one table
-// entry at a time: pre-summing per candidate would reorder the float
-// additions and change the benefit's bits.
-func (e *Evaluator) maintenanceCost(cfg []*Candidate) float64 {
+// for every index in the configuration cfg ++ extra, reading the
+// advisor's mc table. The additions run statements-outer,
+// configuration-inner, one table entry at a time: pre-summing per
+// candidate would reorder the float additions and change the benefit's
+// bits.
+func (e *Evaluator) maintenanceCost(cfg, extra []*Candidate) float64 {
 	total := 0.0
 	for _, row := range e.mc {
 		for _, c := range cfg {
+			total += row[c.ID]
+		}
+		for _, c := range extra {
 			total += row[c.ID]
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -165,7 +166,7 @@ func TestFrequencyScalesBenefit(t *testing.T) {
 // group, in group order.
 func splitGroups(cfg []*Candidate) [][]*Candidate {
 	var s subConfigs
-	s.split(cfg)
+	s.split(&keptSplit{}, cfg)
 	out := make([][]*Candidate, s.len())
 	for g := range out {
 		out[g] = append([]*Candidate(nil), s.group(g)...)
@@ -343,5 +344,155 @@ func TestCachedConfigBenefitAllocs(t *testing.T) {
 	}
 	if allocs > 4 {
 		t.Errorf("cached ConfigBenefit of %d indexes in %d groups made %v allocations, want <= 4", len(cfg), groups, allocs)
+	}
+}
+
+// The greedy heuristic scores each trial by extending its
+// configuration's kept split instead of splitting the whole trial: the
+// extension must give ConfigBenefit's bits and cache hits exactly.
+// Two advisors on one optimizer, with separate caches, see the same
+// evaluations in the same order: one builds each configuration with
+// keep and scores extensions, the other scores every prefix and trial
+// with ConfigBenefit. Extras may repeat a configured candidate or each
+// other, and one added candidate has an empty affected set.
+func TestExtendedBenefitMatchesConfigBenefit(t *testing.T) {
+	db, w := adviseWorkload(t)
+	opt := optimizer.New(db, optimizer.CollectStats(db))
+	mk := func() *Advisor {
+		opts := DefaultOptions()
+		opts.Parallelism = 2
+		a, err := New(db, opt, w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A candidate no statement can use still costs maintenance.
+		all := a.Candidates.All
+		all = append(all, &Candidate{ID: len(all), Def: all[0].Def, SizeBytes: all[0].SizeBytes, Affected: NewBitSet(0)})
+		a.Candidates.All = all
+		a.eval = newEvaluator(a)
+		return a
+	}
+	ext, ref := mk(), mk()
+	n := len(ext.Candidates.All)
+	r := rand.New(rand.NewSource(1))
+	pick := func(a *Advisor, ids []int) []*Candidate {
+		out := make([]*Candidate, len(ids))
+		for i, id := range ids {
+			out[i] = a.Candidates.All[id]
+		}
+		return out
+	}
+	pairs := 0
+	for cfgs := 0; pairs < 8000; cfgs++ {
+		ids := r.Perm(n)[:r.Intn(30)]
+		var k keptSplit
+		for i, id := range ids {
+			hits := ext.eval.CacheHits.Load()
+			got := ext.eval.extendedBenefit(&k, pick(ext, ids[i:i+1]))
+			ext.eval.keep(&k, ext.Candidates.All[id])
+			hits = ext.eval.CacheHits.Load() - hits
+			refHits := ref.eval.CacheHits.Load()
+			want := ref.eval.ConfigBenefit(pick(ref, ids[:i+1]))
+			refHits = ref.eval.CacheHits.Load() - refHits
+			if math.Float64bits(got) != math.Float64bits(want) || hits != refHits {
+				t.Fatalf("configuration %d, prefix %v: extension %v (%d hits), ConfigBenefit %v (%d hits)", cfgs, ids[:i+1], got, hits, want, refHits)
+			}
+		}
+		if got, want := keptGroupIDs(&k), groupIDs(splitGroups(k.cfg)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("configuration %d: kept groups %v, split %v", cfgs, got, want)
+		}
+		for trial := 0; trial < 20; trial++ {
+			extra := make([]int, 1+r.Intn(4))
+			for i := range extra {
+				switch {
+				case len(ids) > 0 && r.Intn(8) == 0:
+					extra[i] = ids[r.Intn(len(ids))]
+				case i > 0 && r.Intn(8) == 0:
+					extra[i] = extra[r.Intn(i)]
+				default:
+					extra[i] = r.Intn(n)
+				}
+			}
+			hits := ext.eval.CacheHits.Load()
+			got := ext.eval.extendedBenefit(&k, pick(ext, extra))
+			hits = ext.eval.CacheHits.Load() - hits
+			refHits := ref.eval.CacheHits.Load()
+			want := ref.eval.ConfigBenefit(pick(ref, append(append([]int(nil), ids...), extra...)))
+			refHits = ref.eval.CacheHits.Load() - refHits
+			if math.Float64bits(got) != math.Float64bits(want) || hits != refHits {
+				t.Fatalf("configuration %v + %v: extension %v (%d hits), ConfigBenefit %v (%d hits)", ids, extra, got, hits, want, refHits)
+			}
+			pairs++
+		}
+	}
+	if ext.Opt.EvaluateCalls() == 0 || ext.eval.CacheHits.Load() == 0 {
+		t.Fatal("the pairs made no optimizer calls or no cache hits")
+	}
+}
+
+// keptGroupIDs lists a kept split's groups like groupIDs does: the
+// member IDs of each group ascending, groups in order.
+func keptGroupIDs(k *keptSplit) [][]int {
+	out := make([][]int, len(k.groups))
+	for p, g := range k.groupOf {
+		out[g] = append(out[g], k.cfg[p].ID)
+	}
+	for _, ids := range out {
+		sort.Ints(ids)
+	}
+	return out
+}
+
+// The greedy heuristic's common case: extending a kept split by one
+// candidate whose groups are all cached allocates nothing.
+func TestCachedExtensionAllocs(t *testing.T) {
+	db, w := adviseWorkload(t)
+	opts := DefaultOptions()
+	opts.Parallelism = 1
+	a, err := New(db, optimizer.New(db, optimizer.CollectStats(db)), w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := a.Recommend(AlgoHeuristic, a.AllIndexSize()/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var k keptSplit
+	for _, c := range rec.Config {
+		a.eval.keep(&k, c)
+	}
+	if len(k.groups) < 10 {
+		t.Fatalf("heuristic configuration splits into %d groups; want a configuration with many", len(k.groups))
+	}
+	// An extra that merges kept groups, so the trial has a component
+	// besides the reused groups.
+	inConfig := make(map[int]bool)
+	for _, c := range rec.Config {
+		inConfig[c.ID] = true
+	}
+	var extra []*Candidate
+	for _, c := range a.Candidates.All {
+		if !inConfig[c.ID] {
+			var s subConfigs
+			s.split(&k, []*Candidate{c})
+			if len(s.order) < len(k.groups) {
+				extra = []*Candidate{c}
+				break
+			}
+		}
+	}
+	if extra == nil {
+		t.Fatal("no candidate outside the configuration merges two of its groups")
+	}
+	groups := len(splitGroups(append(append([]*Candidate(nil), k.cfg...), extra...)))
+	a.eval.extendedBenefit(&k, extra) // caches the merged component
+	hits := a.eval.CacheHits.Load()
+	allocs := testing.AllocsPerRun(100, func() { a.eval.extendedBenefit(&k, extra) })
+	// AllocsPerRun makes one warm-up call besides the 100 it measures.
+	if got, want := a.eval.CacheHits.Load()-hits, int64(101*groups); got != want {
+		t.Errorf("%d cache hits over 101 cached extensions into %d groups, want %d", got, groups, want)
+	}
+	if allocs != 0 {
+		t.Errorf("cached extension of %d indexes in %d groups made %v allocations, want 0", len(k.cfg), groups, allocs)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"xixa/internal/workload"
@@ -220,42 +219,36 @@ func equivalentExists(cs *CandidateSet, def xindex.Definition) bool {
 
 // buildDAG connects each candidate to its maximal covered candidates:
 // c's children are candidates strictly covered by c with no
-// intermediate candidate between them (paper §VI-B).
+// intermediate candidate between them (paper §VI-B). The strict
+// coverage relation is kept as bit rows both ways, so "some m with
+// a > m > b" is one intersection of a's row below with b's row above.
 func buildDAG(cs *CandidateSet) {
 	for _, c := range cs.All {
 		c.Parents = nil
 		c.Children = nil
 	}
 	n := len(cs.All)
-	strict := func(a, b *Candidate) bool { // a strictly covers b
-		return a != b && cs.covers[a.ID][b.ID] && !cs.covers[b.ID][a.ID]
+	below := make([]BitSet, n) // below[a]: the candidates a strictly covers
+	above := make([]BitSet, n) // above[b]: the candidates strictly covering b
+	for i := range below {
+		below[i], above[i] = *NewBitSet(n), *NewBitSet(n)
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			a, b := cs.All[i], cs.All[j]
-			if !strict(a, b) {
-				continue
+			if cs.covers[i][j] && !cs.covers[j][i] {
+				below[i].Set(j)
+				above[j].Set(i)
 			}
-			// b is a child of a unless an intermediate m exists with
-			// a > m > b.
-			intermediate := false
-			for k := 0; k < n && !intermediate; k++ {
-				m := cs.All[k]
-				if m == a || m == b {
-					continue
-				}
-				if strict(a, m) && strict(m, b) {
-					intermediate = true
-				}
-			}
-			if !intermediate {
+		}
+	}
+	// Candidate i is All[i], so both edge lists come out sorted by ID.
+	for i := 0; i < n; i++ {
+		for _, j := range below[i].Elements() {
+			if !below[i].Intersects(&above[j]) {
+				a, b := cs.All[i], cs.All[j]
 				a.Children = append(a.Children, b)
 				b.Parents = append(b.Parents, a)
 			}
 		}
-	}
-	for _, c := range cs.All {
-		sort.Slice(c.Children, func(i, j int) bool { return c.Children[i].ID < c.Children[j].ID })
-		sort.Slice(c.Parents, func(i, j int) bool { return c.Parents[i].ID < c.Parents[j].ID })
 	}
 }

@@ -60,15 +60,14 @@ func (a *Advisor) searchGreedy(budget int64) []*Candidate {
 // respected), a bitmap of covered predicate sites prevents redundant
 // general indexes, and a general index must beat the specifics it
 // generalizes without exceeding their total size by more than β.
+// Every trial extends the configuration's kept §VI-C split, which is
+// extended once per greedy step by the chosen candidate.
 func (a *Advisor) searchGreedyHeuristic(budget int64) []*Candidate {
-	var cfg []*Candidate
+	var cfg keptSplit
 	inConfig := make(map[int]bool)
 	covered := make(map[string]bool)
 	var used int64
 	curBenefit := 0.0
-	// trial holds the configurations under test; ConfigBenefit keeps
-	// none of them, so one array serves them all.
-	var trial []*Candidate
 
 	for {
 		type scored struct {
@@ -81,12 +80,11 @@ func (a *Advisor) searchGreedyHeuristic(budget int64) []*Candidate {
 				continue
 			}
 			if c.General {
-				if !a.generalAdmissible(c, cfg, covered, &trial) {
+				if !a.generalAdmissible(c, &cfg, covered) {
 					continue
 				}
 			}
-			trial = append(append(trial[:0], cfg...), c)
-			gain := a.eval.ConfigBenefit(trial) - curBenefit
+			gain := a.eval.extendedBenefit(&cfg, []*Candidate{c}) - curBenefit
 			if gain <= 0 {
 				continue
 			}
@@ -101,9 +99,9 @@ func (a *Advisor) searchGreedyHeuristic(budget int64) []*Candidate {
 			}
 		}
 		if best.c == nil {
-			return cfg
+			return cfg.cfg
 		}
-		cfg = append(cfg, best.c)
+		a.eval.keep(&cfg, best.c)
 		inConfig[best.c.ID] = true
 		used += best.c.SizeBytes
 		curBenefit += best.gain
@@ -120,8 +118,9 @@ func (a *Advisor) searchGreedyHeuristic(budget int64) []*Candidate {
 //  2. IB(x_general) >= IB(x_1..x_n) for the specifics it generalizes.
 //  3. Size(x_general) <= (1+β) * Σ Size(x_i).
 //
-// The configurations it evaluates are built in *trial.
-func (a *Advisor) generalAdmissible(g *Candidate, cfg []*Candidate, covered map[string]bool, trial *[]*Candidate) bool {
+// Both benefits extend cfg's kept split. A specific already in cfg is
+// added a second time, so its maintenance is charged twice.
+func (a *Advisor) generalAdmissible(g *Candidate, cfg *keptSplit, covered map[string]bool) bool {
 	news := 0
 	for k := range g.SiteKeys {
 		if !covered[k] {
@@ -142,10 +141,8 @@ func (a *Advisor) generalAdmissible(g *Candidate, cfg []*Candidate, covered map[
 	if float64(g.SizeBytes) > (1+a.Opts.Beta)*float64(sumSize) {
 		return false
 	}
-	*trial = append(append((*trial)[:0], cfg...), g)
-	ibGeneral := a.eval.ConfigBenefit(*trial)
-	*trial = append(append((*trial)[:0], cfg...), specifics...)
-	ibSpecifics := a.eval.ConfigBenefit(*trial)
+	ibGeneral := a.eval.extendedBenefit(cfg, []*Candidate{g})
+	ibSpecifics := a.eval.extendedBenefit(cfg, specifics)
 	return ibGeneral >= ibSpecifics
 }
 

@@ -129,6 +129,9 @@ func alphabetOf(a, b machine) []string {
 // every rooted label path matched by sub is matched by super.
 // Both patterns are taken as linear (predicates are stripped).
 func Contains(super, sub Path) bool {
+	if cannotContain(super, sub) {
+		return false
+	}
 	// The key is built in a stack buffer and looked up through a
 	// string(b) map index, which Go compiles without a copy, so a cache
 	// hit allocates nothing.
@@ -147,6 +150,47 @@ func Contains(super, sub Path) bool {
 	containsCache.m[string(key)] = res
 	containsCache.mu.Unlock()
 	return res
+}
+
+// cannotContain rejects the pairs that fail a necessary condition for
+// sub ⊆ super, so Contains answers them without the cache or the subset
+// construction. Each step consumes one label, and a descendant step may
+// skip any number more before it. So:
+//   - every path of super ends in a label its final step accepts and has
+//     at least len(super.Steps) labels, exactly that many when super has
+//     no descendant step;
+//   - sub has a path of exactly len(sub.Steps) labels ending in its final
+//     name, and longer ones when it has a descendant step.
+//
+// The second holds only when sub matches some path. sub matches none
+// exactly when an attribute step comes before its last (attributes end
+// label paths); it is then contained vacuously, and nothing is
+// rejected. Patterns without steps are left to the subset construction.
+func cannotContain(super, sub Path) bool {
+	ns, nq := len(super.Steps), len(sub.Steps)
+	if ns == 0 || nq == 0 {
+		return false
+	}
+	a, b := &super.Steps[ns-1], &sub.Steps[nq-1]
+	finalDiffers := a.Test != b.Test && !a.IsWildcard() && !b.IsWildcard()
+	if !finalDiffers && nq >= ns && (hasDescendant(super) || nq == ns && !hasDescendant(sub)) {
+		return false
+	}
+	for _, st := range sub.Steps[:nq-1] {
+		if st.IsAttribute() {
+			return false // sub matches no path
+		}
+	}
+	return true
+}
+
+func hasDescendant(p Path) bool {
+	for _, st := range p.Steps {
+		if st.Axis == Descendant {
+			return true
+		}
+	}
+	return false
 }
 
 // containsCache memoizes Contains by the two patterns' linear forms.

@@ -6,3 +6,7 @@ func (c *ProgramCache) Len() int {
 	defer c.mu.RUnlock()
 	return len(c.progs)
 }
+
+// ContainsUncached is the subset construction alone, with neither the
+// cache nor cannotContain in front of it.
+var ContainsUncached = containsUncached
