@@ -7,7 +7,7 @@
 // Usage:
 //
 //	xixad [-addr :4095] [-scale N] [-wal-dir dir]
-//	      [-sync always|batched|off] [-checkpoint-mb N] [-archive-dir dir]
+//	      [-sync always|batched|off] [-checkpoint-mb N]
 //	      [-replication-addr :4096] [-replica-of host:4096]
 //	      [-tune-interval 30s] [-budget-mb N] [-algorithm topdown-full]
 //	      [-http-addr :4097] [-shards N]
@@ -34,10 +34,11 @@
 // follower mints a new epoch that fences the old primary if it comes
 // back, and opens the follower for writes (binding its own
 // -replication-addr, if set, so the remaining followers can re-point
-// to it). -archive-dir (durable mode only) preserves
-// checkpointed-away WAL segments and LSN-stamped checkpoints — the
-// retention that lets any follower catch up from any age and
-// server.RestoreToLSN rebuild the exact image at any committed LSN.
+// to it). A follower that falls behind a primary checkpoint (it was
+// disconnected while the primary checkpointed past its position)
+// re-bootstraps in place from the primary's snapshot, without a
+// restart; its sessions opened before that answer ERR … closed, and
+// their clients reconnect.
 //
 // With -shards N (N>1), the daemon partitions every table by
 // document-key hash across N in-process shards behind a deterministic
@@ -47,7 +48,7 @@
 // are bit-identical to an unsharded daemon. Capture and statistics
 // merge into one global plane the advisor tunes from, and \shards
 // shows the router counters and per-shard placement. Sharded mode is
-// in-memory: incompatible with -wal-dir, -archive-dir, -replica-of and
+// in-memory: incompatible with -wal-dir, -replica-of and
 // -replication-addr.
 //
 // The wire protocol is line-oriented: one statement per line, responses
@@ -79,7 +80,6 @@ func main() {
 	flag.StringVar(&cfg.WALDir, "wal-dir", "", "durability directory (WAL + checkpoints): recover on start, log every commit")
 	flag.StringVar(&cfg.Sync, "sync", "batched", "WAL sync policy: always (group commit per statement), batched (background fsync), off")
 	flag.Int64Var(&cfg.CheckpointMB, "checkpoint-mb", 0, "auto-checkpoint once the WAL exceeds this size in MB (0 = 64)")
-	flag.StringVar(&cfg.ArchiveDir, "archive-dir", "", "preserve checkpointed-away WAL segments and checkpoints here (requires -wal-dir; enables deep follower catch-up and point-in-time restore)")
 	flag.StringVar(&cfg.ReplicationAddr, "replication-addr", "", "stream the WAL to followers on this address (requires -wal-dir; on a follower, bound after \\promote)")
 	flag.StringVar(&cfg.ReplicaOf, "replica-of", "", "start as a read-only follower of the primary at this address (requires -wal-dir)")
 	flag.DurationVar(&cfg.TuneInterval, "tune-interval", 30*time.Second, "autonomous tuning period (0 disables)")
@@ -87,7 +87,7 @@ func main() {
 	flag.StringVar(&cfg.Algorithm, "algorithm", core.AlgoTopDownFull, "advisor search algorithm")
 	flag.IntVar(&cfg.Parallelism, "parallelism", 0, "advisor fan-out width (0 = GOMAXPROCS)")
 	flag.StringVar(&cfg.HTTPAddr, "http-addr", "", "serve /metrics, /trace/last, and /debug/pprof on this address (empty disables)")
-	flag.IntVar(&cfg.Shards, "shards", 1, "partition the database across N in-process shards (N>1; incompatible with -wal-dir, -archive-dir, -replica-of, -replication-addr)")
+	flag.IntVar(&cfg.Shards, "shards", 1, "partition the database across N in-process shards (N>1; incompatible with -wal-dir, -replica-of, -replication-addr)")
 	flag.Parse()
 
 	d, err := daemon.Start(cfg)

@@ -123,7 +123,7 @@
 // online, and restores a database bit-identical to the committed
 // pre-crash state.
 //
-// # Replication and point-in-time restore
+// # Replication
 //
 // internal/replica ships the WAL over the network (xixad
 // -replication-addr / -replica-of): a primary streams CRC-framed
@@ -136,10 +136,10 @@
 // idempotent, so no fault short of disk loss loses or duplicates a
 // record. When the primary dies, promotion (\promote) mints a durable
 // epoch that permanently fences the old primary if it returns, and
-// opens the follower for writes. With an archive
-// directory, checkpoints preserve WAL segments and LSN-stamped
-// snapshots instead of deleting them, and server.RestoreToLSN
-// rebuilds the exact committed image at any LSN in history.
+// opens the follower for writes. A checkpoint discards the log it
+// covers, so a follower that falls behind one cannot stream the gap:
+// it adopts the primary's shipped checkpoint and replaces its server
+// in place, the same way a fresh follower bootstraps.
 //
 // # Horizontal sharding
 //

@@ -19,12 +19,14 @@ import (
 
 	"xixa/internal/core"
 	"xixa/internal/frontend"
+	"xixa/internal/obs"
 	"xixa/internal/replica"
 	"xixa/internal/server"
 	"xixa/internal/shard"
 	"xixa/internal/storage"
 	"xixa/internal/tpox"
 	"xixa/internal/wal"
+	"xixa/internal/xmltree"
 )
 
 // Config holds xixad's flags, one field per flag; cmd/xixad documents
@@ -36,7 +38,6 @@ type Config struct {
 	WALDir          string        // -wal-dir: durability directory ("" = in-memory)
 	Sync            string        // -sync: always, batched or off (with WALDir)
 	CheckpointMB    int64         // -checkpoint-mb: auto-checkpoint threshold (0 = 64)
-	ArchiveDir      string        // -archive-dir: WAL segment and checkpoint archive (with WALDir)
 	ReplicationAddr string        // -replication-addr: WAL stream listener (with WALDir)
 	ReplicaOf       string        // -replica-of: follow this primary (with WALDir)
 	TuneInterval    time.Duration // -tune-interval: autonomous tuning period (0 = off)
@@ -59,10 +60,8 @@ func (c Config) check() error {
 	switch {
 	case c.Shards < 1:
 		return fmt.Errorf("-shards %d: need at least 1", c.Shards)
-	case c.Shards > 1 && (c.WALDir != "" || c.ArchiveDir != "" || c.ReplicaOf != "" || c.ReplicationAddr != ""):
+	case c.Shards > 1 && (c.WALDir != "" || c.ReplicaOf != "" || c.ReplicationAddr != ""):
 		return errors.New("-shards does not compose with durability or replication flags yet")
-	case c.ArchiveDir != "" && c.WALDir == "":
-		return errors.New("-archive-dir requires -wal-dir (it archives the WAL's checkpointed-away segments)")
 	case c.ReplicaOf != "" && c.WALDir == "":
 		return errors.New("-replica-of requires -wal-dir (the follower's own durability directory)")
 	case c.ReplicationAddr != "" && c.WALDir == "":
@@ -110,12 +109,6 @@ func Start(cfg Config) (*Daemon, error) {
 	} else {
 		scfg.TuneInterval = cfg.TuneInterval
 		scfg.CheckpointBytes = cfg.CheckpointMB << 20
-		scfg.ArchiveDir = cfg.ArchiveDir
-		if cfg.ArchiveDir != "" {
-			// Archiving preserves sealed segments; without rolling there is
-			// nothing to seal, so give the log a segment size.
-			scfg.SegmentBytes = 16 << 20
-		}
 		n, err := startServer(scfg, cfg)
 		if err != nil {
 			return nil, err
@@ -206,14 +199,43 @@ func generate(scale int) (*storage.Database, error) {
 // role — primary (streaming the WAL to followers), follower (promotable
 // via \promote), or neither. A follower that promotes becomes a primary
 // in place.
+//
+// While following, the server is the follower's, and a follower that
+// falls behind a primary checkpoint replaces it with one re-bootstrapped
+// from the primary's snapshot. So every use fetches the server afresh:
+// new sessions, \stats, /metrics and /trace/last reach the current one.
+// A session opened before a re-bootstrap answers ERR … closed from then
+// on, and its client reconnects.
 type node struct {
-	*server.Server
 	replAddr string // -replication-addr; a follower binds it at promotion
 
 	mu       sync.Mutex
+	srv      *server.Server // nil while following
 	prim     *replica.Primary
 	primAddr string            // the bound replication listener, once streaming
 	fol      *replica.Follower // nil once promoted
+}
+
+// server returns the node's current server.
+func (n *node) server() *server.Server {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.fol != nil {
+		return n.fol.Server()
+	}
+	return n.srv
+}
+
+// The frontend.Backend methods, each on the current server.
+
+func (n *node) NewSession() (*server.Session, error)  { return n.server().NewSession() }
+func (n *node) TuneOnce() (*server.TuneReport, error) { return n.server().TuneOnce() }
+func (n *node) Indexes() []server.IndexInfo           { return n.server().Indexes() }
+func (n *node) Metrics() *obs.Registry                { return n.server().Metrics() }
+func (n *node) Tracer() *obs.Tracer                   { return n.server().Tracer() }
+
+func (n *node) Doc(table string, id int64) (*xmltree.Document, bool) {
+	return n.server().Doc(table, id)
 }
 
 // startServer brings up the server cfg describes — following a
@@ -235,7 +257,7 @@ func startServer(scfg server.Config, cfg Config) (*node, error) {
 		if err != nil {
 			return nil, fmt.Errorf("follow %s: %w", cfg.ReplicaOf, err)
 		}
-		n.fol, n.Server = f, f.Server()
+		n.fol = f
 		info := f.Info()
 		log.Printf("following %s from LSN %d (epoch %d); read-only until \\promote",
 			cfg.ReplicaOf, info.AppliedLSN, info.Epoch)
@@ -248,20 +270,20 @@ func startServer(scfg server.Config, cfg Config) (*node, error) {
 		if err != nil {
 			return nil, fmt.Errorf("recover: %w", err)
 		}
-		n.Server = srv
+		n.srv = srv
 		log.Printf("%s (sync=%s)", info, scfg.SyncPolicy)
 	default:
 		db, err := generate(cfg.Scale)
 		if err != nil {
 			return nil, err
 		}
-		n.Server = server.New(db, scfg)
+		n.srv = server.New(db, scfg)
 	}
 	n.startAutoTune()
 	if n.replAddr != "" {
 		bound, err := n.streamWAL()
 		if err != nil {
-			n.Close()
+			n.srv.Close()
 			return nil, err
 		}
 		log.Printf("streaming WAL to followers on %s (epoch %d)", bound, n.prim.Epoch())
@@ -270,12 +292,12 @@ func startServer(scfg server.Config, cfg Config) (*node, error) {
 }
 
 func (n *node) startAutoTune() {
-	n.StartAutoTune(logTune(func(rep *server.TuneReport) bool { return rep.Skipped }))
+	n.server().StartAutoTune(logTune(func(rep *server.TuneReport) bool { return rep.Skipped }))
 }
 
 // streamWAL makes the node a replication primary on replAddr.
 func (n *node) streamWAL() (bound string, err error) {
-	p, err := replica.NewPrimary(n.Server, replica.PrimaryConfig{})
+	p, err := replica.NewPrimary(n.server(), replica.PrimaryConfig{})
 	if err != nil {
 		return "", err
 	}
@@ -309,7 +331,7 @@ func (n *node) PromoteToPrimary() (string, error) {
 		return "", err
 	}
 	n.mu.Lock()
-	n.fol = nil
+	n.srv, n.fol = f.Server(), nil
 	n.mu.Unlock()
 	n.startAutoTune()
 	summary := fmt.Sprintf("promoted at epoch %d", epoch)
@@ -320,13 +342,13 @@ func (n *node) PromoteToPrimary() (string, error) {
 		}
 		summary += ", streaming to followers on " + bound
 	}
-	log.Printf("promoted to primary at epoch %d (log at LSN %d)", epoch, n.WAL().LastLSN())
+	log.Printf("promoted to primary at epoch %d (log at LSN %d)", epoch, n.server().WAL().LastLSN())
 	return summary, nil
 }
 
 // StatsLines adds the replication role's lines to the server's.
 func (n *node) StatsLines(vals map[string]float64) []string {
-	lines := n.Server.StatsLines(vals)
+	lines := n.server().StatsLines(vals)
 	p, f := n.role()
 	if p != nil {
 		followers := p.Status()
@@ -361,15 +383,16 @@ func (n *node) shutdown() {
 		f.Close()
 		return
 	}
-	if n.WAL() != nil {
+	srv := n.server()
+	if srv.WAL() != nil {
 		// Durable mode: a shutdown checkpoint empties the WAL so the
 		// next start replays nothing. (Skipping it would be correct
 		// too — recovery would just replay the tail.)
-		if err := n.Checkpoint(); err != nil {
+		if err := srv.Checkpoint(); err != nil {
 			log.Printf("xixad: checkpoint: %v", err)
 		} else {
-			log.Printf("checkpoint written (%d indexes)", len(n.Catalog().Definitions()))
+			log.Printf("checkpoint written (%d indexes)", len(srv.Catalog().Definitions()))
 		}
 	}
-	n.Close()
+	srv.Close()
 }

@@ -191,7 +191,7 @@ func TestDurableRestartKeepsImage(t *testing.T) {
 	if len(wantRows) != 1 || !strings.Contains(wantRows[0], "7.25") {
 		t.Fatalf("updated row = %q", wantRows)
 	}
-	want := image(t, d.node.Server)
+	want := image(t, d.node.server())
 	killed := copyDir(t, dir)
 	d.close()
 
@@ -202,7 +202,7 @@ func TestDurableRestartKeepsImage(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg.WALDir = tc.dir
 			r := start(t, cfg)
-			if got := image(t, r.node.Server); !bytes.Equal(got, want) {
+			if got := image(t, r.node.server()); !bytes.Equal(got, want) {
 				t.Fatal("restarted image differs from the pre-restart image")
 			}
 			if rows, _ := dial(t, r.Addr()).ok(pointQuery("RESTART2")); strings.Join(rows, "\n") != strings.Join(wantRows, "\n") {
@@ -232,7 +232,7 @@ func TestPromoteOverSocketFencesOldPrimary(t *testing.T) {
 	fcfg := base()
 	fcfg.WALDir, fcfg.ReplicaOf, fcfg.ReplicationAddr = t.TempDir(), oldPrimary, "127.0.0.1:0"
 	f := start(t, fcfg)
-	primTip := p.node.WAL().LastLSN()
+	primTip := p.node.server().WAL().LastLSN()
 	eventually(t, "the follower to apply the primary's tip", func() bool {
 		_, fol := f.node.role()
 		return fol.Info().AppliedLSN == primTip
@@ -257,9 +257,9 @@ func TestPromoteOverSocketFencesOldPrimary(t *testing.T) {
 		t.Fatalf(`\promote: %q`, last)
 	}
 	newPrimary := strings.Fields(last[i+len(bound):])[0]
-	tip := f.node.WAL().LastLSN()
+	tip := f.node.server().WAL().LastLSN()
 	fc.ok(insertStmt("AFTER-PROMOTE"))
-	if got := f.node.WAL().LastLSN(); got != tip+1 {
+	if got := f.node.server().WAL().LastLSN(); got != tip+1 {
 		t.Fatalf("write after promotion at LSN %d, want tip+1 = %d", got, tip+1)
 	}
 
@@ -285,6 +285,150 @@ func TestPromoteOverSocketFencesOldPrimary(t *testing.T) {
 	}
 }
 
+// proxy forwards TCP connections to a target
+// until hold is called: hold severs every forwarded connection and
+// refuses new ones until release.
+type proxy struct {
+	ln     net.Listener
+	target string
+
+	mu    sync.Mutex
+	held  bool
+	conns []net.Conn
+}
+
+func newProxy(t *testing.T, target string) *proxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &proxy{ln: ln, target: target}
+	t.Cleanup(func() {
+		ln.Close()
+		p.hold()
+	})
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			p.mu.Lock()
+			up, err := net.Dial("tcp", target)
+			if p.held || err != nil {
+				p.mu.Unlock()
+				c.Close()
+				if up != nil {
+					up.Close()
+				}
+				continue
+			}
+			p.conns = append(p.conns, c, up)
+			p.mu.Unlock()
+			go func() { io.Copy(up, c); up.Close() }()
+			go func() { io.Copy(c, up); c.Close() }()
+		}
+	}()
+	return p
+}
+
+func (p *proxy) hold() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.held = true
+	for _, c := range p.conns {
+		c.Close()
+	}
+	p.conns = nil
+}
+
+func (p *proxy) release() {
+	p.mu.Lock()
+	p.held = false
+	p.mu.Unlock()
+}
+
+// TestFollowerRebootstrapsOverSocket: a follower xixad cut off from
+// its primary (through a proxy the test holds) while the primary takes
+// writes and two checkpoints re-bootstraps from the primary's snapshot
+// once the link is back, with no restart. A connection opened before
+// then answers ERR … closed; a new connection reads the new image,
+// \stats and /metrics report the new position, and \promote then
+// takes a write.
+func TestFollowerRebootstrapsOverSocket(t *testing.T) {
+	pcfg := base()
+	pcfg.WALDir, pcfg.ReplicationAddr = t.TempDir(), "127.0.0.1:0"
+	p := start(t, pcfg)
+	pc := dial(t, p.Addr())
+	pc.ok(insertStmt("BEFORE-HOLD"))
+	link := newProxy(t, p.node.primAddr)
+
+	fcfg := base()
+	fcfg.WALDir, fcfg.ReplicaOf, fcfg.HTTPAddr = t.TempDir(), link.ln.Addr().String(), "127.0.0.1:0"
+	f := start(t, fcfg)
+	_, fol := f.node.role()
+	eventually(t, "the follower to apply the primary's tip", func() bool {
+		return fol.Info().AppliedLSN == p.node.server().WAL().LastLSN()
+	})
+	old := dial(t, f.Addr())
+	if rows, _ := old.ok(pointQuery("BEFORE-HOLD")); len(rows) != 1 {
+		t.Fatalf("follower before the hold answers %q", rows)
+	}
+
+	link.hold()
+	for i := 0; i < 2; i++ {
+		pc.ok(insertStmt(fmt.Sprintf("HELD%d", i)))
+		if err := p.node.server().Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pc.ok(insertStmt("AFTER-CHECKPOINTS"))
+	if applied, start := fol.Info().AppliedLSN, p.node.server().WAL().StartLSN(); applied >= start {
+		t.Fatalf("follower at LSN %d, primary history starts at %d: the test needs the follower behind it", applied, start)
+	}
+	link.release()
+
+	tip := p.node.server().WAL().LastLSN()
+	eventually(t, "the follower to re-bootstrap and reach the primary's tip", func() bool {
+		return fol.Info().AppliedLSN == tip
+	})
+	if !bytes.Equal(image(t, f.node.server()), image(t, p.node.server())) {
+		t.Fatal("re-bootstrapped follower's image differs from the primary's")
+	}
+	if _, last := old.do(pointQuery("HELD1")); !strings.HasPrefix(last, "ERR ") || !strings.Contains(last, "closed") {
+		t.Fatalf("connection from before the re-bootstrap answered %q, want ERR … closed", last)
+	}
+	fc := dial(t, f.Addr())
+	if rows, _ := fc.ok(pointQuery("HELD1")); len(rows) != 1 {
+		t.Fatalf("new connection to the re-bootstrapped follower answers %q", rows)
+	}
+	rows, _ := fc.ok(`\stats`)
+	if stats := strings.Join(rows, "\n"); !strings.Contains(stats, fmt.Sprintf("replication: following at epoch 1, applied LSN %d,", tip)) {
+		t.Fatalf("follower \\stats after the re-bootstrap:\n%s", stats)
+	}
+	resp, err := http.Get("http://" + f.httpAddr.String() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("xixa_replica_applied_lsn %d\n", tip); !strings.Contains(string(body), want) {
+		t.Fatalf("/metrics lacks %q:\n%s", want, body)
+	}
+
+	if _, last := fc.ok(`\promote`); !strings.HasPrefix(last, "OK promoted at epoch 2") {
+		t.Fatalf(`\promote: %q`, last)
+	}
+	fc.ok(insertStmt("AFTER-PROMOTE"))
+	if got := f.node.server().WAL().LastLSN(); got != tip+1 {
+		t.Fatalf("write after promotion at LSN %d, want tip+1 = %d", got, tip+1)
+	}
+}
+
 // TestStartRefusesConflictingFlags: every flag setting the daemon
 // cannot serve as asked is refused by Start, and so is every listener
 // it cannot bind.
@@ -304,10 +448,8 @@ func TestStartRefusesConflictingFlags(t *testing.T) {
 		{"-shards 0", func(c *Config) { c.Shards = 0 }, "-shards 0: need at least 1"},
 		{"-shards -3", func(c *Config) { c.Shards = -3 }, "-shards -3: need at least 1"},
 		{"-shards with -wal-dir", func(c *Config) { c.Shards, c.WALDir = 2, t.TempDir() }, "-shards does not compose"},
-		{"-shards with -archive-dir", func(c *Config) { c.Shards, c.ArchiveDir = 2, t.TempDir() }, "-shards does not compose"},
 		{"-shards with -replica-of", func(c *Config) { c.Shards, c.ReplicaOf = 2, "127.0.0.1:1" }, "-shards does not compose"},
 		{"-shards with -replication-addr", func(c *Config) { c.Shards, c.ReplicationAddr = 2, "127.0.0.1:0" }, "-shards does not compose"},
-		{"-archive-dir without -wal-dir", func(c *Config) { c.ArchiveDir = t.TempDir() }, "-archive-dir requires -wal-dir"},
 		{"-replica-of without -wal-dir", func(c *Config) { c.ReplicaOf = "127.0.0.1:1" }, "-replica-of requires -wal-dir"},
 		{"-replication-addr without -wal-dir", func(c *Config) { c.ReplicationAddr = "127.0.0.1:0" }, "-replication-addr requires -wal-dir"},
 		{"unknown -sync", func(c *Config) { c.WALDir, c.Sync = t.TempDir(), "sometimes" }, "sometimes"},

@@ -120,8 +120,9 @@ func New[S Session, R fmt.Stringer](b Backend[S, R]) *Shell {
 }
 
 // HTTPHandler serves the backend's observability surface: /metrics,
-// /trace/last and /debug/pprof.
-func (sh *Shell) HTTPHandler() http.Handler { return obs.NewMux(sh.b.Metrics(), sh.b.Tracer()) }
+// /trace/last and /debug/pprof, each request from the registry and
+// tracer the backend has at that moment.
+func (sh *Shell) HTTPHandler() http.Handler { return obs.NewMux(sh.b.Metrics, sh.b.Tracer) }
 
 // Serve accepts connections on ln and serves each on its own session
 // until stop is closed or ln fails. Stopping closes the listener and

@@ -9,19 +9,21 @@ import (
 
 // NewMux returns an http.Handler serving the observability surface:
 //
-//	/metrics          Prometheus text exposition of reg
-//	/trace/last       JSON array of recent query traces (newest first;
-//	                  ?n=K limits the count)
+//	/metrics          Prometheus text exposition of reg()
+//	/trace/last       JSON array of tracer()'s recent query traces
+//	                  (newest first; ?n=K limits the count)
 //	/debug/pprof/*    the stdlib profiling handlers
 //
-// Either argument may be nil; the corresponding endpoint then serves
-// an empty document.
-func NewMux(reg *Registry, tracer *Tracer) *http.ServeMux {
+// reg and tracer are called on every request, so the endpoints follow a
+// backend that replaces its server (a follower re-bootstrapping from a
+// snapshot). Either may return nil; the corresponding endpoint then
+// serves an empty document.
+func NewMux(reg func() *Registry, tracer func() *Tracer) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if reg != nil {
-			_ = reg.WritePrometheus(w)
+		if r := reg(); r != nil {
+			_ = r.WritePrometheus(w)
 		}
 	})
 	mux.HandleFunc("/trace/last", func(w http.ResponseWriter, r *http.Request) {
@@ -31,7 +33,7 @@ func NewMux(reg *Registry, tracer *Tracer) *http.ServeMux {
 				n = v
 			}
 		}
-		traces := tracer.Last(n)
+		traces := tracer().Last(n)
 		if traces == nil {
 			traces = []*QueryTrace{}
 		}

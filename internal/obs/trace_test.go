@@ -82,7 +82,7 @@ func TestMuxEndpoints(t *testing.T) {
 	qt.AddNodes(i, NodeCard{Op: "IXSCAN", Site: "/x|path", Est: 4, Actual: 5})
 	qt.Finish(nil)
 
-	srv := httptest.NewServer(NewMux(reg, tr))
+	srv := httptest.NewServer(NewMux(func() *Registry { return reg }, func() *Tracer { return tr }))
 	defer srv.Close()
 
 	body := get(t, srv.URL+"/metrics")

@@ -76,6 +76,23 @@ func checkMagic(head []byte) error {
 	return fmt.Errorf("persist: not a xixa snapshot (bad magic %q)", head)
 }
 
+// PeekCheckpointLSN reads just the LSN stamp from a checkpoint's
+// header, without loading (or checksumming) the snapshot body — the
+// replication handshake needs the stamp to decide whether a snapshot
+// ships, and a follower checks a shipped image's stamp against the
+// frame that carried it, before anyone pays to deserialize it.
+func PeekCheckpointLSN(r io.Reader) (uint64, error) {
+	br := bufio.NewReader(r)
+	head := make([]byte, len(magic))
+	if _, err := io.ReadFull(br, head); err != nil {
+		return 0, fmt.Errorf("persist: reading magic: %w", err)
+	}
+	if err := checkMagic(head); err != nil {
+		return 0, err
+	}
+	return binary.ReadUvarint(br)
+}
+
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 type countingWriter struct {
@@ -511,12 +528,13 @@ func RebuildIndexes(db *storage.Database, defs []xindex.Definition) ([]*xindex.I
 	return out, nil
 }
 
-// writeFileAtomic writes via a temp file, fsyncs it, renames it over
+// WriteFileAtomic writes via a temp file, fsyncs it, renames it over
 // path, and fsyncs the parent directory — the full sequence required
 // for the result to survive power loss. Without the file fsync a crash
 // after the rename can expose an empty or partial file; without the
-// directory fsync the rename itself may not be durable.
-func writeFileAtomic(path string, write func(io.Writer) error) error {
+// directory fsync the rename itself may not be durable. Exported for
+// the follower, which adopts a shipped checkpoint image through it.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -559,7 +577,7 @@ func SyncDir(dir string) error {
 // SaveCheckpointFile writes an LSN- and stamp-stamped snapshot to path
 // atomically (temp file + fsync + rename + directory fsync).
 func SaveCheckpointFile(path string, db *storage.Database, defs []xindex.Definition, lsn, stamp uint64) error {
-	return writeFileAtomic(path, func(w io.Writer) error {
+	return WriteFileAtomic(path, func(w io.Writer) error {
 		return SaveCheckpoint(w, db, defs, lsn, stamp)
 	})
 }
@@ -677,7 +695,7 @@ func LoadCapture(r io.Reader) ([]workload.CaptureState, error) {
 
 // SaveCaptureFile writes a capture sidecar to path atomically.
 func SaveCaptureFile(path string, states []workload.CaptureState) error {
-	return writeFileAtomic(path, func(w io.Writer) error {
+	return WriteFileAtomic(path, func(w io.Writer) error {
 		return SaveCapture(w, states)
 	})
 }

@@ -2,16 +2,18 @@ package replica
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"xixa/internal/persist"
 	"xixa/internal/server"
 	"xixa/internal/wal"
 	"xixa/internal/xindex"
@@ -27,8 +29,7 @@ type FollowerConfig struct {
 	// Dir is this follower's durability directory.
 	Dir string
 	// Server seeds the replica server's configuration (sync policy,
-	// capacities, segment size, archive). WALDir and Replica are
-	// overridden.
+	// capacities). WALDir and Replica are overridden.
 	Server server.Config
 	// Dial, when set, replaces net.Dial — the fault-injection hook.
 	Dial func(addr string) (net.Conn, error)
@@ -71,10 +72,15 @@ func (c FollowerConfig) withDefaults() FollowerConfig {
 
 // Follower is a replica node: a read-only server continuously fed by
 // the primary's WAL stream, promotable to primary when the primary
-// dies.
+// dies. A follower that falls behind a primary checkpoint re-bootstraps
+// in place from the primary's snapshot, replacing its server (see
+// Server).
 type Follower struct {
-	cfg     FollowerConfig
-	srv     *server.Server
+	cfg FollowerConfig
+	// srv is the server the follower owns now; a re-bootstrap swaps it.
+	// applier feeds it and belongs to the stream loop (and to Promote,
+	// once the loop has stopped).
+	srv     atomic.Pointer[server.Server]
 	applier *server.Applier
 
 	epoch          atomic.Uint64
@@ -122,8 +128,10 @@ type FollowerInfo struct {
 // StartFollower opens (or resumes) a replica in cfg.Dir following the
 // primary at cfg.PrimaryAddr. If the local position predates the
 // primary's retained history, the primary's checkpoint is adopted
-// before recovery (snapshot bootstrap). The returned follower owns its
-// server: Close stops both, Promote upgrades the server in place.
+// before recovery (snapshot bootstrap); a follower that falls behind a
+// checkpoint later adopts it the same way without a restart. The
+// returned follower owns its server: Close stops both, Promote
+// upgrades the server in place.
 //
 // A dial failure at start is not fatal — the follower recovers its
 // local state, serves reads, and keeps reconnecting with backoff; a
@@ -143,25 +151,37 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 	if err := bootstrapSnapshot(cfg, epoch); err != nil {
 		return nil, err
 	}
-
-	scfg := cfg.Server
-	scfg.WALDir = cfg.Dir
-	scfg.Replica = true
-	srv, _, err := server.Recover(scfg, nil)
-	if err != nil {
-		return nil, err
-	}
-
 	f := &Follower{
 		cfg:  cfg,
-		srv:  srv,
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
 	f.epoch.Store(epoch)
-	f.applied.Store(srv.WAL().LastLSN())
-	f.primaryFlushed.Store(srv.WAL().LastLSN())
-	f.applier = server.NewApplier(srv.DB(), srv.Catalog().Definitions(), srv.WAL().LastLSN(), srv.DB().Watermark())
+	if err := f.open(); err != nil {
+		return nil, err
+	}
+	go f.loop()
+	return f, nil
+}
+
+// open recovers the follower's server from its directory and points
+// the stream's applier, the index hook and the replication gauges at
+// it: the one way a follower gets a server, at start and at each
+// re-bootstrap.
+func (f *Follower) open() error {
+	scfg := f.cfg.Server
+	scfg.WALDir = f.cfg.Dir
+	scfg.Replica = true
+	srv, _, err := server.Recover(scfg, nil)
+	if err != nil {
+		return err
+	}
+	last := srv.WAL().LastLSN()
+	f.applied.Store(last)
+	if last > f.primaryFlushed.Load() {
+		f.primaryFlushed.Store(last)
+	}
+	f.applier = server.NewApplier(srv.DB(), srv.Catalog().Definitions(), last, srv.DB().Watermark())
 	f.applier.SetIndexHook(func(create bool, def xindex.Definition) error {
 		if create {
 			_, err := srv.Manager().EnsureBuilt(def)
@@ -171,8 +191,46 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 		return nil
 	})
 	f.instrument(srv.Metrics())
-	go f.loop()
-	return f, nil
+	f.srv.Store(srv)
+	return nil
+}
+
+// rebootstrap replaces the follower's server with one recovered from
+// the snapshot the primary ships when this follower has fallen behind
+// its checkpoint. The image is adopted before the old server closes, so
+// a refused or failed adoption leaves the old server serving; a crash
+// after adoption leaves a checkpoint ahead of the local log, which
+// Recover already handles. Sessions of the old server fail with
+// server.ErrClosed from here on, and their clients reconnect.
+func (f *Follower) rebootstrap(snapshot []byte) error {
+	if err := adoptSnapshot(f.cfg.Dir, snapshot); err != nil {
+		return err
+	}
+	f.Server().Close()
+	return f.open()
+}
+
+// adoptSnapshot makes a msgSnapshot body the follower's checkpoint,
+// durably: Recover truncates the local log up to the image's stamp,
+// so the image must survive a power loss before that happens. A frame
+// whose LSN is not the image's own stamp is refused before anything is
+// written.
+func adoptSnapshot(dir string, body []byte) error {
+	lsn, image, err := lsnPayload(body)
+	if err != nil {
+		return err
+	}
+	stamp, err := persist.PeekCheckpointLSN(bytes.NewReader(image))
+	if err != nil {
+		return fmt.Errorf("replica: shipped snapshot: %w", err)
+	}
+	if stamp != lsn {
+		return fmt.Errorf("replica: snapshot frame at LSN %d carries an image stamped %d; refusing it", lsn, stamp)
+	}
+	return persist.WriteFileAtomic(server.CheckpointPath(dir), func(w io.Writer) error {
+		_, err := w.Write(image)
+		return err
+	})
 }
 
 // bootstrapSnapshot is the pre-recovery handshake: peek the local WAL
@@ -184,20 +242,10 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 func bootstrapSnapshot(cfg FollowerConfig, epoch uint64) error {
 	lastLSN := uint64(0)
 	walPath := server.WALPath(cfg.Dir)
-	segs, err := wal.ListSegmentFiles(cfg.Dir, filepath.Base(walPath))
-	if err != nil {
-		return err
-	}
-	hasWAL := len(segs) > 0
-	if _, serr := os.Stat(walPath); serr == nil {
-		hasWAL = true
-	}
+	_, serr := os.Stat(walPath)
+	hasWAL := serr == nil
 	if hasWAL {
-		l, _, oerr := wal.Open(walPath, wal.Options{
-			Policy:       wal.SyncOff,
-			SegmentBytes: cfg.Server.SegmentBytes,
-			ArchiveDir:   cfg.Server.ArchiveDir,
-		})
+		l, _, oerr := wal.Open(walPath, wal.Options{Policy: wal.SyncOff})
 		if oerr != nil {
 			return oerr
 		}
@@ -253,31 +301,19 @@ func bootstrapSnapshot(cfg FollowerConfig, epoch uint64) error {
 	if err != nil || t != msgSnapshot {
 		return fmt.Errorf("replica: snapshot frame missing after welcome (err %v)", err)
 	}
-	snapLSN, raw, err := lsnPayload(body)
-	if err != nil {
-		return err
-	}
-	dst := server.CheckpointPath(cfg.Dir)
-	tmp := dst + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, dst); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	_ = snapLSN // the checkpoint carries its own stamp; Recover reads it
-	return nil
+	return adoptSnapshot(cfg.Dir, body)
 }
 
-// Server returns the follower's (read-only until promoted) server.
-func (f *Follower) Server() *server.Server { return f.srv }
+// Server returns the follower's current (read-only until promoted)
+// server. A re-bootstrap closes it and swaps in a new one, so callers
+// that serve clients fetch it per session rather than keep it.
+func (f *Follower) Server() *server.Server { return f.srv.Load() }
 
 // Info reports the follower's position and health.
 func (f *Follower) Info() FollowerInfo {
 	applied := f.applied.Load()
 	tip := f.primaryFlushed.Load()
-	durable := f.srv.WAL().DurableLSN()
+	durable := f.Server().WAL().DurableLSN()
 	lag := uint64(0)
 	if tip > applied {
 		lag = tip - applied
@@ -328,7 +364,7 @@ func (f *Follower) Promote() (uint64, error) {
 		return 0, err
 	}
 	f.epoch.Store(epoch)
-	f.srv.Promote()
+	f.Server().Promote()
 	return epoch, nil
 }
 
@@ -338,7 +374,7 @@ func (f *Follower) Promote() (uint64, error) {
 func (f *Follower) Close() {
 	f.stopLoop()
 	if !f.promoted.Load() {
-		f.srv.Close()
+		f.Server().Close()
 	}
 }
 
@@ -429,7 +465,7 @@ func (f *Follower) streamOnce() (progressed bool, err error) {
 		conn.Close()
 	}()
 
-	l := f.srv.WAL()
+	l := f.Server().WAL()
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
 	conn.SetDeadline(time.Now().Add(f.cfg.StaleAfter))
@@ -461,10 +497,20 @@ func (f *Follower) streamOnce() (progressed bool, err error) {
 		f.epoch.Store(wepoch)
 	}
 	if body[8] != 0 {
-		// A snapshot mid-life means our history no longer chains — the
-		// primary checkpointed past us without an archive. The live
-		// server cannot swallow a whole new image; restart to bootstrap.
-		return false, errors.New("replica: primary checkpointed past this follower's history; restart the follower to bootstrap from its snapshot")
+		// The primary checkpointed past our history: adopt the snapshot
+		// that follows, then stream on from its stamp with the server
+		// recovered from it.
+		t, snap, err := readFrame(br)
+		if err != nil {
+			return false, err
+		}
+		if t != msgSnapshot {
+			return false, fmt.Errorf("replica: %d frame where the snapshot belongs", t)
+		}
+		if err := f.rebootstrap(snap); err != nil {
+			return false, err
+		}
+		l = f.Server().WAL()
 	}
 	f.connected.Store(true)
 	f.lastContact.Store(time.Now().UnixNano())

@@ -28,7 +28,7 @@ func (f *Follower) instrument(reg *obs.Registry) {
 		return float64(tip - applied)
 	})
 	reg.GaugeFunc("xixa_replica_lag_lsn", func() float64 {
-		tip, durable := f.primaryFlushed.Load(), f.srv.WAL().DurableLSN()
+		tip, durable := f.primaryFlushed.Load(), f.Server().WAL().DurableLSN()
 		if tip <= durable {
 			return 0
 		}

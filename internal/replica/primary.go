@@ -250,13 +250,13 @@ func (p *Primary) handle(st *followerConn) {
 	// is brand new (the image at LSN 0 — the bootstrap seed — exists
 	// only in checkpoints, never in records) or when its position
 	// predates the earliest record still retained (a checkpoint
-	// truncated history and no archive preserved it). The file is read
-	// whole before peeking the stamp — checkpoint writes swap the file
-	// atomically, so the bytes are one consistent image.
+	// truncated the history it needs). The file is read whole before
+	// peeking the stamp — checkpoint writes swap the file atomically,
+	// so the bytes are one consistent image.
 	start := helloLSN
 	welcome := append(u64Body(p.epoch), 0)
 	var snapBody []byte
-	if earliest := l.EarliestLSN(); helloFresh || helloLSN < earliest {
+	if earliest := l.StartLSN(); helloFresh || helloLSN < earliest {
 		raw, rerr := os.ReadFile(server.CheckpointPath(p.srv.WALDir()))
 		if rerr != nil {
 			sendError(bw, fmt.Sprintf("snapshot unavailable: %v", rerr))
@@ -319,7 +319,7 @@ func (p *Primary) handle(st *followerConn) {
 // caught up and heartbeating while idle. It returns when the
 // connection dies, the primary closes or is fenced, or the cursor
 // fails (history truncated under it — the follower reconnects and
-// takes the snapshot path).
+// re-bootstraps from the snapshot).
 func (p *Primary) stream(st *followerConn, bw *bufio.Writer, pos uint64) {
 	l := p.srv.WAL()
 	cur := l.Cursor(pos)

@@ -1,8 +1,8 @@
 // Package replica implements WAL-shipping replication for the xixa
-// server: a primary segments and streams its write-ahead log to any
-// number of followers over length-prefixed TCP frames, each follower
-// replays the records continuously through the same applier that
-// drives crash recovery, and a follower can be promoted to primary —
+// server: a primary streams its write-ahead log to any number of
+// followers over length-prefixed TCP frames, each follower replays the
+// records continuously through the same applier that drives crash
+// recovery, and a follower can be promoted to primary —
 // fencing the old primary through a monotonically increasing epoch
 // carried in every handshake. Every record is a whole commit, so a
 // follower's log is always a committed prefix of the primary's.
@@ -19,9 +19,10 @@
 // same LSNs, same payloads, so the follower's log is byte-comparable
 // to the primary's), applies it, and periodically fsyncs and reports
 // Ack(durableLSN). If the follower's position predates the primary's
-// earliest retained record, the primary front-loads a Snapshot frame
-// carrying its checkpoint; with a WAL archive configured the primary
-// retains history from LSN 0 and the snapshot path is never needed.
+// earliest retained record (a checkpoint truncated it), the primary
+// front-loads a Snapshot frame carrying its checkpoint, which the
+// follower adopts before streaming on — at start, or mid-life by
+// replacing its server in place.
 //
 // Every frame is uint32 length + uint32 CRC-32C over a one-byte type
 // and the body. A stream that desyncs — severed mid-frame, a byte

@@ -3,14 +3,19 @@ package replica
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"xixa/internal/obs"
 	"xixa/internal/persist"
 	"xixa/internal/replica/faultnet"
 	"xixa/internal/server"
@@ -115,9 +120,9 @@ func verifyLogSequence(t *testing.T, l *wal.Log, wantTip uint64) {
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	cur := l.Cursor(l.EarliestLSN())
+	cur := l.Cursor(l.StartLSN())
 	defer cur.Close()
-	next := l.EarliestLSN() + 1
+	next := l.StartLSN() + 1
 	for {
 		lsn, _, err := cur.Next()
 		if err != nil {
@@ -203,9 +208,9 @@ func TestStreamAndCatchUp(t *testing.T) {
 	}
 }
 
-// TestSnapshotBootstrap: a primary without an archive checkpoints and
-// truncates its history; a fresh follower cannot chain from LSN 0 and
-// must adopt the shipped checkpoint before tailing the stream.
+// TestSnapshotBootstrap: a primary checkpoints and truncates its
+// history; a fresh follower cannot chain from LSN 0 and must adopt the
+// shipped checkpoint before tailing the stream.
 func TestSnapshotBootstrap(t *testing.T) {
 	p, addr := startPrimary(t, t.TempDir(), 15)
 	defer p.Close()
@@ -222,7 +227,7 @@ func TestSnapshotBootstrap(t *testing.T) {
 	if err := p.Server().Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Server().WAL().EarliestLSN() == 0 {
+	if p.Server().WAL().StartLSN() == 0 {
 		t.Fatal("test needs truncated history to force the snapshot path")
 	}
 	for i := 12; i < 18; i++ {
@@ -492,20 +497,277 @@ func TestPromoteAfterPrimaryDies(t *testing.T) {
 	f.Server().Close()
 	f.Close()
 
-	// And RestoreToLSN over the dead primary's directory at the
-	// follower's applied position is the independent oracle for the
-	// same committed prefix.
-	res, err := server.RestoreToLSN(pdir, "", committedTip)
+	// And recovering a copy of the dead primary's directory is the
+	// independent oracle for the same committed prefix.
+	dead, _, err := server.Recover(primaryCfg(copyDir(t, pdir)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := persist.SaveDatabase(&buf, res.DB, res.Defs); err != nil {
+	defer dead.Close()
+	if dead.WAL().LastLSN() != committedTip || !bytes.Equal(dbBytes(t, dead), committedImage) {
+		t.Fatal("recovering the dead primary's directory disagrees with the committed prefix")
+	}
+}
+
+// copyDir copies the files of a durability directory into a fresh one.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), committedImage) {
-		t.Fatal("restore oracle disagrees with the committed prefix")
+	for _, e := range entries {
+		if e.IsDir() {
+			continue
+		}
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
+	return dst
+}
+
+// holdableDialer dials for real until hold is called; hold severs every
+// connection it made and refuses dials until release.
+func holdableDialer() (dial func(string) (net.Conn, error), hold, release func()) {
+	var mu sync.Mutex
+	held := false
+	var conns []net.Conn
+	dial = func(addr string) (net.Conn, error) {
+		c, err := net.DialTimeout("tcp", addr, time.Second)
+		if err != nil {
+			return nil, err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if held {
+			c.Close()
+			return nil, errors.New("held off")
+		}
+		conns = append(conns, c)
+		return c, nil
+	}
+	hold = func() {
+		mu.Lock()
+		defer mu.Unlock()
+		held = true
+		for _, c := range conns {
+			c.Close()
+		}
+		conns = nil
+	}
+	release = func() {
+		mu.Lock()
+		held = false
+		mu.Unlock()
+	}
+	return dial, hold, release
+}
+
+// TestLiveFollowerRebootstraps: a follower held off while the primary
+// takes writes and two checkpoints has fallen behind the primary's
+// history when it reconnects. With no restart it adopts the primary's
+// snapshot, replaces its server and streams on: bit-identical to the
+// primary, with a gapless log from the snapshot's stamp and gauges on
+// the new server, then promotable to a writable primary. A session of
+// the replaced server fails with server.ErrClosed.
+func TestLiveFollowerRebootstraps(t *testing.T) {
+	p, addr := startPrimary(t, t.TempDir(), 10)
+	defer p.Close()
+	defer p.Server().Close()
+	sess, err := p.Server().NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if _, err := sess.Execute(insertStmt(fmt.Sprintf("RB%03d", i), i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	insert(0, 5)
+
+	cfg := followerCfg(t.TempDir(), addr)
+	dial, hold, release := holdableDialer()
+	cfg.Dial = dial
+	f, err := StartFollower(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	waitApplied(t, f, p.Server().WAL().LastLSN(), 5*time.Second)
+	before := f.Server()
+	oldSess, err := before.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	hold()
+	behind := f.Info().AppliedLSN
+	for round := 0; round < 2; round++ {
+		insert(5+10*round, 15+10*round)
+		if err := p.Server().Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert(25, 30)
+	snapLSN := p.Server().WAL().StartLSN()
+	if snapLSN <= behind || f.Info().AppliedLSN != behind {
+		t.Fatalf("follower at LSN %d, primary history starts at %d: the test needs the follower behind it", f.Info().AppliedLSN, snapLSN)
+	}
+	release()
+
+	tip := p.Server().WAL().LastLSN()
+	waitApplied(t, f, tip, 10*time.Second)
+	now := f.Server()
+	if now == before {
+		t.Fatal("the follower caught up without replacing its server")
+	}
+	if got := now.WAL().StartLSN(); got != snapLSN {
+		t.Fatalf("re-bootstrapped log starts at LSN %d, want the snapshot's %d", got, snapLSN)
+	}
+	verifyLogSequence(t, now.WAL(), tip)
+	if !bytes.Equal(dbBytes(t, now), dbBytes(t, p.Server())) {
+		t.Fatal("re-bootstrapped follower diverged from primary")
+	}
+	if v := obs.Values(now.Metrics().Snapshot())["xixa_replica_applied_lsn"]; v != float64(tip) {
+		t.Fatalf("new server's xixa_replica_applied_lsn = %v, want %d", v, tip)
+	}
+	if _, err := oldSess.Execute(`for $s in SECURITY('SDOC')/Security where $s/Symbol = "RB001" return $s`); !errors.Is(err, server.ErrClosed) {
+		t.Fatalf("session of the replaced server: %v, want server.ErrClosed", err)
+	}
+
+	p.Close()
+	p.Server().Close()
+	if _, err := f.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Server().Close()
+	psess, err := f.Server().NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := psess.Execute(insertStmt("RBNEW", 5)); err != nil {
+		t.Fatalf("write on the promoted follower: %v", err)
+	}
+	if got := f.Server().WAL().LastLSN(); got != tip+1 {
+		t.Fatalf("post-promotion write at LSN %d, want %d", got, tip+1)
+	}
+}
+
+// fakePrimary answers every follower connection's hello with a welcome
+// and, when snapshot returns a body for that connection (numbered from
+// 0), a snapshot frame carrying it; then it holds the connection open
+// and silent.
+func fakePrimary(t *testing.T, snapshot func(conn int) []byte) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for i := 0; ; i++ {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(body []byte) {
+				defer c.Close()
+				br, bw := bufio.NewReader(c), bufio.NewWriter(c)
+				if mt, _, err := readFrame(br); err != nil || mt != msgHello {
+					return
+				}
+				welcome := append(u64Body(1), 0)
+				if body != nil {
+					welcome[8] = 1
+				}
+				writeFrame(bw, msgWelcome, welcome)
+				if body != nil {
+					writeFrame(bw, msgSnapshot, body)
+				}
+				bw.Flush()
+				io.Copy(io.Discard, br)
+			}(snapshot(i))
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestSnapshotAdoptionRefusesMismatchedStamp: a snapshot frame whose
+// LSN is not the stamp of the image it carries is refused — at start
+// before any checkpoint is written, and mid-life with the old server
+// still serving and its checkpoint untouched.
+func TestSnapshotAdoptionRefusesMismatchedStamp(t *testing.T) {
+	db, err := bootstrap(3)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	imgPath := filepath.Join(t.TempDir(), "image.db")
+	if err := persist.SaveCheckpointFile(imgPath, db, nil, 5, db.Watermark()); err != nil {
+		t.Fatal(err)
+	}
+	image, err := os.ReadFile(imgPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lying := append(u64Body(7), image...)
+
+	t.Run("at start", func(t *testing.T) {
+		dir := t.TempDir()
+		addr := fakePrimary(t, func(int) []byte { return lying })
+		if _, err := StartFollower(followerCfg(dir, addr)); err == nil || !strings.Contains(err.Error(), "refusing") {
+			t.Fatalf("StartFollower: %v, want the mismatched snapshot refused", err)
+		}
+		if _, err := os.Stat(server.CheckpointPath(dir)); !os.IsNotExist(err) {
+			t.Fatalf("a refused snapshot left a checkpoint behind (stat: %v)", err)
+		}
+	})
+	t.Run("live", func(t *testing.T) {
+		dir := t.TempDir()
+		addr := fakePrimary(t, func(conn int) []byte {
+			if conn == 0 {
+				return nil // the start-up handshake: nothing to adopt
+			}
+			return lying
+		})
+		f, err := StartFollower(followerCfg(dir, addr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		srv := f.Server()
+		deadline := time.Now().Add(5 * time.Second)
+		for info := f.Info(); info.Err == nil || !strings.Contains(info.Err.Error(), "refusing"); info = f.Info() {
+			if time.Now().After(deadline) {
+				t.Fatalf("follower never refused the snapshot (last error %v)", info.Err)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		if f.Server() != srv {
+			t.Fatal("a refused snapshot replaced the follower's server")
+		}
+		sess, err := srv.NewSession()
+		if err != nil {
+			t.Fatalf("old server stopped serving: %v", err)
+		}
+		sess.Close()
+		chk, err := os.Open(server.CheckpointPath(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer chk.Close()
+		if lsn, err := persist.PeekCheckpointLSN(chk); err != nil || lsn != 0 {
+			t.Fatalf("checkpoint after the refusal is stamped %d (%v), want the start-up one at 0", lsn, err)
+		}
+	})
 }
 
 // TestFollowerReplaysIndexDrop is the follower twin of the server's
@@ -661,8 +923,8 @@ func TestZombieFencing(t *testing.T) {
 // TestReplicationSoak runs concurrent writers (plain statements and
 // multi-op transaction commits) against a primary with two followers —
 // one clean, one behind a fault-injecting dialer — plus a mid-run
-// checkpoint into an archive, and requires both followers to converge
-// bit-identically with gapless logs. CI runs this under -race.
+// checkpoint, and requires both followers to converge bit-identically
+// with gapless logs. CI runs this under -race.
 func TestReplicationSoak(t *testing.T) {
 	writes := 60
 	if testing.Short() {
@@ -670,8 +932,6 @@ func TestReplicationSoak(t *testing.T) {
 	}
 	pdir := t.TempDir()
 	scfg := primaryCfg(pdir)
-	scfg.SegmentBytes = 16 << 10
-	scfg.ArchiveDir = pdir + "/archive"
 	srv, _, err := server.Recover(scfg, bootstrap(20))
 	if err != nil {
 		t.Fatal(err)

@@ -13,9 +13,8 @@ import (
 // Every commit is one RecCommit record holding its whole write set, so
 // a record applies atomically or, torn, not at all, and every LSN is a
 // commit boundary. It is the one redo path shared by crash recovery
-// (Recover feeds it the scanned tail), replication followers (which
-// feed it records as they stream in), and point-in-time restore
-// (RestoreToLSN feeds it archived history up to the target).
+// (Recover feeds it the scanned tail) and replication followers (which
+// feed it records as they stream in).
 //
 // Because commits on disjoint tables append to the log outside any
 // shared lock, log order and commit-stamp order may differ. The
@@ -28,7 +27,7 @@ import (
 // stamped 0 is a replay error.
 //
 // Records must arrive in LSN order with no gaps; a record at or below
-// AppliedLSN is skipped silently (the dedup a follower needs when it
+// the last one consumed is skipped silently (the dedup a follower needs when it
 // re-streams from its last durable position). An Applier is not safe
 // for concurrent use — callers serialize Apply against their own
 // reads. Callers must Flush before reading final state: commits above
@@ -40,7 +39,7 @@ type Applier struct {
 	// onIndex, when set, materializes index lifecycle changes live as
 	// they apply (followers build indexes as the records arrive);
 	// without it the definition list just folds the changes in and the
-	// caller rebuilds at the end (recovery, restore).
+	// caller rebuilds at the end (recovery).
 	onIndex func(create bool, def xindex.Definition) error
 
 	applied uint64 // LSN of the last record consumed
@@ -73,10 +72,6 @@ func NewApplier(db *storage.Database, defs []xindex.Definition, afterLSN, afterS
 func (a *Applier) SetIndexHook(h func(create bool, def xindex.Definition) error) {
 	a.onIndex = h
 }
-
-// AppliedLSN is the LSN of the last record consumed. Commits parked
-// in the reorder buffer count: they publish at Flush.
-func (a *Applier) AppliedLSN() uint64 { return a.applied }
 
 // OpsApplied is the number of document and index operations published.
 func (a *Applier) OpsApplied() int { return a.ops }
@@ -150,7 +145,7 @@ func (a *Applier) enqueue(stamp, lsn uint64, ops []storage.TxOp) error {
 // sharing a table can never arrive stamp-inverted, the missing commit
 // commutes with everything parked above it and skipping the gap yields
 // a consistent history. Callers must Flush before reading final state
-// (end of recovery and restore, promotion).
+// (end of recovery, promotion).
 func (a *Applier) Flush() error {
 	if len(a.reorder) == 0 {
 		return nil

@@ -116,11 +116,7 @@ func Recover(cfg Config, bootstrap func() (*storage.Database, error)) (*Server, 
 	}
 
 	// Open the log and scan its intact records.
-	l, scanned, err := wal.Open(filepath.Join(cfg.WALDir, walLogFile), wal.Options{
-		Policy:       cfg.SyncPolicy,
-		SegmentBytes: cfg.SegmentBytes,
-		ArchiveDir:   cfg.ArchiveDir,
-	})
+	l, scanned, err := wal.Open(filepath.Join(cfg.WALDir, walLogFile), wal.Options{Policy: cfg.SyncPolicy})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -280,16 +276,6 @@ func (s *Server) checkpointLocked() error {
 	}
 	if err := persist.SaveCaptureFile(filepath.Join(s.walDir, captureFile), s.capture.Export()); err != nil {
 		return err
-	}
-	// With an archive configured, the checkpoint joins it under an
-	// LSN-stamped name before the log truncates: paired with the
-	// archived WAL segments (Truncate moves rather than deletes them),
-	// any archived checkpoint plus the records past its stamp can
-	// rebuild the image at any committed LSN — see RestoreToLSN.
-	if dir := s.wal.ArchiveDir(); dir != "" {
-		if _, err := persist.ArchiveCheckpoint(filepath.Join(s.walDir, checkpointFile), dir, lsn); err != nil {
-			return err
-		}
 	}
 	if err := s.wal.Truncate(lsn); err != nil {
 		return err

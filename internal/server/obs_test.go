@@ -177,7 +177,7 @@ func TestServerObservabilityEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hs := httptest.NewServer(obs.NewMux(srv.Metrics(), srv.Tracer()))
+	hs := httptest.NewServer(obs.NewMux(srv.Metrics, srv.Tracer))
 	defer hs.Close()
 
 	get := func(path string) string {

@@ -44,6 +44,43 @@ func dbBytes(t *testing.T, s *Server) []byte {
 	return buf.Bytes()
 }
 
+// replayTo is the recovery tests' independent oracle: the image at
+// target rebuilt from dir's checkpoint plus the log's records through
+// target, applied by a fresh Applier — no server, no index builds.
+// Opening the log only writes to it when its tail is torn, so dir may
+// belong to a live or abandoned server.
+func replayTo(t *testing.T, dir string, target uint64) (*storage.Database, []xindex.Definition) {
+	t.Helper()
+	db, defs, lsn, stamp, err := persist.LoadCheckpointFile(CheckpointPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lsn > target {
+		t.Fatalf("replay to LSN %d: the checkpoint is already at %d", target, lsn)
+	}
+	l, res, err := wal.Open(WALPath(dir), wal.Options{Policy: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	a := NewApplier(db, defs, lsn, stamp)
+	for _, rec := range res.Records {
+		if rec.LSN > target {
+			break
+		}
+		if err := a.Apply(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if a.AppliedLSN() != target {
+		t.Fatalf("replay to LSN %d: history ends at %d", target, a.AppliedLSN())
+	}
+	return db, a.Defs()
+}
+
 func mustExec(t *testing.T, sess *Session, raw string) {
 	t.Helper()
 	if _, err := sess.Execute(raw); err != nil {
@@ -186,12 +223,12 @@ func TestRecoverCrashMidBurst(t *testing.T) {
 // than its stamp — one 12-insert transaction commits under stamp 1 —
 // must reload at exactly that stamp. Loading it one stamp per document
 // came back at watermark 12, so the next commit took stamp 13 and stamps
-// 2-12 never appeared in the log. A later restart and a point-in-time
-// restore past the checkpoint both land on stamp 1 plus the replayed
-// commit.
+// 2-12 never appeared in the log. A later restart and a replay of the
+// checkpoint plus the log past it both land on stamp 1 plus the
+// replayed commit.
 func TestRecoverKeepsCheckpointStamp(t *testing.T) {
 	dir := t.TempDir()
-	cfg := restoreCfg(dir)
+	cfg := durableCfg(dir)
 	srv, _, err := Recover(cfg, bootstrapFixture(0))
 	if err != nil {
 		t.Fatal(err)
@@ -243,16 +280,13 @@ func TestRecoverKeepsCheckpointStamp(t *testing.T) {
 	if w := srv3.DB().Watermark(); w != 2 || !bytes.Equal(dbBytes(t, srv3), want) {
 		t.Fatalf("second restart: watermark %d (want 2), image identical %v", w, bytes.Equal(dbBytes(t, srv3), want))
 	}
-	res, err := RestoreToLSN(dir, cfg.ArchiveDir, tip)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, defs := replayTo(t, dir, tip)
 	var buf bytes.Buffer
-	if err := persist.SaveDatabase(&buf, res.DB, res.Defs); err != nil {
+	if err := persist.SaveDatabase(&buf, db, defs); err != nil {
 		t.Fatal(err)
 	}
-	if w := res.DB.Watermark(); w != 2 || !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("restore past the checkpoint: watermark %d (want 2), image identical %v", w, bytes.Equal(buf.Bytes(), want))
+	if w := db.Watermark(); w != 2 || !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("replay past the checkpoint: watermark %d (want 2), image identical %v", w, bytes.Equal(buf.Bytes(), want))
 	}
 }
 
@@ -1015,8 +1049,8 @@ func TestRecoverRefusesOldLogVersion(t *testing.T) {
 // indexes and drops one through the tuner's apply path, inserts a
 // document both patterns match, and is abandoned without a checkpoint:
 // Recover must come back with exactly the surviving definition, its
-// online index equal to a cold build, and RestoreToLSN must see two
-// definitions just before the drop record and one at it.
+// online index equal to a cold build, and a replay of the log must see
+// two definitions just before the drop record and one at it.
 func TestRecoverReplaysIndexDrop(t *testing.T) {
 	dir := t.TempDir()
 	srv, _, err := Recover(durableCfg(dir), bootstrapFixture(40))
@@ -1089,12 +1123,8 @@ func TestRecoverReplaysIndexDrop(t *testing.T) {
 		target uint64
 		defs   int
 	}{{dropLSN - 1, 2}, {dropLSN, 1}} {
-		res, err := RestoreToLSN(dir, "", tc.target)
-		if err != nil {
-			t.Fatalf("RestoreToLSN(%d): %v", tc.target, err)
-		}
-		if len(res.Defs) != tc.defs {
-			t.Fatalf("RestoreToLSN(%d) holds %d definitions, want %d", tc.target, len(res.Defs), tc.defs)
+		if _, defs := replayTo(t, dir, tc.target); len(defs) != tc.defs {
+			t.Fatalf("replay to LSN %d holds %d definitions, want %d", tc.target, len(defs), tc.defs)
 		}
 	}
 }

@@ -3,11 +3,8 @@ package server
 import (
 	"bytes"
 	"errors"
-	"fmt"
-	"path/filepath"
 	"testing"
 
-	"xixa/internal/persist"
 	"xixa/internal/wal"
 )
 
@@ -181,160 +178,6 @@ func TestFencedServerRefusesWrites(t *testing.T) {
 	srv.Promote()
 	if _, err := sess.Execute(insertStmt("FN001", 1)); !errors.Is(err, ErrFenced) {
 		t.Fatalf("fenced insert after Promote: got %v, want ErrFenced", err)
-	}
-}
-
-// restoreCfg configures a server whose WAL rolls small segments into an
-// archive, so checkpoints preserve rather than destroy history.
-func restoreCfg(dir string) Config {
-	cfg := durableCfg(dir)
-	cfg.SegmentBytes = 4096
-	cfg.ArchiveDir = filepath.Join(dir, "archive")
-	return cfg
-}
-
-// TestRestoreToLSN drives the point-in-time restore acceptance
-// criterion: with WAL archiving on, RestoreToLSN reproduces the exact
-// image at every committed LSN — across segment rolls and a checkpoint
-// that truncated the live log — and a multi-op transaction takes
-// exactly one LSN, so there is no target inside it.
-func TestRestoreToLSN(t *testing.T) {
-	dir := t.TempDir()
-	cfg := restoreCfg(dir)
-	srv, _, err := Recover(cfg, bootstrapFixture(25))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := srv.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// One committed image per insert: LSN -> expected serialized state.
-	type point struct {
-		lsn  uint64
-		snap []byte
-	}
-	var points []point
-	record := func() {
-		points = append(points, point{srv.WAL().LastLSN(), dbBytes(t, srv)})
-	}
-	record() // the bootstrap image at the initial checkpoint LSN
-	for i := 0; i < 12; i++ {
-		mustExec(t, sess, insertStmt(fmt.Sprintf("PT%03d", i), i))
-		record()
-		if i == 5 {
-			if err := srv.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	// A three-insert transaction: one commit record, one LSN.
-	tx, err := sess.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := tx.Execute(insertStmt(fmt.Sprintf("PTX%02d", i), i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	preTxn := points[len(points)-1]
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	record()
-	final := points[len(points)-1]
-	srv.Close()
-	if final.lsn != preTxn.lsn+1 {
-		t.Fatalf("3-insert transaction spans LSNs (%d, %d], want exactly one", preTxn.lsn, final.lsn)
-	}
-
-	for _, p := range points {
-		res, err := RestoreToLSN(dir, cfg.ArchiveDir, p.lsn)
-		if err != nil {
-			t.Fatalf("RestoreToLSN(%d): %v", p.lsn, err)
-		}
-		var buf bytes.Buffer
-		if err := persist.SaveDatabase(&buf, res.DB, res.Defs); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), p.snap) {
-			t.Fatalf("restored image at LSN %d is not bit-identical to the live image", p.lsn)
-		}
-	}
-
-	// Beyond history: a loud error, not a silent partial image.
-	if _, err := RestoreToLSN(dir, cfg.ArchiveDir, final.lsn+10); err == nil {
-		t.Fatal("restore beyond history succeeded")
-	}
-}
-
-// TestCheckpointArchivesHistory: with an archive configured, a
-// checkpoint preserves the truncated WAL segments and an LSN-stamped
-// checkpoint copy, and a cursor can still stream from genesis.
-func TestCheckpointArchivesHistory(t *testing.T) {
-	dir := t.TempDir()
-	cfg := restoreCfg(dir)
-	srv, _, err := Recover(cfg, bootstrapFixture(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	sess, err := srv.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		mustExec(t, sess, insertStmt(fmt.Sprintf("AR%03d", i), i))
-	}
-	tip := srv.WAL().LastLSN()
-	if err := srv.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-
-	chks, err := persist.ListArchivedCheckpoints(cfg.ArchiveDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chks) == 0 {
-		t.Fatal("checkpoint archived no LSN-stamped copy")
-	}
-	if got := chks[len(chks)-1].LSN; got != tip {
-		t.Fatalf("archived checkpoint stamped %d, want %d", got, tip)
-	}
-	segs, err := wal.ListSegmentFiles(cfg.ArchiveDir, walLogFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) == 0 {
-		t.Fatal("checkpoint archived no WAL segments")
-	}
-	if got := srv.WAL().EarliestLSN(); got != 0 {
-		t.Fatalf("EarliestLSN with archive = %d, want 0", got)
-	}
-
-	// The full history replays from the archive: every LSN from genesis
-	// to the tip, exactly once.
-	cur := srv.WAL().Cursor(0)
-	defer cur.Close()
-	next := uint64(1)
-	for {
-		lsn, _, err := cur.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lsn == 0 {
-			break
-		}
-		if lsn != next {
-			t.Fatalf("cursor produced LSN %d, want %d", lsn, next)
-		}
-		next++
-	}
-	if next != tip+1 {
-		t.Fatalf("cursor stopped at LSN %d, want to reach %d", next-1, tip)
 	}
 }
 

@@ -118,15 +118,6 @@ type Config struct {
 	// CheckpointBytes triggers an automatic checkpoint from the tuning
 	// loop's ticker once the WAL grows past it (0 = 64 MiB).
 	CheckpointBytes int64
-	// SegmentBytes rolls the WAL into sealed segments once the active
-	// file outgrows it (0 = single-file log). Segmentation is what lets
-	// checkpoints archive history instead of deleting it.
-	SegmentBytes int64
-	// ArchiveDir, when set, preserves checkpointed-away WAL segments
-	// and LSN-stamped checkpoint copies instead of deleting them — the
-	// retention replication catch-up and point-in-time restore read
-	// from. Same filesystem as WALDir.
-	ArchiveDir string
 	// Replica starts the server as a read-only replication follower:
 	// mutations are refused with ErrReadOnly and the tuner refuses to
 	// run, so the only records entering its log are the ones the

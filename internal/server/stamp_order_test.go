@@ -303,3 +303,7 @@ func TestApplierReorder(t *testing.T) {
 		}
 	})
 }
+
+// AppliedLSN is the LSN of the last record consumed. Commits parked
+// in the reorder buffer count: they publish at Flush.
+func (a *Applier) AppliedLSN() uint64 { return a.applied }

@@ -122,7 +122,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if n <= 0 {
 		n = 1
 	}
-	if cfg.Server.WALDir != "" || cfg.Server.ArchiveDir != "" || cfg.Server.Replica {
+	if cfg.Server.WALDir != "" || cfg.Server.Replica {
 		return nil, fmt.Errorf("shard: durability/replication server options do not compose with sharding")
 	}
 	if cfg.Server.TuneInterval != 0 {

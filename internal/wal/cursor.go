@@ -11,15 +11,15 @@ import (
 )
 
 // errCursorRetry marks a transient race between a cursor and a
-// concurrent seal/truncate rename; the cursor re-resolves and retries.
-var errCursorRetry = errors.New("wal: cursor raced a segment rename")
+// concurrent checkpoint's file swap; the cursor re-resolves and retries.
+var errCursorRetry = errors.New("wal: cursor raced a log file swap")
 
 // Cursor streams a log's records in LSN order, starting after a chosen
 // position — the primary side of WAL shipping. It reads through its
-// own file descriptors, following the record chain across archived
-// segments, sealed segments, and the active file, and only ever
-// surfaces records the log has flushed (records a client could have
-// been told committed). A cursor tails a live log: Next returns
+// own file descriptor, moving to the fresh file when a checkpoint swaps
+// the log, and only ever surfaces records the log has flushed (records
+// a client could have been told committed). A cursor tails a live log:
+// Next returns
 // (0, nil, nil) at the flushed tip and later calls pick up new
 // records. A Cursor is not safe for concurrent use.
 type Cursor struct {
@@ -31,9 +31,8 @@ type Cursor struct {
 }
 
 // Cursor returns a cursor positioned to surface record after+1 next.
-// The position may live anywhere in retained history (see
-// EarliestLSN); a position truncated away surfaces ErrTruncated from
-// Next.
+// The position may be anywhere from StartLSN on; a position truncated
+// away surfaces ErrTruncated from Next.
 func (l *Log) Cursor(after uint64) *Cursor {
 	return &Cursor{l: l, next: after + 1}
 }
@@ -65,9 +64,9 @@ func (c *Cursor) Next() (uint64, []byte, error) {
 		}
 		lsn, payload, err := c.readRecord()
 		if err == io.EOF {
-			// The file ended cleanly before c.next: the record lives in
-			// the next file of the chain (or this file was sealed and a
-			// fresh active took over) — reopen at the current position.
+			// The file ended cleanly before c.next: a checkpoint swapped
+			// the log and the record lives in the fresh file — reopen at
+			// the current position.
 			c.Close()
 			if retries >= 5 {
 				return 0, nil, fmt.Errorf("wal: cursor stuck at LSN %d", c.next)
@@ -98,10 +97,6 @@ func (c *Cursor) open() error {
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		if os.IsNotExist(err) {
-			// Sealed or truncated between resolve and open.
-			return errCursorRetry
-		}
 		return err
 	}
 	var head [headerLen]byte
@@ -115,8 +110,8 @@ func (c *Cursor) open() error {
 		return fmt.Errorf("wal: cursor: %s is not a wal file", path)
 	}
 	if binary.LittleEndian.Uint64(head[8:16]) != fileStart {
-		// The active file was swapped (sealed, or checkpoint-truncated)
-		// after resolve handed out its start.
+		// A checkpoint swapped the file after resolve handed out its
+		// start.
 		f.Close()
 		return errCursorRetry
 	}
@@ -164,60 +159,11 @@ func (c *Cursor) Close() {
 }
 
 // resolveLocked names the file holding record lsn and the LSN before
-// that file's first record. The active file resolves for any lsn past
-// its start, even beyond the last record — callers gate on the flushed
-// tip.
+// that file's first record. The file resolves for any lsn past its
+// start, even beyond the last record — callers gate on the flushed tip.
 func (l *Log) resolveLocked(lsn uint64) (path string, fileStart uint64, err error) {
-	if lsn > l.segStart {
-		return l.path, l.segStart, nil
+	if lsn > l.start {
+		return l.path, l.start, nil
 	}
-	for _, sm := range l.segs {
-		if lsn > sm.start && lsn <= sm.end {
-			return sm.path, sm.start, nil
-		}
-	}
-	for _, sm := range l.archived {
-		if lsn > sm.start && lsn <= sm.end {
-			return sm.path, sm.start, nil
-		}
-	}
-	return "", 0, fmt.Errorf("%w (LSN %d, earliest retained %d)", ErrTruncated, lsn, l.earliestLocked()+1)
-}
-
-func (l *Log) earliestLocked() uint64 {
-	if len(l.archived) > 0 {
-		return l.archived[0].start
-	}
-	return l.start
-}
-
-// SegmentInfo describes one on-disk log file: an archived or sealed
-// segment, or the active file. Records cover (Start, End].
-type SegmentInfo struct {
-	Path       string
-	Start, End uint64
-}
-
-// ListSegmentFiles finds the sealed segment files for the log named
-// base (e.g. "wal.log") inside dir, oldest first — the offline half of
-// point-in-time restore, usable without an open Log.
-func ListSegmentFiles(dir, base string) ([]SegmentInfo, error) {
-	segs, err := listSegments(dir, base)
-	if err != nil {
-		return nil, err
-	}
-	infos := make([]SegmentInfo, len(segs))
-	for i, sm := range segs {
-		infos[i] = SegmentInfo{Path: sm.path, Start: sm.start, End: sm.end}
-	}
-	return infos, nil
-}
-
-// ReadSegment scans any wal-format file — an archived segment, a
-// sealed segment, or an active log — read-only, returning its records
-// in LSN order. torn reports that the file ends in a torn or corrupt
-// frame (everything before it is returned).
-func ReadSegment(path string) (startLSN uint64, recs []Record, torn bool, err error) {
-	startLSN, recs, _, torn, err = readSegmentFile(path)
-	return startLSN, recs, torn, err
+	return "", 0, fmt.Errorf("%w (LSN %d, earliest retained %d)", ErrTruncated, lsn, l.start+1)
 }

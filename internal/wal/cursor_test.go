@@ -5,75 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"xixa/internal/storage"
 )
-
-// smallSeg rolls after every few one-delete commit records.
-const smallSeg = 256
-
-func countSegFiles(t *testing.T, dir string) int {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for _, e := range entries {
-		if strings.Contains(e.Name(), ".seg-") {
-			n++
-		}
-	}
-	return n
-}
-
-func TestSegmentRollAndReopen(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "wal.log")
-	l, _ := openTestLog(t, path, Options{Policy: SyncOff, SegmentBytes: smallSeg})
-	const n = 100
-	for i := 0; i < n; i++ {
-		if _, err := appendDocRemove(l, "SECURITY", int64(i), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Commit(uint64(n)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := countSegFiles(t, dir); got < 2 {
-		t.Fatalf("expected multiple sealed segments, found %d", got)
-	}
-
-	l2, res := openTestLog(t, path, Options{Policy: SyncOff, SegmentBytes: smallSeg})
-	if res.Torn {
-		t.Fatal("clean segmented log reported torn")
-	}
-	if len(res.Records) != n {
-		t.Fatalf("replayed %d records across segments, want %d", len(res.Records), n)
-	}
-	for i, rec := range res.Records {
-		if rec.LSN != uint64(i+1) || rec.Ops[0].DocID != int64(i) {
-			t.Fatalf("record %d = LSN %d DocID %d, want contiguous replay", i, rec.LSN, rec.Ops[0].DocID)
-		}
-	}
-	// Appends continue the sequence across the reopen.
-	lsn, err := appendDocRemove(l2, "SECURITY", 999, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lsn != n+1 {
-		t.Fatalf("post-reopen LSN = %d, want %d", lsn, n+1)
-	}
-	if err := l2.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestCorruptCommitRecordDropsWholeCommit lands a CRC failure inside
 // a multi-op commit record: the scan tears at that record, so none of
@@ -124,136 +61,6 @@ func TestCorruptCommitRecordDropsWholeCommit(t *testing.T) {
 	}
 }
 
-// TestSegmentCorruptionTearsChain corrupts a sealed middle segment:
-// Open must keep history before the flip, drop everything after
-// (including later intact segments), and leave an appendable log.
-func TestSegmentCorruptionTearsChain(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "wal.log")
-	l, _ := openTestLog(t, path, Options{Policy: SyncOff, SegmentBytes: smallSeg})
-	for i := 0; i < 100; i++ {
-		if _, err := appendDocRemove(l, "SECURITY", int64(i), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := listSegments(dir, "wal.log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) < 3 {
-		t.Fatalf("need >=3 segments, got %d", len(segs))
-	}
-	victim := segs[1]
-	raw, err := os.ReadFile(victim.path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[headerLen+frameLen] ^= 0xFF // first record's payload
-	if err := os.WriteFile(victim.path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	l2, res := openTestLog(t, path, Options{Policy: SyncOff, SegmentBytes: smallSeg})
-	if !res.Torn {
-		t.Fatal("segment corruption not reported as a tear")
-	}
-	if res.TornLSN != victim.start+1 {
-		t.Fatalf("TornLSN = %d, want %d", res.TornLSN, victim.start+1)
-	}
-	if got := uint64(len(res.Records)); got != victim.start {
-		t.Fatalf("kept %d records, want everything before segment 2 (%d)", got, victim.start)
-	}
-	// The log is appendable and the sequence continues at the tear.
-	lsn, err := appendDocRemove(l2, "SECURITY", 999, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lsn != victim.start+1 {
-		t.Fatalf("post-tear LSN = %d, want %d", lsn, victim.start+1)
-	}
-	if err := l2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l3, res3 := openTestLog(t, path, Options{Policy: SyncOff, SegmentBytes: smallSeg})
-	defer l3.Close()
-	if res3.Torn || uint64(len(res3.Records)) != victim.start+1 {
-		t.Fatalf("after heal: torn=%v records=%d", res3.Torn, len(res3.Records))
-	}
-}
-
-func TestTruncateArchivesSegments(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "wal.log")
-	archive := filepath.Join(dir, "archive")
-	opts := Options{Policy: SyncOff, SegmentBytes: smallSeg, ArchiveDir: archive}
-	l, _ := openTestLog(t, path, opts)
-	const n = 50
-	for i := 0; i < n; i++ {
-		if _, err := appendDocRemove(l, "SECURITY", int64(i), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Truncate(n); err != nil {
-		t.Fatal(err)
-	}
-	if countSegFiles(t, dir) != 0 {
-		t.Fatal("sealed segments left behind in the log directory")
-	}
-	if countSegFiles(t, archive) < 2 {
-		t.Fatalf("archive holds %d segments, want the whole history", countSegFiles(t, archive))
-	}
-	if l.EarliestLSN() != 0 {
-		t.Fatalf("EarliestLSN = %d, want 0 (archive keeps everything)", l.EarliestLSN())
-	}
-	if l.StartLSN() != n {
-		t.Fatalf("StartLSN = %d, want %d", l.StartLSN(), n)
-	}
-	// New appends continue; a cursor from zero streams archived history
-	// and the live tail in one pass.
-	for i := n; i < n+10; i++ {
-		if _, err := appendDocRemove(l, "SECURITY", int64(i), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Commit(uint64(n + 10)); err != nil {
-		t.Fatal(err)
-	}
-	c := l.Cursor(0)
-	defer c.Close()
-	for want := uint64(1); want <= n+10; want++ {
-		lsn, payload, err := c.Next()
-		if err != nil {
-			t.Fatalf("cursor at %d: %v", want, err)
-		}
-		if lsn != want {
-			t.Fatalf("cursor LSN = %d, want %d", lsn, want)
-		}
-		rec, err := DecodePayload(lsn, payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.Ops[0].DocID != int64(want-1) {
-			t.Fatalf("cursor record %d DocID = %d", lsn, rec.Ops[0].DocID)
-		}
-	}
-	if lsn, _, err := c.Next(); lsn != 0 || err != nil {
-		t.Fatalf("cursor past tip = (%d, %v), want caught-up", lsn, err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen sees the archive: EarliestLSN still 0.
-	l2, _ := openTestLog(t, path, opts)
-	defer l2.Close()
-	if l2.EarliestLSN() != 0 {
-		t.Fatalf("reopened EarliestLSN = %d, want 0", l2.EarliestLSN())
-	}
-}
-
 func TestCursorTruncatedHistory(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	l, _ := openTestLog(t, path, Options{Policy: SyncOff})
@@ -286,19 +93,38 @@ func TestCursorTruncatedHistory(t *testing.T) {
 }
 
 // TestCursorFollowsLiveWriter tails a log under a concurrent writer
-// that forces segment rolls mid-stream: the cursor must surface every
-// record exactly once, in order.
+// that checkpoint-truncates every few records, swapping the file under
+// the cursor mid-stream: the cursor must surface every record exactly
+// once, in order. The writer truncates again only once the cursor has
+// surfaced a record of the current file — a cursor left behind a
+// second truncation has lost its history (ErrTruncated), which
+// TestCursorTruncatedHistory covers.
 func TestCursorFollowsLiveWriter(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	l, _ := openTestLog(t, path, Options{Policy: SyncOff, SegmentBytes: smallSeg})
+	l, _ := openTestLog(t, path, Options{Policy: SyncOff})
 	defer l.Close()
-	const n = 500
+	const n, every = 500, 7
+	var seen atomic.Uint64
 	writerDone := make(chan error, 1)
 	go func() {
+		truncated := uint64(0)
 		for i := 0; i < n; i++ {
 			lsn, err := appendDocRemove(l, "SECURITY", int64(i), 0)
 			if err == nil {
 				err = l.Commit(lsn)
+			}
+			if err == nil && lsn%every == 0 {
+				for deadline := time.Now().Add(10 * time.Second); seen.Load() <= truncated; {
+					if time.Now().After(deadline) {
+						err = fmt.Errorf("cursor never reached the file starting at LSN %d", truncated)
+						break
+					}
+					time.Sleep(50 * time.Microsecond)
+				}
+				if err == nil {
+					err = l.Truncate(lsn)
+					truncated = lsn
+				}
 			}
 			if err != nil {
 				writerDone <- err
@@ -334,10 +160,14 @@ func TestCursorFollowsLiveWriter(t *testing.T) {
 		if rec.Ops[0].DocID != int64(next-1) {
 			t.Fatalf("record %d DocID = %d", lsn, rec.Ops[0].DocID)
 		}
+		seen.Store(lsn)
 		next = lsn + 1
 	}
 	if err := <-writerDone; err != nil {
 		t.Fatal(err)
+	}
+	if got := l.StartLSN(); got != n/every*every {
+		t.Fatalf("log starts at LSN %d, want the last truncation %d", got, n/every*every)
 	}
 }
 

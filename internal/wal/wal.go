@@ -25,16 +25,9 @@
 // file is indistinguishable from a tear and handled the same way; the
 // checkpoint bounds how much history a mid-file flip can shadow.
 //
-// Segments: with Options.SegmentBytes set, the log rolls the active
-// file once it outgrows the threshold — the active file is flushed,
-// fsynced, and renamed to "<path>.seg-<start>-<end>" (20-digit LSNs,
-// records covering (start, end]), and a fresh active file whose header
-// startLSN is the sealed end continues the sequence. Open replays the
-// sealed chain oldest-first before the active tail, so segmentation is
-// invisible to recovery. Truncate removes sealed segments — or, with
-// Options.ArchiveDir set, moves them (and a final seal of the active
-// file) into the archive, where they remain readable for replication
-// catch-up and point-in-time restore.
+// The log is one file. A checkpoint's Truncate swaps in a fresh file
+// whose header startLSN is the checkpoint's LSN, so the log holds only
+// the records past the newest checkpoint; nothing older is kept.
 //
 // Group commit: appends only buffer; durability comes from Commit. Under
 // SyncAlways, concurrent committers elect a leader that flushes the
@@ -65,9 +58,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -105,7 +95,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 var ErrClosed = errors.New("wal: closed")
 
 // ErrTruncated reports that a requested LSN has been truncated out of
-// the log's readable history (checkpointed away with no archive).
+// the log's readable history (checkpointed away).
 var ErrTruncated = errors.New("wal: position truncated from history")
 
 // SyncPolicy selects when commits reach stable storage.
@@ -151,14 +141,6 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 // Options tune a log.
 type Options struct {
 	Policy SyncPolicy
-	// SegmentBytes rolls the active file into a sealed segment once it
-	// grows past this size (0 = never roll; the log stays one file).
-	SegmentBytes int64
-	// ArchiveDir, when set, receives sealed segments at Truncate time
-	// instead of deleting them, keeping the full record history
-	// readable for replication catch-up and point-in-time restore. It
-	// must live on the same filesystem as the log.
-	ArchiveDir string
 }
 
 // batchedSyncDelay is the background fsync period under SyncBatched.
@@ -175,35 +157,23 @@ type logFile interface {
 	Close() error
 }
 
-// segMeta locates one sealed or archived segment file; its records
-// cover (start, end].
-type segMeta struct {
-	path       string
-	start, end uint64
-	size       int64
-}
-
 // Log is an append-only record log. It is safe for concurrent use.
 type Log struct {
 	path string
 	opts Options
 
-	mu       sync.Mutex
-	cond     *sync.Cond // wakes group-commit followers
-	f        logFile
-	w        *bufio.Writer
-	segs     []segMeta // sealed segments in the log's directory, oldest first
-	archived []segMeta // segments moved to ArchiveDir, oldest first
-	start    uint64    // LSN before the oldest record in the log's directory
-	segStart uint64    // LSN before the active file's first record
-	last     uint64    // LSN of the last appended record
-	durable  uint64    // LSN covered by the last fsync
-	flushed  uint64    // LSN flushed to the OS — the replication-visible tip
-	size     int64     // active file size including buffered bytes
-	sealed   int64     // total bytes across sealed (non-archived) segments
-	syncing  bool      // a group-commit leader's fsync is in flight
-	fail     error     // sticky: the log is unusable after an append/flush error
-	closed   bool
+	mu      sync.Mutex
+	cond    *sync.Cond // wakes group-commit followers
+	f       logFile
+	w       *bufio.Writer
+	start   uint64 // LSN before the file's first record (the header's startLSN)
+	last    uint64 // LSN of the last appended record
+	durable uint64 // LSN covered by the last fsync
+	flushed uint64 // LSN flushed to the OS — the replication-visible tip
+	size    int64  // file size including buffered bytes
+	syncing bool   // a group-commit leader's fsync is in flight
+	fail    error  // sticky: the log is unusable after an append/flush error
+	closed  bool
 
 	flushCh   chan struct{} // closed and replaced whenever flushed advances
 	flushStop chan struct{}
@@ -219,8 +189,7 @@ type Log struct {
 
 // OpenResult reports what Open found in an existing log.
 type OpenResult struct {
-	// Records are the intact records, in LSN order, across every sealed
-	// segment and the active file.
+	// Records are the intact records, in LSN order.
 	Records []Record
 	// Torn reports that a torn or corrupt tail was truncated away.
 	Torn bool
@@ -232,96 +201,12 @@ type OpenResult struct {
 // Open opens the log at path, creating it if absent, and scans every
 // intact record for the caller to replay. A torn final record — or any
 // corruption, which is indistinguishable — truncates the history back
-// to the last intact record; appends continue after it. Corruption
-// inside a sealed segment (bitrot; seals are fsynced) tears history at
-// that point: the damaged segment is re-adopted as the active file and
-// trimmed, and every later segment is removed. The returned log is
-// positioned for appending.
+// to the last intact record; appends continue after it. The returned
+// log is positioned for appending.
 func Open(path string, opts Options) (*Log, *OpenResult, error) {
 	l := &Log{path: path, opts: opts}
 	l.cond = sync.NewCond(&l.mu)
 	res := &OpenResult{}
-
-	if opts.ArchiveDir != "" {
-		if err := os.MkdirAll(opts.ArchiveDir, 0o755); err != nil {
-			return nil, nil, err
-		}
-		archived, err := listSegments(opts.ArchiveDir, filepath.Base(path))
-		if err != nil {
-			return nil, nil, err
-		}
-		l.archived = archived
-	}
-	segs, err := listSegments(filepath.Dir(path), filepath.Base(path))
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Replay the sealed chain oldest-first. A segment that does not
-	// chain onto its predecessor, or whose contents tear short of its
-	// sealed end, truncates history there: later segments and the
-	// active file cannot be trusted (their LSNs would no longer be
-	// contiguous with what survives) and are removed.
-	var recs []Record
-	prevEnd := uint64(0)
-	repaired := false
-	for i, sm := range segs {
-		if i == 0 {
-			prevEnd = sm.start
-		}
-		tearAt := func(lost uint64, adopt bool) error {
-			repaired = true
-			res.Torn = true
-			res.TornLSN = lost
-			for _, later := range segs[i+1:] {
-				if err := os.Remove(later.path); err != nil {
-					return err
-				}
-			}
-			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-				return err
-			}
-			if adopt {
-				// The damaged segment becomes the active file; the
-				// active-file scan below trims its tail.
-				return os.Rename(sm.path, path)
-			}
-			return os.Remove(sm.path)
-		}
-		if sm.start != prevEnd {
-			// A hole in the chain: everything from prevEnd on is gone.
-			if err := tearAt(prevEnd+1, false); err != nil {
-				return nil, nil, err
-			}
-			break
-		}
-		hstart, srecs, _, torn, serr := readSegmentFile(sm.path)
-		if serr != nil {
-			return nil, nil, fmt.Errorf("wal: segment %s: %w", sm.path, serr)
-		}
-		if hstart != sm.start {
-			return nil, nil, fmt.Errorf("wal: segment %s: header startLSN %d does not match name", sm.path, hstart)
-		}
-		if torn || sm.start+uint64(len(srecs)) != sm.end {
-			if err := tearAt(sm.start+uint64(len(srecs))+1, true); err != nil {
-				return nil, nil, err
-			}
-			break
-		}
-		recs = append(recs, srecs...)
-		l.segs = append(l.segs, sm)
-		l.sealed += sm.size
-		prevEnd = sm.end
-	}
-	if repaired {
-		if err := persist.SyncDir(filepath.Dir(path)); err != nil {
-			return nil, nil, err
-		}
-	}
-	baseLSN := uint64(0)
-	if n := len(l.segs); n > 0 {
-		baseLSN = l.segs[n-1].end
-	}
 
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -335,8 +220,7 @@ func Open(path string, opts Options) (*Log, *OpenResult, error) {
 	if st.Size() < headerLen {
 		// Empty, or shorter than a header: a file this short can hold
 		// no records, so it is provably an aborted creation (a crash
-		// mid-writeHeader or mid-roll), not a log that lost data —
-		// start it fresh, continuing the sealed chain's sequence.
+		// mid-writeHeader), not a log that lost data — start it fresh.
 		if err := f.Truncate(0); err != nil {
 			f.Close()
 			return nil, nil, err
@@ -345,7 +229,7 @@ func Open(path string, opts Options) (*Log, *OpenResult, error) {
 			f.Close()
 			return nil, nil, err
 		}
-		if err := writeHeader(f, baseLSN); err != nil {
+		if err := writeHeader(f, 0); err != nil {
 			f.Close()
 			return nil, nil, err
 		}
@@ -353,18 +237,12 @@ func Open(path string, opts Options) (*Log, *OpenResult, error) {
 			f.Close()
 			return nil, nil, err
 		}
-		l.segStart = baseLSN
-		l.last = baseLSN
 		l.size = headerLen
 	} else {
-		start, arecs, goodEnd, torn, err := scan(f)
+		start, recs, goodEnd, torn, err := scan(f)
 		if err != nil {
 			f.Close()
 			return nil, nil, err
-		}
-		if len(l.segs) > 0 && start != baseLSN {
-			f.Close()
-			return nil, nil, fmt.Errorf("wal: active log startLSN %d does not chain to sealed segments ending at %d", start, baseLSN)
 		}
 		if torn {
 			if err := f.Truncate(goodEnd); err != nil {
@@ -375,27 +253,20 @@ func Open(path string, opts Options) (*Log, *OpenResult, error) {
 				f.Close()
 				return nil, nil, err
 			}
-			if !res.Torn {
-				res.Torn = true
-				res.TornLSN = start + uint64(len(arecs)) + 1
-			}
+			res.Torn = true
+			res.TornLSN = start + uint64(len(recs)) + 1
 		}
 		if _, err := f.Seek(goodEnd, io.SeekStart); err != nil {
 			f.Close()
 			return nil, nil, err
 		}
-		l.segStart = start
-		l.last = start + uint64(len(arecs))
+		l.start = start
+		l.last = start + uint64(len(recs))
 		l.size = goodEnd
-		recs = append(recs, arecs...)
-	}
-	l.start = l.segStart
-	if len(l.segs) > 0 {
-		l.start = l.segs[0].start
+		res.Records = recs
 	}
 	l.durable = l.last
 	l.flushed = l.last
-	res.Records = recs
 	l.f = f
 	l.w = bufio.NewWriter(f)
 	if opts.Policy == SyncBatched {
@@ -415,60 +286,6 @@ func writeHeader(f logFile, startLSN uint64) error {
 		return err
 	}
 	return f.Sync()
-}
-
-// sealName is the file name of a sealed segment whose records cover
-// (start, end]. The 20-digit zero-padded LSNs keep lexical order equal
-// to LSN order.
-func sealName(path string, start, end uint64) string {
-	return fmt.Sprintf("%s.seg-%020d-%020d", path, start, end)
-}
-
-// listSegments finds the sealed segment files for the log named base
-// inside dir, sorted oldest-first.
-func listSegments(dir, base string) ([]segMeta, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	prefix := base + ".seg-"
-	var segs []segMeta
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, prefix) {
-			continue
-		}
-		rest := name[len(prefix):]
-		dash := strings.IndexByte(rest, '-')
-		if dash < 0 {
-			continue
-		}
-		start, err1 := strconv.ParseUint(rest[:dash], 10, 64)
-		end, err2 := strconv.ParseUint(rest[dash+1:], 10, 64)
-		if err1 != nil || err2 != nil || end <= start {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			return nil, err
-		}
-		segs = append(segs, segMeta{path: filepath.Join(dir, name), start: start, end: end, size: info.Size()})
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].start < segs[j].start })
-	return segs, nil
-}
-
-// readSegmentFile scans one segment (or log) file read-only.
-func readSegmentFile(path string) (startLSN uint64, recs []Record, goodEnd int64, torn bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, nil, 0, false, err
-	}
-	defer f.Close()
-	return scan(f)
 }
 
 // scan reads the header and every record, stopping at the first torn or
@@ -571,10 +388,7 @@ func (l *Log) AppendRaw(lsn uint64, payload []byte) error {
 	if lsn != l.last+1 {
 		return fmt.Errorf("wal: raw append at LSN %d but log is at %d", lsn, l.last)
 	}
-	if err := l.appendLocked(payload); err != nil {
-		return err
-	}
-	return l.maybeRollLocked()
+	return l.appendLocked(payload)
 }
 
 // AppendTxn is the local writer's one way into the log: it frames and
@@ -602,68 +416,8 @@ func (l *Log) AppendTxn(payloads [][]byte) (uint64, error) {
 		if err := l.appendLocked(p); err != nil {
 			return 0, err
 		}
-		if err := l.maybeRollLocked(); err != nil {
-			return 0, err
-		}
 	}
 	return l.last, nil
-}
-
-// maybeRollLocked seals the active file into a segment and starts a
-// fresh one when it has outgrown SegmentBytes. Rolling is skipped while
-// a group-commit leader's fsync is in flight: waiting on the condition
-// variable would release l.mu mid-AppendTxn and let another writer
-// interleave records inside the batch, so the roll stays opportunistic
-// and the next append retries it.
-func (l *Log) maybeRollLocked() error {
-	if l.opts.SegmentBytes <= 0 || l.size < l.opts.SegmentBytes || l.syncing || l.last == l.segStart {
-		return nil
-	}
-	return l.rollLocked()
-}
-
-func (l *Log) rollLocked() error {
-	if err := l.flushLocked(); err != nil {
-		return err
-	}
-	if err := l.f.Sync(); err != nil {
-		l.fail = err
-		return err
-	}
-	if l.last > l.durable {
-		l.durable = l.last
-	}
-	sm := segMeta{path: sealName(l.path, l.segStart, l.last), start: l.segStart, end: l.last, size: l.size}
-	if err := l.f.Close(); err != nil {
-		l.fail = err
-		return err
-	}
-	if err := os.Rename(l.path, sm.path); err != nil {
-		l.fail = err
-		return err
-	}
-	nf, err := os.OpenFile(l.path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		l.fail = err
-		return err
-	}
-	if err := writeHeader(nf, l.last); err != nil {
-		nf.Close()
-		l.fail = err
-		return err
-	}
-	if err := persist.SyncDir(filepath.Dir(l.path)); err != nil {
-		nf.Close()
-		l.fail = err
-		return err
-	}
-	l.segs = append(l.segs, sm)
-	l.sealed += sm.size
-	l.f = nf
-	l.w = bufio.NewWriter(nf)
-	l.segStart = l.last
-	l.size = headerLen
-	return nil
 }
 
 // Commit makes every record up to lsn durable per the log's policy:
@@ -827,10 +581,6 @@ func (l *Log) flusher() {
 // LSN additionally advances the sequence, so a log recreated after
 // loss can never re-issue LSNs a checkpoint already covers (recovery
 // uses this when the checkpoint outruns the log).
-//
-// With ArchiveDir set, nothing is discarded: the active file is sealed
-// and every sealed segment moves into the archive, where cursors and
-// RestoreToLSN keep reading it.
 func (l *Log) Truncate(upTo uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -852,48 +602,19 @@ func (l *Log) Truncate(upTo uint64) error {
 	if upTo < l.last {
 		return fmt.Errorf("wal: truncate at LSN %d but last appended is %d", upTo, l.last)
 	}
-	archiving := l.opts.ArchiveDir != ""
-	if archiving && l.last > l.segStart {
-		// Seal the active records so the archive keeps them; the seal
-		// must be durable before the fresh file takes over.
-		if err := l.syncLocked(); err != nil {
-			return err
-		}
-		sm := segMeta{path: sealName(l.path, l.segStart, l.last), start: l.segStart, end: l.last, size: l.size}
-		if err := l.f.Close(); err != nil {
-			l.fail = err
-			return err
-		}
-		if err := os.Rename(l.path, sm.path); err != nil {
-			l.fail = err
-			return err
-		}
-		l.segs = append(l.segs, sm)
-		l.sealed += sm.size
-		l.f = nil
-	}
 	tmp := l.path + ".tmp"
 	nf, err := os.Create(tmp)
 	if err != nil {
-		if l.f == nil {
-			l.fail = err
-		}
 		return err
 	}
 	if err := writeHeader(nf, upTo); err != nil {
 		nf.Close()
 		os.Remove(tmp)
-		if l.f == nil {
-			l.fail = err
-		}
 		return err
 	}
 	if err := os.Rename(tmp, l.path); err != nil {
 		nf.Close()
 		os.Remove(tmp)
-		if l.f == nil {
-			l.fail = err
-		}
 		return err
 	}
 	// The rename happened: the fresh file IS the log now, so adopt it
@@ -902,39 +623,15 @@ func (l *Log) Truncate(upTo uint64) error {
 	// directory fsync below fails and power is then lost, the rename
 	// may roll back and the old records reappear; every one of them is
 	// <= the checkpoint's LSN, so replay skips them — still consistent.
-	if l.f != nil {
-		l.f.Close()
-	}
+	l.f.Close()
 	l.f = nf
 	l.w = bufio.NewWriter(nf)
-	// Sealed segments leave the log's directory: into the archive when
-	// configured, otherwise gone for good.
-	for _, sm := range l.segs {
-		if archiving {
-			dst := filepath.Join(l.opts.ArchiveDir, filepath.Base(sm.path))
-			if err := os.Rename(sm.path, dst); err != nil {
-				return err
-			}
-			l.archived = append(l.archived, segMeta{path: dst, start: sm.start, end: sm.end, size: sm.size})
-		} else if err := os.Remove(sm.path); err != nil {
-			return err
-		}
-	}
-	l.segs = nil
-	l.sealed = 0
 	l.start = upTo
-	l.segStart = upTo
 	l.last = upTo
 	l.durable = upTo
 	l.advanceFlushedLocked(upTo)
 	l.size = headerLen
-	if err := persist.SyncDir(filepath.Dir(l.path)); err != nil {
-		return err
-	}
-	if archiving {
-		return persist.SyncDir(l.opts.ArchiveDir)
-	}
-	return nil
+	return persist.SyncDir(filepath.Dir(l.path))
 }
 
 // LastLSN returns the LSN of the most recently appended record.
@@ -944,24 +641,12 @@ func (l *Log) LastLSN() uint64 {
 	return l.last
 }
 
-// StartLSN returns the LSN the log's live (non-archived) history
-// begins after: records under the log's directory cover
-// (StartLSN, LastLSN].
+// StartLSN returns the LSN the log's history begins after: the log
+// holds the records (StartLSN, LastLSN], and a cursor opened at
+// StartLSN() streams all of them.
 func (l *Log) StartLSN() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.start
-}
-
-// EarliestLSN returns the LSN before the oldest record still readable
-// through the log, counting archived segments — a cursor opened at
-// EarliestLSN() can stream everything the log retains.
-func (l *Log) EarliestLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.archived) > 0 {
-		return l.archived[0].start
-	}
 	return l.start
 }
 
@@ -1010,19 +695,13 @@ func (l *Log) WaitFlushed(after uint64, timeout time.Duration) uint64 {
 	return tip
 }
 
-// SizeBytes returns the log's size — sealed segments plus the active
-// file, including buffered bytes — the checkpoint trigger's input.
-// Archived segments do not count: they are the checkpoint's output,
-// not its backlog.
+// SizeBytes returns the log file's size including buffered bytes —
+// the checkpoint trigger's input.
 func (l *Log) SizeBytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.sealed + l.size
+	return l.size
 }
-
-// ArchiveDir returns the configured archive directory ("" when
-// archiving is off).
-func (l *Log) ArchiveDir() string { return l.opts.ArchiveDir }
 
 // Close flushes, fsyncs, and closes the log. Waiting committers are
 // woken with ErrClosed.

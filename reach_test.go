@@ -25,22 +25,18 @@ import (
 var reachAllowlist = map[string]string{
 	"internal/optimizer.NewWithSource":            "engine.TestExecuteMutationSurfacesConflict and TestPlanningErrorReturned plan through a hooked statistics source",
 	"internal/optimizer.Optimizer.EnumerateCalls": "xstats.TestAdvisorGoldenAgainstReferenceStats compares Enumerate Indexes call counts across statistics collectors",
-	"internal/persist.ListArchivedCheckpoints":    "archive reader of server.RestoreToLSN; server.TestCheckpointArchivesHistory checks the archive with it",
-	"internal/persist.SaveDatabase":               "the byte-image comparator of the recovery, replication, restore and daemon restart oracles (dbBytes, image)",
+	"internal/persist.SaveDatabase":               "the byte-image comparator of the recovery, replication and daemon restart oracles (dbBytes, image)",
 	"internal/replica/faultnet.Dialer":            "fault injector of replica.TestReconnectSurvivesSevers, TestByteFaultsDesyncAndRecover and TestReplicationSoak",
 	"internal/replica/faultnet.RandomSevers":      "fault injector of replica.TestReplicationSoak",
 	"internal/replica/faultnet.Wrap":              "wraps each connection faultnet.Dialer hands the replica fault tests",
-	"internal/server.Applier.AppliedLSN":          "replay position server.RestoreToLSN stops at; server.TestApplierReorder checks it",
-	"internal/server.RestoreToLSN":                "independent oracle of replica.TestPromoteAfterPrimaryDies, server.TestRestoreToLSN and the recovery tests TestRecoverKeepsCheckpointStamp and TestRecoverReplaysIndexDrop",
-	"internal/server.Session.Begin":               "explicit transactions of replica.TestSnapshotBootstrapAfterMultiInsertTxn, TestReplicationSoak and TestPromoteAfterPrimaryDies",
-	"internal/server.Txn.Commit":                  "explicit transactions of replica.TestSnapshotBootstrapAfterMultiInsertTxn, TestReplicationSoak and TestPromoteAfterPrimaryDies",
-	"internal/server.Txn.Execute":                 "explicit transactions of replica.TestSnapshotBootstrapAfterMultiInsertTxn, TestReplicationSoak and TestPromoteAfterPrimaryDies",
-	"internal/server.Txn.Rollback":                "abandons the explicit transactions Session.Begin opens; server.TestTxnCommitRollbackVisibility and TestStampOrderReplayProperty roll back",
+	"internal/server.Session.Begin":               "test-driver API, since the wire protocol has no BEGIN: replica.TestSnapshotBootstrapAfterMultiInsertTxn, TestReplicationSoak and TestPromoteAfterPrimaryDies commit multi-statement transactions",
+	"internal/server.Txn.Commit":                  "test-driver API, since the wire protocol has no BEGIN: replica.TestSnapshotBootstrapAfterMultiInsertTxn, TestReplicationSoak and TestPromoteAfterPrimaryDies commit multi-statement transactions",
+	"internal/server.Txn.Execute":                 "test-driver API, since the wire protocol has no BEGIN: replica.TestSnapshotBootstrapAfterMultiInsertTxn, TestReplicationSoak and TestPromoteAfterPrimaryDies commit multi-statement transactions",
+	"internal/server.Txn.Rollback":                "test-driver API, since the wire protocol has no BEGIN: abandons the transactions Session.Begin opens; server.TestTxnCommitRollbackVisibility and TestStampOrderReplayProperty roll back",
 	"internal/storage.Table.NodeCount":            "accounting comparator of tpox.TestGenerateCounts, persist.TestRoundTripTPoX and xstats.TestCollectCounts",
 	"internal/storage.Table.Programs":             "engine.TestUpdatedLeafScansByVersion and the root BenchmarkScanCompiled run the table's compiled scan cache",
 	"internal/storage.Table.SizeBytes":            "accounting comparator of tpox.TestGenerateDeterministic and persist.TestRoundTripTPoX",
 	"internal/storage.Table.Subscribe":            "server.TestStampOrderReplayProperty and TestApplierReorder record the publish order through the change feed",
-	"internal/wal.ReadSegment":                    "archive reader of server.RestoreToLSN",
 	"internal/workload.New":                       "fixture of core.TestEmptyWorkloadRejected, TestMaintenanceCostSteersRecommendation and TestFrequencyScalesBenefit",
 	"internal/xindex.Index.Walk":                  "content comparator of engine.TestPropertyDMLKeepsIndexesConsistent, TestInsertMaintainsIndexes and server.TestServeWhileTuneE2E",
 	"internal/xmltree.Document.LabelPath":         "xindex.TestDeepDocumentNoStackOverflow checks deep labels with it",
