@@ -219,9 +219,8 @@ func BenchmarkAblationCalls(b *testing.B) {
 
 // --- parallel advisor pipeline ---
 
-// parallelBenchWorkload is the 30-query random workload used by the
-// parallelism benchmarks: large enough that the fan-out dominates the
-// per-item scheduling overhead.
+// parallelBenchWorkload is the 30-query random workload of the
+// parallelism benchmark.
 func parallelBenchWorkload(b *testing.B, e *experiments.Env) *workload.Workload {
 	b.Helper()
 	w, err := workload.ParseStatements(tpox.SyntheticQueries(e.DB, 30, 130))
@@ -231,42 +230,10 @@ func parallelBenchWorkload(b *testing.B, e *experiments.Env) *workload.Workload 
 	return w
 }
 
-// benchmarkParallelEvaluate measures whole-configuration benefit
-// evaluation — the advisor's hottest loop — at a fixed fan-out width.
-// The sub-configuration cache is disabled so every iteration performs
-// the full set of Evaluate Indexes calls instead of returning memoized
-// benefits.
-func benchmarkParallelEvaluate(b *testing.B, parallelism int) {
-	e := benchEnv(b)
-	w := parallelBenchWorkload(b, e)
-	opts := core.DefaultOptions()
-	opts.Parallelism = parallelism
-	opts.DisableSubConfigCache = true
-	adv, err := core.New(e.DB, e.Opt, w, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	all := adv.AllIndexConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		adv.Evaluator().ConfigBenefit(all)
-	}
-}
-
-// BenchmarkParallelEvaluate contrasts the serial evaluation path
-// (Parallelism: 1, the paper's pipeline) with the parallel one
-// (Parallelism: GOMAXPROCS). Both produce bit-identical benefits; the
-// parallel path should win by ~min(cores, affected statements).
-func BenchmarkParallelEvaluate(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchmarkParallelEvaluate(b, 1) })
-	b.Run("parallel", func(b *testing.B) { benchmarkParallelEvaluate(b, 0) })
-}
-
 // benchmarkParallelEnumerate measures advisor construction — candidate
 // enumeration, generalization, and baseline costing — at a fixed
-// fan-out width. Enumeration and baseline costing fan out;
-// generalization is inherently serial, so the end-to-end speedup is
-// sublinear.
+// fan-out width. Enumeration, the coverage matrix, and baseline and mc
+// costing fan out; generalization's pair loop is serial.
 func benchmarkParallelEnumerate(b *testing.B, parallelism int) {
 	e := benchEnv(b)
 	w := parallelBenchWorkload(b, e)
@@ -281,7 +248,11 @@ func benchmarkParallelEnumerate(b *testing.B, parallelism int) {
 }
 
 // BenchmarkParallelEnumerate contrasts serial and parallel advisor
-// construction over the 30-query workload.
+// construction over the 30-query workload. Measured at GOMAXPROCS=2
+// (2 vCPUs, go1.24.0, -benchtime 2s -count 5): serial 371-431 us
+// (median 397), parallel 386-437 us (median 426). Each fanned-out loop
+// holds only 30-300 items of a microsecond or so, so the goroutine
+// hand-offs cost about what the second core saves.
 func BenchmarkParallelEnumerate(b *testing.B) {
 	b.Run("serial", func(b *testing.B) { benchmarkParallelEnumerate(b, 1) })
 	b.Run("parallel", func(b *testing.B) { benchmarkParallelEnumerate(b, 0) })

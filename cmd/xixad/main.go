@@ -21,8 +21,9 @@
 // With -wal-dir, the daemon is durable: every committed mutation is in
 // the write-ahead log before the client sees OK (group commit batches
 // concurrent writers into one fsync under -sync always), checkpoints
-// bound replay time (automatic past -checkpoint-mb, plus one on
-// graceful shutdown), and startup recovers the database, index
+// bound replay time (automatic once a commit takes the WAL past
+// -checkpoint-mb, whether or not the tuner runs, plus one on graceful
+// shutdown), and startup recovers the database, index
 // catalog, and captured workload from checkpoint + WAL tail — a
 // restart comes up warm, serving index plans at once, and a crash
 // (kill -9 mid-burst) loses nothing that was committed.
@@ -30,15 +31,20 @@
 // With -replication-addr (durable mode only), the daemon streams its
 // WAL to followers: each follower runs xixad with -replica-of pointing
 // here and its own -wal-dir, replays the stream continuously, and
-// serves read-only sessions. When the primary dies, \promote on a
-// follower mints a new epoch that fences the old primary if it comes
-// back, and opens the follower for writes (binding its own
-// -replication-addr, if set, so the remaining followers can re-point
-// to it). A follower that falls behind a primary checkpoint (it was
-// disconnected while the primary checkpointed past its position)
-// re-bootstraps in place from the primary's snapshot, without a
-// restart; its sessions opened before that answer ERR … closed, and
-// their clients reconnect.
+// serves read-only sessions. A follower whose -wal-dir holds no state
+// yet must start from the primary's image, so it waits at start,
+// redialing with backoff, until the primary answers; a follower with
+// local state starts at once on that state and reconnects in the
+// background. Followers do not checkpoint: the stream's applier owns
+// their database, and their WAL grows until \promote. When the
+// primary dies, \promote on a follower mints a new epoch that fences
+// the old primary if it comes back, and opens the follower for writes
+// (binding its own -replication-addr, if set, so the remaining
+// followers can re-point to it). A follower that falls behind a
+// primary checkpoint (it was disconnected while the primary
+// checkpointed past its position) re-bootstraps in place from the
+// primary's snapshot, without a restart; its sessions opened before
+// that answer ERR … closed, and their clients reconnect.
 //
 // With -shards N (N>1), the daemon partitions every table by
 // document-key hash across N in-process shards behind a deterministic
@@ -85,7 +91,7 @@ func main() {
 	flag.DurationVar(&cfg.TuneInterval, "tune-interval", 30*time.Second, "autonomous tuning period (0 disables)")
 	flag.Int64Var(&cfg.BudgetMB, "budget-mb", 0, "disk budget for materialized indexes in MB (0 = All-Index size)")
 	flag.StringVar(&cfg.Algorithm, "algorithm", core.AlgoTopDownFull, "advisor search algorithm")
-	flag.IntVar(&cfg.Parallelism, "parallelism", 0, "advisor fan-out width (0 = GOMAXPROCS)")
+	flag.IntVar(&cfg.Parallelism, "parallelism", 0, "advisor fan-out width of the once-per-round loops (enumeration, costing); search trials run serially (0 = GOMAXPROCS)")
 	flag.StringVar(&cfg.HTTPAddr, "http-addr", "", "serve /metrics, /trace/last, and /debug/pprof on this address (empty disables)")
 	flag.IntVar(&cfg.Shards, "shards", 1, "partition the database across N in-process shards (N>1; incompatible with -wal-dir, -replica-of, -replication-addr)")
 	flag.Parse()

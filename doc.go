@@ -35,18 +35,22 @@
 //
 // # Performance and concurrency
 //
-// The advisor pipeline is parallel end to end, controlled by
-// core.Options.Parallelism: 0 (the default) fans independent optimizer
-// calls — candidate enumeration, baseline costing, and benefit
-// evaluation — out across runtime.GOMAXPROCS(0) workers, while 1 runs
-// the paper's exact serial pipeline. Parallel loops reduce per-item
-// results in ordinal order, so recommendations, benefits, and the
-// OptimizerCalls count are bit-for-bit identical at every width. The
-// benefit Evaluator is safe for concurrent searches sharing one
-// advisor: its §VI-C sub-configuration cache is sharded behind
-// RWMutexes, probed once per group with a key built in a stack buffer,
-// each evaluation splits into its own reused scratch, and its counters
-// are atomic. Every Evaluate Indexes call is planned and counted: no
+// core.Options.Parallelism sets the fan-out width of the advisor's
+// whole-workload loops, which run once per advisor: candidate
+// enumeration, the coverage matrix, baseline and maintenance costing,
+// WorkloadCostUnder and the DisableAffectedSets ablation. 0 (the
+// default) uses runtime.GOMAXPROCS(0) workers, 1 runs the paper's exact
+// serial pipeline. The benefit evaluator costs each search trial on
+// the calling goroutine, with optimizer.EvaluateCost (the Evaluate
+// Indexes mode without building a Plan): a trial's calls are memo hits
+// of a microsecond or two, and fanning them out made a round slower at
+// GOMAXPROCS=2, not faster. Parallel loops reduce per-item results in
+// ordinal order, so recommendations, benefits, and the OptimizerCalls
+// count are bit-for-bit identical at every width. The benefit Evaluator
+// is safe for concurrent searches sharing one advisor: its §VI-C
+// sub-configuration cache is sharded behind RWMutexes, probed once per
+// group with a key built in a stack buffer, each evaluation splits into
+// its own reused scratch, and its counters are atomic. Every Evaluate Indexes call is planned and counted: no
 // memo sits in front of the optimizer, so EvaluateCalls is exactly the
 // number the ablation options audit.
 //

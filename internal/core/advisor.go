@@ -234,11 +234,11 @@ func (a *Advisor) WorkloadCostUnder(defs []xindex.Definition) float64 {
 	costs := make([]float64, len(a.W.Items))
 	a.parallelFor(len(a.W.Items), func(i int) {
 		item := a.W.Items[i]
-		plan, err := a.Opt.EvaluateIndexes(item.Stmt, defs)
+		cost, err := a.Opt.EvaluateCost(item.Stmt, defs)
 		if err != nil {
 			return
 		}
-		c := float64(item.Freq) * plan.EstCost
+		c := float64(item.Freq) * cost
 		if item.Stmt.Kind != xquery.Query {
 			for _, def := range defs {
 				c += float64(item.Freq) * a.Opt.MaintenanceCost(def, item.Stmt)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 	"strconv"
 	"sync/atomic"
@@ -26,10 +27,13 @@ import (
 // maintenance freq times.)
 //
 // The evaluator is safe for concurrent use: the sub-configuration cache
-// is sharded behind RWMutexes, the hit counter is atomic, and the
-// evaluation loops only write into per-call slices. Independent
-// sub-configuration groups and the per-statement optimizer calls inside
-// a group are fanned out across Options.Parallelism workers.
+// is sharded behind RWMutexes, the hit counter is atomic, and an
+// evaluation writes only into split scratch no other evaluation holds.
+// A trial is costed on the calling goroutine: its optimizer calls are
+// memo hits of a microsecond or two, too small to pay for a hand-off
+// to another worker. Only the whole-workload loops that run once per
+// advisor (baseline and mc costing here, the DisableAffectedSets
+// ablation) fan out across Options.Parallelism workers.
 type Evaluator struct {
 	a *Advisor
 	// baseCost[i] is the no-index cost of statement i times its
@@ -54,13 +58,13 @@ func newEvaluator(a *Advisor) *Evaluator {
 	e.baseCost = make([]float64, a.W.Len())
 	a.parallelFor(a.W.Len(), func(i int) {
 		item := a.W.Items[i]
-		plan, err := a.Opt.EvaluateIndexes(item.Stmt, nil)
+		cost, err := a.Opt.EvaluateCost(item.Stmt, nil)
 		if err != nil {
 			// Statements over unknown tables cost nothing and gain
 			// nothing; they simply never contribute benefit.
 			return
 		}
-		e.baseCost[i] = float64(item.Freq) * plan.EstCost
+		e.baseCost[i] = float64(item.Freq) * cost
 	})
 	var modifying []workload.Item
 	for _, item := range a.W.Items {
@@ -210,14 +214,14 @@ func (e *Evaluator) scratch() *subConfigs {
 func (e *Evaluator) release(s *subConfigs) {
 	clear(s.news) // keep no candidates alive
 	clear(s.members)
+	clear(s.defs)
 	e.spare.Store(s)
 }
 
 // componentBenefits fills s.benefits with each component's query
 // benefit, from the cache or from the optimizer, and returns the number
-// of cache hits. The optimizer calls of every missed component are one
-// task list fanned out by a single parallelFor at maximal width instead
-// of nested component/statement pools.
+// of cache hits. Every component is probed before any missed one is
+// evaluated and cached, as when the misses were one batch.
 func (e *Evaluator) componentBenefits(s *subConfigs) int64 {
 	useCache := !e.a.Opts.DisableSubConfigCache
 	benefits := resized(s.benefits, s.len())
@@ -236,52 +240,46 @@ func (e *Evaluator) componentBenefits(s *subConfigs) int64 {
 		missed = append(missed, c)
 	}
 	s.missed = missed
-	if len(missed) == 0 {
-		return hits
-	}
-
-	// One task per (uncached component, affected statement), in miss
-	// order: missed[k]'s tasks are tasks[starts[k]:starts[k+1]].
-	type evalTask struct {
-		miss int
-		ord  int
-	}
-	var tasks []evalTask
-	starts := append(make([]int, 0, len(missed)+1), 0)
-	defsOf := make([][]xindex.Definition, len(missed))
-	for k, c := range missed {
-		group := s.group(c)
-		affected := NewBitSet(e.a.W.Len())
-		defs := make([]xindex.Definition, len(group))
-		for i, m := range group {
-			affected.Or(m.Affected)
-			defs[i] = m.Def
-		}
-		defsOf[k] = defs
-		for _, ord := range affected.Elements() {
-			tasks = append(tasks, evalTask{miss: k, ord: ord})
-		}
-		starts = append(starts, len(tasks))
-	}
-
-	gains := make([]float64, len(tasks))
-	e.a.parallelFor(len(tasks), func(t int) {
-		task := tasks[t]
-		item := e.a.W.Items[task.ord]
-		plan, err := e.a.Opt.EvaluateIndexes(item.Stmt, defsOf[task.miss])
-		if err != nil {
-			return
-		}
-		gains[t] = e.baseCost[task.ord] - float64(item.Freq)*plan.EstCost
-	})
-
-	for k, c := range missed {
-		benefits[c] = sumInOrder(gains[starts[k]:starts[k+1]])
+	for _, c := range missed {
+		benefits[c] = e.missedBenefit(s, s.group(c))
 		if useCache {
-			e.subCache.put(string(appendGroupKey(s.key[:0], s.group(c))), benefits[c])
+			s.key = appendGroupKey(s.key[:0], s.group(c))
+			e.subCache.put(string(s.key), benefits[c])
 		}
 	}
 	return hits
+}
+
+// missedBenefit costs one component the cache does not hold: one
+// optimizer call per statement in the union of its members' affected
+// sets, in statement order, summing the gains in that order. It builds
+// the configuration and the union in s, so it allocates nothing once s
+// has grown to size.
+func (e *Evaluator) missedBenefit(s *subConfigs, group []*Candidate) float64 {
+	defs := s.defs[:0]
+	for _, m := range group {
+		defs = append(defs, m.Def)
+	}
+	s.defs = defs
+	affected := &s.affected
+	affected.words = resized(affected.words, (e.a.W.Len()+63)/64)
+	clear(affected.words)
+	for _, m := range group {
+		affected.Or(m.Affected)
+	}
+	total := 0.0
+	for wi, w := range affected.words {
+		for ; w != 0; w &= w - 1 {
+			ord := wi*64 + bits.TrailingZeros64(w)
+			item := e.a.W.Items[ord]
+			cost, err := e.a.Opt.EvaluateCost(item.Stmt, defs)
+			if err != nil {
+				continue
+			}
+			total += e.baseCost[ord] - float64(item.Freq)*cost
+		}
+	}
+	return total
 }
 
 // subConfigs is the §VI-C split of one trial configuration
@@ -304,6 +302,8 @@ type subConfigs struct {
 	benefits []float64    // component c's query benefit
 	missed   []int
 	key      []byte
+	defs     []xindex.Definition // a missed component's configuration
+	affected BitSet              // a missed component's affected statements
 }
 
 func (s *subConfigs) len() int { return len(s.bounds) - 1 }
@@ -463,11 +463,11 @@ func (e *Evaluator) evaluateGroupAllStatements(cfg, extra []*Candidate) float64 
 	gains := make([]float64, len(e.a.W.Items))
 	e.a.parallelFor(len(e.a.W.Items), func(ord int) {
 		item := e.a.W.Items[ord]
-		plan, err := e.a.Opt.EvaluateIndexes(item.Stmt, defs)
+		cost, err := e.a.Opt.EvaluateCost(item.Stmt, defs)
 		if err != nil {
 			return
 		}
-		gains[ord] = e.baseCost[ord] - float64(item.Freq)*plan.EstCost
+		gains[ord] = e.baseCost[ord] - float64(item.Freq)*cost
 	})
 	return sumInOrder(gains)
 }

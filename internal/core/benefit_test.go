@@ -12,6 +12,7 @@ import (
 	"xixa/internal/storage"
 	"xixa/internal/tpox"
 	"xixa/internal/workload"
+	"xixa/internal/xindex"
 	"xixa/internal/xquery"
 )
 
@@ -495,4 +496,98 @@ func TestCachedExtensionAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("cached extension of %d indexes in %d groups made %v allocations, want 0", len(k.cfg), groups, allocs)
 	}
+}
+
+// The evaluator costs a trial with Optimizer.EvaluateCost: over the
+// advise workload, under every candidate alone and under the All-Index
+// configuration, it must return EvaluateIndexes' EstCost bit for bit
+// and count as exactly one Evaluate Indexes call.
+func TestEvaluateCostMatchesEvaluateIndexes(t *testing.T) {
+	db, w := adviseWorkload(t)
+	opt := optimizer.New(db, optimizer.CollectStats(db))
+	a, err := New(db, opt, w, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	configs := [][]xindex.Definition{nil, defsOf(a.AllIndexConfig())}
+	for _, c := range a.Candidates.All {
+		configs = append(configs, []xindex.Definition{c.Def})
+	}
+	for _, cfg := range configs {
+		for ord, item := range w.Items {
+			plan, err := opt.EvaluateIndexes(item.Stmt, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			calls := opt.EvaluateCalls()
+			cost, err := opt.EvaluateCost(item.Stmt, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := opt.EvaluateCalls() - calls; got != 1 {
+				t.Fatalf("EvaluateCost counted %d Evaluate Indexes calls, want 1", got)
+			}
+			if math.Float64bits(cost) != math.Float64bits(plan.EstCost) {
+				t.Fatalf("statement %d under %d indexes: EvaluateCost %v, EvaluateIndexes %v", ord, len(cfg), cost, plan.EstCost)
+			}
+		}
+	}
+}
+
+// Once its probe evaluations are memoized, EvaluateCost allocates
+// nothing, under one index or under all of them.
+func TestEvaluateCostAllocs(t *testing.T) {
+	db, w := adviseWorkload(t)
+	opt := optimizer.New(db, optimizer.CollectStats(db))
+	a, err := New(db, opt, w, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := defsOf(a.AllIndexConfig())
+	for _, cfg := range [][]xindex.Definition{all[:1], all} {
+		allocs := testing.AllocsPerRun(20, func() {
+			for _, item := range w.Items {
+				if _, err := opt.EvaluateCost(item.Stmt, cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("memo-warm EvaluateCost of %d statements under %d indexes made %v allocations, want 0", w.Len(), len(cfg), allocs)
+		}
+	}
+}
+
+// A trial's missed components are costed in the split scratch: with the
+// sub-configuration cache off every component misses, and once the
+// scratch has grown an evaluation allocates nothing.
+func TestMissedComponentAllocs(t *testing.T) {
+	db, w := adviseWorkload(t)
+	opts := DefaultOptions()
+	opts.DisableSubConfigCache = true
+	a, err := New(db, optimizer.New(db, optimizer.CollectStats(db)), w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := a.AllIndexConfig()
+	groups := len(splitGroups(cfg))
+	if groups < 2 {
+		t.Fatalf("the All-Index configuration splits into %d groups; want several", groups)
+	}
+	calls := a.Opt.EvaluateCalls()
+	allocs := testing.AllocsPerRun(20, func() { a.eval.ConfigBenefit(cfg) })
+	if a.Opt.EvaluateCalls() == calls {
+		t.Fatal("the evaluations made no optimizer calls")
+	}
+	if allocs != 0 {
+		t.Errorf("evaluating %d missed components made %v allocations, want 0", groups, allocs)
+	}
+}
+
+func defsOf(cfg []*Candidate) []xindex.Definition {
+	defs := make([]xindex.Definition, len(cfg))
+	for i, c := range cfg {
+		defs[i] = c.Def
+	}
+	return defs
 }

@@ -22,6 +22,12 @@ func (b *BitSet) Set(i int) {
 	b.words[w] |= 1 << uint(i%64)
 }
 
+// Has reports whether i is a member.
+func (b *BitSet) Has(i int) bool {
+	w := i / 64
+	return w < len(b.words) && b.words[w]&(1<<uint(i%64)) != 0
+}
+
 // Or merges other into b.
 func (b *BitSet) Or(other *BitSet) {
 	for len(b.words) < len(other.words) {

@@ -375,15 +375,6 @@ func TestGeneralizePairMatchesReference(t *testing.T) {
 	}
 }
 
-// Has reports membership of element i.
-func (b *BitSet) Has(i int) bool {
-	w := i / 64
-	if w >= len(b.words) {
-		return false
-	}
-	return b.words[w]&(1<<uint(i%64)) != 0
-}
-
 // ContainsAll reports whether every element of other is in b.
 func (b *BitSet) ContainsAll(other *BitSet) bool {
 	for i, w := range other.words {

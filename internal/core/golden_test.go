@@ -232,3 +232,25 @@ func TestAdviseRoundMatchesGolden(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkAdviseRound is one advise round as cmd/xixabench's advise
+// workload runs it: per algorithm a fresh New and Recommend at half the
+// All-Index size, at the default Parallelism, every advisor on one
+// optimizer. Its B/op and allocs/op are a round's allocation.
+func BenchmarkAdviseRound(b *testing.B) {
+	db, w := adviseWorkload(b)
+	opt := optimizer.New(db, optimizer.CollectStats(db))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, algo := range Algorithms() {
+			a, err := New(db, opt, w, DefaultOptions())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := a.Recommend(algo, a.AllIndexSize()/2); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

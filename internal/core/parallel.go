@@ -3,13 +3,16 @@ package core
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // This file holds the advisor's parallel execution substrate. The
-// pipeline's hot loops — candidate enumeration, baseline costing, and
-// benefit evaluation — are all "independent optimizer calls over a list
-// of items", so they share one fan-out primitive, parallelFor.
+// whole-workload loops that run once per advisor — candidate
+// enumeration, the coverage matrix, baseline and mc costing,
+// WorkloadCostUnder and the DisableAffectedSets ablation — are all
+// "independent calls over a list of items", so they share one fan-out
+// primitive, parallelFor. A search trial's optimizer calls do not fan
+// out: each is a memo hit of a microsecond or two, and a hand-off to
+// another goroutine costs more than it saves (see the Evaluator).
 //
 // Determinism contract: every parallel loop writes its per-item result
 // into a slot indexed by the item's ordinal and the caller reduces the
@@ -28,43 +31,37 @@ func (o Options) workers() int {
 }
 
 // parallelFor runs fn(i) for every i in [0, n) on up to `workers`
-// goroutines. Work is handed out through an atomic counter so uneven
-// item costs balance across workers. With workers <= 1 (or n <= 1) it
-// degenerates to a plain serial loop with zero goroutine overhead —
-// that path is what Parallelism: 1 ablations exercise.
+// goroutines. Each worker takes one contiguous chunk of the range, so
+// neighbouring result slots are written by one worker and no item
+// costs a shared atomic. With workers <= 1 (or n <= 1) it degenerates
+// to a plain serial loop with zero goroutine overhead — that path is
+// what Parallelism: 1 ablations exercise.
 func parallelFor(workers, n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
-	var next atomic.Int64
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
+	chunk := func(w int) {
+		for i := w * n / workers; i < (w+1)*n/workers; i++ {
 			fn(i)
 		}
 	}
-	// The calling goroutine is one of the workers.
+	// The calling goroutine works the first chunk.
 	var wg sync.WaitGroup
 	wg.Add(workers - 1)
 	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			work()
+			chunk(w)
 		}()
 	}
-	work()
+	chunk(0)
 	wg.Wait()
 }
 

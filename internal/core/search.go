@@ -326,22 +326,20 @@ func (a *Advisor) searchDP(budget int64) []*Candidate {
 		items = append(items, item{c, w, b})
 	}
 	dp := make([]float64, cap+1)
-	take := make([][]bool, len(items))
-	for i := range take {
-		take[i] = make([]bool, cap+1)
-	}
+	// Bit i*(cap+1)+w of take: item i improved capacity w.
+	take := NewBitSet(len(items) * (cap + 1))
 	for i, it := range items {
 		for w := cap; w >= it.weight; w-- {
 			if v := dp[w-it.weight] + it.benefit; v > dp[w] {
 				dp[w] = v
-				take[i][w] = true
+				take.Set(i*(cap+1) + w)
 			}
 		}
 	}
 	var cfg []*Candidate
 	w := cap
 	for i := len(items) - 1; i >= 0; i-- {
-		if take[i][w] {
+		if take.Has(i*(cap+1) + w) {
 			cfg = append(cfg, items[i].c)
 			w -= items[i].weight
 		}

@@ -43,7 +43,7 @@ type Config struct {
 	TuneInterval    time.Duration // -tune-interval: autonomous tuning period (0 = off)
 	BudgetMB        int64         // -budget-mb: index disk budget (0 = All-Index size)
 	Algorithm       string        // -algorithm: advisor search algorithm
-	Parallelism     int           // -parallelism: advisor fan-out width (0 = GOMAXPROCS)
+	Parallelism     int           // -parallelism: fan-out width of the advisor's once-per-round loops; search trials run serially (0 = GOMAXPROCS)
 	Shards          int           // -shards: in-process shards (1 = unsharded)
 }
 

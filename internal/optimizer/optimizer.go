@@ -318,107 +318,111 @@ func (o *Optimizer) EvaluateIndexes(stmt *xquery.Statement, config []xindex.Defi
 	return o.plan(stmt, ts, config)
 }
 
+// EvaluateCost is the Evaluate Indexes mode for a caller that reads
+// only the plan's cost, as the advisor's benefit evaluation does: it
+// returns EvaluateIndexes(stmt, config).EstCost, bit for bit, without
+// building the plan, so a call whose probe evaluations are memoized
+// allocates nothing. It counts as one Evaluate Indexes call.
+func (o *Optimizer) EvaluateCost(stmt *xquery.Statement, config []xindex.Definition) (float64, error) {
+	o.evaluateCalls.Add(1)
+	ts, err := o.tableStats(stmt.Table)
+	if err != nil {
+		return 0, err
+	}
+	cost, _ := o.compile(stmt, ts).choose(config, nil)
+	return cost, nil
+}
+
 // plan is shared by EvaluateIndexes (virtual configs) and the engine
 // (real configs): choose the cheapest access plan under the given index
-// definitions against one statistics snapshot. All statement-invariant
-// quantities come precomputed from the compiled statement; per call
-// only the configuration is walked.
+// definitions against one statistics snapshot.
 func (o *Optimizer) plan(stmt *xquery.Statement, ts *xstats.TableStats, config []xindex.Definition) (*Plan, error) {
 	cs := o.compile(stmt, ts)
-	base := cs.baseCost
-	p := &Plan{
-		Stmt: stmt, EstCost: base, EstBaseCost: base,
-		EstMatchingDocs:  cs.matchingDocs,
-		EstCandidateDocs: cs.docCount,
+	p := &Plan{Stmt: stmt, EstBaseCost: cs.baseCost, EstMatchingDocs: cs.matchingDocs}
+	var docFrac float64
+	p.EstCost, docFrac = cs.choose(config, &p.Accesses)
+	p.EstCandidateDocs = docFrac * cs.docCount
+	return p, nil
+}
+
+// choice is the cheapest matching index of one predicate site.
+type choice struct {
+	si, di  int // the site's position in the statement, the index's in the configuration
+	entries float64
+	probe   float64 // the probe cost of this access alone
+}
+
+// choose picks the statement's cheapest plan under config and returns
+// its estimated cost and the fraction of documents its index accesses
+// leave (1 for a full scan). With accesses non-nil it appends the
+// plan's accesses there. All statement-invariant quantities come
+// precomputed from the compiled statement; per call only the
+// configuration is walked, and with the probe memo warm nothing is
+// allocated but the accesses.
+func (cs *CompiledStatement) choose(config []xindex.Definition, accesses *[]Access) (cost, docFrac float64) {
+	cost, docFrac = cs.baseCost, 1
+	if cs.kind == xquery.Insert || len(cs.sites) == 0 || len(config) == 0 {
+		return cost, docFrac // inserts never use indexes
 	}
 
-	if stmt.Kind == xquery.Insert {
-		return p, nil // inserts never use indexes
+	// Index matching: for each site pick the cheapest matching index,
+	// the first in configuration order among equally cheap ones. The
+	// probe memo's key is built once per definition, in a stack buffer.
+	var bestBuf [8]choice
+	best := bestBuf[:0]
+	for si := range cs.sites {
+		best = append(best, choice{si: si, di: -1, probe: math.Inf(1)})
 	}
-	if len(cs.sites) == 0 || len(config) == 0 {
-		return p, nil
-	}
-
-	// Index matching: for each site pick the cheapest matching index.
-	type choice struct {
-		access Access
-		cost   float64 // probe cost of this access alone
-	}
-	var choiceBuf [8]choice
-	choices := choiceBuf[:0]
-	// The probe memo's keys, built once per definition rather than once
-	// per (site, definition), in stack buffers: definition di's key is
-	// keys[ends[di]:ends[di+1]].
-	var keyBuf [512]byte
-	var endBuf [17]int
-	keys, ends := keyBuf[:0], endBuf[:1]
-	for _, def := range config {
-		keys = appendDefKey(keys, def)
-		ends = append(ends, len(keys))
-	}
-	for si, site := range cs.sites {
-		best := choice{cost: math.Inf(1)}
-		found := false
-		for di, def := range config {
-			if def.Table != stmt.Table {
-				continue
-			}
-			ev := cs.siteEvalFor(si, def, keys[ends[di]:ends[di+1]])
-			if !ev.ok {
-				continue
-			}
-			if ev.probe < best.cost {
-				best = choice{
-					access: Access{Site: site, Index: def, EntriesScanned: ev.entries, DocFraction: cs.siteDocFrac[si]},
-					cost:   ev.probe,
-				}
-				found = true
+	var keyBuf [256]byte
+	for di, def := range config {
+		if def.Table != cs.table {
+			continue
+		}
+		key := appendDefKey(keyBuf[:0], def)
+		for si := range best {
+			if ev := cs.siteEvalFor(si, def, key); ev.ok && ev.probe < best[si].probe {
+				best[si] = choice{si: si, di: di, entries: ev.entries, probe: ev.probe}
 			}
 		}
-		if found {
-			choices = append(choices, best)
-		}
 	}
-	if len(choices) == 0 {
-		return p, nil
+	choices := best[:0]
+	for _, ch := range best {
+		if ch.di >= 0 {
+			choices = append(choices, ch)
+		}
 	}
 
 	// Index ANDing: add accesses in order of increasing document
 	// fraction while each addition lowers the total plan cost.
 	slices.SortFunc(choices, func(a, b choice) int {
-		if a.access.DocFraction != b.access.DocFraction {
-			if a.access.DocFraction < b.access.DocFraction {
+		if fa, fb := cs.siteDocFrac[a.si], cs.siteDocFrac[b.si]; fa != fb {
+			if fa < fb {
 				return -1
 			}
 			return 1
 		}
-		return cmp.Compare(a.access.Site.Ordinal, b.access.Site.Ordinal)
+		return cmp.Compare(a.si, b.si)
 	})
-	var accesses []Access
-	bestCost := base
-	curCost := 0.0
-	docFrac := 1.0
+	probe, frac := 0.0, 1.0
 	for _, ch := range choices {
-		newProbe := curCost + ch.cost
-		newFrac := docFrac * ch.access.DocFraction
-		total := o.indexPlanCost(cs, newProbe, newFrac)
-		if total < bestCost {
-			accesses = append(accesses, ch.access)
-			bestCost = total
-			curCost = newProbe
-			docFrac = newFrac
+		newProbe := probe + ch.probe
+		newFrac := frac * cs.siteDocFrac[ch.si]
+		if total := cs.indexPlanCost(newProbe, newFrac); total < cost {
+			if accesses != nil {
+				*accesses = append(*accesses, Access{
+					Site: cs.sites[ch.si], Index: config[ch.di],
+					EntriesScanned: ch.entries, DocFraction: cs.siteDocFrac[ch.si],
+				})
+			}
+			cost, probe, frac = total, newProbe, newFrac
+			docFrac = frac
 		}
 	}
-	if len(accesses) > 0 {
-		p.Accesses = accesses
-		p.EstCost = bestCost
-		p.EstCandidateDocs = docFrac * cs.docCount
-	}
-	return p, nil
+	return cost, docFrac
 }
 
 // indexPlanCost combines probe costs with the fetch-and-verify phase.
-func (o *Optimizer) indexPlanCost(cs *CompiledStatement, probeCost, docFrac float64) float64 {
+func (cs *CompiledStatement) indexPlanCost(probeCost, docFrac float64) float64 {
 	candidateDocs := docFrac * cs.docCount
 	fetch := candidateDocs * cs.avgNodes * CostPerFetchedNode
 	cost := CostStatementOverhead + probeCost + fetch

@@ -70,6 +70,16 @@ func (c FollowerConfig) withDefaults() FollowerConfig {
 	return c
 }
 
+// backoff is the full-jitter exponential delay before reconnect
+// attempt number attempt.
+func (c FollowerConfig) backoff(attempt int) time.Duration {
+	ceil := c.ReconnectBase << uint(min(attempt, 20))
+	if ceil > c.ReconnectMax || ceil <= 0 {
+		ceil = c.ReconnectMax
+	}
+	return time.Duration(rand.Int63n(int64(ceil))) + 1
+}
+
 // Follower is a replica node: a read-only server continuously fed by
 // the primary's WAL stream, promotable to primary when the primary
 // dies. A follower that falls behind a primary checkpoint re-bootstraps
@@ -133,9 +143,12 @@ type FollowerInfo struct {
 // returned follower owns its server: Close stops both, Promote
 // upgrades the server in place.
 //
-// A dial failure at start is not fatal — the follower recovers its
-// local state, serves reads, and keeps reconnecting with backoff; a
-// follower must outlive its primary to be worth anything.
+// A follower with local state that cannot reach its primary at start
+// recovers that state, serves reads, and keeps reconnecting with
+// backoff; a follower must outlive its primary to be worth anything. A
+// fresh follower (an empty Dir) has nothing to serve until it holds the
+// primary's image, so StartFollower keeps asking for it, with the same
+// backoff, until the primary answers.
 func StartFollower(cfg FollowerConfig) (*Follower, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dir == "" || cfg.PrimaryAddr == "" {
@@ -239,6 +252,12 @@ func adoptSnapshot(dir string, body []byte) error {
 // The adopted checkpoint lands as the local checkpoint file; Recover's
 // existing checkpoint-outruns-log path then advances the log past the
 // stamp, so the stream resumes exactly at the snapshot boundary.
+//
+// A fresh follower asks until the primary answers: recovering without
+// the image would leave it an empty checkpoint at LSN 0, after which it
+// is no longer fresh, and the stream from LSN 1 would skip the seed the
+// image holds. Nothing is written to Dir before the image is adopted,
+// so a fresh follower stopped while waiting is still fresh.
 func bootstrapSnapshot(cfg FollowerConfig, epoch uint64) error {
 	lastLSN := uint64(0)
 	walPath := server.WALPath(cfg.Dir)
@@ -259,49 +278,61 @@ func bootstrapSnapshot(cfg FollowerConfig, epoch uint64) error {
 	if _, serr := os.Stat(server.CheckpointPath(cfg.Dir)); os.IsNotExist(serr) && !hasWAL {
 		fresh = 1
 	}
+	for attempt := 0; ; attempt++ {
+		reached, err := handshake(cfg, epoch, lastLSN, fresh)
+		if reached || fresh == 0 {
+			return err // unreached with local state: recover it, reconnect later
+		}
+		time.Sleep(cfg.backoff(attempt))
+	}
+}
 
+// handshake runs one bootstrap hello against the primary and adopts
+// the snapshot it ships, if any. reached reports whether the primary
+// answered the hello at all.
+func handshake(cfg FollowerConfig, epoch, lastLSN uint64, fresh byte) (reached bool, err error) {
 	conn, err := cfg.Dial(cfg.PrimaryAddr)
 	if err != nil {
-		return nil // primary unreachable: recover locally, reconnect later
+		return false, nil
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(cfg.StaleAfter))
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
 	if err := writeFrame(bw, msgHello, append(u64Pair(epoch, lastLSN), fresh)); err != nil {
-		return nil
+		return false, nil
 	}
 	if err := bw.Flush(); err != nil {
-		return nil
+		return false, nil
 	}
 	t, body, err := readFrame(br)
 	if err != nil {
-		return nil
+		return false, nil
 	}
 	switch t {
 	case msgError:
-		return fmt.Errorf("replica: primary refused bootstrap: %s", body)
+		return true, fmt.Errorf("replica: primary refused bootstrap: %s", body)
 	case msgWelcome:
 	default:
-		return fmt.Errorf("replica: unexpected %d frame in bootstrap handshake", t)
+		return true, fmt.Errorf("replica: unexpected %d frame in bootstrap handshake", t)
 	}
 	if len(body) < 9 {
-		return errors.New("replica: short welcome frame")
+		return true, errors.New("replica: short welcome frame")
 	}
 	wepoch, _ := readU64(body)
 	if wepoch > epoch {
 		if err := StoreEpoch(cfg.Dir, wepoch); err != nil {
-			return err
+			return true, err
 		}
 	}
 	if body[8] == 0 {
-		return nil // position chains; no snapshot needed
+		return true, nil // position chains; no snapshot needed
 	}
 	t, body, err = readFrame(br)
 	if err != nil || t != msgSnapshot {
-		return fmt.Errorf("replica: snapshot frame missing after welcome (err %v)", err)
+		return true, fmt.Errorf("replica: snapshot frame missing after welcome (err %v)", err)
 	}
-	return adoptSnapshot(cfg.Dir, body)
+	return true, adoptSnapshot(cfg.Dir, body)
 }
 
 // Server returns the follower's current (read-only until promoted)
@@ -424,15 +455,10 @@ func (f *Follower) loop() {
 		} else {
 			attempt++
 		}
-		ceil := f.cfg.ReconnectBase << uint(min(attempt, 20))
-		if ceil > f.cfg.ReconnectMax || ceil <= 0 {
-			ceil = f.cfg.ReconnectMax
-		}
-		delay := time.Duration(rand.Int63n(int64(ceil))) + 1
 		select {
 		case <-f.stop:
 			return
-		case <-time.After(delay):
+		case <-time.After(f.cfg.backoff(attempt)):
 		}
 	}
 }

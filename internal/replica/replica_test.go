@@ -248,6 +248,48 @@ func TestSnapshotBootstrap(t *testing.T) {
 	}
 }
 
+// TestFreshFollowerWaitsForPrimary: a follower started in an empty
+// directory while its primary is unreachable must still start from the
+// primary's image. The primary has not checkpointed past LSN 0, so its
+// 10 seed documents exist only in that image; a follower that recovered
+// empty instead would stream from LSN 1, report itself caught up, and
+// miss every one of them.
+func TestFreshFollowerWaitsForPrimary(t *testing.T) {
+	p, addr := startPrimary(t, t.TempDir(), 10)
+	defer p.Close()
+	defer p.Server().Close()
+
+	const refused = 3
+	var dials atomic.Int64
+	cfg := followerCfg(t.TempDir(), addr)
+	cfg.Dial = func(addr string) (net.Conn, error) {
+		if dials.Add(1) <= refused {
+			return nil, errors.New("primary down")
+		}
+		return net.DialTimeout("tcp", addr, time.Second)
+	}
+	f, err := StartFollower(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if n := dials.Load(); n <= refused {
+		t.Fatalf("StartFollower returned after %d dials, all refused", n)
+	}
+
+	sess, err := p.Server().NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Execute(insertStmt("FW0001", 1)); err != nil {
+		t.Fatal(err)
+	}
+	waitApplied(t, f, p.Server().WAL().LastLSN(), 5*time.Second)
+	if !bytes.Equal(dbBytes(t, f.Server()), dbBytes(t, p.Server())) {
+		t.Fatalf("follower holds %d bytes of database, primary %d: the seed is missing", len(dbBytes(t, f.Server())), len(dbBytes(t, p.Server())))
+	}
+}
+
 // TestSnapshotBootstrapAfterMultiInsertTxn: a checkpoint holding more
 // documents than its stamp — one 12-insert transaction commits under
 // stamp 1 — must bootstrap a follower at exactly that stamp. Loading it

@@ -216,6 +216,9 @@ func Recover(cfg Config, bootstrap func() (*storage.Database, error)) (*Server, 
 			return fail(err)
 		}
 	}
+	if !cfg.Replica {
+		s.startCheckpointer()
+	}
 	return s, info, nil
 }
 
@@ -282,4 +285,53 @@ func (s *Server) checkpointLocked() error {
 	}
 	s.met.checkpoints.Inc()
 	return nil
+}
+
+// startCheckpointer runs a durable primary's automatic checkpoint: a
+// commit that leaves the WAL at least CheckpointBytes long wakes it
+// (wal.Log.NotifyAtSize), and it checkpoints under the tuner lock, as
+// Checkpoint does. It does not depend on the tuning loop, so a server
+// that never tunes still bounds its log and its replay. A follower runs
+// none: its stream's applier owns the database, so no checkpoint can
+// know which logged records the image holds (it starts one on
+// Promote).
+func (s *Server) startCheckpointer() {
+	full := s.wal.NotifyAtSize(s.cfg.CheckpointBytes)
+	stop, done := make(chan struct{}), make(chan struct{})
+	s.tuner.Lock()
+	s.ckptStop, s.ckptDone = stop, done
+	s.tuner.Unlock()
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-full:
+			}
+			s.tuner.Lock()
+			// A signal can outlive the growth it reported: a checkpoint
+			// since then has emptied the log.
+			if s.wal.SizeBytes() >= s.cfg.CheckpointBytes {
+				if err := s.checkpointLocked(); err != nil {
+					// The log stays whole; the next commit retries.
+					s.met.ckptErrors.Inc()
+				}
+			}
+			s.tuner.Unlock()
+		}
+	}()
+}
+
+// stopCheckpointer stops the automatic checkpointer, if one runs, and
+// waits for a checkpoint in progress to finish.
+func (s *Server) stopCheckpointer() {
+	s.tuner.Lock()
+	stop, done := s.ckptStop, s.ckptDone
+	s.ckptStop, s.ckptDone = nil, nil
+	s.tuner.Unlock()
+	if stop != nil {
+		close(stop)
+		<-done
+	}
 }

@@ -46,6 +46,7 @@ type serverMetrics struct {
 	tunerRounds  *obs.Counter
 	tunerSkipped *obs.Counter
 	checkpoints  *obs.Counter
+	ckptErrors   *obs.Counter
 }
 
 func newServerMetrics() *serverMetrics {
@@ -73,6 +74,7 @@ func newServerMetrics() *serverMetrics {
 		tunerRounds:  reg.Counter("xixa_tuner_rounds_total"),
 		tunerSkipped: reg.Counter("xixa_tuner_rounds_skipped_total"),
 		checkpoints:  reg.Counter("xixa_checkpoints_total"),
+		ckptErrors:   reg.Counter("xixa_checkpoint_errors_total"),
 	}
 }
 

@@ -530,45 +530,69 @@ func TestCheckpointWarmStart(t *testing.T) {
 	}
 }
 
-// TestAutoCheckpointFromTuneLoop: the autonomous loop's ticker writes
-// a checkpoint once the WAL passes the size threshold.
-func TestAutoCheckpointFromTuneLoop(t *testing.T) {
+// TestAutoCheckpointWithoutTuner: a durable primary checkpoints once
+// commits grow its WAL past CheckpointBytes, with the tuning loop off
+// (TuneInterval 0, how the benchmark runs every daemon): the log stays
+// bounded, and a restart replays only the tail since the last
+// checkpoint into the same image. 200 inserts write ~26 KB of log. A
+// replica starts checkpointing when it is promoted.
+func TestAutoCheckpointWithoutTuner(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableCfg(dir)
-	cfg.TuneInterval = 10 * time.Millisecond
-	cfg.CheckpointBytes = 1 // every round checkpoints
+	cfg.TuneInterval = 0
+	cfg.CheckpointBytes = 4 << 10
+	const inserts = 200
+	// fill commits the inserts and waits for the checkpointer to catch
+	// up: the log is then below the threshold and starts past from.
+	fill := func(srv *Server, prefix string, from uint64) {
+		t.Helper()
+		srv.StartAutoTune(nil) // a no-op at TuneInterval 0
+		sess, err := srv.NewSession()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < inserts; i++ {
+			mustExec(t, sess, insertStmt(fmt.Sprintf("%s%04d", prefix, i), i))
+		}
+		l := srv.WAL()
+		deadline := time.Now().Add(10 * time.Second)
+		for l.SizeBytes() >= cfg.CheckpointBytes {
+			if time.Now().After(deadline) {
+				t.Fatalf("WAL still %d bytes after 10s, threshold %d", l.SizeBytes(), cfg.CheckpointBytes)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if l.StartLSN() <= from {
+			t.Fatalf("no automatic checkpoint: the WAL still starts at LSN %d", l.StartLSN())
+		}
+		if n := srv.met.ckptErrors.Value(); n != 0 {
+			t.Fatalf("%d automatic checkpoints failed", n)
+		}
+	}
+
 	srv, _, err := Recover(cfg, bootstrapFixture(50))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	fill(srv, "AUTO", 0)
+	want := dbBytes(t, srv)
+	srv.Close() // no shutdown checkpoint: the restart replays the tail
 
-	checkpointed := make(chan struct{})
-	var once sync.Once
-	srv.StartAutoTune(func(rep *TuneReport, err error) {
-		if err != nil {
-			t.Errorf("tune: %v", err)
-			return
-		}
-		if rep.Checkpointed {
-			once.Do(func() { close(checkpointed) })
-		}
-	})
-	sess, err := srv.NewSession()
+	rcfg := cfg
+	rcfg.Replica = true
+	rep, info, err := Recover(rcfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.After(5 * time.Second)
-	for i := 0; ; i++ {
-		mustExec(t, sess, insertStmt(fmt.Sprintf("AUTO%04d", i), i))
-		select {
-		case <-checkpointed:
-			return
-		case <-deadline:
-			t.Fatal("no automatic checkpoint within 5s")
-		default:
-		}
+	defer rep.Close()
+	if info.CheckpointLSN == 0 || info.Replayed >= inserts {
+		t.Fatalf("restart from checkpoint LSN %d replayed %d records, want a later checkpoint and fewer than %d", info.CheckpointLSN, info.Replayed, inserts)
 	}
+	if !bytes.Equal(dbBytes(t, rep), want) {
+		t.Fatal("recovered image differs from the one before the restart")
+	}
+	rep.Promote()
+	fill(rep, "PROM", rep.WAL().StartLSN())
 }
 
 // TestGroupCommitUnderServer runs the full stack under SyncAlways with

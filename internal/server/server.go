@@ -115,8 +115,9 @@ type Config struct {
 	// (wal.SyncAlways / SyncBatched / SyncOff; the zero value is
 	// SyncAlways).
 	SyncPolicy wal.SyncPolicy
-	// CheckpointBytes triggers an automatic checkpoint from the tuning
-	// loop's ticker once the WAL grows past it (0 = 64 MiB).
+	// CheckpointBytes triggers an automatic checkpoint once a commit
+	// leaves the WAL of a durable primary at least this long, whether
+	// or not the tuning loop runs (0 = 64 MiB).
 	CheckpointBytes int64
 	// Replica starts the server as a read-only replication follower:
 	// mutations are refused with ErrReadOnly and the tuner refuses to
@@ -226,6 +227,9 @@ type Server struct {
 
 	tuner  *Tuner // its lock also orders checkpoints against catalog changes
 	closed atomic.Bool
+	// ckptStop and ckptDone stop and await the automatic checkpointer
+	// (nil while none runs); the tuner's lock guards both.
+	ckptStop, ckptDone chan struct{}
 
 	// readOnly marks a replication follower (mutations refused until
 	// Promote); fenced marks a deposed primary that has seen a newer
@@ -308,7 +312,13 @@ func (s *Server) Fence() { s.fenced.Store(true) }
 // feed. The caller — replica.Follower.Promote — has already stopped the
 // stream and flushed the commits its applier held back.
 // Promoting a server that is not a replica is a no-op.
-func (s *Server) Promote() { s.readOnly.Store(false) }
+// A durable server starts its automatic checkpointer here: it writes
+// as a primary from now on.
+func (s *Server) Promote() {
+	if s.readOnly.Swap(false) && s.wal != nil {
+		s.startCheckpointer()
+	}
+}
 
 // WALDir returns the durability directory ("" without durability).
 func (s *Server) WALDir() string { return s.walDir }
@@ -543,6 +553,7 @@ func (s *Server) Close() {
 		return
 	}
 	s.StopAutoTune()
+	s.stopCheckpointer()
 	s.flight.barrier()
 	for _, def := range s.cat.Definitions() {
 		if idx, ok := s.cat.Get(def); ok {

@@ -87,10 +87,7 @@ type TuneReport struct {
 	// Benefit is the advisor's estimated workload benefit of the
 	// recommended configuration.
 	Benefit float64
-	// Checkpointed reports that the autonomous loop wrote a checkpoint
-	// after this round because the WAL grew past CheckpointBytes.
-	Checkpointed bool
-	Elapsed      time.Duration
+	Elapsed time.Duration
 }
 
 // String renders the report as one log line.
@@ -98,13 +95,9 @@ func (r *TuneReport) String() string {
 	if r.Skipped {
 		return fmt.Sprintf("tune round %d: skipped (no captured workload)", r.Round)
 	}
-	suffix := ""
-	if r.Checkpointed {
-		suffix = " [checkpointed]"
-	}
-	return fmt.Sprintf("tune round %d: %d stmts -> %d recommended, built %d, dropped %d (pending %d/%d) in %v%s",
+	return fmt.Sprintf("tune round %d: %d stmts -> %d recommended, built %d, dropped %d (pending %d/%d) in %v",
 		r.Round, r.WorkloadSize, len(r.Recommended), len(r.Built), len(r.Dropped),
-		r.PendingBuild, r.PendingDrop, r.Elapsed.Round(time.Millisecond), suffix)
+		r.PendingBuild, r.PendingDrop, r.Elapsed.Round(time.Millisecond))
 }
 
 // Round runs one tuning round: advise on the workload under the
@@ -256,21 +249,7 @@ func (s *Server) tuneLocked() (*TuneReport, error) {
 // observe, which may be nil. It is a no-op if the interval is zero or
 // a loop is already running.
 func (s *Server) StartAutoTune(observe func(*TuneReport, error)) {
-	StartTuner(s.tuner, s.cfg.TuneInterval, func() (*TuneReport, error) {
-		rep, err := s.tuneLocked()
-		// The loop's ticker doubles as the checkpoint trigger: once the
-		// WAL grows past the threshold, fold a checkpoint into the round
-		// so replay-on-recovery stays bounded no matter how long the
-		// daemon runs.
-		if s.wal != nil && s.wal.SizeBytes() >= s.cfg.CheckpointBytes {
-			if cerr := s.checkpointLocked(); cerr == nil && rep != nil {
-				rep.Checkpointed = true
-			} else if err == nil {
-				err = cerr
-			}
-		}
-		return rep, err
-	}, observe)
+	StartTuner(s.tuner, s.cfg.TuneInterval, s.tuneLocked, observe)
 }
 
 // StopAutoTune stops the autonomous loop and waits for the in-progress

@@ -175,6 +175,12 @@ type Log struct {
 	fail    error  // sticky: the log is unusable after an append/flush error
 	closed  bool
 
+	// sizeFull receives, without blocking the writer, after each append
+	// that leaves size at least sizeLimit (NotifyAtSize); nil when no
+	// one asked.
+	sizeLimit int64
+	sizeFull  chan struct{}
+
 	flushCh   chan struct{} // closed and replaced whenever flushed advances
 	flushStop chan struct{}
 	flushDone chan struct{}
@@ -366,6 +372,12 @@ func (l *Log) appendLocked(payload []byte) error {
 	l.last++
 	l.size += frameLen + int64(len(payload))
 	l.metAppends.Inc()
+	if l.sizeFull != nil && l.size >= l.sizeLimit {
+		select {
+		case l.sizeFull <- struct{}{}:
+		default: // a signal is already waiting
+		}
+	}
 	return nil
 }
 
@@ -701,6 +713,18 @@ func (l *Log) SizeBytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.size
+}
+
+// NotifyAtSize returns a channel that receives a value after each
+// append that leaves the log at least n bytes long — the automatic
+// checkpoint's trigger. The channel holds one value and the append
+// never waits on it, so signals that arrive while one is pending
+// coalesce. A later call replaces the threshold and the channel.
+func (l *Log) NotifyAtSize(n int64) <-chan struct{} {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.sizeLimit, l.sizeFull = n, make(chan struct{}, 1)
+	return l.sizeFull
 }
 
 // Close flushes, fsyncs, and closes the log. Waiting committers are
