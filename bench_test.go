@@ -217,47 +217,6 @@ func BenchmarkAblationCalls(b *testing.B) {
 	}
 }
 
-// --- parallel advisor pipeline ---
-
-// parallelBenchWorkload is the 30-query random workload of the
-// parallelism benchmark.
-func parallelBenchWorkload(b *testing.B, e *experiments.Env) *workload.Workload {
-	b.Helper()
-	w, err := workload.ParseStatements(tpox.SyntheticQueries(e.DB, 30, 130))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return w
-}
-
-// benchmarkParallelEnumerate measures advisor construction — candidate
-// enumeration, generalization, and baseline costing — at a fixed
-// fan-out width. Enumeration, the coverage matrix, and baseline and mc
-// costing fan out; generalization's pair loop is serial.
-func benchmarkParallelEnumerate(b *testing.B, parallelism int) {
-	e := benchEnv(b)
-	w := parallelBenchWorkload(b, e)
-	opts := core.DefaultOptions()
-	opts.Parallelism = parallelism
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.New(e.DB, e.Opt, w, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkParallelEnumerate contrasts serial and parallel advisor
-// construction over the 30-query workload. Measured at GOMAXPROCS=2
-// (2 vCPUs, go1.24.0, -benchtime 2s -count 5): serial 371-431 us
-// (median 397), parallel 386-437 us (median 426). Each fanned-out loop
-// holds only 30-300 items of a microsecond or so, so the goroutine
-// hand-offs cost about what the second core saves.
-func BenchmarkParallelEnumerate(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchmarkParallelEnumerate(b, 1) })
-	b.Run("parallel", func(b *testing.B) { benchmarkParallelEnumerate(b, 0) })
-}
-
 // --- substrate microbenchmarks ---
 
 func BenchmarkXPathEval(b *testing.B) {

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	experiments [-scale N] [-run name[,name...]] [-parallelism N]
+//	experiments [-scale N] [-run name[,name...]]
 //
 // -run takes the step names listed by experiments -h, or all (the
 // default).
@@ -20,7 +20,6 @@ import (
 
 func main() {
 	scale := flag.Int("scale", 1, "TPoX data scale factor (1 = 1000 securities, 2000 orders, 500 customers)")
-	parallelism := flag.Int("parallelism", 0, "advisor fan-out width (0 = GOMAXPROCS, 1 = the paper's serial pipeline)")
 
 	out := os.Stdout
 	var env *experiments.Env
@@ -44,7 +43,7 @@ func main() {
 		{"ablation-beta", true, func() error { _, err := experiments.AblationBeta(out, env); return err }},
 		{"updates", true, func() error { _, err := experiments.Updates(out, env); return err }},
 		{"observe", false, func() error { _, err := experiments.Observe(out, *scale); return err }},
-		{"xmark", false, func() error { _, err := experiments.XMark(out, *scale, *parallelism); return err }},
+		{"xmark", false, func() error { _, err := experiments.XMark(out, *scale); return err }},
 	}
 	names := make([]string, 0, len(steps)+1)
 	for _, s := range steps {
@@ -75,7 +74,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		e.Parallelism = *parallelism
 		env = e
 	}
 	for _, s := range selected {

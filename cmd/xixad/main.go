@@ -91,7 +91,6 @@ func main() {
 	flag.DurationVar(&cfg.TuneInterval, "tune-interval", 30*time.Second, "autonomous tuning period (0 disables)")
 	flag.Int64Var(&cfg.BudgetMB, "budget-mb", 0, "disk budget for materialized indexes in MB (0 = All-Index size)")
 	flag.StringVar(&cfg.Algorithm, "algorithm", core.AlgoTopDownFull, "advisor search algorithm")
-	flag.IntVar(&cfg.Parallelism, "parallelism", 0, "advisor fan-out width of the once-per-round loops (enumeration, costing); search trials run serially (0 = GOMAXPROCS)")
 	flag.StringVar(&cfg.HTTPAddr, "http-addr", "", "serve /metrics, /trace/last, and /debug/pprof on this address (empty disables)")
 	flag.IntVar(&cfg.Shards, "shards", 1, "partition the database across N in-process shards (N>1; incompatible with -wal-dir, -replica-of, -replication-addr)")
 	flag.Parse()

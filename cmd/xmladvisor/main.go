@@ -5,7 +5,7 @@
 // Usage:
 //
 //	xmladvisor -load TABLE=dir [-load TABLE=dir ...] -workload file \
-//	           [-budget bytes] [-algo name] [-parallelism N] [-verbose]
+//	           [-budget bytes] [-algo name] [-verbose]
 //
 //	xmladvisor -tpox 1 -workload file ...   (generate TPoX data instead)
 //	xmladvisor -db snap.xdb -workload file  (load a persisted snapshot)
@@ -49,8 +49,6 @@ func main() {
 	budget := flag.Int64("budget", 0, "disk budget in bytes (default: All-Index size)")
 	algo := flag.String("algo", core.AlgoTopDownFull,
 		fmt.Sprintf("search algorithm %v", core.Algorithms()))
-	parallelism := flag.Int("parallelism", 0,
-		"advisor fan-out width (0 = GOMAXPROCS, 1 = serial; results are identical either way)")
 	verbose := flag.Bool("verbose", false, "print candidates and search details")
 	flag.Parse()
 
@@ -110,9 +108,7 @@ func main() {
 	fmt.Println("Collecting statistics (RUNSTATS)...")
 	stats := optimizer.CollectStats(db)
 	opt := optimizer.New(db, stats)
-	opts := core.DefaultOptions()
-	opts.Parallelism = *parallelism
-	adv, err := core.New(db, opt, w, opts)
+	adv, err := core.New(db, opt, w, core.DefaultOptions())
 	if err != nil {
 		fatal(err)
 	}

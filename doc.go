@@ -35,24 +35,23 @@
 //
 // # Performance and concurrency
 //
-// core.Options.Parallelism sets the fan-out width of the advisor's
-// whole-workload loops, which run once per advisor: candidate
-// enumeration, the coverage matrix, baseline and maintenance costing,
-// WorkloadCostUnder and the DisableAffectedSets ablation. 0 (the
-// default) uses runtime.GOMAXPROCS(0) workers, 1 runs the paper's exact
-// serial pipeline. The benefit evaluator costs each search trial on
-// the calling goroutine, with optimizer.EvaluateCost (the Evaluate
-// Indexes mode without building a Plan): a trial's calls are memo hits
-// of a microsecond or two, and fanning them out made a round slower at
-// GOMAXPROCS=2, not faster. Parallel loops reduce per-item results in
-// ordinal order, so recommendations, benefits, and the OptimizerCalls
-// count are bit-for-bit identical at every width. The benefit Evaluator
-// is safe for concurrent searches sharing one advisor: its §VI-C
-// sub-configuration cache is sharded behind RWMutexes, probed once per
+// The advisor runs on its caller's goroutine: candidate enumeration,
+// the coverage matrix, baseline and maintenance costing, the search
+// trials and WorkloadCostUnder are plain loops in statement or
+// candidate order, so recommendations, benefits, and the OptimizerCalls
+// count are deterministic. (Their items are a microsecond or so each,
+// and fanning them out made a round slower at GOMAXPROCS=2, not
+// faster; core.Options.Parallelism is ignored.) A search trial is
+// costed with optimizer.EvaluateCost, the Evaluate Indexes mode without
+// building a Plan, and advisor set-up looks statistics and probe costs
+// up with keys built in stack buffers. The benefit Evaluator is safe
+// for concurrent searches sharing one advisor: its §VI-C
+// sub-configuration cache is one map behind an RWMutex, probed once per
 // group with a key built in a stack buffer, each evaluation splits into
-// its own reused scratch, and its counters are atomic. Every Evaluate Indexes call is planned and counted: no
-// memo sits in front of the optimizer, so EvaluateCalls is exactly the
-// number the ablation options audit.
+// its own reused scratch, and its counters are atomic. Every Evaluate
+// Indexes call is planned and counted: no memo sits in front of the
+// optimizer, so EvaluateCalls is exactly the number the ablation
+// options audit.
 //
 // # Live statistics under updates
 //

@@ -45,11 +45,8 @@ type Options struct {
 	// for every workload statement instead of only affected ones
 	// (ablation).
 	DisableAffectedSets bool
-	// Parallelism caps the number of goroutines the advisor fans
-	// optimizer calls out on (candidate enumeration, baseline costing,
-	// benefit evaluation). 0 selects runtime.GOMAXPROCS(0); 1
-	// reproduces the serial pipeline exactly — results are bit-for-bit
-	// identical at every level either way, only wall-clock changes.
+	// Parallelism is ignored: the advisor runs on its caller's
+	// goroutine. The field remains for callers that still set it.
 	Parallelism int
 }
 
@@ -129,10 +126,9 @@ type Recommendation struct {
 	Benefit float64
 	// OptimizerCalls is the number of Evaluate Indexes calls consumed,
 	// measured as the delta of the optimizer's shared call counter. It
-	// is exact — and identical at every Parallelism level — when the
-	// optimizer serves only this search; searches running concurrently
-	// on the same optimizer remain correct but blur each other's
-	// per-recommendation attribution.
+	// is exact when the optimizer serves only this search; searches
+	// running concurrently on the same optimizer remain correct but blur
+	// each other's per-recommendation attribution.
 	OptimizerCalls int64
 	// Elapsed is the advisor run time for this search.
 	Elapsed time.Duration
@@ -231,12 +227,11 @@ func (a *Advisor) Evaluator() *Evaluator { return a.eval }
 // generalization-to-unseen-queries experiments (paper Fig. 4/5): train
 // on a prefix, score on the full workload.
 func (a *Advisor) WorkloadCostUnder(defs []xindex.Definition) float64 {
-	costs := make([]float64, len(a.W.Items))
-	a.parallelFor(len(a.W.Items), func(i int) {
-		item := a.W.Items[i]
+	total := 0.0
+	for _, item := range a.W.Items {
 		cost, err := a.Opt.EvaluateCost(item.Stmt, defs)
 		if err != nil {
-			return
+			continue
 		}
 		c := float64(item.Freq) * cost
 		if item.Stmt.Kind != xquery.Query {
@@ -244,9 +239,9 @@ func (a *Advisor) WorkloadCostUnder(defs []xindex.Definition) float64 {
 				c += float64(item.Freq) * a.Opt.MaintenanceCost(def, item.Stmt)
 			}
 		}
-		costs[i] = c
-	})
-	return sumInOrder(costs)
+		total += c
+	}
+	return total
 }
 
 // SpeedupUnder is the estimated workload speedup of an arbitrary

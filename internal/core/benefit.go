@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"slices"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"xixa/internal/workload"
@@ -26,14 +27,10 @@ import (
 // per-execution cost, and a statement occurring freq times performs
 // maintenance freq times.)
 //
-// The evaluator is safe for concurrent use: the sub-configuration cache
-// is sharded behind RWMutexes, the hit counter is atomic, and an
-// evaluation writes only into split scratch no other evaluation holds.
-// A trial is costed on the calling goroutine: its optimizer calls are
-// memo hits of a microsecond or two, too small to pay for a hand-off
-// to another worker. Only the whole-workload loops that run once per
-// advisor (baseline and mc costing here, the DisableAffectedSets
-// ablation) fan out across Options.Parallelism workers.
+// The evaluator runs on its caller's goroutine and is safe for
+// concurrent use: the sub-configuration cache sits behind an RWMutex,
+// the hit counter is atomic, and an evaluation writes only into split
+// scratch no other evaluation holds.
 type Evaluator struct {
 	a *Advisor
 	// baseCost[i] is the no-index cost of statement i times its
@@ -44,7 +41,8 @@ type Evaluator struct {
 	// computed once per advisor rather than on every benefit evaluation.
 	mc [][]float64
 	// subCache maps a sub-configuration key to its query benefit.
-	subCache *benefitCache
+	subMu    sync.RWMutex
+	subCache map[string]float64
 	// spare is split scratch no evaluation is using. Searches evaluate
 	// one configuration at a time, so one is enough; a concurrent
 	// evaluation that finds it taken makes its own.
@@ -54,18 +52,17 @@ type Evaluator struct {
 }
 
 func newEvaluator(a *Advisor) *Evaluator {
-	e := &Evaluator{a: a, subCache: newBenefitCache()}
+	e := &Evaluator{a: a, subCache: make(map[string]float64)}
 	e.baseCost = make([]float64, a.W.Len())
-	a.parallelFor(a.W.Len(), func(i int) {
-		item := a.W.Items[i]
+	for i, item := range a.W.Items {
 		cost, err := a.Opt.EvaluateCost(item.Stmt, nil)
 		if err != nil {
 			// Statements over unknown tables cost nothing and gain
 			// nothing; they simply never contribute benefit.
-			return
+			continue
 		}
 		e.baseCost[i] = float64(item.Freq) * cost
-	})
+	}
 	var modifying []workload.Item
 	for _, item := range a.W.Items {
 		if item.Stmt.Kind != xquery.Query {
@@ -77,17 +74,22 @@ func newEvaluator(a *Advisor) *Evaluator {
 	for k := range e.mc {
 		e.mc[k] = make([]float64, len(all))
 	}
-	a.parallelFor(len(all), func(id int) {
+	for id, c := range all {
 		for k, item := range modifying {
-			e.mc[k][id] = float64(item.Freq) * a.Opt.MaintenanceCost(all[id].Def, item.Stmt)
+			e.mc[k][id] = float64(item.Freq) * a.Opt.MaintenanceCost(c.Def, item.Stmt)
 		}
-	})
+	}
 	return e
 }
 
-// BaselineCost is the total workload cost with no indexes.
+// BaselineCost is the total workload cost with no indexes, summed in
+// statement order.
 func (e *Evaluator) BaselineCost() float64 {
-	return sumInOrder(e.baseCost)
+	total := 0.0
+	for _, c := range e.baseCost {
+		total += c
+	}
+	return total
 }
 
 // ConfigBenefit returns the benefit of a configuration over the empty
@@ -149,7 +151,7 @@ type keptGroup struct {
 // extra touches bring their benefit along and count as cache hits, as
 // the probe of their key would have; the other groups come from
 // componentBenefits. Groups are summed in root order, so the float
-// result is the whole trial's split's at every Parallelism level.
+// result is the whole trial's split's.
 func (e *Evaluator) queryBenefit(k *keptSplit, extra []*Candidate) float64 {
 	if e.a.Opts.DisableAffectedSets {
 		return e.evaluateGroupAllStatements(k.cfg, extra)
@@ -231,7 +233,12 @@ func (e *Evaluator) componentBenefits(s *subConfigs) int64 {
 	for c := range benefits {
 		if useCache {
 			s.key = appendGroupKey(s.key[:0], s.group(c))
-			if b, ok := e.subCache.get(s.key); ok {
+			// The string(b) index does not copy the key's bytes, so a
+			// probe allocates nothing.
+			e.subMu.RLock()
+			b, ok := e.subCache[string(s.key)]
+			e.subMu.RUnlock()
+			if ok {
 				hits++
 				benefits[c] = b
 				continue
@@ -244,7 +251,9 @@ func (e *Evaluator) componentBenefits(s *subConfigs) int64 {
 		benefits[c] = e.missedBenefit(s, s.group(c))
 		if useCache {
 			s.key = appendGroupKey(s.key[:0], s.group(c))
-			e.subCache.put(string(s.key), benefits[c])
+			e.subMu.Lock()
+			e.subCache[string(s.key)] = benefits[c]
+			e.subMu.Unlock()
 		}
 	}
 	return hits
@@ -460,16 +469,15 @@ func (e *Evaluator) evaluateGroupAllStatements(cfg, extra []*Candidate) float64 
 	for _, c := range extra {
 		defs = append(defs, c.Def)
 	}
-	gains := make([]float64, len(e.a.W.Items))
-	e.a.parallelFor(len(e.a.W.Items), func(ord int) {
-		item := e.a.W.Items[ord]
+	total := 0.0
+	for ord, item := range e.a.W.Items {
 		cost, err := e.a.Opt.EvaluateCost(item.Stmt, defs)
 		if err != nil {
-			return
+			continue
 		}
-		gains[ord] = e.baseCost[ord] - float64(item.Freq)*cost
-	})
-	return sumInOrder(gains)
+		total += e.baseCost[ord] - float64(item.Freq)*cost
+	}
+	return total
 }
 
 // maintenanceCost sums mc over the workload's data-modifying statements

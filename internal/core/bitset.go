@@ -30,8 +30,8 @@ func (b *BitSet) Has(i int) bool {
 
 // Or merges other into b.
 func (b *BitSet) Or(other *BitSet) {
-	for len(b.words) < len(other.words) {
-		b.words = append(b.words, 0)
+	if grow := len(other.words) - len(b.words); grow > 0 {
+		b.words = append(b.words, make([]uint64, grow)...)
 	}
 	for i, w := range other.words {
 		b.words[i] |= w

@@ -82,33 +82,20 @@ func (cs *CandidateSet) Basic() []*Candidate { return cs.All[:cs.BasicCount] }
 func (cs *CandidateSet) Generalized() []*Candidate { return cs.All[cs.BasicCount:] }
 
 // enumerateBasic asks the optimizer (Enumerate Indexes mode) for the
-// basic candidates of every workload statement and records affected
-// sets and site keys. The per-statement Enumerate Indexes calls are
-// independent, so they fan out across the advisor's workers; the
-// results are merged serially in statement order, which keeps candidate
-// IDs (and everything downstream of them) identical at every
-// Parallelism level.
+// basic candidates of every workload statement, in statement order, and
+// records affected sets and site keys.
 func (a *Advisor) enumerateBasic(w *workload.Workload) (*CandidateSet, error) {
-	type enumResult struct {
-		defs []xindex.Definition
-		err  error
-	}
-	results := make([]enumResult, w.Len())
-	a.parallelFor(w.Len(), func(ord int) {
-		item := w.Items[ord]
-		if item.Stmt.Kind == xquery.Insert {
-			return // inserts expose no indexable patterns
-		}
-		defs, err := a.Opt.EnumerateIndexes(item.Stmt)
-		results[ord] = enumResult{defs: defs, err: err}
-	})
 	cs := &CandidateSet{byKey: make(map[string]*Candidate)}
 	var kb [128]byte
-	for ord, r := range results {
-		if r.err != nil {
-			return nil, r.err
+	for ord, item := range w.Items {
+		if item.Stmt.Kind == xquery.Insert {
+			continue // inserts expose no indexable patterns
 		}
-		for _, def := range r.defs {
+		defs, err := a.Opt.EnumerateIndexes(item.Stmt)
+		if err != nil {
+			return nil, err
+		}
+		for _, def := range defs {
 			key := def.AppendKey(kb[:0])
 			c, ok := cs.byKey[string(key)]
 			if !ok {
@@ -183,13 +170,13 @@ func (a *Advisor) generalizeAll(cs *CandidateSet) {
 	}
 	n := len(cs.All)
 	cs.covers = make([][]bool, n)
-	a.parallelFor(n, func(i int) {
+	for i, c := range cs.All {
 		row := make([]bool, n)
 		for j, o := range cs.All {
-			row[j] = cs.All[i].Covers(o)
+			row[j] = c.Covers(o)
 		}
 		cs.covers[i] = row
-	})
+	}
 	// Propagate affected sets and site keys: a general candidate
 	// affects every statement whose basic patterns it covers.
 	for _, g := range cs.All[cs.BasicCount:] {

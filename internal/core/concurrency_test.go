@@ -55,7 +55,7 @@ func TestConcurrentAdvisorCalls(t *testing.T) {
 	}
 }
 
-// Concurrent identical benefit evaluations must agree (the sharded
+// Concurrent identical benefit evaluations must agree (the shared
 // cache and once-guarded standalone benefits are deterministic).
 func TestConcurrentBenefitsDeterministic(t *testing.T) {
 	a := newFixture(t, 300, aq1, aq2)
@@ -77,91 +77,76 @@ func TestConcurrentBenefitsDeterministic(t *testing.T) {
 	}
 }
 
-// newParallelFixture builds two advisors over the same database and
-// workload, differing only in Parallelism.
-func newParallelFixture(t *testing.T, stmts []string) (serial, parallel *Advisor) {
-	t.Helper()
-	base := newFixture(t, 300, stmts...)
-	w, err := workload.ParseStatements(stmts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(parallelism int) *Advisor {
-		opts := DefaultOptions()
-		opts.Parallelism = parallelism
-		a, err := New(base.DB, base.Opt, w, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a
-	}
-	return mk(1), mk(8)
-}
-
-// The parallel pipeline is an execution strategy, not a semantics
-// change: Parallelism: 8 must reproduce the Parallelism: 1 pipeline
-// bit-for-bit — same candidates, same recommended configuration, same
-// benefit, and (with the plan cache off) the same number of Evaluate
-// Indexes optimizer calls for every search algorithm.
-func TestParallelismDeterminism(t *testing.T) {
+// An advisor leaves nothing on its optimizer that changes the next
+// one's answer: two fresh advisors over the same database and workload,
+// built one after the other on one shared optimizer (the second finds
+// the first's compiled statements and probe memos warm), must agree
+// bit-for-bit — same candidates, same baseline, and for every search
+// algorithm the same configuration, benefit, size and number of
+// Evaluate Indexes calls.
+func TestSharedOptimizerDeterminism(t *testing.T) {
 	stmts := []string{
 		aq1, aq2,
 		`for $s in SECURITY('SDOC')/Security where $s/SecInfo/*/Industry = "Ind7" return $s`,
 		`SECURITY('SDOC')/Security[Yield<2.5]`,
 		`delete from SECURITY where /Security[Symbol="S00007"]`,
 	}
-	serial, parallel := newParallelFixture(t, stmts)
-
-	if got, want := candidateStrings(parallel.Candidates.All), candidateStrings(serial.Candidates.All); len(got) != len(want) {
-		t.Fatalf("candidate sets differ: %d vs %d", len(got), len(want))
-	} else {
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("candidate %d differs: %q vs %q", i, got[i], want[i])
-			}
+	base := newFixture(t, 300, stmts...)
+	w, err := workload.ParseStatements(stmts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := optimizer.New(base.DB, optimizer.CollectStats(base.DB))
+	mk := func() *Advisor {
+		a, err := New(base.DB, opt, w, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
 		}
+		return a
 	}
-	if s, p := serial.eval.BaselineCost(), parallel.eval.BaselineCost(); s != p {
-		t.Fatalf("baseline cost differs: serial %v, parallel %v", s, p)
+	first, second := mk(), mk()
+
+	if got, want := candidateStrings(second.Candidates.All), candidateStrings(first.Candidates.All); !reflect.DeepEqual(got, want) {
+		t.Fatalf("candidate sets differ:\n%q\n%q", got, want)
+	}
+	if f, s := first.eval.BaselineCost(), second.eval.BaselineCost(); f != s {
+		t.Fatalf("baseline cost differs: first %v, second %v", f, s)
 	}
 
-	budget := serial.AllIndexSize() / 2
+	budget := first.AllIndexSize() / 2
 	for _, algo := range Algorithms() {
-		sr, err := serial.Recommend(algo, budget)
+		fr, err := first.Recommend(algo, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pr, err := parallel.Recommend(algo, budget)
+		sr, err := second.Recommend(algo, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(sr.Config) != len(pr.Config) {
-			t.Fatalf("%s: config sizes differ: %d vs %d", algo, len(sr.Config), len(pr.Config))
+		if got, want := candidateIDs(sr.Config), candidateIDs(fr.Config); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: configurations differ: %v vs %v", algo, want, got)
 		}
-		for i := range sr.Config {
-			if sr.Config[i].ID != pr.Config[i].ID {
-				t.Fatalf("%s: config[%d] differs: %d vs %d", algo, i, sr.Config[i].ID, pr.Config[i].ID)
-			}
+		if math.Float64bits(fr.Benefit) != math.Float64bits(sr.Benefit) {
+			t.Fatalf("%s: benefit differs: first %v, second %v", algo, fr.Benefit, sr.Benefit)
 		}
-		if sr.Benefit != pr.Benefit {
-			t.Fatalf("%s: benefit differs: serial %v, parallel %v", algo, sr.Benefit, pr.Benefit)
+		if fr.TotalSize != sr.TotalSize {
+			t.Fatalf("%s: total size differs: %d vs %d", algo, fr.TotalSize, sr.TotalSize)
 		}
-		if sr.TotalSize != pr.TotalSize {
-			t.Fatalf("%s: total size differs: %d vs %d", algo, sr.TotalSize, pr.TotalSize)
-		}
-		if sr.OptimizerCalls != pr.OptimizerCalls {
-			t.Fatalf("%s: optimizer calls differ: serial %d, parallel %d",
-				algo, sr.OptimizerCalls, pr.OptimizerCalls)
+		if fr.OptimizerCalls != sr.OptimizerCalls {
+			t.Fatalf("%s: optimizer calls differ: first %d, second %d",
+				algo, fr.OptimizerCalls, sr.OptimizerCalls)
 		}
 	}
 }
 
-// §VI-C's sub-configuration cache and the parallel fan-out only save
-// work: on generated workloads (the Table III query generator plus the
-// update statements), every algorithm must recommend the same
-// definitions with the same benefit bits with the cache off and at
-// Parallelism 1 and 4 as under the default options.
-func TestRecommendationInvariantUnderCacheAndParallelism(t *testing.T) {
+// §VI-C's sub-configuration cache only saves work: on generated
+// workloads (the Table III query generator plus the update statements),
+// every algorithm must recommend the same definitions with the same
+// benefit bits with the cache off as under the default options. (The
+// DisableAffectedSets ablation is not bit-identical: it sums gains over
+// the whole workload rather than per group, so a benefit can move in
+// the last bit and flip a close choice.)
+func TestRecommendationInvariantUnderSubConfigCache(t *testing.T) {
 	db, err := tpox.NewDatabase(1)
 	if err != nil {
 		t.Fatal(err)
@@ -176,8 +161,6 @@ func TestRecommendationInvariantUnderCacheAndParallelism(t *testing.T) {
 	}{
 		{"default", func(*Options) {}},
 		{"DisableSubConfigCache", func(o *Options) { o.DisableSubConfigCache = true }},
-		{"Parallelism 1", func(o *Options) { o.Parallelism = 1 }},
-		{"Parallelism 4", func(o *Options) { o.Parallelism = 4 }},
 	}
 	type answer struct {
 		defs        []string

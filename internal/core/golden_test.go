@@ -197,36 +197,32 @@ func TestAdviseRoundMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, parallelism := range []int{1, 4} {
-		// Every advisor of both rounds shares one optimizer, as a
-		// serving tuner's rounds do: nothing an advisor leaves on it may
-		// change the next one's answer or call count.
-		opt := optimizer.New(db, optimizer.CollectStats(db))
-		opts := DefaultOptions()
-		opts.Parallelism = parallelism
-		for round := 1; round <= 2; round++ {
-			for _, algo := range Algorithms() {
-				a, err := New(db, opt, w, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rec, err := a.Recommend(algo, a.AllIndexSize()/2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defs := make([]string, len(rec.Config))
-				for i, d := range rec.Definitions() {
-					defs[i] = d.String()
-				}
-				sort.Strings(defs)
-				got := adviseGolden{defs: defs, benefitBits: math.Float64bits(rec.Benefit), totalSize: rec.TotalSize, calls: rec.OptimizerCalls}
-				if want := adviseGoldens[algo]; !reflect.DeepEqual(got, want) {
-					t.Errorf("parallelism %d, round %d, %s:\n got %#v\nwant %#v", parallelism, round, algo, got, want)
-				}
-				if algo == AlgoTopDownFull {
-					if bits := math.Float64bits(a.EstimatedSpeedup(rec.Config)); bits != adviseGoldenSpeedupBits {
-						t.Errorf("parallelism %d, round %d: topdown-full estimated speedup bits %#x, want %#x", parallelism, round, bits, adviseGoldenSpeedupBits)
-					}
+	// Every advisor of both rounds shares one optimizer, as a serving
+	// tuner's rounds do: nothing an advisor leaves on it may change the
+	// next one's answer or call count.
+	opt := optimizer.New(db, optimizer.CollectStats(db))
+	for round := 1; round <= 2; round++ {
+		for _, algo := range Algorithms() {
+			a, err := New(db, opt, w, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := a.Recommend(algo, a.AllIndexSize()/2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defs := make([]string, len(rec.Config))
+			for i, d := range rec.Definitions() {
+				defs[i] = d.String()
+			}
+			sort.Strings(defs)
+			got := adviseGolden{defs: defs, benefitBits: math.Float64bits(rec.Benefit), totalSize: rec.TotalSize, calls: rec.OptimizerCalls}
+			if want := adviseGoldens[algo]; !reflect.DeepEqual(got, want) {
+				t.Errorf("round %d, %s:\n got %#v\nwant %#v", round, algo, got, want)
+			}
+			if algo == AlgoTopDownFull {
+				if bits := math.Float64bits(a.EstimatedSpeedup(rec.Config)); bits != adviseGoldenSpeedupBits {
+					t.Errorf("round %d: topdown-full estimated speedup bits %#x, want %#x", round, bits, adviseGoldenSpeedupBits)
 				}
 			}
 		}
@@ -235,8 +231,7 @@ func TestAdviseRoundMatchesGolden(t *testing.T) {
 
 // BenchmarkAdviseRound is one advise round as cmd/xixabench's advise
 // workload runs it: per algorithm a fresh New and Recommend at half the
-// All-Index size, at the default Parallelism, every advisor on one
-// optimizer. Its B/op and allocs/op are a round's allocation.
+// All-Index size, every advisor on one optimizer. Its B/op and allocs/op are a round's allocation.
 func BenchmarkAdviseRound(b *testing.B) {
 	db, w := adviseWorkload(b)
 	opt := optimizer.New(db, optimizer.CollectStats(db))

@@ -271,8 +271,8 @@ func referenceHeuristic(a *Advisor, budget int64) (cfg []*Candidate, dups int) {
 	}
 }
 
-// The heuristic's kept split only saves work: at every budget and
-// Parallelism, on the advise workload and on TPoX Q1-Q11, it must pick
+// The heuristic's kept split only saves work: at every budget, memo-cold
+// and memo-warm, on the advise workload and on TPoX Q1-Q11, it must pick
 // the reference search's candidates with the same benefit bits,
 // optimizer calls and cache hits. That includes the trials that add a
 // specific already in the configuration (charging its maintenance
@@ -290,15 +290,15 @@ func TestHeuristicMatchesReferenceSearch(t *testing.T) {
 		w    *workload.Workload
 	}{{"advise", adviseW}, {"TPoX Q1-Q11", tpoxW}} {
 		opt := optimizer.New(adviseDB, optimizer.CollectStats(adviseDB))
-		for _, parallelism := range []int{1, 2} {
-			opts := DefaultOptions()
-			opts.Parallelism = parallelism
+		// The second pass finds the first's probe memos on the shared
+		// optimizer.
+		for pass := 1; pass <= 2; pass++ {
 			for _, frac := range budgets {
-				a, err := New(adviseDB, opt, tc.w, opts)
+				a, err := New(adviseDB, opt, tc.w, DefaultOptions())
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref, err := New(adviseDB, opt, tc.w, opts)
+				ref, err := New(adviseDB, opt, tc.w, DefaultOptions())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -312,7 +312,7 @@ func TestHeuristicMatchesReferenceSearch(t *testing.T) {
 				sort.Slice(cfg, func(i, j int) bool { return cfg[i].ID < cfg[j].ID })
 				benefit := ref.eval.ConfigBenefit(cfg)
 				calls := opt.EvaluateCalls() - before
-				name := fmt.Sprintf("%s, %g x All-Index, parallelism %d", tc.name, frac, parallelism)
+				name := fmt.Sprintf("%s, %g x All-Index, pass %d", tc.name, frac, pass)
 				if got, want := candidateIDs(rec.Config), candidateIDs(cfg); !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: candidates %v, reference %v", name, got, want)
 				}

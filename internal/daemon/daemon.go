@@ -43,7 +43,6 @@ type Config struct {
 	TuneInterval    time.Duration // -tune-interval: autonomous tuning period (0 = off)
 	BudgetMB        int64         // -budget-mb: index disk budget (0 = All-Index size)
 	Algorithm       string        // -algorithm: advisor search algorithm
-	Parallelism     int           // -parallelism: fan-out width of the advisor's once-per-round loops; search trials run serially (0 = GOMAXPROCS)
 	Shards          int           // -shards: in-process shards (1 = unsharded)
 }
 
@@ -90,9 +89,8 @@ func Start(cfg Config) (*Daemon, error) {
 		return nil, err
 	}
 	scfg := server.Config{
-		Budget:      cfg.BudgetMB << 20,
-		Algorithm:   cfg.Algorithm,
-		Parallelism: cfg.Parallelism,
+		Budget:    cfg.BudgetMB << 20,
+		Algorithm: cfg.Algorithm,
 	}
 	d := &Daemon{cfg: cfg}
 	if cfg.Shards > 1 {

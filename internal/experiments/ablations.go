@@ -30,7 +30,6 @@ func AblationCalls(w io.Writer, env *Env) (*AblationCallsResult, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		opts.Parallelism = env.Parallelism
 		adv, err := core.New(env.DB, env.Opt, wl, opts)
 		if err != nil {
 			return 0, 0, err
@@ -81,7 +80,7 @@ func AblationBeta(w io.Writer, env *Env) ([]AblationBetaRow, error) {
 	var rows []AblationBetaRow
 	for _, beta := range []float64{0, 0.05, 0.10, 0.25, 0.50, 1.00} {
 		adv, err := core.New(env.DB, env.Opt, wl,
-			core.Options{Beta: beta, Parallelism: env.Parallelism})
+			core.Options{Beta: beta})
 		if err != nil {
 			return nil, err
 		}
@@ -154,9 +153,8 @@ type XMarkResult struct {
 
 // XMark runs the advisor pipeline on the XMark-lite workload (the
 // paper's tech-report experiment) at budget = All-Index size. It
-// builds its own database and optimizer (no Env), so the advisor
-// fan-out width is passed explicitly.
-func XMark(w io.Writer, scale, parallelism int) (*XMarkResult, error) {
+// builds its own database and optimizer (no Env).
+func XMark(w io.Writer, scale int) (*XMarkResult, error) {
 	db, err := xmark.NewDatabase(scale)
 	if err != nil {
 		return nil, err
@@ -167,9 +165,7 @@ func XMark(w io.Writer, scale, parallelism int) (*XMarkResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := core.DefaultOptions()
-	opts.Parallelism = parallelism
-	adv, err := core.New(db, opt, wl, opts)
+	adv, err := core.New(db, opt, wl, core.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}

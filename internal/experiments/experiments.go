@@ -40,11 +40,6 @@ import (
 type Env struct {
 	DB  *storage.Database
 	Opt *optimizer.Optimizer
-	// Parallelism is threaded into every advisor the experiments
-	// construct (core.Options.Parallelism): 0 = GOMAXPROCS, 1 = the
-	// paper's serial pipeline. Either way results are identical; only
-	// wall-clock times (Fig. 3) change.
-	Parallelism int
 }
 
 // NewEnv generates the TPoX database at the given scale and collects
@@ -57,17 +52,9 @@ func NewEnv(scale int) (*Env, error) {
 	return &Env{DB: db, Opt: optimizer.New(db, optimizer.CollectStats(db))}, nil
 }
 
-// options is the environment's advisor options: the paper's defaults
-// with the environment's parallelism applied.
-func (e *Env) options() core.Options {
-	opts := core.DefaultOptions()
-	opts.Parallelism = e.Parallelism
-	return opts
-}
-
 // newAdvisor builds an advisor for a workload over the environment.
 func (e *Env) newAdvisor(w *workload.Workload) (*core.Advisor, error) {
-	return core.New(e.DB, e.Opt, w, e.options())
+	return core.New(e.DB, e.Opt, w, core.DefaultOptions())
 }
 
 // tpoxWorkload parses the 11 TPoX queries.

@@ -280,7 +280,7 @@ func TestUpdatesExperiment(t *testing.T) {
 }
 
 func TestXMarkExperiment(t *testing.T) {
-	res, err := XMark(io.Discard, 1, 0)
+	res, err := XMark(io.Discard, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"xixa/internal/xindex"
+	"xixa/internal/xpath"
 	"xixa/internal/xquery"
 	"xixa/internal/xstats"
 )
@@ -27,6 +28,9 @@ type CompiledStatement struct {
 
 	sites       []PredSite
 	siteDocFrac []float64
+	// updated is an update's modified-node path: the match path
+	// extended by the set path, predicates stripped.
+	updated xpath.Path
 
 	// matchingDocs estimates the documents satisfying all predicate
 	// sites; docCount and avgNodes snapshot the table statistics the
@@ -37,11 +41,12 @@ type CompiledStatement struct {
 	resultCost   float64
 	baseCost     float64
 
-	// siteEvals memoizes, per predicate site, the index-probe
-	// evaluation of each candidate definition (matched?, entries
-	// scanned, probe cost) — all invariant across configurations.
+	// siteEvals memoizes, per candidate definition, the index-probe
+	// evaluation (matched?, entries scanned, probe cost) of each
+	// predicate site, in site order — all invariant across
+	// configurations.
 	mu        sync.RWMutex
-	siteEvals []map[string]siteEval
+	siteEvals map[string][]siteEval
 }
 
 // The probe memo is keyed by the definition's value — its type and the
@@ -55,7 +60,8 @@ type CompiledStatement struct {
 // a byte string the map hashes and, on a hash collision, compares in
 // full. The planner builds it in a stack buffer once per definition and
 // call, and looks it up through a string(b) map index, which Go compiles
-// without a copy: only a miss allocates.
+// without a copy: only a miss allocates. A miss evaluates every site of
+// the statement against the definition at once.
 
 // appendDefKey appends the definition's memo key to b: the type, the
 // relative flag, then per step its axis byte (0 or 1, never part of a
@@ -136,7 +142,6 @@ func newCompiledStatement(stmt *xquery.Statement, ts *xstats.TableStats) *Compil
 		avgNodes: ts.AvgNodesPerDoc(),
 	}
 	cs.siteDocFrac = make([]float64, len(cs.sites))
-	cs.siteEvals = make([]map[string]siteEval, len(cs.sites))
 	frac := 1.0
 	for i, site := range cs.sites {
 		siteStats := ts.ForPattern(site.Pattern, site.Lit.Kind)
@@ -147,6 +152,9 @@ func newCompiledStatement(stmt *xquery.Statement, ts *xstats.TableStats) *Compil
 	}
 	cs.matchingDocs = frac * cs.docCount
 	cs.resultCost = cs.matchingDocs * CostPerResultNode * math.Max(1, float64(len(stmt.Returns)))
+	if stmt.Kind == xquery.Update {
+		cs.updated = xpath.Concat(stmt.Match.StripPreds(), stmt.SetPath.StripPreds())
+	}
 
 	switch stmt.Kind {
 	case xquery.Insert:
@@ -165,24 +173,28 @@ func newCompiledStatement(stmt *xquery.Statement, ts *xstats.TableStats) *Compil
 	return cs
 }
 
-// siteEvalFor returns the memoized (matched, entries, probe) evaluation
-// of one definition against one site. The definition's table is assumed
-// to already match the statement's.
-func (cs *CompiledStatement) siteEvalFor(si int, def xindex.Definition, key []byte) siteEval {
+// siteEvalsFor returns the memoized (matched, entries, probe)
+// evaluation of one definition against each site, in site order. The
+// definition's table is assumed to already match the statement's; key
+// is its appendDefKey.
+func (cs *CompiledStatement) siteEvalsFor(def xindex.Definition, key []byte) []siteEval {
 	cs.mu.RLock()
-	ev, ok := cs.siteEvals[si][string(key)]
+	evs, ok := cs.siteEvals[string(key)]
 	cs.mu.RUnlock()
 	if ok {
-		return ev
+		return evs
 	}
-	ev = cs.computeSiteEval(si, def)
+	evs = make([]siteEval, len(cs.sites))
+	for si := range evs {
+		evs[si] = cs.computeSiteEval(si, def)
+	}
 	cs.mu.Lock()
-	if cs.siteEvals[si] == nil {
-		cs.siteEvals[si] = make(map[string]siteEval)
+	if cs.siteEvals == nil {
+		cs.siteEvals = make(map[string][]siteEval)
 	}
-	cs.siteEvals[si][string(key)] = ev
+	cs.siteEvals[string(key)] = evs
 	cs.mu.Unlock()
-	return ev
+	return evs
 }
 
 func (cs *CompiledStatement) computeSiteEval(si int, def xindex.Definition) siteEval {

@@ -46,19 +46,17 @@ func (o *Optimizer) MaintenanceCost(def xindex.Definition, stmt *xquery.Statemen
 		}
 		return added * MaintenancePerEntry * levels
 	case xquery.Delete:
-		docs := o.estimateMatchingDocs(stmt, ts)
+		docs := o.compile(stmt, ts).matchingDocs
 		return docs * ts.EntriesPerDoc(idxStats) * MaintenancePerEntry * levels
 	case xquery.Update:
-		docs := o.estimateMatchingDocs(stmt, ts)
+		cs := o.compile(stmt, ts)
 		// An update touches the index only if the modified node is
-		// covered by the index pattern: the updated node's path is the
-		// match path extended by the set path.
-		updated := xpath.Concat(stmt.Match.StripPreds(), stmt.SetPath.StripPreds())
-		if !xpath.Contains(def.Pattern, updated) {
+		// covered by the index pattern.
+		if !xpath.Contains(def.Pattern, cs.updated) {
 			return 0
 		}
 		// Delete + reinsert of the entry.
-		return docs * 2 * MaintenancePerEntry * levels
+		return cs.matchingDocs * 2 * MaintenancePerEntry * levels
 	default:
 		return 0
 	}

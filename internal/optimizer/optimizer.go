@@ -264,14 +264,20 @@ func ExtractSites(stmt *xquery.Statement) []PredSite {
 	return sites
 }
 
+// The virtual universal index patterns //* and //@*, parsed once.
+var (
+	anyElement   = xpath.MustParsePattern("//*")
+	anyAttribute = xpath.MustParsePattern("//@*")
+)
+
 // universalIndexes returns the //* and //@* virtual universal indexes
 // of both types, the Enumerate Indexes mode's matching targets.
-func universalIndexes(table string) []xindex.Definition {
-	return []xindex.Definition{
-		{Table: table, Pattern: xpath.MustParsePattern("//*"), Type: xpath.StringVal},
-		{Table: table, Pattern: xpath.MustParsePattern("//*"), Type: xpath.NumberVal},
-		{Table: table, Pattern: xpath.MustParsePattern("//@*"), Type: xpath.StringVal},
-		{Table: table, Pattern: xpath.MustParsePattern("//@*"), Type: xpath.NumberVal},
+func universalIndexes(table string) [4]xindex.Definition {
+	return [4]xindex.Definition{
+		{Table: table, Pattern: anyElement, Type: xpath.StringVal},
+		{Table: table, Pattern: anyElement, Type: xpath.NumberVal},
+		{Table: table, Pattern: anyAttribute, Type: xpath.StringVal},
+		{Table: table, Pattern: anyAttribute, Type: xpath.NumberVal},
 	}
 }
 
@@ -279,30 +285,39 @@ func universalIndexes(table string) []xindex.Definition {
 // statement: it optimizes the statement with the virtual universal
 // index planted and reports every index pattern that the index-matching
 // step matched against it (paper §IV). The returned definitions are the
-// statement's basic candidate indexes.
+// statement's basic candidate indexes. The result is the only
+// allocation.
 func (o *Optimizer) EnumerateIndexes(stmt *xquery.Statement) ([]xindex.Definition, error) {
 	o.enumerateCalls.Add(1)
 	cs, err := o.Compile(stmt)
 	if err != nil {
 		return nil, err
 	}
-	sites := cs.sites
-	var out []xindex.Definition
-	seen := make(map[string]bool)
-	for _, site := range sites {
-		for _, uni := range universalIndexes(stmt.Table) {
+	out := make([]xindex.Definition, 0, len(cs.sites))
+	universal := universalIndexes(stmt.Table)
+	for _, site := range cs.sites {
+		for _, uni := range universal {
 			if !uni.Matches(site.Pattern, site.Lit.Kind) {
 				continue
 			}
 			def := xindex.Definition{Table: stmt.Table, Pattern: site.Pattern, Type: site.Lit.Kind}
-			if !seen[def.Key()] {
-				seen[def.Key()] = true
+			if !slices.ContainsFunc(out, func(d xindex.Definition) bool { return sameDefinition(d, def) }) {
 				out = append(out, def)
 			}
 			break
 		}
 	}
 	return out, nil
+}
+
+// sameDefinition reports whether two of a statement's site definitions
+// have the same Key. They share the table and their patterns are
+// linear, so that is the same type, flag and steps.
+func sameDefinition(a, b xindex.Definition) bool {
+	return a.Type == b.Type && a.Pattern.Relative == b.Pattern.Relative &&
+		slices.EqualFunc(a.Pattern.Steps, b.Pattern.Steps, func(x, y xpath.Step) bool {
+			return x.Axis == y.Axis && x.Test == y.Test
+		})
 }
 
 // EvaluateIndexes runs the Evaluate Indexes optimizer mode: it plants
@@ -367,7 +382,8 @@ func (cs *CompiledStatement) choose(config []xindex.Definition, accesses *[]Acce
 
 	// Index matching: for each site pick the cheapest matching index,
 	// the first in configuration order among equally cheap ones. The
-	// probe memo's key is built once per definition, in a stack buffer.
+	// probe memo is looked up once per definition, with a key built in
+	// a stack buffer.
 	var bestBuf [8]choice
 	best := bestBuf[:0]
 	for si := range cs.sites {
@@ -378,9 +394,9 @@ func (cs *CompiledStatement) choose(config []xindex.Definition, accesses *[]Acce
 		if def.Table != cs.table {
 			continue
 		}
-		key := appendDefKey(keyBuf[:0], def)
-		for si := range best {
-			if ev := cs.siteEvalFor(si, def, key); ev.ok && ev.probe < best[si].probe {
+		evs := cs.siteEvalsFor(def, appendDefKey(keyBuf[:0], def))
+		for si, ev := range evs {
+			if ev.ok && ev.probe < best[si].probe {
 				best[si] = choice{si: si, di: di, entries: ev.entries, probe: ev.probe}
 			}
 		}
@@ -433,12 +449,6 @@ func (cs *CompiledStatement) indexPlanCost(probeCost, docFrac float64) float64 {
 		cost += cs.resultCost
 	}
 	return cost
-}
-
-// estimateMatchingDocs estimates how many documents satisfy all of the
-// statement's predicates (independence assumption).
-func (o *Optimizer) estimateMatchingDocs(stmt *xquery.Statement, ts *xstats.TableStats) float64 {
-	return o.compile(stmt, ts).matchingDocs
 }
 
 func clamp01(f float64) float64 {

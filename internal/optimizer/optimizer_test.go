@@ -105,6 +105,38 @@ func TestEnumerateIndexesTableI(t *testing.T) {
 	}
 }
 
+// EnumerateIndexes runs once per workload statement in every advisor's
+// set-up. On a compiled statement its result is its only allocation,
+// and sites sharing a pattern and type yield one definition, in first
+// site order.
+func TestEnumerateIndexesAllocatesOnlyItsResult(t *testing.T) {
+	_, opt := newFixture(t, 50)
+	stmt := xquery.MustParse(`for $sec in SECURITY('SDOC')/Security[Yield>4.5] where $sec/Yield < 8.0 and $sec/SecInfo/*/Sector = "Energy" and $sec/Yield > 1.0 return $sec`)
+	if n := len(ExtractSites(stmt)); n != 4 {
+		t.Fatalf("statement has %d sites, want 4", n)
+	}
+	defs, err := opt.EnumerateIndexes(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range defs {
+		got = append(got, d.Key())
+	}
+	want := []string{"SECURITY|/Security/Yield|numerical", "SECURITY|/Security/SecInfo/*/Sector|string"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("definitions %q, want %q", got, want)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := opt.EnumerateIndexes(stmt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("EnumerateIndexes made %v allocations, want 1 (the result)", allocs)
+	}
+}
+
 func TestEnumerateAttributeSites(t *testing.T) {
 	db := storage.NewDatabase()
 	db.MustCreateTable("ORDERS")

@@ -103,9 +103,6 @@ type Config struct {
 	// TuneInterval is the autonomous tuning period for StartAutoTune
 	// (0 = autonomous tuning disabled; TuneOnce still works).
 	TuneInterval time.Duration
-	// Parallelism is threaded into each advisor round
-	// (core.Options.Parallelism).
-	Parallelism int
 
 	// WALDir enables the durability layer when the server is started
 	// through Recover: the directory holding the write-ahead log and

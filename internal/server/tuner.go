@@ -119,9 +119,7 @@ func (t *Tuner) Round(in TuneInputs) (*TuneReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	opts := core.DefaultOptions()
-	opts.Parallelism = t.cfg.Parallelism
-	rec, err := core.Advise(db, opt, in.Workload, opts, t.cfg.Algorithm, t.cfg.Budget)
+	rec, err := core.Advise(db, opt, in.Workload, core.DefaultOptions(), t.cfg.Algorithm, t.cfg.Budget)
 	if err != nil {
 		return rep, err
 	}

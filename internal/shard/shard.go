@@ -71,8 +71,8 @@ type Config struct {
 	MaxFanout int
 	// TuneInterval is the cluster's autonomous tuning period for
 	// StartAutoTune (0 = disabled; TuneOnce still works). The advisor
-	// knobs — Algorithm, Budget, BuildAfter, DropAfter, Parallelism —
-	// come from the Server template.
+	// knobs — Algorithm, Budget, BuildAfter, DropAfter — come from the
+	// Server template.
 	TuneInterval time.Duration
 }
 

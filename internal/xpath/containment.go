@@ -147,6 +147,9 @@ func Contains(super, sub Path) bool {
 	}
 	res := containsUncached(super, sub)
 	containsCache.mu.Lock()
+	if len(containsCache.m) >= maxContainsEntries {
+		containsCache.m = make(map[string]bool)
+	}
 	containsCache.m[string(key)] = res
 	containsCache.mu.Unlock()
 	return res
@@ -194,10 +197,18 @@ func hasDescendant(p Path) bool {
 }
 
 // containsCache memoizes Contains by the two patterns' linear forms.
+// It is process-global, and a serving planner asks it about every
+// (index pattern, site pattern) pair its statements bring, so at
+// maxContainsEntries it starts over, as ProgramCache does: an entry
+// costs one subset construction to rebuild.
 var containsCache = struct {
 	mu sync.RWMutex
 	m  map[string]bool
 }{m: make(map[string]bool)}
+
+// maxContainsEntries bounds containsCache. One advisor round over the
+// 215-statement advise workload holds about 700 entries.
+const maxContainsEntries = 4096
 
 // AppendLinear appends p's linear form to b: the same bytes as
 // p.StripPreds().String(), without building the copy or the string.

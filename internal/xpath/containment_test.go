@@ -1,6 +1,7 @@
 package xpath
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -288,5 +289,43 @@ func TestContainsHitAllocatesNothing(t *testing.T) {
 	Contains(super, sub)
 	if allocs := testing.AllocsPerRun(100, func() { Contains(super, sub) }); allocs != 0 {
 		t.Errorf("Contains cache hit made %v allocations, want 0", allocs)
+	}
+}
+
+// The Contains cache is process-global, so a serving planner that asks
+// about pattern pairs without end must not grow it without end: more
+// distinct pairs than the bound leave it at or below the bound, and
+// every answer, before and after the cache starts over, is the subset
+// construction's.
+func TestContainsCacheBounded(t *testing.T) {
+	n := maxContainsEntries + 500
+	pair := func(i int) (super, sub Path) {
+		if i%2 == 0 {
+			return MustParse(fmt.Sprintf("//x%d", i)), MustParse(fmt.Sprintf("/a/x%d", i))
+		}
+		return MustParse(fmt.Sprintf("/a//x%d", i)), MustParse(fmt.Sprintf("/b/x%d", i))
+	}
+	ask := func(i int) {
+		super, sub := pair(i)
+		if got, want := Contains(super, sub), containsUncached(super, sub); got != want {
+			t.Fatalf("Contains(%s, %s) = %v, subset construction %v", super, sub, got, want)
+		}
+	}
+	largest := 0
+	for i := 0; i < n; i++ {
+		ask(i)
+		containsCache.mu.RLock()
+		size := len(containsCache.m)
+		containsCache.mu.RUnlock()
+		if size > maxContainsEntries {
+			t.Fatalf("cache holds %d entries after %d distinct pairs, bound %d", size, i+1, maxContainsEntries)
+		}
+		largest = max(largest, size)
+	}
+	if largest < maxContainsEntries {
+		t.Fatalf("cache peaked at %d entries, bound %d: the pairs did not reach it", largest, maxContainsEntries)
+	}
+	for i := 0; i < n; i++ {
+		ask(i)
 	}
 }

@@ -69,10 +69,12 @@ func memoSlot(kind xpath.ValueKind) int {
 
 // lookup returns the pattern's memoized statistics when they hold for a
 // snapshot at seq (the entry returned is nil then), and otherwise its
-// entry and matched paths to derive them from.
-func (pt *patternTable) lookup(strip string, p xpath.Path, kind xpath.ValueKind, seq uint64) (PatternStats, *patternEntry, []xmltree.PathID) {
+// entry and matched paths to derive them from. key is p's linear form;
+// the string(key) index does not copy it, so only a new entry
+// allocates.
+func (pt *patternTable) lookup(key []byte, p xpath.Path, kind xpath.ValueKind, seq uint64) (PatternStats, *patternEntry, []xmltree.PathID) {
 	pt.mu.RLock()
-	e := pt.entries[strip]
+	e := pt.entries[string(key)]
 	if e != nil {
 		if m := &e.memo[memoSlot(kind)]; m.ok && m.seq <= seq {
 			stats := m.stats
@@ -87,12 +89,12 @@ func (pt *patternTable) lookup(strip string, p xpath.Path, kind xpath.ValueKind,
 
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
-	if e = pt.entries[strip]; e == nil {
+	if e = pt.entries[string(key)]; e == nil {
 		e = &patternEntry{pattern: p}
 		if xpath.CompilablePattern(p) {
 			e.matcher = xpath.NewPathMatcher(p)
 		}
-		pt.entries[strip] = e
+		pt.entries[string(key)] = e
 		pt.extend(e, pt.dict.Snapshot())
 	}
 	return PatternStats{}, e, e.pids

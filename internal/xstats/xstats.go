@@ -215,7 +215,8 @@ func (ts *TableStats) ForPattern(p xpath.Path, kind xpath.ValueKind) PatternStat
 		}
 		return sum.stats()
 	}
-	stats, e, pids := ts.patterns.lookup(p.StripPreds().String(), p, kind, ts.seq)
+	var kb [128]byte
+	stats, e, pids := ts.patterns.lookup(xpath.AppendLinear(kb[:0], p), p, kind, ts.seq)
 	if e == nil {
 		return stats
 	}

@@ -218,3 +218,19 @@ func TestAttributeStats(t *testing.T) {
 		t.Errorf("/Order/* entries = %d, want 5", elems.Entries)
 	}
 }
+
+// ForPattern runs for every candidate and every predicate site of an
+// advisor's set-up: a memoized pattern, predicates and all, is found
+// without building its linear form as a string.
+func TestForPatternHitAllocatesNothing(t *testing.T) {
+	ts := Collect(buildTable(t, 20))
+	p := xpath.MustParse(`/Security[Yield>3]/SecInfo//Sector`)
+	want := ts.ForPattern(p, xpath.StringVal)
+	var got PatternStats
+	if allocs := testing.AllocsPerRun(100, func() { got = ts.ForPattern(p, xpath.StringVal) }); allocs != 0 {
+		t.Errorf("ForPattern hit made %v allocations, want 0", allocs)
+	}
+	if got != want || got.Entries == 0 {
+		t.Errorf("ForPattern hit = %+v, first call %+v", got, want)
+	}
+}
