@@ -10,6 +10,7 @@ import (
 	"errors"
 	"io"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -250,6 +251,11 @@ var scanTemplates = []struct{ name, raw string }{
 // the reference evaluator, per template, in ns/doc. The program must
 // not allocate on a document it rejects (checked on the documents the
 // Q6 template rejects by path summary and on those it has to visit).
+//
+// The unique arms scan a copy of the table in which every document has
+// a shape of its own, each through a fresh matcher as a statement binds
+// one: no document repeats a shape the matcher has seen, so each is
+// walked node by node — what a scan of schema-less documents pays.
 func BenchmarkScanCompiled(b *testing.B) {
 	e := benchEnv(b)
 	tbl, err := e.DB.Table(tpox.TableSecurity)
@@ -294,6 +300,38 @@ func BenchmarkScanCompiled(b *testing.B) {
 				}
 			}
 			perDoc(b)
+		})
+	}
+
+	udb := storage.NewDatabase()
+	utbl := udb.MustCreateTable("U")
+	unique := make([]*xmltree.Document, len(docs))
+	for i, d := range docs {
+		// Ten empty elements before the root's end tag spell i in binary.
+		raw := xmltree.SerializeString(d)
+		end := strings.LastIndex(raw, "</")
+		var sb strings.Builder
+		sb.WriteString(raw[:end])
+		for bit := 0; bit < 10; bit++ {
+			sb.WriteString([]string{"<U0/>", "<U1/>"}[i>>bit&1])
+		}
+		sb.WriteString(raw[end:])
+		unique[i] = xmltree.MustParse(sb.String())
+	}
+	if _, err := udb.Load("U", unique...); err != nil {
+		b.Fatal(err)
+	}
+	for _, tpl := range scanTemplates {
+		path := xquery.MustParse(tpl.raw).NormalizedPath()
+		b.Run(tpl.name+"/unique", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m := utbl.Programs().Bind(path)
+				for _, d := range unique {
+					m.Exists(d)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(unique)), "ns/doc")
 		})
 	}
 }

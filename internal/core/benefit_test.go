@@ -589,8 +589,10 @@ func defsOf(cfg []*Candidate) []xindex.Definition {
 // An advisor's set-up on an optimizer that earlier advisors warmed (a
 // serving tuner's second round, or the next algorithm of an advise
 // round) allocates for the candidates, their affected sets, site keys
-// and DAG, and the coverage matrix — not per pattern lookup. Measured
-// at 2,009 allocations on the advise workload (2,044 under -race).
+// and DAG, and the coverage matrix — not per pattern lookup, nor per
+// (candidate, insert) maintenance count, which the compiled insert
+// memoizes. Measured at 1,757 allocations on the advise workload (1,792
+// under -race).
 func TestNewAllocs(t *testing.T) {
 	db, w := adviseWorkload(t)
 	opt := optimizer.New(db, optimizer.CollectStats(db))
@@ -599,7 +601,7 @@ func TestNewAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2100 {
-		t.Errorf("New on a warm optimizer made %v allocations, want <= 2100", allocs)
+	if allocs > 1850 {
+		t.Errorf("New on a warm optimizer made %v allocations, want <= 1850", allocs)
 	}
 }

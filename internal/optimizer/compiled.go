@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"xixa/internal/xindex"
+	"xixa/internal/xmltree"
 	"xixa/internal/xpath"
 	"xixa/internal/xquery"
 	"xixa/internal/xstats"
@@ -47,6 +48,9 @@ type CompiledStatement struct {
 	// configurations.
 	mu        sync.RWMutex
 	siteEvals map[string][]siteEval
+	// inserted memoizes, per definition and under the same key, the
+	// entries an insert's document adds to the index.
+	inserted map[string]float64
 }
 
 // The probe memo is keyed by the definition's value — its type and the
@@ -195,6 +199,36 @@ func (cs *CompiledStatement) siteEvalsFor(def xindex.Definition, key []byte) []s
 	cs.siteEvals[string(key)] = evs
 	cs.mu.Unlock()
 	return evs
+}
+
+// insertedEntries returns the entries doc, the statement's inserted
+// document, adds to an index of def: the nodes the pattern selects, less
+// those whose value a numeric index does not key (NaN or non-numeric;
+// see xindex.keyFor). The count is memoized by the definition's value.
+func (cs *CompiledStatement) insertedEntries(def xindex.Definition, doc *xmltree.Document) float64 {
+	var keyBuf [256]byte
+	key := appendDefKey(keyBuf[:0], def)
+	cs.mu.RLock()
+	added, ok := cs.inserted[string(key)]
+	cs.mu.RUnlock()
+	if ok {
+		return added
+	}
+	for _, id := range xpath.Eval(doc, def.Pattern) {
+		if def.Type == xpath.NumberVal {
+			if v, ok := doc.NumericValue(id); !ok || math.IsNaN(v) {
+				continue
+			}
+		}
+		added++
+	}
+	cs.mu.Lock()
+	if cs.inserted == nil {
+		cs.inserted = make(map[string]float64)
+	}
+	cs.inserted[string(key)] = added
+	cs.mu.Unlock()
+	return added
 }
 
 func (cs *CompiledStatement) computeSiteEval(si int, def xindex.Definition) siteEval {

@@ -1,8 +1,6 @@
 package optimizer
 
 import (
-	"math"
-
 	"xixa/internal/xindex"
 	"xixa/internal/xpath"
 	"xixa/internal/xquery"
@@ -11,10 +9,10 @@ import (
 // MaintenanceCost estimates mc(x, s): the cost of keeping index x up to
 // date for one occurrence of statement s (paper §III). It is zero for
 // queries. For inserts it counts the entries the new document adds to
-// the index (exactly, by evaluating the index pattern on the document);
-// for deletes and updates it estimates the affected documents from
-// statistics and charges per removed/re-added entry, scaled by the
-// index's depth.
+// the index (exactly, by evaluating the index pattern on the document
+// once per statement and definition value); for deletes and updates it
+// estimates the affected documents from statistics and charges per
+// removed/re-added entry, scaled by the index's depth.
 func (o *Optimizer) MaintenanceCost(def xindex.Definition, stmt *xquery.Statement) float64 {
 	if stmt.Kind == xquery.Query || def.Table != stmt.Table {
 		return 0
@@ -33,17 +31,7 @@ func (o *Optimizer) MaintenanceCost(def xindex.Definition, stmt *xquery.Statemen
 		if stmt.Doc == nil {
 			return 0
 		}
-		added := 0.0
-		for _, id := range xpath.Eval(stmt.Doc, def.Pattern) {
-			if def.Type == xpath.NumberVal {
-				// NaN never becomes an index entry (see xindex.keyFor),
-				// so it adds no maintenance work either.
-				if v, ok := stmt.Doc.NumericValue(id); !ok || math.IsNaN(v) {
-					continue
-				}
-			}
-			added++
-		}
+		added := o.compile(stmt, ts).insertedEntries(def, stmt.Doc)
 		return added * MaintenancePerEntry * levels
 	case xquery.Delete:
 		docs := o.compile(stmt, ts).matchingDocs

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"time"
 
+	"xixa/internal/storage"
 	"xixa/internal/xindex"
 	"xixa/internal/xmltree"
 )
@@ -75,6 +76,11 @@ func (s *Server) StatsLines(v map[string]float64) []string {
 			v["xixa_replay_reorder_buffered"], v["xixa_replay_reorder_peak"]),
 		fmt.Sprintf("statistics: %.0f folds, %.0f paths re-derived in full",
 			v["xixa_stats_folds_total"], v["xixa_stats_path_rebuilds_total"]),
+	}
+	for _, name := range s.db.TableNames() {
+		shapes, unshaped := storage.ShapeGaugeIDs(name)
+		lines = append(lines, fmt.Sprintf("table %s: %.0f document shapes, %.0f documents without a shape",
+			name, v[shapes], v[unshaped]))
 	}
 	if s.wal != nil {
 		lines = append(lines, fmt.Sprintf("wal: %.0f appends, %.0f fsyncs (mean %s), durable LSN %.0f, %.0f bytes",

@@ -151,6 +151,22 @@ func TestRegistryMatchesSessionTotals(t *testing.T) {
 	if line := fmt.Sprintf("statistics: %d folds, %d paths re-derived in full", folds, rebuilds); !slices.Contains(srv.StatsLines(vals), line) {
 		t.Errorf("\\stats lacks %q: %q", line, srv.StatsLines(vals))
 	}
+	// The fixture's documents and the inserted ones are two shapes, all
+	// within the dictionary's bound; the gauges and the \stats line read
+	// the table's own counts.
+	tbl, err := srv.db.Table("SECURITY")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes, unshaped := tbl.Shapes()
+	shapesID, unshapedID := storage.ShapeGaugeIDs("SECURITY")
+	if shapes < 2 || unshaped != 0 || v(shapesID) != uint64(shapes) || v(unshapedID) != uint64(unshaped) {
+		t.Errorf("shape gauges (%d shapes, %d unshaped), table counts (%d, %d), want equal, >= 2 shapes and none unshaped",
+			v(shapesID), v(unshapedID), shapes, unshaped)
+	}
+	if line := fmt.Sprintf("table SECURITY: %d document shapes, 0 documents without a shape", shapes); !slices.Contains(srv.StatsLines(vals), line) {
+		t.Errorf("\\stats lacks %q: %q", line, srv.StatsLines(vals))
+	}
 }
 
 // TestServerObservabilityEndToEnd drives a server with sampling at 1
@@ -198,6 +214,8 @@ func TestServerObservabilityEndToEnd(t *testing.T) {
 		"xixa_statements_total 6",
 		"xixa_txn_commits_total 1",
 		"xixa_statement_seconds_count 6",
+		`xixa_table_shapes{table="SECURITY"} 2`, // the fixture's shape and the insert's
+		`xixa_table_unshaped_docs{table="SECURITY"} 0`,
 		"go_goroutines",
 	} {
 		if !strings.Contains(metrics, want) {

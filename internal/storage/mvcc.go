@@ -289,10 +289,18 @@ func (v *TableView) Get(id int64) (*xmltree.Document, bool) {
 // Scan visits every document visible at the view's stamp, in insertion
 // order. The visit function returns false to stop; Scan reports the
 // number of documents visited. Like Table.Scan it resolves the visible
-// versions under one hold of the read lock.
+// versions under one hold of the read lock. A view at or past the
+// newest stamp applied to the table sees every chain's head, so it
+// reads the table's shared scan image; an older one resolves each
+// document's chain.
 func (v *TableView) Scan(visit func(*xmltree.Document) bool) int {
 	t := v.t
 	t.mu.RLock()
+	if v.lsn >= t.applied {
+		docs := t.currentLocked()
+		t.mu.RUnlock()
+		return visitDocs(docs, visit)
+	}
 	docs := make([]*xmltree.Document, 0, len(t.docs))
 	for _, id := range t.order {
 		if id == tombstone {
@@ -312,10 +320,13 @@ func (v *TableView) Programs() *xpath.ProgramCache { return v.t.programs }
 // pushVersionLocked links a new version (doc == nil for a delete
 // marker) onto id's chain and prunes the tail: the newest version at
 // or below horizon is the boundary no pinnable snapshot can see past,
-// so everything older is cut. Callers hold t.mu.
+// so everything older is cut. It records the stamp as applied and
+// drops the scan image. Callers hold t.mu.
 func (t *Table) pushVersionLocked(id int64, doc *xmltree.Document, stamp, horizon uint64) {
 	v := &docVersion{doc: doc, lsn: stamp, prev: t.heads[id]}
 	t.heads[id] = v
+	t.applied = max(t.applied, stamp)
+	t.image.Store(nil)
 	for cur := v; cur != nil; cur = cur.prev {
 		if cur.lsn <= horizon {
 			cur.prev = nil
@@ -330,6 +341,7 @@ func (t *Table) pushVersionLocked(id int64, doc *xmltree.Document, stamp, horizo
 // go. Runs under t.mu when dead chains dominate (the delete-heavy
 // analogue of compactLocked's tombstone heuristic).
 func (t *Table) sweepLocked(horizon uint64) {
+	t.image.Store(nil)
 	for i, id := range t.order {
 		if id == tombstone {
 			continue

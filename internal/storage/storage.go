@@ -14,7 +14,9 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
+	"xixa/internal/obs"
 	"xixa/internal/xmltree"
 	"xixa/internal/xpath"
 )
@@ -101,6 +103,17 @@ type Table struct {
 	bytes   int64 // total storage bytes
 	version int64 // bumped on every mutation; statistics staleness check
 
+	// applied is the newest commit stamp applied to the table: a view
+	// at or past it sees exactly the current documents. image holds
+	// those in insertion order for such scans, built by the first scan
+	// after a mutation and never modified; every version push and sweep
+	// drops it.
+	applied uint64
+	image   atomic.Pointer[[]*xmltree.Document]
+	// unshaped counts the current documents that carry no shape (see
+	// xmltree.Document.Shape).
+	unshaped int
+
 	listeners []subscriber
 	nextSub   SubID
 }
@@ -180,6 +193,20 @@ func (t *Table) liveDocsLocked() []*xmltree.Document {
 	return docs
 }
 
+// currentLocked returns the current documents in insertion order: the
+// table's scan image, built here when a mutation has dropped it. The
+// slice is shared by every scan of this table version and must not be
+// modified. Callers hold t.mu, for reading or writing; readers racing
+// to build it store equal images.
+func (t *Table) currentLocked() []*xmltree.Document {
+	if img := t.image.Load(); img != nil {
+		return *img
+	}
+	docs := t.liveDocsLocked()
+	t.image.Store(&docs)
+	return docs
+}
+
 // notify delivers a change to every listener. Callers hold t.mu.
 func (t *Table) notify(c Change) {
 	for _, s := range t.listeners {
@@ -207,10 +234,28 @@ func (t *Table) applyInsertLocked(doc *xmltree.Document, id int64, stamp, horizo
 	t.pos[id] = len(t.order)
 	t.order = append(t.order, id)
 	t.pushVersionLocked(id, doc, stamp, horizon)
+	t.countShapeLocked(doc, 1)
 	t.nodes += int64(doc.Len())
 	t.bytes += doc.StorageBytes()
 	t.version++
 	t.notify(Change{Kind: DocInserted, Doc: doc, Version: t.version, LSN: stamp})
+}
+
+// countShapeLocked adds sign to the count of shape-less documents when
+// doc carries no shape. Callers hold t.mu.
+func (t *Table) countShapeLocked(doc *xmltree.Document, sign int) {
+	if doc.Shape() == xmltree.NoShape {
+		t.unshaped += sign
+	}
+}
+
+// Shapes reports how the table's documents share a structural walk:
+// the number of document shapes its dictionary holds, and the number
+// of current documents that carry none (past the dictionary's bound).
+func (t *Table) Shapes() (shapes, unshaped int) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.dict.Shapes(), t.unshaped
 }
 
 // SetNextID raises the table's next document ID (snapshot restore: the
@@ -242,6 +287,7 @@ func (t *Table) applyDeleteLocked(id int64, stamp, horizon uint64) {
 		return
 	}
 	delete(t.docs, id)
+	t.countShapeLocked(doc, -1)
 	t.nodes -= int64(doc.Len())
 	t.bytes -= doc.StorageBytes()
 	t.pushVersionLocked(id, nil, stamp, horizon)
@@ -287,6 +333,8 @@ func (t *Table) applyReplaceLocked(id int64, newDoc *xmltree.Document, stamp, ho
 	t.version++
 	t.notify(Change{Kind: DocRemoved, Doc: old, Version: t.version, LSN: stamp})
 	t.docs[id] = newDoc
+	t.countShapeLocked(old, -1)
+	t.countShapeLocked(newDoc, 1)
 	t.pushVersionLocked(id, newDoc, stamp, horizon)
 	t.version++
 	t.notify(Change{Kind: DocInserted, Doc: newDoc, Version: t.version, LSN: stamp})
@@ -309,7 +357,7 @@ func (t *Table) Get(id int64) (*xmltree.Document, bool) {
 // visited, as its pre-image.
 func (t *Table) Scan(visit func(*xmltree.Document) bool) int {
 	t.mu.RLock()
-	docs := t.liveDocsLocked()
+	docs := t.currentLocked()
 	t.mu.RUnlock()
 	return visitDocs(docs, visit)
 }
@@ -372,6 +420,9 @@ type Database struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
 	mv     *mvccState
+	// reg is the registry InstrumentWith attached, which gets the
+	// gauges of every table created afterwards too. Guarded by mu.
+	reg *obs.Registry
 }
 
 // NewDatabase creates an empty database.
@@ -397,6 +448,9 @@ func (db *Database) CreateTable(name string) (*Table, error) {
 		pos:      make(map[int64]int),
 	}
 	db.tables[name] = t
+	if db.reg != nil {
+		t.instrumentWith(db.reg)
+	}
 	return t, nil
 }
 

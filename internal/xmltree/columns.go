@@ -9,6 +9,11 @@ import "strings"
 // through ends without touching the node, and compares against a value
 // parsed once per document rather than once per comparison.
 //
+// The same pass interns the document's shape, its (PathID, Kind)
+// sequence (shape.go): documents of one shape share Parent, Level and
+// the EndID column, so a scan can keep what it derives from them per
+// shape and differ per document only in the value column.
+//
 // The columns describe the document as it was attached, so a document
 // is immutable once InternPaths has run; an update edits a fresh copy,
 // and the commit builds that copy's columns. Documents without columns
@@ -37,7 +42,8 @@ type leafValue struct {
 // modified.
 func (d *Document) Ends() []NodeID { return d.ends }
 
-// summarize fills the path summary and the columns in one forward pass.
+// summarize fills the path summary and the columns in one forward pass,
+// and interns the document's shape (see shape.go) in its dictionary.
 // A text node's value is added to each ancestor up to the first that
 // already holds two: an element's value is its first text's until a
 // second arrives, and ancestors of an element with two hold two as
@@ -45,6 +51,7 @@ func (d *Document) Ends() []NodeID { return d.ends }
 // however deep the tree.
 func (d *Document) summarize() {
 	ps := pathSummary{max: NoPath, done: true}
+	h := shapeHashSeed
 	n := len(d.Nodes)
 	d.ends = make([]NodeID, n)
 	d.vals = make([]leafValue, n)
@@ -54,6 +61,7 @@ func (d *Document) summarize() {
 			ps.max = max(ps.max, id)
 		}
 		nd := &d.Nodes[i]
+		h = shapeHash(h, shapeCode(d.PathIDs[i], nd.Kind))
 		d.ends[i] = nd.EndID
 		if nd.Kind == Element {
 			continue
@@ -76,5 +84,7 @@ func (d *Document) summarize() {
 			}
 		}
 	}
+	shape, known := d.Dict.internShape(d, h)
+	ps.shape, ps.repeats = int32(shape)+1, known
 	d.paths = ps
 }

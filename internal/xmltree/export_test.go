@@ -9,3 +9,6 @@ func CachedValue(d *Document, id NodeID) (s string, v float64, numeric, ok bool)
 	lv := &d.vals[id]
 	return lv.str, lv.num, lv.numeric, true
 }
+
+// MaxShapes is the bound on the shapes one dictionary interns.
+const MaxShapes = maxShapes

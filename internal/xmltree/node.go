@@ -82,7 +82,8 @@ type Document struct {
 	// (parallel to Nodes). Text nodes carry their parent's path ID.
 	PathIDs []PathID
 
-	// paths summarizes PathIDs; InternPaths fills it (see PathSummary).
+	// paths summarizes PathIDs and the shape they form; InternPaths
+	// fills it (see PathSummary and Shape).
 	paths pathSummary
 	// ends and vals are the scan columns InternPaths builds (see
 	// columns.go): each node's EndID, and each node's typed value.

@@ -47,6 +47,11 @@ type PathDict struct {
 	mu      sync.RWMutex
 	byKey   map[pathKey]PathID
 	entries []PathEntry
+
+	// shapes indexes shapeSeqs by the hash of each sequence; shapeSeqs
+	// holds the interned document shapes by ShapeID (see shape.go).
+	shapes    map[uint64][]ShapeID
+	shapeSeqs [][]uint32
 }
 
 // NewPathDict returns an empty dictionary.
@@ -147,11 +152,16 @@ func (s *PathSig) Intersects(o *PathSig) bool {
 }
 
 // pathSummary is what a document knows about its own PathIDs without
-// walking them: their signature and the largest one.
+// walking them: their signature, the largest one, and the shape they
+// form with the node kinds (see shape.go).
 type pathSummary struct {
-	sig  PathSig
-	max  PathID
-	done bool
+	sig PathSig
+	max PathID
+	// shape is the document's ShapeID plus one, so that the zero value
+	// means none (see Document.Shape); repeats is RepeatsShape.
+	shape   int32
+	repeats bool
+	done    bool
 }
 
 // PathSummary returns the signature of the PathIDs the document carries

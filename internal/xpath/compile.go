@@ -40,6 +40,15 @@ import (
 // the tables: a node the table selects is then confirmed by running the
 // path's NFA down its ancestor chain, evaluating each step's predicates
 // at the ancestor the step lands on.
+//
+// Which nodes a context's scan hands on to that confirmation and to the
+// comparison is fixed by the document's PathIDs, kinds and subtree ends
+// — its shape (xmltree.Document.Shape) — not by its values. A Matcher
+// therefore records those nodes once per (shape, path, context) as a
+// visit list, and a later document of the shape iterates the list
+// instead of walking its nodes (visits.go): a table whose documents
+// repeat a few shapes pays for its structure once per shape per
+// statement.
 
 // maxProgramSteps bounds the name tests of one program (the spine's and
 // every predicate's): each owns one bit of a PathID's label mask.
@@ -313,6 +322,14 @@ type Matcher struct {
 	lits  []Value
 	memo  []predMemo
 	reach xmltree.NodeID // nodes of the current document scanned so far
+
+	// The scan of a document whose shape an earlier document of this
+	// matcher had reads the nodes to visit from lists (see scan and
+	// visits.go). shape is the current document's shape when it does,
+	// NoShape when the document is walked.
+	shape    xmltree.ShapeID
+	lists    visitLists
+	noShapes bool // walk every document (tests compare the two ways)
 }
 
 // predMemo remembers a step's latest predicate evaluation: candidates
@@ -327,6 +344,7 @@ type predMemo struct {
 // bind attaches the literals of p, a path of the program's shape.
 func (prog *Program) bind(p Path) *Matcher {
 	m := &Matcher{path: p, prog: prog, tab: prog.tables(), lits: make([]Value, 0, prog.nlits), memo: make([]predMemo, prog.nmemo)}
+	m.lists.shapes = m.lists.few[:0]
 	m.lits = appendLiterals(m.lits, p.Steps)
 	if len(m.lits) != prog.nlits {
 		panic("xpath: bind: path does not have the program's shape: " + p.String())
@@ -353,26 +371,57 @@ func appendLiterals(dst []Value, steps []Step) []Value {
 // tables are brought up to the document's newest PathID — a document
 // inserted after Bind may carry paths the dictionary did not have then —
 // and may reports whether every required pattern has a path in it.
+// Both facts depend on the document's PathIDs alone, so a document of a
+// shape the matcher has seen takes may from the shape, and is scanned
+// through visit lists (m.shape is set). A shape's first document in the
+// table is always walked and not recorded: the matcher keeps per-shape
+// state only for shapes that repeat.
 func (m *Matcher) compiled(doc *xmltree.Document) (ok, may bool) {
 	if m.prog == nil || doc.Dict != m.prog.dict || len(doc.PathIDs) != len(doc.Nodes) {
 		return false, false
 	}
-	sig, max, done := doc.PathSummary()
+	sig, newest, done := doc.PathSummary()
 	if !done {
 		return false, false
 	}
-	if int(max) >= len(m.tab.labels) {
+	if int(newest) >= len(m.tab.labels) {
 		m.tab = m.prog.tables()
+		m.lists.reset() // built against the old tables
 	}
 	if m.tab.deep {
 		return false, false
 	}
+	m.shape = xmltree.NoShape
+	s := doc.Shape()
+	if s == xmltree.NoShape || !doc.RepeatsShape() || m.noShapes {
+		return true, m.carries(sig)
+	}
+	if int(s) >= len(m.lists.shapes) {
+		n := max(int(s)+1, 2*len(m.lists.shapes), len(m.lists.few))
+		m.lists.shapes = append(m.lists.shapes, make([]uint8, n-len(m.lists.shapes))...)
+	}
+	f := m.lists.shapes[s]
+	if f&shapeSeen == 0 {
+		may = m.carries(sig)
+		if f = shapeSeen; may {
+			f |= shapeMay
+		}
+		m.lists.shapes[s] = f
+		return true, may
+	}
+	m.shape = s
+	return true, f&shapeMay != 0
+}
+
+// carries reports whether a document of the PathID set sig has a path
+// of every required pattern.
+func (m *Matcher) carries(sig *xmltree.PathSig) bool {
 	for i := range m.tab.need {
 		if !sig.Intersects(&m.tab.need[i]) {
-			return true, false
+			return false
 		}
 	}
-	return true, true
+	return true
 }
 
 // Exists reports whether the path selects any node of the document,
@@ -407,7 +456,6 @@ func (m *Matcher) top(doc *xmltree.Document, dst *[]xmltree.NodeID) bool {
 		return false
 	}
 	var found bool
-	last := xmltree.NodeID(len(doc.Nodes) - 1)
 	m.reach = 0
 	switch {
 	case len(m.prog.spine.steps) == 0:
@@ -417,16 +465,16 @@ func (m *Matcher) top(doc *xmltree.Document, dst *[]xmltree.NodeID) bool {
 		}
 		found = m.prog.relative
 	case m.prog.relative:
-		found = m.scan(doc, &m.prog.spine, 1, last, 1, nil, dst)
+		found = m.scan(doc, &m.prog.spine, 0, nil, dst)
 	default:
-		found = m.scan(doc, &m.prog.spine, 0, last, 0, nil, dst)
+		found = m.scan(doc, &m.prog.spine, -1, nil, dst)
 	}
 	m.Visited += int64(m.reach)
 	return found
 }
 
-// scan looks through the nodes from..to — the subtree of a context node
-// at level ctxLevel — for those the path selects from that context. For
+// scan looks through the subtree of the context node ctx (-1 for the
+// document node) for the nodes the path selects from it. For
 // a predicate's path (pred non-nil) it returns true at the first one
 // that satisfies the comparison; for the spine it appends each to dst,
 // or with no dst returns true at the first. It reports whether any node
@@ -438,40 +486,73 @@ func (m *Matcher) top(doc *xmltree.Document, dst *[]xmltree.NodeID) bool {
 // miss. That also steps over the text children of such a hit; a text
 // node (which carries its parent's PathID) is reached only under a node
 // whose below bit is set, so only there is the kind checked.
-func (m *Matcher) scan(doc *xmltree.Document, path *progPath, from, to xmltree.NodeID, ctxLevel int32, pred *progPred, dst *[]xmltree.NodeID) bool {
-	match, below := m.tab.match[path.table], m.tab.below[path.table]
-	pids, ends := doc.PathIDs[:to+1], doc.Ends()[:to+1]
-	ctx := uint(ctxLevel)
+//
+// Which nodes the loop goes on to confirm and compare depends on the
+// PathIDs, kinds and ends alone, so it is the same for every document
+// of one shape: a document whose shape the matcher has scanned before
+// iterates that visit list instead (build makes it on the shape's
+// second document), and confirms and compares the same nodes
+// in the same order. The list also keeps the context's subtree end and
+// level, so such a document's PathIDs and ends are not read at all.
+func (m *Matcher) scan(doc *xmltree.Document, path *progPath, ctx xmltree.NodeID, pred *progPred, dst *[]xmltree.NodeID) bool {
 	found := false
-	for j := from; j <= to; j++ {
-		pid := pids[j]
-		deep := below[pid]>>ctx&1 != 0
-		if match[pid]>>ctx&1 == 0 {
-			if !deep {
-				j = ends[j]
-			}
-			continue
-		}
-		if deep && doc.Nodes[j].Kind == xmltree.Text {
-			continue
-		}
-		if !path.hasPreds || m.confirm(doc, path, ctxLevel, j) {
-			switch {
-			case pred != nil:
-				if pred.op == OpNone || CompareNodeValue(doc, j, pred.op, m.lits[pred.lit]) {
+	var to xmltree.NodeID
+	if m.shape != xmltree.NoShape {
+		sp := m.visits(doc, path, ctx)
+		for _, j := range m.lists.arena[sp.off : sp.off+sp.n] {
+			if !path.hasPreds || m.confirm(doc, path, sp.level, j) {
+				switch {
+				case pred != nil:
+					if pred.op == OpNone || CompareNodeValue(doc, j, pred.op, m.lits[pred.lit]) {
+						m.reached(j)
+						return true
+					}
+				case dst == nil:
 					m.reached(j)
 					return true
+				default:
+					*dst = append(*dst, j)
+					found = true
 				}
-			case dst == nil:
-				m.reached(j)
-				return true
-			default:
-				*dst = append(*dst, j)
-				found = true
 			}
 		}
-		if !deep {
-			j = ends[j] // nothing under this node can be selected
+		to = sp.to
+	} else {
+		from, end, ctxLevel := m.context(doc, ctx)
+		to = end
+		match, below := m.tab.match[path.table], m.tab.below[path.table]
+		pids, ends := doc.PathIDs[:to+1], doc.Ends()[:to+1]
+		ctx := uint(ctxLevel)
+		for j := from; j <= to; j++ {
+			pid := pids[j]
+			deep := below[pid]>>ctx&1 != 0
+			if match[pid]>>ctx&1 == 0 {
+				if !deep {
+					j = ends[j]
+				}
+				continue
+			}
+			if deep && doc.Nodes[j].Kind == xmltree.Text {
+				continue
+			}
+			if !path.hasPreds || m.confirm(doc, path, ctxLevel, j) {
+				switch {
+				case pred != nil:
+					if pred.op == OpNone || CompareNodeValue(doc, j, pred.op, m.lits[pred.lit]) {
+						m.reached(j)
+						return true
+					}
+				case dst == nil:
+					m.reached(j)
+					return true
+				default:
+					*dst = append(*dst, j)
+					found = true
+				}
+			}
+			if !deep {
+				j = ends[j] // nothing under this node can be selected
+			}
 		}
 	}
 	m.reached(to)
@@ -540,7 +621,7 @@ func (m *Matcher) holds(doc *xmltree.Document, id xmltree.NodeID, st *progStep) 
 		if len(pr.path.steps) == 0 {
 			ok = pr.op == OpNone || CompareNodeValue(doc, id, pr.op, m.lits[pr.lit])
 		} else {
-			ok = m.scan(doc, &pr.path, id+1, doc.Ends()[id], int32(m.tab.depth[doc.PathIDs[id]]), pr, nil)
+			ok = m.scan(doc, &pr.path, id, pr, nil)
 		}
 		if !ok {
 			break

@@ -381,7 +381,10 @@ func fuzzDoc(data []byte) *xmltree.Document {
 // arbitrary path string over a document decoded from the input bytes,
 // Eval running both on the committed document and on a column-less
 // copy of it. Two documents share the table, so the program sees a
-// dictionary with paths the document under test does not carry.
+// dictionary with paths the document under test does not carry. The
+// decoded document is loaded three more times with other leaf values,
+// and one matcher scans the table twice, so its later documents of that
+// shape run through the visit lists the earlier ones built.
 func FuzzCompiledMatchesEval(f *testing.F) {
 	f.Add(`//x[x/y=1]`, []byte{0, 0, 4, 1})
 	f.Add(`/x/*[@y="a"]//z`, []byte{7, 0, 8, 1, 2, 11})
@@ -393,10 +396,20 @@ func FuzzCompiledMatchesEval(f *testing.F) {
 		if err != nil {
 			return
 		}
-		_, tbl := loadTable(t, xmltree.MustParse(`<x><y>1</y><z w="2"><x>a</x></z></x>`), fuzzDoc(data))
-		for _, doc := range tableDocs(tbl) {
-			sameAsEval(t, tbl.Programs(), doc, doc, p)
-			sameAsEval(t, tbl.Programs(), doc, columnless(doc), p)
+		docs := []*xmltree.Document{xmltree.MustParse(`<x><y>1</y><z w="2"><x>a</x></z></x>`), fuzzDoc(data)}
+		for seed := int64(1); seed <= 3; seed++ {
+			docs = append(docs, revalue(rand.New(rand.NewSource(seed)), docs[1]))
+		}
+		_, tbl := loadTable(t, docs...)
+		m, ref := bindPair(tbl, p)
+		for pass := 0; pass < 2; pass++ {
+			for _, doc := range tableDocs(tbl) {
+				if pass == 0 {
+					sameAsEval(t, tbl.Programs(), doc, doc, p)
+					sameAsEval(t, tbl.Programs(), doc, columnless(doc), p)
+				}
+				sharedAsEval(t, m, ref, doc, p)
+			}
 		}
 	})
 }
