@@ -8,10 +8,11 @@
 //	           [-budget bytes] [-algo name] [-verbose]
 //
 //	xmladvisor -tpox 1 -workload file ...   (generate TPoX data instead)
-//	xmladvisor -db snap.xdb -workload file  (load a persisted snapshot)
+//	xmladvisor -db snap.xdb -workload file  (load a saved image)
 //
-// -savedb writes the loaded database plus the recommended index
-// definitions to a snapshot file for later sessions.
+// -savedb writes the database and the recommended index definitions as
+// a checkpoint image (internal/wal) at log position 0; -db reads one,
+// or a durable daemon's checkpoint, and rebuilds its indexes.
 //
 // The workload file holds one statement per line, optionally prefixed
 // with "freq|"; see internal/workload.
@@ -27,10 +28,11 @@ import (
 
 	"xixa/internal/core"
 	"xixa/internal/optimizer"
-	"xixa/internal/persist"
 	"xixa/internal/storage"
 	"xixa/internal/tpox"
+	"xixa/internal/wal"
 	"xixa/internal/workload"
+	"xixa/internal/xindex"
 	"xixa/internal/xmltree"
 )
 
@@ -43,8 +45,8 @@ func main() {
 	var loads loadFlags
 	flag.Var(&loads, "load", "TABLE=directory of .xml files to load (repeatable)")
 	tpoxScale := flag.Int("tpox", 0, "generate TPoX data at this scale instead of -load")
-	dbPath := flag.String("db", "", "load a persisted database snapshot instead of -load/-tpox")
-	saveDB := flag.String("savedb", "", "write the database + recommendation to this snapshot file")
+	dbPath := flag.String("db", "", "load a database image (a -savedb file or a daemon checkpoint) instead of -load/-tpox")
+	saveDB := flag.String("savedb", "", "write the database + recommended index definitions to this image file")
 	workloadPath := flag.String("workload", "", "workload file (required)")
 	budget := flag.Int64("budget", 0, "disk budget in bytes (default: All-Index size)")
 	algo := flag.String("algo", core.AlgoTopDownFull,
@@ -58,17 +60,17 @@ func main() {
 	db := storage.NewDatabase()
 	switch {
 	case *dbPath != "":
-		loaded, defs, _, _, err := persist.LoadCheckpointFile(*dbPath)
+		loaded, defs, _, _, err := wal.LoadCheckpointFile(*dbPath)
 		if err != nil {
 			fatal(err)
 		}
 		db = loaded
 		if len(defs) > 0 {
-			// Rebuild the snapshot's materialized catalog (definitions
+			// Rebuild the image's materialized catalog (definitions
 			// persist, contents rebuild on load) so the report shows
 			// the configuration the DBA already has, with real sizes,
 			// next to what the advisor recommends.
-			idxs, err := persist.RebuildIndexes(db, defs)
+			idxs, err := rebuildIndexes(db, defs)
 			if err != nil {
 				fatal(err)
 			}
@@ -76,7 +78,7 @@ func main() {
 			for _, idx := range idxs {
 				total += idx.SizeBytes()
 			}
-			fmt.Printf("Snapshot carries %d materialized indexes (%d bytes rebuilt):\n", len(idxs), total)
+			fmt.Printf("Image carries %d materialized indexes (%d bytes rebuilt):\n", len(idxs), total)
 			for _, idx := range idxs {
 				fmt.Printf("  %s  (%d entries, %d bytes)\n", idx.Def, idx.Entries(), idx.SizeBytes())
 			}
@@ -145,11 +147,29 @@ func main() {
 	fmt.Printf("  estimated workload speedup: %.1fx\n", adv.EstimatedSpeedup(rec.Config))
 	fmt.Printf("  optimizer calls: %d, advisor time: %s\n", rec.OptimizerCalls, rec.Elapsed)
 	if *saveDB != "" {
-		if err := persist.SaveCheckpointFile(*saveDB, db, rec.Definitions(), 0, 0); err != nil {
+		if err := wal.SaveCheckpointFile(*saveDB, db, rec.Definitions(), 0, 0); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("  snapshot written to %s\n", *saveDB)
+		fmt.Printf("  image written to %s\n", *saveDB)
 	}
+}
+
+// rebuildIndexes builds the indexes defs name over db, in order; a
+// definition whose table is missing fails.
+func rebuildIndexes(db *storage.Database, defs []xindex.Definition) ([]*xindex.Index, error) {
+	out := make([]*xindex.Index, 0, len(defs))
+	for _, def := range defs {
+		tbl, err := db.Table(def.Table)
+		if err != nil {
+			return nil, fmt.Errorf("rebuilding %s: %w", def, err)
+		}
+		idx, err := xindex.Build(tbl, def)
+		if err != nil {
+			return nil, fmt.Errorf("rebuilding %s: %w", def, err)
+		}
+		out = append(out, idx)
+	}
+	return out, nil
 }
 
 func sqlType(c *core.Candidate) string {

@@ -19,9 +19,9 @@
 //     statement dialects, including pattern containment, the reference
 //     evaluator (Eval) and the compiled scan predicates the executor
 //     runs over a table's path dictionary (Program).
-//   - internal/xmltree, storage, btree, xindex, xstats, engine,
-//     persist, wal — the database substrate, including checkpoints
-//     and the write-ahead log.
+//   - internal/xmltree, storage, btree, xindex, xstats, engine, wal —
+//     the database substrate; wal holds every persisted byte: the
+//     write-ahead log, and checkpoint images written in its records.
 //   - internal/server — the concurrent serving layer: sessions,
 //     admission control, live workload capture, and the autonomous
 //     tuning loop behind cmd/xixad.

@@ -15,9 +15,9 @@ import (
 	"time"
 
 	"xixa/internal/core"
-	"xixa/internal/persist"
 	"xixa/internal/server"
 	"xixa/internal/tpox"
+	"xixa/internal/wal"
 )
 
 // base is a daemon on a loopback port over scale-1 TPoX data, with the
@@ -127,7 +127,7 @@ func pointQuery(sym string) string {
 func image(t *testing.T, s *server.Server) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := persist.SaveDatabase(&buf, s.DB(), s.Catalog().Definitions()); err != nil {
+	if err := wal.SaveCheckpoint(&buf, s.DB(), s.Catalog().Definitions(), 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -9,8 +9,8 @@ import (
 	"testing"
 
 	"xixa/internal/optimizer"
-	"xixa/internal/persist"
 	"xixa/internal/storage"
+	"xixa/internal/wal"
 	"xixa/internal/xquery"
 )
 
@@ -38,7 +38,7 @@ func txnFixture(t testing.TB, tables []string, n int) (*storage.Database, *Engin
 func dbBytes(t testing.TB, db *storage.Database) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := persist.SaveDatabase(&buf, db, nil); err != nil {
+	if err := wal.SaveCheckpoint(&buf, db, nil, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -2,10 +2,13 @@ package replica
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"xixa/internal/wal"
 )
 
 // The epoch file sits next to the WAL in the durability directory and
@@ -31,40 +34,15 @@ func LoadEpoch(dir string) (uint64, error) {
 	return e, nil
 }
 
-// StoreEpoch durably records a witnessed epoch (atomic rename + fsync)
+// StoreEpoch durably records a witnessed epoch (wal.WriteFileAtomic)
 // if it is higher than what dir already holds; regressions are
 // silently ignored — an epoch, once witnessed, is never unlearned.
 func StoreEpoch(dir string, epoch uint64) error {
 	if cur, err := LoadEpoch(dir); err == nil && cur >= epoch {
 		return nil
 	}
-	path := filepath.Join(dir, epochFile)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	return wal.WriteFileAtomic(filepath.Join(dir, epochFile), func(w io.Writer) error {
+		_, err := fmt.Fprintf(w, "%d\n", epoch)
 		return err
-	}
-	if _, err := fmt.Fprintf(f, "%d\n", epoch); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	})
 }

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"xixa/internal/persist"
 	"xixa/internal/server"
 	"xixa/internal/wal"
 	"xixa/internal/xindex"
@@ -233,14 +232,14 @@ func adoptSnapshot(dir string, body []byte) error {
 	if err != nil {
 		return err
 	}
-	stamp, err := persist.PeekCheckpointLSN(bytes.NewReader(image))
+	stamp, err := wal.PeekCheckpointLSN(bytes.NewReader(image))
 	if err != nil {
 		return fmt.Errorf("replica: shipped snapshot: %w", err)
 	}
 	if stamp != lsn {
 		return fmt.Errorf("replica: snapshot frame at LSN %d carries an image stamped %d; refusing it", lsn, stamp)
 	}
-	return persist.WriteFileAtomic(server.CheckpointPath(dir), func(w io.Writer) error {
+	return wal.WriteFileAtomic(server.CheckpointPath(dir), func(w io.Writer) error {
 		_, err := w.Write(image)
 		return err
 	})

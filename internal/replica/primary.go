@@ -11,8 +11,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"xixa/internal/persist"
 	"xixa/internal/server"
+	"xixa/internal/wal"
 )
 
 // PrimaryConfig tunes the streaming side of a primary.
@@ -262,7 +262,7 @@ func (p *Primary) handle(st *followerConn) {
 			sendError(bw, fmt.Sprintf("snapshot unavailable: %v", rerr))
 			return
 		}
-		snapLSN, perr := persist.PeekCheckpointLSN(bytes.NewReader(raw))
+		snapLSN, perr := wal.PeekCheckpointLSN(bytes.NewReader(raw))
 		if perr != nil {
 			sendError(bw, fmt.Sprintf("snapshot unreadable: %v", perr))
 			return

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"xixa/internal/obs"
-	"xixa/internal/persist"
 	"xixa/internal/replica/faultnet"
 	"xixa/internal/server"
 	"xixa/internal/storage"
@@ -92,7 +91,7 @@ func followerCfg(dir, addr string) FollowerConfig {
 func dbBytes(t *testing.T, s *server.Server) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := persist.SaveDatabase(&buf, s.DB(), s.Catalog().Definitions()); err != nil {
+	if err := wal.SaveCheckpoint(&buf, s.DB(), s.Catalog().Definitions(), 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -753,7 +752,7 @@ func TestSnapshotAdoptionRefusesMismatchedStamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	imgPath := filepath.Join(t.TempDir(), "image.db")
-	if err := persist.SaveCheckpointFile(imgPath, db, nil, 5, db.Watermark()); err != nil {
+	if err := wal.SaveCheckpointFile(imgPath, db, nil, 5, db.Watermark()); err != nil {
 		t.Fatal(err)
 	}
 	image, err := os.ReadFile(imgPath)
@@ -806,7 +805,7 @@ func TestSnapshotAdoptionRefusesMismatchedStamp(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer chk.Close()
-		if lsn, err := persist.PeekCheckpointLSN(chk); err != nil || lsn != 0 {
+		if lsn, err := wal.PeekCheckpointLSN(chk); err != nil || lsn != 0 {
 			t.Fatalf("checkpoint after the refusal is stamped %d (%v), want the start-up one at 0", lsn, err)
 		}
 	})

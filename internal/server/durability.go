@@ -6,15 +6,14 @@ import (
 	"os"
 	"path/filepath"
 
-	"xixa/internal/persist"
 	"xixa/internal/storage"
 	"xixa/internal/wal"
 	"xixa/internal/xindex"
 )
 
-// Durability directory layout: one checkpoint (an LSN-stamped persist
-// snapshot plus the capture sidecar) and the write-ahead log tail past
-// that checkpoint's LSN.
+// Durability directory layout: one checkpoint (an LSN-stamped image in
+// WAL records, wal.SaveCheckpoint, plus the capture sidecar) and the
+// write-ahead log tail past that checkpoint's LSN.
 const (
 	checkpointFile = "checkpoint.db"
 	captureFile    = "checkpoint.capture"
@@ -106,7 +105,7 @@ func Recover(cfg Config, bootstrap func() (*storage.Database, error)) (*Server, 
 	chkPath := filepath.Join(cfg.WALDir, checkpointFile)
 	hadCheckpoint := false
 	if _, err := os.Stat(chkPath); err == nil {
-		db, defs, info.CheckpointLSN, checkpointStamp, err = persist.LoadCheckpointFile(chkPath)
+		db, defs, info.CheckpointLSN, checkpointStamp, err = wal.LoadCheckpointFile(chkPath)
 		if err != nil {
 			return nil, nil, fmt.Errorf("server: loading checkpoint: %w", err)
 		}
@@ -203,7 +202,7 @@ func Recover(cfg Config, bootstrap func() (*storage.Database, error)) (*Server, 
 	// The capture sidecar is a warm-start cache, not data: a corrupt
 	// one must not block recovery of an otherwise-healthy server. The
 	// tuner just relearns the workload from live traffic.
-	if states, err := persist.LoadCaptureFile(filepath.Join(cfg.WALDir, captureFile)); err == nil {
+	if states, err := wal.LoadCaptureFile(filepath.Join(cfg.WALDir, captureFile)); err == nil {
 		info.CaptureRestored = s.capture.Import(states)
 	} else if !os.IsNotExist(err) {
 		info.CaptureError = err
@@ -274,10 +273,10 @@ func (s *Server) checkpointLocked() error {
 	// equals the allocator and stamps issued after the checkpoint are
 	// strictly greater — exactly what the applier's duplicate-stamp
 	// dedup relies on at the next recovery.
-	if err := persist.SaveCheckpointFile(filepath.Join(s.walDir, checkpointFile), s.db, s.cat.Definitions(), lsn, s.db.Watermark()); err != nil {
+	if err := wal.SaveCheckpointFile(filepath.Join(s.walDir, checkpointFile), s.db, s.cat.Definitions(), lsn, s.db.Watermark()); err != nil {
 		return err
 	}
-	if err := persist.SaveCaptureFile(filepath.Join(s.walDir, captureFile), s.capture.Export()); err != nil {
+	if err := wal.SaveCaptureFile(filepath.Join(s.walDir, captureFile), s.capture.Export()); err != nil {
 		return err
 	}
 	if err := s.wal.Truncate(lsn); err != nil {

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"xixa/internal/persist"
 	"xixa/internal/storage"
 	"xixa/internal/wal"
 	"xixa/internal/xindex"
@@ -38,7 +37,7 @@ func bootstrapFixture(n int) func() (*storage.Database, error) {
 func dbBytes(t *testing.T, s *Server) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := persist.SaveDatabase(&buf, s.DB(), s.Catalog().Definitions()); err != nil {
+	if err := wal.SaveCheckpoint(&buf, s.DB(), s.Catalog().Definitions(), 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -51,7 +50,7 @@ func dbBytes(t *testing.T, s *Server) []byte {
 // belong to a live or abandoned server.
 func replayTo(t *testing.T, dir string, target uint64) (*storage.Database, []xindex.Definition) {
 	t.Helper()
-	db, defs, lsn, stamp, err := persist.LoadCheckpointFile(CheckpointPath(dir))
+	db, defs, lsn, stamp, err := wal.LoadCheckpointFile(CheckpointPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +281,7 @@ func TestRecoverKeepsCheckpointStamp(t *testing.T) {
 	}
 	db, defs := replayTo(t, dir, tip)
 	var buf bytes.Buffer
-	if err := persist.SaveDatabase(&buf, db, defs); err != nil {
+	if err := wal.SaveCheckpoint(&buf, db, defs, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if w := db.Watermark(); w != 2 || !bytes.Equal(buf.Bytes(), want) {
@@ -700,7 +699,7 @@ func TestRecoverStmtParity(t *testing.T) {
 		mustExec(t, refSess, raw)
 	}
 	var refBuf bytes.Buffer
-	if err := persist.SaveDatabase(&refBuf, ref.DB(), nil); err != nil {
+	if err := wal.SaveCheckpoint(&refBuf, ref.DB(), nil, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -732,7 +731,7 @@ func TestRecoverStmtParity(t *testing.T) {
 		mustExec(t, sess2, raw)
 	}
 	var gotBuf bytes.Buffer
-	if err := persist.SaveDatabase(&gotBuf, srv2.DB(), nil); err != nil {
+	if err := wal.SaveCheckpoint(&gotBuf, srv2.DB(), nil, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(gotBuf.Bytes(), refBuf.Bytes()) {

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"xixa/internal/persist"
 	"xixa/internal/storage"
 	"xixa/internal/wal"
 	"xixa/internal/xmltree"
@@ -99,7 +98,7 @@ func TestStampOrderReplayProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	db, defs, chkLSN, chkStamp, err := persist.LoadCheckpointFile(CheckpointPath(dir))
+	db, defs, chkLSN, chkStamp, err := wal.LoadCheckpointFile(CheckpointPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +157,7 @@ func TestStampOrderReplayProperty(t *testing.T) {
 		t.Errorf("replayed watermark %d, want %d", got, wantWatermark)
 	}
 	var buf bytes.Buffer
-	if err := persist.SaveDatabase(&buf, db, applier.Defs()); err != nil {
+	if err := wal.SaveCheckpoint(&buf, db, applier.Defs(), 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {

@@ -2,10 +2,8 @@ package wal
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 )
@@ -62,11 +60,11 @@ func (c *Cursor) Next() (uint64, []byte, error) {
 				return 0, nil, err
 			}
 		}
-		lsn, payload, err := c.readRecord()
+		payload, err := readFrame(c.r)
 		if err == io.EOF {
-			// The file ended cleanly before c.next: a checkpoint swapped
-			// the log and the record lives in the fresh file — reopen at
-			// the current position.
+			// The file ended before c.next: a checkpoint swapped the log
+			// and the record lives in the fresh file — reopen at the
+			// current position.
 			c.Close()
 			if retries >= 5 {
 				return 0, nil, fmt.Errorf("wal: cursor stuck at LSN %d", c.next)
@@ -76,13 +74,13 @@ func (c *Cursor) Next() (uint64, []byte, error) {
 		}
 		if err != nil {
 			c.Close()
-			return 0, nil, err
+			return 0, nil, fmt.Errorf("wal: cursor frame at LSN %d: %w", c.pos+1, err)
 		}
-		if lsn < c.next {
+		if c.pos++; c.pos < c.next {
 			continue // skipping forward inside a freshly opened file
 		}
-		c.next = lsn + 1
-		return lsn, payload, nil
+		c.next = c.pos + 1
+		return c.pos, payload, nil
 	}
 }
 
@@ -99,53 +97,20 @@ func (c *Cursor) open() error {
 	if err != nil {
 		return err
 	}
-	var head [headerLen]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
+	r := bufio.NewReader(f)
+	start, err := readHeader(r)
+	if err != nil {
 		f.Close()
-		return fmt.Errorf("wal: cursor reading header of %s: %w", path, err)
+		return fmt.Errorf("wal: cursor: %s: %w", path, err)
 	}
-	if string(head[:8]) != string(magic) ||
-		crc32.Checksum(head[:16], crcTable) != binary.LittleEndian.Uint32(head[16:20]) {
-		f.Close()
-		return fmt.Errorf("wal: cursor: %s is not a wal file", path)
-	}
-	if binary.LittleEndian.Uint64(head[8:16]) != fileStart {
+	if start != fileStart {
 		// A checkpoint swapped the file after resolve handed out its
 		// start.
 		f.Close()
 		return errCursorRetry
 	}
-	c.f = f
-	c.r = bufio.NewReader(f)
-	c.pos = fileStart
+	c.f, c.r, c.pos = f, r, fileStart
 	return nil
-}
-
-// readRecord reads the next frame from the open file. io.EOF means the
-// file ended cleanly at a record boundary; any short or corrupt frame
-// below the flushed tip is real corruption and surfaces as an error.
-func (c *Cursor) readRecord() (uint64, []byte, error) {
-	var frame [frameLen]byte
-	if _, err := io.ReadFull(c.r, frame[:]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, fmt.Errorf("wal: cursor frame at LSN %d: %w", c.pos+1, err)
-	}
-	n := binary.LittleEndian.Uint32(frame[:4])
-	want := binary.LittleEndian.Uint32(frame[4:8])
-	if n == 0 || n > maxRecordLen {
-		return 0, nil, fmt.Errorf("wal: cursor frame at LSN %d: bad length %d", c.pos+1, n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(c.r, payload); err != nil {
-		return 0, nil, fmt.Errorf("wal: cursor payload at LSN %d: %w", c.pos+1, err)
-	}
-	if crc32.Checksum(payload, crcTable) != want {
-		return 0, nil, fmt.Errorf("wal: cursor payload at LSN %d: checksum mismatch", c.pos+1)
-	}
-	c.pos++
-	return c.pos, payload, nil
 }
 
 // Close releases the cursor's file descriptor. The cursor stays usable

@@ -10,6 +10,9 @@ import (
 	"testing"
 
 	"xixa/internal/storage"
+	"xixa/internal/tpox"
+	"xixa/internal/workload"
+	"xixa/internal/xmltree"
 )
 
 // fuzzCommit encodes a two-op commit (insert, delete) at stamp 5.
@@ -37,6 +40,10 @@ func reencode(t *testing.T, rec Record) []byte {
 		return EncodeIndexCreate(rec.Def)
 	case RecIndexDrop:
 		return EncodeIndexDrop(rec.Def)
+	case RecImage:
+		return EncodeImage(rec.LSN, rec.Stamp, rec.Tables, rec.Indexes)
+	case RecCapture:
+		return EncodeCapture(rec.Capture)
 	}
 	t.Fatalf("accepted record of kind %v", rec.Kind)
 	return nil
@@ -48,10 +55,12 @@ func reencode(t *testing.T, rec Record) []byte {
 // an accepted payload must re-encode to the same bytes: a record has
 // one encoding. The checked-in corpus (testdata/fuzz) holds one-op and
 // multi-op commits, index records, truncated payloads and a huge op
-// count.
+// count; the seeds add an image header and a capture record.
 func FuzzDecodePayload(f *testing.F) {
 	f.Add(fuzzCommit(f))
 	f.Add(EncodeIndexCreate(testDef(f)))
+	f.Add(EncodeImage(9, 4, []ImageTable{{Name: "EMPTY", NextID: 0}, {Name: "SECURITY", NextID: 300, Docs: 2}}, 1))
+	f.Add(EncodeCapture([]workload.CaptureState{{Raw: "for $s in T('d')/a return $s", Weight: 2.5}, {Raw: "", Weight: 0}}))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		rec, err := DecodePayload(1, payload)
 		if err != nil {
@@ -145,4 +154,154 @@ func writeOldLog(t *testing.T, path string) {
 	if err := os.WriteFile(path, buf[:], 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzLoadCheckpoint feeds the checkpoint loader arbitrary bytes. With
+// fixCRC set every frame's checksum is first rewritten to match its
+// payload, so mutations reach the structural checks instead of all
+// stopping at a CRC. The loader must never panic, and an image it
+// accepts must load at Watermark() == its stamp and re-save to the same
+// bytes: a checkpoint is exactly the committed prefix at its stamp, with
+// one encoding. The checked-in corpus (testdata/fuzz) holds the corrupt
+// and truncated images of image_test.go.
+func FuzzLoadCheckpoint(f *testing.F) {
+	f.Add(fuzzImage(f, 2, 3), false)
+	f.Add(fuzzImage(f, 0, 0), true)
+	f.Fuzz(func(t *testing.T, data []byte, fixCRC bool) {
+		if fixCRC {
+			data = fixFrameCRCs(data)
+		}
+		db, defs, lsn, stamp, err := LoadCheckpoint(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if w := db.Watermark(); w != stamp {
+			t.Fatalf("accepted image stamped %d loads at watermark %d", stamp, w)
+		}
+		var buf bytes.Buffer
+		if err := SaveCheckpoint(&buf, db, defs, lsn, stamp); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatalf("accepted image re-saves differently:\n got %x\nwant %x", buf.Bytes(), data)
+		}
+	})
+}
+
+// fixFrameCRCs returns a copy of an image whose every whole frame
+// carries the checksum of its payload.
+func fixFrameCRCs(data []byte) []byte {
+	data = append([]byte(nil), data...)
+	for off := len(imageMagic); len(data)-off >= frameLen; {
+		n := int(binary.LittleEndian.Uint32(data[off:]))
+		if n > len(data)-off-frameLen {
+			break
+		}
+		end := off + frameLen + n
+		binary.LittleEndian.PutUint32(data[off+4:], crc32.Checksum(data[off+frameLen:end], crcTable))
+		off = end
+	}
+	return data
+}
+
+// imageOf frames payloads after the image magic.
+func imageOf(payloads ...[]byte) []byte {
+	var buf bytes.Buffer
+	buf.Write(imageMagic)
+	for _, p := range payloads {
+		writeFrame(&buf, p)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadRejectsNonCanonicalImages: each image differs from what
+// SaveCheckpoint writes in one place and carries valid frames; the
+// loader must refuse it, or the re-save property of FuzzLoadCheckpoint
+// would not hold. The canonical image has tables S (empty) and T (one
+// document under ID 2, next ID 3), one commit at stamp 1 and one index
+// definition.
+func TestLoadRejectsNonCanonicalImages(t *testing.T) {
+	tables := []ImageTable{{Name: "S"}, {Name: "T", NextID: 3, Docs: 1}}
+	header := EncodeImage(0, 1, tables, 1)
+	doc := func(table string, id int64) storage.TxOp {
+		d := xmltree.MustParse(`<a><b>1</b></a>`)
+		d.DocID = id
+		return storage.TxOp{Table: table, Kind: storage.TxInsert, DocID: id, Doc: d}
+	}
+	commit := func(stamp uint64, ops ...storage.TxOp) []byte {
+		p, err := EncodeCommit(ops, stamp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	def := func(pattern string, kind byte) []byte {
+		out := []byte{byte(RecIndexCreate), 1, 'T', byte(len(pattern))}
+		return append(append(out, pattern...), kind)
+	}
+	docs := commit(1, doc("T", 2))
+	index := def("/a/b", 1)
+	good := imageOf(header, docs, index)
+	db, _, _, stamp, err := LoadCheckpoint(bytes.NewReader(good))
+	if err != nil {
+		t.Fatalf("canonical image refused: %v", err)
+	}
+	if db.Watermark() != stamp {
+		t.Fatalf("canonical image loads at watermark %d, stamp %d", db.Watermark(), stamp)
+	}
+	twoDocs := []ImageTable{{Name: "S"}, {Name: "T", NextID: 3, Docs: 2}}
+	withTables := func(tables []ImageTable) []byte { return EncodeImage(0, 1, tables, 1) }
+	nonMinimal := append([]byte{byte(RecImage), 0x80}, header[1:]...) // LSN 0 spelled in two bytes
+	// T's next ID is 1<<63, in a ten-byte uvarint.
+	pastInt64 := []byte{byte(RecImage), 0, 1, 2, 1, 'S', 0, 0, 1, 'T', 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 1, 1}
+	for name, image := range map[string][]byte{
+		"header missing":       imageOf(docs, index),
+		"header not first":     imageOf(docs, header, index),
+		"header repeated":      imageOf(header, header, docs, index),
+		"no frames":            imageOf(),
+		"commit at stamp 2":    imageOf(header, commit(2, doc("T", 2)), index),
+		"replace op":           imageOf(header, commit(1, storage.TxOp{Table: "T", Kind: storage.TxReplace, DocID: 2, Doc: doc("T", 2).Doc}), index),
+		"delete op":            imageOf(header, commit(1, doc("T", 2), storage.TxOp{Table: "T", Kind: storage.TxDelete, DocID: 1}), index),
+		"table not in header":  imageOf(header, commit(1, doc("U", 2)), index),
+		"tables out of order":  imageOf(withTables([]ImageTable{{Name: "S", NextID: 1, Docs: 1}, {Name: "T", NextID: 3, Docs: 1}}), commit(1, doc("T", 2), doc("S", 0)), index),
+		"header out of order":  imageOf(withTables([]ImageTable{{Name: "T", NextID: 3, Docs: 1}, {Name: "S"}}), docs, index),
+		"duplicate table":      imageOf(withTables([]ImageTable{{Name: "T", NextID: 3}, {Name: "T", NextID: 3, Docs: 1}}), docs, index),
+		"doc ID at nextID":     imageOf(header, commit(1, doc("T", 3)), index),
+		"duplicate doc ID":     imageOf(withTables(twoDocs), commit(1, doc("T", 2), doc("T", 2)), index),
+		"nextID past int64":    imageOf(pastInt64, docs, index),
+		"split not at 256":     imageOf(withTables(twoDocs), commit(1, doc("T", 1)), commit(1, doc("T", 2)), index),
+		"fewer docs than said": imageOf(withTables(twoDocs), docs, index),
+		"more docs than said":  imageOf(header, commit(1, doc("T", 1), doc("T", 2)), index),
+		"commit after index":   imageOf(header, index, docs),
+		"index count":          imageOf(header, docs, index, index),
+		"index drop":           imageOf(header, docs, index, append([]byte{byte(RecIndexDrop)}, index[1:]...)),
+		"capture record":       imageOf(header, docs, index, EncodeCapture(nil)),
+		"non-minimal varint":   imageOf(nonMinimal, docs, index),
+		"pattern spelling":     imageOf(header, docs, def(" /a/b", 1)),
+		"key type byte":        imageOf(header, docs, def("/a/b", 2)),
+		"trailing partial":     append(append([]byte(nil), good...), 0),
+		"trailing frame head":  good[:len(good)-1],
+	} {
+		if _, _, _, _, err := LoadCheckpoint(bytes.NewReader(image)); err == nil {
+			t.Errorf("%s: loaded without error", name)
+		}
+	}
+}
+
+// fuzzImage is a small checkpoint stamped lsn and stamp: TPoX tables
+// filled one commit per table, two index definitions, a deleted
+// document (IDs are not dense), an empty table, and attribute and
+// mixed-content nodes.
+func fuzzImage(t testing.TB, lsn, stamp uint64) []byte {
+	db := storage.NewDatabase()
+	if err := tpox.Generate(db, tpox.Config{Securities: 3, Orders: 2, Customers: 1, Seed: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := db.CommitTx(db.Watermark(), []storage.TxOp{{Table: tpox.TableSecurity, Kind: storage.TxDelete, DocID: 1}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	db.MustCreateTable("EMPTY")
+	db.MustCreateTable("MIXED")
+	mustLoad(t, db, "MIXED", xmltree.MustParse(`<a x="1">t<b/></a>`))
+	return saveImage(t, db, snapshotDefs(), lsn, stamp)
 }

@@ -1,7 +1,10 @@
-package persist
+package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -31,16 +34,23 @@ func mustLoad(t testing.TB, db *storage.Database, table string, doc *xmltree.Doc
 	return ids[0]
 }
 
+// saveImage is SaveCheckpoint into memory.
+func saveImage(t testing.TB, db *storage.Database, defs []xindex.Definition, lsn, stamp uint64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := SaveCheckpoint(&buf, db, defs, lsn, stamp); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestRoundTripTPoX(t *testing.T) {
 	db := storage.NewDatabase()
 	if err := tpox.Generate(db, tpox.Config{Securities: 50, Orders: 80, Customers: 20, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := SaveDatabase(&buf, db, snapshotDefs()); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	db2, defs, _, _, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()))
+	data := saveImage(t, db, snapshotDefs(), 0, 0)
+	db2, defs, _, _, err := LoadCheckpoint(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -92,11 +102,7 @@ func TestRoundTripTPoX(t *testing.T) {
 func TestRoundTripEmptyDatabase(t *testing.T) {
 	db := storage.NewDatabase()
 	db.MustCreateTable("EMPTY")
-	var buf bytes.Buffer
-	if err := SaveDatabase(&buf, db, nil); err != nil {
-		t.Fatal(err)
-	}
-	db2, defs, _, _, err := LoadCheckpoint(&buf)
+	db2, defs, _, _, err := LoadCheckpoint(bytes.NewReader(saveImage(t, db, nil, 0, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,47 +119,55 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	db := storage.NewDatabase()
 	db.MustCreateTable("T")
 	mustLoad(t, db, "T", xmltree.MustParse(`<a><b>hello</b></a>`))
-	var buf bytes.Buffer
-	if err := SaveDatabase(&buf, db, nil); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
 	// Flip a byte in the middle (document payload region).
-	corrupted := append([]byte(nil), data...)
+	corrupted := saveImage(t, db, nil, 0, 0)
 	corrupted[len(corrupted)/2] ^= 0xFF
 	if _, _, _, _, err := LoadCheckpoint(bytes.NewReader(corrupted)); err == nil {
-		t.Error("corrupted snapshot loaded without error")
+		t.Error("corrupted image loaded without error")
 	}
 }
 
 func TestTruncationDetected(t *testing.T) {
+	data := tenDocsImage(t)
+	for _, cut := range []int{1, len(data) / 2, len(data) - 1} {
+		if _, _, _, _, err := LoadCheckpoint(bytes.NewReader(data[:cut])); err == nil {
+			t.Errorf("truncated image (%d bytes) loaded without error", cut)
+		}
+	}
+	// A cut at a frame boundary leaves well-formed frames; the header's
+	// counts still catch it.
+	for cut := len(imageMagic); cut < len(data); {
+		if _, _, _, _, err := LoadCheckpoint(bytes.NewReader(data[:cut])); err == nil {
+			t.Errorf("image cut at frame boundary %d loaded without error", cut)
+		}
+		cut += frameLen + int(binary.LittleEndian.Uint32(data[cut:]))
+	}
+}
+
+// tenDocsImage is ten one-leaf documents in table T, no definitions.
+func tenDocsImage(t testing.TB) []byte {
 	db := storage.NewDatabase()
 	db.MustCreateTable("T")
 	for i := 0; i < 10; i++ {
 		mustLoad(t, db, "T", xmltree.MustParse(`<a><b>x</b></a>`))
 	}
-	var buf bytes.Buffer
-	if err := SaveDatabase(&buf, db, nil); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	for _, cut := range []int{1, len(data) / 2, len(data) - 1} {
-		if _, _, _, _, err := LoadCheckpoint(bytes.NewReader(data[:cut])); err == nil {
-			t.Errorf("truncated snapshot (%d bytes) loaded without error", cut)
-		}
-	}
+	return saveImage(t, db, nil, 0, 0)
 }
 
-// TestBadMagicRejected: input that is not a snapshot, and the three
-// retired format versions, are rejected by the loader and by the header
-// peek alike — the old versions by name.
+// badMagics are input that is not an image and the retired image
+// versions.
+var badMagics = []struct{ head, wantErr string }{
+	{"NOTADB99 garbage", "bad magic"},
+	{"XIXADB1\n\x00\x00", "unsupported image version"},
+	{"XIXADB2\n\x00\x00", "unsupported image version"},
+	{"XIXADB3\n\x00\x00\x00", "unsupported image version"},
+}
+
+// TestBadMagicRejected: input that is not an image, and the retired
+// format versions, are rejected by the loader and by the header peek
+// alike — the old versions by name.
 func TestBadMagicRejected(t *testing.T) {
-	for _, tc := range []struct{ head, wantErr string }{
-		{"NOTADB99 garbage", "bad magic"},
-		{"XIXADB1\n\x00\x00", "unsupported snapshot version"},
-		{"XIXADB2\n\x00\x00", "unsupported snapshot version"},
-		{"XIXADB3\n\x00\x00\x00", "unsupported snapshot version"},
-	} {
+	for _, tc := range badMagics {
 		if _, _, _, _, err := LoadCheckpoint(strings.NewReader(tc.head)); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("LoadCheckpoint(%q): %v, want %q", tc.head, err, tc.wantErr)
 		}
@@ -163,9 +177,27 @@ func TestBadMagicRejected(t *testing.T) {
 	}
 }
 
+// TestRefusesXIXADB4Image: an image in the previous layout (magic,
+// uvarint LSN and stamp, tables, definitions, one trailing CRC-32C) is
+// refused by its version's name, not read as a corrupt image.
+func TestRefusesXIXADB4Image(t *testing.T) {
+	old := []byte("XIXADB4\n\x00\x00\x00\x00") // LSN 0, stamp 0, no tables, no definitions
+	old = binary.LittleEndian.AppendUint32(old, crc32.Checksum(old, crcTable))
+	path := filepath.Join(t.TempDir(), "checkpoint.xdb")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := `unsupported image version "XIXADB4"`
+	if _, _, _, _, err := LoadCheckpointFile(path); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("LoadCheckpointFile of an XIXADB4 image = %v, want %q", err, want)
+	}
+	if _, err := PeekCheckpointLSN(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("PeekCheckpointLSN of an XIXADB4 image = %v, want %q", err, want)
+	}
+}
+
 func TestSaveLoadFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snap.xdb")
+	path := filepath.Join(t.TempDir(), "snap.xdb")
 	db := storage.NewDatabase()
 	db.MustCreateTable("T")
 	mustLoad(t, db, "T", xmltree.MustParse(`<a t="1"><b>v</b></a>`))
@@ -186,28 +218,25 @@ func TestSaveLoadFile(t *testing.T) {
 }
 
 func TestHostileInputsDoNotPanic(t *testing.T) {
-	// Fuzz-ish: random prefixes of a valid snapshot plus mutated
-	// headers must return errors, never panic or over-allocate.
+	// Fuzz-ish: every one-byte mutation of a valid image, with and
+	// without its frame checksums repaired, must return an error or
+	// load, never panic or over-allocate.
 	db := storage.NewDatabase()
 	db.MustCreateTable("T")
 	mustLoad(t, db, "T", xmltree.MustParse(`<a><b>v</b></a>`))
-	var buf bytes.Buffer
-	if err := SaveDatabase(&buf, db, nil); err != nil {
-		t.Fatal(err)
-	}
-	base := buf.Bytes()
+	base := saveImage(t, db, nil, 0, 0)
 	for i := 0; i < len(base); i += 3 {
 		mut := append([]byte(nil), base...)
 		mut[i] = 0xFF
-		_, _, _, _, _ = LoadCheckpoint(bytes.NewReader(mut)) // must not panic
+		_, _, _, _, _ = LoadCheckpoint(bytes.NewReader(mut))               // must not panic
+		_, _, _, _, _ = LoadCheckpoint(bytes.NewReader(fixFrameCRCs(mut))) // nor here
 	}
 }
 
-// TestDocIDsSurviveRoundTrip asserts the v2 format preserves document
+// TestDocIDsSurviveRoundTrip asserts an image preserves document
 // identities: after a delete the remaining IDs are no longer dense, and
-// a save/load cycle must keep them (v1 re-inserted docs, silently
-// renumbering everything after a deletion) along with the table's
-// nextID, so post-load inserts cannot collide with pre-snapshot IDs.
+// a save/load cycle must keep them along with the table's nextID, so
+// post-load inserts cannot collide with pre-image IDs.
 func TestDocIDsSurviveRoundTrip(t *testing.T) {
 	db := storage.NewDatabase()
 	tbl := db.MustCreateTable("T")
@@ -225,11 +254,7 @@ func TestDocIDsSurviveRoundTrip(t *testing.T) {
 	}
 	nextBefore := tbl.NextID()
 
-	var buf bytes.Buffer
-	if err := SaveDatabase(&buf, db, nil); err != nil {
-		t.Fatal(err)
-	}
-	db2, _, _, _, err := LoadCheckpoint(&buf)
+	db2, _, _, _, err := LoadCheckpoint(bytes.NewReader(saveImage(t, db, nil, 0, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,68 +291,14 @@ func TestDocIDsSurviveRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRebuildIndexesWarmStart asserts the catalog half of the format's
-// contract: definitions persist, contents rebuild on load, and the
-// rebuilt indexes answer probes exactly like the pre-snapshot ones.
-func TestRebuildIndexesWarmStart(t *testing.T) {
-	db := storage.NewDatabase()
-	if err := tpox.Generate(db, tpox.Config{Securities: 40, Orders: 10, Customers: 5, Seed: 9}); err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := db.Table(tpox.TableSecurity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var before []*xindex.Index
-	for _, def := range snapshotDefs() {
-		idx, err := xindex.Build(tbl, def)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before = append(before, idx)
-	}
-
-	var buf bytes.Buffer
-	if err := SaveDatabase(&buf, db, snapshotDefs()); err != nil {
-		t.Fatal(err)
-	}
-	db2, defs, _, _, err := LoadCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rebuilt, err := RebuildIndexes(db2, defs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rebuilt) != len(before) {
-		t.Fatalf("rebuilt %d indexes, want %d", len(rebuilt), len(before))
-	}
-	for i := range rebuilt {
-		if rebuilt[i].Def.Key() != before[i].Def.Key() {
-			t.Fatalf("rebuilt[%d] = %s, want %s", i, rebuilt[i].Def, before[i].Def)
-		}
-		if rebuilt[i].Entries() != before[i].Entries() {
-			t.Fatalf("%s: rebuilt %d entries, had %d", rebuilt[i].Def, rebuilt[i].Entries(), before[i].Entries())
-		}
-	}
-
-	// Unknown table fails loudly instead of silently skipping.
-	if _, err := RebuildIndexes(storage.NewDatabase(), defs); err == nil {
-		t.Fatal("RebuildIndexes against empty database succeeded")
-	}
-}
-
 func TestCheckpointLSNRoundTrip(t *testing.T) {
 	db := storage.NewDatabase()
 	db.MustCreateTable("T")
 	mustLoad(t, db, "T", xmltree.MustParse(`<a><b>x</b></a>`))
 	for _, lsn := range []uint64{0, 1, 127, 128, 1 << 40} {
-		var buf bytes.Buffer
 		stamp := lsn * 3
-		if err := SaveCheckpoint(&buf, db, snapshotDefs(), lsn, stamp); err != nil {
-			t.Fatal(err)
-		}
-		_, defs, got, gotStamp, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()))
+		data := saveImage(t, db, snapshotDefs(), lsn, stamp)
+		_, defs, got, gotStamp, err := LoadCheckpoint(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("lsn %d: %v", lsn, err)
 		}
@@ -337,6 +308,35 @@ func TestCheckpointLSNRoundTrip(t *testing.T) {
 		if len(defs) != len(snapshotDefs()) {
 			t.Fatalf("lsn %d: %d defs, want %d", lsn, len(defs), len(snapshotDefs()))
 		}
+		if peek, err := PeekCheckpointLSN(bytes.NewReader(data)); err != nil || peek != lsn {
+			t.Fatalf("PeekCheckpointLSN = %d (%v), want %d", peek, err, lsn)
+		}
+	}
+}
+
+// TestImageSplitsAtFixedCount: an image's documents go out in commits
+// of exactly imageBatch, the last one holding the rest, whatever the
+// tables — the one split the loader accepts.
+func TestImageSplitsAtFixedCount(t *testing.T) {
+	db := storage.NewDatabase()
+	if err := tpox.Generate(db, tpox.Config{Securities: 300, Orders: 100, Customers: 5, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	data := saveImage(t, db, nil, 0, 0)
+	var sizes []int
+	for off := len(imageMagic); off < len(data); {
+		n := int(binary.LittleEndian.Uint32(data[off:]))
+		rec, err := DecodePayload(0, data[off+frameLen:off+frameLen+n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Kind == RecCommit {
+			sizes = append(sizes, len(rec.Ops))
+		}
+		off += frameLen + n
+	}
+	if want := []int{256, 149}; len(sizes) != len(want) || sizes[0] != want[0] || sizes[1] != want[1] {
+		t.Fatalf("commit sizes %v, want %v", sizes, want)
 	}
 }
 
@@ -344,30 +344,8 @@ func TestCheckpointLSNRoundTrip(t *testing.T) {
 // checkpoint: every flip must fail the load cleanly (CRC mismatch or a
 // structural error), never panic, and never return corrupt data.
 func TestCorruptByteRegions(t *testing.T) {
-	db := storage.NewDatabase()
-	db.MustCreateTable("SECURITY")
-	for i := 0; i < 6; i++ {
-		mustLoad(t, db, "SECURITY", xmltree.MustParse(`<Security><Symbol>AAA</Symbol><Yield>4.5</Yield></Security>`))
-	}
-	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, db, snapshotDefs(), 42, 7); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	n := len(data)
-	regions := []struct {
-		name string
-		off  int
-	}{
-		{"magic", 3},
-		{"lsn", len(magic)},
-		{"table-header", len(magic) + 3},
-		{"doc-payload-early", n / 4},
-		{"doc-payload-mid", n / 2},
-		{"def-region", n - 20},
-		{"crc", n - 2},
-	}
-	for _, r := range regions {
+	data := regionsImage(t)
+	for _, r := range imageRegions(data) {
 		t.Run(r.name, func(t *testing.T) {
 			mut := append([]byte(nil), data...)
 			mut[r.off] ^= 0xFF
@@ -378,17 +356,51 @@ func TestCorruptByteRegions(t *testing.T) {
 	}
 }
 
+// regionsImage is six SECURITY documents and two definitions at LSN
+// 42, stamp 7.
+func regionsImage(t testing.TB) []byte {
+	db := storage.NewDatabase()
+	db.MustCreateTable("SECURITY")
+	for i := 0; i < 6; i++ {
+		mustLoad(t, db, "SECURITY", xmltree.MustParse(`<Security><Symbol>AAA</Symbol><Yield>4.5</Yield></Security>`))
+	}
+	return saveImage(t, db, snapshotDefs(), 42, 7)
+}
+
+// imageRegions names one byte offset in each region of a regionsImage:
+// the magic, the header frame's checksum, the header's LSN and table
+// list, the commit's documents and the last index definition.
+func imageRegions(data []byte) []struct {
+	name string
+	off  int
+} {
+	hdr := len(imageMagic) // the header frame
+	n := len(data)
+	return []struct {
+		name string
+		off  int
+	}{
+		{"magic", 3},
+		{"crc", hdr + 5},
+		{"lsn", hdr + frameLen + 1},
+		{"table-header", hdr + frameLen + 4},
+		{"doc-payload-early", n / 4},
+		{"doc-payload-mid", n / 2},
+		{"def-region", n - 10},
+	}
+}
+
 func TestCaptureSidecarRoundTrip(t *testing.T) {
 	states := []workload.CaptureState{
 		{Raw: `for $s in SECURITY('SDOC')/Security where $s/Symbol = "A" return $s`, Weight: 12.5},
 		{Raw: `delete from SECURITY where /Security[Symbol="B"]`, Weight: 0.75},
 		{Raw: `insert into SECURITY value <Security><Symbol>C</Symbol></Security>`, Weight: 3},
 	}
-	var buf bytes.Buffer
-	if err := SaveCapture(&buf, states); err != nil {
+	path := filepath.Join(t.TempDir(), "cap.sidecar")
+	if err := SaveCaptureFile(path, states); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadCapture(bytes.NewReader(buf.Bytes()))
+	got, err := LoadCaptureFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,47 +413,97 @@ func TestCaptureSidecarRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Corruption and truncation fail cleanly.
-	data := buf.Bytes()
+	// Corruption, truncation and a trailing frame fail cleanly.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func(b []byte) error {
+		p := filepath.Join(t.TempDir(), "mut.sidecar")
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadCaptureFile(p)
+		return err
+	}
 	for off := 0; off < len(data); off += 7 {
 		mut := append([]byte(nil), data...)
 		mut[off] ^= 0xFF
-		if _, err := LoadCapture(bytes.NewReader(mut)); err == nil {
+		if load(mut) == nil {
 			t.Fatalf("flip at %d loaded without error", off)
 		}
 	}
 	for _, cut := range []int{1, len(data) / 2, len(data) - 1} {
-		if _, err := LoadCapture(bytes.NewReader(data[:cut])); err == nil {
+		if load(data[:cut]) == nil {
 			t.Fatalf("truncation at %d loaded without error", cut)
 		}
 	}
-
-	// File round trip (atomic write path).
-	path := filepath.Join(t.TempDir(), "cap.sidecar")
-	if err := SaveCaptureFile(path, states); err != nil {
-		t.Fatal(err)
+	if load(append(append([]byte(nil), data...), data[len(imageMagic):]...)) == nil {
+		t.Fatal("a sidecar with two records loaded without error")
 	}
-	got2, err := LoadCaptureFile(path)
-	if err != nil {
-		t.Fatal(err)
+	// A checkpoint image is not a sidecar, nor the other way round.
+	if load(regionsImage(t)) == nil {
+		t.Fatal("a checkpoint image loaded as a capture sidecar")
 	}
-	if len(got2) != len(states) {
-		t.Fatalf("file round trip: %d entries, want %d", len(got2), len(states))
+	if _, _, _, _, err := LoadCheckpoint(bytes.NewReader(data)); err == nil {
+		t.Fatal("a capture sidecar loaded as a checkpoint image")
 	}
 }
 
 func TestEncodeDecodeDoc(t *testing.T) {
 	doc := xmltree.MustParse(`<Order id="9"><Cust vip="y">Ann &amp; Bo</Cust><Total>7.25</Total></Order>`)
-	var buf bytes.Buffer
-	if err := EncodeDoc(&buf, doc); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeDoc(bytes.NewReader(buf.Bytes()))
+	got, err := roundTripDoc(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if xmltree.SerializeString(got) != xmltree.SerializeString(doc) {
 		t.Fatalf("doc round trip mismatch:\n got %s\nwant %s",
 			xmltree.SerializeString(got), xmltree.SerializeString(doc))
+	}
+}
+
+// roundTripDoc encodes doc with writeDoc and decodes it back, refusing
+// a trailing byte.
+func roundTripDoc(doc *xmltree.Document) (*xmltree.Document, error) {
+	var buf bytes.Buffer
+	writeDoc(&buf, doc)
+	r := &byteReader{buf: buf.Bytes()}
+	got, err := r.doc()
+	if err == nil && r.off != len(r.buf) {
+		panic("document decode left bytes behind")
+	}
+	return got, err
+}
+
+// TestDecodeDocRejectsMisplacedParents: in document order a node's
+// parent is an element still open before it. Any other link would give
+// the node a subtree interval outside its parent's, and children are
+// walked through those intervals, so the decoder refuses it.
+func TestDecodeDocRejectsMisplacedParents(t *testing.T) {
+	el := func(name string, parent xmltree.NodeID) xmltree.Node {
+		return xmltree.Node{Kind: xmltree.Element, Name: name, Parent: parent}
+	}
+	for name, nodes := range map[string][]xmltree.Node{
+		"closed element": {el("a", -1), el("b", 0), el("c", 0), el("d", 1)},
+		"text parent":    {el("a", -1), {Kind: xmltree.Text, Value: "t", Parent: 0}, el("b", 1)},
+		"attribute parent": {el("a", -1), {Kind: xmltree.Attribute, Name: "x", Value: "1", Parent: 0},
+			{Kind: xmltree.Text, Value: "t", Parent: 1}},
+	} {
+		if _, err := roundTripDoc(&xmltree.Document{Nodes: nodes}); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+	want := xmltree.MustParse(`<a x="1">t<b><c/>u</b><d y="2"/></a>`)
+	got, err := roundTripDoc(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if xmltree.SerializeString(got) != xmltree.SerializeString(want) {
+		t.Errorf("round trip: %s, want %s", xmltree.SerializeString(got), xmltree.SerializeString(want))
+	}
+	for i := range want.Nodes {
+		if got.Nodes[i] != want.Nodes[i] {
+			t.Errorf("node %d: decoded %+v, parsed %+v", i, got.Nodes[i], want.Nodes[i])
+		}
 	}
 }

@@ -4,16 +4,19 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 
-	"xixa/internal/persist"
 	"xixa/internal/storage"
+	"xixa/internal/workload"
 	"xixa/internal/xindex"
 	"xixa/internal/xmltree"
 	"xixa/internal/xpath"
 )
 
-// RecKind discriminates log records: one committed write set, or one
-// change to the catalog's index definitions.
+// RecKind discriminates records: one committed write set, one change
+// to the catalog's index definitions, and the two records that only
+// files written outside the log hold — a checkpoint image's header and
+// a capture sidecar's statements (image.go).
 type RecKind uint8
 
 const (
@@ -26,45 +29,69 @@ const (
 	// entering or leaving the materialized catalog.
 	RecIndexCreate
 	RecIndexDrop
+	// RecImage heads a checkpoint image, and RecCapture is a capture
+	// sidecar's one record (image.go). No log or stream replays either.
+	RecImage
+	RecCapture
 )
 
+var recKindNames = [...]string{RecCommit: "commit", RecIndexCreate: "index-create",
+	RecIndexDrop: "index-drop", RecImage: "image", RecCapture: "capture"}
+
 func (k RecKind) String() string {
-	switch k {
-	case RecCommit:
-		return "commit"
-	case RecIndexCreate:
-		return "index-create"
-	case RecIndexDrop:
-		return "index-drop"
+	if int(k) < len(recKindNames) && recKindNames[k] != "" {
+		return recKindNames[k]
 	}
 	return fmt.Sprintf("rec(%d)", uint8(k))
 }
 
-// Record is one decoded log record.
+// Record is one decoded record.
 type Record struct {
+	// LSN is the record's log position; a RecImage carries its own,
+	// the log position the image reflects.
 	LSN  uint64
 	Kind RecKind
-	// Stamp is the MVCC commit stamp of a RecCommit. Log order and
-	// stamp order may differ for commits on disjoint tables (appends
-	// race outside any global lock), so replay applies commits in
-	// stamp order, not log order. Commit stamps start at 1: a zero
-	// here is a replay error.
+	// Stamp is the MVCC commit stamp of a RecCommit, or of the image a
+	// RecImage heads. Log order and stamp order may differ for commits
+	// on disjoint tables (appends race outside any global lock), so
+	// replay applies commits in stamp order, not log order. Commit
+	// stamps start at 1: a zero here is a replay error.
 	Stamp uint64
 	// Ops is the write set of a RecCommit, in commit order, with the
-	// document IDs the commit assigned. Insert and replace documents
-	// use the persist node encoding, so the snapshot and the log agree
-	// on what a document is.
+	// document IDs the commit assigned.
 	Ops []storage.TxOp
 	// Def is the definition of a RecIndexCreate or RecIndexDrop.
 	Def xindex.Definition
+	// Tables and Indexes are the rest of a RecImage: its tables in
+	// name order, and how many RecIndexCreate records follow the
+	// image's commits.
+	Tables  []ImageTable
+	Indexes uint64
+	// Capture is the statement list of a RecCapture.
+	Capture []workload.CaptureState
+}
+
+// ImageTable is one table of a RecImage. NextID keeps deleted-tail IDs
+// from being reissued; Docs counts the table's documents in the image.
+type ImageTable struct {
+	Name   string
+	NextID int64
+	Docs   uint64
 }
 
 // Payload layout per kind:
 //
 //	commit:   kind, stamp (8B LE), uvarint op count, then per op:
 //	          op kind (storage.TxOpKind), str table, uvarint docID,
-//	          and for insert and replace the persist doc encoding
+//	          and for insert and replace the document
 //	index-*:  kind, str table, str pattern, byte valueKind
+//	image:    kind, uvarint lsn, uvarint stamp, uvarint table count,
+//	          then per table: str name, uvarint nextID, uvarint docs;
+//	          then uvarint index count
+//	capture:  kind, uvarint count, then per entry: str statement,
+//	          weight (float64 bits, 8B LE)
+//	document: uvarint node count, then per node: byte kind,
+//	          varint parent (-1 for the root), str name, str value
 //
 // The stamp is a fixed-width field right after the kind byte so a
 // commit can encode its payload before the commit stamp is allocated
@@ -75,9 +102,17 @@ type Record struct {
 // stampOffset is where the commit stamp sits in a commit payload.
 const stampOffset = 1
 
-// minOpLen is the fewest bytes one commit operation takes (kind, empty
-// table, one-byte docID): it bounds the op count a payload can claim.
-const minOpLen = 3
+// The fewest bytes one element of a counted list takes bound the count
+// a payload can claim: a commit op (kind, empty table, one-byte docID),
+// an image table (empty name, nextID, docs), a capture entry (empty
+// statement, weight) and a document node (kind, parent, empty name and
+// value).
+const (
+	minOpLen      = 3
+	minTableLen   = 3
+	minCaptureLen = 1 + 8
+	minNodeLen    = 4
+)
 
 // PatchStamp writes the commit stamp into a pre-encoded payload. It is
 // a no-op for index records, which carry no stamp.
@@ -95,6 +130,26 @@ func putStr(b *bytes.Buffer, s string) {
 func putUvarint(b *bytes.Buffer, v uint64) {
 	var tmp [binary.MaxVarintLen64]byte
 	b.Write(tmp[:binary.PutUvarint(tmp[:], v)])
+}
+
+func putVarint(b *bytes.Buffer, v int64) {
+	var tmp [binary.MaxVarintLen64]byte
+	b.Write(tmp[:binary.PutVarint(tmp[:], v)])
+}
+
+// writeDoc appends one document's nodes: the one encoding of a
+// document in a log record, a checkpoint image and a shipped snapshot.
+// Levels and subtree intervals are not written; byteReader.doc
+// rebuilds them from the parent links.
+func writeDoc(b *bytes.Buffer, doc *xmltree.Document) {
+	putUvarint(b, uint64(doc.Len()))
+	for i := range doc.Nodes {
+		n := &doc.Nodes[i]
+		b.WriteByte(byte(n.Kind))
+		putVarint(b, int64(n.Parent))
+		putStr(b, n.Name)
+		putStr(b, n.Value)
+	}
 }
 
 // EncodeCommit builds the payload of one committed write set at commit
@@ -118,9 +173,7 @@ func EncodeCommit(ops []storage.TxOp, stamp uint64) ([]byte, error) {
 		putUvarint(&b, uint64(op.DocID))
 		switch op.Kind {
 		case storage.TxInsert, storage.TxReplace:
-			if err := persist.EncodeDoc(&b, op.Doc); err != nil {
-				return nil, err
-			}
+			writeDoc(&b, op.Doc)
 		case storage.TxDelete:
 		default:
 			return nil, fmt.Errorf("wal: unknown op kind %d", op.Kind)
@@ -172,6 +225,34 @@ func encodeIndex(kind RecKind, def xindex.Definition) []byte {
 	return b.Bytes()
 }
 
+// EncodeImage builds the header record of a checkpoint image.
+func EncodeImage(lsn, stamp uint64, tables []ImageTable, indexes uint64) []byte {
+	var b bytes.Buffer
+	b.WriteByte(byte(RecImage))
+	putUvarint(&b, lsn)
+	putUvarint(&b, stamp)
+	putUvarint(&b, uint64(len(tables)))
+	for _, t := range tables {
+		putStr(&b, t.Name)
+		putUvarint(&b, uint64(t.NextID))
+		putUvarint(&b, t.Docs)
+	}
+	putUvarint(&b, indexes)
+	return b.Bytes()
+}
+
+// EncodeCapture builds the record of a capture sidecar.
+func EncodeCapture(states []workload.CaptureState) []byte {
+	var b bytes.Buffer
+	b.WriteByte(byte(RecCapture))
+	putUvarint(&b, uint64(len(states)))
+	for _, s := range states {
+		putStr(&b, s.Raw)
+		b.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(s.Weight)))
+	}
+	return b.Bytes()
+}
+
 // byteReader reads a payload's fields. Every read is bounded by the
 // payload, so corrupt lengths and counts fail instead of allocating.
 type byteReader struct {
@@ -203,6 +284,37 @@ func (r *byteReader) uvarint() (uint64, error) {
 	return v, nil
 }
 
+// fixed64 reads an 8-byte little-endian field.
+func (r *byteReader) fixed64() (uint64, error) {
+	if len(r.buf)-r.off < 8 {
+		return 0, fmt.Errorf("wal: truncated payload")
+	}
+	r.off += 8
+	return binary.LittleEndian.Uint64(r.buf[r.off-8:]), nil
+}
+
+func (r *byteReader) varint() (int64, error) {
+	ux, err := r.uvarint()
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x, err
+}
+
+// count reads a list length and refuses one the rest of the payload
+// cannot hold at minLen bytes an element.
+func (r *byteReader) count(what string, minLen int) (int, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(len(r.buf)-r.off)/uint64(minLen) {
+		return 0, fmt.Errorf("wal: %d %s claimed in %d bytes", n, what, len(r.buf)-r.off)
+	}
+	return int(n), nil
+}
+
 func (r *byteReader) str() (string, error) {
 	n, err := r.uvarint()
 	if err != nil {
@@ -229,15 +341,18 @@ func DecodePayload(lsn uint64, payload []byte) (Record, error) {
 	rec := Record{LSN: lsn, Kind: RecKind(kb)}
 	switch rec.Kind {
 	case RecCommit:
-		if err := r.commit(&rec); err != nil {
-			return Record{}, err
-		}
+		err = r.commit(&rec)
 	case RecIndexCreate, RecIndexDrop:
-		if rec.Def, err = r.indexDef(); err != nil {
-			return Record{}, err
-		}
+		rec.Def, err = r.indexDef()
+	case RecImage:
+		err = r.image(&rec)
+	case RecCapture:
+		rec.Capture, err = r.capture()
 	default:
-		return Record{}, fmt.Errorf("wal: unknown record kind %d", kb)
+		err = fmt.Errorf("wal: unknown record kind %d", kb)
+	}
+	if err != nil {
+		return Record{}, err
 	}
 	if r.off != len(payload) {
 		return Record{}, fmt.Errorf("wal: %d trailing bytes after %v record", len(payload)-r.off, rec.Kind)
@@ -246,17 +361,16 @@ func DecodePayload(lsn uint64, payload []byte) (Record, error) {
 }
 
 func (r *byteReader) commit(rec *Record) error {
-	if len(r.buf)-r.off < 8 {
-		return fmt.Errorf("wal: truncated stamp")
+	var err error
+	if rec.Stamp, err = r.fixed64(); err != nil {
+		return err
 	}
-	rec.Stamp = binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	n, err := r.uvarint()
+	n, err := r.count("commit ops", minOpLen)
 	if err != nil {
 		return err
 	}
-	if n == 0 || n > uint64(len(r.buf)-r.off)/minOpLen {
-		return fmt.Errorf("wal: commit claims %d ops in %d bytes", n, len(r.buf)-r.off)
+	if n == 0 {
+		return fmt.Errorf("wal: empty commit")
 	}
 	rec.Ops = make([]storage.TxOp, n)
 	for i := range rec.Ops {
@@ -276,12 +390,10 @@ func (r *byteReader) commit(rec *Record) error {
 		op.DocID = int64(id)
 		switch op.Kind {
 		case storage.TxInsert, storage.TxReplace:
-			br := bytes.NewReader(r.buf[r.off:])
-			if op.Doc, err = persist.DecodeDoc(br); err != nil {
+			if op.Doc, err = r.doc(); err != nil {
 				return fmt.Errorf("wal: commit op %d document: %w", i, err)
 			}
 			op.Doc.DocID = op.DocID
-			r.off = len(r.buf) - br.Len()
 		case storage.TxDelete:
 		default:
 			return fmt.Errorf("wal: commit op %d: unknown op kind %d", i, kb)
@@ -319,4 +431,116 @@ func (r *byteReader) indexDef() (xindex.Definition, error) {
 		return xindex.Definition{}, fmt.Errorf("wal: bad index value kind %d", vk)
 	}
 	return def, nil
+}
+
+// doc reads one writeDoc-encoded document, reconstructing levels and
+// subtree intervals from the parent links.
+func (r *byteReader) doc() (*xmltree.Document, error) {
+	n, err := r.count("nodes", minNodeLen)
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 {
+		return nil, fmt.Errorf("wal: empty document")
+	}
+	doc := &xmltree.Document{Nodes: make([]xmltree.Node, n)}
+	// In document order a node's parent is one of the elements still
+	// open before it; any other link would give the node a subtree
+	// interval its parent's does not contain.
+	var open []xmltree.NodeID
+	for i := range doc.Nodes {
+		nd := &doc.Nodes[i]
+		kind, err := r.ReadByte()
+		if err != nil {
+			return nil, err
+		}
+		parent, err := r.varint()
+		if err != nil {
+			return nil, err
+		}
+		if nd.Name, err = r.str(); err != nil {
+			return nil, err
+		}
+		if nd.Value, err = r.str(); err != nil {
+			return nil, err
+		}
+		for len(open) > 0 && int64(open[len(open)-1]) != parent {
+			open = open[:len(open)-1]
+		}
+		switch {
+		case kind > byte(xmltree.Text):
+			return nil, fmt.Errorf("wal: bad node kind %d", kind)
+		case i == 0 && parent == -1:
+			nd.Level = 1
+		case len(open) == 0:
+			return nil, fmt.Errorf("wal: node %d: parent %d is not an open element", i, parent)
+		default:
+			nd.Level = doc.Nodes[parent].Level + 1
+		}
+		nd.ID, nd.Kind, nd.Parent, nd.EndID = xmltree.NodeID(i), xmltree.Kind(kind), xmltree.NodeID(parent), xmltree.NodeID(i)
+		if nd.Kind == xmltree.Element {
+			open = append(open, nd.ID)
+		}
+	}
+	for i := len(doc.Nodes) - 1; i > 0; i-- {
+		p := &doc.Nodes[doc.Nodes[i].Parent]
+		p.EndID = max(p.EndID, doc.Nodes[i].EndID)
+	}
+	return doc, nil
+}
+
+func (r *byteReader) image(rec *Record) error {
+	var err error
+	if rec.LSN, err = r.uvarint(); err != nil {
+		return err
+	}
+	if rec.Stamp, err = r.uvarint(); err != nil {
+		return err
+	}
+	n, err := r.count("image tables", minTableLen)
+	if err != nil {
+		return err
+	}
+	rec.Tables = make([]ImageTable, n)
+	for i := range rec.Tables {
+		t := &rec.Tables[i]
+		if t.Name, err = r.str(); err != nil {
+			return err
+		}
+		if i > 0 && t.Name <= rec.Tables[i-1].Name {
+			return fmt.Errorf("wal: image table %q out of order after %q", t.Name, rec.Tables[i-1].Name)
+		}
+		next, err := r.uvarint()
+		if err != nil {
+			return err
+		}
+		if next > math.MaxInt64 {
+			return fmt.Errorf("wal: image table %s: next ID %d out of range", t.Name, next)
+		}
+		t.NextID = int64(next)
+		if t.Docs, err = r.uvarint(); err != nil {
+			return err
+		}
+	}
+	rec.Indexes, err = r.uvarint()
+	return err
+}
+
+func (r *byteReader) capture() ([]workload.CaptureState, error) {
+	n, err := r.count("capture entries", minCaptureLen)
+	if err != nil {
+		return nil, err
+	}
+	states := make([]workload.CaptureState, n)
+	for i := range states {
+		if states[i].Raw, err = r.str(); err != nil {
+			return nil, err
+		}
+		bits, err := r.fixed64()
+		if err != nil {
+			return nil, err
+		}
+		states[i].Weight = math.Float64frombits(bits)
+	}
+	return states, nil
 }

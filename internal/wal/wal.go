@@ -6,10 +6,12 @@
 // (record.go's Encode helpers) and appends them with AppendTxn; a
 // replication follower appends the primary's payloads verbatim with
 // AppendRaw. Every LSN is therefore a commit boundary.
-// A snapshot stamped with the log's LSN (persist's checkpoint format)
-// plus the log tail past that LSN is a complete redo history, so a
-// crashed server recovers every committed mutation by replaying the
-// tail — see server.Recover.
+// A checkpoint image stamped with the log's LSN (image.go) plus the log
+// tail past that LSN is a complete redo history, so a crashed server
+// recovers every committed mutation by replaying the tail — see
+// server.Recover. The image is written in the log's own frames and
+// records, so this package holds every byte the server persists or
+// ships, and DecodePayload is the one decoder of them.
 //
 // File format (little-endian):
 //
@@ -62,24 +64,9 @@ import (
 	"time"
 
 	"xixa/internal/obs"
-	"xixa/internal/persist"
 )
 
 var magic = []byte("XIXAWAL2")
-
-// checkMagic validates a log file's leading magic: the current format
-// passes, the earlier format (a commit of several operations framed by
-// begin and commit records, last written before XIXAWAL2) is named as
-// such, anything else is not a log.
-func checkMagic(head []byte) error {
-	switch string(head) {
-	case string(magic):
-		return nil
-	case "XIXAWAL1":
-		return fmt.Errorf("wal: unsupported log version %q (this build reads only %q)", head, magic)
-	}
-	return fmt.Errorf("wal: not a wal file (bad magic %q)", head)
-}
 
 const (
 	headerLen = 8 + 8 + 4 // magic, startLSN, CRC
@@ -239,7 +226,7 @@ func Open(path string, opts Options) (*Log, *OpenResult, error) {
 			f.Close()
 			return nil, nil, err
 		}
-		if err := persist.SyncDir(filepath.Dir(path)); err != nil {
+		if err := syncDir(filepath.Dir(path)); err != nil {
 			f.Close()
 			return nil, nil, err
 		}
@@ -294,6 +281,28 @@ func writeHeader(f logFile, startLSN uint64) error {
 	return f.Sync()
 }
 
+// readHeader reads and checks a log file's header and returns its
+// startLSN. The earlier format (a commit of several operations framed
+// by begin and commit records, last written before XIXAWAL2) is named
+// as such.
+func readHeader(r io.Reader) (uint64, error) {
+	var head [headerLen]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		return 0, fmt.Errorf("wal: reading header: %w", err)
+	}
+	switch string(head[:8]) {
+	case string(magic):
+	case "XIXAWAL1":
+		return 0, fmt.Errorf("wal: unsupported log version %q (this build reads only %q)", head[:8], magic)
+	default:
+		return 0, fmt.Errorf("wal: not a wal file (bad magic %q)", head[:8])
+	}
+	if crc32.Checksum(head[:16], crcTable) != binary.LittleEndian.Uint32(head[16:20]) {
+		return 0, fmt.Errorf("wal: header checksum mismatch")
+	}
+	return binary.LittleEndian.Uint64(head[8:16]), nil
+}
+
 // scan reads the header and every record, stopping at the first torn or
 // corrupt frame. goodEnd is the file offset just past the last intact
 // record.
@@ -302,44 +311,15 @@ func scan(f io.ReadSeeker) (startLSN uint64, recs []Record, goodEnd int64, torn 
 		return
 	}
 	r := bufio.NewReader(f)
-	var head [headerLen]byte
-	if _, err = io.ReadFull(r, head[:]); err != nil {
-		err = fmt.Errorf("wal: reading header: %w", err)
+	if startLSN, err = readHeader(r); err != nil {
 		return
 	}
-	if err = checkMagic(head[:8]); err != nil {
-		return
-	}
-	if crc32.Checksum(head[:16], crcTable) != binary.LittleEndian.Uint32(head[16:20]) {
-		err = fmt.Errorf("wal: header checksum mismatch")
-		return
-	}
-	startLSN = binary.LittleEndian.Uint64(head[8:16])
 	goodEnd = headerLen
 	lsn := startLSN
-	var frame [frameLen]byte
-	var payload []byte
 	for {
-		if _, rerr := io.ReadFull(r, frame[:]); rerr != nil {
+		payload, rerr := readFrame(r)
+		if rerr != nil {
 			torn = rerr != io.EOF // a clean EOF at a record boundary is not a tear
-			return
-		}
-		n := binary.LittleEndian.Uint32(frame[:4])
-		want := binary.LittleEndian.Uint32(frame[4:8])
-		if n == 0 || n > maxRecordLen {
-			torn = true
-			return
-		}
-		if uint32(cap(payload)) < n {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, rerr := io.ReadFull(r, payload); rerr != nil {
-			torn = true
-			return
-		}
-		if crc32.Checksum(payload, crcTable) != want {
-			torn = true
 			return
 		}
 		lsn++
@@ -351,21 +331,62 @@ func scan(f io.ReadSeeker) (startLSN uint64, recs []Record, goodEnd int64, torn 
 			return
 		}
 		recs = append(recs, rec)
-		goodEnd += frameLen + int64(n)
+		goodEnd += frameLen + int64(len(payload))
 	}
+}
+
+// writeFrame writes payload as one frame: [u32 len][u32 CRC-32C]
+// [payload]. Log records and the records of an image are framed alike.
+func writeFrame(w io.Writer, payload []byte) error {
+	var frame [frameLen]byte
+	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
+	if _, err := w.Write(frame[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
+	return err
+}
+
+// readFrame reads one frame and returns its checksummed payload, freshly
+// allocated. It returns io.EOF only when r ends cleanly at a frame
+// boundary; a short frame, a bad length or a checksum mismatch is an
+// error.
+func readFrame(r io.Reader) ([]byte, error) {
+	var frame [frameLen]byte
+	if _, err := io.ReadFull(r, frame[:]); err != nil {
+		return nil, err
+	}
+	n := binary.LittleEndian.Uint32(frame[:4])
+	if n == 0 || n > maxRecordLen {
+		return nil, fmt.Errorf("wal: bad frame length %d", n)
+	}
+	var payload []byte
+	var err error
+	if n <= 1<<16 {
+		payload = make([]byte, n)
+		_, err = io.ReadFull(r, payload)
+	} else {
+		// Grow with the bytes actually read, so a corrupt length cannot
+		// allocate up to maxRecordLen before the read comes up short.
+		payload, err = io.ReadAll(io.LimitReader(r, int64(n)))
+	}
+	if err == nil && uint32(len(payload)) < n || err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return nil, err
+	}
+	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(frame[4:8]) {
+		return nil, fmt.Errorf("wal: frame checksum mismatch")
+	}
+	return payload, nil
 }
 
 // appendLocked frames payload and buffers it. The caller holds l.mu and
 // has checked closed/fail.
 func (l *Log) appendLocked(payload []byte) error {
-	var frame [frameLen]byte
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	if _, err := l.w.Write(frame[:]); err != nil {
-		l.fail = err
-		return err
-	}
-	if _, err := l.w.Write(payload); err != nil {
+	if err := writeFrame(l.w, payload); err != nil {
 		l.fail = err
 		return err
 	}
@@ -643,7 +664,7 @@ func (l *Log) Truncate(upTo uint64) error {
 	l.durable = upTo
 	l.advanceFlushedLocked(upTo)
 	l.size = headerLen
-	return persist.SyncDir(filepath.Dir(l.path))
+	return syncDir(filepath.Dir(l.path))
 }
 
 // LastLSN returns the LSN of the most recently appended record.

@@ -25,7 +25,6 @@ import (
 var reachAllowlist = map[string]string{
 	"internal/optimizer.NewWithSource":            "engine.TestExecuteMutationSurfacesConflict and TestPlanningErrorReturned plan through a hooked statistics source",
 	"internal/optimizer.Optimizer.EnumerateCalls": "xstats.TestAdvisorGoldenAgainstReferenceStats compares Enumerate Indexes call counts across statistics collectors",
-	"internal/persist.SaveDatabase":               "the byte-image comparator of the recovery, replication and daemon restart oracles (dbBytes, image)",
 	"internal/replica/faultnet.Dialer":            "fault injector of replica.TestReconnectSurvivesSevers, TestByteFaultsDesyncAndRecover and TestReplicationSoak",
 	"internal/replica/faultnet.RandomSevers":      "fault injector of replica.TestReplicationSoak",
 	"internal/replica/faultnet.Wrap":              "wraps each connection faultnet.Dialer hands the replica fault tests",
@@ -33,9 +32,9 @@ var reachAllowlist = map[string]string{
 	"internal/server.Txn.Commit":                  "test-driver API, since the wire protocol has no BEGIN: replica.TestSnapshotBootstrapAfterMultiInsertTxn, TestReplicationSoak and TestPromoteAfterPrimaryDies commit multi-statement transactions",
 	"internal/server.Txn.Execute":                 "test-driver API, since the wire protocol has no BEGIN: replica.TestSnapshotBootstrapAfterMultiInsertTxn, TestReplicationSoak and TestPromoteAfterPrimaryDies commit multi-statement transactions",
 	"internal/server.Txn.Rollback":                "test-driver API, since the wire protocol has no BEGIN: abandons the transactions Session.Begin opens; server.TestTxnCommitRollbackVisibility and TestStampOrderReplayProperty roll back",
-	"internal/storage.Table.NodeCount":            "accounting comparator of tpox.TestGenerateCounts, persist.TestRoundTripTPoX and xstats.TestCollectCounts",
+	"internal/storage.Table.NodeCount":            "accounting comparator of tpox.TestGenerateCounts, wal.TestRoundTripTPoX and xstats.TestCollectCounts",
 	"internal/storage.Table.Programs":             "engine.TestUpdatedLeafScansByVersion and the root BenchmarkScanCompiled run the table's compiled scan cache",
-	"internal/storage.Table.SizeBytes":            "accounting comparator of tpox.TestGenerateDeterministic and persist.TestRoundTripTPoX",
+	"internal/storage.Table.SizeBytes":            "accounting comparator of tpox.TestGenerateDeterministic and wal.TestRoundTripTPoX",
 	"internal/storage.Table.Subscribe":            "server.TestStampOrderReplayProperty and TestApplierReorder record the publish order through the change feed",
 	"internal/workload.New":                       "fixture of core.TestEmptyWorkloadRejected, TestMaintenanceCostSteersRecommendation and TestFrequencyScalesBenefit",
 	"internal/xindex.Index.Walk":                  "content comparator of engine.TestPropertyDMLKeepsIndexesConsistent, TestInsertMaintainsIndexes and server.TestServeWhileTuneE2E",
