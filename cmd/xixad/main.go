@@ -34,17 +34,21 @@
 // serves read-only sessions. A follower whose -wal-dir holds no state
 // yet must start from the primary's image, so it waits at start,
 // redialing with backoff, until the primary answers; a follower with
-// local state starts at once on that state and reconnects in the
-// background. Followers do not checkpoint: the stream's applier owns
+// local state recovers it, then connects the same way, and if the
+// primary is unreachable it serves that state and reconnects in the
+// background. A primary that answers and refuses (fenced, diverged, or
+// an epoch older than the follower has seen) stops the start with that
+// error. Followers do not checkpoint: the stream's applier owns
 // their database, and their WAL grows until \promote. When the
 // primary dies, \promote on a follower mints a new epoch that fences
 // the old primary if it comes back, and opens the follower for writes
 // (binding its own -replication-addr, if set, so the remaining
 // followers can re-point to it). A follower that falls behind a
-// primary checkpoint (it was disconnected while the primary
+// primary checkpoint (it was disconnected or stopped while the primary
 // checkpointed past its position) re-bootstraps in place from the
-// primary's snapshot, without a restart; its sessions opened before
-// that answer ERR … closed, and their clients reconnect.
+// primary's snapshot on its next connection, at start or live; its
+// sessions opened before that answer ERR … closed, and their clients
+// reconnect.
 //
 // With -shards N (N>1), the daemon partitions every table by
 // document-key hash across N in-process shards behind a deterministic

@@ -125,8 +125,9 @@ type FollowerInfo struct {
 	LagRecords        uint64
 	LagLSN            uint64
 	// LastContact is when the stream last produced a frame; Connected
-	// whether a stream is up right now; Reconnects how many times the
-	// stream has been re-established.
+	// whether a stream is up right now; Reconnects how many connection
+	// attempts have failed or streams ended, failed start attempts
+	// included.
 	LastContact time.Time
 	Connected   bool
 	Reconnects  uint64
@@ -135,19 +136,21 @@ type FollowerInfo struct {
 }
 
 // StartFollower opens (or resumes) a replica in cfg.Dir following the
-// primary at cfg.PrimaryAddr. If the local position predates the
-// primary's retained history, the primary's checkpoint is adopted
-// before recovery (snapshot bootstrap); a follower that falls behind a
-// checkpoint later adopts it the same way without a restart. The
-// returned follower owns its server: Close stops both, Promote
-// upgrades the server in place.
+// primary at cfg.PrimaryAddr. A follower with local state recovers it
+// first. Then it connects once, as every reconnect does: if it is
+// fresh, or the primary has checkpointed past its position, it adopts
+// the primary's snapshot in place before streaming on. The returned
+// follower owns its server: Close stops both, Promote upgrades the
+// server in place.
 //
-// A follower with local state that cannot reach its primary at start
-// recovers that state, serves reads, and keeps reconnecting with
+// If the primary answers and refuses (fenced, diverged, a zombie
+// epoch, or a snapshot this follower refuses), StartFollower returns
+// that error. A follower with local state that cannot reach its
+// primary serves reads on that state and keeps reconnecting with
 // backoff; a follower must outlive its primary to be worth anything. A
-// fresh follower (an empty Dir) has nothing to serve until it holds the
-// primary's image, so StartFollower keeps asking for it, with the same
-// backoff, until the primary answers.
+// fresh follower (an empty Dir) has nothing to serve until it holds
+// the primary's image, so StartFollower keeps connecting, with the same
+// backoff, until it has a connection.
 func StartFollower(cfg FollowerConfig) (*Follower, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dir == "" || cfg.PrimaryAddr == "" {
@@ -160,20 +163,40 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := bootstrapSnapshot(cfg, epoch); err != nil {
-		return nil, err
-	}
 	f := &Follower{
 		cfg:  cfg,
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
 	f.epoch.Store(epoch)
-	if err := f.open(); err != nil {
-		return nil, err
+	// Local state is a checkpoint or a log. A follower with neither is
+	// fresh: its server comes from the primary's image, and nothing is
+	// written to Dir before that image is adopted, so a fresh follower
+	// stopped while waiting is still fresh.
+	_, cerr := os.Stat(server.CheckpointPath(cfg.Dir))
+	_, werr := os.Stat(server.WALPath(cfg.Dir))
+	if !os.IsNotExist(cerr) || !os.IsNotExist(werr) {
+		if err := f.open(); err != nil {
+			return nil, err
+		}
 	}
-	go f.loop()
-	return f, nil
+	for attempt := 0; ; attempt++ {
+		c, refused, err := f.connect()
+		if refused {
+			if srv := f.Server(); srv != nil {
+				srv.Close()
+			}
+			return nil, err
+		}
+		if err != nil {
+			f.lost(err)
+		}
+		if c != nil || f.Server() != nil {
+			go f.loop(c)
+			return f, nil
+		}
+		time.Sleep(cfg.backoff(attempt))
+	}
 }
 
 // open recovers the follower's server from its directory and points
@@ -207,18 +230,21 @@ func (f *Follower) open() error {
 	return nil
 }
 
-// rebootstrap replaces the follower's server with one recovered from
-// the snapshot the primary ships when this follower has fallen behind
-// its checkpoint. The image is adopted before the old server closes, so
-// a refused or failed adoption leaves the old server serving; a crash
-// after adoption leaves a checkpoint ahead of the local log, which
-// Recover already handles. Sessions of the old server fail with
+// rebootstrap makes the snapshot the primary ships a fresh follower,
+// or one that has fallen behind its checkpoint, the follower's state,
+// and recovers a server from it in place of the old one, if any. The
+// image is adopted before the old server closes, so a refused or
+// failed adoption leaves the old server serving; a crash after
+// adoption leaves a checkpoint ahead of the local log, which Recover
+// already handles. Sessions of the old server fail with
 // server.ErrClosed from here on, and their clients reconnect.
 func (f *Follower) rebootstrap(snapshot []byte) error {
 	if err := adoptSnapshot(f.cfg.Dir, snapshot); err != nil {
 		return err
 	}
-	f.Server().Close()
+	if old := f.Server(); old != nil {
+		old.Close()
+	}
 	return f.open()
 }
 
@@ -243,95 +269,6 @@ func adoptSnapshot(dir string, body []byte) error {
 		_, err := w.Write(image)
 		return err
 	})
-}
-
-// bootstrapSnapshot is the pre-recovery handshake: peek the local WAL
-// position, ask the primary whether that position still chains onto
-// its retained history, and if not adopt the primary's checkpoint.
-// The adopted checkpoint lands as the local checkpoint file; Recover's
-// existing checkpoint-outruns-log path then advances the log past the
-// stamp, so the stream resumes exactly at the snapshot boundary.
-//
-// A fresh follower asks until the primary answers: recovering without
-// the image would leave it an empty checkpoint at LSN 0, after which it
-// is no longer fresh, and the stream from LSN 1 would skip the seed the
-// image holds. Nothing is written to Dir before the image is adopted,
-// so a fresh follower stopped while waiting is still fresh.
-func bootstrapSnapshot(cfg FollowerConfig, epoch uint64) error {
-	lastLSN := uint64(0)
-	walPath := server.WALPath(cfg.Dir)
-	_, serr := os.Stat(walPath)
-	hasWAL := serr == nil
-	if hasWAL {
-		l, _, oerr := wal.Open(walPath, wal.Options{Policy: wal.SyncOff})
-		if oerr != nil {
-			return oerr
-		}
-		lastLSN = l.LastLSN()
-		l.Close()
-	}
-	// Fresh means no durable state at all: a node that has never held
-	// a checkpoint cannot reconstruct the primary's bootstrap image
-	// (which predates LSN 1) from records, so it must ask for one.
-	fresh := byte(0)
-	if _, serr := os.Stat(server.CheckpointPath(cfg.Dir)); os.IsNotExist(serr) && !hasWAL {
-		fresh = 1
-	}
-	for attempt := 0; ; attempt++ {
-		reached, err := handshake(cfg, epoch, lastLSN, fresh)
-		if reached || fresh == 0 {
-			return err // unreached with local state: recover it, reconnect later
-		}
-		time.Sleep(cfg.backoff(attempt))
-	}
-}
-
-// handshake runs one bootstrap hello against the primary and adopts
-// the snapshot it ships, if any. reached reports whether the primary
-// answered the hello at all.
-func handshake(cfg FollowerConfig, epoch, lastLSN uint64, fresh byte) (reached bool, err error) {
-	conn, err := cfg.Dial(cfg.PrimaryAddr)
-	if err != nil {
-		return false, nil
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(cfg.StaleAfter))
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	if err := writeFrame(bw, msgHello, append(u64Pair(epoch, lastLSN), fresh)); err != nil {
-		return false, nil
-	}
-	if err := bw.Flush(); err != nil {
-		return false, nil
-	}
-	t, body, err := readFrame(br)
-	if err != nil {
-		return false, nil
-	}
-	switch t {
-	case msgError:
-		return true, fmt.Errorf("replica: primary refused bootstrap: %s", body)
-	case msgWelcome:
-	default:
-		return true, fmt.Errorf("replica: unexpected %d frame in bootstrap handshake", t)
-	}
-	if len(body) < 9 {
-		return true, errors.New("replica: short welcome frame")
-	}
-	wepoch, _ := readU64(body)
-	if wepoch > epoch {
-		if err := StoreEpoch(cfg.Dir, wepoch); err != nil {
-			return true, err
-		}
-	}
-	if body[8] == 0 {
-		return true, nil // position chains; no snapshot needed
-	}
-	t, body, err = readFrame(br)
-	if err != nil || t != msgSnapshot {
-		return true, fmt.Errorf("replica: snapshot frame missing after welcome (err %v)", err)
-	}
-	return true, adoptSnapshot(cfg.Dir, body)
 }
 
 // Server returns the follower's current (read-only until promoted)
@@ -427,49 +364,67 @@ func (f *Follower) stopped() bool {
 	}
 }
 
-func (f *Follower) setErr(err error) {
+// lost records a connection attempt that failed or a stream that
+// ended.
+func (f *Follower) lost(err error) {
+	f.connected.Store(false)
 	f.mu.Lock()
 	f.lastErr = err
 	f.mu.Unlock()
+	f.reconnects.Add(1)
 }
 
-// loop reconnects forever with full-jitter exponential backoff,
-// resetting the backoff whenever a connection makes progress.
-func (f *Follower) loop() {
+// loop streams over c, the connection StartFollower made (nil when the
+// primary was unreachable), then reconnects until the follower stops,
+// with full-jitter exponential backoff that resets whenever a
+// connection makes progress.
+func (f *Follower) loop(c *link) {
 	defer close(f.done)
 	attempt := 0
 	for {
-		if f.stopped() {
-			return
-		}
-		progressed, err := f.streamOnce()
-		if f.stopped() {
-			return
-		}
-		f.connected.Store(false)
-		f.setErr(err)
-		f.reconnects.Add(1)
-		if progressed {
-			attempt = 0
-		} else {
-			attempt++
+		if c != nil {
+			progressed, err := f.stream(c)
+			if f.stopped() {
+				return
+			}
+			f.lost(err)
+			if progressed {
+				attempt = 0
+			}
 		}
 		select {
 		case <-f.stop:
 			return
 		case <-time.After(f.cfg.backoff(attempt)):
 		}
+		attempt++
+		var err error
+		if c, _, err = f.connect(); err != nil && !f.stopped() {
+			f.lost(err)
+		}
 	}
 }
 
-// streamOnce runs one connection to exhaustion: handshake from the
-// local log's tip, then append-apply-ack until the stream breaks.
-// progressed reports whether at least one record landed — the
-// backoff-reset signal.
-func (f *Follower) streamOnce() (progressed bool, err error) {
+// link is a connection past its handshake; br may already hold the
+// first streamed frames.
+type link struct {
+	conn net.Conn
+	br   *bufio.Reader
+	bw   *bufio.Writer
+}
+
+// connect dials the primary and runs the one handshake every
+// connection runs. The hello carries the witnessed epoch, the local
+// tip and the fresh byte, set while the follower has no server. A
+// welcome from an older epoch is a zombie's and refused; a newer epoch
+// is stored. A snapshot shipped after the welcome is adopted through
+// rebootstrap; a fresh follower shipped none recovers empty. refused
+// reports an error no retry mends: the primary answered and refused,
+// or what it shipped was refused. Any other error is the network's.
+func (f *Follower) connect() (c *link, refused bool, err error) {
 	conn, err := f.cfg.Dial(f.cfg.PrimaryAddr)
 	if err != nil {
-		return false, err
+		return nil, false, err
 	}
 	// Publish the connection and re-check stop under one mutex hold:
 	// stopLoop interrupts a stream by closing f.conn, so a stop that
@@ -479,64 +434,80 @@ func (f *Follower) streamOnce() (progressed bool, err error) {
 	f.conn = conn
 	stopped := f.stopped()
 	f.mu.Unlock()
-	if stopped {
-		conn.Close()
-		return false, errors.New("replica: follower stopped")
-	}
 	defer func() {
-		f.mu.Lock()
-		f.conn = nil
-		f.mu.Unlock()
-		conn.Close()
+		if err != nil {
+			f.release(conn)
+		}
 	}()
-
-	l := f.Server().WAL()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
+	if stopped {
+		return nil, false, errors.New("replica: follower stopped")
+	}
+	c = &link{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
+	tip, fresh := uint64(0), byte(1)
+	if srv := f.Server(); srv != nil {
+		tip, fresh = srv.WAL().LastLSN(), 0
+	}
 	conn.SetDeadline(time.Now().Add(f.cfg.StaleAfter))
-	if err := writeFrame(bw, msgHello, u64Pair(f.epoch.Load(), l.LastLSN())); err != nil {
-		return false, err
+	if err := wal.WriteFrame(c.bw, append(message(msgHello, 1, f.epoch.Load(), tip), fresh)); err != nil {
+		return nil, false, err
 	}
-	if err := bw.Flush(); err != nil {
-		return false, err
+	if err := c.bw.Flush(); err != nil {
+		return nil, false, err
 	}
-	t, body, err := readFrame(br)
+	t, body, err := readFrame(c.br)
 	if err != nil {
-		return false, err
+		return nil, false, err
 	}
 	if t == msgError {
-		return false, fmt.Errorf("replica: primary refused: %s", body)
+		return nil, true, fmt.Errorf("replica: primary refused: %s", body)
 	}
-	if t != msgWelcome || len(body) < 9 {
-		return false, fmt.Errorf("replica: bad welcome frame")
+	if t != msgWelcome || len(body) != 9 {
+		return nil, true, errors.New("replica: bad welcome frame")
 	}
 	wepoch, _ := readU64(body)
-	known := f.epoch.Load()
-	if wepoch < known {
-		return false, fmt.Errorf("replica: zombie primary at epoch %d (witnessed %d)", wepoch, known)
-	}
-	if wepoch > known {
+	if known := f.epoch.Load(); wepoch < known {
+		return nil, true, fmt.Errorf("replica: zombie primary at epoch %d (witnessed %d)", wepoch, known)
+	} else if wepoch > known {
 		if err := StoreEpoch(f.cfg.Dir, wepoch); err != nil {
-			return false, err
+			return nil, true, err
 		}
 		f.epoch.Store(wepoch)
 	}
-	if body[8] != 0 {
-		// The primary checkpointed past our history: adopt the snapshot
-		// that follows, then stream on from its stamp with the server
-		// recovered from it.
-		t, snap, err := readFrame(br)
+	switch {
+	case body[8] != 0:
+		t, snap, err := readFrame(c.br)
 		if err != nil {
-			return false, err
+			return nil, false, err
 		}
 		if t != msgSnapshot {
-			return false, fmt.Errorf("replica: %d frame where the snapshot belongs", t)
+			return nil, true, fmt.Errorf("replica: %d frame where the snapshot belongs", t)
 		}
 		if err := f.rebootstrap(snap); err != nil {
-			return false, err
+			return nil, true, err
 		}
-		l = f.Server().WAL()
+	case fresh != 0:
+		if err := f.open(); err != nil {
+			return nil, true, err
+		}
 	}
+	return c, false, nil
+}
+
+// release unpublishes and closes a connection.
+func (f *Follower) release(conn net.Conn) {
+	f.mu.Lock()
+	f.conn = nil
+	f.mu.Unlock()
+	conn.Close()
+}
+
+// stream runs one connection to exhaustion: append-apply-ack until the
+// stream breaks. progressed reports whether at least one record landed
+// — the backoff-reset signal.
+func (f *Follower) stream(c *link) (progressed bool, err error) {
+	defer f.release(c.conn)
+	conn, br, bw := c.conn, c.br, c.bw
+	l := f.Server().WAL()
 	f.connected.Store(true)
 	f.lastContact.Store(time.Now().UnixNano())
 
@@ -547,7 +518,7 @@ func (f *Follower) streamOnce() (progressed bool, err error) {
 		}
 		pending = 0
 		conn.SetWriteDeadline(time.Now().Add(f.cfg.StaleAfter))
-		if err := writeFrame(bw, msgAck, u64Body(l.DurableLSN())); err != nil {
+		if err := wal.WriteFrame(bw, message(msgAck, 0, l.DurableLSN())); err != nil {
 			return err
 		}
 		return bw.Flush()
@@ -585,8 +556,7 @@ func (f *Follower) streamOnce() (progressed bool, err error) {
 			}
 			if err := f.applier.Apply(rec); err != nil {
 				// An apply failure is data divergence, not a network
-				// blip; surface loudly and stop consuming.
-				f.setErr(err)
+				// blip; surface it and stop consuming.
 				return progressed, err
 			}
 			f.applied.Store(lsn)

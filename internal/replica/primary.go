@@ -205,7 +205,7 @@ func (p *Primary) Status() []FollowerStatus {
 
 // sendError best-effort ships a terminal error frame and flushes.
 func sendError(bw *bufio.Writer, msg string) {
-	writeFrame(bw, msgError, []byte(msg))
+	wal.WriteFrame(bw, append(message(msgError, len(msg)), msg...))
 	bw.Flush()
 }
 
@@ -218,12 +218,16 @@ func (p *Primary) handle(st *followerConn) {
 
 	conn.SetDeadline(time.Now().Add(p.cfg.HandshakeTimeout))
 	t, body, err := readFrame(br)
-	if err != nil || t != msgHello || len(body) < 16 {
+	if err != nil {
+		return
+	}
+	if t != msgHello || len(body) != 17 {
+		sendError(bw, fmt.Sprintf("bad hello: type %d, %d body bytes, want 17", t, len(body)))
 		return
 	}
 	helloEpoch, _ := readU64(body[0:8])
 	helloLSN, _ := readU64(body[8:16])
-	helloFresh := len(body) >= 17 && body[16] != 0
+	helloFresh := body[16] != 0
 
 	// Fencing: a follower that has witnessed a newer epoch is proof a
 	// promotion happened — this primary was deposed while it wasn't
@@ -254,8 +258,8 @@ func (p *Primary) handle(st *followerConn) {
 	// peeking the stamp — checkpoint writes swap the file atomically,
 	// so the bytes are one consistent image.
 	start := helloLSN
-	welcome := append(u64Body(p.epoch), 0)
-	var snapBody []byte
+	welcome := append(message(msgWelcome, 1, p.epoch), 0)
+	var snapshot []byte
 	if earliest := l.StartLSN(); helloFresh || helloLSN < earliest {
 		raw, rerr := os.ReadFile(server.CheckpointPath(p.srv.WALDir()))
 		if rerr != nil {
@@ -271,17 +275,17 @@ func (p *Primary) handle(st *followerConn) {
 			sendError(bw, fmt.Sprintf("snapshot at LSN %d cannot bridge to earliest retained record %d", snapLSN, earliest))
 			return
 		}
-		welcome[8] = 1
-		snapBody = append(u64Body(snapLSN), raw...)
+		welcome[9] = 1
+		snapshot = append(message(msgSnapshot, len(raw), snapLSN), raw...)
 		if snapLSN > start {
 			start = snapLSN
 		}
 	}
-	if err := writeFrame(bw, msgWelcome, welcome); err != nil {
+	if err := wal.WriteFrame(bw, welcome); err != nil {
 		return
 	}
-	if snapBody != nil {
-		if err := writeFrame(bw, msgSnapshot, snapBody); err != nil {
+	if snapshot != nil {
+		if err := wal.WriteFrame(bw, snapshot); err != nil {
 			return
 		}
 	}
@@ -352,7 +356,7 @@ func (p *Primary) stream(st *followerConn, bw *bufio.Writer, pos uint64) {
 				continue
 			}
 			st.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-			if err := writeFrame(bw, msgHeartbeat, u64Body(l.Flushed())); err != nil {
+			if err := wal.WriteFrame(bw, message(msgHeartbeat, 0, l.Flushed())); err != nil {
 				return
 			}
 			if err := bw.Flush(); err != nil {
@@ -361,7 +365,7 @@ func (p *Primary) stream(st *followerConn, bw *bufio.Writer, pos uint64) {
 			continue
 		}
 		st.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		if err := writeFrame(bw, msgRecord, append(u64Body(lsn), payload...)); err != nil {
+		if err := wal.WriteFrame(bw, append(message(msgRecord, len(payload), lsn), payload...)); err != nil {
 			return
 		}
 		pos = lsn

@@ -3,12 +3,14 @@ package replica
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -342,21 +344,23 @@ func TestSnapshotBootstrapAfterMultiInsertTxn(t *testing.T) {
 // connections severed at random byte offsets — mid-handshake,
 // mid-record, mid-ack — while the primary keeps committing. The
 // follower's jittered-backoff reconnect loop must deliver every record
-// exactly once.
+// exactly once. The start's snapshot transfers are cut too, on top of
+// the 100.
 func TestReconnectSurvivesSevers(t *testing.T) {
 	const severs = 100
 	p, addr := startPrimary(t, t.TempDir(), 20)
 	defer p.Close()
 	defer p.Server().Close()
 
-	// Connection 0 is the bootstrap pre-flight; fault everything after
-	// it until `severs` cuts have been dealt, then run clean so the
-	// tail converges.
-	plans := faultnet.RandomSevers(0xC0FFEE, 150, 2500, 1)
+	// Fault every connection StartFollower dials, then every later one
+	// until `severs` cuts have been dealt on the live stream, then run
+	// clean so the tail converges.
+	plans := faultnet.RandomSevers(0xC0FFEE, 150, 2500, 0)
+	var started atomic.Bool
 	var dealt atomic.Int64
 	cfg := followerCfg(t.TempDir(), addr)
 	cfg.Dial = faultnet.Dialer(func(i int) faultnet.Plan {
-		if i >= 1 && dealt.Add(1) <= severs {
+		if !started.Load() || dealt.Add(1) <= severs {
 			return plans(i)
 		}
 		return faultnet.Plan{}
@@ -366,6 +370,10 @@ func TestReconnectSurvivesSevers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	// Every counted connection is dialed after this read, so its loss
+	// is counted after it too.
+	base := f.Info().Reconnects
+	started.Store(true)
 
 	sess, err := p.Server().NewSession()
 	if err != nil {
@@ -375,7 +383,7 @@ func TestReconnectSurvivesSevers(t *testing.T) {
 		if _, err := sess.Execute(insertStmt(fmt.Sprintf("SV%04d", i), i)); err != nil {
 			t.Fatal(err)
 		}
-		if f.Info().Reconnects < severs && i%10 == 9 {
+		if f.Info().Reconnects-base < severs && i%10 == 9 {
 			time.Sleep(time.Millisecond) // let the faults keep biting mid-burst
 		}
 	}
@@ -394,8 +402,8 @@ func TestReconnectSurvivesSevers(t *testing.T) {
 	tip := p.Server().WAL().LastLSN()
 	waitApplied(t, f, tip, 30*time.Second)
 
-	if got := f.Info().Reconnects; got < severs {
-		t.Fatalf("only %d reconnects recorded, want >= %d", got, severs)
+	if got := f.Info().Reconnects - base; got < severs {
+		t.Fatalf("only %d reconnects recorded after start, want >= %d", got, severs)
 	}
 	verifyLogSequence(t, f.Server().WAL(), tip)
 	if !bytes.Equal(dbBytes(t, f.Server()), dbBytes(t, p.Server())) {
@@ -415,11 +423,11 @@ func TestByteFaultsDesyncAndRecover(t *testing.T) {
 	cfg := followerCfg(t.TempDir(), addr)
 	cfg.Dial = faultnet.Dialer(func(i int) faultnet.Plan {
 		switch i {
-		case 1:
+		case 0:
 			return faultnet.Plan{DropAt: 40} // swallow a byte of the follower's first ack
-		case 2:
+		case 1:
 			return faultnet.Plan{DupAt: 60} // double a byte of a later ack
-		case 3:
+		case 2:
 			return faultnet.Plan{SeverAfter: 75} // tear mid-record on the stream side
 		}
 		return faultnet.Plan{}
@@ -726,13 +734,13 @@ func fakePrimary(t *testing.T, snapshot func(conn int) []byte) string {
 				if mt, _, err := readFrame(br); err != nil || mt != msgHello {
 					return
 				}
-				welcome := append(u64Body(1), 0)
+				welcome := append(message(msgWelcome, 1, 1), 0)
 				if body != nil {
-					welcome[8] = 1
+					welcome[9] = 1
 				}
-				writeFrame(bw, msgWelcome, welcome)
+				wal.WriteFrame(bw, welcome)
 				if body != nil {
-					writeFrame(bw, msgSnapshot, body)
+					wal.WriteFrame(bw, append(message(msgSnapshot, len(body)), body...))
 				}
 				bw.Flush()
 				io.Copy(io.Discard, br)
@@ -759,7 +767,7 @@ func TestSnapshotAdoptionRefusesMismatchedStamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lying := append(u64Body(7), image...)
+	lying := append(binary.LittleEndian.AppendUint64(nil, 7), image...)
 
 	t.Run("at start", func(t *testing.T) {
 		dir := t.TempDir()
@@ -775,7 +783,7 @@ func TestSnapshotAdoptionRefusesMismatchedStamp(t *testing.T) {
 		dir := t.TempDir()
 		addr := fakePrimary(t, func(conn int) []byte {
 			if conn == 0 {
-				return nil // the start-up handshake: nothing to adopt
+				return nil // the first connection: nothing to adopt
 			}
 			return lying
 		})
@@ -809,6 +817,131 @@ func TestSnapshotAdoptionRefusesMismatchedStamp(t *testing.T) {
 			t.Fatalf("checkpoint after the refusal is stamped %d (%v), want the start-up one at 0", lsn, err)
 		}
 	})
+}
+
+// TestFollowerRestartsBehindCheckpoint: a follower stopped while the
+// primary takes writes and two checkpoints restarts on its own
+// directory behind the primary's history. It recovers its local state,
+// then re-bootstraps in place on its first connection: bit-identical to
+// the primary, with a gapless log from the snapshot's stamp.
+func TestFollowerRestartsBehindCheckpoint(t *testing.T) {
+	p, addr := startPrimary(t, t.TempDir(), 10)
+	defer p.Close()
+	defer p.Server().Close()
+	sess, err := p.Server().NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if _, err := sess.Execute(insertStmt(fmt.Sprintf("RS%03d", i), i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	insert(0, 5)
+	cfg := followerCfg(t.TempDir(), addr)
+	f, err := StartFollower(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitApplied(t, f, p.Server().WAL().LastLSN(), 5*time.Second)
+	behind := f.Info().AppliedLSN
+	f.Close()
+
+	for round := 0; round < 2; round++ {
+		insert(5+10*round, 15+10*round)
+		if err := p.Server().Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert(25, 30)
+	snapLSN := p.Server().WAL().StartLSN()
+	if snapLSN <= behind {
+		t.Fatalf("primary history starts at LSN %d, follower stopped at %d: the test needs the follower behind it", snapLSN, behind)
+	}
+
+	f, err = StartFollower(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tip := p.Server().WAL().LastLSN()
+	waitApplied(t, f, tip, 10*time.Second)
+	if got := f.Server().WAL().StartLSN(); got != snapLSN {
+		t.Fatalf("restarted follower's log starts at LSN %d, want the snapshot's %d", got, snapLSN)
+	}
+	verifyLogSequence(t, f.Server().WAL(), tip)
+	if !bytes.Equal(dbBytes(t, f.Server()), dbBytes(t, p.Server())) {
+		t.Fatal("restarted follower diverged from primary")
+	}
+}
+
+// TestStartRefusesZombie: a follower with local state that has
+// witnessed epoch 2 is welcomed at epoch 1 on its first connection.
+// StartFollower must refuse the zombie and close the server it
+// recovered, whose SyncBatched log's flusher goroutine shows whether it
+// is still open.
+func TestStartRefusesZombie(t *testing.T) {
+	dir := t.TempDir()
+	cfg := followerCfg(dir, fakePrimary(t, func(int) []byte { return nil }))
+	cfg.Server.SyncPolicy = wal.SyncBatched
+	scfg := cfg.Server
+	scfg.WALDir, scfg.Replica = dir, true
+	srv, _, err := server.Recover(scfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	if err := StoreEpoch(dir, 2); err != nil {
+		t.Fatal(err)
+	}
+
+	open := flushers()
+	f, err := StartFollower(cfg)
+	if err == nil {
+		f.Close()
+		t.Fatal("StartFollower accepted a welcome from epoch 1 after witnessing epoch 2")
+	}
+	if !strings.Contains(err.Error(), "zombie") {
+		t.Fatalf("StartFollower: %v, want the zombie refused", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for flushers() > open {
+		if time.Now().After(deadline) {
+			t.Fatal("the refused follower left its recovered server open")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// flushers counts running SyncBatched log flushers: one per open log.
+func flushers() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "wal.(*Log).flusher(")
+}
+
+// TestDesyncedFrameAllocatesWhatItReads: a desynced stream whose next
+// header claims a maxFrameLen payload, then ends 100 bytes later, must
+// fail having allocated about what it read, not the gigabyte claimed.
+func TestDesyncedFrameAllocatesWhatItReads(t *testing.T) {
+	stream := make([]byte, 108)
+	binary.LittleEndian.PutUint32(stream, maxFrameLen)
+	for i := 8; i < len(stream); i++ {
+		stream[i] = byte(i)
+	}
+	r := bufio.NewReader(bytes.NewReader(stream))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := readFrame(r)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a torn frame claiming maxFrameLen was accepted")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("reading a 108-byte stream allocated %d bytes", n)
+	}
 }
 
 // TestFollowerReplaysIndexDrop is the follower twin of the server's
@@ -924,7 +1057,7 @@ func TestZombieFencing(t *testing.T) {
 	}
 	bw := bufio.NewWriter(conn)
 	br := bufio.NewReader(conn)
-	if err := writeFrame(bw, msgHello, u64Pair(2, 0)); err != nil {
+	if err := wal.WriteFrame(bw, append(message(msgHello, 1, 2, 0), 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
@@ -993,10 +1126,23 @@ func TestReplicationSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer clean.Close()
+	// Sever every other connection of the faulty follower. Its first
+	// connection also carries the start: hello, welcome and the
+	// snapshot frame of the bootstrap checkpoint. Its budget starts
+	// past them, so the cut lands on the live stream.
+	ckpt, err := os.Stat(server.CheckpointPath(pdir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := 26 + 18 + 17 + ckpt.Size() // the hello, welcome and snapshot frames
 	fcfg := followerCfg(t.TempDir(), addr)
 	fcfg.Dial = faultnet.Dialer(func(i int) faultnet.Plan {
-		if i >= 1 && i%2 == 1 {
-			return faultnet.Plan{SeverAfter: 400 + int64(i)*37%1600}
+		if i%2 == 0 {
+			budget := 400 + int64(i+1)*37%1600
+			if i == 0 {
+				budget += start
+			}
+			return faultnet.Plan{SeverAfter: budget}
 		}
 		return faultnet.Plan{}
 	})
@@ -1005,6 +1151,7 @@ func TestReplicationSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer faulty.Close()
+	base := faulty.Info().Reconnects
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, 4)
@@ -1066,6 +1213,9 @@ func TestReplicationSoak(t *testing.T) {
 	}
 	verifyLogSequence(t, clean.Server().WAL(), tip)
 	verifyLogSequence(t, faulty.Server().WAL(), tip)
+	if got := faulty.Info().Reconnects; got <= base {
+		t.Fatalf("faulty follower: %d reconnects, %d of them at start; no fault reached the stream", got, base)
+	}
 }
 
 // Server returns the underlying server.

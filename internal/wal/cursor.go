@@ -60,7 +60,7 @@ func (c *Cursor) Next() (uint64, []byte, error) {
 				return 0, nil, err
 			}
 		}
-		payload, err := readFrame(c.r)
+		payload, err := ReadFrame(c.r, maxRecordLen)
 		if err == io.EOF {
 			// The file ended before c.next: a checkpoint swapped the log
 			// and the record lives in the fresh file — reopen at the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -73,6 +74,56 @@ func FuzzDecodePayload(f *testing.F) {
 			t.Fatalf("accepted payload re-encodes differently:\n got %x\nwant %x", got, payload)
 		}
 	})
+}
+
+// FuzzReadFrame feeds the frame reader arbitrary bytes under an
+// arbitrary payload limit — what a follower reads off the replication
+// stream and recovery reads off a torn log. It must never panic, and a
+// frame it accepts must be one WriteFrame would write: its payload
+// re-encodes to exactly the bytes consumed. The checked-in corpus
+// (testdata/fuzz) holds a valid frame, a torn frame, a zero length and
+// a length past the limit.
+func FuzzReadFrame(f *testing.F) {
+	var frame bytes.Buffer
+	WriteFrame(&frame, fuzzCommit(f))
+	f.Add(frame.Bytes(), uint32(maxRecordLen))
+	f.Add(frame.Bytes()[:frame.Len()-1], uint32(maxRecordLen))
+	f.Fuzz(func(t *testing.T, data []byte, limit uint32) {
+		r := bytes.NewReader(data)
+		payload, err := ReadFrame(r, limit)
+		if err != nil {
+			return
+		}
+		if uint32(len(payload)) > limit {
+			t.Fatalf("accepted a %d-byte payload past the limit %d", len(payload), limit)
+		}
+		var again bytes.Buffer
+		WriteFrame(&again, payload)
+		if consumed := data[:len(data)-r.Len()]; !bytes.Equal(again.Bytes(), consumed) {
+			t.Fatalf("accepted frame re-encodes differently:\n got %x\nwant %x", again.Bytes(), consumed)
+		}
+	})
+}
+
+// TestReadFrameAcrossGrowth: payloads at and past the 64 KiB where
+// ReadFrame starts growing its buffer read back whole, and each one cut
+// a byte short is torn (io.ErrUnexpectedEOF), not accepted or padded.
+func TestReadFrameAcrossGrowth(t *testing.T) {
+	for _, n := range []int{1 << 16, 1<<16 + 1, 1 << 17, 300_001} {
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(i * 7)
+		}
+		var frame bytes.Buffer
+		WriteFrame(&frame, payload)
+		got, err := ReadFrame(bytes.NewReader(frame.Bytes()), maxRecordLen)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("%d-byte payload: err %v, read back %d bytes equal=%v", n, err, len(got), bytes.Equal(got, payload))
+		}
+		if _, err := ReadFrame(bytes.NewReader(frame.Bytes()[:frame.Len()-1]), maxRecordLen); err != io.ErrUnexpectedEOF {
+			t.Fatalf("%d-byte payload cut a byte short: err %v, want io.ErrUnexpectedEOF", n, err)
+		}
+	}
 }
 
 // TestDecodeRejectsNonCanonicalPayloads: each payload differs from
@@ -209,7 +260,7 @@ func imageOf(payloads ...[]byte) []byte {
 	var buf bytes.Buffer
 	buf.Write(imageMagic)
 	for _, p := range payloads {
-		writeFrame(&buf, p)
+		WriteFrame(&buf, p)
 	}
 	return buf.Bytes()
 }

@@ -57,7 +57,7 @@ func readImageHead(r io.Reader, want RecKind) (Record, error) {
 	default:
 		return Record{}, fmt.Errorf("wal: not a xixa image (bad magic %q)", head)
 	}
-	payload, err := readFrame(r)
+	payload, err := ReadFrame(r, maxRecordLen)
 	if err != nil {
 		return Record{}, fmt.Errorf("wal: reading the image's %v record: %w", want, err)
 	}
@@ -99,13 +99,13 @@ func SaveCheckpoint(w io.Writer, db *storage.Database, defs []xindex.Definition,
 	// bw keeps its first write error and Flush returns it.
 	bw := bufio.NewWriter(w)
 	bw.Write(imageMagic)
-	writeFrame(bw, EncodeImage(lsn, stamp, tables, uint64(len(defs))))
+	WriteFrame(bw, EncodeImage(lsn, stamp, tables, uint64(len(defs))))
 	var ops []storage.TxOp
 	var err error
 	flush := func() {
 		var p []byte
 		if p, err = EncodeCommit(ops, stamp); err == nil {
-			writeFrame(bw, p)
+			WriteFrame(bw, p)
 		}
 		ops = ops[:0]
 	}
@@ -127,7 +127,7 @@ func SaveCheckpoint(w io.Writer, db *storage.Database, defs []xindex.Definition,
 		}
 	}
 	for _, def := range defs {
-		writeFrame(bw, EncodeIndexCreate(def))
+		WriteFrame(bw, EncodeIndexCreate(def))
 	}
 	return bw.Flush()
 }
@@ -157,7 +157,7 @@ func LoadCheckpoint(r io.Reader) (*storage.Database, []xindex.Definition, uint64
 		lastLen int                               // ops in the previous commit record
 	)
 	for frame := 2; ; frame++ { // the header is frame 1
-		payload, err := readFrame(br)
+		payload, err := ReadFrame(br, maxRecordLen)
 		if err == io.EOF {
 			break
 		} else if err != nil {
@@ -234,7 +234,7 @@ func SaveCaptureFile(path string, states []workload.CaptureState) error {
 	return WriteFileAtomic(path, func(w io.Writer) error {
 		bw := bufio.NewWriter(w)
 		bw.Write(imageMagic)
-		writeFrame(bw, EncodeCapture(states))
+		WriteFrame(bw, EncodeCapture(states))
 		return bw.Flush()
 	})
 }
@@ -251,7 +251,7 @@ func LoadCaptureFile(path string) ([]workload.CaptureState, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := readFrame(br); err != io.EOF {
+	if _, err := ReadFrame(br, maxRecordLen); err != io.EOF {
 		return nil, fmt.Errorf("wal: capture sidecar holds more than its record")
 	}
 	return rec.Capture, nil

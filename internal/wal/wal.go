@@ -317,7 +317,7 @@ func scan(f io.ReadSeeker) (startLSN uint64, recs []Record, goodEnd int64, torn 
 	goodEnd = headerLen
 	lsn := startLSN
 	for {
-		payload, rerr := readFrame(r)
+		payload, rerr := ReadFrame(r, maxRecordLen)
 		if rerr != nil {
 			torn = rerr != io.EOF // a clean EOF at a record boundary is not a tear
 			return
@@ -335,9 +335,10 @@ func scan(f io.ReadSeeker) (startLSN uint64, recs []Record, goodEnd int64, torn 
 	}
 }
 
-// writeFrame writes payload as one frame: [u32 len][u32 CRC-32C]
-// [payload]. Log records and the records of an image are framed alike.
-func writeFrame(w io.Writer, payload []byte) error {
+// WriteFrame writes payload as one frame: [u32 len][u32 CRC-32C]
+// [payload]. Log records, the records of an image and replication
+// messages are framed alike.
+func WriteFrame(w io.Writer, payload []byte) error {
 	var frame [frameLen]byte
 	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
@@ -348,30 +349,31 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame and returns its checksummed payload, freshly
-// allocated. It returns io.EOF only when r ends cleanly at a frame
-// boundary; a short frame, a bad length or a checksum mismatch is an
-// error.
-func readFrame(r io.Reader) ([]byte, error) {
+// ReadFrame reads one frame of at most limit payload bytes and returns
+// its checksummed payload, freshly allocated. It returns io.EOF only
+// when r ends cleanly at a frame boundary; a short frame, a bad length
+// or a checksum mismatch is an error.
+func ReadFrame(r io.Reader, limit uint32) ([]byte, error) {
 	var frame [frameLen]byte
 	if _, err := io.ReadFull(r, frame[:]); err != nil {
 		return nil, err
 	}
 	n := binary.LittleEndian.Uint32(frame[:4])
-	if n == 0 || n > maxRecordLen {
+	if n == 0 || n > limit {
 		return nil, fmt.Errorf("wal: bad frame length %d", n)
 	}
-	var payload []byte
-	var err error
-	if n <= 1<<16 {
-		payload = make([]byte, n)
-		_, err = io.ReadFull(r, payload)
-	} else {
-		// Grow with the bytes actually read, so a corrupt length cannot
-		// allocate up to maxRecordLen before the read comes up short.
-		payload, err = io.ReadAll(io.LimitReader(r, int64(n)))
+	// Past 64 KiB the buffer doubles as the bytes arrive, so a corrupt
+	// length holds at most twice what the stream delivered, not up to
+	// limit, and a real payload is copied less than once in all.
+	payload := make([]byte, min(n, 1<<16))
+	_, err := io.ReadFull(r, payload)
+	for err == nil && uint32(len(payload)) < n {
+		grown := make([]byte, min(2*uint64(len(payload)), uint64(n)))
+		copy(grown, payload)
+		_, err = io.ReadFull(r, grown[len(payload):])
+		payload = grown
 	}
-	if err == nil && uint32(len(payload)) < n || err == io.EOF {
+	if err == io.EOF {
 		err = io.ErrUnexpectedEOF
 	}
 	if err != nil {
@@ -386,7 +388,7 @@ func readFrame(r io.Reader) ([]byte, error) {
 // appendLocked frames payload and buffers it. The caller holds l.mu and
 // has checked closed/fail.
 func (l *Log) appendLocked(payload []byte) error {
-	if err := writeFrame(l.w, payload); err != nil {
+	if err := WriteFrame(l.w, payload); err != nil {
 		l.fail = err
 		return err
 	}
