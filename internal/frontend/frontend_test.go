@@ -197,6 +197,26 @@ func TestProtocol(t *testing.T) {
 	}
 }
 
+// TestOverlongPatternAnswersERR: a line whose predicate path would
+// give the planner a pattern longer than 30 steps answers ERR, and the
+// connection goes on serving. Before the length check at parse, the
+// planner panicked on that line and took the daemon down with it.
+func TestOverlongPatternAnswersERR(t *testing.T) {
+	for _, mk := range []func(*testing.T) *target{serverTarget, clusterTarget} {
+		tg := mk(t)
+		t.Run(tg.name, func(t *testing.T) {
+			c, _ := dial(t, tg)
+			c.ok(insert("SYM001", "Tech", 1), "OK 0 results, ")
+			long := `for $s in SECURITY('SDOC')/Security where $s` + strings.Repeat("/a", 31) + ` = "x" return $s`
+			if _, status := c.send(long); !strings.HasPrefix(status, "ERR xquery: predicate: ") {
+				t.Fatalf("31-step predicate path: %q", status)
+			}
+			c.ok(point("SYM001"), "OK 1 results, ")
+			c.ok(`\tune`, "OK ")
+		})
+	}
+}
+
 func protocol(t *testing.T, tg *target) {
 	c, greeting := dial(t, tg)
 	if greeting != tg.greeting {

@@ -501,3 +501,48 @@ func TestClosedServerRejects(t *testing.T) {
 		t.Fatal("closed server's index still feed-maintained")
 	}
 }
+
+// TestOverlongPatternsRefused: statements from which the planner would
+// derive a pattern longer than 30 steps get an error from Execute, and
+// tuning after them runs. Before the length check at parse, the first
+// two panicked in the planner's statistics lookup, and the update,
+// once captured, panicked TuneOnce in pattern containment.
+func TestOverlongPatternsRefused(t *testing.T) {
+	a31 := strings.Repeat("/a", 31)
+	srv := New(fixtureDB(50), Config{BuildAfter: 1, DropAfter: 1})
+	defer srv.Close()
+	sess, err := srv.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	for _, raw := range []string{
+		pointQuery(1), sectorQuery("Energy"), `for $s in SECURITY('SDOC')/Security where $s/Yield > 3 return $s`,
+		`for $s in SECURITY('SDOC')/Security where $s` + a31 + ` = "x" return $s`,
+		`delete from SECURITY where /Security[Symbol` + a31 + ` = "x"]`,
+		`update SECURITY set Symbol` + a31 + ` = "y" where /Security[Symbol="S00001"]`,
+	} {
+		_, err := sess.Execute(raw)
+		if long := strings.Contains(raw, a31); long != (err != nil) {
+			t.Fatalf("Execute(%.60q...) = %v", raw, err)
+		}
+	}
+	if _, err := srv.TuneOnce(); err != nil {
+		t.Fatal(err)
+	}
+	// Longer paths the planner only evaluates keep running.
+	for raw, want := range map[string]int{
+		`SECURITY('SDOC')/Security` + a31:                                                                0,
+		`for $s in SECURITY('SDOC')/Security return $s` + a31:                                            50,
+		`for $s in SECURITY('SDOC')/Security where $s` + a31 + ` return $s`:                              0,
+		`for $s in SECURITY('SDOC')/Security` + strings.Repeat("/a", 28) + ` where $s/b = "x" return $s`: 0,
+	} {
+		res, err := sess.Execute(raw)
+		if err != nil {
+			t.Fatalf("Execute(%.60q...): %v", raw, err)
+		}
+		if len(res.Refs) != want {
+			t.Fatalf("Execute(%.60q...) = %d results, want %d", raw, len(res.Refs), want)
+		}
+	}
+}

@@ -165,6 +165,9 @@ func TestDecodeRejectsNonCanonicalPayloads(t *testing.T) {
 		"index value kind":      indexRec("/Security/Symbol", 2),
 		"pattern spelling":      indexRec(" /Security/Symbol", 0),
 		"pattern overruns":      index[:10],
+		"31-step pattern":       indexRec("/Security"+strings.Repeat("/a", 30), 0),
+		"relative pattern":      indexRec("Security/Symbol", 0),
+		"pattern predicate":     indexRec(`/Security[Symbol="x"]`, 0),
 	}
 	if _, err := DecodePayload(1, good); err != nil {
 		t.Fatalf("canonical commit refused: %v", err)

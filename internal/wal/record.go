@@ -430,6 +430,9 @@ func (r *byteReader) indexDef() (xindex.Definition, error) {
 	default:
 		return xindex.Definition{}, fmt.Errorf("wal: bad index value kind %d", vk)
 	}
+	if err := def.Validate(); err != nil {
+		return xindex.Definition{}, fmt.Errorf("wal: index record: %w", err)
+	}
 	return def, nil
 }
 

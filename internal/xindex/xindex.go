@@ -74,7 +74,7 @@ func (d Definition) Validate() error {
 	if len(d.Pattern.Steps) == 0 {
 		return fmt.Errorf("xindex: empty pattern")
 	}
-	return nil
+	return xpath.CheckSteps(d.Pattern)
 }
 
 // Ref is an index payload: a document and a node within it.
@@ -122,22 +122,18 @@ func encodeKey(kind xpath.ValueKind, str string, num float64) []byte {
 type Index struct {
 	Def Definition
 
-	// mu guards tree, matched, and states. Uncontended in the batch
-	// paths; under the serving daemon it orders feed-driven maintenance
-	// against concurrent probes.
+	// mu guards tree and paths. Uncontended in the batch paths; under
+	// the serving daemon it orders feed-driven maintenance against
+	// concurrent probes.
 	mu   sync.RWMutex
 	tree *btree.Tree
 
-	// dict is the owning table's path dictionary; matched[pid] reports
-	// whether the pattern matches the interned path, and states holds
-	// the per-path NFA state sets so the matched set extends
-	// incrementally when inserts grow the dictionary. The pattern is
-	// matched against the (tiny) dictionary instead of evaluating it
-	// per node per document.
-	matcher *xpath.PathMatcher
-	dict    *xmltree.PathDict
-	matched []bool
-	states  []xpath.MatchState
+	// dict is the owning table's path dictionary and paths the PathIDs
+	// of it the pattern accepts, extended when inserts grow the
+	// dictionary: the pattern is matched against the (tiny) dictionary
+	// instead of evaluated per node per document.
+	dict  *xmltree.PathDict
+	paths *xpath.PathSet
 
 	// online is non-nil for indexes built by BuildOnline: they maintain
 	// themselves from the table's change feed.
@@ -191,36 +187,10 @@ func Build(t *storage.Table, def Definition) (*Index, error) {
 	return idx, nil
 }
 
-// newEmpty builds the index shell Build and BuildOnline share.
+// newEmpty builds the index shell Build and BuildOnline share, for a
+// definition that has passed Validate.
 func newEmpty(t *storage.Table, def Definition) *Index {
-	idx := &Index{Def: def, tree: btree.MustNewTree(0)}
-	if xpath.CompilablePattern(def.Pattern) {
-		// Patterns beyond the NFA state budget (never produced by the
-		// advisor) keep the per-document evaluation fallback.
-		idx.matcher = xpath.NewPathMatcher(def.Pattern)
-		idx.dict = t.PathDict()
-	}
-	return idx
-}
-
-// ensureMatched extends the matched-path set to cover every dictionary
-// entry, threading the pattern NFA parent→child over the new entries.
-func (x *Index) ensureMatched() []bool {
-	snap := x.dict.Snapshot()
-	if len(x.matched) < len(snap) {
-		x.states = x.matcher.ExtendStates(snap, x.states)
-		for i := len(x.matched); i < len(snap); i++ {
-			x.matched = append(x.matched, x.matcher.Matched(x.states[i]))
-		}
-	}
-	return x.matched
-}
-
-// matchingNodes returns the nodes of the document reachable by the
-// index pattern. The path-evaluation fallback only runs for documents
-// that do not share the table dictionary.
-func (x *Index) matchingNodes(doc *xmltree.Document) []xmltree.NodeID {
-	return xpath.Eval(doc, x.Def.Pattern)
+	return &Index{Def: def, tree: btree.MustNewTree(0), dict: t.PathDict(), paths: xpath.NewPathSet(def.Pattern)}
 }
 
 // keyFor encodes the node's typed value — the one a scan compares,
@@ -242,23 +212,19 @@ func (x *Index) keyFor(doc *xmltree.Document, id xmltree.NodeID) ([]byte, bool) 
 
 // eachMatch visits every node of the document the index pattern
 // reaches. Documents interned against the table dictionary are scanned
-// linearly against the precomputed matched-path set; others fall back
-// to pattern evaluation.
+// linearly against the pattern's PathIDs; others are evaluated. Called
+// with x.mu held for writing.
 func (x *Index) eachMatch(doc *xmltree.Document, visit func(id xmltree.NodeID)) {
-	if doc.Dict == x.dict && x.dict != nil && len(doc.PathIDs) == doc.Len() {
-		matched := x.ensureMatched()
+	if doc.Dict == x.dict && len(doc.PathIDs) == doc.Len() {
+		x.paths.Extend(x.dict.Snapshot())
 		for i := range doc.Nodes {
-			if doc.Nodes[i].Kind == xmltree.Text {
-				continue
-			}
-			pid := doc.PathIDs[i]
-			if pid >= 0 && int(pid) < len(matched) && matched[pid] {
+			if doc.Nodes[i].Kind != xmltree.Text && x.paths.Has(doc.PathIDs[i]) {
 				visit(xmltree.NodeID(i))
 			}
 		}
 		return
 	}
-	for _, id := range x.matchingNodes(doc) {
+	for _, id := range xpath.Eval(doc, x.Def.Pattern) {
 		visit(id)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -51,6 +52,20 @@ func TestDefinitionValidate(t *testing.T) {
 	rel := Definition{Table: "T", Pattern: xpath.MustParse("a/b"), Type: xpath.StringVal}
 	if err := rel.Validate(); err == nil {
 		t.Error("relative pattern accepted")
+	}
+	// A pattern longer than the automaton holds is refused, by Build too:
+	// no index keeps a fallback for one.
+	long := def("/Security"+strings.Repeat("/a", 29), xpath.StringVal)
+	if err := long.Validate(); err != nil {
+		t.Errorf("30-step pattern rejected: %v", err)
+	}
+	long.Pattern.Steps = append(long.Pattern.Steps, long.Pattern.Steps[1])
+	if err := long.Validate(); err == nil {
+		t.Error("31-step pattern accepted")
+	}
+	_, tbl := buildSecurityTable(t, 3)
+	if _, err := Build(tbl, long); err == nil {
+		t.Error("Build of a 31-step pattern succeeded")
 	}
 }
 

@@ -31,7 +31,7 @@ import (
 // construction. A test of rooted PathIDs alone would not be: the rooted
 // pattern of //x[x/y=1] accepts /x/x/x/y, that PathID lies in the
 // subtree range of the outermost x, and yet x/y holds only from the x
-// directly above the y. Rooted patterns (PathMatcher) serve where they
+// directly above the y. Rooted patterns (PathSet) serve where they
 // are sound, as a necessary condition: a document that carries no
 // PathID a required pattern accepts is rejected from its path summary
 // before a node is visited.
@@ -90,11 +90,11 @@ type Program struct {
 	relative bool // the path starts at the root element, not above it
 	spine    progPath
 	tests    []Step // name test of each label bit
-	// paths lists the non-empty paths by table index; required[i] is
-	// the rooted linear pattern a document must carry a path of for
-	// paths[i] to select anything.
+	// paths lists the non-empty paths by table index; required[i] holds
+	// the PathIDs of the rooted linear pattern a document must carry one
+	// of for paths[i] to select anything.
 	paths    []*progPath
-	required []*PathMatcher
+	required []*PathSet // extended under mu
 	nlits    int
 	nmemo    int
 
@@ -114,8 +114,7 @@ type progTables struct {
 	match [][]uint64 // per path, per PathID: context depths the path selects the PathID from
 	below [][]uint64 // per path, per PathID: match of the PathID's proper descendants, OR-ed
 
-	states [][]MatchState    // per required pattern: NFA state per PathID
-	need   []xmltree.PathSig // per required pattern: the PathIDs it accepts
+	need []xmltree.PathSig // per required pattern: the PathIDs it accepts
 }
 
 // compilable reports whether the path fits the compiled form: every
@@ -148,7 +147,7 @@ func compilable(p Path) bool {
 
 // CompileFor compiles the shape of p against a table's path dictionary.
 // It returns nil when the path is beyond the compiled form's step
-// budget (see CompilablePattern); such paths are evaluated with Eval.
+// budget (see compilable); such paths are evaluated with Eval.
 func CompileFor(dict *xmltree.PathDict, p Path) *Program {
 	if dict == nil || !compilable(p) {
 		return nil
@@ -193,7 +192,7 @@ func (p *Program) compilePath(dst *progPath, prefix []Step, steps []Step) {
 	if len(steps) > 0 {
 		dst.table = len(p.paths)
 		p.paths = append(p.paths, dst)
-		p.required = append(p.required, NewPathMatcher(Path{Steps: rooted}))
+		p.required = append(p.required, NewPathSet(Path{Steps: rooted}))
 	}
 }
 
@@ -209,7 +208,7 @@ func (p *Program) tables() *progTables {
 	t = p.tab.Load()
 	if t == nil {
 		n := len(p.paths)
-		t = &progTables{match: make([][]uint64, n), below: make([][]uint64, n), states: make([][]MatchState, n), need: make([]xmltree.PathSig, n)}
+		t = &progTables{match: make([][]uint64, n), below: make([][]uint64, n), need: make([]xmltree.PathSig, n)}
 	}
 	if len(t.labels) >= len(entries) {
 		return t
@@ -220,12 +219,13 @@ func (p *Program) tables() *progTables {
 }
 
 // extend builds the tables for entries from those for a prefix of them.
+// Called with p.mu held.
 func (p *Program) extend(t *progTables, entries []xmltree.PathEntry) *progTables {
 	old, n := len(t.labels), len(entries)
 	nt := &progTables{
 		labels: t.labels, depth: t.depth, deep: t.deep,
 		match: make([][]uint64, len(p.paths)), below: make([][]uint64, len(p.paths)),
-		states: make([][]MatchState, len(p.paths)), need: append([]xmltree.PathSig(nil), t.need...),
+		need: append([]xmltree.PathSig(nil), t.need...),
 	}
 	for _, e := range entries[old:] {
 		var mask uint64
@@ -247,8 +247,10 @@ func (p *Program) extend(t *progTables, entries []xmltree.PathEntry) *progTables
 	if nt.deep {
 		return nt // every document goes to Eval; the other tables stay unused
 	}
-	for c, pm := range p.required {
-		nt.states[c] = pm.ExtendStates(entries, t.states[c])
+	for c, set := range p.required {
+		for _, id := range set.Extend(entries) {
+			nt.need[c].Add(id)
+		}
 		nt.match[c] = t.match[c]
 		nt.below[c] = append(make([]uint64, 0, n), t.below[c]...)[:n]
 	}
@@ -260,9 +262,6 @@ func (p *Program) extend(t *progTables, entries []xmltree.PathEntry) *progTables
 		}
 		slices.Reverse(chain)
 		for c, path := range p.paths {
-			if p.required[c].Matched(nt.states[c][id]) {
-				nt.need[c].Add(xmltree.PathID(id))
-			}
 			var m uint64
 			for d := range chain {
 				if path.selects(chain[d:]) {

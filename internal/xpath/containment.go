@@ -31,8 +31,8 @@ const maxSteps = 30 // states fit a uint32 bitmask (steps+1 states)
 func compile(p Path) machine {
 	lin := p.StripPreds()
 	if len(lin.Steps) > maxSteps {
-		// Patterns of this length never arise from the generators or the
-		// generalization algorithm; truncating would be wrong, so panic.
+		// CheckSteps keeps such patterns out where they enter;
+		// truncating would be wrong, so panic.
 		panic("xpath: pattern too long to compile: " + p.String())
 	}
 	return machine{steps: lin.Steps}
@@ -71,19 +71,12 @@ func (m machine) stepSymbol(s stateMask, label string, fresh bool) stateMask {
 
 // symbolMatches reports whether a step's name test accepts a symbol.
 // fresh symbols represent labels not named in either pattern, so they
-// can only be matched by wildcards.
+// can only be matched by a wildcard of their kind.
 func symbolMatches(st Step, label string, fresh bool) bool {
-	attr := strings.HasPrefix(label, "@")
-	if st.IsAttribute() != attr {
-		return false
-	}
-	if st.IsWildcard() {
-		return true
-	}
 	if fresh {
-		return false
+		return st.IsWildcard() && st.IsAttribute() == strings.HasPrefix(label, "@")
 	}
-	return st.Test == label
+	return st.MatchesLabel(label)
 }
 
 // matchLabels runs the machine over a concrete rooted label path.

@@ -1,65 +1,63 @@
 package xpath
 
-import "xixa/internal/xmltree"
+import (
+	"fmt"
 
-// PathMatcher incrementally matches a linear pattern against rooted
-// label paths. Where MatchesLabelPath re-runs the pattern NFA over a
-// full label slice, a PathMatcher threads the NFA state set from a
-// path's parent to the path itself, so a whole path dictionary of D
-// entries is matched in O(D·steps) regardless of path depth — the
-// structural-summary matching used by the statistics collector and the
-// index builder.
-type PathMatcher struct {
-	m machine
-}
+	"xixa/internal/xmltree"
+)
 
-// CompilablePattern reports whether the pattern fits the compiled NFA's
-// state budget. Callers holding longer patterns must fall back to
-// direct evaluation; NewPathMatcher panics on them.
-func CompilablePattern(p Path) bool {
-	return len(p.Steps) <= maxSteps
-}
-
-// MatchState is an opaque NFA state set of a PathMatcher. The zero
-// value from Start is the initial state; a dead state (no label path
-// with this prefix can ever match) stays dead under Step.
-type MatchState uint32
-
-// NewPathMatcher compiles a linear pattern (predicates are stripped).
-func NewPathMatcher(p Path) *PathMatcher {
-	return &PathMatcher{m: compile(p)}
-}
-
-// Start returns the state before any label has been consumed.
-func (pm *PathMatcher) Start() MatchState {
-	return MatchState(pm.m.start())
-}
-
-// Step advances the state by one label ("name" or "@name" for
-// attributes).
-func (pm *PathMatcher) Step(s MatchState, label string) MatchState {
-	return MatchState(pm.m.stepSymbol(stateMask(s), label, false))
-}
-
-// Matched reports whether the labels consumed so far form a path the
-// pattern accepts.
-func (pm *PathMatcher) Matched(s MatchState) bool {
-	return pm.m.accepting(stateMask(s))
-}
-
-// ExtendStates threads the matcher over a path-dictionary snapshot:
-// states[i] is the state after consuming entry i's full label path.
-// Entries already covered by states are kept as-is, so callers can
-// extend incrementally as a dictionary grows; dictionaries guarantee
-// parents precede children, which lets each new state derive from its
-// parent's in one pass.
-func (pm *PathMatcher) ExtendStates(entries []xmltree.PathEntry, states []MatchState) []MatchState {
-	for i := len(states); i < len(entries); i++ {
-		from := pm.Start()
-		if entries[i].Parent >= 0 {
-			from = states[entries[i].Parent]
-		}
-		states = append(states, pm.Step(from, entries[i].Label))
+// CheckSteps refuses a linear pattern (predicates aside) longer than a
+// pattern automaton holds: its states are the bits of a uint32, one per
+// step taken plus the start. Patterns enter through xquery.Parse and
+// xindex.Definition.Validate, which both run this check, so no later
+// stage (containment, statistics, index upkeep, scan programs) meets a
+// longer one.
+func CheckSteps(p Path) error {
+	if len(p.Steps) > maxSteps {
+		return fmt.Errorf("xpath: pattern %s has %d steps; at most %d are supported", p.StripPreds(), len(p.Steps), maxSteps)
 	}
-	return states
+	return nil
+}
+
+// PathSet is the set of PathIDs of one path dictionary that one linear
+// pattern accepts (predicates are stripped): the structural-summary
+// matching that index upkeep, pattern statistics and scan programs
+// share. It keeps each PathID's NFA state set and threads it from a
+// path's parent to the path, so a dictionary of D entries is matched in
+// O(D·steps) whatever the depth of its paths, and a grown dictionary
+// only costs its new entries. A PathSet is not safe for concurrent use.
+type PathSet struct {
+	m      machine
+	states []stateMask // per PathID matched so far: the states after its labels
+}
+
+// NewPathSet returns the empty set of the PathIDs p accepts; Extend
+// matches dictionary entries into it. p must pass CheckSteps.
+func NewPathSet(p Path) *PathSet {
+	return &PathSet{m: compile(p)}
+}
+
+// Extend matches the entries of a dictionary snapshot (PathDict.Snapshot:
+// parents precede children) past those it has already matched, and
+// returns the new PathIDs the pattern accepts, in ascending order.
+func (s *PathSet) Extend(snap []xmltree.PathEntry) []xmltree.PathID {
+	var added []xmltree.PathID
+	for i := len(s.states); i < len(snap); i++ {
+		from := s.m.start()
+		if snap[i].Parent >= 0 {
+			from = s.states[snap[i].Parent]
+		}
+		st := s.m.stepSymbol(from, snap[i].Label, false)
+		s.states = append(s.states, st)
+		if s.m.accepting(st) {
+			added = append(added, xmltree.PathID(i))
+		}
+	}
+	return added
+}
+
+// Has reports whether the pattern accepts pid, one of the PathIDs
+// matched so far.
+func (s *PathSet) Has(pid xmltree.PathID) bool {
+	return uint(pid) < uint(len(s.states)) && s.m.accepting(s.states[pid])
 }

@@ -23,12 +23,15 @@ import (
 // Multiple XMLEXISTS predicates may be joined with AND; each holds one
 // absolute path over the document column.
 func parseSQLXML(input string) (*Statement, error) {
-	lower := strings.ToLower(input)
+	lower := lowerASCII(input)
 	fromIdx := findKeyword(lower, "from")
 	if fromIdx < 0 {
 		return nil, fmt.Errorf("xquery: SQL/XML: missing FROM in %q", input)
 	}
 	whereIdx := findKeyword(lower, "where")
+	if whereIdx >= 0 && whereIdx < fromIdx {
+		return nil, fmt.Errorf("xquery: SQL/XML: WHERE before FROM in %q", input)
+	}
 	var table string
 	if whereIdx < 0 {
 		table = strings.TrimSpace(input[fromIdx+4:])
@@ -79,7 +82,7 @@ func parseSQLXML(input string) (*Statement, error) {
 // XMLEXISTS('...' PASSING col) term of an AND-joined WHERE clause.
 func splitXMLExists(clause string) ([]string, error) {
 	var out []string
-	lower := strings.ToLower(clause)
+	lower := lowerASCII(clause)
 	for i := 0; ; {
 		j := strings.Index(lower[i:], "xmlexists")
 		if j < 0 {

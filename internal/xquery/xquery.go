@@ -178,24 +178,74 @@ func (s *Statement) buildNormalizedKey() string {
 	return b.String()
 }
 
-// Parse parses one workload statement.
+// Parse parses one workload statement. It refuses a statement whose
+// patterns the planner could not match (see checkPatterns).
 func Parse(input string) (*Statement, error) {
 	trimmed := strings.TrimSpace(input)
-	lower := strings.ToLower(trimmed)
+	lower := lowerASCII(trimmed)
+	var st *Statement
+	var err error
 	switch {
 	case strings.HasPrefix(lower, "insert into "):
-		return parseInsert(trimmed)
+		st, err = parseInsert(trimmed)
 	case strings.HasPrefix(lower, "delete from "):
-		return parseDelete(trimmed)
+		st, err = parseDelete(trimmed)
 	case strings.HasPrefix(lower, "update "):
-		return parseUpdate(trimmed)
+		st, err = parseUpdate(trimmed)
 	case strings.HasPrefix(lower, "for "):
-		return parseFLWOR(trimmed)
+		st, err = parseFLWOR(trimmed)
 	case strings.HasPrefix(lower, "select "):
-		return parseSQLXML(trimmed)
+		st, err = parseSQLXML(trimmed)
 	default:
-		return parseBarePath(trimmed)
+		st, err = parseBarePath(trimmed)
 	}
+	if err != nil {
+		return nil, err
+	}
+	if err := st.checkPatterns(); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// checkPatterns refuses the statement when a linear pattern the planner
+// derives from it is longer than xpath.CheckSteps allows: a comparison
+// predicate's site pattern (the path through the predicate's step plus
+// the predicate's path, as optimizer.ExtractSites builds it) or an
+// update's modified-node path. Other paths are evaluated and may be
+// longer.
+func (s *Statement) checkPatterns() error {
+	norm := s.NormalizedPath()
+	for i, st := range norm.Steps {
+		for _, pr := range st.Preds {
+			if pr.Op == xpath.OpNone || !pr.Rel.IsLinear() {
+				continue
+			}
+			if err := xpath.CheckSteps(xpath.Concat(xpath.Path{Steps: norm.Steps[:i+1]}, pr.Rel)); err != nil {
+				return fmt.Errorf("xquery: predicate: %w", err)
+			}
+		}
+	}
+	if s.Kind == Update {
+		if err := xpath.CheckSteps(xpath.Concat(s.Match, s.SetPath)); err != nil {
+			return fmt.Errorf("xquery: updated path: %w", err)
+		}
+	}
+	return nil
+}
+
+// lowerASCII lowercases the ASCII letters of s and keeps every other
+// byte, so an offset into the result is the same offset into s, which
+// keyword searches rely on. strings.ToLower can change the length (an
+// invalid byte becomes a 3-byte U+FFFD, 'İ' grows a byte).
+func lowerASCII(s string) string {
+	b := []byte(s)
+	for i, c := range b {
+		if 'A' <= c && c <= 'Z' {
+			b[i] = c + 'a' - 'A'
+		}
+	}
+	return string(b)
 }
 
 // MustParse parses a statement and panics on error.
@@ -244,7 +294,7 @@ func parseBarePath(input string) (*Statement, error) {
 func parseFLWOR(input string) (*Statement, error) {
 	// Split into for / where / return sections. The where clause is
 	// optional; return is required.
-	lower := strings.ToLower(input)
+	lower := lowerASCII(input)
 	forIdx := strings.Index(lower, "for ")
 	retIdx := findKeyword(lower, "return")
 	if retIdx < 0 {
@@ -257,7 +307,7 @@ func parseFLWOR(input string) (*Statement, error) {
 		forEnd = whereIdx
 	}
 	forClause := strings.TrimSpace(input[forIdx+4 : forEnd])
-	inIdx := findKeyword(strings.ToLower(forClause), "in")
+	inIdx := findKeyword(lowerASCII(forClause), "in")
 	if inIdx < 0 {
 		return nil, fmt.Errorf("xquery: missing 'in' in for clause of %q", input)
 	}
@@ -498,7 +548,7 @@ func isPathChar(c byte) bool {
 func parseInsert(input string) (*Statement, error) {
 	const kw = "insert into "
 	rest := strings.TrimSpace(input[len(kw):])
-	valIdx := findKeyword(strings.ToLower(rest), "value")
+	valIdx := findKeyword(lowerASCII(rest), "value")
 	if valIdx < 0 {
 		return nil, fmt.Errorf("xquery: insert missing 'value' in %q", input)
 	}
@@ -514,7 +564,7 @@ func parseInsert(input string) (*Statement, error) {
 func parseDelete(input string) (*Statement, error) {
 	const kw = "delete from "
 	rest := strings.TrimSpace(input[len(kw):])
-	whereIdx := findKeyword(strings.ToLower(rest), "where")
+	whereIdx := findKeyword(lowerASCII(rest), "where")
 	if whereIdx < 0 {
 		return nil, fmt.Errorf("xquery: delete missing 'where' in %q", input)
 	}
@@ -532,7 +582,7 @@ func parseDelete(input string) (*Statement, error) {
 func parseUpdate(input string) (*Statement, error) {
 	const kw = "update "
 	rest := strings.TrimSpace(input[len(kw):])
-	lower := strings.ToLower(rest)
+	lower := lowerASCII(rest)
 	setIdx := findKeyword(lower, "set")
 	whereIdx := findKeyword(lower, "where")
 	if setIdx < 0 || whereIdx < 0 || whereIdx < setIdx {

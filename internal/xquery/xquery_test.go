@@ -176,6 +176,7 @@ func TestParseErrors(t *testing.T) {
 		`delete from SECURITY`,
 		`update SECURITY set x where /a`,
 		`delete from SECURITY where relative/path`,
+		`SELECT WHERE FROM`, // panicked slicing from FROM back to WHERE
 	}
 	for _, in := range bad {
 		if _, err := Parse(in); err == nil {
@@ -196,5 +197,56 @@ func TestCondString(t *testing.T) {
 	s := MustParse(q2)
 	if got := s.Where[0].String(); !strings.Contains(got, "Sector") || !strings.Contains(got, "Energy") {
 		t.Errorf("Cond.String() = %q", got)
+	}
+}
+
+// TestParseRefusesOverlongPatterns: a statement from which the planner
+// would derive a linear pattern longer than xpath.CheckSteps allows is
+// refused at parse. Before the check the planner panicked on each of
+// these. Longer paths the planner never turns into a pattern (a bare
+// path, a return path, an existence test) still parse, as does a
+// predicate pattern of exactly 30 steps.
+func TestParseRefusesOverlongPatterns(t *testing.T) {
+	a31 := strings.Repeat("/a", 31)
+	for _, in := range []string{
+		`for $s in SECURITY('SDOC')/Security where $s` + a31 + ` = "x" return $s`,
+		`delete from SECURITY where /Security[Symbol` + a31 + ` = "x"]`,
+		`update SECURITY set Symbol` + a31 + ` = "y" where /Security[Symbol="S00001"]`,
+		`SELECT * FROM SECURITY WHERE XMLEXISTS('$SDOC/Security[Symbol` + a31 + `="x"]' PASSING SDOC)`,
+	} {
+		if _, err := Parse(in); err == nil || !strings.Contains(err.Error(), "at most 30") {
+			t.Errorf("Parse(%.60q...) = %v, want the 30-step error", in, err)
+		}
+	}
+	for _, in := range []string{
+		`SECURITY('SDOC')/Security` + a31,
+		`for $s in SECURITY('SDOC')/Security return $s` + a31,
+		`for $s in SECURITY('SDOC')/Security where $s` + a31 + ` return $s`,
+		`for $s in SECURITY('SDOC')/Security` + strings.Repeat("/a", 28) + ` where $s/b = "x" return $s`,
+		`update SECURITY set a` + strings.Repeat("/a", 28) + ` = "y" where /Security[Symbol="S00001"]`,
+	} {
+		if _, err := Parse(in); err != nil {
+			t.Errorf("Parse(%.60q...): %v", in, err)
+		}
+	}
+}
+
+// TestParseNonASCII: keywords are found in an ASCII-lowercased copy of
+// the statement, whose byte offsets are those of the statement itself.
+// strings.ToLower changed them (an invalid byte became a 3-byte U+FFFD,
+// 'İ' grew a byte): the first two inputs panicked, the third was cut
+// at the wrong byte.
+func TestParseNonASCII(t *testing.T) {
+	for _, in := range []string{"for \xff\xeb\xde\xd0 return", "SELECT \xff\xff\xff FROM x"} {
+		if st, err := Parse(in); err == nil {
+			t.Errorf("Parse(%q) = %+v, want an error", in, st)
+		}
+	}
+	st, err := Parse(`for $s in T('C')/İİİ where $s/a = 1 return $s`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Table != "T" || st.Binding.String() != "/İİİ" || len(st.Where) != 1 || st.Where[0].String() != "a=1" {
+		t.Fatalf("parsed as table %q binding %s where %v", st.Table, st.Binding, st.Where)
 	}
 }

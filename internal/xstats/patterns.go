@@ -13,10 +13,9 @@ import (
 // same table to the snapshot it returns, so neither a pattern's matched
 // paths nor its derived statistics are lost when statistics fold.
 //
-// Each entry holds the PathIDs its pattern matches — the pattern NFA
-// threaded parent→child over the dictionary once and extended only when
-// the dictionary grows (the xindex.ensureMatched idiom) — and the
-// PatternStats last derived from them. A fold clears the derived
+// Each entry holds the PathIDs its pattern matches — an xpath.PathSet
+// over the dictionary, extended only when the dictionary grows — and
+// the PatternStats last derived from them. A fold clears the derived
 // statistics of exactly the entries matching a path it changed; the
 // inverted byPath lists make that proportional to the delta, not to the
 // number of patterns the advisor ever asked about.
@@ -38,12 +37,7 @@ type patternTable struct {
 }
 
 type patternEntry struct {
-	pattern xpath.Path
-	// matcher is nil for a pattern too long for the NFA's state budget;
-	// such a pattern is matched against each path's labels directly.
-	matcher *xpath.PathMatcher
-	states  []xpath.MatchState
-	covered int
+	set *xpath.PathSet
 	// pids are the matched paths in List order (by rendered path). The
 	// slice is replaced, never written, once readers can see it.
 	pids []xmltree.PathID
@@ -90,10 +84,7 @@ func (pt *patternTable) lookup(key []byte, p xpath.Path, kind xpath.ValueKind, s
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
 	if e = pt.entries[string(key)]; e == nil {
-		e = &patternEntry{pattern: p}
-		if xpath.CompilablePattern(p) {
-			e.matcher = xpath.NewPathMatcher(p)
-		}
+		e = &patternEntry{set: xpath.NewPathSet(p)}
 		pt.entries[string(key)] = e
 		pt.extend(e, pt.dict.Snapshot())
 	}
@@ -143,23 +134,7 @@ func (pt *patternTable) advance(changed []xmltree.PathID) uint64 {
 // extend matches the entry against the dictionary entries it has not
 // seen yet. Called with pt.mu held for writing.
 func (pt *patternTable) extend(e *patternEntry, snap []xmltree.PathEntry) {
-	from := e.covered
-	e.covered = len(snap)
-	if e.matcher != nil {
-		e.states = e.matcher.ExtendStates(snap, e.states)
-	}
-	var added []xmltree.PathID
-	for i := from; i < len(snap); i++ {
-		pid := xmltree.PathID(i)
-		if e.matcher != nil {
-			if !e.matcher.Matched(e.states[i]) {
-				continue
-			}
-		} else if !xpath.MatchesLabelPath(e.pattern, pt.dict.Labels(pid)) {
-			continue
-		}
-		added = append(added, pid)
-	}
+	added := e.set.Extend(snap)
 	if len(added) == 0 {
 		return
 	}
